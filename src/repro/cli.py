@@ -21,11 +21,6 @@ Commands
     enclave, drive a seeded Zipf workload through the recommendation
     server, and print the throughput/latency/quality report
     (optionally as a ``repro.serve/v1`` JSON artifact).
-``fleet-bench``
-    Sweep the event-kernel gossip experiment across fleet sizes
-    (256/1k/4k by default), print the scaling table, and write the
-    ``repro.fleet_bench/v1`` artifact (``BENCH_fleet.json``); with a
-    sim-steps/s floor it doubles as the CI scaling gate.
 ``lint``
     Run the enclave-boundary / crypto-misuse / determinism static
     analyzer over source trees (text or JSON findings).
@@ -234,34 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-one-replica-per-shard",
         action="store_true",
         help="fleet mode: crash one replica per shard at the traffic peak",
-    )
-
-    fleet = sub.add_parser(
-        "fleet-bench",
-        help="thousand-node event-kernel scaling curve -> BENCH_fleet.json",
-    )
-    fleet.add_argument(
-        "--sizes",
-        default="256,1024,4096",
-        metavar="N,N,...",
-        help="comma-separated fleet sizes to sweep",
-    )
-    fleet.add_argument("--cycles", type=int, default=40, help="gossip cycles per size")
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument("--degree", type=int, default=6, help="ring-lattice degree")
-    fleet.add_argument("--fanout", type=int, default=1, help="push targets per cycle")
-    fleet.add_argument(
-        "--floor-steps-per-s",
-        type=float,
-        default=None,
-        metavar="SPS",
-        help="fail (exit 1) if any size falls below this sim-steps/s floor",
-    )
-    fleet.add_argument(
-        "--output",
-        default="BENCH_fleet.json",
-        metavar="PATH",
-        help="where to write the repro.fleet_bench/v1 artifact",
     )
 
     lint = sub.add_parser(
@@ -578,64 +545,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_fleet_bench(args) -> int:
-    import time
-
-    from repro.sim.fleet_scale import FleetScaleRunner, write_fleet_bench
-
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        print(f"error: --sizes must be comma-separated integers, got {args.sizes!r}")
-        return 2
-
-    runner = FleetScaleRunner(
-        sizes,
-        clock=time.perf_counter,
-        cycles=args.cycles,
-        seed=args.seed,
-        degree=args.degree,
-        fanout=args.fanout,
-    )
-    points = runner.run()
-    write_fleet_bench(
-        points,
-        args.output,
-        seed=args.seed,
-        cycles=args.cycles,
-        floor_steps_per_s=args.floor_steps_per_s,
-    )
-
-    rows = [
-        [
-            str(p.nodes),
-            str(p.events),
-            f"{p.steps_per_s:,.0f}",
-            f"{p.peak_traced_bytes / 1e6:.2f}",
-            f"{p.coverage:.3f}",
-            p.trace_digest[:12],
-        ]
-        for p in points
-    ]
-    print(
-        format_table(
-            ["nodes", "events", "sim-steps/s", "peak MB", "coverage", "trace"],
-            rows,
-            title=f"Fleet scaling, {args.cycles} cycles/size (artifact: {args.output})",
-        )
-    )
-
-    if args.floor_steps_per_s is not None:
-        slowest = min(points, key=lambda p: p.steps_per_s)
-        if slowest.steps_per_s < args.floor_steps_per_s:
-            print(
-                f"FAIL: {slowest.nodes}-node fleet ran {slowest.steps_per_s:,.0f} "
-                f"sim-steps/s, below the {args.floor_steps_per_s:,.0f} floor"
-            )
-            return 1
-    return 0
-
-
 def cmd_lint(args) -> int:
     from repro.lint import (
         Baseline,
@@ -701,7 +610,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "metrics": cmd_metrics,
         "chaos": cmd_chaos,
         "serve": cmd_serve,
-        "fleet-bench": cmd_fleet_bench,
         "lint": cmd_lint,
         "info": cmd_info,
     }

@@ -7,13 +7,12 @@ messages until every node has completed the requested number of epochs --
 event-driven, exactly like the real system, with the epoch barrier
 ("a message from all neighbors") enforced inside the enclaves.
 
-Scheduling is owned by the shared :class:`~repro.sim.kernel.EventKernel`
-(the default ``driver="kernel"``): each pump cycle registers host relays,
-transport ticks and chaos-controller ticks as ordered kernel events, so
-the cluster composes with every other event source (fleet epochs, serve
-ticks).  The seed's hand-rolled ``while`` loops survive verbatim behind
-``driver="legacy"`` as the behavior oracle; a parity regression test pins
-byte-identical per-epoch wire traffic and equal RMSE between the two.
+Scheduling is owned by the shared :class:`~repro.sim.kernel.EventKernel`:
+each pump cycle registers host relays, transport ticks and
+chaos-controller ticks as ordered kernel events, so the cluster composes
+with every other event source (fleet epochs, serve ticks).
+``tests/sim/test_kernel_parity.py`` pins the per-epoch wire traffic, RMSE
+floats and kernel trace digest of a fixed-seed run.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ class RexCluster:
         #: this cluster; :mod:`repro.faults` installs its controller here.
         self.controller: Optional[object] = None
         #: The event kernel that drove the most recent ``run`` (``None``
-        #: before the first run or after a legacy-driver run).
+        #: before the first run).
         self.kernel: Optional["EventKernel"] = None
 
     def bootstrap(
@@ -231,32 +230,19 @@ class RexCluster:
         test_shards: Sequence[RatingsDataset],
         *,
         global_mean: float = 3.5,
-        driver: str = "kernel",
     ) -> ClusterRun:
         """Bootstrap and pump until every node completed ``config.epochs``.
 
-        ``driver="kernel"`` (default) schedules pump cycles, transport
-        ticks and chaos ticks as :class:`~repro.sim.kernel.EventKernel`
-        events; ``driver="legacy"`` runs the seed's hand-rolled loops.
-        Both execute the identical work in the identical order -- the
-        kernel parity regression test pins byte-identical wire traffic
-        and equal RMSE between them.
+        Pump cycles, transport ticks and chaos ticks are scheduled as
+        :class:`~repro.sim.kernel.EventKernel` events.
         """
-        if driver not in ("kernel", "legacy"):
-            raise ValueError(f"unknown driver {driver!r}; use 'kernel' or 'legacy'")
         self.bootstrap(train_shards, test_shards, global_mean=global_mean)
 
         target = self.config.epochs
-        if driver == "legacy":
-            self.kernel = None
-            if self.config.faults.enabled:
-                self._pump_tolerant(target)
-            else:
-                self._pump_strict(target)
-        elif self.config.faults.enabled:
-            self._pump_tolerant_kernel(target)
+        if self.config.faults.enabled:
+            self._pump_tolerant(target)
         else:
-            self._pump_strict_kernel(target)
+            self._pump_strict(target)
         return ClusterRun(
             config=self.config,
             secure=self.secure,
@@ -268,73 +254,10 @@ class RexCluster:
             epc=self.epc,
         )
 
-    def _pump_strict(self, target: int) -> None:
-        """The seed's healthy-LAN loop: any quiescent gap is a fatal stall."""
-        while True:
-            moved = 0
-            done = True
-            for host in self.hosts:
-                moved += host.pump()
-                if len(host.epoch_stats) < target:
-                    done = False
-            if done:
-                break
-            if moved == 0:
-                laggards = [
-                    host.node_id for host in self.hosts if len(host.epoch_stats) < target
-                ]
-                raise RuntimeError(
-                    f"protocol stalled: no messages in flight but nodes {laggards} "
-                    f"have not reached epoch {target}"
-                )
-
     def _node_done(self, host: RexHost, target: int) -> bool:
         # A restarted node skips the epochs it was dead for, so count by the
         # last *reported* epoch, not by how many reports accumulated.
         return bool(host.epoch_stats) and host.epoch_stats[-1].epoch + 1 >= target
-
-    def _pump_tolerant(self, target: int) -> None:
-        """Pump + tick loop that survives faults and diagnoses real stalls.
-
-        Each iteration relays inbound messages, advances simulated network
-        time (releasing delayed frames and scheduled retries) and the
-        enclaves' barrier-patience clocks, and lets the chaos controller
-        inject crashes/restarts.  Permanently crashed nodes are exempt from
-        the completion condition; a window with no activity of any kind for
-        longer than the patience budget is a genuine stall and raises with
-        a diagnosis instead of spinning.
-        """
-        patience = self.config.faults.barrier_patience_ticks
-        idle = 0
-        while True:
-            if self.controller is not None:
-                self.controller.on_tick(self)
-            moved = 0
-            done = True
-            for host in self.hosts:
-                if host.node_id in self.crashed:
-                    continue
-                moved += host.pump()
-                if not self._node_done(host, target):
-                    done = False
-            if done and self.controller is not None:
-                # A scheduled restart is known future work: keep pumping so
-                # the reborn node gets to rejoin and finish, instead of
-                # declaring victory while a churn event is still pending.
-                done = not getattr(self.controller, "pending_work", lambda: False)()
-            if done:
-                break
-            flushed = self.network.tick()
-            forced = 0
-            for host in self.hosts:
-                if host.node_id not in self.crashed and not self._node_done(host, target):
-                    forced += host.tick()
-            if moved or flushed or forced or self.network.in_flight:
-                idle = 0
-                continue
-            idle += 1
-            if idle > patience + 8:
-                raise self._stall_error(idle, target)
 
     def _stall_error(self, idle: int, target: int) -> RuntimeError:
         laggards = {
@@ -350,12 +273,11 @@ class RexCluster:
         )
 
     # ------------------------------------------------------------------ #
-    # Kernel-driven scheduling (the default driver)
+    # Kernel-driven scheduling
     # ------------------------------------------------------------------ #
-    def _pump_strict_kernel(self, target: int) -> None:
-        """The strict loop re-expressed as recurring ``cluster.pump``
-        events: one kernel event per healthy-LAN pump cycle, identical
-        work in identical order (parity-pinned against the legacy loop)."""
+    def _pump_strict(self, target: int) -> None:
+        """The healthy-LAN loop as recurring ``cluster.pump`` events: one
+        kernel event per pump cycle; any quiescent gap is a fatal stall."""
         from repro.sim.kernel import EventKernel
 
         kernel = self.kernel = EventKernel()
@@ -382,16 +304,20 @@ class RexCluster:
         kernel.at(0.0, cycle, kind="cluster.pump", key=())
         kernel.run()
 
-    def _pump_tolerant_kernel(self, target: int) -> None:
-        """The tolerant loop decomposed into per-tick kernel events.
+    def _pump_tolerant(self, target: int) -> None:
+        """Pump + tick events that survive faults and diagnose real stalls.
 
         Each simulated tick registers four same-timestamp events whose
-        keys pin the legacy iteration order: the chaos controller fires
-        first (``faults.tick``), then host relays (``cluster.pump``),
-        then the transport clock (``net.tick`` -- delayed frames and
-        scheduled retries), then the enclaves' barrier-patience clocks
-        (``cluster.node_tick``), which also does the idle/stall
-        accounting and schedules the next tick's events.
+        keys pin the iteration order: the chaos controller fires first
+        (``faults.tick``, injecting crashes/restarts), then host relays
+        (``cluster.pump``), then the transport clock (``net.tick`` --
+        delayed frames and scheduled retries), then the enclaves'
+        barrier-patience clocks (``cluster.node_tick``), which also does
+        the idle/stall accounting and schedules the next tick's events.
+        Permanently crashed nodes are exempt from the completion
+        condition; a window with no activity of any kind for longer than
+        the patience budget is a genuine stall and raises with a
+        diagnosis instead of spinning.
         """
         from repro.sim.kernel import EventKernel
 

@@ -33,7 +33,6 @@ from repro.serve.server import RecServer, ServeCostModel, ServePolicy
 from repro.serve.snapshot import encode_snapshot, snapshot_from_arrays
 from repro.serve.workload import WorkloadGenerator, WorkloadSpec, run_trace, trace_digest
 from repro.sim.fleet import MfFleetSim
-from repro.sim.kernel import EventKernel
 from repro.tee.attestation import AttestationService
 from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
 from repro.tee.enclave import Enclave, Platform
@@ -244,10 +243,7 @@ def run_serving_experiment(
     )
     generator = WorkloadGenerator(workload)
     trace = generator.trace()
-    # Serving ticks run as ``serve.tick`` events on the shared event
-    # kernel (completion-identical to the legacy polling loop, which
-    # tests/serve pin as the oracle).
-    completions = run_trace(server, trace, kernel=EventKernel())
+    completions = run_trace(server, trace)
 
     # Cache effectiveness of the *load phase* only: the quality probe
     # below would otherwise pollute the counters it is reported next to.

@@ -26,15 +26,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import List
 
 import numpy as np
 
 from repro._rng import child_rng
 from repro.serve.server import Completion, RecServer
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.sim.kernel import EventKernel
+from repro.sim.kernel import EventKernel
 
 __all__ = [
     "WorkloadSpec",
@@ -213,49 +211,31 @@ def trace_digest(trace: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def run_trace(
-    server: RecServer,
-    trace: np.ndarray,
-    *,
-    kernel: Optional["EventKernel"] = None,
-) -> List[Completion]:
+def run_trace(server: RecServer, trace: np.ndarray) -> List[Completion]:
     """Offer an open-loop trace on schedule, then drain the queue.
 
-    With ``kernel``, the same schedule registers as ``serve.tick``
-    events on the shared event kernel -- one event per server tick,
-    arrivals applied at the top of the tick exactly as in the polling
-    loop -- so serving composes with the other kernel-driven subsystems.
-    Without it, the original polling loop runs.  The two paths are
-    completion-for-completion identical.
+    The schedule runs as ``serve.tick`` events on an
+    :class:`~repro.sim.kernel.EventKernel` -- one event per server tick,
+    arrivals applied at the top of the tick, then ``server.step()``.
     """
     completions: List[Completion] = []
     arrivals = np.asarray(trace, dtype=np.int64)
     last_tick = int(arrivals[-1, 0]) if len(arrivals) else -1
-    state = {"pos": 0}
+    kernel = EventKernel()
+    pos = 0
 
-    def one_tick() -> bool:
-        """One polling-loop iteration; ``False`` past the horizon."""
+    def tick_event() -> None:
+        nonlocal pos
         if server.tick > last_tick:
-            return False
-        pos = state["pos"]
+            return
         while pos < len(arrivals) and int(arrivals[pos, 0]) == server.tick:
             server.offer(int(arrivals[pos, 1]))
             pos += 1
-        state["pos"] = pos
         completions.extend(server.step())
-        return True
+        kernel.after(1.0, tick_event, kind="serve.tick", key=(server.tick,))
 
-    if kernel is None:
-        while one_tick():
-            pass
-    else:
-
-        def tick_event() -> None:
-            if one_tick():
-                kernel.after(1.0, tick_event, kind="serve.tick", key=(server.tick,))
-
-        kernel.at(kernel.now, tick_event, kind="serve.tick", key=(server.tick,))
-        kernel.run()
+    kernel.at(0.0, tick_event, kind="serve.tick", key=(server.tick,))
+    kernel.run()
     completions.extend(server.drain())
     return completions
 

@@ -17,20 +17,21 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro._rng import child_rng
-from repro.core.config import Dissemination, RexConfig, SharingScheme
-from repro.core.messages import HEADER_BYTES
+from repro.core.config import RexConfig, SharingScheme
 from repro.core.store import DataStore
 from repro.data.dataset import RatingsDataset
 from repro.ml.dnn.model import DnnRecommender, DnnState
 from repro.net.serialization import measure_dnn_state, measure_triplets
 from repro.net.topology import Topology
-from repro.sim.recorder import MIB, EpochRecord, RunResult
-from repro.sim.time_model import DEFAULT_TIME_MODEL, StageTimer, TimeModel
+from repro.obs import Observability
+from repro.sim.engine import FleetEngine
+from repro.sim.recorder import RunResult
+from repro.sim.time_model import DEFAULT_TIME_MODEL, TimeModel
 
 __all__ = ["DnnFleetSim"]
 
 
-class DnnFleetSim:
+class DnnFleetSim(FleetEngine):
     """Per-node-object simulator of decentralized DNN training."""
 
     def __init__(
@@ -42,18 +43,10 @@ class DnnFleetSim:
         *,
         time_model: TimeModel = DEFAULT_TIME_MODEL,
     ):
-        if len(train_shards) != topology.n_nodes:
-            raise ValueError("one train shard per node required")
-        self.config = config
-        self.topology = topology
-        self.time_model = time_model
-        self.n_nodes = topology.n_nodes
-        first = train_shards[0]
-        self.n_users, self.n_items = first.n_users, first.n_items
-
+        super().__init__(train_shards, test_shards, topology, config, time_model)
         self.models: List[DnnRecommender] = []
         self.stores: List[DataStore] = []
-        for node, shard in enumerate(train_shards):
+        for shard in train_shards:
             # Same seed: all nodes start from identical weights.
             model = DnnRecommender(self.n_users, self.n_items, config.dnn, seed=config.seed)
             model.mark_seen(shard)
@@ -68,173 +61,86 @@ class DnnFleetSim:
         self.mlp_param_count = self.models[0].mlp_param_count
 
     # ------------------------------------------------------------------ #
-    def _select_rmw_recipients(self) -> np.ndarray:
-        recipients = np.empty(self.n_nodes, dtype=np.int64)
-        for node in range(self.n_nodes):
-            nbrs = self.topology.neighbors(node)
-            recipients[node] = nbrs[self._rng.integers(0, len(nbrs))]
-        return recipients
+    # FleetEngine hooks
+    # ------------------------------------------------------------------ #
+    def _merge(self, pending, recipients):
+        merged_models = np.zeros(self.n_nodes, dtype=np.int64)
+        dedup_items = np.zeros(self.n_nodes, dtype=np.int64)
+        staging = np.zeros(self.n_nodes, dtype=np.float64)
+        if self.config.scheme is SharingScheme.DATA:
+            for node, batches in enumerate(self._inboxes(pending, recipients)):
+                if not batches:
+                    continue
+                combined = batches[0]
+                for extra in batches[1:]:
+                    combined = combined.concat(extra)
+                dedup_items[node] = len(combined)
+                staging[node] = combined.nbytes
+                if self.stores[node].append_unique(combined):
+                    self.models[node].mark_seen(combined)
+        elif recipients is not None:  # RMW
+            for sender, receiver in enumerate(recipients):
+                receiver = int(receiver)
+                self.models[receiver].merge_average(pending[sender])
+                merged_models[receiver] += 1
+                staging[receiver] += _dnn_state_bytes(pending[sender])
+        else:  # D-PSGD
+            for node in range(self.n_nodes):
+                contributions = []
+                weight_total = 0.0
+                for nb in self.topology.neighbors(node):
+                    w = self._mh[(node, int(nb))]
+                    contributions.append((pending[int(nb)], w))
+                    weight_total += w
+                    staging[node] += _dnn_state_bytes(pending[int(nb)])
+                self.models[node].merge_weighted(
+                    contributions, self_weight=1.0 - weight_total
+                )
+                merged_models[node] = len(contributions)
+        return merged_models, dedup_items, staging
 
-    def _snapshot_states(self) -> List[DnnState]:
-        return [model.state() for model in self.models]
+    def _train(self) -> np.ndarray:
+        train_samples = np.zeros(self.n_nodes, dtype=np.int64)
+        for node, (model, store) in enumerate(zip(self.models, self.stores)):
+            train_samples[node] = model.train_epoch(store.as_dataset(), self._rng)
+        return train_samples
 
-    def run(self) -> RunResult:
-        cfg = self.config
-        timer = StageTimer(time_model=self.time_model)
-        degrees = self.topology.degrees.astype(np.float64)
-        result = RunResult(
-            label=cfg.label,
-            scheme=cfg.scheme.value,
-            dissemination=cfg.dissemination.value,
-            topology=self.topology.name,
-            n_nodes=self.n_nodes,
-            model="dnn",
-            sgx=None,
-            metadata={"share_points": cfg.share_points, "param_count": self.param_count},
+    def _share_content(self):
+        if self.config.scheme is SharingScheme.DATA:
+            samples = [s.sample(self.config.share_points, self._rng) for s in self.stores]
+            sizes = [measure_triplets(len(s)) for s in samples]
+            return samples, np.array(sizes, dtype=np.float64)
+        states = [model.state() for model in self.models]
+        sizes = [
+            measure_dnn_state(
+                int(s.user_seen.sum()), int(s.item_seen.sum()), s.k, s.mlp_params.size
+            )
+            for s in states
+        ]
+        return states, np.array(sizes, dtype=np.float64)
+
+    def _test_rmse(self) -> np.ndarray:
+        return np.array(
+            [m.evaluate_rmse(t) for m, t in zip(self.models, self.test_shards)]
         )
 
-        sim_clock = 0.0
-        cum_bytes = 0
-        pending_samples: Optional[List[RatingsDataset]] = None
-        pending_recipients: Optional[np.ndarray] = None
-        pending_states: Optional[List[DnnState]] = None
+    def _resident_bytes(self) -> np.ndarray:
+        store_bytes = np.array([s.nbytes for s in self.stores], dtype=np.float64)
+        model_bytes = np.array([m.resident_bytes for m in self.models], dtype=np.float64)
+        return store_bytes + model_bytes
 
-        for epoch in range(cfg.epochs):
-            merged_models = np.zeros(self.n_nodes, dtype=np.int64)
-            dedup_items = np.zeros(self.n_nodes, dtype=np.int64)
-            staging = np.zeros(self.n_nodes, dtype=np.float64)
+    def _stage_times(self, merged, **counts):
+        return self._timer.dnn_stage_times(
+            param_count=self.param_count, merged_models=merged, **counts
+        )
 
-            # -- merge ---------------------------------------------------- #
-            if epoch > 0:
-                if cfg.scheme is SharingScheme.DATA:
-                    incoming: List[List[RatingsDataset]] = [[] for _ in range(self.n_nodes)]
-                    if pending_recipients is not None:
-                        for sender, receiver in enumerate(pending_recipients):
-                            incoming[int(receiver)].append(pending_samples[sender])
-                    else:
-                        for sender in range(self.n_nodes):
-                            for receiver in self.topology.neighbors(sender):
-                                incoming[int(receiver)].append(pending_samples[sender])
-                    for node, batches in enumerate(incoming):
-                        if not batches:
-                            continue
-                        combined = batches[0]
-                        for extra in batches[1:]:
-                            combined = combined.concat(extra)
-                        dedup_items[node] = len(combined)
-                        staging[node] = combined.nbytes
-                        if self.stores[node].append_unique(combined):
-                            self.models[node].mark_seen(combined)
-                else:
-                    if pending_recipients is not None:  # RMW
-                        for sender, receiver in enumerate(pending_recipients):
-                            receiver = int(receiver)
-                            self.models[receiver].merge_average(pending_states[sender])
-                            merged_models[receiver] += 1
-                            staging[receiver] += _dnn_state_bytes(pending_states[sender])
-                    else:  # D-PSGD
-                        for node in range(self.n_nodes):
-                            contributions = []
-                            weight_total = 0.0
-                            for nb in self.topology.neighbors(node):
-                                w = self._mh[(node, int(nb))]
-                                contributions.append((pending_states[int(nb)], w))
-                                weight_total += w
-                                staging[node] += _dnn_state_bytes(pending_states[int(nb)])
-                            self.models[node].merge_weighted(
-                                contributions, self_weight=1.0 - weight_total
-                            )
-                            merged_models[node] = len(contributions)
-
-            # -- train ----------------------------------------------------- #
-            train_samples = np.zeros(self.n_nodes, dtype=np.int64)
-            for node, (model, store) in enumerate(zip(self.models, self.stores)):
-                train_samples[node] = model.train_epoch(store.as_dataset(), self._rng)
-
-            # -- share ------------------------------------------------------ #
-            if cfg.dissemination is Dissemination.RMW:
-                recipients = self._select_rmw_recipients()
-                full_messages = np.ones(self.n_nodes)
-                empty_messages = degrees - 1
-            else:
-                recipients = None
-                full_messages = degrees
-                empty_messages = np.zeros(self.n_nodes)
-
-            if cfg.scheme is SharingScheme.DATA:
-                samples = [store.sample(cfg.share_points, self._rng) for store in self.stores]
-                content_bytes = np.array(
-                    [measure_triplets(len(s)) for s in samples], dtype=np.float64
-                )
-                pending_samples, pending_states = samples, None
-            else:
-                states = self._snapshot_states()
-                content_bytes = np.array(
-                    [
-                        measure_dnn_state(
-                            int(s.user_seen.sum()),
-                            int(s.item_seen.sum()),
-                            s.k,
-                            s.mlp_params.size,
-                        )
-                        for s in states
-                    ],
-                    dtype=np.float64,
-                )
-                pending_samples, pending_states = None, states
-            pending_recipients = recipients
-
-            payload_bytes = (
-                full_messages * (content_bytes + HEADER_BYTES)
-                + empty_messages * HEADER_BYTES
-            )
-
-            # -- test -------------------------------------------------------- #
-            rmses = np.array(
-                [m.evaluate_rmse(t) for m, t in zip(self.models, self.test_shards)]
-            )
-            test_samples = np.array([len(t) for t in self.test_shards], dtype=np.float64)
-
-            # -- timing / record ---------------------------------------------- #
-            store_bytes = np.array([s.nbytes for s in self.stores], dtype=np.float64)
-            model_bytes = np.array([m.resident_bytes for m in self.models], dtype=np.float64)
-            resident = store_bytes + model_bytes + staging
-            stages = timer.dnn_stage_times(
-                param_count=self.param_count,
-                merged_models=merged_models,
-                dedup_items=dedup_items,
-                train_samples=train_samples,
-                serialized_bytes=content_bytes,
-                payload_bytes=payload_bytes,
-                messages=full_messages,
-                empty_messages=empty_messages,
-                test_samples=test_samples,
-                resident_bytes=resident,
-                staging_bytes=staging,
-            )
-            durations = StageTimer.epoch_duration(
-                stages, overlap_share=cfg.parallel_share
-            )
-            sim_clock += float(np.max(durations))
-            epoch_bytes = int(payload_bytes.sum())
-            cum_bytes += epoch_bytes
-            result.records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    sim_time_s=sim_clock,
-                    test_rmse=float(np.nanmean(rmses)),
-                    bytes_sent=epoch_bytes,
-                    cum_bytes=cum_bytes,
-                    merge_time_s=float(np.mean(stages["merge"])),
-                    train_time_s=float(np.mean(stages["train"])),
-                    share_time_s=float(np.mean(stages["share"])),
-                    test_time_s=float(np.mean(stages["test"])),
-                    network_time_s=float(np.mean(stages["network"])),
-                    memory_mib_mean=float(np.mean(resident)) / MIB,
-                    memory_mib_max=float(np.max(resident)) / MIB,
-                )
-            )
-        return result
+    def run(self, obs: Optional[Observability] = None) -> RunResult:
+        """Execute ``config.epochs`` epochs (see :meth:`MfFleetSim.run`)."""
+        metadata = {
+            "share_points": self.config.share_points,
+            "param_count": self.param_count,
+        }
+        return self._run_epochs(obs, model="dnn", metadata=metadata)
 
 
 def _dnn_state_bytes(state: DnnState) -> int:

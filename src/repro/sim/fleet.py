@@ -33,16 +33,14 @@ import scipy.sparse as sp
 
 from repro._rng import child_rng
 from repro.core.config import Dissemination, RexConfig, SharingScheme
-from repro.core.messages import HEADER_BYTES
 from repro.data.dataset import RatingsDataset
 from repro.ml.mf import sgd_step
 from repro.net.serialization import measure_mf_state, measure_triplets
 from repro.net.topology import Topology
 from repro.obs import Observability
-from repro.obs.stages import record_epoch
-from repro.sim.kernel import EventKernel
-from repro.sim.recorder import MIB, EpochRecord, RunResult
-from repro.sim.time_model import DEFAULT_TIME_MODEL, StageTimer, TimeModel
+from repro.sim.engine import FleetEngine
+from repro.sim.recorder import RunResult
+from repro.sim.time_model import DEFAULT_TIME_MODEL, TimeModel
 
 __all__ = ["MfFleetSim", "FleetStores"]
 
@@ -122,7 +120,7 @@ class FleetStores:
         return n * (4 + 4 + 4 + 8)
 
 
-class MfFleetSim:
+class MfFleetSim(FleetEngine):
     """All-nodes-at-once simulator of decentralized MF training."""
 
     def __init__(
@@ -135,22 +133,12 @@ class MfFleetSim:
         global_mean: float,
         time_model: TimeModel = DEFAULT_TIME_MODEL,
     ):
-        if len(train_shards) != topology.n_nodes:
-            raise ValueError("one train shard per node required")
+        super().__init__(train_shards, test_shards, topology, config, time_model)
         if config.mf.np_dtype != np.dtype(np.float32):
             raise ValueError("the fleet simulator requires float32 parameters")
-        self.config = config
-        self.topology = topology
-        self.time_model = time_model
         self.global_mean = float(global_mean)
-
-        first = train_shards[0]
-        self.n_users = first.n_users
-        self.n_items = first.n_items
-        n = topology.n_nodes
-        k = config.mf.k
-        self.n_nodes = n
-        self.k = k
+        n = self.n_nodes
+        k = self.k = config.mf.k
 
         # Stacked parameters; every node starts from the same init (all
         # nodes run identical code with the same seed, per Section III-A).
@@ -189,7 +177,6 @@ class MfFleetSim:
         self._test_user = np.concatenate(tu) if tu else np.array([], dtype=np.int64)
         self._test_item = np.concatenate(ti) if ti else np.array([], dtype=np.int64)
         self._test_rating = np.concatenate(tr) if tr else np.array([], dtype=np.float32)
-        self._test_counts = np.bincount(self._test_node, minlength=n).astype(np.float64)
 
         # The globally reachable seen-sets: rows some node has rated.
         self._union_users = len(np.unique(pool.users))
@@ -210,10 +197,6 @@ class MfFleetSim:
         self._model_bytes = (
             (self.n_users + self.n_items) * (k + 1) * 4 + self.n_users + self.n_items
         )
-
-        #: The event kernel driving the most recent ``run`` (``None``
-        #: before the first run or after a legacy-driver run).
-        self.kernel: Optional[EventKernel] = None
 
     # ------------------------------------------------------------------ #
     # Setup helpers
@@ -238,14 +221,6 @@ class MfFleetSim:
     # ------------------------------------------------------------------ #
     # Protocol stages, vectorized
     # ------------------------------------------------------------------ #
-    def _select_rmw_recipients(self) -> np.ndarray:
-        """Each node's randomly chosen neighbor this epoch."""
-        recipients = np.empty(self.n_nodes, dtype=np.int64)
-        for node in range(self.n_nodes):
-            nbrs = self.topology.neighbors(node)
-            recipients[node] = nbrs[self._rng.integers(0, len(nbrs))]
-        return recipients
-
     def _draw_share_samples(self) -> List[np.ndarray]:
         """Per-node pool-id arrays of this epoch's share sample."""
         points = self.config.share_points
@@ -256,20 +231,11 @@ class MfFleetSim:
 
     def _merge_data(self, samples: List[np.ndarray], recipients: Optional[np.ndarray]):
         """Deliver raw-data shares and append unique items per receiver."""
-        incoming: List[List[np.ndarray]] = [[] for _ in range(self.n_nodes)]
-        if recipients is not None:  # RMW unicast
-            for sender, receiver in enumerate(recipients):
-                incoming[int(receiver)].append(samples[sender])
-        else:  # D-PSGD broadcast
-            for sender in range(self.n_nodes):
-                for receiver in self.topology.neighbors(sender):
-                    incoming[int(receiver)].append(samples[sender])
-        appended = np.zeros(self.n_nodes, dtype=np.int64)
         checked = np.zeros(self.n_nodes, dtype=np.int64)
         staging = np.zeros(self.n_nodes, dtype=np.int64)
         pool = self.stores.pool
         dedup = self.config.dedup
-        for node, batches in enumerate(incoming):
+        for node, batches in enumerate(self._inboxes(samples, recipients)):
             if not batches:
                 continue
             ids = np.concatenate(batches)
@@ -279,11 +245,10 @@ class MfFleetSim:
                 added = self.stores.append_unique(node, ids)
             else:
                 added = self.stores.append_all(node, ids)
-            appended[node] = added
             if added:
                 self.SU[node, pool.users[ids]] = True
                 self.SI[node, pool.items[ids]] = True
-        return appended, checked, staging
+        return checked, staging
 
     def _merge_models_dpsgd(self) -> np.ndarray:
         """One matrix product merges every node (mask-renormalized).
@@ -432,188 +397,43 @@ class MfFleetSim:
         return rmse
 
     # ------------------------------------------------------------------ #
-    # The run loop
+    # FleetEngine hooks
     # ------------------------------------------------------------------ #
-    def run(
-        self, obs: Optional[Observability] = None, *, driver: str = "kernel"
-    ) -> RunResult:
+    def _merge(self, pending, recipients):
+        zeros = np.zeros(self.n_nodes, dtype=np.int64)
+        if self.config.scheme is SharingScheme.DATA:
+            return (zeros, *self._merge_data(pending, recipients))
+        if recipients is None:
+            merged_rows = self._merge_models_dpsgd()
+        else:
+            merged_rows = self._merge_models_rmw(recipients)
+        # Decoded alien rows stay resident during the merge.
+        return merged_rows, zeros, merged_rows * (self.k + 1) * 4
+
+    def _share_content(self):
+        if self.config.scheme is SharingScheme.DATA:
+            samples = self._draw_share_samples()
+            sizes = [measure_triplets(len(s)) for s in samples]
+            return samples, np.array(sizes, dtype=np.float64)
+        # Model shares are merged from the live stacked state next epoch.
+        sizes = [
+            measure_mf_state(int(self.SU[i].sum()), int(self.SI[i].sum()), self.k)
+            for i in range(self.n_nodes)
+        ]
+        return None, np.array(sizes, dtype=np.float64)
+
+    def _resident_bytes(self) -> np.ndarray:
+        store_bytes = [self.stores.nbytes(i) for i in range(self.n_nodes)]
+        return np.array(store_bytes, dtype=np.float64) + self._model_bytes
+
+    def _stage_times(self, merged, **counts):
+        return self._timer.mf_stage_times(k=self.k, merged_rows=merged, **counts)
+
+    def run(self, obs: Optional[Observability] = None) -> RunResult:
         """Execute ``config.epochs`` epochs and return the full record.
 
         With an :class:`~repro.obs.Observability` the run also emits the
         shared per-epoch span/counter schema (see :mod:`repro.obs.stages`).
-
-        ``driver`` selects the scheduler: ``"kernel"`` (default)
-        registers each epoch as a ``fleet.epoch`` event on an
-        :class:`~repro.sim.kernel.EventKernel` -- the production path
-        every other event source (transport ticks, chaos schedules,
-        serving ticks) composes with -- while ``"legacy"`` keeps the
-        seed's plain epoch loop as the behavior oracle.  The parity
-        regression test pins that both drivers produce identical records.
         """
-        if driver not in ("kernel", "legacy"):
-            raise ValueError(f"unknown driver {driver!r}; use 'kernel' or 'legacy'")
-        cfg = self.config
-        self._obs = obs
-        self._timer = StageTimer(
-            time_model=self.time_model,
-            metrics=obs.metrics if obs is not None else None,
-        )
-        self._degrees = self.topology.degrees.astype(np.float64)
-        result = RunResult(
-            label=cfg.label,
-            scheme=cfg.scheme.value,
-            dissemination=cfg.dissemination.value,
-            topology=self.topology.name,
-            n_nodes=self.n_nodes,
-            model="mf",
-            sgx=None,
-            metadata={"share_points": cfg.share_points, "k": self.k},
-        )
-        self._result = result
-        self._sim_clock = 0.0
-        self._cum_bytes = 0
-        self._pending_samples: Optional[List[np.ndarray]] = None
-        self._pending_recipients: Optional[np.ndarray] = None
-
-        if driver == "legacy":
-            self.kernel = None
-            for epoch in range(cfg.epochs):
-                self._epoch_step(epoch)
-            return result
-
-        kernel = self.kernel = EventKernel()
-
-        def fire(epoch: int) -> None:
-            self._epoch_step(epoch)
-            if epoch + 1 < cfg.epochs:
-                # The next epoch starts at this epoch's barrier time.
-                kernel.at(
-                    self._sim_clock,
-                    lambda: fire(epoch + 1),
-                    kind="fleet.epoch",
-                    key=(epoch + 1,),
-                )
-
-        kernel.at(0.0, lambda: fire(0), kind="fleet.epoch", key=(0,))
-        kernel.run()
-        return result
-
-    def _epoch_step(self, epoch: int) -> None:
-        """One full protocol epoch (merge -> train -> share -> test).
-
-        All nodes advance together in vectorized stage calls; the caller
-        (legacy loop or event kernel) owns only the scheduling.
-        """
-        cfg = self.config
-        obs = self._obs
-        merged_rows = np.zeros(self.n_nodes, dtype=np.int64)
-        dedup_items = np.zeros(self.n_nodes, dtype=np.int64)
-        staging = np.zeros(self.n_nodes, dtype=np.int64)
-
-        # -- merge (messages shared at the end of the previous epoch) --
-        if epoch > 0:
-            if cfg.scheme is SharingScheme.DATA:
-                _, dedup_items, staging = self._merge_data(
-                    self._pending_samples, self._pending_recipients
-                )
-            elif cfg.dissemination is Dissemination.DPSGD:
-                merged_rows = self._merge_models_dpsgd()
-                staging = (
-                    merged_rows * (self.k + 1) * 4
-                )  # decoded alien rows resident during merge
-            else:
-                merged_rows = self._merge_models_rmw(self._pending_recipients)
-                staging = merged_rows * (self.k + 1) * 4
-
-        # -- train ------------------------------------------------- --
-        train_samples = self._train()
-
-        # -- share -------------------------------------------------- --
-        if cfg.dissemination is Dissemination.RMW:
-            recipients = self._select_rmw_recipients()
-            full_messages = np.ones(self.n_nodes)
-            empty_messages = self._degrees - 1
-        else:
-            recipients = None
-            full_messages = self._degrees
-            empty_messages = np.zeros(self.n_nodes)
-
-        if cfg.scheme is SharingScheme.DATA:
-            samples = self._draw_share_samples()
-            content_bytes = np.array(
-                [measure_triplets(len(s)) for s in samples], dtype=np.float64
-            )
-            self._pending_samples = samples
-        else:
-            content_bytes = np.array(
-                [
-                    measure_mf_state(
-                        int(self.SU[i].sum()), int(self.SI[i].sum()), self.k
-                    )
-                    for i in range(self.n_nodes)
-                ],
-                dtype=np.float64,
-            )
-            self._pending_samples = None
-        self._pending_recipients = recipients
-
-        payload_bytes = (
-            full_messages * (content_bytes + HEADER_BYTES)
-            + empty_messages * HEADER_BYTES
-        )
-
-        # -- test ---------------------------------------------------- --
-        rmse = self._test_rmse()
-
-        # -- timing / recording -------------------------------------- --
-        store_bytes = np.array(
-            [self.stores.nbytes(i) for i in range(self.n_nodes)], dtype=np.float64
-        )
-        resident = store_bytes + self._model_bytes + staging
-        stages = self._timer.mf_stage_times(
-            k=self.k,
-            merged_rows=merged_rows,
-            dedup_items=dedup_items,
-            train_samples=train_samples,
-            serialized_bytes=content_bytes,
-            payload_bytes=payload_bytes,
-            messages=full_messages,
-            empty_messages=empty_messages,
-            test_samples=self._test_counts,
-            resident_bytes=resident,
-            staging_bytes=staging,
-        )
-        durations = StageTimer.epoch_duration(
-            stages, overlap_share=cfg.parallel_share
-        )
-        epoch_start = self._sim_clock
-        self._sim_clock += float(np.max(durations))
-        epoch_bytes = int(payload_bytes.sum())
-        self._cum_bytes += epoch_bytes
-        record_epoch(
-            obs,
-            epoch=epoch,
-            start_s=epoch_start,
-            duration_s=self._sim_clock - epoch_start,
-            stage_seconds={name: float(np.mean(v)) for name, v in stages.items()},
-            payload_bytes=epoch_bytes,
-            serialized_bytes=int(content_bytes.sum()),
-            messages=int(full_messages.sum() + empty_messages.sum()),
-            rmse=float(np.nanmean(rmse)),
-        )
-        self._result.records.append(
-            EpochRecord(
-                epoch=epoch,
-                sim_time_s=self._sim_clock,
-                test_rmse=float(np.nanmean(rmse)),
-                bytes_sent=epoch_bytes,
-                cum_bytes=self._cum_bytes,
-                merge_time_s=float(np.mean(stages["merge"])),
-                train_time_s=float(np.mean(stages["train"])),
-                share_time_s=float(np.mean(stages["share"])),
-                test_time_s=float(np.mean(stages["test"])),
-                network_time_s=float(np.mean(stages["network"])),
-                memory_mib_mean=float(np.mean(resident)) / MIB,
-                memory_mib_max=float(np.max(resident)) / MIB,
-            )
-        )
+        metadata = {"share_points": self.config.share_points, "k": self.k}
+        return self._run_epochs(obs, model="mf", metadata=metadata)

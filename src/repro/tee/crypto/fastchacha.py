@@ -243,7 +243,6 @@ def _keystream_bytes_many(keys, nonces, blocks: np.ndarray) -> np.ndarray:
 
 
 _LANE_CHUNK = 8192  # lanes (64 B blocks) per rounds invocation
-_WORKER_MIN_BYTES = 1 << 20  # aggregate floor for the process-pool dispatcher
 
 
 def _run_lane_chunk(init: np.ndarray, out: np.ndarray) -> None:
@@ -310,17 +309,7 @@ def chacha20_seal_xor_many(items, outs=None) -> list:
         nonces.append(nonce)
         lens[i] = n
     blocks = 1 + (lens + 63) // 64
-    stream = None
-    if int(lens.sum()) >= _WORKER_MIN_BYTES:
-        # Opt-in process-pool lane dispatcher (REPRO_AEAD_WORKERS): shards
-        # lane columns across cores for very large aggregate seals; falls
-        # back to the in-process kernel whenever the pool cannot help.
-        from repro.tee.crypto import workers
-
-        if workers.worker_count() > 1:
-            stream = workers.keystream_many_parallel(keys, nonces, blocks)
-    if stream is None:
-        stream = _keystream_bytes_many(keys, nonces, blocks)
+    stream = _keystream_bytes_many(keys, nonces, blocks)
 
     results = []
     base = 0

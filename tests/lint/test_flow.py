@@ -10,12 +10,9 @@ sinks active), ``repro.net.*`` is UNTRUSTED (flow rules inert).
 import json
 import textwrap
 import time
-from pathlib import Path
 
-import repro
 from repro.lint import lint_paths, lint_sources
-
-SRC_REPRO = str(Path(repro.__file__).parent)
+from tests.lint.conftest import SRC_REPRO
 
 TRUSTED = "repro.core.app.fixture"
 TRUSTED_HELPER = "repro.core.app.fixture_helpers"
@@ -288,13 +285,12 @@ class TestDeterminismAndBudget:
             )
         assert docs[0] == docs[1]
 
-    def test_full_tree_under_budget_and_deterministic(self):
+    def test_full_tree_under_budget_and_deterministic(self, tree_report):
         start = time.monotonic()
-        first = lint_paths([SRC_REPRO]).format_json()
+        second = lint_paths([SRC_REPRO]).format_json()
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"flow fixpoint took {elapsed:.1f}s"
-        second = lint_paths([SRC_REPRO]).format_json()
-        assert first == second
+        assert tree_report.format_json() == second
 
 
 class TestLatticeCoverage:

@@ -4,22 +4,19 @@ CLI must fail when a violation is (re)introduced."""
 import json
 from pathlib import Path
 
-import repro
 from repro.cli import main
 from repro.lint import (
     all_program_rules,
     all_rules,
-    lint_paths,
     module_name_for,
     rule_catalog,
 )
-
-SRC_REPRO = str(Path(repro.__file__).parent)
+from tests.lint.conftest import SRC_REPRO
 
 
 class TestTreeIsClean:
-    def test_src_repro_has_zero_findings(self):
-        report = lint_paths([SRC_REPRO])
+    def test_src_repro_has_zero_findings(self, tree_report):
+        report = tree_report
         assert report.files_checked > 50
         offenders = "\n".join(f.format() for f in report.sorted())
         assert report.errors == 0, offenders
@@ -66,12 +63,12 @@ class TestModuleNames:
 
 
 class TestCli:
-    def test_lint_clean_tree_exits_zero(self, capsys):
+    def test_lint_clean_tree_exits_zero(self, capsys, cli_reuses_tree_report):
         assert main(["lint", SRC_REPRO]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
 
-    def test_lint_json_document(self, capsys, tmp_path):
+    def test_lint_json_document(self, capsys, tmp_path, cli_reuses_tree_report):
         out_file = tmp_path / "lint.json"
         assert main(["lint", SRC_REPRO, "--format", "json",
                      "--output", str(out_file)]) == 0
@@ -99,7 +96,7 @@ class TestCli:
                         "REX-F001", "REX-K001", "REX-S002"):
             assert rule_id in out
 
-    def test_sarif_output(self, capsys, tmp_path):
+    def test_sarif_output(self, capsys, tmp_path, cli_reuses_tree_report):
         out_file = tmp_path / "lint.sarif"
         assert main(["lint", SRC_REPRO, "--format", "sarif",
                      "--output", str(out_file)]) == 0

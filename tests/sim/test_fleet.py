@@ -8,6 +8,7 @@ from repro.data.partition import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
 from repro.net.serialization import measure_triplets
 from repro.net.topology import Topology
+from repro.sim.dnn_fleet import DnnFleetSim
 from repro.sim.fleet import MfFleetSim
 
 
@@ -86,6 +87,17 @@ class TestRunMechanics:
         with pytest.raises(ValueError):
             MfFleetSim(list(train)[:-1], list(test), Topology.ring(N_NODES),
                        config, global_mean=3.5)
+
+    @pytest.mark.parametrize("build", [
+        lambda *args: MfFleetSim(*args, global_mean=3.5),
+        DnnFleetSim,
+    ], ids=["mf", "dnn"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_test_shard_count_mismatch_rejected(self, shards, build, extra):
+        train, test = shards
+        tests = list(test)[:-1] if extra < 0 else list(test) + [test[0]]
+        with pytest.raises(ValueError, match="one test shard per node required"):
+            build(list(train), tests, Topology.ring(N_NODES), RexConfig(epochs=2))
 
 
 class TestDataSharing:

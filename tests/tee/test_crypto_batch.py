@@ -2,7 +2,7 @@
 
 The lane-batched seal (:func:`repro.tee.crypto.aead.seal_many`) is a pure
 performance path -- RFC 8439 fixes every wire byte, so batched, scalar,
-vectorized, worker-sharded and OpenSSL-native seals of the same requests
+vectorized and OpenSSL-native seals of the same requests
 must agree bit for bit.  These tests pin that contract from the kernel up
 to a full 8-node secure cluster run whose entire payload wire traffic is
 hashed against a frozen digest.
@@ -40,7 +40,6 @@ from repro.tee.crypto.tuning import (
     measure_batch_crossover,
     set_batch_path_threshold,
 )
-from repro.tee.crypto.workers import keystream_many_parallel, worker_count
 
 #: Every dispatch-sensitive message length: empty, single byte, one
 #: keystream block +/- 1, two blocks +/- 1, and a multi-block tail.
@@ -244,27 +243,6 @@ class TestBackends:
                 cipher.decrypt(_nonce(1), bytes(wire), b"hdr")
         finally:
             set_aead_backend(None)
-
-
-class TestWorkers:
-    def test_worker_count_parses_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AEAD_WORKERS", raising=False)
-        assert worker_count() == 0
-        monkeypatch.setenv("REPRO_AEAD_WORKERS", "2")
-        assert worker_count() == 2
-        monkeypatch.setenv("REPRO_AEAD_WORKERS", "banana")
-        assert worker_count() == 0
-
-    def test_parallel_disabled_returns_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AEAD_WORKERS", raising=False)
-        blocks = np.array([4, 4], dtype=np.int64)
-        assert keystream_many_parallel([_key(0), _key(1)], [_nonce(0), _nonce(1)], blocks) is None
-
-    def test_sharded_seal_matches_sequential(self, monkeypatch, numpy_backend):
-        monkeypatch.setenv("REPRO_AEAD_WORKERS", "2")
-        # Aggregate above the 1 MiB worker gate so the pool engages.
-        requests = _requests([700_000, 500_000, 123_457])
-        assert seal_many(requests) == _sequential_reference(requests)
 
 
 class TestCounterOverflow:

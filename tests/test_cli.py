@@ -145,40 +145,3 @@ class TestCommands:
     def test_serve_shed_policy_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--shed", "drop-random"])
-
-    def test_fleet_bench_small(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "fleet.json"
-        code = main(
-            [
-                "fleet-bench", "--sizes", "32,64", "--cycles", "5",
-                "--floor-steps-per-s", "1", "--output", str(out_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Fleet scaling" in out and "sim-steps/s" in out
-        doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro.fleet_bench/v1"
-        assert [p["nodes"] for p in doc["points"]] == [32, 64]
-
-    def test_fleet_bench_floor_failure_exits_nonzero(self, capsys, tmp_path):
-        code = main(
-            [
-                "fleet-bench", "--sizes", "32", "--cycles", "5",
-                "--floor-steps-per-s", "1e18",
-                "--output", str(tmp_path / "fleet.json"),
-            ]
-        )
-        assert code == 1
-        assert "below the" in capsys.readouterr().out
-
-    def test_fleet_bench_sizes_validated(self, capsys, tmp_path):
-        code = main(
-            [
-                "fleet-bench", "--sizes", "32,banana",
-                "--output", str(tmp_path / "fleet.json"),
-            ]
-        )
-        assert code == 2
