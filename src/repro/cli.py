@@ -41,10 +41,8 @@ from repro.core.config import Dissemination, RexConfig, SharingScheme
 from repro.data.movielens import (
     MOVIELENS_25M_CAPPED,
     MOVIELENS_LATEST,
-    MovieLensSpec,
-    generate_movielens,
+    generate_node_shards,
 )
-from repro.data.partition import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
 from repro.obs.export import (
@@ -54,6 +52,7 @@ from repro.obs.export import (
 )
 from repro.sim.fleet import MfFleetSim
 from repro.sim.recorder import RunResult
+from repro.tee.crypto import aead, backend
 
 __all__ = ["main", "build_parser"]
 
@@ -272,16 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_scenario(args):
-    spec = MovieLensSpec(
-        name=f"cli-{args.users}u",
-        n_ratings=args.ratings,
-        n_items=args.items,
-        n_users=args.users,
-        last_updated=2020,
+    split, train, test = generate_node_shards(
+        "cli", users=args.users, items=args.items, ratings=args.ratings, nodes=args.nodes
     )
-    split = generate_movielens(spec, seed=42).split(0.7, seed=1)
-    train = partition_users_across_nodes(split.train, args.nodes, seed=2)
-    test = partition_users_across_nodes(split.test, args.nodes, seed=2)
     if args.topology == "sw":
         topo = Topology.small_world(args.nodes, k=min(6, args.nodes - args.nodes % 2 - 2) or 2,
                                     rewire_probability=0.03, seed=7)
@@ -598,6 +590,14 @@ def cmd_info(_args) -> int:
     print(f"REPRO_EPOCH_SCALE = {os.environ.get('REPRO_EPOCH_SCALE', '0.4 (default)')}")
     print(f"REPRO_NO_CACHE    = {os.environ.get('REPRO_NO_CACHE', '0 (default)')}")
     print(f"REPRO_CACHE_DIR   = {os.environ.get('REPRO_CACHE_DIR', '.repro_cache (default)')}")
+    try:
+        resolved = backend.aead_backend()
+    except (RuntimeError, ValueError) as exc:
+        resolved = f"unresolvable: {exc}"
+    print(f"REPRO_AEAD_BACKEND = {os.environ.get('REPRO_AEAD_BACKEND', 'auto (default)')}")
+    print(f"AEAD backend       = {resolved}")
+    print(f"AEAD native usable = {backend.native_available()}")
+    print(f"AEAD numpy paths   = scalar below {aead.VECTOR_MIN_BYTES} B a call, else vector/lanes")
     return 0
 
 

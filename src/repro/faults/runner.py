@@ -23,8 +23,7 @@ from repro.core.config import (
     RexConfig,
     SharingScheme,
 )
-from repro.data.movielens import MovieLensSpec, generate_movielens
-from repro.data.partition import partition_users_across_nodes
+from repro.data.movielens import generate_node_shards
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashEvent, FaultPlan, NAMED_PLANS, PoisonAttack
 from repro.ml.metrics import precision_at_k
@@ -266,20 +265,6 @@ class ChaosReport:
         return lines
 
 
-def _build_shards(users: int, items: int, ratings: int, nodes: int, data_seed: int):
-    spec = MovieLensSpec(
-        name=f"chaos-{users}u",
-        n_ratings=ratings,
-        n_items=items,
-        n_users=users,
-        last_updated=2020,
-    )
-    split = generate_movielens(spec, seed=data_seed).split(0.7, seed=1)
-    train = partition_users_across_nodes(split.train, nodes, seed=2)
-    test = partition_users_across_nodes(split.test, nodes, seed=2)
-    return split, list(train), list(test)
-
-
 def _poison_spec(attack: PoisonAttack) -> dict:
     """Boundary-safe persona parameters handed to attacker enclaves."""
     return {
@@ -387,7 +372,9 @@ def run_chaos(
     armed = (plan.defended and plan.attacks_active) if defenses is None else bool(defenses)
     probing = plan.attacks_active if serve_probe is None else bool(serve_probe)
 
-    split, train, test = _build_shards(users, items, ratings, nodes, data_seed=42)
+    split, train, test = generate_node_shards(
+        "chaos", users=users, items=items, ratings=ratings, nodes=nodes
+    )
     global_mean = split.train.global_mean()
     topology = Topology.fully_connected(nodes)
 

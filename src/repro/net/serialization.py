@@ -39,6 +39,7 @@ __all__ = [
     "encode_mf_state",
     "encode_mf_state_into",
     "decode_mf_state",
+    "check_mf_state",
     "measure_mf_state",
     "encode_dnn_state",
     "encode_dnn_state_into",
@@ -174,27 +175,54 @@ def encode_mf_state(state: MfState, *, wire_dtype: str = "<f4") -> bytes:
     return bytes(buf)
 
 
+def _mf_header(payload) -> tuple:
+    """``(global_mean, k, float_bytes, n_users, n_items, seen_users, seen_items)``."""
+    global_mean, k_word, *counts = struct.unpack_from("<fIIIII", payload, 4)
+    return (global_mean, k_word & 0x7FFFFFFF, 8 if (k_word & 0x80000000) else 4, *counts)
+
+
+def _mf_blocks(payload, k: int, float_bytes: int, seen_counts) -> list:
+    """Zero-copy ``[user_ids, user_rows, item_ids, item_rows]`` views."""
+    offset = 4 + 4 + 5 * 4
+    blocks = []
+    for seen in seen_counts:
+        ids = np.frombuffer(payload, dtype="<i4", count=seen, offset=offset)
+        offset += ids.nbytes
+        rows = np.frombuffer(payload, dtype=f"<f{float_bytes}", count=seen * (k + 1), offset=offset)
+        offset += rows.nbytes
+        blocks += [ids, rows.reshape(seen, k + 1)]
+    return blocks
+
+
+def check_mf_state(payload, *, max_dense_bytes: int) -> None:
+    """Reject a malformed MF payload with :class:`CodecError`.
+
+    :func:`decode_mf_state` trusts its input (frames arrive authenticated
+    from an attested peer); bytes a *host* supplies pass through this
+    first: exact length for the declared counts, dense tables within
+    ``max_dense_bytes``, increasing in-range ids, finite values.
+    """
+    if len(payload) < 4 + 4 + 5 * 4 or payload[:4] != _MF_MAGIC:
+        raise CodecError("not an MF model payload")
+    global_mean, k, float_bytes, n_users, n_items, *seen_counts = _mf_header(payload)
+    if len(payload) != measure_mf_state(*seen_counts, k, float_bytes=float_bytes):
+        raise CodecError("MF model payload length does not match its header")
+    if (n_users + n_items) * ((k + 1) * float_bytes + 1) > max_dense_bytes:
+        raise CodecError("MF model payload declares tables above the load limit")
+    user_ids, user_rows, item_ids, item_rows = _mf_blocks(payload, k, float_bytes, seen_counts)
+    for ids, n in ((user_ids, n_users), (item_ids, n_items)):
+        if ids.size and (ids.min() < 0 or ids.max() >= n or (np.diff(ids) <= 0).any()):
+            raise CodecError("MF model payload ids are not increasing within range")
+    if not all(np.isfinite(part).all() for part in (global_mean, user_rows, item_rows)):
+        raise CodecError("MF model payload holds non-finite values")
+
+
 def decode_mf_state(payload: bytes) -> MfState:
     if payload[:4] != _MF_MAGIC:
         raise CodecError("not an MF model payload")
-    global_mean, k_word, n_users, n_items, seen_users, seen_items = struct.unpack_from(
-        "<fIIIII", payload, 4
-    )
-    k = k_word & 0x7FFFFFFF
-    wire_dtype = "<f8" if (k_word & 0x80000000) else "<f4"
-    np_dtype = np.float64 if wire_dtype == "<f8" else np.float32
-    offset = 4 + 4 + 5 * 4
-    user_ids = np.frombuffer(payload, dtype="<i4", count=seen_users, offset=offset)
-    offset += user_ids.nbytes
-    user_rows = np.frombuffer(
-        payload, dtype=wire_dtype, count=seen_users * (k + 1), offset=offset
-    ).reshape(seen_users, k + 1)
-    offset += user_rows.nbytes
-    item_ids = np.frombuffer(payload, dtype="<i4", count=seen_items, offset=offset)
-    offset += item_ids.nbytes
-    item_rows = np.frombuffer(
-        payload, dtype=wire_dtype, count=seen_items * (k + 1), offset=offset
-    ).reshape(seen_items, k + 1)
+    global_mean, k, float_bytes, n_users, n_items, *seen_counts = _mf_header(payload)
+    user_ids, user_rows, item_ids, item_rows = _mf_blocks(payload, k, float_bytes, seen_counts)
+    np_dtype = np.float64 if float_bytes == 8 else np.float32
 
     user_factors = np.zeros((n_users, k), dtype=np_dtype)
     item_factors = np.zeros((n_items, k), dtype=np_dtype)

@@ -29,8 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.core.cluster import RexCluster
 from repro.core.config import CryptoMode, Dissemination, RexConfig, SharingScheme
-from repro.data.movielens import MovieLensSpec, generate_movielens
-from repro.data.partition import partition_users_across_nodes
+from repro.data.movielens import generate_node_shards
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
 from repro.obs import Observability
@@ -133,16 +132,13 @@ def run_observed_experiment(
     if obs is None:
         obs = Observability.create()
 
-    spec = MovieLensSpec(
-        name=f"metrics-{scenario.users}u",
-        n_ratings=scenario.ratings,
-        n_items=scenario.items,
-        n_users=scenario.users,
-        last_updated=2020,
+    split, train, test = generate_node_shards(
+        "metrics",
+        users=scenario.users,
+        items=scenario.items,
+        ratings=scenario.ratings,
+        nodes=scenario.nodes,
     )
-    split = generate_movielens(spec, seed=42).split(0.7, seed=1)
-    train = partition_users_across_nodes(split.train, scenario.nodes, seed=2)
-    test = partition_users_across_nodes(split.test, scenario.nodes, seed=2)
     topo = Topology.fully_connected(scenario.nodes)
 
     config = RexConfig(
@@ -155,7 +151,7 @@ def run_observed_experiment(
         mf=MfHyperParams(k=scenario.k),
     )
     cluster = RexCluster(topo, config, secure=True, obs=obs)
-    run = cluster.run(list(train), list(test), global_mean=split.train.global_mean())
+    run = cluster.run(train, test, global_mean=split.train.global_mean())
     result = timeline_from_cluster(run, time_model=LAN_TIME_MODEL, obs=obs)
     return ObservedRun(
         experiment=experiment,

@@ -58,14 +58,6 @@ class FleetServeReport:
         return self.shed / self.offered if self.offered else 0.0
 
     @property
-    def p99_s(self) -> float:
-        return self.latency_s["p99"]
-
-    @property
-    def max_shard_resident_bytes(self) -> int:
-        return max((int(s["epc"]["resident_bytes"]) for s in self.per_shard), default=0)
-
-    @property
     def aggregate_resident_bytes(self) -> int:
         return sum(int(s["epc"]["resident_bytes"]) for s in self.per_shard)
 

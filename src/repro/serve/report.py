@@ -111,19 +111,11 @@ class ServeReport:
             lines.append(f"  quality          {parts}")
         return lines
 
-    # Convenience accessors the tests/benchmarks read.
+    # Convenience accessors the tests read.
     @property
     def capacity_rps(self) -> float:
         """Completions over the service window (scenario-comparable)."""
         return self.completed / self.busy_s if self.busy_s > 0 else 0.0
-
-    @property
-    def p99_s(self) -> float:
-        return self.latency_s["p99"]
-
-    @property
-    def mean_latency_s(self) -> float:
-        return self.latency_s["mean"]
 
     @property
     def cache_hit_rate(self) -> Optional[float]:

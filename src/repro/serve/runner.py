@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import Dissemination, RexConfig, SharingScheme
-from repro.data.movielens import MovieLensSpec, generate_movielens
-from repro.data.partition import partition_users_across_nodes
+from repro.data.movielens import generate_node_shards
 from repro.ml.metrics import ndcg_at_k, precision_at_k, recall_at_k
 from repro.ml.mf import MfHyperParams
 from repro.net.serialization import encode_triplets
@@ -47,20 +46,6 @@ RELEVANCE_THRESHOLD = 4.0
 QUALITY_PROBE_USERS = 50
 
 
-def _build_data(users: int, items: int, ratings: int, nodes: int, data_seed: int):
-    spec = MovieLensSpec(
-        name=f"serve-{users}u",
-        n_ratings=ratings,
-        n_items=items,
-        n_users=users,
-        last_updated=2020,
-    )
-    split = generate_movielens(spec, seed=data_seed).split(0.7, seed=1)
-    train = partition_users_across_nodes(split.train, nodes, seed=2)
-    test = partition_users_across_nodes(split.test, nodes, seed=2)
-    return split, list(train), list(test)
-
-
 def train_fleet_model(
     *,
     seed: int,
@@ -81,7 +66,9 @@ def train_fleet_model(
     single-endpoint pipeline and the sharded fleet runner, so both serve
     the *same* model for a given seed.
     """
-    split, train, test = _build_data(users, items, ratings, nodes, data_seed=data_seed)
+    split, train, test = generate_node_shards(
+        "serve", users=users, items=items, ratings=ratings, nodes=nodes, data_seed=data_seed
+    )
     topology = Topology.fully_connected(nodes)
     config = RexConfig(
         scheme=SharingScheme.DATA,

@@ -91,8 +91,10 @@ class ServePolicy:
     def __post_init__(self) -> None:
         if self.shed not in (SHED_OLDEST, REJECT_NEWEST):
             raise ValueError(f"unknown shed policy {self.shed!r}")
-        if self.queue_depth < 1 or self.max_batch < 1:
-            raise ValueError("queue_depth and max_batch must be positive")
+        if self.queue_depth < 1 or self.max_batch < 1 or self.top_k < 1:
+            raise ValueError("queue_depth, max_batch and top_k must be positive")
+        if self.tick_s <= 0 or self.batch_window_ticks < 0:
+            raise ValueError("tick_s must be positive and batch_window_ticks non-negative")
 
 
 class RecServer:

@@ -33,6 +33,7 @@ import numpy as np
 from repro.ml.mf import MatrixFactorization, MfState
 from repro.net.serialization import (
     CodecError,
+    check_mf_state,
     decode_mf_state,
     encode_mf_state_into,
     measure_mf_state,
@@ -50,6 +51,11 @@ __all__ = [
 #: Serve-snapshot wire magic + fixed header (version, node, epoch words).
 _SNAPSHOT_MAGIC = b"RXS1"
 _SNAPSHOT_HEADER = struct.Struct("<III")
+
+#: Largest dense parameter tables a host-supplied snapshot may declare.
+#: Unseen rows cost nothing on the wire, so without a ceiling a 44-byte
+#: payload could have the enclave allocate 2^32 rows.
+MAX_RESIDENT_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -309,13 +315,20 @@ def encode_snapshot(snapshot: ModelSnapshot) -> bytes:
 
 
 def decode_snapshot(payload: bytes) -> ModelSnapshot:
-    if payload[: len(_SNAPSHOT_MAGIC)] != _SNAPSHOT_MAGIC:
+    """Decode host-supplied ``RXS1`` bytes; :class:`CodecError` if malformed.
+
+    The enclave's load path (once per replica boot) validates before any
+    table is built -- a bad payload is never a partial load.
+    """
+    offset = len(_SNAPSHOT_MAGIC) + _SNAPSHOT_HEADER.size
+    if len(payload) < offset or payload[: len(_SNAPSHOT_MAGIC)] != _SNAPSHOT_MAGIC:
         raise CodecError("not a serve-snapshot payload")
-    offset = len(_SNAPSHOT_MAGIC)
-    version, node_id, epoch = _SNAPSHOT_HEADER.unpack_from(payload, offset)
+    version, node_id, epoch = _SNAPSHOT_HEADER.unpack_from(payload, len(_SNAPSHOT_MAGIC))
     # Zero-copy handoff: the MF decoder reads ids and rows as views of
     # the snapshot wire buffer instead of a sliced copy of its body.
-    state = decode_mf_state(memoryview(payload)[offset + _SNAPSHOT_HEADER.size :])
+    body = memoryview(payload)[offset:]
+    check_mf_state(body, max_dense_bytes=MAX_RESIDENT_BYTES)
+    state = decode_mf_state(body)
     return ModelSnapshot(
         version,
         node_id,

@@ -23,11 +23,6 @@ the official RFC test vectors in the test suite.
 from repro.tee.crypto.aead import AeadError, ChaCha20Poly1305
 from repro.tee.crypto.hkdf import hkdf, hkdf_expand, hkdf_extract
 from repro.tee.crypto.signing import SigningKey, VerifyKey
-from repro.tee.crypto.tuning import (
-    fast_path_threshold,
-    measure_crossover,
-    set_fast_path_threshold,
-)
 from repro.tee.crypto.x25519 import X25519PrivateKey, X25519PublicKey, x25519
 
 __all__ = [
@@ -37,11 +32,8 @@ __all__ = [
     "VerifyKey",
     "X25519PrivateKey",
     "X25519PublicKey",
-    "fast_path_threshold",
     "hkdf",
     "hkdf_expand",
     "hkdf_extract",
-    "measure_crossover",
-    "set_fast_path_threshold",
     "x25519",
 ]

@@ -18,12 +18,12 @@ Fast-path structure (the seal/open pipeline is fused end to end):
   pad || lengths`` is never materialized: :func:`~repro.tee.crypto.
   poly1305.poly1305_aead_tag` walks the segments (memoryviews of the wire
   buffer) directly, eliminating the pad/join copies per message.
-- **Measured dispatch.**  The scalar/vector crossover comes from
-  :mod:`~repro.tee.crypto.tuning` (a measured threshold, overridable per
-  deployment) instead of a hard-coded constant.
+- **One dispatch.**  Every public call asks :func:`_select_path` once
+  which kernel runs.  The only knobs are the backend
+  (:mod:`~repro.tee.crypto.backend`) and :data:`VECTOR_MIN_BYTES`.
 
-All wire bytes are bit-identical to the unfused construction; tests pin
-both the RFC vectors and scalar/vector/fused equivalence.
+All wire bytes are bit-identical to the unfused construction on every
+path; tests pin the RFC vectors and scalar/vector/lanes/native equivalence.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.tee.crypto import backend as _backend
 from repro.tee.crypto.chacha20 import chacha20_blocks
 from repro.tee.crypto.fastchacha import chacha20_seal_xor, chacha20_seal_xor_many
 from repro.tee.crypto.poly1305 import poly1305_aead_tag
-from repro.tee.crypto.tuning import batch_path_threshold, fast_path_threshold
 
 __all__ = [
     "AeadError",
@@ -42,6 +41,7 @@ __all__ = [
     "TAG_LENGTH",
     "NONCE_LENGTH",
     "KEY_LENGTH",
+    "VECTOR_MIN_BYTES",
     "open_many",
     "seal_many",
     "seal_many_into",
@@ -50,6 +50,13 @@ __all__ = [
 TAG_LENGTH = 16
 NONCE_LENGTH = 12
 KEY_LENGTH = 32
+
+#: Total plaintext bytes of one public call from which the numpy backend
+#: leaves the scalar keystream loop.  Both measured crossovers sit at
+#: 256-384 B: scalar/vector 1.00 at 256 B and 1.47 at 384 B for one
+#: message, scalar/lanes 0.87 and 1.32 for two (EXPERIMENTS.md, "Crypto
+#: throughput").  Not settable: a test that forces a path monkeypatches it.
+VECTOR_MIN_BYTES = 384
 
 
 class AeadError(Exception):
@@ -61,10 +68,65 @@ class AeadError(Exception):
     """
 
 
-def _xor_bytes(data, keystream: bytes) -> bytes:
-    n = len(data)
-    x = int.from_bytes(data, "little") ^ int.from_bytes(keystream[:n], "little")
-    return x.to_bytes(n, "little")
+def _select_path(messages: int, total_bytes: int) -> str:
+    """The one dispatch decision: which kernel serves a public call of
+    ``messages`` messages and ``total_bytes`` plaintext bytes in all.
+
+    ========  ========  ===================  ==============================
+    native    any       any                  ``native`` (OpenSSL)
+    numpy     any       < VECTOR_MIN_BYTES   ``scalar`` (unrolled loop)
+    numpy     1         >= VECTOR_MIN_BYTES  ``vector`` (fused NumPy)
+    numpy     > 1       >= VECTOR_MIN_BYTES  ``lanes`` (one stacked keystream)
+    ========  ========  ===================  ==============================
+
+    Only seals have a lane kernel; :func:`open_many` opens a ``lanes``
+    batch message by message on the vector kernel.
+    """
+    if _backend.aead_backend() == "native":
+        return "native"
+    if total_bytes < VECTOR_MIN_BYTES:
+        return "scalar"
+    return "lanes" if messages > 1 else "vector"
+
+
+def _keystream_xor(path: str, key: bytes, nonce: bytes, data) -> tuple:
+    """One fused keystream batch: returns ``(poly_key, data XOR ks)``.
+
+    Block 0 keys Poly1305, blocks 1.. carry the payload (RFC 8439
+    sections 2.6/2.8) -- generated together on either numpy kernel.
+    """
+    if path == "scalar":
+        n = len(data)
+        stream = chacha20_blocks(key, 0, nonce, 1 + (n + 63) // 64)
+        x = int.from_bytes(data, "little") ^ int.from_bytes(stream[64 : 64 + n], "little")
+        return stream[:32], x.to_bytes(n, "little")
+    return chacha20_seal_xor(key, nonce, data)
+
+
+def _seal_one(path: str, key: bytes, nonce: bytes, plaintext, aad) -> bytes:
+    if path == "native":
+        return _backend.native_seal(key, nonce, plaintext, aad)
+    poly_key, ciphertext = _keystream_xor(path, key, nonce, plaintext)
+    return ciphertext + poly1305_aead_tag(poly_key, aad, ciphertext)
+
+
+def _open_one(path: str, key: bytes, nonce: bytes, data, aad) -> bytes:
+    if path == "native":
+        ok, plaintext = _backend.native_open(key, nonce, data, aad)
+        if not ok:
+            raise AeadError("authentication tag mismatch")
+        return plaintext
+    view = memoryview(data)
+    ciphertext, tag = view[:-TAG_LENGTH], view[-TAG_LENGTH:]
+    # The open pipeline mirrors seal: the same single keystream batch
+    # yields the Poly1305 key (block 0) and the payload keystream
+    # (blocks 1..).  The candidate plaintext never leaves this frame
+    # unless the tag verifies.
+    poly_key, plaintext = _keystream_xor(path, key, nonce, ciphertext)
+    expected = poly1305_aead_tag(poly_key, aad, ciphertext)
+    if not hmac.compare_digest(expected, tag):
+        raise AeadError("authentication tag mismatch")
+    return plaintext
 
 
 class ChaCha20Poly1305:
@@ -83,25 +145,11 @@ class ChaCha20Poly1305:
             raise ValueError(f"key must be {KEY_LENGTH} bytes, got {len(key)}")
         self._key = key
 
-    def _seal_pipeline(self, nonce: bytes, data) -> tuple:
-        """One fused keystream batch: returns ``(poly_key, data XOR ks)``.
-
-        Block 0 keys Poly1305, blocks 1.. carry the payload (RFC 8439
-        sections 2.6/2.8) -- generated together on either path.
-        """
-        if len(data) >= fast_path_threshold():
-            return chacha20_seal_xor(self._key, nonce, data)
-        stream = chacha20_blocks(self._key, 0, nonce, 1 + (len(data) + 63) // 64)
-        return stream[:32], _xor_bytes(data, stream[64:])
-
     def encrypt(self, nonce: bytes, plaintext, aad=b"") -> bytes:
         """Encrypt and authenticate; returns ciphertext || 16-byte tag."""
         if len(nonce) != NONCE_LENGTH:
             raise ValueError(f"nonce must be {NONCE_LENGTH} bytes")
-        if _backend.aead_backend() == "native":
-            return _backend.native_seal(self._key, nonce, plaintext, aad)
-        poly_key, ciphertext = self._seal_pipeline(nonce, plaintext)
-        return ciphertext + poly1305_aead_tag(poly_key, aad, ciphertext)
+        return _seal_one(_select_path(1, len(plaintext)), self._key, nonce, plaintext, aad)
 
     def decrypt(self, nonce: bytes, data, aad=b"") -> bytes:
         """Verify the tag and decrypt; raises :class:`AeadError` on failure.
@@ -114,22 +162,7 @@ class ChaCha20Poly1305:
             raise ValueError(f"nonce must be {NONCE_LENGTH} bytes")
         if len(data) < TAG_LENGTH:
             raise AeadError("ciphertext shorter than the authentication tag")
-        if _backend.aead_backend() == "native":
-            ok, plaintext = _backend.native_open(self._key, nonce, data, aad)
-            if not ok:
-                raise AeadError("authentication tag mismatch")
-            return plaintext
-        view = memoryview(data)
-        ciphertext, tag = view[:-TAG_LENGTH], view[-TAG_LENGTH:]
-        # The open pipeline mirrors seal: the same single keystream batch
-        # yields the Poly1305 key (block 0) and the payload keystream
-        # (blocks 1..).  The candidate plaintext never leaves this frame
-        # unless the tag verifies.
-        poly_key, plaintext = self._seal_pipeline(nonce, ciphertext)
-        expected = poly1305_aead_tag(poly_key, aad, ciphertext)
-        if not hmac.compare_digest(expected, tag):
-            raise AeadError("authentication tag mismatch")
-        return plaintext
+        return _open_one(_select_path(1, len(data) - TAG_LENGTH), self._key, nonce, data, aad)
 
 
 def seal_many_into(requests, outs) -> None:
@@ -142,18 +175,12 @@ def seal_many_into(requests, outs) -> None:
     (typically the sealed span of a preallocated wire frame, making the
     epoch's frames zero-copy end to end).
 
-    Dispatch, in order:
-
-    - **native** backend: one OpenSSL call per message (its fused AEAD is
-      fast enough that cross-message batching cannot beat it);
-    - **numpy** backend, aggregate >= :func:`batch_path_threshold` and
-      more than one message: a single multi-message lane-kernel
-      invocation generates every message's keystream at once, then
-      Poly1305 runs per message over the in-frame ciphertext;
-    - otherwise: the per-message scalar/vector pipeline.
-
-    All three paths produce byte-identical wire output (RFC 8439 fixes
-    it); tests pin the equivalence.
+    One :func:`_select_path` decision covers the batch.  On ``lanes`` a
+    single lane-kernel invocation generates every message's keystream at
+    once, then Poly1305 runs per message over the in-frame ciphertext; on
+    every other path the chosen kernel seals message by message (OpenSSL's
+    fused AEAD is fast enough that cross-message batching cannot beat it).
+    All paths produce byte-identical wire output; tests pin it.
     """
     m = len(requests)
     if len(outs) != m:
@@ -166,15 +193,8 @@ def seal_many_into(requests, outs) -> None:
     if m == 0:
         return
 
-    if _backend.aead_backend() == "native":
-        for (cipher, nonce, plaintext, aad), out in zip(requests, outs):
-            sealed = _backend.native_seal(cipher._key, nonce, plaintext, aad)
-            view = memoryview(out)
-            view[:] = sealed
-        return
-
-    aggregate = sum(len(plaintext) for _, _, plaintext, _ in requests)
-    if m > 1 and aggregate >= batch_path_threshold():
+    path = _select_path(m, sum(len(plaintext) for _, _, plaintext, _ in requests))
+    if path == "lanes":
         ct_views = [memoryview(out)[: len(pt)] for (_, _, pt, _), out in zip(requests, outs)]
         lanes = [(cipher._key, nonce, pt) for cipher, nonce, pt, _ in requests]
         sealed = chacha20_seal_xor_many(lanes, outs=ct_views)
@@ -183,8 +203,7 @@ def seal_many_into(requests, outs) -> None:
         return
 
     for (cipher, nonce, plaintext, aad), out in zip(requests, outs):
-        view = memoryview(out)
-        view[:] = cipher.encrypt(nonce, plaintext, aad)
+        memoryview(out)[:] = _seal_one(path, cipher._key, nonce, plaintext, aad)
 
 
 def seal_many(requests) -> list:
@@ -202,15 +221,13 @@ def open_many(requests) -> list:
     """Batch verify-and-decrypt; returns one plaintext per request.
 
     ``requests`` is a sequence of ``(cipher, nonce, data, aad)`` tuples
-    (``data`` = ``ciphertext || tag``, any bytes-like).  On the numpy
-    backend a single lane-kernel invocation recovers every message's
-    Poly1305 key and candidate plaintext; *all* tags are checked before
-    any plaintext is released, and a single failure raises
-    :class:`AeadError` naming the message index -- a batch is an epoch,
-    and one forged frame poisons the epoch.
+    (``data`` = ``ciphertext || tag``, any bytes-like).  Messages are
+    verified one by one on the kernel :func:`_select_path` chose for the
+    batch, and no plaintext is released until every tag has verified: the
+    first failure raises :class:`AeadError` naming the message index -- a
+    batch is an epoch, and one forged frame poisons the epoch.
     """
-    m = len(requests)
-    if m == 0:
+    if not requests:
         return []
     for _, nonce, data, _ in requests:
         if len(nonce) != NONCE_LENGTH:
@@ -218,32 +235,12 @@ def open_many(requests) -> list:
         if len(data) < TAG_LENGTH:
             raise AeadError("ciphertext shorter than the authentication tag")
 
-    backend = _backend.aead_backend()
-    aggregate = sum(len(data) - TAG_LENGTH for _, _, data, _ in requests)
-    if backend == "numpy" and m > 1 and aggregate >= batch_path_threshold():
-        views = [memoryview(data) for _, _, data, _ in requests]
-        lanes = [
-            (cipher._key, nonce, view[:-TAG_LENGTH])
-            for (cipher, nonce, _, _), view in zip(requests, views)
-        ]
-        opened = chacha20_seal_xor_many(lanes)
-        failures = []
-        plaintexts = []
-        for i, ((poly_key, plaintext), (_, _, _, aad), view) in enumerate(
-            zip(opened, requests, views)
-        ):
-            expected = poly1305_aead_tag(poly_key, aad, view[:-TAG_LENGTH])
-            if not hmac.compare_digest(expected, view[-TAG_LENGTH:]):
-                failures.append(i)
-            plaintexts.append(plaintext)
-        if failures:
-            raise AeadError(f"authentication tag mismatch at batch index {failures[0]}")
-        return plaintexts
-
+    total = sum(len(data) - TAG_LENGTH for _, _, data, _ in requests)
+    path = _select_path(len(requests), total)
     plaintexts = []
     for i, (cipher, nonce, data, aad) in enumerate(requests):
         try:
-            plaintexts.append(cipher.decrypt(nonce, data, aad))
+            plaintexts.append(_open_one(path, cipher._key, nonce, data, aad))
         except AeadError:
             raise AeadError(f"authentication tag mismatch at batch index {i}") from None
     return plaintexts

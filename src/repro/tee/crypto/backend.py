@@ -35,8 +35,11 @@ _native_cls = None
 _native_invalid_tag = None
 
 
-def _probe_native() -> bool:
-    """Import the OpenSSL AEAD lazily; remember the outcome."""
+def native_available() -> bool:
+    """True when the OpenSSL-backed AEAD can be used on this host.
+
+    Imports it lazily and remembers the outcome.
+    """
     global _native_cls, _native_invalid_tag
     if _native_cls is None:
         try:
@@ -51,11 +54,6 @@ def _probe_native() -> bool:
             _native_cls = False
             _native_invalid_tag = False
     return bool(_native_cls)
-
-
-def native_available() -> bool:
-    """True when the OpenSSL-backed AEAD can be used on this host."""
-    return _probe_native()
 
 
 def set_aead_backend(name: Optional[str]) -> None:
@@ -76,8 +74,8 @@ def aead_backend() -> str:
             f"invalid {_ENV_VAR}={choice!r}; expected one of {_VALID}"
         )
     if choice == "auto":
-        return "native" if _probe_native() else "numpy"
-    if choice == "native" and not _probe_native():
+        return "native" if native_available() else "numpy"
+    if choice == "native" and not native_available():
         raise RuntimeError(
             "REPRO_AEAD_BACKEND=native but the 'cryptography' package is "
             "not importable; install it or select numpy/auto"
@@ -98,7 +96,7 @@ _cipher_cache: dict = {}
 def _native_cipher(key: bytes):
     cipher = _cipher_cache.get(key)
     if cipher is None:
-        if not _probe_native():  # pragma: no cover - guarded by callers
+        if not native_available():  # pragma: no cover - guarded by callers
             raise RuntimeError("native AEAD backend unavailable")
         if len(_cipher_cache) >= _CIPHER_CACHE_MAX:
             _cipher_cache.clear()

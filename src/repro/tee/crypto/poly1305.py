@@ -44,7 +44,7 @@ _HIBIT = 1 << 128
 
 #: Messages below this many bytes stay on the scalar Horner loop: lane
 #: setup (limb extraction, power precompute, fold tree) costs more than
-#: it saves under ~10 KiB (see BENCH_crypto.json for the measured curve).
+#: it saves under ~10 KiB.
 _LANE_THRESHOLD_BYTES = 10240
 
 #: Lane-count planning: at least this many blocks per lane step, lanes a

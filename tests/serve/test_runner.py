@@ -13,6 +13,8 @@ import pytest
 
 from repro.serve import run_serving_experiment
 from repro.serve.report import ServeReport, percentile
+from repro.serve.server import ServePolicy
+from repro.serve.workload import WorkloadSpec
 from repro.tee.epc import EpcModel
 
 #: One small shared configuration keeps this file fast.
@@ -94,13 +96,41 @@ class TestQualityFloor:
 
 
 class TestEpcPressure:
-    def test_small_epc_shows_paging_in_report(self):
+    def test_small_epc_shows_paging_in_report(self, small_report):
         pressured = run_serving_experiment(
             **SMALL, epc=EpcModel(total_mib=1.0, usable_mib=0.01)
         )
         assert pressured.epc["page_faults"] > 0
         assert pressured.epc["overcommit_ratio"] > 1.0
+        # Same trace, same model: paging must cost simulated latency.
+        assert pressured.latency_s["mean"] > small_report.latency_s["mean"]
 
     def test_roomy_epc_does_not(self, small_report):
         assert small_report.epc["page_faults"] == 0
         assert small_report.epc["overcommit_ratio"] < 1.0
+
+
+class TestCacheBuysCapacity:
+    """A service-time-dominated regime (fast ticks, one-tick window,
+    600-item catalog): scoring work -- what the caches remove -- is what
+    simulated latency is made of."""
+
+    SCENARIO = dict(
+        seed=0,
+        nodes=4,
+        epochs=2,
+        users=80,
+        items=600,
+        ratings=6000,
+        policy=ServePolicy(batch_window_ticks=1, tick_s=1e-5, max_batch=64, queue_depth=256),
+        workload=WorkloadSpec(seed=0, n_users=80, ticks=300, rate=3.0, zipf_s=1.2),
+        quality_probe=False,
+    )
+
+    def test_same_trace_without_caches_is_slower(self):
+        warm = run_serving_experiment(**self.SCENARIO)
+        cold = run_serving_experiment(**self.SCENARIO, topn_capacity=0, hot_capacity=0)
+        assert warm.trace_digest == cold.trace_digest
+        assert warm.cache["hits"] > 0 and cold.cache["hits"] == 0
+        assert cold.latency_s["mean"] > warm.latency_s["mean"]
+        assert cold.capacity_rps < warm.capacity_rps

@@ -87,8 +87,18 @@ class TestAdmission:
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             ServePolicy(shed="drop-all")
-        with pytest.raises(ValueError):
-            ServePolicy(queue_depth=0)
+        for bad in (
+            {"queue_depth": 0},
+            {"max_batch": 0},
+            {"top_k": 0},
+            {"top_k": -1},
+            {"tick_s": 0.0},
+            {"tick_s": -1e-3},
+            {"batch_window_ticks": -1},
+        ):
+            with pytest.raises(ValueError):
+                ServePolicy(**bad)
+        ServePolicy(batch_window_ticks=0)  # dispatch every tick: valid
 
 
 class TestBatching:

@@ -1,16 +1,23 @@
 """Snapshot immutability, content digests, and the RXS1 wire codec."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml.mf import MatrixFactorization, MfHyperParams
 from repro.net.serialization import CodecError
+from repro.serve import snapshot as snapshot_mod
+from repro.serve.endpoint import ServeEnclaveApp
 from repro.serve.snapshot import (
     decode_snapshot,
     encode_snapshot,
     publish_snapshot,
     snapshot_from_arrays,
 )
+from repro.tee import AttestationService, Platform
 
 #: SHA-256 of the reference snapshot below; pins the canonical encoding.
 REFERENCE_DIGEST = "62fc56c5193d21f46e7eb78621674e1f023a793ebcc846546fc1af273faa35b3"
@@ -156,3 +163,114 @@ class TestWire:
         payload[:4] = b"NOPE"
         with pytest.raises(CodecError):
             decode_snapshot(bytes(payload))
+
+
+# --------------------------------------------------------------------- #
+# Malformed payloads: decode_snapshot is the enclave's decoder for bytes
+# the *host* supplies, so everything it does not accept must raise
+# CodecError -- never struct.error, a bare ValueError, IndexError or
+# MemoryError -- and everything it accepts must be canonical.
+# --------------------------------------------------------------------- #
+PAYLOAD = encode_snapshot(reference_snapshot())
+#: RXS1 magic + 3 serve words + RXM1 magic + mean + 5 count words.
+HEADER_BYTES = 44
+#: Where the four seen-user ids (i32) of the reference snapshot sit.
+USER_IDS_AT, SEEN_USERS = HEADER_BYTES, 4
+
+
+def test_every_truncation_rejected():
+    for cut in range(len(PAYLOAD)):
+        with pytest.raises(CodecError):
+            decode_snapshot(PAYLOAD[:cut])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(min_size=1, max_size=64))
+def test_trailing_bytes_rejected(tail):
+    with pytest.raises(CodecError):
+        decode_snapshot(PAYLOAD + tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, HEADER_BYTES - 1), st.integers(0, 7))
+def test_header_bit_flip_rejected_or_canonical(offset, bit):
+    mutated = bytearray(PAYLOAD)
+    mutated[offset] ^= 1 << bit
+    # A flipped n_users / n_items word may declare up to 2^32 unseen rows;
+    # the ceiling is lowered so the accepted ones stay small here.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snapshot_mod, "MAX_RESIDENT_BYTES", 1 << 20)
+        try:
+            snap = decode_snapshot(bytes(mutated))
+        except CodecError:
+            return
+    # Accepted (a version / node / epoch / mean bit, a few more unseen
+    # rows): then it is a well-formed snapshot that encodes back exactly.
+    assert np.isfinite(snap.global_mean)
+    assert encode_snapshot(snap) == bytes(mutated)
+
+
+def test_oversized_dimension_rejected_before_allocation():
+    mutated = bytearray(PAYLOAD)
+    struct.pack_into("<I", mutated, 28, 2**32 - 1)  # n_users, at the shipped ceiling
+    with pytest.raises(CodecError, match="load limit"):
+        decode_snapshot(bytes(mutated))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, SEEN_USERS - 1), st.integers(-(2**31), 2**31 - 1))
+def test_ids_must_stay_increasing_within_range(slot, value):
+    ids = list(struct.unpack_from(f"<{SEEN_USERS}i", PAYLOAD, USER_IDS_AT))
+    ids[slot] = value
+    mutated = bytearray(PAYLOAD)
+    struct.pack_into(f"<{SEEN_USERS}i", mutated, USER_IDS_AT, *ids)
+    well_formed = all(0 <= i < 5 for i in ids) and ids == sorted(set(ids))
+    if well_formed:
+        assert list(np.flatnonzero(decode_snapshot(bytes(mutated)).user_seen)) == ids
+    else:
+        with pytest.raises(CodecError):
+            decode_snapshot(bytes(mutated))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["user_factors", "item_factors", "user_bias", "item_bias"]),
+    st.integers(0, 3),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+def test_non_finite_rows_rejected(table, seen_row, value):
+    snap = reference_snapshot()
+    arrays = {name: np.array(getattr(snap, name)) for name in (
+        "user_factors", "item_factors", "user_bias", "item_bias"
+    )}
+    seen = snap.user_seen if table.startswith("user") else snap.item_seen
+    arrays[table][np.flatnonzero(seen)[seen_row]] = value
+    poisoned = snapshot_from_arrays(
+        arrays["user_factors"], arrays["item_factors"], arrays["user_bias"],
+        arrays["item_bias"], snap.user_seen, snap.item_seen, 3.5, version=1,
+    )
+    with pytest.raises(CodecError):
+        decode_snapshot(encode_snapshot(poisoned))
+
+
+def test_non_finite_mean_rejected():
+    mutated = bytearray(PAYLOAD)
+    struct.pack_into("<f", mutated, 20, float("nan"))
+    with pytest.raises(CodecError):
+        decode_snapshot(bytes(mutated))
+
+
+def test_failed_load_leaves_installed_snapshot_serving():
+    enclave = Platform("snapshot-test", AttestationService()).create_enclave(
+        ServeEnclaveApp, "serve-0"
+    )
+    enclave.ecall("ecall_load", {"snapshot": PAYLOAD})
+    before = enclave.ecall("ecall_serve", [0, 1, 3], 3)
+    newer = encode_snapshot(reference_snapshot(version=2))
+    for bad in (newer[:-1], newer + b"\x00\x00", newer[:HEADER_BYTES]):
+        with pytest.raises(CodecError):
+            enclave.ecall("ecall_load", {"snapshot": bad})
+    status = enclave.ecall("ecall_serve_status")
+    assert status["version"] == 1 and status["digest"] == REFERENCE_DIGEST
+    after = enclave.ecall("ecall_serve", [0, 1, 3], 3)
+    assert after["items"] == before["items"] and after["scores"] == before["scores"]

@@ -10,7 +10,6 @@ hashed against a frozen digest.
 
 import hashlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +21,7 @@ from repro.data.movielens import MovieLensSpec, generate_movielens
 from repro.data.partition import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
+from repro.tee.crypto import aead as aead_mod
 from repro.tee.crypto import backend as backend_mod
 from repro.tee.crypto.aead import (
     AeadError,
@@ -34,12 +34,6 @@ from repro.tee.crypto.aead import (
 from repro.tee.crypto.backend import aead_backend, native_available, set_aead_backend
 from repro.tee.crypto.chacha20 import chacha20_blocks, chacha20_encrypt
 from repro.tee.crypto.fastchacha import chacha20_seal_xor_many, chacha20_xor
-from repro.tee.crypto.tuning import (
-    DEFAULT_BATCH_PATH_THRESHOLD,
-    batch_path_threshold,
-    measure_batch_crossover,
-    set_batch_path_threshold,
-)
 
 #: Every dispatch-sensitive message length: empty, single byte, one
 #: keystream block +/- 1, two blocks +/- 1, and a multi-block tail.
@@ -66,17 +60,17 @@ def _requests(lengths):
 
 
 @pytest.fixture()
-def numpy_backend():
-    """Force the portable kernel and the batch path, restore after."""
+def numpy_backend(monkeypatch):
+    """Force the portable kernel and, for every multi-message call, the
+    lane path (single-message calls then take the vector kernel)."""
     set_aead_backend("numpy")
-    set_batch_path_threshold(0)
+    monkeypatch.setattr(aead_mod, "VECTOR_MIN_BYTES", 0)
     yield
     set_aead_backend(None)
-    set_batch_path_threshold(None)
 
 
 def _sequential_reference(requests):
-    """The pre-batching hot path: one scalar/vector seal per message."""
+    """One ``encrypt`` per message, on whatever path dispatch gives it."""
     return [cipher.encrypt(nonce, pt, aad) for cipher, nonce, pt, aad in requests]
 
 
@@ -103,14 +97,16 @@ class TestBatchByteIdentity:
         )
     )
     def test_fuzzed_batches_match_sequential(self, lengths):
+        requests = _requests(lengths)
         set_aead_backend("numpy")
-        set_batch_path_threshold(0)
         try:
-            requests = _requests(lengths)
-            assert seal_many(requests) == _sequential_reference(requests)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(aead_mod, "VECTOR_MIN_BYTES", 0)  # lanes, however small
+                batched = seal_many(requests)
+            # Reference at the shipped constant: scalar or vector per message.
+            assert batched == _sequential_reference(requests)
         finally:
             set_aead_backend(None)
-            set_batch_path_threshold(None)
 
     def test_multi_mib_batch_matches_sequential(self, numpy_backend):
         lengths = [(1 << 20) + 3, (1 << 19) - 1, 1 << 20]
@@ -162,7 +158,8 @@ class TestOpenMany:
             open_many([(c, n, bytes(w), a) for (c, n, _, a), w in zip(requests, wires)])
 
     def test_tamper_index_on_sequential_path(self):
-        # Small aggregate -> per-message fallback; index contract holds.
+        # Default backend (native where installed, else the scalar
+        # kernel for this small aggregate); index contract holds.
         requests = _requests([4, 4, 4])
         wires = [bytearray(w) for w in seal_many(requests)]
         wires[1][0] ^= 0x01
@@ -179,13 +176,12 @@ class TestAgainstOpenSslOracle:
     def test_batched_path_matches_oracle(self):
         aead = pytest.importorskip("cryptography.hazmat.primitives.ciphers.aead")
         set_aead_backend("numpy")
-        set_batch_path_threshold(0)
         try:
             requests = _requests(BOUNDARY_LENGTHS)
+            assert aead_mod._select_path(len(requests), sum(BOUNDARY_LENGTHS)) == "lanes"
             wires = seal_many(requests)
         finally:
             set_aead_backend(None)
-            set_batch_path_threshold(None)
         for (cipher, nonce, pt, aad), wire in zip(requests, wires):
             oracle = aead.ChaCha20Poly1305(cipher._key).encrypt(nonce, pt, aad or None)
             assert wire == oracle
@@ -269,64 +265,6 @@ class TestCounterOverflow:
         # request would otherwise try to materialize a 128 GiB keystream.
         with pytest.raises(ValueError, match="counter overflow"):
             chacha20_blocks(self.KEY, 1 << 31, self.NONCE, (1 << 31) + 1)
-
-
-class TestBatchTuning:
-    def teardown_method(self):
-        set_batch_path_threshold(None)
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AEAD_BATCH_THRESHOLD", raising=False)
-        monkeypatch.delenv("REPRO_AEAD_FAST_THRESHOLD", raising=False)
-        assert batch_path_threshold() == DEFAULT_BATCH_PATH_THRESHOLD
-
-    def test_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AEAD_BATCH_THRESHOLD", "9999")
-        set_batch_path_threshold(7)
-        assert batch_path_threshold() == 7
-        set_batch_path_threshold(None)
-        assert batch_path_threshold() == 9999
-
-    def test_batch_env_beats_fast_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AEAD_BATCH_THRESHOLD", "111")
-        monkeypatch.setenv("REPRO_AEAD_FAST_THRESHOLD", "222")
-        assert batch_path_threshold() == 111
-
-    def test_fast_env_is_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AEAD_BATCH_THRESHOLD", raising=False)
-        monkeypatch.setenv("REPRO_AEAD_FAST_THRESHOLD", "333")
-        assert batch_path_threshold() == 333
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AEAD_BATCH_THRESHOLD", "not-a-number")
-        monkeypatch.delenv("REPRO_AEAD_FAST_THRESHOLD", raising=False)
-        assert batch_path_threshold() == DEFAULT_BATCH_PATH_THRESHOLD
-
-    @staticmethod
-    def _fake_clock(pattern):
-        # measure_batch_crossover reads the clock 3x per repeat
-        # (t0, scalar, t1, batched, t2); the pattern fixes the deltas.
-        state = {"i": 0}
-
-        def clock():
-            v = pattern[state["i"] % 3] + 10.0 * (state["i"] // 3)
-            state["i"] += 1
-            return v
-
-        return clock
-
-    def test_crossover_batched_always_wins(self):
-        res = measure_batch_crossover(
-            self._fake_clock([0.0, 2.0, 3.0]), aggregates=(128, 256, 512), repeats=1
-        )
-        assert res["threshold"] == 128
-        assert res["messages"] == 8
-
-    def test_crossover_batched_never_wins(self):
-        res = measure_batch_crossover(
-            self._fake_clock([0.0, 1.0, 3.0]), aggregates=(128, 256, 512), repeats=1
-        )
-        assert res["threshold"] == 513
 
 
 class TestSealAll:

@@ -24,15 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.channel import SecureChannel
+from repro.tee.crypto import aead as aead_mod
 from repro.tee.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
+from repro.tee.crypto.backend import native_available, set_aead_backend
 from repro.tee.crypto.chacha20 import chacha20_block, chacha20_blocks, chacha20_encrypt
 from repro.tee.crypto.fastchacha import chacha20_seal_xor, chacha20_xor
 from repro.tee.crypto.poly1305 import poly1305_aead_tag, poly1305_mac
-from repro.tee.crypto.tuning import (
-    fast_path_threshold,
-    measure_crossover,
-    set_fast_path_threshold,
-)
 
 #: Exercises every dispatch regime: empty, sub-block, one-block +/- 1,
 #: scalar-Horner territory, and the lane path around its 16 KiB blocks.
@@ -181,25 +178,26 @@ class TestChaChaEquivalence:
 
 class TestSealPipelineDispatch:
     @pytest.fixture(autouse=True)
-    def _restore_threshold(self):
+    def _numpy_backend(self):
+        set_aead_backend("numpy")
         yield
-        set_fast_path_threshold(None)
+        set_aead_backend(None)
 
     @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
-    def test_both_dispatch_paths_byte_identical(self, length):
+    def test_both_dispatch_paths_byte_identical(self, length, monkeypatch):
         rng = np.random.default_rng(7000 + length)
         key = bytes(rng.integers(0, 256, 32, dtype=np.uint8))
         nonce = bytes(rng.integers(0, 256, 12, dtype=np.uint8))
         pt = bytes(rng.integers(0, 256, length, dtype=np.uint8))
         aad = b"profile-header"
         cipher = ChaCha20Poly1305(key)
-        set_fast_path_threshold(1 << 30)  # force the scalar pipeline
+        monkeypatch.setattr(aead_mod, "VECTOR_MIN_BYTES", 1 << 30)  # scalar kernel
         scalar_wire = cipher.encrypt(nonce, pt, aad)
-        set_fast_path_threshold(0)  # force the fused vector pipeline
+        monkeypatch.setattr(aead_mod, "VECTOR_MIN_BYTES", 0)  # fused vector kernel
         vector_wire = cipher.encrypt(nonce, pt, aad)
         assert scalar_wire == vector_wire
         assert cipher.decrypt(nonce, vector_wire, aad) == pt
-        set_fast_path_threshold(1 << 30)
+        monkeypatch.setattr(aead_mod, "VECTOR_MIN_BYTES", 1 << 30)
         assert cipher.decrypt(nonce, vector_wire, aad) == pt
 
     def test_decrypt_accepts_memoryview(self):
@@ -208,52 +206,27 @@ class TestSealPipelineDispatch:
         assert cipher.decrypt(b"N" * 12, memoryview(wire), b"hdr") == b"model-bytes" * 100
 
 
-class TestTuning:
-    @pytest.fixture(autouse=True)
-    def _restore_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AEAD_FAST_THRESHOLD", raising=False)
-        yield
-        set_fast_path_threshold(None)
+class TestDispatchTable:
+    """The whole of path selection: backend x message count x total bytes."""
 
-    def test_override_wins(self):
-        set_fast_path_threshold(12345)
-        assert fast_path_threshold() == 12345
-        set_fast_path_threshold(None)
-        assert fast_path_threshold() != 12345
+    NUMPY_PATHS = {
+        (1, 0): "scalar", (1, 383): "scalar", (1, 384): "vector", (1, 1 << 20): "vector",
+        (2, 0): "scalar", (2, 383): "scalar", (2, 384): "lanes", (2, 1 << 20): "lanes",
+        (19, 0): "scalar", (19, 383): "scalar", (19, 384): "lanes", (19, 1 << 20): "lanes",
+    }
 
-    def test_env_var_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AEAD_FAST_THRESHOLD", "777")
-        assert fast_path_threshold() == 777
-
-    def test_env_var_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AEAD_FAST_THRESHOLD", "not-a-number")
-        assert fast_path_threshold() > 0
-
-    def test_measure_crossover_fake_clock_vector_always_wins(self):
-        # Clock pattern per (t0, t1, t2) triple: scalar takes 2 ticks,
-        # vector takes 1, so the vector path wins at every size and the
-        # threshold is the smallest swept size.
-        ticks = iter(range(0, 10**6))
-
-        def clock():
-            t = next(ticks)
-            # map call index 3k/3k+1/3k+2 -> 0, 2, 3 (+4 per triple)
-            q, r = divmod(t, 3)
-            return 4 * q + (0, 2, 3)[r]
-
-        res = measure_crossover(clock, sizes=(64, 128, 256), repeats=2)
-        assert res["threshold"] == 64
-        assert set(res["samples"]) == {64, 128, 256}
-
-    def test_measure_crossover_fake_clock_scalar_always_wins(self):
-        ticks = iter(range(0, 10**6))
-
-        def clock():
-            q, r = divmod(next(ticks), 3)
-            return 4 * q + (0, 1, 3)[r]  # scalar 1 tick, vector 2
-
-        res = measure_crossover(clock, sizes=(64, 128, 256), repeats=2)
-        assert res["threshold"] == 257  # largest size + 1: never dispatch
+    @pytest.mark.parametrize("backend", ["numpy", "native"])
+    @pytest.mark.parametrize("messages", [1, 2, 19])
+    @pytest.mark.parametrize("total_bytes", [0, 383, 384, 1 << 20])
+    def test_select_path(self, backend, messages, total_bytes):
+        if backend == "native" and not native_available():
+            pytest.skip("cryptography not installed")
+        expected = "native" if backend == "native" else self.NUMPY_PATHS[messages, total_bytes]
+        set_aead_backend(backend)
+        try:
+            assert aead_mod._select_path(messages, total_bytes) == expected
+        finally:
+            set_aead_backend(None)
 
 
 class TestPinnedWireBytes:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.tee.crypto.aead import VECTOR_MIN_BYTES
+from repro.tee.crypto.backend import aead_backend, native_available
 
 
 class TestParser:
@@ -21,10 +23,20 @@ class TestParser:
 
 
 class TestCommands:
-    def test_info(self, capsys):
+    def test_info(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_AEAD_BACKEND", raising=False)
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "REPRO_EPOCH_SCALE" in out
+        assert "REPRO_AEAD_BACKEND = auto (default)" in out
+        assert f"AEAD backend       = {aead_backend()}" in out
+        assert f"AEAD native usable = {native_available()}" in out
+        assert f"below {VECTOR_MIN_BYTES} B" in out
+
+    def test_info_names_an_unusable_backend(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_AEAD_BACKEND", "vulkan")
+        assert main(["info"]) == 0
+        assert "AEAD backend       = unresolvable" in capsys.readouterr().out
 
     def test_datasets(self, capsys):
         assert main(["datasets"]) == 0
