@@ -17,10 +17,11 @@ Commands
     Run a named fault plan against a tolerance-mode cluster and print
     the fault/recovery report (optionally as a JSON artifact).
 ``serve``
-    Train a small fleet, publish one node's snapshot into a serving
-    enclave, drive a seeded Zipf workload through the recommendation
-    server, and print the throughput/latency/quality report
-    (optionally as a ``repro.serve/v1`` JSON artifact).
+    Train a small fleet, publish one node's snapshot into ``--shards`` x
+    ``--replicas`` serving enclaves (1 x 1, a single endpoint, by
+    default), drive a seeded ``--traffic`` trace through the balancer,
+    and print the throughput/latency/quality report (optionally as a
+    ``repro.serve/v2`` JSON artifact).
 ``lint``
     Run the enclave-boundary / crypto-misuse / determinism static
     analyzer over source trees (text or JSON findings).
@@ -162,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = sub.add_parser(
-        "serve", help="train -> publish -> serve pipeline -> serving report"
+        "serve", help="train -> shard -> serve pipeline -> serving report"
     )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--nodes", type=int, default=8)
@@ -170,64 +171,68 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--users", type=int, default=60)
     serve.add_argument("--items", type=int, default=180)
     serve.add_argument("--ratings", type=int, default=3_000)
-    serve.add_argument("--node", type=int, default=0, help="which node serves")
+    serve.add_argument("--node", type=int, default=0, help="which node's model is served")
+    serve.add_argument(
+        "--shards", type=int, default=1, help="user partitions (1 = a single endpoint)"
+    )
+    serve.add_argument("--replicas", type=int, default=1, help="serving enclaves per shard")
     serve.add_argument("--top-k", type=int, default=10)
-    serve.add_argument("--requests-per-tick", type=float, default=4.0)
     serve.add_argument("--ticks", type=int, default=200)
-    serve.add_argument("--zipf", type=float, default=1.1, help="popularity exponent")
     serve.add_argument(
-        "--shed",
-        choices=("shed-oldest", "reject-newest"),
-        default="shed-oldest",
-        help="load-shedding policy when the admission queue is full",
-    )
-    serve.add_argument("--queue-depth", type=int, default=64)
-    serve.add_argument("--max-batch", type=int, default=32)
-    serve.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="write the repro.serve/v1 report document (JSON) here",
-    )
-    serve.add_argument(
-        "--fleet",
-        action="store_true",
+        "--traffic",
+        choices=("zipf", "diurnal"),
+        default="zipf",
         help=(
-            "serve through a sharded fleet (consistent-hash routing, "
-            "replicated failover) under the production traffic model "
-            "instead of one endpoint; emits repro.serve-fleet/v1"
+            "trace source: flat-rate Zipf popularity, or the production model "
+            "(diurnal swing + flash crowds + heavy-tailed users)"
         ),
     )
-    serve.add_argument("--shards", type=int, default=4)
-    serve.add_argument("--replicas", type=int, default=2)
+    serve.add_argument(
+        "--requests-per-tick", type=float, default=4.0, help="zipf: mean arrivals per tick"
+    )
+    serve.add_argument("--zipf", type=float, default=1.1, help="zipf: popularity exponent")
     serve.add_argument(
         "--peak-rate",
         type=float,
         default=8.0,
-        help="fleet mode: daytime-peak mean arrivals per tick",
+        help="diurnal: daytime-peak mean arrivals per tick",
     )
     serve.add_argument(
         "--day-night-ratio",
         type=float,
         default=4.0,
-        help="fleet mode: peak-to-trough diurnal rate ratio",
+        help="diurnal: peak-to-trough rate ratio",
     )
     serve.add_argument(
         "--flash-crowds",
         type=int,
         default=1,
-        help="fleet mode: number of seeded flash-crowd bursts",
+        help="diurnal: number of seeded flash-crowd bursts",
     )
+    serve.add_argument(
+        "--shed",
+        choices=("shed-oldest", "reject-newest"),
+        default=None,
+        help="policy at a full replica queue (default: shed-oldest at 1x1, else reject-newest)",
+    )
+    serve.add_argument("--queue-depth", type=int, default=64)
+    serve.add_argument("--max-batch", type=int, default=32)
     serve.add_argument(
         "--epc-cap-mib",
         type=float,
         default=None,
-        help="fleet mode: per-shard EPC cap (default: sized from the shards)",
+        help="per-shard EPC cap (default: the platform share at 1x1, else 2x the largest shard)",
     )
     serve.add_argument(
         "--kill-one-replica-per-shard",
         action="store_true",
-        help="fleet mode: crash one replica per shard at the traffic peak",
+        help="crash one replica per shard at the traffic peak",
+    )
+    serve.add_argument(
+        "--output",
+        default=None,
+        metavar="PATH",
+        help="write the repro.serve/v2 report document (JSON) here",
     )
 
     lint = sub.add_parser(
@@ -461,71 +466,55 @@ def cmd_chaos(args) -> int:
 def cmd_serve(args) -> int:
     import json
 
-    from repro.serve import ServePolicy, WorkloadSpec, run_serving_experiment
+    from repro.serve import ServePolicy, TrafficSpec, WorkloadSpec
+    from repro.serve.fleet import FleetPolicy, run_fleet_experiment
+    from repro.tee.epc import MIB, EpcModel
 
-    if args.fleet:
-        from repro.serve import TrafficSpec
-        from repro.serve.fleet import FleetPolicy, run_fleet_experiment
-
-        report = run_fleet_experiment(
+    # Knobs left unset take the defaults of the entry point the shape
+    # names: run_serving_experiment's at 1x1, run_fleet_experiment's else.
+    single = args.shards == 1 and args.replicas == 1
+    shed = args.shed or (ServePolicy() if single else FleetPolicy().shard).shed
+    epc_cap_mib = args.epc_cap_mib
+    if epc_cap_mib is None and single:
+        epc_cap_mib = EpcModel().share_bytes / MIB
+    if args.traffic == "diurnal":
+        traffic = TrafficSpec(
             seed=args.seed,
-            shards=args.shards,
-            replicas=args.replicas,
-            nodes=args.nodes,
-            epochs=args.epochs,
-            users=args.users,
-            items=args.items,
-            ratings=args.ratings,
-            node_id=args.node,
-            traffic=TrafficSpec(
-                seed=args.seed,
-                n_users=args.users,
-                ticks=args.ticks,
-                peak_rate=args.peak_rate,
-                day_night_ratio=args.day_night_ratio,
-                flash_crowds=args.flash_crowds,
-            ),
-            policy=FleetPolicy(
-                shard=ServePolicy(
-                    top_k=args.top_k,
-                    queue_depth=args.queue_depth,
-                    max_batch=args.max_batch,
-                    shed="reject-newest",
-                ),
-            ),
-            epc_cap_mib=args.epc_cap_mib,
-            kill_one_replica_per_shard=args.kill_one_replica_per_shard,
+            n_users=args.users,
+            ticks=args.ticks,
+            peak_rate=args.peak_rate,
+            day_night_ratio=args.day_night_ratio,
+            flash_crowds=args.flash_crowds,
         )
-        for line in report.format_lines():
-            print(line)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.output} ({report.completed} completions)")
-        return 0
-
-    report = run_serving_experiment(
+    else:
+        traffic = WorkloadSpec(
+            seed=args.seed,
+            n_users=args.users,
+            ticks=args.ticks,
+            rate=args.requests_per_tick,
+            zipf_s=args.zipf,
+        )
+    report = run_fleet_experiment(
         seed=args.seed,
+        shards=args.shards,
+        replicas=args.replicas,
         nodes=args.nodes,
         epochs=args.epochs,
         users=args.users,
         items=args.items,
         ratings=args.ratings,
         node_id=args.node,
-        workload=WorkloadSpec(
-            seed=args.seed,
-            n_users=args.users,
-            ticks=args.ticks,
-            rate=args.requests_per_tick,
-            zipf_s=args.zipf,
+        traffic=traffic,
+        policy=FleetPolicy(
+            shard=ServePolicy(
+                top_k=args.top_k,
+                queue_depth=args.queue_depth,
+                max_batch=args.max_batch,
+                shed=shed,
+            ),
         ),
-        policy=ServePolicy(
-            top_k=args.top_k,
-            queue_depth=args.queue_depth,
-            max_batch=args.max_batch,
-            shed=args.shed,
-        ),
+        epc_cap_mib=epc_cap_mib,
+        kill_one_replica_per_shard=args.kill_one_replica_per_shard,
     )
     for line in report.format_lines():
         print(line)

@@ -85,13 +85,13 @@ SHARED_PREFIXES: tuple = (
     # epochs, fault ticks) and untrusted work (transport ticks, serving
     # arrivals) on one queue, so it belongs to both worlds by design.
     "repro.sim",
-    # The train->publish->serve pipeline plays every role in one process,
-    # exactly like the repro.sim fleet simulators.
+    # The single-endpoint adapter over the serving pipeline below.
     "repro.serve.runner",
     # The fleet's routing fabric crosses the boundary by design: the
     # ring and balancer are host-side plumbing that talks to trusted
-    # shard enclaves only via ecalls, and the fleet runner plays every
-    # role in one process like repro.serve.runner.
+    # shard enclaves only via ecalls, and the fleet runner -- the one
+    # train->shard->serve pipeline -- plays every role in one process,
+    # exactly like the repro.sim fleet simulators.
     "repro.serve.fleet.router",
     "repro.serve.fleet.balancer",
     "repro.serve.fleet.runner",
@@ -156,7 +156,6 @@ UNTRUSTED_MODULES: frozenset = frozenset(
         "repro.serve",
         "repro.serve.costing",
         "repro.serve.fleet",
-        "repro.serve.fleet.report",
         "repro.serve.report",
         "repro.serve.server",
         "repro.serve.workload",

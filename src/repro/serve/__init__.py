@@ -17,18 +17,20 @@ the same software-enclave model the training protocol uses:
 - :mod:`repro.serve.server` -- the untrusted host driver: bounded
   admission queue, batching window, load shedding, simulated-latency
   accounting against the SGX cost model.
-- :mod:`repro.serve.costing` -- the one shared batch-pricing helper the
-  single endpoint and the fleet both charge against.
+- :mod:`repro.serve.costing` -- the one batch-pricing helper every
+  replica's server charges against.
 - :mod:`repro.serve.workload` -- seeded Zipf-popularity workload
   generator, the production :class:`TrafficModel` (diurnal + flash
   crowds + heavy-tailed users) and the open/closed-loop drivers.
-- :mod:`repro.serve.report` -- throughput + latency percentiles + cache
-  and EPC accounting as a ``repro.serve/v1`` JSON document.
-- :mod:`repro.serve.runner` -- the one-call train -> publish -> serve
-  pipeline behind ``repro serve`` (plays every role, like ``repro.sim``).
-- :mod:`repro.serve.fleet` -- the sharded serving fleet: consistent-hash
-  routing, user-partitioned shard enclaves, replicated failover and the
-  ``repro.serve-fleet/v1`` report (behind ``repro serve --fleet``).
+- :mod:`repro.serve.report` -- the one ``repro.serve/v2`` JSON document:
+  routing/failover/shed accounting, latency percentiles, cache, quality
+  and per-shard snapshot + EPC sections.
+- :mod:`repro.serve.fleet` -- the serving stack behind ``repro serve``:
+  consistent-hash routing, user-partitioned shard enclaves, replicated
+  failover, and the one train -> shard -> serve -> report pipeline
+  (:mod:`repro.serve.fleet.runner`).
+- :mod:`repro.serve.runner` -- the single endpoint, i.e. that pipeline
+  at 1 shard x 1 replica (an adapter, not a second pipeline).
 
 Trust split: snapshots hold plaintext model parameters and the exclusion
 index is derived from the raw rating store, so everything that touches

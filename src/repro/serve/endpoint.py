@@ -42,6 +42,9 @@ class BatchStats:
     """Sanitized work counts for one served batch (safe to export)."""
 
     requests: int = 0
+    #: Queried ids that are not a user row of the installed snapshot
+    #: (answered with the empty sentinel row, never looked up or scored).
+    unowned: int = 0
     cache_hits: int = 0
     scored_users: int = 0
     scored_pairs: int = 0
@@ -112,6 +115,13 @@ class ServingState:
         Returns (items, scores) of shape (B, k) in request order plus the
         batch's work counts.  A result-cache hit skips scoring entirely;
         the remaining *unique* users are scored in one matrix product.
+
+        ``users`` arrives from the host unchecked.  An id outside
+        ``[0, n_users)`` keeps the empty sentinel row (-1 items, NaN
+        scores) and is counted in ``stats.unowned``: it must never index
+        a factor row (a negative id would wrap to another user's
+        embedding while the exclusion index misses, leaking that user's
+        rated items in the reply) nor enter a cache.
         """
         if self.snapshot is None:
             raise RuntimeError("no snapshot installed")
@@ -123,12 +133,16 @@ class ServingState:
 
         misses: list = []
         for row, user in enumerate(users):
-            cached = self.topn.lookup(snap.version, int(user), k)
+            user = int(user)
+            if not 0 <= user < snap.n_users:
+                stats.unowned += 1
+                continue
+            cached = self.topn.lookup(snap.version, user, k)
             if cached is not None:
                 out_items[row], out_scores[row] = cached
                 stats.cache_hits += 1
             else:
-                misses.append((row, int(user)))
+                misses.append((row, user))
 
         if misses:
             unique_users = sorted({user for _row, user in misses})
@@ -174,6 +188,8 @@ class ServingState:
             self._metrics.counter("serve.requests").inc(stats.requests)
             self._metrics.counter("serve.batches").inc()
             self._metrics.counter("serve.scored.pairs").inc(stats.scored_pairs)
+            if stats.unowned:
+                self._metrics.counter("serve.unowned").inc(stats.unowned)
         return out_items, out_scores, stats
 
 

@@ -30,7 +30,7 @@ user ids and sanitized counters -- never model state or raw ratings.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.obs import MetricsRegistry
@@ -70,18 +70,7 @@ class FleetPolicy:
             raise ValueError("global queue depth must be positive")
 
     def to_dict(self) -> dict:
-        shard = self.shard
-        return {
-            "queue_depth": self.queue_depth,
-            "shard": {
-                "top_k": shard.top_k,
-                "queue_depth": shard.queue_depth,
-                "max_batch": shard.max_batch,
-                "batch_window_ticks": shard.batch_window_ticks,
-                "shed": shard.shed,
-                "tick_s": shard.tick_s,
-            },
-        }
+        return asdict(self)
 
 
 class ShardReplica:
@@ -112,7 +101,8 @@ class ShardReplica:
         self._policy = policy if policy is not None else _default_shard_policy()
         self._costs = costs
         self._sgx = sgx
-        self._epc = epc
+        #: This replica's platform EPC model (its share is the shard's cap).
+        self.epc = epc
         self._metrics = metrics
         self.server: Optional[RecServer] = None
         self.alive = False
@@ -137,7 +127,7 @@ class ShardReplica:
             policy=self._policy,
             costs=self._costs,
             sgx=self._sgx,
-            epc=self._epc,
+            epc=self.epc,
             metrics=self._metrics,
         )
         self.server.tick = int(tick)
@@ -202,11 +192,6 @@ class ShardReplica:
             return 0
         return int(self.server.enclave.memory.resident_bytes)
 
-    @property
-    def epc_share_bytes(self) -> float:
-        """This replica's EPC cap (its platform's per-enclave share)."""
-        return float(self._epc.share_bytes) if self._epc is not None else 0.0
-
 
 class FleetBalancer:
     """Routes a bounded global queue onto shard replicas with failover."""
@@ -222,6 +207,11 @@ class FleetBalancer:
         if set(ring.shard_ids) != set(replicas):
             raise ValueError("replica map must cover exactly the ring's shards")
         self.ring = ring
+        #: user -> owning shard.  One shard owns every user: nothing to hash.
+        only = ring.shard_ids[0]
+        self.shard_of: Callable[[int], int] = (
+            ring.route if len(ring) > 1 else lambda user: only
+        )
         self.replicas: Dict[int, List[ShardReplica]] = {
             shard: list(replicas[shard]) for shard in ring.shard_ids
         }
@@ -272,32 +262,38 @@ class FleetBalancer:
         the next tick (deferred, not lost).  Failover is counted when
         the preferred replica cannot take the query and a sibling does.
         """
-        remaining: Deque[int] = deque()
-        while self._pending:
-            user = self._pending.popleft()
-            shard = self.ring.route(user)
-            candidates = self._candidates(shard)
-            if not candidates:
+        pending, self._pending = self._pending, deque()
+        # Liveness and versions do not change within one call: each
+        # shard's candidate list is computed once.
+        candidates: Dict[int, List[ShardReplica]] = {}
+        routed = failover = 0
+        shard_of = self.shard_of
+        for user in pending:
+            shard = shard_of(user)
+            live = candidates.get(shard)
+            if live is None:
+                live = candidates[shard] = self._candidates(shard)
+            if not live:
                 self.deferred += 1
-                remaining.append(user)
+                self._pending.append(user)
                 continue
             siblings = self.replicas[shard]
-            preferred = siblings[user % len(siblings)]
-            if preferred in candidates:
-                target = preferred
-            else:
-                target = candidates[0]  # deterministic: replica-id order
-                self.failover += 1
-                if self.metrics is not None:
-                    self.metrics.counter("serve.fleet.failover").inc()
+            target = siblings[user % len(siblings)]
+            if target not in live:
+                target = live[0]  # deterministic: replica-id order
+                failover += 1
             assert target.server is not None
             if target.server.offer(user) < 0:
                 self._count_shed()
             else:
-                self.routed += 1
-                if self.metrics is not None:
-                    self.metrics.counter("serve.fleet.routed").inc()
-        self._pending = remaining
+                routed += 1
+        self.routed += routed
+        self.failover += failover
+        if self.metrics is not None:
+            if routed:
+                self.metrics.counter("serve.fleet.routed").inc(routed)
+            if failover:
+                self.metrics.counter("serve.fleet.failover").inc(failover)
 
     # ------------------------------------------------------------------ #
     # Per-shard ticking (one kernel event per shard per tick)

@@ -67,6 +67,9 @@ class HashRing:
         points.sort()
         self._points = [p for p, _ in points]
         self._owners = [s for _, s in points]
+        #: user -> shard, filled as users are routed.  The ring never
+        #: changes after construction, so a route never goes stale.
+        self._routes: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -78,10 +81,13 @@ class HashRing:
 
     def route(self, user: int) -> int:
         """The shard owning ``user`` (first point clockwise, wrapping)."""
-        idx = bisect.bisect_left(self._points, self.user_point(user))
-        if idx == len(self._points):
-            idx = 0
-        return self._owners[idx]
+        shard = self._routes.get(user)
+        if shard is None:
+            idx = bisect.bisect_left(self._points, self.user_point(user))
+            if idx == len(self._points):
+                idx = 0
+            shard = self._routes[int(user)] = self._owners[idx]
+        return shard
 
     def assignments(self, n_users: int) -> np.ndarray:
         """Shard id per user for the dense id range ``[0, n_users)``."""

@@ -1,16 +1,24 @@
-"""One-call train -> shard -> serve fleet pipeline (``repro serve --fleet``).
+"""The one train -> shard -> boot -> drive -> drain -> report pipeline.
 
-Like :mod:`repro.serve.runner`, this module deliberately plays every
-role in one process: it trains the fleet (the *same* model the
-single-endpoint pipeline serves for a given seed), partitions users
-across shards with the consistent-hash ring, publishes each shard's
-sliced snapshot into ``replicas`` serving enclaves on per-shard EPC
-platforms, drives a production traffic trace through the
+Every serving experiment runs here -- ``repro serve``, the fleet
+scenarios, and the single endpoint, which is this pipeline at 1 shard x
+1 replica (:func:`repro.serve.runner.run_serving_experiment` is an
+adapter).  The module deliberately plays every role in one process: it
+trains the decentralized fleet, partitions users across shards with the
+consistent-hash ring, publishes each shard's sliced snapshot into
+``replicas`` serving enclaves on per-shard EPC platforms, drives a seeded
+trace (Zipf :class:`~repro.serve.workload.WorkloadSpec` or production
+:class:`~repro.serve.workload.TrafficSpec`) through the
 :class:`~repro.serve.fleet.balancer.FleetBalancer`, optionally kills and
 restarts replicas mid-run (reusing
 :class:`~repro.faults.plan.CrashEvent`, with ``at_epoch`` meaning the
-*serve tick* of the kill), and condenses everything into a
-:class:`~repro.serve.fleet.report.FleetServeReport`.
+*serve tick* of the kill), probes ranking quality against the held-out
+split, and condenses everything into a
+:class:`~repro.serve.report.FleetServeReport`.
+
+Every step is seeded: the synthetic dataset, the training run, the trace
+and all simulated timing derive from the one ``seed`` argument, so two
+identical invocations produce byte-identical reports.
 
 Every per-tick action runs as an event on the shared
 :class:`~repro.sim.kernel.EventKernel`; within a tick, event keys order
@@ -20,47 +28,49 @@ tick's arrivals route -- which is what makes "zero admitted requests
 lost to a crash" hold deterministically.
 
 Shared module: it orchestrates trusted shard enclaves and untrusted
-routing in one process, exactly like :mod:`repro.serve.runner`.
+routing in one process, like :mod:`repro.sim`.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.faults.plan import CrashEvent
-from repro.net.serialization import encode_triplets
+from repro.ml.metrics import ndcg_at_k, precision_at_k, recall_at_k
 from repro.obs import Observability
+
+# Imported as a module, not by name: repro.serve.runner holds the
+# train/boot stages this pipeline calls *and* the single-endpoint adapter
+# that calls this pipeline, so it is still mid-import when it first pulls
+# this module in.
+from repro.serve import runner as stages
 from repro.serve.costing import ServeCostModel
-from repro.serve.fleet.balancer import FleetBalancer, FleetPolicy, ShardReplica
-from repro.serve.fleet.report import FleetServeReport
-from repro.serve.fleet.router import DEFAULT_VNODES, HashRing
-from repro.serve.fleet.shard import (
-    ShardEnclaveApp,
-    build_shard_payload,
-    encode_shard_users,
+from repro.serve.fleet.balancer import FleetBalancer, FleetPolicy
+from repro.serve.fleet.router import DEFAULT_VNODES
+from repro.serve.report import FleetServeReport
+from repro.serve.workload import (
+    TrafficModel,
+    TrafficSpec,
+    WorkloadGenerator,
+    WorkloadSpec,
+    trace_digest,
 )
-from repro.serve.runner import train_fleet_model
-from repro.serve.workload import TrafficModel, TrafficSpec, trace_digest
 from repro.sim.kernel import EventKernel
-from repro.tee.attestation import AttestationService
 from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
-from repro.tee.enclave import Platform
-from repro.tee.epc import EpcModel
 
 __all__ = ["run_fleet_experiment", "kill_one_per_shard_plan"]
 
-_MIB = float(1024 * 1024)
-
-#: Default head-room factor when deriving the per-shard EPC cap from the
-#: largest shard's snapshot footprint (leaves room for the exclusion
-#: index and the pinned hot cache on top of the snapshot itself).
-_EPC_CAP_FACTOR = 2.0
-
 #: Drain safety valve: ticks past the trace horizon before giving up.
 _MAX_DRAIN_TICKS = 100_000
+
+#: Held-out ratings at or above this are "relevant" for ranking quality.
+RELEVANCE_THRESHOLD = 4.0
+
+#: How many users the post-run quality probe scores.
+QUALITY_PROBE_USERS = 50
 
 
 def kill_one_per_shard_plan(
@@ -87,6 +97,42 @@ def kill_one_per_shard_plan(
     )
 
 
+def _probe_quality(balancer: FleetBalancer, split, top_k: int) -> dict:
+    """Score served top-K lists against the held-out split.
+
+    Each probed user is asked of the shard that owns it, straight through
+    ``ecall_serve`` (not the admission path: the probe is a measurement,
+    not traffic); a shard with no live replica left is skipped.
+    """
+    test = split.test
+    liked = test.ratings >= RELEVANCE_THRESHOLD
+    relevant: dict = {}
+    for user, item in zip(test.users[liked].tolist(), test.items[liked].tolist()):
+        relevant.setdefault(user, set()).add(item)
+    by_shard: Dict[int, List[int]] = {}
+    for user in sorted(relevant)[:QUALITY_PROBE_USERS]:
+        by_shard.setdefault(balancer.shard_of(user), []).append(user)
+    recommended: Dict[int, list] = {}
+    for shard, users in by_shard.items():
+        live = [r for r in balancer.replicas[shard] if r.alive]
+        if live:
+            reply = live[0].server.enclave.ecall("ecall_serve", users, top_k)
+            recommended.update(zip(users, reply["items"]))
+    if not recommended:
+        return {}
+    precisions, recalls, ndcgs = [], [], []
+    for user in sorted(recommended):
+        precisions.append(precision_at_k(recommended[user], relevant[user], top_k))
+        recalls.append(recall_at_k(recommended[user], relevant[user], top_k))
+        ndcgs.append(ndcg_at_k(recommended[user], relevant[user], top_k))
+    return {
+        f"precision_at_{top_k}": float(np.nanmean(precisions)),
+        f"recall_at_{top_k}": float(np.nanmean(recalls)),
+        f"ndcg_at_{top_k}": float(np.nanmean(ndcgs)),
+        "probed_users": float(len(recommended)),
+    }
+
+
 def run_fleet_experiment(
     *,
     seed: int = 0,
@@ -99,24 +145,28 @@ def run_fleet_experiment(
     ratings: int = 6_000,
     mf_k: int = 16,
     node_id: int = 0,
-    traffic: Optional[TrafficSpec] = None,
+    traffic: Union[TrafficSpec, WorkloadSpec, None] = None,
     policy: Optional[FleetPolicy] = None,
     costs: Optional[ServeCostModel] = None,
     sgx: SgxCostModel = SGX1_COST_MODEL,
     vnodes: int = DEFAULT_VNODES,
     epc_cap_mib: Optional[float] = None,
+    topn_capacity: Optional[int] = None,
+    hot_capacity: Optional[int] = None,
+    quality_probe: bool = True,
     crashes: Tuple[CrashEvent, ...] = (),
     kill_one_replica_per_shard: bool = False,
     restart_after_ticks: Optional[int] = 8,
     obs: Optional[Observability] = None,
 ) -> FleetServeReport:
-    """Run one seeded sharded-serving experiment; returns the report.
+    """Run one seeded serving experiment; returns the report.
 
-    Everything derives from ``seed`` (training, partitioning, traffic,
-    timing), so two identical invocations produce byte-identical
-    reports.  ``kill_one_replica_per_shard`` injects the acceptance
-    fault plan: one replica per shard dies at the traffic peak and
-    re-joins ``restart_after_ticks`` later.
+    ``traffic`` picks the trace source (a production
+    :class:`TrafficSpec`, the default, or a Zipf :class:`WorkloadSpec`),
+    not the pipeline.  ``kill_one_replica_per_shard`` injects the
+    acceptance fault plan: one replica per shard dies at the traffic
+    peak and re-joins ``restart_after_ticks`` later.  Everything that
+    can be refused from the arguments alone is refused before training.
     """
     if shards < 1 or replicas < 1:
         raise ValueError("need at least one shard and one replica")
@@ -128,123 +178,55 @@ def run_fleet_experiment(
         traffic = TrafficSpec(seed=seed, n_users=users)
     if traffic.n_users > users:
         raise ValueError("traffic cannot query more users than the dataset has")
-
-    model = TrafficModel(traffic)
-    peak = model.peak_tick()
-    trace = model.trace()
+    source = (
+        TrafficModel(traffic) if isinstance(traffic, TrafficSpec) else WorkloadGenerator(traffic)
+    )
     if kill_one_replica_per_shard:
         crashes = crashes + kill_one_per_shard_plan(
-            shards, replicas, at_tick=peak, restart_after_ticks=restart_after_ticks
+            shards,
+            replicas,
+            at_tick=source.peak_tick(),
+            restart_after_ticks=restart_after_ticks,
         )
+    if any(event.node >= shards * replicas for event in crashes):
+        raise ValueError("crash plan names a replica outside the fleet")
+    trace = source.trace()
 
-    # ------------------------------------------------------------------ #
-    # Train once, slice per shard.
-    # ------------------------------------------------------------------ #
-    sim, split = train_fleet_model(
+    balancer, split, shard_meta = stages.train_and_load(
         seed=seed,
+        shards=shards,
+        replicas=replicas,
         nodes=nodes,
         epochs=epochs,
         users=users,
         items=items,
         ratings=ratings,
         mf_k=mf_k,
+        node_id=node_id,
+        policy=policy,
+        costs=costs,
+        sgx=sgx,
+        vnodes=vnodes,
+        epc_cap_mib=epc_cap_mib,
+        topn_capacity=topn_capacity,
+        hot_capacity=hot_capacity,
+        obs=obs,
     )
-    ring = HashRing(range(shards), vnodes=vnodes)
-    partition = ring.partition(users)
-
-    version = 1
-    load_args: Dict[int, dict] = {}
-    shard_meta: Dict[int, dict] = {}
-    for shard, owned in partition.items():
-        wire, meta = build_shard_payload(
-            sim.XU[node_id],
-            sim.YI[node_id],
-            sim.BU[node_id],
-            sim.BI[node_id],
-            sim.SU[node_id],
-            sim.SI[node_id],
-            sim.global_mean,
-            owned,
-            version=version,
-            shard_id=shard,
-            epoch=epochs,
-        )
-        load_args[shard] = {
-            "snapshot": wire,
-            # Only the shard's own users' global histories: exclusion is
-            # per-user, and this shard serves exactly these users.
-            "ratings": encode_triplets(split.train.restrict_users(owned)),
-            "shard_users": encode_shard_users(owned),
-            "require_newer": True,
-        }
-        shard_meta[shard] = meta
-
-    # Per-shard EPC cap: every shard must fit, none gets the aggregate.
-    if epc_cap_mib is None:
-        largest = max(m["resident_bytes"] for m in shard_meta.values())
-        epc_cap_mib = max(1.0 / 64.0, _EPC_CAP_FACTOR * largest / _MIB)
-    epc_cap_mib = float(epc_cap_mib)
-
-    # ------------------------------------------------------------------ #
-    # Stand up the fleet.
-    # ------------------------------------------------------------------ #
-    def _boot(platform: Platform, shard: int, replica: int, incarnation: int):
-        enclave = platform.create_enclave(
-            ShardEnclaveApp, f"shard{shard}-r{replica}-i{incarnation}"
-        )
-        enclave.ecall("ecall_load", load_args[shard])
-        return enclave
-
-    replica_map: Dict[int, List[ShardReplica]] = {}
-    for shard in ring.shard_ids:
-        reps: List[ShardReplica] = []
-        for r in range(replicas):
-            platform = Platform(
-                f"fleet-s{shard}-r{r}",
-                AttestationService(),
-                epc=EpcModel(total_mib=epc_cap_mib, usable_mib=epc_cap_mib),
-                metrics=obs.metrics,
-            )
-            reps.append(
-                ShardReplica(
-                    shard,
-                    r,
-                    partial(_boot, platform, shard, r),
-                    policy=policy.shard,
-                    costs=costs,
-                    sgx=sgx,
-                    epc=platform.epc,
-                    metrics=obs.metrics,
-                )
-            )
-        replica_map[shard] = reps
-
-    balancer = FleetBalancer(ring, replica_map, policy=policy, metrics=obs.metrics)
-    for shard in ring.shard_ids:
-        balancer.shard_version[shard] = version
-        for replica in replica_map[shard]:
-            replica.boot(0, version)
+    ring = balancer.ring
 
     # ------------------------------------------------------------------ #
     # Schedule the run on the event kernel.
     # ------------------------------------------------------------------ #
     kernel = EventKernel()
     arrivals = np.asarray(trace, dtype=np.int64)
-    cursor = {"pos": 0}
+    users_by_arrival = arrivals[:, 1].tolist()
+    # The trace is sorted by tick: tick t's arrivals are one slice.
+    starts = np.searchsorted(arrivals[:, 0], np.arange(traffic.ticks + 1)).tolist()
 
     def _route_tick(tick: int) -> None:
-        pos = cursor["pos"]
-        while pos < len(arrivals) and int(arrivals[pos, 0]) == tick:
-            balancer.offer(int(arrivals[pos, 1]))
-            pos += 1
-        cursor["pos"] = pos
+        for user in users_by_arrival[starts[tick] : starts[tick + 1]]:
+            balancer.offer(user)
         balancer.route_pending()
-
-    def _kill(event: CrashEvent) -> None:
-        balancer.kill_replica(event.node // replicas, event.node % replicas)
-
-    def _restart(event: CrashEvent, tick: int) -> None:
-        balancer.restart_replica(event.node // replicas, event.node % replicas, tick)
 
     for tick in range(traffic.ticks):
         # Key ranks order one tick's events: faults(0) < route(1) < serve(2).
@@ -258,16 +240,15 @@ def run_fleet_experiment(
                 kind="serve.tick", key=(tick, 2, shard),
             )
     for event in crashes:
-        if event.node >= shards * replicas:
-            raise ValueError("crash plan names a replica outside the fleet")
+        victim = divmod(event.node, replicas)  # (shard, replica)
         kernel.at(
-            float(event.at_epoch), partial(_kill, event),
+            float(event.at_epoch), partial(balancer.kill_replica, *victim),
             kind="faults.crash", key=(event.at_epoch, 0, event.node),
         )
         if event.restart_after_ticks is not None:
             back = event.at_epoch + event.restart_after_ticks
             kernel.at(
-                float(back), partial(_restart, event, back),
+                float(back), partial(balancer.restart_replica, *victim, back),
                 kind="faults.restart", key=(back, 0, event.node),
             )
     kernel.run()
@@ -294,23 +275,22 @@ def run_fleet_experiment(
     # Report.
     # ------------------------------------------------------------------ #
     completions = balancer.completions
-    latencies = [c.latency_s for c in completions]
     duration = max((c.finish_s for c in completions), default=0.0)
-    all_replicas = [r for reps in replica_map.values() for r in reps]
+    all_replicas = [r for reps in balancer.replicas.values() for r in reps]
     per_shard = []
     for shard in ring.shard_ids:
-        reps = replica_map[shard]
+        reps = balancer.replicas[shard]
         resident = max(r.resident_bytes for r in reps)
-        cap = reps[0].epc_share_bytes
+        cap = reps[0].epc.share_bytes
         per_shard.append(
             {
                 "shard": shard,
-                "users": int(len(partition[shard])),
+                "users": shard_meta[shard]["n_users"],
                 "snapshot_digest": shard_meta[shard]["digest"],
                 "epc": {
                     "resident_bytes": int(resident),
                     "cap_bytes": cap,
-                    "overcommit": resident / cap if cap else 0.0,
+                    "overcommit": resident / cap,
                     "page_faults": float(sum(r.page_faults for r in reps)),
                 },
                 "replicas": [
@@ -327,10 +307,25 @@ def run_fleet_experiment(
                 ],
             }
         )
+    # Cache effectiveness and residency of the *load phase* only: the
+    # quality probe below would otherwise pollute the numbers it is
+    # reported next to.
+    metrics = obs.metrics
+    cache = {
+        "hits": metrics.value("serve.cache.hits", cache="topn"),
+        "misses": metrics.value("serve.cache.misses", cache="topn"),
+        "evictions": metrics.value("serve.cache.evictions", cache="topn"),
+        "embedding_hits": metrics.value("serve.cache.hits", cache="embedding"),
+        "embedding_misses": metrics.value("serve.cache.misses", cache="embedding"),
+    }
+    quality = _probe_quality(balancer, split, policy.shard.top_k) if quality_probe else {}
     return FleetServeReport(
         seed=seed,
+        nodes=nodes,
+        node_id=node_id,
         shards=shards,
         replicas_per_shard=replicas,
+        snapshot_version=stages.SNAPSHOT_VERSION,
         traffic=traffic.to_dict(),
         trace_digest=trace_digest(trace),
         ring_digest=ring.digest(),
@@ -341,13 +336,15 @@ def run_fleet_experiment(
         shed=balancer.shed,
         deferred=balancer.deferred,
         stale_rejected=balancer.stale_rejected,
-        routing_errors=int(obs.metrics.value("serve.fleet.routing_errors")),
+        routing_errors=int(metrics.value("serve.fleet.routing_errors")),
         completed=len(completions),
         duration_s=duration,
         throughput_rps=len(completions) / duration if duration > 0 else 0.0,
         busy_s=float(sum(r.busy_s for r in all_replicas)),
-        latency_s=FleetServeReport.latency_summary(latencies),
+        latency_s=FleetServeReport.latency_summary([c.latency_s for c in completions]),
         crashes=sum(r.crashes for r in all_replicas),
         restarts=sum(r.restarts for r in all_replicas),
+        cache=cache,
+        quality=quality,
         per_shard=per_shard,
     )

@@ -17,11 +17,18 @@ owned-user table shipped alongside the shard snapshot at load time:
   never plaintext snapshots;
 - :class:`ShardEnclaveApp` extends
   :class:`~repro.serve.endpoint.ServeEnclaveApp` with the owned-user
-  table: loads remap exclusion ratings to local rows, and ``ecall_serve``
-  translates each query's global id.  A query for a user the shard does
-  not own is answered with the empty sentinel (-1 ids) and counted as a
-  routing error (``serve.fleet.routing_errors``) -- a correct router
-  never produces one, and the fleet acceptance test pins that at zero.
+  table, held as two parallel int arrays (owned global ids in ascending
+  order, the local row of each): loads remap exclusion ratings through
+  one ``searchsorted``, and ``ecall_serve`` translates each batch of
+  query ids the same way.  A query for a user the shard does not own is
+  answered with the empty sentinel (-1 ids) and counted as a routing
+  error (``serve.fleet.routing_errors``) -- a correct router never
+  produces one, and the fleet acceptance test pins that at zero.  The
+  table is resident in the enclave, so its 16 B per owned user are
+  charged to the shard's EPC working set (``serve.shard_index``); a
+  shard that owns every user in id order translates by identity and
+  stores no table, which is what lets a 1-shard fleet price like a
+  single endpoint bit for bit.
 
 Trusted module: partitioning slices plaintext model parameters, and the
 shard endpoint owns a plaintext snapshot and raw-rating exclusion index.
@@ -29,13 +36,17 @@ shard endpoint owns a plaintext snapshot and raw-rating exclusion index.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.net.serialization import decode_triplets
-from repro.serve.endpoint import BatchStats, ServeEnclaveApp
-from repro.serve.snapshot import ModelSnapshot, encode_snapshot, snapshot_from_arrays
+from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.snapshot import (
+    ModelSnapshot,
+    encode_snapshot,
+    snapshot_from_arrays,
+)
 from repro.tee.enclave import ecall
 
 __all__ = ["ShardEnclaveApp", "build_shard_payload", "encode_shard_users"]
@@ -91,8 +102,12 @@ def build_shard_payload(
 class ShardEnclaveApp(ServeEnclaveApp):
     """A shard's serving enclave: global ids at the boundary, local rows inside."""
 
-    #: Global user id -> local snapshot row (built at load).
-    _owned: Dict[int, int]
+    #: The owned-user table: owned global ids in ascending order and the
+    #: local snapshot row of each.  ``None`` when global id == local row
+    #: (a shard that owns every user, in id order): an identity map is
+    #: not stored.
+    _owned_ids: Optional[np.ndarray]
+    _owned_rows: np.ndarray
 
     # ------------------------------------------------------------------ #
     # Load-time remapping
@@ -104,20 +119,20 @@ class ShardEnclaveApp(ServeEnclaveApp):
         owned = np.frombuffer(bytes(raw), dtype="<i8").astype(np.int64)
         if len(owned) != snapshot.n_users:
             raise ValueError("owned-user table does not match the shard snapshot")
-        self._owned = {int(user): row for row, user in enumerate(owned)}
-        if len(self._owned) != len(owned):
+        rows = np.argsort(owned, kind="stable")
+        ids = owned[rows]
+        if len(ids) and ids[0] < 0:
+            raise ValueError("owned-user table ids out of range")
+        if np.any(ids[1:] == ids[:-1]):
             raise ValueError("owned-user table contains duplicates")
-        self.unowned_queries = getattr(self, "unowned_queries", 0)
+        identity = np.array_equal(owned, np.arange(len(owned)))
+        self._owned_ids, self._owned_rows = (None if identity else ids), rows
         ratings = args.get("ratings")
         if ratings is not None:
             # Exclusion ratings arrive with global user ids; keep only
             # owned users' rows and remap them to local snapshot rows.
             data = decode_triplets(bytes(ratings))
-            local = np.fromiter(
-                (self._owned.get(int(u), -1) for u in data.users),
-                dtype=np.int64,
-                count=len(data.users),
-            )
+            local = self._to_local(data.users)
             mask = local >= 0
             self.serving.install(
                 snapshot, local[mask], np.asarray(data.items)[mask]
@@ -125,61 +140,39 @@ class ShardEnclaveApp(ServeEnclaveApp):
         else:
             self.serving.install(snapshot)
 
+    def _to_local(self, users) -> np.ndarray:
+        """Local row per global id; -1 for every id the shard does not own."""
+        try:
+            ids = np.asarray(users, dtype=np.int64).reshape(-1)
+        except OverflowError:  # an id no int64 holds is no shard's user
+            ids = np.array([u if abs(u) < 2**63 else -1 for u in map(int, users)], dtype=np.int64)
+        if self._owned_ids is None:
+            return np.where((ids >= 0) & (ids < len(self._owned_rows)), ids, -1)
+        at = np.searchsorted(self._owned_ids, ids)
+        at[at == len(self._owned_ids)] = 0
+        return np.where(self._owned_ids[at] == ids, self._owned_rows[at], -1)
+
     # ------------------------------------------------------------------ #
     # Serving with translation
     # ------------------------------------------------------------------ #
     @ecall
     def ecall_serve(self, users: list, k: int) -> dict:
-        """Serve one batch of *global* user ids; unowned ids get -1 lists."""
-        k = int(k)
-        local: list = []
-        rows: list = []
-        unowned = 0
-        for row, user in enumerate(users):
-            idx = self._owned.get(int(user))
-            if idx is None:
-                unowned += 1
-            else:
-                rows.append(row)
-                local.append(idx)
-        if unowned:
-            self.unowned_queries += unowned
-            metrics = self.ctx.metrics
-            if metrics is not None:
-                metrics.counter("serve.fleet.routing_errors").inc(unowned)
-        if local:
-            items, scores, stats = self.serving.query_batch(local, k)
-        else:
-            items = np.empty((0, k), dtype=np.int64)
-            scores = np.empty((0, k), dtype=np.float64)
-            stats = BatchStats(requests=0)
-        out_items = np.full((len(users), k), -1, dtype=np.int64)
-        out_scores = np.full((len(users), k), np.nan, dtype=np.float64)
-        for out_row, row in enumerate(rows):
-            out_items[row] = items[out_row]
-            out_scores[row] = scores[out_row]
-        stats_dict = stats.to_dict()
-        # The empty sentinel rows are still answered requests: account
-        # them so batch pricing charges per-request overhead uniformly.
-        stats_dict["requests"] = len(users)
-        stats_dict["unowned"] = unowned
-        self._account()
-        return {
-            "items": out_items.tolist(),
-            "scores": out_scores.tolist(),
-            "stats": stats_dict,
-        }
+        """Serve one batch of *global* user ids; unowned ids get -1 lists.
 
-    @ecall
-    def ecall_shard_status(self) -> dict:
-        """Serve status plus shard-ownership counters (sanitized scalars)."""
-        status = self.ecall_serve_status()
-        status["owned_users"] = len(self._owned)
-        status["unowned_queries"] = int(self.unowned_queries)
-        return status
+        An unowned id translates to local row -1, which the engine
+        answers with the empty sentinel row and counts in
+        ``stats["unowned"]`` -- still an answered request, so batch
+        pricing charges per-request overhead uniformly.
+        """
+        reply = super().ecall_serve(self._to_local(users).tolist(), k)
+        unowned = reply["stats"]["unowned"]
+        if unowned and self.ctx.metrics is not None:
+            self.ctx.metrics.counter("serve.fleet.routing_errors").inc(unowned)
+        return reply
 
     def _account(self) -> None:
         super()._account()
-        # The owned-user table lives in-enclave too: ~two 8-byte words
-        # per entry (key + row) in the translation dict.
-        self.ctx.memory.set("serve.shard_index", 16 * len(getattr(self, "_owned", ())))
+        # The owned-user table lives in-enclave too: two 8-byte words
+        # per entry (global id + local row); an identity map stores none.
+        table = self._owned_ids
+        self.ctx.memory.set("serve.shard_index", 16 * len(table) if table is not None else 0)

@@ -1,49 +1,64 @@
-"""One-call train -> publish -> serve pipeline (behind ``repro serve``).
+"""Serving stages and the single endpoint (the 1-shard x 1-replica fleet).
 
-Like :mod:`repro.sim`, this module deliberately plays every role in one
-process -- it trains a fleet, publishes a node's snapshot, stands up a
-serving enclave on a fresh platform, drives a seeded workload through
-the host-side :class:`~repro.serve.server.RecServer`, probes ranking
-quality against the held-out split, and condenses everything into a
-:class:`~repro.serve.report.ServeReport`.
+There is one serving pipeline,
+:func:`repro.serve.fleet.runner.run_fleet_experiment`.  This module holds
+the two stages it opens with -- :func:`train_fleet_model` (train the
+decentralized fleet whose node snapshot gets served) and
+:func:`train_and_load` (train -> ring-partition -> build shard payloads
+-> boot every replica behind a balancer) -- and
+:func:`run_serving_experiment`, the single endpoint: the pipeline's
+degenerate case of one shard that owns every user and one replica, with
+the endpoint's ``ServePolicy`` as the shard policy and its EPC share as
+the shard's cap.  It is that translation and nothing else.
+``tests/serve/test_single_is_fleet.py`` pins that the degenerate fleet
+reproduces the former standalone endpoint bit for bit (completions,
+latencies, paging, quality), with ``run_trace`` + ``RecServer`` kept as
+the differential oracle.
 
-Every step is seeded: the synthetic dataset, the fleet training run, the
-workload trace and all simulated timing derive from the one ``seed``
-argument, so two identical invocations produce byte-identical reports
-(the determinism acceptance test pins this).
+Shared module: like :mod:`repro.sim`, it plays every role in one process
+(trains, slices plaintext parameters into encoded payloads, boots
+enclaves, wires the untrusted balancer).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.config import Dissemination, RexConfig, SharingScheme
 from repro.data.movielens import generate_node_shards
-from repro.ml.metrics import ndcg_at_k, precision_at_k, recall_at_k
 from repro.ml.mf import MfHyperParams
 from repro.net.serialization import encode_triplets
 from repro.net.topology import Topology
 from repro.obs import Observability
-from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.fleet.balancer import FleetBalancer, FleetPolicy, ShardReplica
+from repro.serve.fleet.router import HashRing
+from repro.serve.fleet.runner import run_fleet_experiment
+from repro.serve.fleet.shard import (
+    ShardEnclaveApp,
+    build_shard_payload,
+    encode_shard_users,
+)
 from repro.serve.report import ServeReport
-from repro.serve.server import RecServer, ServeCostModel, ServePolicy
-from repro.serve.snapshot import encode_snapshot, snapshot_from_arrays
-from repro.serve.workload import WorkloadGenerator, WorkloadSpec, run_trace, trace_digest
+from repro.serve.server import ServeCostModel, ServePolicy
+from repro.serve.workload import WorkloadSpec
 from repro.sim.fleet import MfFleetSim
 from repro.tee.attestation import AttestationService
 from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
-from repro.tee.enclave import Enclave, Platform
-from repro.tee.epc import EpcModel
+from repro.tee.enclave import Platform
+from repro.tee.epc import MIB, EpcModel
 
 __all__ = ["run_serving_experiment", "train_and_load", "train_fleet_model"]
 
-#: Held-out ratings at or above this are "relevant" for ranking quality.
-RELEVANCE_THRESHOLD = 4.0
+#: Default head-room factor when deriving the per-shard EPC cap from the
+#: largest shard's snapshot footprint (leaves room for the exclusion
+#: index and the pinned hot cache on top of the snapshot itself).
+_EPC_CAP_FACTOR = 2.0
 
-#: How many users the post-load quality probe scores.
-QUALITY_PROBE_USERS = 50
+#: Snapshot version every replica boots with (one publish per experiment).
+SNAPSHOT_VERSION = 1
 
 
 def train_fleet_model(
@@ -58,13 +73,11 @@ def train_fleet_model(
     share_points: int = 100,
     data_seed: int = 42,
 ):
-    """Train the fleet sim every serving path publishes snapshots from.
+    """Train the decentralized fleet whose node snapshots get served.
 
     Returns ``(sim, split)``: the finished fleet simulation (its per-node
     parameter arrays are what gets published) and the train/test split
-    (exclusion ratings and quality probes).  Shared by the
-    single-endpoint pipeline and the sharded fleet runner, so both serve
-    the *same* model for a given seed.
+    (exclusion ratings and quality probes).
     """
     split, train, test = generate_node_shards(
         "serve", users=users, items=items, ratings=ratings, nodes=nodes, data_seed=data_seed
@@ -87,96 +100,107 @@ def train_fleet_model(
 
 def train_and_load(
     *,
-    seed: int = 0,
-    nodes: int = 8,
-    epochs: int = 4,
-    users: int = 60,
-    items: int = 180,
-    ratings: int = 3_000,
-    mf_k: int = 16,
-    share_points: int = 100,
-    node_id: int = 0,
-    epc: Optional[EpcModel] = None,
-    topn_capacity: Optional[int] = None,
-    hot_capacity: Optional[int] = None,
-    obs: Optional[Observability] = None,
+    shards: int,
+    replicas: int,
+    node_id: int,
+    policy: FleetPolicy,
+    costs: Optional[ServeCostModel],
+    sgx: SgxCostModel,
+    vnodes: int,
+    epc_cap_mib: Optional[float],
+    topn_capacity: Optional[int],
+    hot_capacity: Optional[int],
+    obs: Observability,
+    **model,
 ):
-    """Train a fleet, publish one node's snapshot into a serving enclave.
+    """Train, ring-partition, build shard payloads, boot every replica.
 
-    Returns ``(enclave, meta, split, platform)``: the loaded serving
-    enclave, the sanitized snapshot metadata dict it reported back, the
-    train/test split (for exclusions already shipped and for quality
-    probes), and the platform whose EPC model governs paging.
+    ``model`` is :func:`train_fleet_model`'s arguments (seed, nodes,
+    epochs, users, items, ratings, mf_k), forwarded untouched.  Returns
+    ``(balancer, split, shard_meta)``: the booted fleet behind its
+    balancer, the train/test split (quality probes) and each shard's
+    sanitized snapshot metadata.  ``epc_cap_mib=None`` sizes every
+    shard's EPC cap from the largest shard's snapshot: every shard must
+    fit, none gets the aggregate.
     """
-    if obs is None:
-        obs = Observability.create()
-    sim, split = train_fleet_model(
-        seed=seed,
-        nodes=nodes,
-        epochs=epochs,
-        users=users,
-        items=items,
-        ratings=ratings,
-        mf_k=mf_k,
-        share_points=share_points,
-    )
+    sim, split = train_fleet_model(**model)
+    ring = HashRing(range(shards), vnodes=vnodes)
 
-    snapshot = snapshot_from_arrays(
-        sim.XU[node_id],
-        sim.YI[node_id],
-        sim.BU[node_id],
-        sim.BI[node_id],
-        sim.SU[node_id],
-        sim.SI[node_id],
-        sim.global_mean,
-        version=1,
-        node_id=node_id,
-        epoch=epochs,
-    )
-    platform = Platform(
-        "serve-platform",
-        AttestationService(),
-        epc=epc,
-        metrics=obs.metrics,
-    )
-    enclave = platform.create_enclave(ServeEnclaveApp, f"serve-{node_id}")
-    load_args = {
-        "snapshot": encode_snapshot(snapshot),
-        # The user's *global* training history drives exclusion: an item
-        # rated anywhere must never be recommended back.
-        "ratings": encode_triplets(split.train),
-    }
+    caches = {}
     if topn_capacity is not None:
-        load_args["topn_capacity"] = topn_capacity
+        caches["topn_capacity"] = topn_capacity
     if hot_capacity is not None:
-        load_args["hot_capacity"] = hot_capacity
-    meta = enclave.ecall("ecall_load", load_args)
-    return enclave, meta, split, platform
+        caches["hot_capacity"] = hot_capacity
+    load_args: Dict[int, dict] = {}
+    shard_meta: Dict[int, dict] = {}
+    users = model["users"]
+    # One shard owns every user: nothing to hash.
+    partition = ring.partition(users) if shards > 1 else {0: np.arange(users, dtype=np.int64)}
+    for shard, owned in partition.items():
+        wire, shard_meta[shard] = build_shard_payload(
+            sim.XU[node_id],
+            sim.YI[node_id],
+            sim.BU[node_id],
+            sim.BI[node_id],
+            sim.SU[node_id],
+            sim.SI[node_id],
+            sim.global_mean,
+            owned,
+            version=SNAPSHOT_VERSION,
+            shard_id=shard,
+            epoch=model["epochs"],
+        )
+        load_args[shard] = {
+            "snapshot": wire,
+            # Only the shard's own users' *global* training histories:
+            # an item rated anywhere must never be recommended back, and
+            # this shard serves exactly these users.
+            "ratings": encode_triplets(split.train.restrict_users(owned)),
+            "shard_users": encode_shard_users(owned),
+            "require_newer": True,
+            **caches,
+        }
 
+    if epc_cap_mib is None:
+        largest = max(m["resident_bytes"] for m in shard_meta.values())
+        epc_cap_mib = max(1.0 / 64.0, _EPC_CAP_FACTOR * largest / MIB)
 
-def _probe_quality(enclave: Enclave, split, top_k: int) -> dict:
-    """Score served top-K lists against the held-out split."""
-    test = split.test
-    relevant: dict = {}
-    for user, item, rating in zip(test.users, test.items, test.ratings):
-        if rating >= RELEVANCE_THRESHOLD:
-            relevant.setdefault(int(user), set()).add(int(item))
-    probe_users = sorted(relevant)[:QUALITY_PROBE_USERS]
-    if not probe_users:
-        return {}
-    reply = enclave.ecall("ecall_serve", probe_users, top_k)
-    precisions, recalls, ndcgs = [], [], []
-    for row, user in enumerate(probe_users):
-        recommended = reply["items"][row]
-        precisions.append(precision_at_k(recommended, relevant[user], top_k))
-        recalls.append(recall_at_k(recommended, relevant[user], top_k))
-        ndcgs.append(ndcg_at_k(recommended, relevant[user], top_k))
-    return {
-        f"precision_at_{top_k}": float(np.nanmean(precisions)),
-        f"recall_at_{top_k}": float(np.nanmean(recalls)),
-        f"ndcg_at_{top_k}": float(np.nanmean(ndcgs)),
-        "probed_users": float(len(probe_users)),
-    }
+    def _boot(platform: Platform, shard: int, replica: int, incarnation: int):
+        enclave = platform.create_enclave(
+            ShardEnclaveApp, f"shard{shard}-r{replica}-i{incarnation}"
+        )
+        enclave.ecall("ecall_load", load_args[shard])
+        return enclave
+
+    replica_map: Dict[int, List[ShardReplica]] = {}
+    for shard in ring.shard_ids:
+        replica_map[shard] = []
+        for r in range(replicas):
+            platform = Platform(
+                f"fleet-s{shard}-r{r}",
+                AttestationService(),
+                epc=EpcModel(total_mib=epc_cap_mib, usable_mib=epc_cap_mib),
+                metrics=obs.metrics,
+            )
+            replica_map[shard].append(
+                ShardReplica(
+                    shard,
+                    r,
+                    partial(_boot, platform, shard, r),
+                    policy=policy.shard,
+                    costs=costs,
+                    sgx=sgx,
+                    epc=platform.epc,
+                    metrics=obs.metrics,
+                )
+            )
+
+    balancer = FleetBalancer(ring, replica_map, policy=policy, metrics=obs.metrics)
+    for shard in ring.shard_ids:
+        balancer.shard_version[shard] = SNAPSHOT_VERSION
+        for replica in replica_map[shard]:
+            replica.boot(0, SNAPSHOT_VERSION)
+    return balancer, split, shard_meta
 
 
 def run_serving_experiment(
@@ -199,15 +223,13 @@ def run_serving_experiment(
     quality_probe: bool = True,
     obs: Optional[Observability] = None,
 ) -> ServeReport:
-    """Run one seeded end-to-end serving experiment; returns the report."""
-    if obs is None:
-        obs = Observability.create()
-    if policy is None:
-        policy = ServePolicy()
-    if workload is None:
-        workload = WorkloadSpec(seed=seed, n_users=users)
-    enclave, meta, split, platform = train_and_load(
+    """Run one seeded single-endpoint experiment; returns the report."""
+    if epc is None:
+        epc = EpcModel()
+    report = run_fleet_experiment(
         seed=seed,
+        shards=1,
+        replicas=1,
         nodes=nodes,
         epochs=epochs,
         users=users,
@@ -215,71 +237,17 @@ def run_serving_experiment(
         ratings=ratings,
         mf_k=mf_k,
         node_id=node_id,
-        epc=epc,
-        topn_capacity=topn_capacity,
-        hot_capacity=hot_capacity,
-        obs=obs,
-    )
-    server = RecServer(
-        enclave,
-        policy=policy,
+        traffic=workload if workload is not None else WorkloadSpec(seed=seed, n_users=users),
+        policy=FleetPolicy(shard=policy if policy is not None else ServePolicy()),
         costs=costs,
         sgx=sgx,
-        epc=platform.epc,
-        metrics=obs.metrics,
+        # Paging reads only the enclave's share, and MiB is a power of
+        # two, so the round trip through the cap is exact.
+        epc_cap_mib=epc.share_bytes / MIB,
+        topn_capacity=topn_capacity,
+        hot_capacity=hot_capacity,
+        quality_probe=quality_probe,
+        obs=obs,
     )
-    generator = WorkloadGenerator(workload)
-    trace = generator.trace()
-    completions = run_trace(server, trace)
-
-    # Cache effectiveness of the *load phase* only: the quality probe
-    # below would otherwise pollute the counters it is reported next to.
-    metrics = obs.metrics
-    cache = {
-        "hits": metrics.value("serve.cache.hits", cache="topn"),
-        "misses": metrics.value("serve.cache.misses", cache="topn"),
-        "evictions": metrics.value("serve.cache.evictions", cache="topn"),
-        "embedding_hits": metrics.value("serve.cache.hits", cache="embedding"),
-        "embedding_misses": metrics.value("serve.cache.misses", cache="embedding"),
-    }
-    resident = float(enclave.memory.resident_bytes)
-    epc_stats = {
-        "page_faults": server.page_faults,
-        "resident_bytes": resident,
-        "overcommit_ratio": platform.epc.overcommit_ratio(resident),
-        "share_bytes": platform.epc.share_bytes,
-    }
-
-    quality = _probe_quality(enclave, split, policy.top_k) if quality_probe else {}
-
-    latencies = [c.latency_s for c in completions]
-    duration = max((c.finish_s for c in completions), default=0.0)
-    return ServeReport(
-        seed=seed,
-        nodes=nodes,
-        node_id=node_id,
-        snapshot_digest=meta["digest"],
-        snapshot_version=meta["version"],
-        workload=workload.to_dict(),
-        trace_digest=trace_digest(trace),
-        policy={
-            "top_k": policy.top_k,
-            "queue_depth": policy.queue_depth,
-            "max_batch": policy.max_batch,
-            "batch_window_ticks": policy.batch_window_ticks,
-            "shed": policy.shed,
-            "tick_s": policy.tick_s,
-        },
-        k=policy.top_k,
-        offered=server.offered,
-        admitted=server.admitted,
-        shed=server.shed_count,
-        completed=len(server.completions),
-        duration_s=duration,
-        throughput_rps=len(completions) / duration if duration > 0 else 0.0,
-        busy_s=server.busy_s,
-        latency_s=ServeReport.latency_summary(latencies),
-        cache=cache,
-        epc=epc_stats,
-        quality=quality,
-    )
+    # Same fields under the plain class: see repro.serve.report.
+    return ServeReport(**vars(report))

@@ -274,7 +274,3 @@ class RecServer:
     @property
     def queue_len(self) -> int:
         return len(self._queue)
-
-    def latencies(self) -> List[float]:
-        """Per-request simulated latencies, in completion order."""
-        return [c.latency_s for c in self.completions]

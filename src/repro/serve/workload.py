@@ -82,6 +82,10 @@ class WorkloadGenerator:
             self.spec.n_users, size=int(count), p=self.popularity
         ).astype(np.int64)
 
+    def peak_tick(self) -> int:
+        """Where mid-peak fault plans land: the rate is flat, so mid-trace."""
+        return self.spec.ticks // 2
+
     def trace(self) -> np.ndarray:
         """Open-loop arrival trace: an (N, 2) array of (tick, user) rows."""
         counts = self._rng.poisson(self.spec.rate, size=self.spec.ticks)

@@ -61,6 +61,18 @@ class TestHostServing:
             assert recommended, "trained node should fill its top-10"
             assert not recommended & rated[user]
 
+    def test_out_of_range_ids_get_the_empty_sentinel(self, trained_cluster):
+        # The training enclave's ecall_serve shares the engine, and with it
+        # the check on host-supplied ids (no wrap to the last user's row).
+        cluster, train = trained_cluster
+        host = cluster.hosts[0]
+        host.publish_snapshot()
+        user = int(train[0].users[0])
+        reply = host.serve([-1, user, 2**40], 10)
+        assert reply["items"][0] == reply["items"][2] == [PAD_ITEM] * 10
+        assert set(reply["items"][1]) - {PAD_ITEM}
+        assert reply["stats"]["unowned"] == 2
+
     def test_republish_bumps_version(self, trained_cluster):
         cluster, _train = trained_cluster
         host = cluster.hosts[2]

@@ -103,6 +103,67 @@ class TestServingState:
         assert metrics.value("serve.scored.pairs") == 2 * N_ITEMS
 
 
+class TestHostSuppliedIds:
+    """``ecall_serve`` ids arrive from the untrusted host, unchecked.
+
+    ``-1`` used to wrap to the last user's factor row while the exclusion
+    index and the cache key used ``-1``: the reply was that user's top-K
+    *without* exclusions, i.e. it disclosed which items they rated.
+    """
+
+    @pytest.fixture()
+    def state(self):
+        data = make_ratings()
+        metrics = MetricsRegistry()
+        state = ServingState(metrics=metrics)
+        state.install(make_snapshot(), data.users, data.items)
+        return state, metrics
+
+    @pytest.mark.parametrize("bad", [-1, -N_USERS, N_USERS, 2**40, -(2**70)])
+    def test_out_of_range_id_gets_the_empty_sentinel(self, state, bad):
+        state, metrics = state
+        items, scores, stats = state.query_batch([bad], 5)
+        assert items.tolist() == [[PAD_ITEM] * 5]
+        assert np.isnan(scores).all()
+        assert stats.unowned == 1 and stats.requests == 1
+        # Nothing was looked up, scored, or cached under the bad id.
+        assert (stats.cache_hits, stats.scored_users, stats.touched_bytes) == (0, 0, 0)
+        assert state.topn.hits + state.topn.misses == 0 and len(state.topn) == 0
+        assert len(state.hot) == 0
+        assert metrics.value("serve.unowned") == 1
+
+    def test_wrapped_id_does_not_serve_the_last_users_unexcluded_list(self, state):
+        state, _ = state
+        genuine, _, _ = state.query_batch([N_USERS - 1], 5)
+        wrapped, _, _ = state.query_batch([-1], 5)
+        assert (genuine[0] >= 0).all()
+        assert wrapped.tolist() == [[PAD_ITEM] * 5]
+
+    def test_mixed_batch_still_serves_the_valid_rows(self, state):
+        state, _ = state
+        want, _, _ = state.query_batch([3, 7], 5)
+        state.topn.invalidate()
+        items, scores, stats = state.query_batch([3, -1, N_USERS, 7, 2**40], 5)
+        np.testing.assert_array_equal(items[[0, 3]], want)
+        assert (items[[1, 2, 4]] == PAD_ITEM).all() and np.isnan(scores[[1, 2, 4]]).all()
+        assert stats.requests == 5 and stats.unowned == 3 and stats.scored_users == 2
+
+    def test_through_the_serving_enclave(self):
+        platform = Platform("serve-test", AttestationService())
+        enclave = platform.create_enclave(ServeEnclaveApp, "serve-0")
+        enclave.ecall(
+            "ecall_load",
+            {
+                "snapshot": encode_snapshot(make_snapshot()),
+                "ratings": encode_triplets(make_ratings()),
+            },
+        )
+        reply = enclave.ecall("ecall_serve", [-1, 0, N_USERS], 4)
+        assert reply["items"][0] == reply["items"][2] == [PAD_ITEM] * 4
+        assert all(i >= 0 for i in reply["items"][1])
+        assert reply["stats"]["unowned"] == 2
+
+
 class TestServeEnclaveApp:
     @pytest.fixture()
     def enclave(self):

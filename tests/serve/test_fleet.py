@@ -7,7 +7,8 @@ import pytest
 
 from repro.faults.plan import CrashEvent
 from repro.obs import Observability
-from repro.serve.fleet import run_fleet_experiment
+from repro.serve import runner as stages
+from repro.serve.fleet import FleetServeReport, run_fleet_experiment
 from repro.serve.fleet.balancer import FleetBalancer, FleetPolicy, ShardReplica
 from repro.serve.fleet.router import HashRing
 from repro.serve.fleet.shard import (
@@ -15,6 +16,7 @@ from repro.serve.fleet.shard import (
     build_shard_payload,
     encode_shard_users,
 )
+from repro.serve.report import ServeReport
 from repro.serve.server import ServePolicy
 from repro.serve.snapshot import snapshot_from_arrays, encode_snapshot
 from repro.tee.attestation import AttestationService
@@ -33,7 +35,7 @@ FLEET_KW = dict(
     ratings=2_500,
 )
 
-from repro.serve.workload import TrafficSpec
+from repro.serve.workload import TrafficSpec, WorkloadSpec
 
 TRAFFIC = TrafficSpec(
     seed=3, n_users=120, ticks=120, peak_rate=6.0, diurnal_period=120, flash_crowds=1
@@ -56,7 +58,7 @@ def _toy_arrays(n_users=12, n_items=6, k=3):
     )
 
 
-def _load_shard(owned, version=1, n_users=12):
+def _load_shard(owned, version=1, n_users=12, metrics=None):
     arrays = _toy_arrays(n_users=n_users)
     wire, meta = build_shard_payload(
         arrays["user_factors"],
@@ -70,7 +72,7 @@ def _load_shard(owned, version=1, n_users=12):
         version=version,
         shard_id=0,
     )
-    platform = Platform("shard-test", AttestationService())
+    platform = Platform("shard-test", AttestationService(), metrics=metrics)
     enclave = platform.create_enclave(ShardEnclaveApp, "shard0")
     enclave.ecall(
         "ecall_load",
@@ -102,8 +104,8 @@ class TestShardEndpoint:
         assert meta["n_items"] == 6  # replicated
 
     def test_serves_owned_global_ids_and_flags_unowned(self):
-        owned = [2, 5, 7]
-        enclave, _ = _load_shard(owned)
+        obs = Observability.create()
+        enclave, _ = _load_shard([2, 5, 7], metrics=obs.metrics)
         reply = enclave.ecall("ecall_serve", [5, 9, 2], 3)
         # Owned users get real recommendations in request order.
         assert all(i >= 0 for i in reply["items"][0])
@@ -112,9 +114,7 @@ class TestShardEndpoint:
         assert reply["items"][1] == [-1, -1, -1]
         assert reply["stats"]["unowned"] == 1
         assert reply["stats"]["requests"] == 3
-        status = enclave.ecall("ecall_shard_status")
-        assert status["owned_users"] == 3
-        assert status["unowned_queries"] == 1
+        assert obs.metrics.value("serve.fleet.routing_errors") == 1
 
     def test_translation_matches_unsharded_scoring(self):
         arrays = _toy_arrays(n_users=12, n_items=6)
@@ -138,6 +138,84 @@ class TestShardEndpoint:
         got = sharded.ecall("ecall_serve", [5, 7], 4)
         assert got["items"] == want["items"]
         np.testing.assert_allclose(got["scores"], want["scores"])
+
+    def test_ids_outside_the_table_are_unowned_not_errors(self):
+        obs = Observability.create()
+        enclave, _ = _load_shard([2, 5, 7], metrics=obs.metrics)
+        # 2**70 fits no int64: still an answer, never an OverflowError
+        # out of the ecall.
+        reply = enclave.ecall(
+            "ecall_serve", [-1, 8, 2**40, 7, 0, 2**70, -(2**70)], 3
+        )
+        assert [row == [-1, -1, -1] for row in reply["items"]] == [
+            True, True, True, False, True, True, True,
+        ]
+        assert reply["stats"]["unowned"] == 6
+        assert obs.metrics.value("serve.fleet.routing_errors") == 6
+
+    def test_a_shard_owning_every_user_in_order_stores_no_table(self):
+        # The 1-shard fleet: global id == local row, nothing resident
+        # beyond what a plain serving enclave holds.
+        whole, _ = _load_shard(list(range(12)))
+        reply = whole.ecall("ecall_serve", [11, 12, -1, 2**70, 0], 3)
+        assert [row == [-1, -1, -1] for row in reply["items"]] == [
+            False, True, True, True, False,
+        ]
+        assert whole.memory.get("serve.shard_index") == 0
+        # A real partition keeps (id, row) per owned user: 16 B each,
+        # whatever the population size.
+        part, _ = _load_shard([2, 5, 11])
+        assert part.memory.get("serve.shard_index") == 16 * 3
+
+    def test_exclusions_follow_the_global_to_local_remap(self):
+        from repro.data.dataset import RatingsDataset
+        from repro.net.serialization import encode_triplets
+
+        owned = np.array([2, 5, 7], dtype=np.int64)
+        arrays = _toy_arrays()
+        wire, _ = build_shard_payload(*arrays.values(), owned, version=1, shard_id=0)
+        # User 5 rated items 0-3; user 3 (not owned) rated item 4.
+        ratings = RatingsDataset(
+            np.array([5, 5, 5, 5, 3]), np.array([0, 1, 2, 3, 4]), np.ones(5),
+            n_users=12, n_items=6,
+        )
+        platform = Platform("shard-excl", AttestationService())
+        enclave = platform.create_enclave(ShardEnclaveApp, "shard0")
+        enclave.ecall(
+            "ecall_load",
+            {
+                "snapshot": wire,
+                "ratings": encode_triplets(ratings),
+                "shard_users": encode_shard_users(owned),
+            },
+        )
+        reply = enclave.ecall("ecall_serve", [5, 2], 6)
+        assert sorted(i for i in reply["items"][0] if i >= 0) == [4, 5]
+        assert sorted(reply["items"][1]) == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([2, 5, 5], "duplicates"),
+            ([2, -5, 7], "out of range"),
+            ([2, 5], "does not match"),
+        ],
+    )
+    def test_malformed_owned_table_rejected(self, table, message):
+        arrays = _toy_arrays()
+        wire, _ = build_shard_payload(
+            *arrays.values(), np.array([2, 5, 7]), version=1, shard_id=0
+        )
+        platform = Platform("shard-bad", AttestationService())
+        enclave = platform.create_enclave(ShardEnclaveApp, "shard0")
+        with pytest.raises(ValueError, match=message):
+            enclave.ecall(
+                "ecall_load",
+                {
+                    "snapshot": wire,
+                    "shard_users": encode_shard_users(np.array(table, dtype=np.int64)),
+                },
+            )
 
     def test_load_requires_owned_table(self):
         arrays = _toy_arrays()
@@ -198,12 +276,22 @@ class TestFleetRuns:
 
     def test_schema_and_identity_fields(self):
         report = run_fleet_experiment(**FLEET_KW, traffic=TRAFFIC)
+        # One document under two names (bench dispatches on the name).
+        assert type(report) is FleetServeReport and issubclass(FleetServeReport, ServeReport)
+        assert vars(FleetServeReport).keys() <= {"__module__", "__doc__"}
         doc = report.to_dict()
-        assert doc["schema"] == "repro.serve-fleet/v1"
+        assert doc["schema"] == "repro.serve/v2"
         assert doc["ring_digest"] == HashRing(range(FLEET_KW["shards"])).digest()
+        assert doc["traffic"] == TRAFFIC.to_dict()
         assert len(doc["per_shard"]) == FLEET_KW["shards"]
         assert all(len(s["replicas"]) == 2 for s in doc["per_shard"])
-        assert report.format_lines()  # renders without raising
+        assert sum(s["users"] for s in doc["per_shard"]) == FLEET_KW["users"]
+        assert len({s["snapshot_digest"] for s in doc["per_shard"]}) == FLEET_KW["shards"]
+        # Every shard answers its own users' probes: the fleet reports the
+        # same quality section the single endpoint does.
+        assert doc["quality"]["probed_users"] == 50
+        assert doc["cache"]["hits"] + doc["cache"]["misses"] == doc["completed"]
+        assert any("quality" in line for line in report.format_lines())
 
     def test_crash_without_restart_sheds_bounded(self):
         # Kill BOTH replicas of shard 0 permanently: its users' queries
@@ -216,6 +304,37 @@ class TestFleetRuns:
         report = run_fleet_experiment(**FLEET_KW, traffic=TRAFFIC, crashes=crashes)
         assert report.crashes == 2 and report.restarts == 0
         assert report.shed > 0
+        assert report.offered == report.completed + report.shed
+        # The dead shard's users cannot be probed; the rest still are.
+        assert 0 < report.quality["probed_users"] < 50
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(crashes=(CrashEvent(node=8, at_epoch=5),)), "outside the fleet"),
+            (dict(shards=0), "at least one shard"),
+            (dict(replicas=0), "at least one shard"),
+            (dict(users=100), "more users than the dataset"),
+        ],
+    )
+    def test_bad_arguments_refused_before_training(self, monkeypatch, bad, message):
+        def must_not_train(**_kwargs):
+            raise AssertionError("trained before validating the arguments")
+
+        monkeypatch.setattr(stages, "train_fleet_model", must_not_train)
+        with pytest.raises(ValueError, match=message):
+            run_fleet_experiment(**{**FLEET_KW, **bad}, traffic=TRAFFIC)
+
+    def test_zipf_trace_drives_the_same_pipeline(self):
+        # The trace source is the only thing ``traffic`` selects; a flat
+        # Zipf trace has no peak, so the kill plan lands mid-trace.
+        spec = WorkloadSpec(seed=3, n_users=120, ticks=80, rate=5.0)
+        report = run_fleet_experiment(
+            **FLEET_KW, traffic=spec, kill_one_replica_per_shard=True
+        )
+        assert report.traffic == spec.to_dict()
+        assert report.crashes == report.restarts == FLEET_KW["shards"]
+        assert report.routing_errors == 0
         assert report.offered == report.completed + report.shed
 
 

@@ -1,9 +1,10 @@
-"""Acceptance tests for the end-to-end serving pipeline.
+"""Acceptance tests for the single endpoint (the 1x1 serving fleet).
 
-Pins the PR's acceptance criteria: byte-identical ``repro.serve/v1``
-reports for a fixed (seed, snapshot, workload), a ranking-quality floor
-on the synthetic MovieLens stand-in, and visible EPC pressure once the
-serving working set exceeds the usable EPC.
+Byte-identical ``repro.serve/v2`` reports for a fixed (seed, snapshot,
+workload), a ranking-quality floor on the synthetic MovieLens stand-in,
+and visible EPC pressure once the serving working set exceeds the usable
+EPC.  The single endpoint's snapshot and EPC facts live under
+``per_shard[0]`` of the one report.
 """
 
 import json
@@ -12,6 +13,7 @@ import math
 import pytest
 
 from repro.serve import run_serving_experiment
+from repro.serve import runner as stages
 from repro.serve.report import ServeReport, percentile
 from repro.serve.server import ServePolicy
 from repro.serve.workload import WorkloadSpec
@@ -56,16 +58,21 @@ class TestDeterminism:
 class TestReportContents:
     def test_schema_and_identity(self, small_report):
         doc = small_report.to_dict()
-        assert doc["schema"] == "repro.serve/v1"
-        assert len(doc["snapshot_digest"]) == 64
+        assert doc["schema"] == "repro.serve/v2"
+        assert (doc["shards"], doc["replicas_per_shard"]) == (1, 1)
+        assert len(doc["per_shard"]) == 1
+        assert doc["per_shard"][0]["users"] == SMALL["users"]
+        assert len(doc["per_shard"][0]["snapshot_digest"]) == 64
         assert len(doc["trace_digest"]) == 64
         assert doc["snapshot_version"] == 1
+        assert doc["traffic"] == WorkloadSpec(seed=0, n_users=SMALL["users"]).to_dict()
 
     def test_admission_accounting_balances(self, small_report):
         r = small_report
-        assert r.admitted <= r.offered
+        assert 0 < r.routed <= r.offered
         assert r.completed + r.shed == r.offered
         assert r.completed == r.latency_s["count"]
+        assert (r.failover, r.deferred, r.routing_errors, r.crashes) == (0, 0, 0, 0)
 
     def test_latency_and_throughput_sane(self, small_report):
         lat = small_report.latency_s
@@ -100,14 +107,18 @@ class TestEpcPressure:
         pressured = run_serving_experiment(
             **SMALL, epc=EpcModel(total_mib=1.0, usable_mib=0.01)
         )
-        assert pressured.epc["page_faults"] > 0
-        assert pressured.epc["overcommit_ratio"] > 1.0
+        epc = pressured.per_shard[0]["epc"]
+        assert epc["page_faults"] > 0
+        assert epc["overcommit"] > 1.0
+        assert epc["cap_bytes"] == EpcModel(total_mib=1.0, usable_mib=0.01).share_bytes
         # Same trace, same model: paging must cost simulated latency.
         assert pressured.latency_s["mean"] > small_report.latency_s["mean"]
 
     def test_roomy_epc_does_not(self, small_report):
-        assert small_report.epc["page_faults"] == 0
-        assert small_report.epc["overcommit_ratio"] < 1.0
+        epc = small_report.per_shard[0]["epc"]
+        assert epc["page_faults"] == 0
+        assert epc["overcommit"] < 1.0
+        assert epc["cap_bytes"] == EpcModel().share_bytes
 
 
 class TestCacheBuysCapacity:
@@ -134,3 +145,15 @@ class TestCacheBuysCapacity:
         assert warm.cache["hits"] > 0 and cold.cache["hits"] == 0
         assert cold.latency_s["mean"] > warm.latency_s["mean"]
         assert cold.capacity_rps < warm.capacity_rps
+
+
+class TestRefusedBeforeTraining:
+    def test_workload_wider_than_the_dataset(self, monkeypatch):
+        # Used to die with an IndexError from inside an ecall, after training.
+        monkeypatch.setattr(stages, "train_fleet_model", _must_not_train)
+        with pytest.raises(ValueError, match="more users than the dataset"):
+            run_serving_experiment(users=60, workload=WorkloadSpec(n_users=100))
+
+
+def _must_not_train(**_kwargs):
+    raise AssertionError("trained before validating the arguments")

@@ -113,6 +113,7 @@ class TestCommands:
         assert "traffic ratio MS/REX" in out
 
     def test_serve_small(self, capsys, tmp_path):
+        """The default ``repro serve`` is the 1-shard x 1-replica fleet."""
         import json
 
         out_path = tmp_path / "serve.json"
@@ -125,11 +126,25 @@ class TestCommands:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "throughput" in out and "snapshot v1" in out
+        assert "throughput" in out and "snapshot v1" in out and "quality" in out
+        assert "1 shards x 1 replicas" in out
         doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro.serve/v1"
+        assert doc["schema"] == "repro.serve/v2"
         assert doc["completed"] > 0
-        assert len(doc["snapshot_digest"]) == 64
+        assert doc["traffic"]["zipf_s"] == 1.1  # the Zipf trace source
+        assert doc["policy"]["shard"]["shed"] == "shed-oldest"
+        assert (doc["shards"], doc["replicas_per_shard"]) == (1, 1)
+        assert len(doc["per_shard"]) == 1
+        assert len(doc["per_shard"][0]["snapshot_digest"]) == 64
+        # With nothing else set it is the run run_serving_experiment does
+        # (its shed policy, its platform EPC share as the cap).
+        from repro.serve import WorkloadSpec, run_serving_experiment
+
+        same = run_serving_experiment(
+            nodes=4, epochs=2, ratings=1600, users=40, items=120,
+            workload=WorkloadSpec(seed=0, n_users=40, ticks=100),
+        )
+        assert doc == json.loads(json.dumps(same.to_dict()))
 
     def test_serve_fleet_small(self, capsys, tmp_path):
         import json
@@ -137,7 +152,7 @@ class TestCommands:
         out_path = tmp_path / "fleet-serve.json"
         code = main(
             [
-                "serve", "--fleet", "--shards", "3", "--replicas", "2",
+                "serve", "--shards", "3", "--replicas", "2", "--traffic", "diurnal",
                 "--nodes", "4", "--epochs", "2", "--ratings", "2500",
                 "--users", "90", "--items", "60", "--ticks", "80",
                 "--kill-one-replica-per-shard", "--output", str(out_path),
@@ -147,12 +162,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fleet 3 shards x 2 replicas" in out
         doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro.serve-fleet/v1"
+        assert doc["schema"] == "repro.serve/v2"
         assert doc["completed"] > 0
+        assert doc["offered"] == doc["completed"] + doc["shed"]
+        assert doc["traffic"]["day_night_ratio"] == 4.0  # the production source
         assert doc["routing_errors"] == 0
         assert doc["crashes"] == 3
         assert len(doc["ring_digest"]) == 64
         assert len(doc["per_shard"]) == 3
+        # Unset knobs are the fleet's defaults: replicas reject at their
+        # bound, and every shard's cap is sized from the largest shard.
+        assert doc["policy"]["shard"]["shed"] == "reject-newest"
+        caps = {shard["epc"]["cap_bytes"] for shard in doc["per_shard"]}
+        assert len(caps) == 1 and caps.pop() < 1024 * 1024
+
+    def test_serve_has_no_fleet_fork(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--fleet"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--traffic", "bursty"])
+        args = build_parser().parse_args(["serve"])
+        assert (args.shards, args.replicas, args.traffic) == (1, 1, "zipf")
 
     def test_serve_shed_policy_validated(self):
         with pytest.raises(SystemExit):
