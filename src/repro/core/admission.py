@@ -21,7 +21,7 @@ Trusted module: operates on plaintext rating triplets and model states.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,15 +39,19 @@ __all__ = [
 REASON_RATING_BOUNDS = "rating_bounds"
 REASON_RATING_SKEW = "rating_skew"
 REASON_ITEM_CONCENTRATION = "item_concentration"
+REASON_QUOTA = "quota"
+REASON_SYBIL = "sybil"
+REASON_FREE_RIDER = "free_rider"
 
 
 class ShareAdmission:
-    """Per-node admission state: sanity bounds + per-neighbor quotas.
+    """Per-node defense state: every table the enclave-side defenses keep.
 
-    One instance lives inside each enclave app when defenses are armed.
-    ``check_triplets`` / ``check_model_state`` judge a single decoded
-    share; ``admit`` applies the per-neighbor volume quota for the
-    current round (quotas reset when the round advances).
+    One instance lives inside each enclave app when defenses are armed;
+    the app asks, counts the returned literal reason and acts on the
+    verdict.  ``pin_quote`` guards attestation, ``admit_triplets``
+    (sanity bounds, then the per-round quota) and ``check_model_state``
+    judge one decoded share, ``note_empty_share`` flags free-riders.
     """
 
     def __init__(self, defenses: DefenseConfig, share_points: int):
@@ -56,6 +60,22 @@ class ShareAdmission:
         self.share_quota = max(1, int(round(defenses.quota_factor * share_points)))
         self._round_admitted: dict = {}
         self._round_epoch: Optional[int] = None
+        #: Quote-pinning table: DH public key -> first peer id seen using it.
+        self._pinned_pubkeys: Dict[bytes, int] = {}
+        #: Consecutive empty data-shares per neighbor + already-flagged set.
+        self._empty_rounds: Dict[int, int] = {}
+        self._flagged_riders: set = set()
+
+    def pin_quote(self, pubkey: bytes, peer: int) -> Optional[str]:
+        """Bind ``pubkey`` to the first ``peer`` presenting it.
+
+        A signature-valid quote replayed under a different identity is the
+        sybil signature: a quote proves code identity, never who speaks.
+        """
+        if not self.defenses.quote_pinning:
+            return None
+        owner = self._pinned_pubkeys.setdefault(pubkey, peer)
+        return None if owner == peer else REASON_SYBIL
 
     # ------------------------------------------------------------------ #
     # Distribution sanity (raw-data shares)
@@ -102,6 +122,33 @@ class ShareAdmission:
     # ------------------------------------------------------------------ #
     # Per-neighbor volume quota
     # ------------------------------------------------------------------ #
+    def admit_triplets(
+        self, peer: int, epoch: int, share: RatingsDataset
+    ) -> Tuple[Optional[RatingsDataset], Optional[str]]:
+        """Judge one decoded raw-data share: ``(what may merge, reason)``.
+
+        Outside the sanity bounds it is discarded whole (salvaging pieces
+        of a fabricated distribution would teach attackers to dilute);
+        over quota it is truncated to the peer's remaining round budget.
+        """
+        self._empty_rounds.pop(peer, None)
+        reason = self.check_triplets(share)
+        if reason is not None:
+            return None, reason
+        admitted = self.admit(peer, epoch, len(share))
+        if admitted == len(share):
+            return share, None
+        if admitted == 0:
+            return None, REASON_QUOTA
+        truncated = RatingsDataset(
+            share.users[:admitted],
+            share.items[:admitted],
+            share.ratings[:admitted],
+            n_users=share.n_users,
+            n_items=share.n_items,
+        )
+        return truncated, REASON_QUOTA
+
     def admit(self, peer: int, epoch: int, points: int) -> int:
         """Points of a ``peer`` share admitted this round (rest truncated).
 
@@ -117,3 +164,18 @@ class ShareAdmission:
         admitted = min(int(points), allowed)
         self._round_admitted[peer] = used + admitted
         return admitted
+
+    def note_empty_share(self, peer: int) -> Optional[str]:
+        """Count one empty D-PSGD data-share; a reason on first flagging.
+
+        An honest D-PSGD raw-data node always has a sample to share, so
+        ``free_rider_patience`` consecutive empty ones mark a consumer who
+        contributes nothing.  Detection flags, it never ejects: a starved
+        gossip still completes and the report names who starved it.
+        """
+        count = self._empty_rounds.get(peer, 0) + 1
+        self._empty_rounds[peer] = count
+        if count < self.defenses.free_rider_patience or peer in self._flagged_riders:
+            return None
+        self._flagged_riders.add(peer)
+        return REASON_FREE_RIDER

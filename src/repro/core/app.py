@@ -163,40 +163,18 @@ class RexEnclaveApp(TrustedApp):
         #: Published snapshot history, by version (serve-path rollback
         #: experiments address stale versions explicitly).
         self._published: Dict[int, object] = {}
-        # -- Byzantine surface (inert unless plan/config engage it) ----- #
-        #: Scripted attacker persona for this node's *host* (chaos plans
-        #: only; ``None`` for every honest run).  All attack randomness
-        #: comes from a dedicated child stream so honest streams are
-        #: untouched.
-        attack = args.get("attack")
-        self._attack_role: Optional[dict] = dict(attack) if attack else None
-        self._attack_rng = (
-            child_rng(self.config.seed, "attack", self.node_id)
-            if self._attack_role is not None
-            else None
-        )
-        #: Admission checks (sanity bounds + quotas); ``None`` = disarmed.
+        #: Enclave-side defenses (quote pinning, share sanity + quotas,
+        #: free-rider detection); ``None`` = disarmed.
         self._admission: Optional[ShareAdmission] = (
             ShareAdmission(self.config.defenses, self.config.share_points)
             if self.config.defenses.enabled
             else None
         )
-        #: Quote-pinning table: DH public key -> first peer id seen using it.
-        self._pinned_pubkeys: Dict[bytes, int] = {}
-        #: Consecutive empty DPSGD data-shares per neighbor + flagged set.
-        self._empty_rounds: Dict[int, int] = {}
-        self._flagged_riders: set = set()
-        #: Sybil-attacker state: cloned-identity channels and quote cache.
-        self._sybil_channels: Dict[Tuple[int, int], object] = {}
-        self._sybil_quoted = False
-        self._my_quote_bytes: Optional[bytes] = None
 
         self._account_memory(staging=0)
 
         if self.secure:
             quote_bytes = self._make_quote().to_bytes()
-            if self._attack_role is not None and self._attack_role.get("persona") == "sybil":
-                self._my_quote_bytes = quote_bytes
             for neighbor in self.neighbors:
                 self.ctx.ocall("send_message", neighbor, KIND_QUOTE, quote_bytes)
         else:
@@ -406,17 +384,11 @@ class RexEnclaveApp(TrustedApp):
                 self._count_fault("faults.recovered", kind="quote")
                 return
             raise
-        defenses = self.config.defenses
-        if defenses.enabled and defenses.quote_pinning:
-            # Quote pinning: a DH public key stays bound to the first peer
-            # identity seen presenting it.  A signature-valid quote replayed
-            # under a different identity is the sybil signature -- the quote
-            # proves code identity, never who is speaking.
-            owner = self._pinned_pubkeys.get(pubkey)
-            if owner is not None and owner != src:
-                self._count_fault("faults.rejected", kind="sybil", peer=src)
+        if self._admission is not None:
+            reason = self._admission.pin_quote(pubkey, src)
+            if reason is not None:
+                self._count_fault("faults.rejected", kind=reason, peer=src)
                 return
-            self._pinned_pubkeys[pubkey] = src
         self.channels[src] = self._bind_channel(self._make_channel(key, src))
         self._peer_pubkeys[src] = pubkey
         if tolerant:
@@ -448,13 +420,9 @@ class RexEnclaveApp(TrustedApp):
         """Run epoch 0 once every (live) neighbor channel exists."""
         if self._epoch_zero_done:
             return
-        if self.config.faults.enabled:
-            ready = all(
-                n in self.channels for n in self.neighbors if n not in self._down_peers
-            )
-        else:
-            ready = len(self.channels) == len(self.neighbors)
-        if ready:
+        # Membership, not a count: a quote replayed under a non-neighbor id
+        # opens a channel too and must not stand in for a missing neighbor.
+        if all(n in self.channels for n in self.neighbors if n not in self._down_peers):
             self._epoch_zero_done = True
             self._run_round(received=None)
             if self.config.faults.enabled:
@@ -478,24 +446,18 @@ class RexEnclaveApp(TrustedApp):
             # ``blob`` may be the sender's own frame buffer (a read-only
             # memoryview riding the in-process transport); ``open`` takes
             # any bytes-like zero-copy, so no defensive copy is made here.
-            plaintext = channel.open(blob)
-        except ReplayError:
-            if tolerant:
-                self._count_fault("faults.recovered", kind="replay")
-                return
-            raise
-        except (AeadError, ChannelNotEstablished):
-            if tolerant:
-                self._count_fault("faults.recovered", kind="corrupt")
-                return
-            raise
-        try:
-            header, content = unpack_payload(plaintext)
-        except (ValueError, CodecError):
-            if tolerant:
-                self._count_fault("faults.recovered", kind="codec")
-                return
-            raise
+            header, content = unpack_payload(channel.open(blob))
+        except (AeadError, ChannelNotEstablished, ValueError, CodecError) as exc:
+            if not tolerant:
+                raise
+            if isinstance(exc, ReplayError):
+                kind = "replay"
+            elif isinstance(exc, (AeadError, ChannelNotEstablished)):
+                kind = "corrupt"
+            else:
+                kind = "codec"
+            self._count_fault("faults.recovered", kind=kind)
+            return
         if tolerant:
             # Hearing from a peer clears any suspicion of its death.
             self._down_peers.discard(src)
@@ -524,22 +486,13 @@ class RexEnclaveApp(TrustedApp):
         """ready_to_train check: one message from every (live) neighbor."""
         if not self._epoch_zero_done:
             return
-        if not self.config.faults.enabled:
-            while True:
-                waiting_on = self._inbox.get(self.epoch - 1, {})
-                if len(waiting_on) < len(self.neighbors):
-                    return
-                received = self._inbox.pop(self.epoch - 1)
-                self._run_round(received)
-        while True:
-            if self.epoch >= self.config.epochs:
-                return
+        tolerant = self.config.faults.enabled
+        while not (tolerant and self.epoch >= self.config.epochs):
             waiting_on = self._inbox.get(self.epoch - 1, {})
             required = self._required_peers(self.epoch - 1)
-            if required:
-                if not all(n in waiting_on for n in required):
-                    return
-            elif not waiting_on:
+            if not all(n in waiting_on for n in required):
+                return
+            if not required and not waiting_on:
                 # Nothing to merge and nobody to wait for: let the patience
                 # clock (ecall_tick) pace solo progress instead of racing
                 # through the remaining epochs in one call.
@@ -586,7 +539,15 @@ class RexEnclaveApp(TrustedApp):
         staging = 0
         for _src, (header, content) in sorted(received.items()):
             if header.content == CONTENT_EMPTY:
-                self._note_empty_share(_src)
+                # Empty barriers are legitimate under RMW; only a D-PSGD
+                # node always has a sample to share.
+                if (
+                    self._admission is not None
+                    and self.config.dissemination is Dissemination.DPSGD
+                ):
+                    reason = self._admission.note_empty_share(_src)
+                    if reason is not None:
+                        self._count_fault("faults.detected", kind=reason, peer=_src)
                 continue
             try:
                 if header.content != CONTENT_TRIPLETS:
@@ -598,27 +559,12 @@ class RexEnclaveApp(TrustedApp):
                     self._count_fault("faults.recovered", kind="merge")
                     continue
                 raise
-            self._empty_rounds.pop(_src, None)
             if self._admission is not None:
-                reason = self._admission.check_triplets(alien)
+                alien, reason = self._admission.admit_triplets(_src, self.epoch, alien)
                 if reason is not None:
-                    # The whole share is discarded: a distribution this far
-                    # outside honest marginals is fabricated, and salvaging
-                    # pieces of it would just teach attackers to dilute.
                     self._count_fault("faults.rejected", kind=reason, peer=_src)
+                if alien is None:
                     continue
-                admitted = self._admission.admit(_src, self.epoch, len(alien))
-                if admitted < len(alien):
-                    self._count_fault("faults.rejected", kind="quota", peer=_src)
-                    if admitted == 0:
-                        continue
-                    alien = RatingsDataset(
-                        alien.users[:admitted],
-                        alien.items[:admitted],
-                        alien.ratings[:admitted],
-                        n_users=alien.n_users,
-                        n_items=alien.n_items,
-                    )
             staging = max(staging, alien.nbytes + len(content))
             stats.dedup_checked_items += len(alien)
             if self.config.dedup:
@@ -629,30 +575,6 @@ class RexEnclaveApp(TrustedApp):
             if added:
                 self.model.mark_seen(alien)
         return staging
-
-    def _note_empty_share(self, src: int) -> None:
-        """Free-rider detection: consecutive empty DPSGD data-shares.
-
-        Empty barriers are legitimate under RMW (all but one neighbor get
-        one every epoch), so detection only runs for DPSGD raw-data runs,
-        where an honest node always samples a non-empty share.  Detection
-        flags, it never ejects: a starved gossip still completes, and the
-        report surfaces who contributed nothing.
-        """
-        if (
-            self._admission is None
-            or self.config.dissemination is not Dissemination.DPSGD
-            or self.config.scheme is not SharingScheme.DATA
-        ):
-            return
-        count = self._empty_rounds.get(src, 0) + 1
-        self._empty_rounds[src] = count
-        if (
-            count >= self.config.defenses.free_rider_patience
-            and src not in self._flagged_riders
-        ):
-            self._flagged_riders.add(src)
-            self._count_fault("faults.detected", kind="free_rider", peer=src)
 
     def _merge_models(
         self, received: Dict[int, Tuple[PayloadHeader, bytes]], stats: EpochStats
@@ -708,14 +630,12 @@ class RexEnclaveApp(TrustedApp):
     # Share (Section III-C / III-E)
     # ------------------------------------------------------------------ #
     def _share(self, stats: EpochStats) -> None:
-        if self.config.faults.enabled:
-            # Dead neighbors get nothing: sealing to a lost incarnation
-            # would desynchronize sequence numbers for no delivery.
-            targets = [
-                n for n in self.neighbors if n not in self._down_peers and n in self.channels
-            ]
-        else:
-            targets = list(self.neighbors)
+        # Dead neighbors get nothing: sealing to a lost incarnation would
+        # desynchronize sequence numbers for no delivery.  (A strict run
+        # has no dead neighbors and a channel to every one.)
+        targets = [
+            n for n in self.neighbors if n in self.channels and n not in self._down_peers
+        ]
         if not targets:
             return
         # The full payload is assembled in one preallocated buffer: the
@@ -723,28 +643,16 @@ class RexEnclaveApp(TrustedApp):
         # after it (``encode_*_into``), so the plaintext a channel seals
         # was written exactly once -- no header+content join, no
         # intermediate row arrays.
-        role = self._attack_role or {}
-        persona = role.get("persona")
         if self.config.scheme is SharingScheme.DATA:
-            if persona in ("poison", "sybil"):
-                # Compromised host: the share is fabricated shilling
-                # profiles, not an honest sample (block 0 = own identity).
-                sample = self._poison_triplets(role.get("spec") or {}, block=0)
-                self._count_attack("poison_points", len(sample))
-            else:
-                sample = self.store.sample(self.config.share_points, self.local_rng)
-            content_kind = CONTENT_TRIPLETS
+            sample = self._share_sample()
             stats.share_sampled_items = len(sample)
-            header_full = PayloadHeader(self.node_id, self.epoch, self.degree, content_kind)
+            header_full = PayloadHeader(self.node_id, self.epoch, self.degree, CONTENT_TRIPLETS)
             packed_full, content_offset = payload_buffer(
                 header_full, measure_triplets(len(sample))
             )
             encode_triplets_into(sample, packed_full, content_offset)
         else:
-            state = self.model.state()
-            if persona in ("poison", "sybil"):
-                state = self._poison_state(state, role.get("spec") or {})
-                self._count_attack("poison_states")
+            state = self._share_state()
             header_full = PayloadHeader(
                 self.node_id,
                 self.epoch,
@@ -769,17 +677,7 @@ class RexEnclaveApp(TrustedApp):
                 encode_dnn_state_into(state, packed_full, content_offset)
         stats.serialized_bytes += len(packed_full) - HEADER_BYTES
 
-        if self.config.dissemination is Dissemination.RMW:
-            chosen = int(targets[self.local_rng.integers(0, len(targets))])
-        else:
-            chosen = None  # broadcast
-        if persona == "free_rider":
-            # Free-rider: consume every inbound share, contribute nothing.
-            # Barrier frames still flow (an absent sender would just look
-            # crashed); the *content* is what is withheld.
-            chosen = -1  # matches no neighbor -> empty frames all around
-            self._count_attack("freeride_rounds")
-
+        chosen = self._share_recipient(targets)
         header_empty = PayloadHeader(self.node_id, self.epoch, self.degree, CONTENT_EMPTY)
         # RMW barrier message: header only.
         packed_empty, _ = payload_buffer(header_empty, 0)
@@ -806,106 +704,22 @@ class RexEnclaveApp(TrustedApp):
             stats.shared_payload_bytes += channel.sealed_bytes - before
             self.ctx.ocall("send_message", neighbor, KIND_PAYLOAD, wire)
 
-        if persona == "sybil":
-            self._sybil_fanout(role, targets)
+    # Algorithm 2's three share decisions.  The attested build is defined
+    # by what these return; a build returning anything else measures
+    # differently and is refused at attestation (Section III-A).
+    def _share_sample(self) -> RatingsDataset:
+        """Raw-data share: a uniform sample of the store (line 18)."""
+        return self.store.sample(self.config.share_points, self.local_rng)
 
-    # ------------------------------------------------------------------ #
-    # Byzantine personas (scripted by chaos plans; honest runs never
-    # reach this code)
-    # ------------------------------------------------------------------ #
-    def _poison_triplets(self, spec: dict, *, block: int) -> RatingsDataset:
-        """Fabricate one shilling share (classic *push* attack).
+    def _share_state(self):
+        """Model share: the live parameters, as trained."""
+        return self.model.state()
 
-        ``fake_users`` synthetic profiles each rate the target item at
-        the scale maximum and ``filler_items`` seeded-random items at the
-        scale bottom (the *love/hate* variant, maximizing damage).  Fake
-        user ids are drawn from the top of the id space in disjoint
-        per-identity blocks (block 0 = the attacker's own identity,
-        1.. = its sybil clones) so amplified shares carry *distinct*
-        (user, item) pairs and survive the receivers' dedup.
-        """
-        n_users = self.store.n_users
-        n_items = self.store.n_items
-        fake = max(1, int(spec.get("fake_users", 4)))
-        filler = max(0, min(int(spec.get("filler_items", 59)), n_items - 2))
-        target = min(int(spec.get("target_item", 111)), n_items - 1)
-        rating = float(spec.get("rating", 5.0))
-        filler_rating = float(spec.get("filler_rating", 1.0))
-        base = max(0, n_users - fake * (block + 1))
-        users = np.repeat(np.arange(base, base + fake, dtype=np.int64), filler + 1)
-        items = np.empty((fake, filler + 1), dtype=np.int64)
-        for row in range(fake):
-            picks = self._attack_rng.choice(n_items - 1, size=filler, replace=False)
-            items[row, 0] = target
-            items[row, 1:] = np.where(picks >= target, picks + 1, picks)
-        ratings = np.full((fake, filler + 1), filler_rating, dtype=np.float32)
-        ratings[:, 0] = rating
-        ratings = ratings.reshape(-1)
-        return RatingsDataset(
-            users, items.reshape(-1), ratings, n_users=n_users, n_items=n_items
-        )
-
-    def _poison_state(self, state, spec: dict):
-        """Model-sharing poisoning: ship the live state blown up by
-        ``model_boost`` so weighted merges drag every peer's parameters
-        off the data manifold."""
-        boost = float(spec.get("model_boost", 100.0))
-        state.user_factors = state.user_factors * boost
-        state.item_factors = state.item_factors * boost
-        state.user_bias = state.user_bias * boost
-        state.item_bias = state.item_bias * boost
-        return state
-
-    def _sybil_fanout(self, role: dict, targets: list) -> None:
-        """Send this round's cloned-identity traffic (sybil persona).
-
-        The attacker replays its own valid quote under each clone id,
-        then pushes one distinct-block poison share per clone through
-        channels derived from the same enclave DH key
-        (:meth:`~repro.tee.attestation.MutualAttestation.forge_identity_key`).
-        Quote-pinning receivers reject the cloned quotes, so the sealed
-        clone frames die as unattested traffic; undefended receivers
-        merge every clone's share as an independent neighbor's.
-        """
-        if not self.secure or self.config.scheme is not SharingScheme.DATA:
-            return
-        clones = [int(c) for c in role.get("clones", ())]
-        if not clones or self._my_quote_bytes is None:
-            return
-        if not self._sybil_quoted:
-            for clone in clones:
-                for neighbor in targets:
-                    self.ctx.ocall("send_as", clone, neighbor, KIND_QUOTE, self._my_quote_bytes)
-            self._sybil_quoted = True
-        spec = role.get("spec") or {}
-        for block, clone in enumerate(clones, start=1):
-            sample = self._poison_triplets(spec, block=block)
-            self._count_attack("poison_points", len(sample))
-            header = PayloadHeader(clone, self.epoch, self.degree, CONTENT_TRIPLETS)
-            packed, offset = payload_buffer(header, measure_triplets(len(sample)))
-            encode_triplets_into(sample, packed, offset)
-            for neighbor in targets:
-                channel = self._sybil_channels.get((clone, neighbor))
-                if channel is None:
-                    pubkey = self._peer_pubkeys.get(neighbor)
-                    if pubkey is None:
-                        continue
-                    key = self.attestor.forge_identity_key(
-                        f"rex-{clone}", f"rex-{neighbor}", pubkey
-                    )
-                    if self.config.crypto_mode is CryptoMode.REAL:
-                        channel = SecureChannel(key, clone, neighbor)
-                    else:
-                        channel = AccountedChannel(key, clone, neighbor)
-                    self._sybil_channels[(clone, neighbor)] = channel
-                wire = channel.seal(bytes(packed))
-                self._count_attack("sybil_frames")
-                self.ctx.ocall("send_as", clone, neighbor, KIND_PAYLOAD, wire)
-
-    def _count_attack(self, kind: str, amount: int = 1) -> None:
-        metrics = self.ctx.metrics
-        if metrics is not None:
-            metrics.counter("attack.injected", node=self.node_id, kind=kind).inc(amount)
+    def _share_recipient(self, targets: list) -> Optional[int]:
+        """RMW's one random neighbor; ``None`` broadcasts (D-PSGD)."""
+        if self.config.dissemination is Dissemination.RMW:
+            return int(targets[self.local_rng.integers(0, len(targets))])
+        return None
 
     # ------------------------------------------------------------------ #
     # Memory accounting

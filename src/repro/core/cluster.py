@@ -127,26 +127,6 @@ class RexCluster:
             )
 
     # ------------------------------------------------------------------ #
-    # Byzantine surface (driven by the chaos runner)
-    # ------------------------------------------------------------------ #
-    def arm_attacks(self, roles: Dict[int, dict]) -> None:
-        """Assign scripted attacker personas to hosts before bootstrap.
-
-        ``roles`` maps node id -> role dict (``persona`` plus persona
-        parameters).  Sybil roles additionally get their clone network
-        identities registered here -- the compromised host owns real
-        transport endpoints for them, exactly like a machine running
-        extra fake processes.
-        """
-        for node, role in roles.items():
-            host = self.hosts[int(node)]
-            host.attack_role = dict(role)
-            if role.get("persona") == "sybil":
-                for clone in role.get("clones", ()):
-                    clone = int(clone)
-                    host.sybil_endpoints[clone] = self.network.endpoint(clone)
-
-    # ------------------------------------------------------------------ #
     # Serving (after training)
     # ------------------------------------------------------------------ #
     def serving_endpoint(self, node_id: int, *, policy=None, costs=None):
@@ -204,12 +184,9 @@ class RexCluster:
         """
         node_id = int(node_id)
         if resume_epoch is None:
-            live_epochs = [
-                host.epoch_stats[-1].epoch + 1
-                for host in self.hosts
-                if host.node_id != node_id and host.epoch_stats
-            ]
-            resume_epoch = max(live_epochs, default=0)
+            resume_epoch = max(
+                (h.epochs_done for h in self.hosts if h.node_id != node_id), default=0
+            )
         resume_epoch = min(int(resume_epoch), self.config.epochs - 1)
         self.network.set_up(node_id)
         self.crashed.discard(node_id)
@@ -254,16 +231,11 @@ class RexCluster:
             epc=self.epc,
         )
 
-    def _node_done(self, host: RexHost, target: int) -> bool:
-        # A restarted node skips the epochs it was dead for, so count by the
-        # last *reported* epoch, not by how many reports accumulated.
-        return bool(host.epoch_stats) and host.epoch_stats[-1].epoch + 1 >= target
-
     def _stall_error(self, idle: int, target: int) -> RuntimeError:
         laggards = {
-            host.node_id: (host.epoch_stats[-1].epoch + 1 if host.epoch_stats else 0)
+            host.node_id: host.epochs_done
             for host in self.hosts
-            if host.node_id not in self.crashed and not self._node_done(host, target)
+            if host.node_id not in self.crashed and host.epochs_done < target
         }
         return RuntimeError(
             f"chaos run stalled: no deliveries, retries or forced rounds for "
@@ -316,12 +288,14 @@ class RexCluster:
         the idle/stall accounting and schedules the next tick's events.
         Permanently crashed nodes are exempt from the completion
         condition; a window with no activity of any kind for longer than
-        the patience budget is a genuine stall and raises with a
-        diagnosis instead of spinning.
+        an enclave needs to suspect a silent peer (``patience x
+        suspect_after_timeouts`` ticks) is a genuine stall and raises with
+        a diagnosis instead of spinning.
         """
         from repro.sim.kernel import EventKernel
 
-        patience = self.config.faults.barrier_patience_ticks
+        faults = self.config.faults
+        stall_bound = faults.barrier_patience_ticks * faults.suspect_after_timeouts + 8
         kernel = self.kernel = EventKernel()
         state = {"idle": 0, "stop": False, "moved": 0, "flushed": 0}
 
@@ -336,7 +310,7 @@ class RexCluster:
                 if host.node_id in self.crashed:
                     continue
                 moved += host.pump()
-                if not self._node_done(host, target):
+                if host.epochs_done < target:
                     done = False
             if done and self.controller is not None:
                 # A scheduled restart is known future work: keep pumping so
@@ -356,13 +330,13 @@ class RexCluster:
                 return
             forced = 0
             for host in self.hosts:
-                if host.node_id not in self.crashed and not self._node_done(host, target):
+                if host.node_id not in self.crashed and host.epochs_done < target:
                     forced += host.tick()
             if state["moved"] or state["flushed"] or forced or self.network.in_flight:
                 state["idle"] = 0
             else:
                 state["idle"] += 1
-                if state["idle"] > patience + 8:
+                if state["idle"] > stall_bound:
                     raise self._stall_error(state["idle"], target)
             schedule_tick(kernel.now + 1.0)
 

@@ -9,7 +9,7 @@ It never sees a decrypted payload in the secure build.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Type
 
 from repro.core.app import RexEnclaveApp
 from repro.core.config import RexConfig
@@ -17,14 +17,17 @@ from repro.core.stats import EpochStats
 from repro.data.dataset import RatingsDataset
 from repro.net.serialization import encode_triplets
 from repro.net.transport import Endpoint
-from repro.tee.enclave import Platform
-from repro.tee.errors import UnknownOcall
+from repro.tee.enclave import Platform, TrustedApp
 
 __all__ = ["RexHost"]
 
 
 class RexHost:
     """Bootstrap + I/O relay for one REX node (Algorithm 1)."""
+
+    #: The trusted build this host loads.  Peers compare its measurement
+    #: with their own (Section III-A): any other build gets no channel.
+    app_class: Type[TrustedApp] = RexEnclaveApp
 
     def __init__(
         self,
@@ -37,43 +40,25 @@ class RexHost:
         self.node_id = node_id
         self.platform = platform
         self.endpoint = endpoint
-        self.enclave = platform.create_enclave(RexEnclaveApp, f"rex-node-{node_id}")
         self.epoch_stats: List[EpochStats] = []
         #: Incarnation counter; bumped by :meth:`restart` after a crash.
         self.boot = 0
-        #: Scripted Byzantine persona for chaos runs (``None`` = honest);
-        #: assigned by :meth:`RexCluster.arm_attacks` before bootstrap.
-        self.attack_role: Optional[dict] = None
-        #: Extra network identities a sybil-compromised host controls
-        #: (clone id -> endpoint); the ``send_as`` ocall routes over them.
-        self.sybil_endpoints: Dict[int, Endpoint] = {}
         self._on_stats = on_stats
-        self._counter_mark = self.enclave.counters.snapshot()
-        self._register_ocalls()
+        self._load_enclave(f"rex-node-{node_id}")
 
-    def _register_ocalls(self) -> None:
+    def _load_enclave(self, enclave_id: str) -> None:
+        """Create a fresh enclave of :attr:`app_class` and wire its ocalls."""
+        self.enclave = self.platform.create_enclave(self.app_class, enclave_id)
+        self._counter_mark = self.enclave.counters.snapshot()
         self.enclave.register_ocall("send_message", self._ocall_send)
         self.enclave.register_ocall("get_quote", self.enclave.get_quote)
         self.enclave.register_ocall("report_stats", self._ocall_report_stats)
-        self.enclave.register_ocall("send_as", self._ocall_send_as)
 
     # ------------------------------------------------------------------ #
     # Ocall proxies
     # ------------------------------------------------------------------ #
     def _ocall_send(self, destination: int, kind: str, payload: bytes) -> None:
         self.endpoint.send(int(destination), payload, kind=kind)
-
-    def _ocall_send_as(self, source: int, destination: int, kind: str, payload: bytes) -> None:
-        """Send under a cloned identity (sybil persona hosts only).
-
-        An honest host owns exactly one network identity; only a
-        compromised host armed with clone endpoints can satisfy this, so
-        it fails loudly everywhere else.
-        """
-        endpoint = self.sybil_endpoints.get(int(source))
-        if endpoint is None:
-            raise UnknownOcall(f"host {self.node_id} owns no network identity {source}")
-        endpoint.send(int(destination), payload, kind=kind)
 
     # Sanctioned boundary exception: EpochStats carries only aggregate
     # telemetry (counts, byte totals, RMSE) -- never raw triplets or key
@@ -122,43 +107,26 @@ class RexHost:
         if self.boot:
             init_args["boot"] = self.boot
             init_args["resume_epoch"] = int(resume_epoch)
-        if self.attack_role is not None:
-            init_args["attack"] = dict(self.attack_role)
         self.enclave.ecall("ecall_init", init_args)
 
-    def restart(
-        self,
-        config: RexConfig,
-        train: RatingsDataset,
-        test: RatingsDataset,
-        neighbors,
-        *,
-        secure: bool,
-        global_mean: float = 3.5,
-        resume_epoch: int = 0,
-    ) -> None:
+    def restart(self, *args, **kwargs) -> None:
         """Re-create the enclave after a crash and rejoin the gossip.
 
-        The old enclave's in-memory state (store growth, model, channel
-        keys) is lost, exactly like a process kill: the new incarnation
-        re-reads its local shard, derives a fresh DH key (so neighbors
-        re-attest) and resumes at ``resume_epoch``.
+        Takes :meth:`bootstrap`'s arguments.  The old enclave's in-memory
+        state (store growth, model, channel keys) is lost, exactly like a
+        process kill: the new incarnation re-reads its local shard, derives
+        a fresh DH key (so neighbors re-attest) and resumes at
+        ``resume_epoch``.
         """
         self.boot += 1
-        self.enclave = self.platform.create_enclave(
-            RexEnclaveApp, f"rex-node-{self.node_id}.boot{self.boot}"
-        )
-        self._counter_mark = self.enclave.counters.snapshot()
-        self._register_ocalls()
-        self.bootstrap(
-            config,
-            train,
-            test,
-            neighbors,
-            secure=secure,
-            global_mean=global_mean,
-            resume_epoch=resume_epoch,
-        )
+        self._load_enclave(f"rex-node-{self.node_id}.boot{self.boot}")
+        self.bootstrap(*args, **kwargs)
+
+    @property
+    def epochs_done(self) -> int:
+        """Epochs completed, by the last *reported* epoch: a restarted node
+        skips the epochs it was dead for, so the report count undercounts."""
+        return self.epoch_stats[-1].epoch + 1 if self.epoch_stats else 0
 
     def pump(self) -> int:
         """Relay all pending inbound messages into the enclave."""

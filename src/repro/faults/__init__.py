@@ -1,4 +1,4 @@
-"""Deterministic fault injection + chaos runner (host-side, untrusted).
+"""Deterministic fault injection, the adversary, and the chaos runner.
 
 The paper assumes a healthy LAN and leaves fault tolerance as future
 work (Section III-D); this package supplies the hostile network.  A
@@ -8,15 +8,23 @@ reordering, corruption, crashes, attestation refusal, stragglers), the
 transport, and :func:`run_chaos` drives a whole cluster through it in
 tolerance mode, producing a :class:`ChaosReport`.
 
-Everything here runs in the untrusted world: the injector manipulates
-only ciphertext and metadata on the wire, exactly like a real network
+The injector runs in the untrusted world: it manipulates only
+ciphertext and metadata on the wire, exactly like a real network
 adversary -- which is why the recovery story lives in the enclaves and
-the transport, not here.  Byzantine personas (poisoning, free-riding,
-sybil cloning, snapshot replay) extend the same machinery: compromised
-*hosts* scripted by the plan, countered by enclave-side defenses
-(:class:`~repro.core.config.DefenseConfig`).
+the transport, not here.
+
+All adversary code lives here; the honest stack has no line of it.
+Snapshot replay needs only a compromised host.  Poisoning, free-riding
+and sybil cloning rewrite Algorithm 2's share step, which no host can do
+from outside: they are a *modified enclave build*, :class:`TamperedRexApp`
+(the one trusted module here), loaded by a :class:`CompromisedHost`.
+With an intact TEE every honest peer refuses that build's quote.
+:func:`run_chaos`'s attack matrix is the broken-TEE tier: each
+compromised host first forges the honest measurement, and
+:class:`~repro.core.config.DefenseConfig` is what remains.
 """
 
+from repro.faults.compromised import CompromisedHost, compromise
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     NAMED_PLANS,
@@ -28,10 +36,12 @@ from repro.faults.plan import (
     SybilAttack,
 )
 from repro.faults.runner import ChaosController, ChaosReport, run_chaos
+from repro.faults.tampered import TamperedRexApp, tampered_build
 
 __all__ = [
     "ChaosController",
     "ChaosReport",
+    "CompromisedHost",
     "CrashEvent",
     "FaultInjector",
     "FaultPlan",
@@ -40,5 +50,8 @@ __all__ = [
     "PoisonAttack",
     "ReplayAttack",
     "SybilAttack",
+    "TamperedRexApp",
+    "compromise",
     "run_chaos",
+    "tampered_build",
 ]

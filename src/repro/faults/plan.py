@@ -13,13 +13,13 @@ scenario (10% loss + one crash/restart + one straggler).
 
 Beyond crash-style faults, a plan can assign Byzantine *attacker
 personas* to nodes: data poisoning (:class:`PoisonAttack`), free-riding,
-sybil identity cloning (:class:`SybilAttack`) and stale-snapshot replay
-at serve time (:class:`ReplayAttack`).  Attack behavior draws only from
-its own seeded child stream (``child_rng(seed, "attack", node)``), so
-attack runs stay ``(seed, plan)``-pure; ``defended`` selects whether the
-enclave-side defenses (:class:`~repro.core.config.DefenseConfig`) are
-armed, and every attack plan has an undefended ``-open`` twin that
-proves the attack actually bites.
+sybil identity cloning (:class:`SybilAttack`) -- all three a tampered
+enclave build (:mod:`repro.faults.tampered`) -- and stale-snapshot
+replay at serve time (:class:`ReplayAttack`, host-only).  Attack
+behavior draws only from its own seeded child stream, so attack runs
+stay ``(seed, plan)``-pure; ``defended`` selects whether the enclave-side
+defenses are armed, and every attack plan has an undefended ``-open``
+twin that proves the attack actually bites.
 """
 
 from __future__ import annotations
@@ -93,18 +93,17 @@ class CrashEvent:
 
 @dataclass(frozen=True)
 class PoisonAttack:
-    """Shilling / profile-injection by compromised participant hosts.
+    """Shilling / profile-injection by a tampered enclave build.
 
-    Each attacker node's host feeds its (genuinely attested) enclave
-    fabricated profiles instead of honest samples: ``fake_users``
-    synthetic profiles, each rating ``target_item`` plus ``filler_items``
-    seeded-random items: the target at the scale-maximum ``rating``,
-    the fillers at the scale-bottom ``filler_rating`` -- the classic
-    *love/hate* push attack (target climbs into every top-K while the
-    low-rated fillers drag honest item biases down globally).  Profile user ids are taken from the top of
-    the id space so distinct attacker identities use disjoint blocks.
-    In model-sharing runs the attacker instead ships its model state
-    scaled by ``model_boost``.
+    Each attacker node shares fabricated profiles instead of an honest
+    sample of its store: ``fake_users`` synthetic profiles, each rating
+    ``target_item`` at the scale-maximum ``rating`` and ``filler_items``
+    seeded-random items at the scale-bottom ``filler_rating`` -- the
+    classic *love/hate* push attack (the target climbs into every top-K
+    while the fillers drag honest item biases down).  Profile user ids
+    come from the top of the id space, one disjoint block per attacker
+    identity.  Model-sharing runs ship the model state scaled by
+    ``model_boost`` instead.
     """
 
     nodes: Tuple[int, ...] = ()
@@ -120,10 +119,6 @@ class PoisonAttack:
             raise ValueError("poison nodes must be node ids")
         if self.fake_users < 1 or self.filler_items < 0:
             raise ValueError("poison profile shape invalid")
-
-    @property
-    def points_per_share(self) -> int:
-        return self.fake_users * (1 + self.filler_items)
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,7 @@ class FaultPlan:
     max_attempts: int = 4
     backoff_base_ticks: int = 1
     # -- Byzantine personas (empty/None: classic crash-fault plan) ------ #
-    #: Nodes whose hosts inject shilling profiles into their shares.
+    #: Nodes whose (tampered) enclaves share shilling profiles.
     poison: Optional[PoisonAttack] = None
     #: Nodes that consume every share but send only empty barriers.
     free_riders: Tuple[int, ...] = ()
@@ -213,12 +208,7 @@ class FaultPlan:
 
     @property
     def attacks_active(self) -> bool:
-        return bool(
-            (self.poison and self.poison.nodes)
-            or self.free_riders
-            or self.sybil is not None
-            or self.replay is not None
-        )
+        return bool(self.attack_personas())
 
     def attack_personas(self) -> Dict[str, Tuple[int, ...]]:
         """Persona -> attacker node ids (for reports and role wiring)."""

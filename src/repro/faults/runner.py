@@ -10,7 +10,7 @@ accuracy -- into a serializable :class:`ChaosReport`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -20,12 +20,14 @@ from repro.core.config import (
     CryptoMode,
     DefenseConfig,
     Dissemination,
+    FaultToleranceConfig,
     RexConfig,
     SharingScheme,
 )
 from repro.data.movielens import generate_node_shards
+from repro.faults.compromised import compromise
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import CrashEvent, FaultPlan, NAMED_PLANS, PoisonAttack
+from repro.faults.plan import CrashEvent, FaultPlan, NAMED_PLANS
 from repro.ml.metrics import precision_at_k
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
@@ -68,11 +70,7 @@ class ChaosController:
     @staticmethod
     def _max_live_epoch(cluster: RexCluster) -> int:
         return max(
-            (
-                host.epoch_stats[-1].epoch + 1
-                for host in cluster.hosts
-                if host.epoch_stats and host.node_id not in cluster.crashed
-            ),
+            (h.epochs_done for h in cluster.hosts if h.node_id not in cluster.crashed),
             default=0,
         )
 
@@ -265,42 +263,6 @@ class ChaosReport:
         return lines
 
 
-def _poison_spec(attack: PoisonAttack) -> dict:
-    """Boundary-safe persona parameters handed to attacker enclaves."""
-    return {
-        "target_item": attack.target_item,
-        "rating": attack.rating,
-        "filler_rating": attack.filler_rating,
-        "fake_users": attack.fake_users,
-        "filler_items": attack.filler_items,
-        "model_boost": attack.model_boost,
-    }
-
-
-def _attack_roles(plan: FaultPlan, nodes: int) -> Dict[int, dict]:
-    """Resolve the plan's personas onto a concrete cluster size.
-
-    Attacker ids beyond the run's node count are dropped (plans are
-    size-agnostic, like crash events); sybil clone ids are assigned
-    above the real id range so they can never collide with honest nodes.
-    """
-    roles: Dict[int, dict] = {}
-    if plan.poison is not None:
-        for node in plan.poison.nodes:
-            if node < nodes:
-                roles[node] = {"persona": "poison", "spec": _poison_spec(plan.poison)}
-    for node in plan.free_riders:
-        if node < nodes:
-            roles[node] = {"persona": "free_rider"}
-    if plan.sybil is not None and plan.sybil.node < nodes:
-        roles[plan.sybil.node] = {
-            "persona": "sybil",
-            "clones": [nodes + i for i in range(plan.sybil.clones)],
-            "spec": _poison_spec(plan.sybil.payload),
-        }
-    return roles
-
-
 def _relevance_sets(test_split) -> Dict[int, set]:
     """User -> relevant item ids (test ratings at/above the threshold)."""
     relevant: Dict[int, set] = {}
@@ -391,14 +353,13 @@ def run_chaos(
     )
     cluster = RexCluster(topology, config, secure=True, obs=obs)
     injector = FaultInjector(plan, seed, metrics=obs.metrics).attach(cluster.network)
-    roles = _attack_roles(plan, nodes)
-    if roles:
-        cluster.arm_attacks(roles)
-        for node in sorted(roles):
-            injector.note(
-                "attack",
-                f"node={node} persona={roles[node]['persona']} defended={armed}",
-            )
+    # The attack matrix is the broken-TEE tier: each compromised host
+    # forges the honest measurement over its tampered build.  (Unforged,
+    # every honest peer refuses its quote and there is nothing to defend.)
+    personas = compromise(cluster, plan)
+    for node in sorted(personas):
+        cluster.hosts[node].forge_measurement()
+        injector.note("attack", f"node={node} persona={personas[node]} defended={armed}")
     cluster.controller = ChaosController(
         plan, injector, train, test, global_mean=global_mean
     )
@@ -409,9 +370,7 @@ def run_chaos(
     for host in cluster.hosts:
         status = host.status()
         node_rmse[host.node_id] = float(status["test_rmse"])
-        node_epochs[host.node_id] = (
-            host.epoch_stats[-1].epoch + 1 if host.epoch_stats else 0
-        )
+        node_epochs[host.node_id] = host.epochs_done
     final_rmse = sum(node_rmse.values()) / max(1, len(node_rmse))
 
     # -- serve-path probe (precision@k as genuine users see it) -------- #
@@ -420,38 +379,29 @@ def run_chaos(
     probe_node: Optional[int] = None
     if probing:
         relevant = _relevance_sets(split.test)
+        stale_version: Optional[int] = None
         if plan.replay is not None:
             probe_node = plan.replay.node  # the node whose host rolls back
+            stale_version = plan.replay.stale_version
+            injector.note("replay_serve", f"node={probe_node} defended={armed}")
         else:
             probe_node = min(
-                n for n in range(nodes) if n not in roles and n not in cluster.crashed
+                n for n in range(nodes) if n not in personas and n not in cluster.crashed
             )
         probe_host = cluster.hosts[probe_node]
         probe_host.publish_snapshot()
-        if plan.replay is not None:
-            injector.note("replay_serve", f"node={probe_node} defended={armed}")
-            try:
-                precision = _probe_precision(
-                    probe_host, relevant, k=probe_k, version=plan.replay.stale_version
-                )
-            except SnapshotReplayError:
-                # Defense held: the rollback was refused (and counted by
-                # the enclave); the host must serve the fresh snapshot.
-                precision = _probe_precision(probe_host, relevant, k=probe_k)
-        else:
+        try:
+            precision = _probe_precision(probe_host, relevant, k=probe_k, version=stale_version)
+        except SnapshotReplayError:
+            # Defense held: the rollback was refused (and counted by the
+            # enclave); the host must serve the fresh snapshot.
             precision = _probe_precision(probe_host, relevant, k=probe_k)
 
     baseline_rmse: Optional[float] = None
     baseline_precision: Optional[float] = None
     if baseline:
-        plain_config = RexConfig(
-            scheme=scheme,
-            dissemination=dissemination,
-            epochs=epochs,
-            share_points=share_points,
-            seed=seed,
-            crypto_mode=CryptoMode.REAL,
-            mf=MfHyperParams(k=k),
+        plain_config = replace(
+            config, faults=FaultToleranceConfig(), defenses=DefenseConfig()
         )
         plain = RexCluster(topology, plain_config, secure=True)
         plain.run(train, test, global_mean=global_mean)

@@ -65,6 +65,9 @@ TRUSTED_PREFIXES: tuple = (
     # Shard endpoints slice plaintext parameter arrays and own a
     # plaintext snapshot + raw-rating exclusion index per partition.
     "repro.serve.fleet.shard",
+    # The adversary's modified Algorithm 2 is enclave code too; the rest
+    # of repro.faults stays host-side (REX-B005 keeps the TCB off it).
+    "repro.faults.tampered",
 )
 
 #: Substrate + boundary-crossing types + sanctioned whole-system models.

@@ -26,6 +26,7 @@ __all__ = [
     "EnclavePrivateAccessRule",
     "EcallSecretReturnRule",
     "OcallHandlerPayloadRule",
+    "AdversaryImportRule",
 ]
 
 
@@ -262,3 +263,35 @@ class OcallHandlerPayloadRule(Rule):
         ):
             return handler.attr
         return None
+
+
+def _is_adversary(module: str) -> bool:
+    return module == "repro.faults" or module.startswith("repro.faults.")
+
+
+@register
+class AdversaryImportRule(Rule):
+    """Honest enclave code imports the adversary package."""
+
+    rule_id = "REX-B005"
+    name = "adversary-import-in-trusted"
+    severity = Severity.ERROR
+    description = (
+        "trusted (enclave-resident) module outside repro.faults imports "
+        "repro.faults; attested code must not depend on attacker code"
+    )
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        if ctx.trust is not Trust.TRUSTED or _is_adversary(ctx.module):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                imported = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in filter(_is_adversary, imported):
+                yield self.finding(
+                    ctx, node, f"trusted module imports the adversary package ({module!r})"
+                )

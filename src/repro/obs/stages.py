@@ -22,7 +22,7 @@ Schema (per epoch)::
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.obs import DEFAULT_BYTE_BUCKETS, Observability
 
@@ -34,29 +34,28 @@ STAGE_ORDER = ("merge", "train", "share", "test", "network")
 
 def record_epoch(
     obs: Optional[Observability],
+    record,
     *,
-    epoch: int,
     start_s: float,
-    duration_s: float,
-    stage_seconds: Dict[str, float],
-    payload_bytes: int,
     serialized_bytes: int,
     messages: int,
-    rmse: float,
-) -> Optional[int]:
+) -> None:
     """Record one epoch's spans + counters; no-op when ``obs`` is None.
 
-    ``stage_seconds`` carries the mean per-node duration of each stage;
-    ``duration_s`` the epoch barrier (max across nodes).  Returns the
-    epoch span id so callers can attach extra children.
+    ``record`` is the epoch's :class:`~repro.sim.recorder.EpochRecord`:
+    the barrier end (``sim_time_s``), mean RMSE, payload bytes and mean
+    per-node ``<stage>_time_s`` are read from it, so obs and the run
+    result can never disagree.
     """
     if obs is None:
-        return None
+        return
+    stage_seconds = {stage: getattr(record, f"{stage}_time_s") for stage in STAGE_ORDER}
+    payload_bytes, rmse = record.bytes_sent, record.test_rmse
 
     m = obs.metrics
     m.counter("sim.epochs").inc()
     for stage in STAGE_ORDER:
-        m.counter("sim.stage.seconds", stage=stage).inc(float(stage_seconds[stage]))
+        m.counter("sim.stage.seconds", stage=stage).inc(stage_seconds[stage])
     m.counter("share.payload.bytes").inc(payload_bytes)
     m.counter("share.serialized.bytes").inc(serialized_bytes)
     m.counter("share.messages").inc(messages)
@@ -68,8 +67,8 @@ def record_epoch(
     epoch_span = obs.tracer.record(
         "epoch",
         start_s,
-        duration_s,
-        epoch=epoch,
+        record.sim_time_s - start_s,
+        epoch=record.epoch,
         rmse=rmse,
         payload_bytes=payload_bytes,
         serialized_bytes=serialized_bytes,
@@ -81,11 +80,6 @@ def record_epoch(
         if stage in ("share", "network"):
             attrs["bytes"] = payload_bytes
         obs.tracer.record(
-            f"stage.{stage}",
-            offset,
-            float(stage_seconds[stage]),
-            parent=epoch_span,
-            **attrs,
+            f"stage.{stage}", offset, stage_seconds[stage], parent=epoch_span, **attrs
         )
-        offset += float(stage_seconds[stage])
-    return epoch_span
+        offset += stage_seconds[stage]

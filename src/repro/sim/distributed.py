@@ -14,6 +14,7 @@ source of the paper's share-step anomaly).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -21,12 +22,16 @@ import numpy as np
 from repro.core.cluster import ClusterRun
 from repro.core.config import ModelKind
 from repro.obs import Observability
-from repro.obs.stages import record_epoch
-from repro.sim.recorder import MIB, EpochRecord, RunResult
+from repro.sim.recorder import RunResult, fold_epoch
 from repro.sim.time_model import DEFAULT_TIME_MODEL, StageTimer, TimeModel
 from repro.tee.cost_model import NATIVE_COST_MODEL, SGX1_COST_MODEL, SgxCostModel
 
 __all__ = ["timeline_from_cluster"]
+
+
+def _column(stats, name: str) -> np.ndarray:
+    """One per-node work count of an epoch, as the float array the timer prices."""
+    return np.array([getattr(s, name) for s in stats], dtype=np.float64)
 
 
 def timeline_from_cluster(
@@ -65,104 +70,45 @@ def timeline_from_cluster(
         },
     )
 
-    sim_clock = 0.0
-    cum_bytes = 0
     for epoch in range(run.epochs_completed):
         stats = run.stats_for_epoch(epoch)
-        arrays = {
-            name: np.array([getattr(s, name) for s in stats], dtype=np.float64)
-            for name in (
-                "merged_rows",
-                "merged_models",
-                "dedup_checked_items",
-                "train_samples",
-                "serialized_bytes",
-                "shared_payload_bytes",
-                "shared_messages",
-                "shared_empty_messages",
-                "test_samples",
-                "store_bytes",
-                "model_bytes",
-                "staging_bytes",
-                "ecalls",
-                "ocalls",
-                "transition_bytes",
-            )
-        }
-        resident = arrays["store_bytes"] + arrays["model_bytes"] + arrays["staging_bytes"]
-        transitions = arrays["ecalls"] + arrays["ocalls"]
-
+        col = functools.partial(_column, stats)
+        staging, payload = col("staging_bytes"), col("shared_payload_bytes")
+        serialized = col("serialized_bytes")
+        full, empty = col("shared_messages"), col("shared_empty_messages")
+        resident = col("store_bytes") + col("model_bytes") + staging
+        work = dict(
+            dedup_items=col("dedup_checked_items"),
+            train_samples=col("train_samples"),
+            serialized_bytes=serialized,
+            payload_bytes=payload,
+            messages=full,
+            empty_messages=empty,
+            test_samples=col("test_samples"),
+            resident_bytes=resident,
+            staging_bytes=staging,
+            transitions=col("ecalls") + col("ocalls"),
+            transition_bytes=col("transition_bytes"),
+        )
         if cfg.model is ModelKind.MF:
-            stages = timer.mf_stage_times(
-                k=cfg.mf.k,
-                merged_rows=arrays["merged_rows"],
-                dedup_items=arrays["dedup_checked_items"],
-                train_samples=arrays["train_samples"],
-                serialized_bytes=arrays["serialized_bytes"],
-                payload_bytes=arrays["shared_payload_bytes"],
-                messages=arrays["shared_messages"],
-                empty_messages=arrays["shared_empty_messages"],
-                test_samples=arrays["test_samples"],
-                resident_bytes=resident,
-                staging_bytes=arrays["staging_bytes"],
-                transitions=transitions,
-                transition_bytes=arrays["transition_bytes"],
-            )
+            stages = timer.mf_stage_times(k=cfg.mf.k, merged_rows=col("merged_rows"), **work)
         else:
             # model_bytes reflects the true parameter footprint (4 bytes
             # per float, with value + grad + 2 Adam moments per parameter).
-            param_count = int(stats[0].model_bytes / (4 * 4))
             stages = timer.dnn_stage_times(
-                param_count=param_count,
-                merged_models=arrays["merged_models"],
-                dedup_items=arrays["dedup_checked_items"],
-                train_samples=arrays["train_samples"],
-                serialized_bytes=arrays["serialized_bytes"],
-                payload_bytes=arrays["shared_payload_bytes"],
-                messages=arrays["shared_messages"],
-                empty_messages=arrays["shared_empty_messages"],
-                test_samples=arrays["test_samples"],
-                resident_bytes=resident,
-                staging_bytes=arrays["staging_bytes"],
-                transitions=transitions,
-                transition_bytes=arrays["transition_bytes"],
+                param_count=int(stats[0].model_bytes / (4 * 4)),
+                merged_models=col("merged_models"),
+                **work,
             )
-
-        durations = StageTimer.epoch_duration(
-            stages, overlap_share=cfg.parallel_share
-        )
-        epoch_start = sim_clock
-        sim_clock += float(np.max(durations))
-        epoch_bytes = int(arrays["shared_payload_bytes"].sum())
-        cum_bytes += epoch_bytes
-        rmses = np.array([s.test_rmse for s in stats], dtype=np.float64)
-        record_epoch(
+        fold_epoch(
+            result,
             obs,
-            epoch=epoch,
-            start_s=epoch_start,
-            duration_s=sim_clock - epoch_start,
-            stage_seconds={name: float(np.mean(v)) for name, v in stages.items()},
-            payload_bytes=epoch_bytes,
-            serialized_bytes=int(arrays["serialized_bytes"].sum()),
-            messages=int(
-                arrays["shared_messages"].sum() + arrays["shared_empty_messages"].sum()
-            ),
-            rmse=float(np.nanmean(rmses)),
-        )
-        result.records.append(
-            EpochRecord(
-                epoch=epoch,
-                sim_time_s=sim_clock,
-                test_rmse=float(np.nanmean(rmses)),
-                bytes_sent=epoch_bytes,
-                cum_bytes=cum_bytes,
-                merge_time_s=float(np.mean(stages["merge"])),
-                train_time_s=float(np.mean(stages["train"])),
-                share_time_s=float(np.mean(stages["share"])),
-                test_time_s=float(np.mean(stages["test"])),
-                network_time_s=float(np.mean(stages["network"])),
-                memory_mib_mean=float(np.mean(resident)) / MIB,
-                memory_mib_max=float(np.max(resident)) / MIB,
-            )
+            stages=stages,
+            overlap_share=cfg.parallel_share,
+            rmse=float(np.nanmean(col("test_rmse"))),
+            payload_bytes=int(payload.sum()),
+            serialized_bytes=int(serialized.sum()),
+            messages=int(full.sum() + empty.sum()),
+            resident=resident,
         )
     return result

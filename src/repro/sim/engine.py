@@ -5,10 +5,10 @@ epoch barrier -- whatever the model (MF/DNN) or payload (raw data/model).
 :class:`FleetEngine` owns everything about that loop that does not depend
 on the model: shard validation, ``fleet.epoch`` scheduling on an
 :class:`~repro.sim.kernel.EventKernel`, RMW recipient selection, the
-share-stage message/byte accounting, the sim clock and cumulative-byte
-accumulation, and the :class:`~repro.sim.recorder.EpochRecord` +
-:func:`~repro.obs.stages.record_epoch` fold.  A simulator subclasses it
-and supplies the model-specific stages as hooks:
+share-stage message/byte accounting, and handing each epoch's stage
+times to :func:`~repro.sim.recorder.fold_epoch` (sim clock, cumulative
+bytes, obs schema, record).  A simulator subclasses it and supplies the
+model-specific stages as hooks:
 
 ``_merge(pending, recipients)``
     apply last epoch's shares; returns per-node ``(merged, dedup_items,
@@ -41,9 +41,8 @@ from repro.core.messages import HEADER_BYTES
 from repro.data.dataset import RatingsDataset
 from repro.net.topology import Topology
 from repro.obs import Observability
-from repro.obs.stages import record_epoch
 from repro.sim.kernel import EventKernel
-from repro.sim.recorder import MIB, EpochRecord, RunResult
+from repro.sim.recorder import RunResult, fold_epoch
 from repro.sim.time_model import StageTimer, TimeModel
 
 __all__ = ["FleetEngine"]
@@ -116,8 +115,6 @@ class FleetEngine:
             sgx=None,
             metadata=metadata,
         )
-        self._sim_clock = 0.0
-        self._cum_bytes = 0
         self._pending = None
         self._pending_recipients: Optional[np.ndarray] = None
         kernel = self.kernel = EventKernel()
@@ -126,7 +123,7 @@ class FleetEngine:
             self._epoch_step(epoch)
             if epoch + 1 < cfg.epochs:
                 kernel.at(
-                    self._sim_clock,
+                    result.total_time_s,
                     lambda: fire(epoch + 1),
                     kind="fleet.epoch",
                     key=(epoch + 1,),
@@ -178,36 +175,14 @@ class FleetEngine:
             resident_bytes=resident,
             staging_bytes=staging,
         )
-        durations = StageTimer.epoch_duration(stages, overlap_share=cfg.parallel_share)
-        stage_means = {name: float(np.mean(v)) for name, v in stages.items()}
-        epoch_start = self._sim_clock
-        self._sim_clock += float(np.max(durations))
-        epoch_bytes = int(payload_bytes.sum())
-        self._cum_bytes += epoch_bytes
-        record_epoch(
+        fold_epoch(
+            self._result,
             self._obs,
-            epoch=epoch,
-            start_s=epoch_start,
-            duration_s=self._sim_clock - epoch_start,
-            stage_seconds=stage_means,
-            payload_bytes=epoch_bytes,
+            stages=stages,
+            overlap_share=cfg.parallel_share,
+            rmse=rmse,
+            payload_bytes=int(payload_bytes.sum()),
             serialized_bytes=int(content_bytes.sum()),
             messages=int(full_messages.sum() + empty_messages.sum()),
-            rmse=rmse,
-        )
-        self._result.records.append(
-            EpochRecord(
-                epoch=epoch,
-                sim_time_s=self._sim_clock,
-                test_rmse=rmse,
-                bytes_sent=epoch_bytes,
-                cum_bytes=self._cum_bytes,
-                merge_time_s=stage_means["merge"],
-                train_time_s=stage_means["train"],
-                share_time_s=stage_means["share"],
-                test_time_s=stage_means["test"],
-                network_time_s=stage_means["network"],
-                memory_mib_mean=float(np.mean(resident)) / MIB,
-                memory_mib_max=float(np.max(resident)) / MIB,
-            )
+            resident=resident,
         )

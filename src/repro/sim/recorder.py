@@ -14,7 +14,13 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["EpochRecord", "RunResult"]
+import numpy as np
+
+from repro.obs import Observability
+from repro.obs.stages import STAGE_ORDER, record_epoch
+from repro.sim.time_model import StageTimer
+
+__all__ = ["EpochRecord", "RunResult", "fold_epoch"]
 
 MIB = float(1 << 20)
 
@@ -119,15 +125,10 @@ class RunResult:
     def stage_means(self, *, skip: int = 1) -> Dict[str, float]:
         """Mean per-epoch stage durations (Figures 5(a)/6(a)/7(a))."""
         usable = self.records[skip:] if len(self.records) > skip else self.records
-        if not usable:
-            return {k: 0.0 for k in ("merge", "train", "share", "test", "network")}
-        n = len(usable)
+        n = max(1, len(usable))
         return {
-            "merge": sum(r.merge_time_s for r in usable) / n,
-            "train": sum(r.train_time_s for r in usable) / n,
-            "share": sum(r.share_time_s for r in usable) / n,
-            "test": sum(r.test_time_s for r in usable) / n,
-            "network": sum(r.network_time_s for r in usable) / n,
+            stage: sum(getattr(r, f"{stage}_time_s") for r in usable) / n
+            for stage in STAGE_ORDER
         }
 
     def mean_epoch_time(self, *, skip: int = 1) -> float:
@@ -168,3 +169,40 @@ class RunResult:
         payload = json.loads(raw)
         records = [EpochRecord(**r) for r in payload.pop("records")]
         return cls(records=records, **payload)
+
+
+def fold_epoch(
+    result: RunResult,
+    obs: Optional[Observability],
+    *,
+    stages: Dict[str, np.ndarray],
+    overlap_share: bool,
+    rmse: float,
+    payload_bytes: int,
+    serialized_bytes: int,
+    messages: int,
+    resident: np.ndarray,
+) -> None:
+    """Close one epoch: per-node stage times in, one appended record out.
+
+    The tail every execution path ends an epoch with.  The sim clock
+    (advanced by the barrier: max per-node duration) and the cumulative
+    bytes are read from the last record, so ``result`` is the only state;
+    the obs schema and the record are written from the same stage means.
+    """
+    durations = StageTimer.epoch_duration(stages, overlap_share=overlap_share)
+    start_s = result.total_time_s
+    record = EpochRecord(
+        epoch=len(result.records),
+        sim_time_s=start_s + float(np.max(durations)),
+        test_rmse=rmse,
+        bytes_sent=payload_bytes,
+        cum_bytes=result.total_bytes + payload_bytes,
+        **{f"{stage}_time_s": float(np.mean(stages[stage])) for stage in STAGE_ORDER},
+        memory_mib_mean=float(np.mean(resident)) / MIB,
+        memory_mib_max=float(np.max(resident)) / MIB,
+    )
+    record_epoch(
+        obs, record, start_s=start_s, serialized_bytes=serialized_bytes, messages=messages
+    )
+    result.records.append(record)

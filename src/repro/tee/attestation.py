@@ -138,10 +138,6 @@ class QuotingEnclave:
         self._report_key = hashlib.sha256(b"platform-report-key:" + seed).digest()
         self._attestation_key = SigningKey.from_seed(b"platform-attestation:" + seed)
 
-    def report_key(self) -> bytes:
-        """Platform-local key handed to enclaves created on this platform."""
-        return self._report_key
-
     def verify_key(self) -> VerifyKey:
         """The verification key to register with the attestation service."""
         return self._attestation_key.verify_key()
@@ -232,15 +228,10 @@ def derive_channel_key(
 class MutualAttestation:
     """Per-peer attestation state machine run *inside* each enclave.
 
-    Usage from trusted code::
-
-        ma = MutualAttestation(node_id, measurement, service)
-        quote_bytes = ma.local_quote(make_report)   # send to the peer
-        key = ma.process_peer_quote(peer_id, their_quote_bytes)
-
-    ``make_report`` is the enclave's report factory (it embeds this
-    attestor's X25519 public key in the user-data field).  After both sides
-    have processed each other's quotes they hold the same channel key.
+    The enclave puts :meth:`user_data` (this attestor's X25519 public key)
+    in its report, has the platform quote it and sends the quote; each
+    side then runs :meth:`process_peer_quote` on the other's quote, after
+    which both hold the same channel key.
     """
 
     def __init__(
@@ -287,26 +278,8 @@ class MutualAttestation:
         self._channel_keys[peer_id] = key
         return key
 
-    def forge_identity_key(self, alias_id: str, peer_id: str, peer_pubkey: bytes) -> bytes:
-        """Channel key a *compromised* participant derives for a fake alias.
-
-        Attack-simulation helper (sybil persona).  A quote binds the DH
-        public key to the enclave's *code* identity, not to which peer
-        presents it, so a participant replaying its own valid quote under
-        ``alias_id`` can equally derive the channel key the victim
-        ``peer_id`` will compute for that alias: the same DH secret fed
-        through the alias-sorted info string.  The defense lives at the
-        receiver -- quote pinning rejects a public key already pinned to
-        a different identity -- not in the key schedule.
-        """
-        secret = self._dh_key.exchange(X25519PublicKey(bytes(peer_pubkey)))
-        return derive_channel_key(secret, alias_id, peer_id, self.measurement)
-
     def is_attested(self, peer_id: str) -> bool:
         return peer_id in self._channel_keys
-
-    def channel_key(self, peer_id: str) -> bytes:
-        return self._channel_keys[peer_id]
 
     @property
     def attested_peers(self) -> int:

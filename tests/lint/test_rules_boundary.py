@@ -125,6 +125,36 @@ class TestB004OcallHandlerPayload:
         assert hits(good, "REX-B004") == []
 
 
+class TestB005AdversaryImport:
+    BAD = """\
+    from repro.faults.plan import PoisonAttack
+    import repro.faults.tampered
+    from repro.faults import run_chaos
+    from repro.faultsx import fine
+    """
+
+    def test_bad_in_honest_trusted_module(self):
+        assert hits(self.BAD, "REX-B005", module=TRUSTED_MODULE) == [
+            ("REX-B005", 1),
+            ("REX-B005", 2),
+            ("REX-B005", 3),
+        ]
+
+    def test_good_inside_the_adversary_package(self):
+        # The tampered build is trusted *and* adversarial: it may use the plan.
+        assert classify_module("repro.faults.tampered") is Trust.TRUSTED
+        assert hits(self.BAD, "REX-B005", module="repro.faults.tampered") == []
+
+    def test_good_outside_the_enclave(self):
+        # Host-side and shared code may script the adversary (the chaos
+        # runner, the serving fleet's CrashEvent); only the TCB may not.
+        assert hits(self.BAD, "REX-B005") == []
+        assert hits(self.BAD, "REX-B005", module="repro.serve.fleet.runner") == []
+
+    def test_no_honest_trusted_module_imports_the_adversary(self, tree_report):
+        assert [f for f in tree_report.findings if f.rule_id == "REX-B005"] == []
+
+
 def test_findings_carry_severity_and_location():
     findings = run("from repro.core.store import DataStore\n")
     assert len(findings) == 1
