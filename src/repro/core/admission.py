@@ -9,10 +9,10 @@ complement to attestation: pure, deterministic sanity checks the enclave
 runs on every decoded peer share before it may touch the store or the
 model.
 
-Everything here is a pure function of the share and the
-:class:`~repro.core.config.DefenseConfig` bounds -- no randomness, no
-I/O -- so arming the defenses never perturbs a run's RNG streams, and a
-defended fault-free run is bit-identical to an undefended one.
+Everything here is a pure function of the share and the bounds below --
+no randomness, no I/O -- so arming the defenses never perturbs a run's
+RNG streams, and a defended fault-free run is bit-identical to an
+undefended one.
 Rejection reasons are fixed literal strings (they become obs counter
 labels and must never embed rated values).
 
@@ -43,6 +43,40 @@ REASON_QUOTA = "quota"
 REASON_SYBIL = "sybil"
 REASON_FREE_RIDER = "free_rider"
 
+# The bounds are calibrated against honest shares of the synthetic
+# MovieLens marginals (rating means sit well inside [2.0, 4.6] and
+# per-share std above 0.35 for any share of MIN_SANITY_POINTS or more);
+# property tests pin that honest traffic is never rejected.
+
+#: Reject a DH public key pinned to one peer identity under another.
+QUOTE_PINNING = True
+#: Per-neighbor per-round admission cap, in multiples of the run's
+#: configured ``share_points``.
+QUOTA_FACTOR = 2.0
+#: Plausible per-share mean rating band (5-star scale).
+MIN_SHARE_MEAN = 2.0
+MAX_SHARE_MEAN = 4.6
+#: Minimum per-share rating spread; an all-identical-rating share is
+#: the signature of profile injection.
+MIN_SHARE_STD = 0.35
+#: No single item may account for more than this fraction of a share.
+MAX_ITEM_FRACTION = 0.30
+#: Individual rating value bounds (5-star scale).
+MIN_RATING = 0.5
+MAX_RATING = 5.0
+#: Distribution checks only engage at this share size; tiny tail
+#: samples are too noisy to judge.
+MIN_SANITY_POINTS = 24
+#: Model-sharing runs: reject a peer state whose largest parameter
+#: magnitude exceeds this (honest MF factors/biases stay in single
+#: digits; a boosted poison state is orders of magnitude out).
+MODEL_PARAM_BOUND = 25.0
+#: Consecutive empty DPSGD data-shares from one neighbor before it is
+#: flagged as a free-rider (detection only; epochs still complete).
+FREE_RIDER_PATIENCE = 3
+#: Refuse to serve or load snapshot versions below the high-water mark.
+SNAPSHOT_MONOTONIC = True
+
 
 class ShareAdmission:
     """Per-node defense state: every table the enclave-side defenses keep.
@@ -57,7 +91,7 @@ class ShareAdmission:
     def __init__(self, defenses: DefenseConfig, share_points: int):
         self.defenses = defenses
         #: Per-round triplet budget each neighbor may land in the store.
-        self.share_quota = max(1, int(round(defenses.quota_factor * share_points)))
+        self.share_quota = max(1, int(round(QUOTA_FACTOR * share_points)))
         self._round_admitted: dict = {}
         self._round_epoch: Optional[int] = None
         #: Quote-pinning table: DH public key -> first peer id seen using it.
@@ -72,7 +106,7 @@ class ShareAdmission:
         A signature-valid quote replayed under a different identity is the
         sybil signature: a quote proves code identity, never who speaks.
         """
-        if not self.defenses.quote_pinning:
+        if not QUOTE_PINNING:
             return None
         owner = self._pinned_pubkeys.setdefault(pubkey, peer)
         return None if owner == peer else REASON_SYBIL
@@ -92,30 +126,28 @@ class ShareAdmission:
         """
         if len(share) == 0:
             return None
-        d = self.defenses
         ratings = share.ratings
         lo = float(ratings.min())
         hi = float(ratings.max())
-        if lo < d.min_rating or hi > d.max_rating:
+        if lo < MIN_RATING or hi > MAX_RATING:
             return REASON_RATING_BOUNDS
-        if len(share) < d.min_sanity_points:
+        if len(share) < MIN_SANITY_POINTS:
             return None  # too small to judge distributionally
         mean = float(ratings.mean())
-        if mean < d.min_share_mean or mean > d.max_share_mean:
+        if mean < MIN_SHARE_MEAN or mean > MAX_SHARE_MEAN:
             return REASON_RATING_SKEW
-        if float(ratings.std()) < d.min_share_std:
+        if float(ratings.std()) < MIN_SHARE_STD:
             return REASON_RATING_SKEW
         counts = np.bincount(share.items, minlength=1)
-        if float(counts.max()) > d.max_item_fraction * len(share):
+        if float(counts.max()) > MAX_ITEM_FRACTION * len(share):
             return REASON_ITEM_CONCENTRATION
         return None
 
     def check_model_state(self, state) -> Optional[str]:
         """Magnitude bound for model-sharing runs (``None`` to admit)."""
-        bound = self.defenses.model_param_bound
         for arr in (state.user_factors, state.item_factors, state.user_bias, state.item_bias):
             values = np.asarray(arr)
-            if values.size and float(np.abs(values).max()) > bound:
+            if values.size and float(np.abs(values).max()) > MODEL_PARAM_BOUND:
                 return REASON_RATING_SKEW
         return None
 
@@ -154,7 +186,7 @@ class ShareAdmission:
 
         The quota bounds how much store growth any one peer identity can
         force per round: duplicate-share floods and oversized injected
-        payloads are cut to ``quota_factor * share_points`` triplets.
+        payloads are cut to ``QUOTA_FACTOR * share_points`` triplets.
         """
         if epoch != self._round_epoch:
             self._round_epoch = epoch
@@ -169,13 +201,13 @@ class ShareAdmission:
         """Count one empty D-PSGD data-share; a reason on first flagging.
 
         An honest D-PSGD raw-data node always has a sample to share, so
-        ``free_rider_patience`` consecutive empty ones mark a consumer who
+        ``FREE_RIDER_PATIENCE`` consecutive empty ones mark a consumer who
         contributes nothing.  Detection flags, it never ejects: a starved
         gossip still completes and the report names who starved it.
         """
         count = self._empty_rounds.get(peer, 0) + 1
         self._empty_rounds[peer] = count
-        if count < self.defenses.free_rider_patience or peer in self._flagged_riders:
+        if count < FREE_RIDER_PATIENCE or peer in self._flagged_riders:
             return None
         self._flagged_riders.add(peer)
         return REASON_FREE_RIDER

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro._rng import child_rng, stream_seed
-from repro.core.admission import ShareAdmission
+from repro.core.admission import SNAPSHOT_MONOTONIC, ShareAdmission
 from repro.core.channel import (
     AccountedChannel,
     PlaintextChannel,
@@ -260,10 +260,9 @@ class RexEnclaveApp(TrustedApp):
             raise ValueError("no snapshot published; call ecall_publish_snapshot")
         target = self._snapshot_version if version is None else int(version)
         if target != self._snapshot_version:
-            defenses = self.config.defenses
             if (
-                defenses.enabled
-                and defenses.snapshot_monotonic
+                self.config.defenses.enabled
+                and SNAPSHOT_MONOTONIC
                 and target < self._snapshot_version
             ):
                 self._count_fault("faults.rejected", kind="replay_snapshot")
@@ -344,9 +343,7 @@ class RexEnclaveApp(TrustedApp):
             self._count_fault("faults.suspected", peer=peer)
 
     def _count_fault(self, name: str, **labels: object) -> None:
-        metrics = self.ctx.metrics
-        if metrics is not None:
-            metrics.counter(name, node=self.node_id, **labels).inc()
+        self.ctx.metrics.counter(name, node=self.node_id, **labels).inc()
 
     # ------------------------------------------------------------------ #
     # Attestation (Section III-A)
@@ -411,9 +408,7 @@ class RexEnclaveApp(TrustedApp):
 
     def _bind_channel(self, channel):
         """Attach the run's registry so channel bytes land in obs."""
-        metrics = self.ctx.metrics
-        if metrics is not None:
-            channel.bind_metrics(metrics, node=self.node_id)
+        channel.bind_metrics(self.ctx.metrics, node=self.node_id)
         return channel
 
     def _maybe_start(self) -> None:

@@ -29,7 +29,7 @@ cipher time.  Its use is confined to experiment configs that declare
 from __future__ import annotations
 
 import struct
-from typing import List, Optional
+from typing import List
 
 from repro.obs import MetricsRegistry
 from repro.tee.crypto.aead import ChaCha20Poly1305, TAG_LENGTH, seal_many_into
@@ -69,27 +69,28 @@ class ChannelAccounting:
         self.sealed_bytes = 0
         self.opened_messages = 0
         self.opened_bytes = 0
-        self._metrics: Optional[MetricsRegistry] = None
-        self._metric_labels: dict = {}
+        self.bind_metrics(MetricsRegistry())
 
     def bind_metrics(self, metrics: MetricsRegistry, **labels: object) -> None:
-        """Mirror this channel's counters into a shared registry."""
-        self._metrics = metrics
-        self._metric_labels = dict(labels)
+        """Mirror this channel's counters into ``metrics`` from now on
+        (a channel nobody bound mirrors into a private registry)."""
+        self.metrics = metrics
+        self._sealed_bytes_counter = metrics.counter("chan.sealed.bytes", **labels)
+        self._sealed_messages_counter = metrics.counter("chan.sealed.messages", **labels)
+        self._opened_bytes_counter = metrics.counter("chan.opened.bytes", **labels)
+        self._opened_messages_counter = metrics.counter("chan.opened.messages", **labels)
 
     def _record_seal(self, wire_len: int) -> None:
         self.sealed_messages += 1
         self.sealed_bytes += wire_len
-        if self._metrics is not None:
-            self._metrics.counter("chan.sealed.bytes", **self._metric_labels).inc(wire_len)
-            self._metrics.counter("chan.sealed.messages", **self._metric_labels).inc()
+        self._sealed_bytes_counter.inc(wire_len)
+        self._sealed_messages_counter.inc()
 
     def _record_open(self, wire_len: int) -> None:
         self.opened_messages += 1
         self.opened_bytes += wire_len
-        if self._metrics is not None:
-            self._metrics.counter("chan.opened.bytes", **self._metric_labels).inc(wire_len)
-            self._metrics.counter("chan.opened.messages", **self._metric_labels).inc()
+        self._opened_bytes_counter.inc(wire_len)
+        self._opened_messages_counter.inc()
 
 
 class SecureChannel(ChannelAccounting):

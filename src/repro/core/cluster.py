@@ -79,8 +79,8 @@ class RexCluster:
         self.topology = topology
         self.config = config
         self.secure = secure
-        self.obs = obs
-        metrics = obs.metrics if obs is not None else None
+        self.obs = obs if obs is not None else Observability.create()
+        metrics = self.obs.metrics
         n_nodes = topology.n_nodes
         n_machines = (n_nodes + nodes_per_machine - 1) // nodes_per_machine
         self.epc = epc if epc is not None else EpcModel(enclaves_per_machine=nodes_per_machine)
@@ -144,13 +144,8 @@ class RexCluster:
             raise RuntimeError(f"node {node_id} is crashed; restart it before serving")
         host = self.hosts[node_id]
         host.publish_snapshot()
-        metrics = self.obs.metrics if self.obs is not None else None
         return RecServer(
-            host.enclave,
-            policy=policy,
-            costs=costs,
-            epc=self.epc,
-            metrics=metrics,
+            host.enclave, policy=policy, costs=costs, epc=self.epc, metrics=host.enclave.metrics
         )
 
     # ------------------------------------------------------------------ #

@@ -107,7 +107,7 @@ class FaultToleranceConfig:
 
 @dataclass(frozen=True)
 class DefenseConfig:
-    """Byzantine-defense knobs for the enclave-side admission checks.
+    """Byzantine-defense switch for the enclave-side admission checks.
 
     Disabled by default: the paper's protocol trusts every attested
     participant, and all seed experiments must stay byte-identical.
@@ -118,7 +118,7 @@ class DefenseConfig:
       identity is rejected when presented under another -- cloned quotes
       from sybil identities bounce (``faults.rejected`` kind ``sybil``);
     - **share-admission quotas**: one raw-data share per neighbor per
-      round is truncated to ``quota_factor * share_points`` triplets,
+      round is truncated to ``QUOTA_FACTOR * share_points`` triplets,
       bounding how much store growth any single peer can force;
     - **rating sanity**: decoded triplet shares with out-of-range
       ratings, implausibly skewed rating distributions, or a single item
@@ -127,50 +127,11 @@ class DefenseConfig:
       a snapshot version below the newest one published (stale-replay
       defense).
 
-    The bounds are calibrated against honest shares of the synthetic
-    MovieLens marginals (rating means sit well inside [2.0, 4.6] and
-    per-share std above 0.35 for any share of ``min_sanity_points`` or
-    more); property tests pin that honest traffic is never rejected.
+    The one switch arms all four; their bounds are the named constants
+    of :mod:`repro.core.admission` (no run ever set them differently).
     """
 
     enabled: bool = False
-    quote_pinning: bool = True
-    #: Per-neighbor per-round admission cap, in multiples of the run's
-    #: configured ``share_points``.
-    quota_factor: float = 2.0
-    #: Plausible per-share mean rating band (5-star scale).
-    min_share_mean: float = 2.0
-    max_share_mean: float = 4.6
-    #: Minimum per-share rating spread; an all-identical-rating share is
-    #: the signature of profile injection.
-    min_share_std: float = 0.35
-    #: No single item may account for more than this fraction of a share.
-    max_item_fraction: float = 0.30
-    #: Individual rating value bounds (5-star scale).
-    min_rating: float = 0.5
-    max_rating: float = 5.0
-    #: Distribution checks only engage at this share size; tiny tail
-    #: samples are too noisy to judge.
-    min_sanity_points: int = 24
-    #: Model-sharing runs: reject a peer state whose largest parameter
-    #: magnitude exceeds this (honest MF factors/biases stay in single
-    #: digits; a boosted poison state is orders of magnitude out).
-    model_param_bound: float = 25.0
-    #: Consecutive empty DPSGD data-shares from one neighbor before it is
-    #: flagged as a free-rider (detection only; epochs still complete).
-    free_rider_patience: int = 3
-    #: Refuse to serve or load snapshot versions below the high-water mark.
-    snapshot_monotonic: bool = True
-
-    def __post_init__(self) -> None:
-        if self.quota_factor <= 0:
-            raise ValueError("quota factor must be positive")
-        if not self.min_share_mean < self.max_share_mean:
-            raise ValueError("share-mean band must be non-empty")
-        if self.min_sanity_points < 1:
-            raise ValueError("sanity threshold must be at least one point")
-        if self.free_rider_patience < 1:
-            raise ValueError("free-rider patience must be at least one round")
 
 
 @dataclass(frozen=True)

@@ -60,12 +60,7 @@ class DataStore:
         """
         if (data.n_users, data.n_items) != (self.n_users, self.n_items):
             raise ValueError("dataset id space does not match the store")
-        return self.append_unique_arrays(data.users, data.items, data.ratings)
-
-    def append_unique_arrays(
-        self, users: np.ndarray, items: np.ndarray, ratings: np.ndarray
-    ) -> int:
-        """Array fast path of :meth:`append_unique` (no dataset objects)."""
+        users, items, ratings = data.users, data.items, data.ratings
         if len(users) == 0:
             return 0
         keys = users.astype(np.int64) * self.n_items + items
@@ -146,15 +141,6 @@ class DataStore:
     def sample(self, n: int, rng: np.random.Generator) -> RatingsDataset:
         """Stateless random sample for sharing (Section III-E)."""
         return self.as_dataset().sample(n, rng)
-
-    def sample_arrays(self, n: int, rng: np.random.Generator):
-        """Array fast path of :meth:`sample`: ``(users, items, ratings)``."""
-        if self._size == 0 or n <= 0:
-            empty = np.array([], dtype=np.int64)
-            return empty.astype(np.int32), empty.astype(np.int32), empty.astype(np.float32)
-        replace = n > self._size
-        idx = rng.choice(self._size, size=n if replace else min(n, self._size), replace=replace)
-        return self._users[idx], self._items[idx], self._ratings[idx]
 
     def contains_pair(self, user: int, item: int) -> bool:
         key = np.int64(user) * self.n_items + item

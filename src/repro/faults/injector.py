@@ -23,7 +23,7 @@ from repro._rng import child_rng
 from repro.core.messages import KIND_QUOTE
 from repro.faults.plan import FaultPlan
 from repro.net.transport import Fate, Message, Network, RetryPolicy
-from repro.obs import MetricsRegistry
+from repro.obs import Counter, MetricsRegistry
 
 __all__ = ["FaultInjector"]
 
@@ -41,12 +41,13 @@ class FaultInjector:
         self.plan = plan
         self.seed = int(seed)
         self._rng = child_rng(self.seed, "faults", plan.name)
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._network: Optional[Network] = None
         #: Chronological, human-readable fault schedule (digest input).
         self.events: List[str] = []
         #: Injected-fault tallies by kind (mirrors ``faults.injected``).
         self.counts: Dict[str, int] = {}
+        self._injected: Dict[str, Counter] = {}
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -138,8 +139,10 @@ class FaultInjector:
 
     def _count(self, kind: str) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        if self._metrics is not None:
-            self._metrics.counter("faults.injected", kind=kind).inc()
+        counter = self._injected.get(kind)
+        if counter is None:
+            counter = self._injected[kind] = self._metrics.counter("faults.injected", kind=kind)
+        counter.inc()
 
     def schedule_digest(self) -> str:
         """SHA-256 over the chronological fault schedule."""

@@ -28,7 +28,7 @@ from repro.data.movielens import generate_node_shards
 from repro.faults.compromised import compromise
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashEvent, FaultPlan, NAMED_PLANS
-from repro.ml.metrics import precision_at_k
+from repro.ml.metrics import precision_at_k, relevance_sets
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
 from repro.obs import Observability
@@ -36,10 +36,9 @@ from repro.tee.errors import SnapshotReplayError
 
 __all__ = ["ChaosController", "ChaosReport", "run_chaos"]
 
-#: Serve-probe defaults for attack runs: top-K size, relevance cut and
-#: how many (lowest-id, hence honest) users are probed.
+#: Serve-probe defaults for attack runs: top-K size and how many
+#: (lowest-id, hence honest) users are probed.
 PROBE_K = 10
-RELEVANCE_THRESHOLD = 4.0
 PROBE_USERS = 20
 
 
@@ -263,15 +262,6 @@ class ChaosReport:
         return lines
 
 
-def _relevance_sets(test_split) -> Dict[int, set]:
-    """User -> relevant item ids (test ratings at/above the threshold)."""
-    relevant: Dict[int, set] = {}
-    mask = test_split.ratings >= RELEVANCE_THRESHOLD
-    for user, item in zip(test_split.users[mask], test_split.items[mask]):
-        relevant.setdefault(int(user), set()).add(int(item))
-    return relevant
-
-
 def _probe_precision(host, relevant: Dict[int, set], *, k: int, version=None) -> float:
     """Mean precision@k over the lowest-id users with relevant test items.
 
@@ -328,8 +318,7 @@ def run_chaos(
             raise ValueError(
                 f"unknown fault plan {plan!r}; choose from {sorted(NAMED_PLANS)}"
             ) from None
-    if obs is None:
-        obs = Observability.create()
+    obs = obs if obs is not None else Observability.create()
 
     armed = (plan.defended and plan.attacks_active) if defenses is None else bool(defenses)
     probing = plan.attacks_active if serve_probe is None else bool(serve_probe)
@@ -378,7 +367,7 @@ def run_chaos(
     relevant: Dict[int, set] = {}
     probe_node: Optional[int] = None
     if probing:
-        relevant = _relevance_sets(split.test)
+        relevant = relevance_sets(split.test)
         stale_version: Optional[int] = None
         if plan.replay is not None:
             probe_node = plan.replay.node  # the node whose host rolls back

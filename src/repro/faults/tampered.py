@@ -166,9 +166,7 @@ class TamperedRexApp(RexEnclaveApp):
                 self.ctx.ocall("send_as", clone, neighbor, KIND_PAYLOAD, wire)
 
     def _count_attack(self, kind: str, amount: int = 1) -> None:
-        metrics = self.ctx.metrics
-        if metrics is not None:
-            metrics.counter("attack.injected", node=self.node_id, kind=kind).inc(amount)
+        self.ctx.metrics.counter("attack.injected", node=self.node_id, kind=kind).inc(amount)
 
 
 def tampered_build(

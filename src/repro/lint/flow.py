@@ -14,7 +14,7 @@ the analysis in sanctioned flows):
 ====================  =======================================  ========
 what                  matched how                              kind
 ====================  =======================================  ========
-raw rating triplets   ``.sample/.sample_arrays/.as_dataset``   ratings
+raw rating triplets   ``.sample/.as_dataset``                  ratings
                       on a ``DataStore``-typed or
                       ``*store*``-named receiver; reads of
                       ``.users/.items/.ratings`` on a typed
@@ -99,7 +99,7 @@ def _base(name: Optional[str]) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # catalogs
 
-_RATINGS_METHODS = frozenset({"sample", "sample_arrays", "as_dataset"})
+_RATINGS_METHODS = frozenset({"sample", "as_dataset"})
 _STORE_TYPE_BASES = frozenset({"DataStore"})
 _STORE_TOKENS = frozenset({"store"})
 _STORE_DATA_ATTRS = frozenset({"users", "items", "ratings"})

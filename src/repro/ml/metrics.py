@@ -9,11 +9,21 @@ layer additionally needs *ranking* quality -- is the top-N list any good?
 
 from __future__ import annotations
 
-from typing import Sequence, Set
+from typing import Dict, Sequence, Set
 
 import numpy as np
 
-__all__ = ["rmse", "precision_at_k", "recall_at_k", "ndcg_at_k"]
+__all__ = [
+    "rmse",
+    "RELEVANCE_THRESHOLD",
+    "relevance_sets",
+    "precision_at_k",
+    "recall_at_k",
+    "ndcg_at_k",
+]
+
+#: Held-out ratings at or above this are "relevant" for ranking quality.
+RELEVANCE_THRESHOLD = 4.0
 
 
 def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -29,6 +39,16 @@ def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
     if predicted.size == 0:
         return float("nan")
     return float(np.sqrt(np.mean((predicted - actual) ** 2)))
+
+
+def relevance_sets(test) -> Dict[int, Set[int]]:
+    """User -> relevant item ids of a held-out split (ratings at or above
+    :data:`RELEVANCE_THRESHOLD`); users with none are absent."""
+    relevant: Dict[int, Set[int]] = {}
+    liked = test.ratings >= RELEVANCE_THRESHOLD
+    for user, item in zip(test.users[liked].tolist(), test.items[liked].tolist()):
+        relevant.setdefault(user, set()).add(item)
+    return relevant
 
 
 def _top_k(recommended: Sequence[int], k: int) -> list:

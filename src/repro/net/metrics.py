@@ -79,19 +79,35 @@ class TrafficMeter:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: (source, destination, kind) -> its four (bytes, messages) counter
+        #: pairs, resolved once per distinct flow instead of per message.
+        self._flows: Dict[Tuple[int, int, str], tuple] = {}
+
+    def _bind_flow(self, source: int, destination: int, kind: str) -> tuple:
+        m = self.metrics
+        return (
+            (m.counter("net.sent.bytes", node=source), m.counter("net.sent.messages", node=source)),
+            (
+                m.counter("net.received.bytes", node=destination),
+                m.counter("net.received.messages", node=destination),
+            ),
+            (m.counter("net.kind.bytes", kind=kind), m.counter("net.kind.messages", kind=kind)),
+            (
+                m.counter("net.edge.bytes", src=source, dst=destination),
+                m.counter("net.edge.messages", src=source, dst=destination),
+            ),
+        )
 
     def record(self, source: int, destination: int, n_bytes: int, *, kind: str = "data") -> None:
         if n_bytes < 0:
             raise ValueError("message size must be non-negative")
-        m = self.metrics
-        m.counter("net.sent.bytes", node=source).inc(n_bytes)
-        m.counter("net.sent.messages", node=source).inc()
-        m.counter("net.received.bytes", node=destination).inc(n_bytes)
-        m.counter("net.received.messages", node=destination).inc()
-        m.counter("net.kind.bytes", kind=kind).inc(n_bytes)
-        m.counter("net.kind.messages", kind=kind).inc()
-        m.counter("net.edge.bytes", src=source, dst=destination).inc(n_bytes)
-        m.counter("net.edge.messages", src=source, dst=destination).inc()
+        flow = (source, destination, kind)
+        pairs = self._flows.get(flow)
+        if pairs is None:
+            pairs = self._flows[flow] = self._bind_flow(source, destination, kind)
+        for byte_counter, message_counter in pairs:
+            byte_counter.inc(n_bytes)
+            message_counter.inc()
 
     # ------------------------------------------------------------------ #
     # Registry views (the historical dict-shaped API)

@@ -152,7 +152,7 @@ class Network:
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self._endpoints: Dict[int, Endpoint] = {}
         self.meter = TrafficMeter(metrics)
-        self._metrics = metrics
+        self._metrics = self.meter.metrics
         #: Simulated network time, advanced by :meth:`tick`.
         self.now = 0
         #: Chaos surface; ``None`` keeps the healthy-LAN fast path.
@@ -249,19 +249,17 @@ class Network:
         policy = self.retry_policy
         if policy is not None and attempt < policy.max_attempts:
             self._later(policy.backoff(attempt), "retry", message, attempt + 1)
-            if self._metrics is not None:
-                self._metrics.counter("net.retries", kind=message.kind).inc()
-        elif self._metrics is not None:
+            self._metrics.counter("net.retries", kind=message.kind).inc()
+        else:
             self._metrics.counter("faults.lost", kind=message.kind, reason=reason).inc()
 
     def _finalize(self, message: Message, attempt: int) -> None:
         if message.destination in self._down:
             # A delayed/retried frame arriving at a crashed receiver.
-            if self._metrics is not None:
-                self._metrics.counter("faults.lost", kind=message.kind, reason="down").inc()
+            self._metrics.counter("faults.lost", kind=message.kind, reason="down").inc()
             return
         self._deliver(message)
-        if attempt > 1 and self._metrics is not None:
+        if attempt > 1:
             self._metrics.counter("faults.recovered", kind="retry").inc()
 
     def _deliver(self, message: Message) -> None:

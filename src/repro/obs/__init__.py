@@ -7,10 +7,12 @@ bytes went -- the ``metrics.json`` artifact the CI benchmark job archives
 and gates on.
 
 The package is dependency-free and passive: nothing here starts threads,
-reads wall clocks behind your back, or touches the network.  Code under
-instrumentation takes an optional :class:`Observability` (or a bare
-:class:`MetricsRegistry`) and simply does nothing extra when none is
-given, so the hot paths stay cost-free by default.
+reads wall clocks behind your back, or touches the network.  Recording
+is not optional: every instrumented component holds a
+:class:`MetricsRegistry` (epoch folds an :class:`Observability`), and an
+``obs=``/``metrics=`` argument only selects *which* one -- ``None`` means
+a fresh private registry.  Hot paths bind the ``Counter``/``Gauge``
+object ``registry.counter(...)`` returns once and call ``inc`` on it.
 """
 
 from __future__ import annotations

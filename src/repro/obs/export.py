@@ -129,8 +129,7 @@ def run_observed_experiment(
             f"unknown experiment {experiment!r}; choose from {sorted(FULL_SCENARIOS)}"
         )
     scenario = SMOKE_SCENARIO if smoke else FULL_SCENARIOS[experiment]
-    if obs is None:
-        obs = Observability.create()
+    obs = obs if obs is not None else Observability.create()
 
     split, train, test = generate_node_shards(
         "metrics",

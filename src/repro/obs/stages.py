@@ -22,8 +22,6 @@ Schema (per epoch)::
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs import DEFAULT_BYTE_BUCKETS, Observability
 
 __all__ = ["STAGE_ORDER", "record_epoch"]
@@ -33,22 +31,20 @@ STAGE_ORDER = ("merge", "train", "share", "test", "network")
 
 
 def record_epoch(
-    obs: Optional[Observability],
+    obs: Observability,
     record,
     *,
     start_s: float,
     serialized_bytes: int,
     messages: int,
 ) -> None:
-    """Record one epoch's spans + counters; no-op when ``obs`` is None.
+    """Record one epoch's spans + counters.
 
     ``record`` is the epoch's :class:`~repro.sim.recorder.EpochRecord`:
     the barrier end (``sim_time_s``), mean RMSE, payload bytes and mean
     per-node ``<stage>_time_s`` are read from it, so obs and the run
     result can never disagree.
     """
-    if obs is None:
-        return
     stage_seconds = {stage: getattr(record, f"{stage}_time_s") for stage in STAGE_ORDER}
     payload_bytes, rmse = record.bytes_sent, record.test_rmse
 

@@ -45,27 +45,27 @@ class LruCache:
         self.capacity = int(capacity)
         self.name = name
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._metrics = metrics
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._hit_counter = metrics.counter("serve.cache.hits", cache=name)
+        self._miss_counter = metrics.counter("serve.cache.misses", cache=name)
+        self._eviction_counter = metrics.counter("serve.cache.evictions", cache=name)
+        self._invalidation_counter = metrics.counter("serve.cache.invalidations", cache=name)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
 
     # ------------------------------------------------------------------ #
-    def _count(self, event: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(f"serve.cache.{event}", cache=self.name).inc()
-
     def get(self, key: Hashable):
         """Value for ``key`` or ``None``; a hit refreshes recency."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            self._count("misses")
+            self._miss_counter.inc()
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        self._count("hits")
+        self._hit_counter.inc()
         return entry
 
     def put(self, key: Hashable, value: object) -> None:
@@ -77,7 +77,7 @@ class LruCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-            self._count("evictions")
+            self._eviction_counter.inc()
 
     def invalidate(self) -> int:
         """Drop everything (new snapshot version); returns entries dropped."""
@@ -85,7 +85,7 @@ class LruCache:
         self._entries.clear()
         if dropped:
             self.invalidations += 1
-            self._count("invalidations")
+            self._invalidation_counter.inc()
         return dropped
 
     def __len__(self) -> int:

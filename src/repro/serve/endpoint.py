@@ -26,7 +26,7 @@ from repro.obs import MetricsRegistry
 from repro.serve.cache import HotEmbeddingCache, TopNCache
 from repro.serve.scoring import batched_top_k, exclusion_index
 from repro.serve.snapshot import ModelSnapshot, decode_snapshot
-from repro.tee.enclave import TrustedApp, ecall
+from repro.tee.enclave import EnclaveContext, TrustedApp, ecall
 from repro.tee.errors import SnapshotReplayError
 
 __all__ = ["BatchStats", "ServingState", "ServeEnclaveApp"]
@@ -64,12 +64,16 @@ class ServingState:
         topn_capacity: int = DEFAULT_TOPN_CAPACITY,
         hot_capacity: int = DEFAULT_HOT_CAPACITY,
     ):
+        metrics = metrics if metrics is not None else MetricsRegistry()
         self.snapshot: Optional[ModelSnapshot] = None
         self.exclusions: Dict[int, np.ndarray] = {}
         self._exclusion_bytes = 0
         self.topn = TopNCache(topn_capacity, metrics=metrics)
         self.hot = HotEmbeddingCache(hot_capacity, metrics=metrics)
-        self._metrics = metrics
+        self._request_counter = metrics.counter("serve.requests")
+        self._batch_counter = metrics.counter("serve.batches")
+        self._scored_pair_counter = metrics.counter("serve.scored.pairs")
+        self._unowned_counter = metrics.counter("serve.unowned")
         self.queries_served = 0
         self.batches_served = 0
 
@@ -184,17 +188,21 @@ class ServingState:
 
         self.queries_served += stats.requests
         self.batches_served += 1
-        if self._metrics is not None:
-            self._metrics.counter("serve.requests").inc(stats.requests)
-            self._metrics.counter("serve.batches").inc()
-            self._metrics.counter("serve.scored.pairs").inc(stats.scored_pairs)
-            if stats.unowned:
-                self._metrics.counter("serve.unowned").inc(stats.unowned)
+        self._request_counter.inc(stats.requests)
+        self._batch_counter.inc()
+        self._scored_pair_counter.inc(stats.scored_pairs)
+        self._unowned_counter.inc(stats.unowned)
         return out_items, out_scores, stats
 
 
 class ServeEnclaveApp(TrustedApp):
     """A dedicated serving enclave: load a snapshot, answer queries."""
+
+    def __init__(self, ctx: EnclaveContext):
+        super().__init__(ctx)
+        self.serving: Optional[ServingState] = None
+        self._version_high_water = 0
+        self._monotonic = False
 
     @ecall
     def ecall_load(self, args: dict) -> dict:
@@ -213,13 +221,11 @@ class ServeEnclaveApp(TrustedApp):
         -- a host that can toggle it can also roll back.
         """
         snapshot = decode_snapshot(bytes(args["snapshot"]))
-        high_water = getattr(self, "_version_high_water", 0)
+        high_water = self._version_high_water
         if args.get("require_newer"):
             self._monotonic = True
-        if getattr(self, "_monotonic", False) and snapshot.version <= high_water:
-            metrics = self.ctx.metrics
-            if metrics is not None:
-                metrics.counter("faults.rejected", kind="replay_snapshot").inc()
+        if self._monotonic and snapshot.version <= high_water:
+            self.ctx.metrics.counter("faults.rejected", kind="replay_snapshot").inc()
             raise SnapshotReplayError(
                 "snapshot load refused: version is at or below the served "
                 "high-water mark"
@@ -246,6 +252,8 @@ class ServeEnclaveApp(TrustedApp):
     @ecall
     def ecall_serve(self, users: list, k: int) -> dict:
         """Serve one batch; only item ids, scores and counts leave."""
+        if self.serving is None:
+            raise ValueError("no snapshot loaded; call ecall_load")
         items, scores, stats = self.serving.query_batch(users, k)
         self._account()
         return {
@@ -257,7 +265,8 @@ class ServeEnclaveApp(TrustedApp):
     @ecall
     def ecall_serve_status(self) -> dict:
         """Introspection for the host/tests (sanitized scalars only)."""
-        serving = self.serving
+        # Before the first load: the scalars of an empty engine.
+        serving = self.serving if self.serving is not None else ServingState()
         meta = serving.snapshot.meta() if serving.snapshot is not None else None
         return {
             "version": meta.version if meta else None,

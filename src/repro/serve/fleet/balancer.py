@@ -103,7 +103,7 @@ class ShardReplica:
         self._sgx = sgx
         #: This replica's platform EPC model (its share is the shard's cap).
         self.epc = epc
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self.server: Optional[RecServer] = None
         self.alive = False
         self.stale = False
@@ -216,7 +216,10 @@ class FleetBalancer:
             shard: list(replicas[shard]) for shard in ring.shard_ids
         }
         self.policy = policy if policy is not None else FleetPolicy()
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._shed_counter = self.metrics.counter("serve.fleet.shed")
+        self._routed_counter = self.metrics.counter("serve.fleet.routed")
+        self._failover_counter = self.metrics.counter("serve.fleet.failover")
         self.shard_version: Dict[int, int] = {s: 0 for s in ring.shard_ids}
         self._pending: Deque[int] = deque()
         self.completions: List[Completion] = []
@@ -241,8 +244,7 @@ class FleetBalancer:
 
     def _count_shed(self, count: int = 1) -> None:
         self.shed += count
-        if self.metrics is not None:
-            self.metrics.counter("serve.fleet.shed").inc(count)
+        self._shed_counter.inc(count)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -289,11 +291,8 @@ class FleetBalancer:
                 routed += 1
         self.routed += routed
         self.failover += failover
-        if self.metrics is not None:
-            if routed:
-                self.metrics.counter("serve.fleet.routed").inc(routed)
-            if failover:
-                self.metrics.counter("serve.fleet.failover").inc(failover)
+        self._routed_counter.inc(routed)
+        self._failover_counter.inc(failover)
 
     # ------------------------------------------------------------------ #
     # Per-shard ticking (one kernel event per shard per tick)
@@ -329,8 +328,7 @@ class FleetBalancer:
         self._pending.extendleft(reversed(queued))
         if queued:
             self.failover += len(queued)
-            if self.metrics is not None:
-                self.metrics.counter("serve.fleet.failover").inc(len(queued))
+            self._failover_counter.inc(len(queued))
         return len(queued)
 
     def restart_replica(self, shard: int, replica_id: int, tick: int) -> None:
@@ -356,8 +354,7 @@ class FleetBalancer:
             except SnapshotReplayError:
                 self.stale_rejected += 1
                 replica.stale = True
-                if self.metrics is not None:
-                    self.metrics.counter("serve.fleet.stale_rejected").inc()
+                self.metrics.counter("serve.fleet.stale_rejected").inc()
         self.shard_version[shard] = max(self.shard_version[shard], version)
 
     # ------------------------------------------------------------------ #

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.faults.plan import CrashEvent
-from repro.ml.metrics import ndcg_at_k, precision_at_k, recall_at_k
+from repro.ml.metrics import ndcg_at_k, precision_at_k, recall_at_k, relevance_sets
 from repro.obs import Observability
 
 # Imported as a module, not by name: repro.serve.runner holds the
@@ -65,9 +65,6 @@ __all__ = ["run_fleet_experiment", "kill_one_per_shard_plan"]
 
 #: Drain safety valve: ticks past the trace horizon before giving up.
 _MAX_DRAIN_TICKS = 100_000
-
-#: Held-out ratings at or above this are "relevant" for ranking quality.
-RELEVANCE_THRESHOLD = 4.0
 
 #: How many users the post-run quality probe scores.
 QUALITY_PROBE_USERS = 50
@@ -104,11 +101,7 @@ def _probe_quality(balancer: FleetBalancer, split, top_k: int) -> dict:
     ``ecall_serve`` (not the admission path: the probe is a measurement,
     not traffic); a shard with no live replica left is skipped.
     """
-    test = split.test
-    liked = test.ratings >= RELEVANCE_THRESHOLD
-    relevant: dict = {}
-    for user, item in zip(test.users[liked].tolist(), test.items[liked].tolist()):
-        relevant.setdefault(user, set()).add(item)
+    relevant = relevance_sets(split.test)
     by_shard: Dict[int, List[int]] = {}
     for user in sorted(relevant)[:QUALITY_PROBE_USERS]:
         by_shard.setdefault(balancer.shard_of(user), []).append(user)
@@ -170,8 +163,7 @@ def run_fleet_experiment(
     """
     if shards < 1 or replicas < 1:
         raise ValueError("need at least one shard and one replica")
-    if obs is None:
-        obs = Observability.create()
+    obs = obs if obs is not None else Observability.create()
     if policy is None:
         policy = FleetPolicy()
     if traffic is None:

@@ -105,9 +105,9 @@ class ShardEnclaveApp(ServeEnclaveApp):
     #: The owned-user table: owned global ids in ascending order and the
     #: local snapshot row of each.  ``None`` when global id == local row
     #: (a shard that owns every user, in id order): an identity map is
-    #: not stored.
-    _owned_ids: Optional[np.ndarray]
-    _owned_rows: np.ndarray
+    #: not stored.  Before the first load the shard owns nobody.
+    _owned_ids: Optional[np.ndarray] = None
+    _owned_rows: np.ndarray = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Load-time remapping
@@ -166,7 +166,7 @@ class ShardEnclaveApp(ServeEnclaveApp):
         """
         reply = super().ecall_serve(self._to_local(users).tolist(), k)
         unowned = reply["stats"]["unowned"]
-        if unowned and self.ctx.metrics is not None:
+        if unowned:
             self.ctx.metrics.counter("serve.fleet.routing_errors").inc(unowned)
         return reply
 

@@ -115,7 +115,13 @@ class RecServer:
         self.costs = costs if costs is not None else ServeCostModel()
         self.sgx = sgx
         self.epc = epc if epc is not None else EpcModel()
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._shed_counter = self.metrics.counter("serve.shed", policy=self.policy.shed)
+        self._latency = self.metrics.histogram("serve.latency_s", buckets=LATENCY_BUCKETS)
+        self._completed_counter = self.metrics.counter("serve.completed")
+        self._serve_fault_counter = self.metrics.counter("serve.epc.page_faults")
+        self._epc_fault_counter = self.metrics.counter("tee.epc.page_faults", stage="serve")
+        self._overcommit = self.metrics.gauge("tee.epc.overcommit_ratio")
         self.tick = 0
         self.completions: List[Completion] = []
         self.offered = 0
@@ -182,8 +188,7 @@ class RecServer:
 
     def _count_shed(self) -> None:
         self.shed_count += 1
-        if self.metrics is not None:
-            self.metrics.counter("serve.shed", policy=self.policy.shed).inc()
+        self._shed_counter.inc()
 
     # ------------------------------------------------------------------ #
     # The tick loop
@@ -236,11 +241,9 @@ class RecServer:
             for r in batch
         ]
         self.completions.extend(completions)
-        if self.metrics is not None:
-            hist = self.metrics.histogram("serve.latency_s", buckets=LATENCY_BUCKETS)
-            for c in completions:
-                hist.observe(c.latency_s)
-            self.metrics.counter("serve.completed").inc(len(completions))
+        for c in completions:
+            self._latency.observe(c.latency_s)
+        self._completed_counter.inc(len(completions))
         return completions
 
     # ------------------------------------------------------------------ #
@@ -260,14 +263,9 @@ class RecServer:
         )
         if cost.page_faults:
             self.page_faults += cost.page_faults
-            if self.metrics is not None:
-                self.metrics.counter("serve.epc.page_faults").inc(cost.page_faults)
-                self.metrics.counter("tee.epc.page_faults", stage="serve").inc(
-                    cost.page_faults
-                )
-                self.metrics.gauge("tee.epc.overcommit_ratio").set(
-                    self.epc.overcommit_ratio(resident)
-                )
+            self._serve_fault_counter.inc(cost.page_faults)
+            self._epc_fault_counter.inc(cost.page_faults)
+            self._overcommit.set(self.epc.overcommit_ratio(resident))
         return cost.service_s
 
     # ------------------------------------------------------------------ #

@@ -43,17 +43,15 @@ def timeline_from_cluster(
 ) -> RunResult:
     """Turn a cluster's reported work into a timed RunResult.
 
-    With an :class:`~repro.obs.Observability` the replay also emits the
-    shared per-epoch span/counter schema (:mod:`repro.obs.stages`) plus
-    the EPC paging metrics the :class:`StageTimer` reports.
+    The replay emits the shared per-epoch span/counter schema
+    (:mod:`repro.obs.stages`) plus the EPC paging metrics the
+    :class:`StageTimer` reports into ``obs`` (``None``: a private one).
     """
+    obs = obs if obs is not None else Observability.create()
     if cost_model is None:
         cost_model = SGX1_COST_MODEL if run.secure else NATIVE_COST_MODEL
     timer = StageTimer(
-        time_model=time_model,
-        cost_model=cost_model,
-        epc=run.epc,
-        metrics=obs.metrics if obs is not None else None,
+        time_model=time_model, cost_model=cost_model, epc=run.epc, metrics=obs.metrics
     )
     cfg = run.config
     result = RunResult(

@@ -99,11 +99,9 @@ class FleetEngine:
         """Run ``config.epochs`` epochs as a chain of ``fleet.epoch``
         kernel events, each scheduled at the previous epoch's barrier."""
         cfg = self.config
-        self._obs = obs
-        self._timer = StageTimer(
-            time_model=self.time_model,
-            metrics=obs.metrics if obs is not None else None,
-        )
+        #: Where this run records (the caller's, or a fresh private one).
+        self.obs = obs if obs is not None else Observability.create()
+        self._timer = StageTimer(time_model=self.time_model, metrics=self.obs.metrics)
         self._degrees = self.topology.degrees.astype(np.float64)
         result = self._result = RunResult(
             label=cfg.label,
@@ -177,7 +175,7 @@ class FleetEngine:
         )
         fold_epoch(
             self._result,
-            self._obs,
+            self.obs,
             stages=stages,
             overlap_share=cfg.parallel_share,
             rmse=rmse,

@@ -432,8 +432,10 @@ class MfFleetSim(FleetEngine):
     def run(self, obs: Optional[Observability] = None) -> RunResult:
         """Execute ``config.epochs`` epochs and return the full record.
 
-        With an :class:`~repro.obs.Observability` the run also emits the
-        shared per-epoch span/counter schema (see :mod:`repro.obs.stages`).
+        The run emits the shared per-epoch span/counter schema (see
+        :mod:`repro.obs.stages`) into ``obs`` -- a fresh private
+        :class:`~repro.obs.Observability` when none is passed -- which
+        stays readable as ``self.obs``.
         """
         metadata = {"share_points": self.config.share_points, "k": self.k}
         return self._run_epochs(obs, model="mf", metadata=metadata)

@@ -173,7 +173,7 @@ class RunResult:
 
 def fold_epoch(
     result: RunResult,
-    obs: Optional[Observability],
+    obs: Observability,
     *,
     stages: Dict[str, np.ndarray],
     overlap_share: bool,

@@ -22,12 +22,13 @@ computes all nodes' stage times in one vectorized call).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, Union
 
 import numpy as np
 
-from repro.obs import DEFAULT_COUNT_BUCKETS, MetricsRegistry
+from repro.obs import DEFAULT_COUNT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
 from repro.tee.cost_model import NATIVE_COST_MODEL, SgxCostModel
 from repro.tee.epc import EpcModel
 
@@ -153,9 +154,9 @@ class StageTimer:
     time_model: TimeModel = DEFAULT_TIME_MODEL
     cost_model: SgxCostModel = NATIVE_COST_MODEL
     epc: EpcModel = EpcModel()
-    #: Optional observability sink; when set, every stage assembly also
-    #: reports EPC page-fault counts/histograms and overcommit peaks.
-    metrics: Optional[MetricsRegistry] = None
+    #: Observability sink: every stage assembly reports EPC page-fault
+    #: counts/histograms and overcommit peaks here.
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     def mf_stage_times(
         self,
@@ -174,25 +175,14 @@ class StageTimer:
         transition_bytes: ArrayLike = 0.0,
         empty_messages: ArrayLike = 0.0,
     ) -> Dict[str, ArrayLike]:
-        tm, cm = self.time_model, self.cost_model
-        multiplier = self._compute_multiplier(resident_bytes)
-
-        merge = (tm.merge_time(merged_rows, k) + tm.dedup_time(dedup_items)) * multiplier
-        merge = merge + self._paging(staging_bytes, resident_bytes)
-
-        train = tm.mf_train_time(train_samples, k) * multiplier
-
-        share = (
-            tm.serialize_time(serialized_bytes) * multiplier
-            + cm.crypto_time(payload_bytes)
-            + cm.transition_time(np.asarray(transitions, dtype=float), 0)
-            + transition_bytes * cm.marshalling_cost_s_per_byte * (1.0 if cm.enabled else 0.0)
-            + cm.native_alloc_time(serialized_bytes)
+        tm = self.time_model
+        return self._assemble(
+            tm.merge_time(merged_rows, k),
+            tm.mf_train_time(train_samples, k),
+            tm.mf_test_time(test_samples, k),
+            dedup_items, serialized_bytes, payload_bytes, messages, resident_bytes,
+            staging_bytes, transitions, transition_bytes, empty_messages,
         )
-
-        test = tm.mf_test_time(test_samples, k) * multiplier
-        network = tm.network_time(payload_bytes, messages, empty_messages)
-        return {"merge": merge, "train": train, "share": share, "test": test, "network": network}
 
     def dnn_stage_times(
         self,
@@ -211,13 +201,29 @@ class StageTimer:
         transition_bytes: ArrayLike = 0.0,
         empty_messages: ArrayLike = 0.0,
     ) -> Dict[str, ArrayLike]:
+        tm = self.time_model
+        return self._assemble(
+            tm.dnn_merge_time(merged_models, param_count),
+            tm.dnn_train_time(train_samples, param_count),
+            tm.dnn_test_time(test_samples, param_count),
+            dedup_items, serialized_bytes, payload_bytes, messages, resident_bytes,
+            staging_bytes, transitions, transition_bytes, empty_messages,
+        )
+
+    # ------------------------------------------------------------------ #
+    def _assemble(
+        self, merge_work, train_work, test_work, dedup_items, serialized_bytes,
+        payload_bytes, messages, resident_bytes, staging_bytes, transitions,
+        transition_bytes, empty_messages,
+    ) -> Dict[str, ArrayLike]:
+        """The model-independent assembly: ``*_work`` are the model's
+        unscaled merge/train/test costs, everything else is shared."""
         tm, cm = self.time_model, self.cost_model
         multiplier = self._compute_multiplier(resident_bytes)
 
-        merge = (
-            tm.dnn_merge_time(merged_models, param_count) + tm.dedup_time(dedup_items)
-        ) * multiplier + self._paging(staging_bytes, resident_bytes)
-        train = tm.dnn_train_time(train_samples, param_count) * multiplier
+        merge = (merge_work + tm.dedup_time(dedup_items)) * multiplier
+        merge = merge + self._paging(staging_bytes, resident_bytes)
+        train = train_work * multiplier
         share = (
             tm.serialize_time(serialized_bytes) * multiplier
             + cm.crypto_time(payload_bytes)
@@ -225,11 +231,10 @@ class StageTimer:
             + transition_bytes * cm.marshalling_cost_s_per_byte * (1.0 if cm.enabled else 0.0)
             + cm.native_alloc_time(serialized_bytes)
         )
-        test = tm.dnn_test_time(test_samples, param_count) * multiplier
+        test = test_work * multiplier
         network = tm.network_time(payload_bytes, messages, empty_messages)
         return {"merge": merge, "train": train, "share": share, "test": test, "network": network}
 
-    # ------------------------------------------------------------------ #
     def _compute_multiplier(self, resident_bytes: ArrayLike) -> ArrayLike:
         if not self.cost_model.enabled:
             return 1.0
@@ -240,10 +245,26 @@ class StageTimer:
             [self.cost_model.compute_multiplier(r, self.epc) for r in resident]
         )
 
-    def _paging(self, touched: ArrayLike, resident: ArrayLike, stage: str = "merge") -> ArrayLike:
+    # Bound on first use: a native-build timer never pages, which keeps
+    # empty paging histograms/gauges out of its run's snapshot.
+    @cached_property
+    def _page_faults(self) -> Counter:
+        return self.metrics.counter("tee.epc.page_faults", stage="merge")
+
+    @cached_property
+    def _page_faults_per_node(self) -> Histogram:
+        return self.metrics.histogram(
+            "tee.epc.page_faults_per_node", buckets=DEFAULT_COUNT_BUCKETS, stage="merge"
+        )
+
+    @cached_property
+    def _overcommit_ratio(self) -> Gauge:
+        return self.metrics.gauge("tee.epc.overcommit_ratio")
+
+    def _paging(self, touched: ArrayLike, resident: ArrayLike) -> ArrayLike:
+        """Merge-stage paging time; reports the faults into the registry."""
         if not self.cost_model.enabled:
-            if self.metrics is not None:
-                self.metrics.counter("tee.epc.page_faults", stage=stage).inc(0.0)
+            self._page_faults.inc(0.0)
             return np.zeros_like(np.asarray(touched, dtype=float))
         touched = np.asarray(touched, dtype=float)
         resident = np.asarray(resident, dtype=float)
@@ -256,24 +277,13 @@ class StageTimer:
         faults = np.array(
             [self.epc.page_faults(t, r) for t, r in zip(touched, resident)]
         )
-        if self.metrics is not None:
-            self._observe_epc(stage, faults, resident)
+        self._page_faults.inc(float(faults.sum()))
+        for value in faults:
+            self._page_faults_per_node.observe(float(value))
+        if len(resident):
+            self._overcommit_ratio.set(self.epc.overcommit_ratio(float(resident.max())))
         times = faults * self.cost_model.page_fault_cost_s
         return float(times[0]) if scalar else times
-
-    def _observe_epc(self, stage: str, faults: np.ndarray, resident: np.ndarray) -> None:
-        """Report paging activity into the observability registry."""
-        m = self.metrics
-        m.counter("tee.epc.page_faults", stage=stage).inc(float(faults.sum()))
-        hist = m.histogram(
-            "tee.epc.page_faults_per_node", buckets=DEFAULT_COUNT_BUCKETS, stage=stage
-        )
-        for value in faults:
-            hist.observe(float(value))
-        if len(resident):
-            m.gauge("tee.epc.overcommit_ratio").set(
-                self.epc.overcommit_ratio(float(resident.max()))
-            )
 
     @staticmethod
     def epoch_duration(stages: Dict[str, ArrayLike], *, overlap_share: bool = False) -> ArrayLike:

@@ -169,8 +169,8 @@ class EnclaveContext:
         self.memory = TrustedMemory()
 
     @property
-    def metrics(self) -> Optional[MetricsRegistry]:
-        """The shared observability registry, when the host wired one."""
+    def metrics(self) -> MetricsRegistry:
+        """The platform's observability registry."""
         return self._enclave.metrics
 
     @property
@@ -227,8 +227,6 @@ class Enclave:
         trusted_class: type,
         enclave_id: str,
         attestation_service: AttestationService,
-        *,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         if not issubclass(trusted_class, TrustedApp):
             raise EnclaveError("trusted code must subclass TrustedApp")
@@ -236,7 +234,12 @@ class Enclave:
         self.enclave_id = enclave_id
         self.measurement = measure_class(trusted_class)
         self.counters = TransitionCounters()
-        self.metrics = metrics
+        metrics = self.metrics = platform.metrics
+        self._ecall_count = metrics.counter("tee.enclave.ecalls", enclave=enclave_id)
+        self._ecall_bytes = metrics.counter("tee.enclave.ecall.bytes", enclave=enclave_id)
+        self._ocall_count = metrics.counter("tee.enclave.ocalls", enclave=enclave_id)
+        self._ocall_bytes = metrics.counter("tee.enclave.ocall.bytes", enclave=enclave_id)
+        self._resident = metrics.gauge("tee.enclave.resident.bytes", enclave=enclave_id)
         self._attestation_service = attestation_service
         self._ocall_handlers: Dict[str, Callable] = {}
         self._context = EnclaveContext(self)
@@ -262,10 +265,9 @@ class Enclave:
 
     def _count_violation(self, kind: str) -> None:
         """Record a refused boundary crossing in the shared registry."""
-        if self.metrics is not None:
-            self.metrics.counter(
-                "tee.enclave.violations", enclave=self.enclave_id, kind=kind
-            ).inc()
+        self.metrics.counter(
+            "tee.enclave.violations", enclave=self.enclave_id, kind=kind
+        ).inc()
 
     def ecall(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Enter the enclave through a named entry point."""
@@ -276,20 +278,14 @@ class Enclave:
         crossing_bytes = _marshalled_size(args) + _marshalled_size(kwargs)
         self.counters.ecalls += 1
         self.counters.ecall_bytes += crossing_bytes
-        if self.metrics is not None:
-            self.metrics.counter("tee.enclave.ecalls", enclave=self.enclave_id).inc()
-            self.metrics.counter("tee.enclave.ecall.bytes", enclave=self.enclave_id).inc(
-                crossing_bytes
-            )
+        self._ecall_count.inc()
+        self._ecall_bytes.inc(crossing_bytes)
         self._in_enclave = True
         try:
             return handler(*args, **kwargs)
         finally:
             self._in_enclave = False
-            if self.metrics is not None:
-                self.metrics.gauge(
-                    "tee.enclave.resident.bytes", enclave=self.enclave_id
-                ).set(self.memory.resident_bytes)
+            self._resident.set(self.memory.resident_bytes)
 
     def _dispatch_ocall(self, name: str, args: tuple, kwargs: dict) -> Any:
         if not self._in_enclave:
@@ -302,11 +298,8 @@ class Enclave:
         crossing_bytes = _marshalled_size(args) + _marshalled_size(kwargs)
         self.counters.ocalls += 1
         self.counters.ocall_bytes += crossing_bytes
-        if self.metrics is not None:
-            self.metrics.counter("tee.enclave.ocalls", enclave=self.enclave_id).inc()
-            self.metrics.counter("tee.enclave.ocall.bytes", enclave=self.enclave_id).inc(
-                crossing_bytes
-            )
+        self._ocall_count.inc()
+        self._ocall_bytes.inc(crossing_bytes)
         # Untrusted code runs outside the enclave; re-entering through a
         # nested ecall is not modelled (REX does not need it).
         self._in_enclave = False
@@ -337,7 +330,7 @@ class Platform:
     ):
         self.platform_id = platform_id
         self.epc = epc if epc is not None else EpcModel()
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.quoting_enclave = QuotingEnclave(platform_id)
         self.attestation_service = attestation_service
         self.enclaves: Dict[str, Enclave] = {}
@@ -350,9 +343,7 @@ class Platform:
         """Instantiate trusted code in a fresh enclave on this platform."""
         if enclave_id in self.enclaves:
             raise EnclaveError(f"enclave id {enclave_id!r} already exists")
-        enclave = Enclave(
-            self, trusted_class, enclave_id, self.attestation_service, metrics=self.metrics
-        )
+        enclave = Enclave(self, trusted_class, enclave_id, self.attestation_service)
         self.enclaves[enclave_id] = enclave
         return enclave
 

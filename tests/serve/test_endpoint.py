@@ -7,6 +7,7 @@ from repro.data.dataset import RatingsDataset
 from repro.net.serialization import encode_triplets
 from repro.obs import MetricsRegistry
 from repro.serve.endpoint import ServeEnclaveApp, ServingState
+from repro.serve.fleet.shard import ShardEnclaveApp
 from repro.serve.scoring import PAD_ITEM
 from repro.serve.snapshot import encode_snapshot, snapshot_from_arrays
 from repro.tee import AttestationService, Platform
@@ -216,3 +217,15 @@ class TestServeEnclaveApp:
         enclave.ecall("ecall_serve", [0], 5)
         status = enclave.ecall("ecall_serve_status")
         assert status["topn_hits"] == 0  # cache disabled => rescored
+
+
+@pytest.mark.parametrize("app", [ServeEnclaveApp, ShardEnclaveApp])
+def test_serving_before_any_load_is_a_typed_refusal(app):
+    """A fresh enclave refuses to serve with the ``no snapshot`` ValueError
+    (it used to leak an AttributeError out of the ecall) and reports an
+    empty status."""
+    enclave = Platform("serve-test", AttestationService()).create_enclave(app, "serve-0")
+    with pytest.raises(ValueError, match="no snapshot"):
+        enclave.ecall("ecall_serve", [0, 1], 5)
+    status = enclave.ecall("ecall_serve_status")
+    assert status["version"] is None and status["queries_served"] == 0
