@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths", nargs="*", default=["src/repro"], help="files or directories"
     )
-    lint.add_argument("--format", choices=("text", "json", "sarif"), default="text")
+    lint.add_argument("--format", choices=("text", "json"), default="text")
     lint.add_argument(
         "--fail-on",
         choices=("warning", "error"),
@@ -253,19 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also write the findings document to a file",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="known-findings file; baselined findings are suppressed "
-        "(ratchet: new findings still fail)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="regenerate the --baseline file from the current findings "
-        "and exit 0",
     )
     lint.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
@@ -527,13 +514,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from repro.lint import (
-        Baseline,
-        Severity,
-        format_sarif,
-        lint_paths,
-        rule_catalog,
-    )
+    from repro.lint import Severity, lint_paths, rule_catalog
 
     if args.list_rules:
         rows = [
@@ -544,29 +525,16 @@ def cmd_lint(args) -> int:
                            title="repro-lint rule catalog"))
         return 0
 
-    if args.write_baseline and not args.baseline:
-        print("error: --write-baseline requires --baseline PATH")
-        return 2
-
     report = lint_paths(args.paths)
-    if args.write_baseline:
-        count = Baseline.write(args.baseline, report.sorted())
-        print(f"wrote {args.baseline} ({count} baselined finding(s))")
-        return 0
-    if args.baseline:
-        report.apply_baseline(Baseline.load(args.baseline))
-
     if args.format == "json":
         rendered = report.format_json()
-    elif args.format == "sarif":
-        rendered = format_sarif(report.sorted(), rule_catalog())
     else:
         rendered = report.format_text()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(rendered + "\n")
         print(f"wrote {args.output} ({report.errors} error(s), "
-              f"{report.warnings} warning(s), {report.baselined} baselined)")
+              f"{report.warnings} warning(s))")
     else:
         print(rendered)
     return 1 if report.worst_at_least(Severity.parse(args.fail_on)) else 0

@@ -25,7 +25,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import DefenseConfig
 from repro.data.dataset import RatingsDataset
 
 __all__ = [
@@ -48,8 +47,6 @@ REASON_FREE_RIDER = "free_rider"
 # per-share std above 0.35 for any share of MIN_SANITY_POINTS or more);
 # property tests pin that honest traffic is never rejected.
 
-#: Reject a DH public key pinned to one peer identity under another.
-QUOTE_PINNING = True
 #: Per-neighbor per-round admission cap, in multiples of the run's
 #: configured ``share_points``.
 QUOTA_FACTOR = 2.0
@@ -74,8 +71,6 @@ MODEL_PARAM_BOUND = 25.0
 #: Consecutive empty DPSGD data-shares from one neighbor before it is
 #: flagged as a free-rider (detection only; epochs still complete).
 FREE_RIDER_PATIENCE = 3
-#: Refuse to serve or load snapshot versions below the high-water mark.
-SNAPSHOT_MONOTONIC = True
 
 
 class ShareAdmission:
@@ -88,8 +83,7 @@ class ShareAdmission:
     judge one decoded share, ``note_empty_share`` flags free-riders.
     """
 
-    def __init__(self, defenses: DefenseConfig, share_points: int):
-        self.defenses = defenses
+    def __init__(self, share_points: int):
         #: Per-round triplet budget each neighbor may land in the store.
         self.share_quota = max(1, int(round(QUOTA_FACTOR * share_points)))
         self._round_admitted: dict = {}
@@ -106,8 +100,6 @@ class ShareAdmission:
         A signature-valid quote replayed under a different identity is the
         sybil signature: a quote proves code identity, never who speaks.
         """
-        if not QUOTE_PINNING:
-            return None
         owner = self._pinned_pubkeys.setdefault(pubkey, peer)
         return None if owner == peer else REASON_SYBIL
 

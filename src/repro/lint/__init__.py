@@ -15,28 +15,22 @@ Run it as ``repro lint [paths ...]`` or programmatically::
     assert report.errors == 0
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.classify import Trust, classify_module, lattice_prefix
 from repro.lint.findings import Finding, FlowStep, Severity
 from repro.lint.registry import (
     LintContext,
-    Program,
-    ProgramRule,
     Rule,
-    all_program_rules,
     all_rules,
     register,
     rule_catalog,
 )
 from repro.lint.runner import (
     LintReport,
-    lint_file,
     lint_paths,
     lint_source,
     lint_sources,
     module_name_for,
 )
-from repro.lint.sarif import format_sarif, to_sarif
 
 __all__ = [
     "Trust",
@@ -46,20 +40,13 @@ __all__ = [
     "FlowStep",
     "Severity",
     "LintContext",
-    "Program",
     "Rule",
-    "ProgramRule",
     "register",
     "all_rules",
-    "all_program_rules",
     "rule_catalog",
     "LintReport",
     "lint_source",
     "lint_sources",
-    "lint_file",
     "lint_paths",
     "module_name_for",
-    "Baseline",
-    "format_sarif",
-    "to_sarif",
 ]

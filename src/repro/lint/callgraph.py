@@ -37,7 +37,7 @@ __all__ = [
 
 @dataclass
 class ModuleInfo:
-    """One parsed module: the unit the program rules iterate over."""
+    """One parsed module + its trust level: what rules and the taint pass see."""
 
     module: str
     path: str

@@ -49,8 +49,8 @@ class Finding:
 
     Flow-rule findings additionally carry the witness path -- the chain
     of source/call/store/sink steps the analyzer followed -- rendered as
-    indented continuation lines in text output and as ``codeFlows`` in
-    SARIF.
+    indented continuation lines in text output and as the ``flow`` list
+    in the JSON document.
     """
 
     rule_id: str

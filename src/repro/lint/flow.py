@@ -72,13 +72,39 @@ from repro.lint.summaries import (
 
 __all__ = ["FlowResult", "analyze_modules", "SINK_RULES"]
 
-#: sink key -> (rule id, rule name) -- the REX-F rule family.
-SINK_RULES: Dict[str, Tuple[str, str]] = {
-    "ecall-return": ("REX-F001", "taint-ecall-return"),
-    "ocall": ("REX-F002", "taint-ocall-argument"),
-    "obs-label": ("REX-F003", "taint-obs-label"),
-    "serialize-log": ("REX-F004", "taint-serialized-or-logged"),
-    "exception-message": ("REX-F005", "taint-exception-message"),
+#: sink key -> (rule id, rule name, catalog description) -- the REX-F
+#: rule family; one row per host-visible sink.
+SINK_RULES: Dict[str, Tuple[str, str, str]] = {
+    "ecall-return": (
+        "REX-F001",
+        "taint-ecall-return",
+        "interprocedural taint: raw ratings / decrypted payload / model "
+        "state reaches an @ecall return value unsealed",
+    ),
+    "ocall": (
+        "REX-F002",
+        "taint-ocall-argument",
+        "interprocedural taint: enclave-resident data is passed to a host "
+        "ocall without going through the AEAD seal path",
+    ),
+    "obs-label": (
+        "REX-F003",
+        "taint-obs-label",
+        "interprocedural taint: enclave-resident data is recorded in an "
+        "obs metric/trace label readable by the host",
+    ),
+    "serialize-log": (
+        "REX-F004",
+        "taint-serialized-or-logged",
+        "interprocedural taint: enclave-resident data is printed, logged "
+        "or json/pickle-serialized in trusted code outside the seal path",
+    ),
+    "exception-message": (
+        "REX-F005",
+        "taint-exception-message",
+        "interprocedural taint: enclave-resident data reaches a raised "
+        "exception message, which is marshalled across the ecall boundary",
+    ),
 }
 
 _MAX_ITERATIONS = 30

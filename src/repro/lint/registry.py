@@ -1,72 +1,41 @@
-"""Rule base classes and the registry that makes new rules one-class cheap.
+"""The rule base class and the registry that makes new rules one-class cheap.
 
 A rule is a class with a unique ``rule_id``, a default ``severity`` and a
-``check(ctx)`` generator over :class:`~repro.lint.findings.Finding`.
-Decorate it with :func:`register` and it participates in every lint run,
-the ``--list-rules`` catalog and the README table -- no other wiring.
+``check(ctx)`` generator over :class:`~repro.lint.findings.Finding` that
+sees one parsed module at a time.  Decorate it with :func:`register` and
+it participates in every lint run, the ``--list-rules`` catalog and the
+README table -- no other wiring.
 
-Two granularities exist:
-
-- :class:`Rule` sees one module at a time (``check(ctx)``) -- the
-  original per-file AST rules.
-- :class:`ProgramRule` sees the whole parsed tree at once
-  (``check_program(program)``) -- the interprocedural flow rules and
-  the lattice-coverage check, which are meaningless file-by-file.
-
-Whole-program analyses that several rules share (the taint fixpoint)
-are memoized on the :class:`Program` so five REX-F rules cost one
-analysis.
+The one check that is meaningless file-by-file, the interprocedural
+taint pass, is not a rule class: :func:`repro.lint.rules_flow.flow_findings`
+runs it once over the whole parsed tree, and its five REX-F ids enter
+the catalog as rows of :data:`repro.lint.flow.SINK_RULES`.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Type, Union
+from typing import Dict, Iterator, List, Type
 
 from repro.lint.callgraph import ModuleInfo
-from repro.lint.classify import Trust
 from repro.lint.findings import Finding, Severity
+from repro.lint.flow import SINK_RULES
 
 __all__ = [
     "LintContext",
-    "Program",
     "Rule",
-    "ProgramRule",
     "register",
     "all_rules",
-    "all_program_rules",
     "rule_catalog",
 ]
 
 
-@dataclass
-class LintContext:
-    """Everything a per-file rule sees: one parsed module + classification."""
-
-    path: str
-    module: str
-    source: str
-    tree: ast.Module
-    trust: Trust
-
-
-@dataclass
-class Program:
-    """Every parsed module of one lint run, plus shared analysis results."""
-
-    modules: List[ModuleInfo] = field(default_factory=list)
-    _analyses: Dict[str, object] = field(default_factory=dict)
-
-    def analysis(self, key: str, builder: Callable[["Program"], object]) -> object:
-        """Memoize an expensive whole-program analysis under ``key``."""
-        if key not in self._analyses:
-            self._analyses[key] = builder(self)
-        return self._analyses[key]
+#: What a rule sees: one parsed module + its trust classification.
+LintContext = ModuleInfo
 
 
 class Rule:
-    """Base class for one per-file lint rule (see module docstring)."""
+    """Base class for one lint rule (see module docstring)."""
 
     rule_id: str = ""
     name: str = ""
@@ -88,19 +57,7 @@ class Rule:
         )
 
 
-class ProgramRule:
-    """Base class for a whole-program rule."""
-
-    rule_id: str = ""
-    name: str = ""
-    severity: Severity = Severity.ERROR
-    description: str = ""
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
-_REGISTRY: Dict[str, Union[Type[Rule], Type[ProgramRule]]] = {}
+_REGISTRY: Dict[str, Type[Rule]] = {}
 
 
 def register(cls):
@@ -114,37 +71,33 @@ def register(cls):
 
 
 def all_rules() -> List[Rule]:
-    """Fresh instances of every registered per-file rule, ordered by id."""
+    """Fresh instances of every registered rule, ordered by id."""
     _load_rule_modules()
-    return [
-        _REGISTRY[rule_id]()
-        for rule_id in sorted(_REGISTRY)
-        if issubclass(_REGISTRY[rule_id], Rule)
-    ]
-
-
-def all_program_rules() -> List[ProgramRule]:
-    """Fresh instances of every registered whole-program rule, by id."""
-    _load_rule_modules()
-    return [
-        _REGISTRY[rule_id]()
-        for rule_id in sorted(_REGISTRY)
-        if issubclass(_REGISTRY[rule_id], ProgramRule)
-    ]
+    return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
 def rule_catalog() -> List[dict]:
-    """Catalog rows for ``--list-rules`` and docs (both granularities)."""
+    """Catalog rows for ``--list-rules`` and docs, ordered by id."""
     _load_rule_modules()
-    return [
+    rows = [
         {
             "id": cls.rule_id,
             "name": cls.name,
             "severity": str(cls.severity),
             "description": cls.description,
         }
-        for cls in (_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY))
+        for cls in _REGISTRY.values()
     ]
+    rows += [
+        {
+            "id": rule_id,
+            "name": name,
+            "severity": str(Severity.ERROR),
+            "description": description,
+        }
+        for rule_id, name, description in SINK_RULES.values()
+    ]
+    return sorted(rows, key=lambda row: row["id"])
 
 
 def _load_rule_modules() -> None:

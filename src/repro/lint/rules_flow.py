@@ -1,123 +1,46 @@
-"""Flow rules REX-F001..F005 plus the lattice-coverage check REX-S002.
+"""The taint pass (REX-F001..F005) plus the lattice-coverage rule REX-S002.
 
-The five flow rules are thin views over one shared taint analysis
-(:func:`repro.lint.flow.analyze_modules`), memoized on the
-:class:`~repro.lint.registry.Program` so a lint run pays for the
-fixpoint once.  Each rule owns one sink family so findings stay
-individually suppressible and baseline-able.
+:func:`flow_findings` is the lint run's one whole-tree check: it runs
+the taint fixpoint (:func:`repro.lint.flow.analyze_modules`) once and
+files each confirmed flow under the id its sink family owns in
+:data:`~repro.lint.flow.SINK_RULES`, so findings stay individually
+suppressible per family.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List
 
+from repro.lint.callgraph import ModuleInfo
 from repro.lint.classify import lattice_prefix
 from repro.lint.findings import Finding, FlowStep, Severity
-from repro.lint.flow import SINK_RULES, FlowResult, analyze_modules
-from repro.lint.registry import Program, ProgramRule, register
+from repro.lint.flow import SINK_RULES, analyze_modules
+from repro.lint.registry import LintContext, Rule, register
 
-__all__ = [
-    "EcallReturnFlowRule",
-    "OcallArgumentFlowRule",
-    "ObsLabelFlowRule",
-    "SerializedFlowRule",
-    "ExceptionMessageFlowRule",
-    "LatticeCoverageRule",
-]
+__all__ = ["flow_findings", "LatticeCoverageRule"]
 
 
-def _flow_results(program: Program) -> List[FlowResult]:
-    return program.analysis(
-        "taint-flow", lambda p: analyze_modules(p.modules)
-    )
-
-
-class _FlowRuleBase(ProgramRule):
-    """Findings for one sink family out of the shared analysis."""
-
-    sink_key: str = ""
-    severity = Severity.ERROR
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        for result in _flow_results(program):
-            if result.sink_key != self.sink_key:
-                continue
-            yield Finding(
-                rule_id=self.rule_id,
-                severity=self.severity,
-                path=result.path,
-                line=result.line,
-                col=result.col,
-                message=result.message,
-                flow=tuple(
-                    FlowStep(path=s.path, line=s.line, note=s.note)
-                    for s in result.steps
-                ),
-            )
+def flow_findings(modules: List[ModuleInfo]) -> List[Finding]:
+    """One REX-F finding per source->sink flow across ``modules``."""
+    return [
+        Finding(
+            rule_id=SINK_RULES[result.sink_key][0],
+            severity=Severity.ERROR,
+            path=result.path,
+            line=result.line,
+            col=result.col,
+            message=result.message,
+            flow=tuple(
+                FlowStep(path=s.path, line=s.line, note=s.note)
+                for s in result.steps
+            ),
+        )
+        for result in analyze_modules(modules)
+    ]
 
 
 @register
-class EcallReturnFlowRule(_FlowRuleBase):
-    """Raw data flows into an ecall return value (host-visible)."""
-
-    rule_id, name = SINK_RULES["ecall-return"]
-    sink_key = "ecall-return"
-    description = (
-        "interprocedural taint: raw ratings / decrypted payload / model "
-        "state reaches an @ecall return value unsealed"
-    )
-
-
-@register
-class OcallArgumentFlowRule(_FlowRuleBase):
-    """Raw data flows into an ocall argument (host upcall)."""
-
-    rule_id, name = SINK_RULES["ocall"]
-    sink_key = "ocall"
-    description = (
-        "interprocedural taint: enclave-resident data is passed to a host "
-        "ocall without going through the AEAD seal path"
-    )
-
-
-@register
-class ObsLabelFlowRule(_FlowRuleBase):
-    """Raw data flows into a host-visible metric/trace label."""
-
-    rule_id, name = SINK_RULES["obs-label"]
-    sink_key = "obs-label"
-    description = (
-        "interprocedural taint: enclave-resident data is recorded in an "
-        "obs metric/trace label readable by the host"
-    )
-
-
-@register
-class SerializedFlowRule(_FlowRuleBase):
-    """Raw data is serialized or logged outside the seal path."""
-
-    rule_id, name = SINK_RULES["serialize-log"]
-    sink_key = "serialize-log"
-    description = (
-        "interprocedural taint: enclave-resident data is printed, logged "
-        "or json/pickle-serialized in trusted code outside the seal path"
-    )
-
-
-@register
-class ExceptionMessageFlowRule(_FlowRuleBase):
-    """Raw data is interpolated into a raised exception message."""
-
-    rule_id, name = SINK_RULES["exception-message"]
-    sink_key = "exception-message"
-    description = (
-        "interprocedural taint: enclave-resident data reaches a raised "
-        "exception message, which is marshalled across the ecall boundary"
-    )
-
-
-@register
-class LatticeCoverageRule(ProgramRule):
+class LatticeCoverageRule(Rule):
     """Every ``repro.*`` module must be explicitly placed in the lattice.
 
     ``classify_module`` defaults unknown modules to UNTRUSTED so the
@@ -136,20 +59,13 @@ class LatticeCoverageRule(ProgramRule):
         "in repro.lint.classify"
     )
 
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        for mod in sorted(program.modules, key=lambda m: m.module):
-            if mod.module != "repro" and not mod.module.startswith("repro."):
-                continue  # fixture/test modules outside the tree
-            if lattice_prefix(mod.module) is None:
-                yield Finding(
-                    rule_id=self.rule_id,
-                    severity=self.severity,
-                    path=mod.path,
-                    line=1,
-                    col=1,
-                    message=(
-                        f"module {mod.module!r} is not placed in the trust "
-                        "lattice; classify it explicitly in "
-                        "repro.lint.classify"
-                    ),
-                )
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        if ctx.module != "repro" and not ctx.module.startswith("repro."):
+            return  # fixture/test modules outside the tree
+        if lattice_prefix(ctx.module) is None:
+            yield self.finding(
+                ctx,
+                ctx.tree,
+                f"module {ctx.module!r} is not placed in the trust "
+                "lattice; classify it explicitly in repro.lint.classify",
+            )

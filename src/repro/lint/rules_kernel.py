@@ -1,14 +1,10 @@
-"""Event-kernel purity rules REX-K001..K003.
+"""Event-kernel scheduling rules REX-K002 and REX-K003.
 
 The PR-6 event kernel (:mod:`repro.sim.kernel`) guarantees a
 deterministic ``(time, key, seq)`` total order and a reproducible
 SHA-256 trace digest -- but only if handlers hold up their side of the
 contract:
 
-- **K001** -- a handler must derive *everything* from kernel time and
-  seeded RNG streams.  Touching ``time``/``datetime``/``random``/
-  ``secrets`` inside a handler body smuggles wall-clock or entropy into
-  the dispatch order or the handler's effects.
 - **K002** -- a handler defined inside a loop must not capture the loop
   variable by reference (Python's late binding makes every dispatch see
   the *last* value; bind it via a default argument or an intrinsic key).
@@ -26,14 +22,13 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.lint.astutil import dotted_name
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import LintContext, Rule, register
 
 __all__ = [
-    "HandlerImpurityRule",
     "HandlerLoopCaptureRule",
     "UnkeyedLoopSchedulingRule",
 ]
@@ -41,7 +36,6 @@ __all__ = [
 _SCHED_METHODS = frozenset({"at", "after", "every"})
 _SCHED_KWARGS = frozenset({"kind", "key"})
 _KERNEL_TOKENS = frozenset({"kernel"})
-_IMPURE_HEADS = frozenset({"time", "datetime", "random", "secrets"})
 
 _TOKEN_SPLIT = re.compile(r"[_\W]+")
 
@@ -76,42 +70,6 @@ def _handler_expr(call: ast.Call) -> Optional[ast.AST]:
     return None
 
 
-def _function_index(tree: ast.Module) -> Dict[str, ast.AST]:
-    """Every def in the file by bare name (methods included)."""
-    index: Dict[str, ast.AST] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            index.setdefault(node.name, node)
-    return index
-
-
-def _handler_body(
-    handler: Optional[ast.AST], index: Dict[str, ast.AST]
-) -> Optional[Tuple[ast.AST, Tuple[str, ...]]]:
-    """``(body_root, param_names)`` of the handler, when resolvable."""
-    if isinstance(handler, ast.Lambda):
-        params = tuple(
-            p.arg
-            for p in handler.args.posonlyargs
-            + handler.args.args
-            + handler.args.kwonlyargs
-        )
-        return handler.body, params
-    name = None
-    if isinstance(handler, ast.Name):
-        name = handler.id
-    elif isinstance(handler, ast.Attribute):
-        name = handler.attr  # bound method: self._deliver
-    if name and name in index:
-        fn = index[name]
-        params = tuple(
-            p.arg
-            for p in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-        )
-        return fn, params
-    return None
-
-
 def _sched_calls_with_loops(
     tree: ast.Module,
 ) -> Iterator[Tuple[ast.Call, List[ast.AST]]]:
@@ -138,45 +96,6 @@ def _loop_targets(loops: List[ast.AST]) -> Set[str]:
                 if isinstance(sub, ast.Name):
                     names.add(sub.id)
     return names
-
-
-@register
-class HandlerImpurityRule(Rule):
-    """Kernel handler touches wall-clock / entropy modules."""
-
-    rule_id = "REX-K001"
-    name = "kernel-handler-impure"
-    severity = Severity.ERROR
-    description = (
-        "event-kernel handler body references time/datetime/random/"
-        "secrets; handlers must derive everything from kernel time and "
-        "seeded streams"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        index = _function_index(ctx.tree)
-        seen: Set[int] = set()
-        for call, _loops in _sched_calls_with_loops(ctx.tree):
-            resolved = _handler_body(_handler_expr(call), index)
-            if resolved is None:
-                continue
-            body, _params = resolved
-            if id(body) in seen:
-                continue
-            seen.add(id(body))
-            for node in ast.walk(body):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in _IMPURE_HEADS
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"kernel handler references "
-                        f"{node.value.id}.{node.attr}; handlers must be "
-                        "pure in kernel time and seeded RNG streams",
-                    )
 
 
 @register

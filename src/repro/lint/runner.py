@@ -7,12 +7,11 @@ exercise every rule without importing (or even writing) the bad code;
 interprocedural fixtures can span files.  :func:`lint_paths` walks real
 trees for the CLI and CI.
 
-A run has two rule granularities (see :mod:`repro.lint.registry`): the
-per-file rules see one module each, the program rules (taint flow,
-lattice coverage) see the whole parsed tree.  Suppressions are applied
-exactly once per file, over the *combined* findings of both, so a
-``# repro-lint: disable=REX-F001`` works on flow findings too and
-REX-S001 cannot double-fire.
+A run is the per-file rules over each module plus one taint pass over
+the whole parsed tree (:func:`repro.lint.rules_flow.flow_findings`).
+Suppressions are applied exactly once per file, over the *combined*
+findings of both, so a ``# repro-lint: disable=REX-F001`` works on flow
+findings too and REX-S001 cannot double-fire.
 """
 
 from __future__ import annotations
@@ -23,24 +22,17 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePath
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.callgraph import ModuleInfo
 from repro.lint.classify import classify_module
 from repro.lint.findings import Finding, Severity
-from repro.lint.registry import (
-    LintContext,
-    Program,
-    Rule,
-    all_program_rules,
-    all_rules,
-)
+from repro.lint.registry import all_rules
+from repro.lint.rules_flow import flow_findings
 from repro.lint.suppressions import apply_suppressions
 
 __all__ = [
     "LintReport",
     "lint_source",
     "lint_sources",
-    "lint_file",
     "lint_paths",
     "module_name_for",
 ]
@@ -55,7 +47,6 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
-    baselined: int = 0
 
     @property
     def errors(self) -> int:
@@ -74,20 +65,12 @@ class LintReport:
     def sorted(self) -> List[Finding]:
         return sorted(self.findings, key=Finding.sort_key)
 
-    def apply_baseline(self, baseline: Baseline) -> None:
-        """Drop baselined findings, keeping the count for the summary."""
-        new, known = baseline.split(self.findings)
-        self.findings = new
-        self.baselined += len(known)
-
     def format_text(self) -> str:
         lines = [f.format() for f in self.sorted()]
         summary = (
             f"checked {self.files_checked} file(s): "
             f"{self.errors} error(s), {self.warnings} warning(s)"
         )
-        if self.baselined:
-            summary += f", {self.baselined} baselined"
         lines.append(summary)
         return "\n".join(lines)
 
@@ -98,7 +81,6 @@ class LintReport:
                 "files": self.files_checked,
                 "errors": self.errors,
                 "warnings": self.warnings,
-                "baselined": self.baselined,
             },
             "findings": [f.to_dict() for f in self.sorted()],
         }
@@ -147,41 +129,19 @@ def _parse_module(
     )
 
 
-def _lint_program(
-    modules: List[ModuleInfo], rules: Optional[Sequence[Rule]] = None
-) -> List[Finding]:
-    """Run both rule granularities; suppressions once per file."""
-    file_rules = list(rules) if rules is not None else all_rules()
-    program_rules = all_program_rules() if rules is None else []
-
-    by_path: Dict[str, List[Finding]] = {m.path: [] for m in modules}
-    for mod in modules:
-        ctx = LintContext(
-            path=mod.path,
-            module=mod.module,
-            source=mod.source,
-            tree=mod.tree,
-            trust=mod.trust,
-        )
-        for rule in file_rules:
-            by_path[mod.path].extend(rule.check(ctx))
-
-    if program_rules:
-        program = Program(modules=list(modules))
-        for rule in program_rules:
-            for finding in rule.check_program(program):
-                by_path.setdefault(finding.path, []).append(finding)
+def _lint_modules(modules: List[ModuleInfo]) -> List[Finding]:
+    """Per-file rules, then the taint pass; suppressions once per file."""
+    rules = all_rules()
+    by_path: Dict[str, List[Finding]] = {
+        mod.path: [f for rule in rules for f in rule.check(mod)]
+        for mod in modules
+    }
+    for finding in flow_findings(modules):
+        by_path[finding.path].append(finding)
 
     out: List[Finding] = []
-    mod_by_path = {m.path: m for m in modules}
-    for path, findings in by_path.items():
-        mod = mod_by_path.get(path)
-        if mod is not None:
-            out.extend(
-                apply_suppressions(mod.source, findings, path, tree=mod.tree)
-            )
-        else:
-            out.extend(findings)
+    for mod in modules:
+        out.extend(apply_suppressions(mod.source, by_path[mod.path], mod.path))
     return sorted(out, key=Finding.sort_key)
 
 
@@ -189,7 +149,6 @@ def lint_sources(
     sources: Dict[str, str],
     *,
     paths: Optional[Dict[str, str]] = None,
-    rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
     """Lint a set of in-memory modules (``{module: source}``) together.
 
@@ -206,7 +165,7 @@ def lint_sources(
             findings.append(parsed)
         else:
             modules.append(parsed)
-    findings.extend(_lint_program(modules, rules=rules))
+    findings.extend(_lint_modules(modules))
     return sorted(findings, key=Finding.sort_key)
 
 
@@ -215,22 +174,12 @@ def lint_source(
     *,
     module: str,
     path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
     """Lint one source string as module ``module``; returns findings."""
-    return lint_sources({module: source}, paths={module: path}, rules=rules)
+    return lint_sources({module: source}, paths={module: path})
 
 
-def lint_file(path: str, *, rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
-    source = Path(path).read_text(encoding="utf-8")
-    return lint_source(
-        source, module=module_name_for(path), path=str(path), rules=rules
-    )
-
-
-def lint_paths(
-    paths: Sequence[str], *, baseline: Optional[Baseline] = None
-) -> LintReport:
+def lint_paths(paths: Sequence[str]) -> LintReport:
     """Lint every ``.py`` file under the given files/directories."""
     files: List[Path] = []
     for raw in paths:
@@ -251,7 +200,5 @@ def lint_paths(
             modules.append(parsed)
         report.files_checked += 1
 
-    report.extend(_lint_program(modules))
-    if baseline is not None:
-        report.apply_baseline(baseline)
+    report.extend(_lint_modules(modules))
     return report

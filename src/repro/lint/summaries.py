@@ -576,7 +576,9 @@ class FunctionAnalyzer(ast.NodeVisitor):
         # 4. resolved callee: substitute its summary
         callee = self._resolve_callee(node, receiver_type)
         if callee is not None:
-            result = self._apply_summary(node, callee, arg_vals, kw_vals, all_args)
+            result = self._apply_summary(
+                node, callee, arg_vals, kw_vals, star_kw, all_args
+            )
             if callee.name == "__init__":
                 # a constructed object carries whatever its arguments
                 # carried; __init__ itself returns None
@@ -629,6 +631,7 @@ class FunctionAnalyzer(ast.NodeVisitor):
         callee: FunctionInfo,
         arg_vals: List[AbstractVal],
         kw_vals: Dict[str, AbstractVal],
+        star_kw: List[AbstractVal],
         all_args: AbstractVal,
     ) -> AbstractVal:
         summary = self.summaries.get(callee.qualname)
@@ -644,9 +647,17 @@ class FunctionAnalyzer(ast.NodeVisitor):
         for i, val in enumerate(arg_vals):
             if i < len(params):
                 argmap[params[i]] = val
+        # a ``**labels`` parameter receives every keyword no named
+        # parameter claims, plus whatever the caller spreads with ``**``
+        catch_all = callee.node.args.kwarg
+        unclaimed = list(star_kw)
         for name, val in kw_vals.items():
             if name in callee.params:
                 argmap[name] = val
+            else:
+                unclaimed.append(val)
+        if catch_all is not None:
+            argmap[catch_all.arg] = merge(argmap.get(catch_all.arg), *unclaimed)
         if summary is None:
             return all_args  # first iteration; next pass sees the summary
 

@@ -1,15 +1,7 @@
 """Per-line suppressions: ``# repro-lint: disable=RULE[,RULE...]``.
 
-A suppression comment silences the named rules on its own line; the
-``disable-next-line`` form targets the following line (useful when the
-offending statement has no room for a trailing comment).  When the
-targeted line belongs to a *multi-line simple statement* (a call
-wrapped over several lines, a parenthesized return ...), the directive
-covers every line of that statement -- rules anchor findings at
-sub-expression lines, and which line that is should not decide whether
-a suppression works.  Compound statements (``if``/``for``/``with``)
-are deliberately not expanded: a directive on the header must not
-silence the whole body.
+A suppression comment silences the named rules on its own line -- the
+line the finding is anchored at, nothing wider.
 
 Every suppression must actually silence something: entries that match
 no finding are themselves reported as ``REX-S001`` warnings so dead
@@ -18,12 +10,11 @@ exceptions cannot accumulate.
 
 from __future__ import annotations
 
-import ast
 import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import LintContext, Rule, register
@@ -31,7 +22,7 @@ from repro.lint.registry import LintContext, Rule, register
 __all__ = ["parse_suppressions", "apply_suppressions", "UnusedSuppressionRule"]
 
 _DIRECTIVE_RE = re.compile(
-    r"#\s*repro-lint:\s*(disable|disable-next-line)\s*=\s*([A-Za-z0-9_\-, ]+)"
+    r"#\s*repro-lint:\s*disable\s*=\s*([A-Za-z0-9_\-, ]+)"
 )
 
 
@@ -50,36 +41,12 @@ class UnusedSuppressionRule(Rule):
 
 @dataclass
 class _Entry:
-    comment_line: int
-    target_lines: Tuple[int, ...]
+    line: int
     rule_ids: Tuple[str, ...]
     used: Set[str] = field(default_factory=set)
 
 
-def _statement_spans(tree: Optional[ast.AST]) -> List[Tuple[int, int]]:
-    """``(start, end)`` line spans of multi-line *simple* statements."""
-    if tree is None:
-        return []
-    spans: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or hasattr(node, "body"):
-            continue  # compound statements keep line-exact semantics
-        end = getattr(node, "end_lineno", None)
-        if end is not None and end > node.lineno:
-            spans.append((node.lineno, end))
-    return spans
-
-
-def _expand_target(line: int, spans: List[Tuple[int, int]]) -> Tuple[int, ...]:
-    for start, end in spans:
-        if start <= line <= end:
-            return tuple(range(start, end + 1))
-    return (line,)
-
-
-def parse_suppressions(
-    source: str, tree: Optional[ast.AST] = None
-) -> List[_Entry]:
+def parse_suppressions(source: str) -> List[_Entry]:
     """Extract directives from actual ``#`` comments (tokenize-based, so
     directive syntax quoted inside docstrings is never misread)."""
     entries: List[_Entry] = []
@@ -87,25 +54,18 @@ def parse_suppressions(
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):
         return entries
-    if tree is None:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            tree = None
-    spans = _statement_spans(tree)
     for token in tokens:
         if token.type != tokenize.COMMENT:
             continue
         match = _DIRECTIVE_RE.search(token.string)
         if match is None:
             continue
-        directive, raw_ids = match.groups()
         rule_ids = tuple(
-            rule_id.strip() for rule_id in raw_ids.split(",") if rule_id.strip()
+            rule_id.strip()
+            for rule_id in match.group(1).split(",")
+            if rule_id.strip()
         )
-        lineno = token.start[0]
-        target = lineno + 1 if directive == "disable-next-line" else lineno
-        entries.append(_Entry(lineno, _expand_target(target, spans), rule_ids))
+        entries.append(_Entry(token.start[0], rule_ids))
     return entries
 
 
@@ -113,14 +73,12 @@ def apply_suppressions(
     source: str,
     findings: List[Finding],
     path: str,
-    tree: Optional[ast.AST] = None,
 ) -> List[Finding]:
     """Filter suppressed findings; append REX-S001 for unused entries."""
-    entries = parse_suppressions(source, tree)
+    entries = parse_suppressions(source)
     by_line: Dict[int, List[_Entry]] = {}
     for entry in entries:
-        for line in entry.target_lines:
-            by_line.setdefault(line, []).append(entry)
+        by_line.setdefault(entry.line, []).append(entry)
 
     kept: List[Finding] = []
     for finding in findings:
@@ -140,11 +98,11 @@ def apply_suppressions(
                         rule_id="REX-S001",
                         severity=Severity.WARNING,
                         path=path,
-                        line=entry.comment_line,
+                        line=entry.line,
                         col=1,
                         message=(
                             f"suppression for {rule_id} matches no finding "
-                            "on its target line; remove it"
+                            "on its line; remove it"
                         ),
                     )
                 )

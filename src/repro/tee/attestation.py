@@ -30,7 +30,7 @@ from typing import Dict, Optional
 from repro.tee.crypto.hkdf import hkdf
 from repro.tee.crypto.signing import SigningKey, VerifyKey
 from repro.tee.crypto.x25519 import X25519PrivateKey, X25519PublicKey
-from repro.tee.errors import MeasurementMismatch, QuoteVerificationError
+from repro.tee.errors import MalformedQuote, MeasurementMismatch, QuoteVerificationError
 from repro.tee.measurement import Measurement
 
 __all__ = [
@@ -48,6 +48,9 @@ USER_DATA_LENGTH = 64
 
 _REPORT_DOMAIN = b"sgx-report-v1:"
 _QUOTE_DOMAIN = b"sgx-quote-v1:"
+#: Quote payload bytes before the platform id: domain tag, measurement,
+#: user data, platform-id length.
+_QUOTE_FIXED_LENGTH = len(_QUOTE_DOMAIN) + 32 + USER_DATA_LENGTH + 2
 
 
 @dataclass(frozen=True)
@@ -110,17 +113,34 @@ class Quote:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Quote":
+        """Decode :meth:`to_bytes`; anything else is a :class:`MalformedQuote`.
+
+        The input arrives from the untrusted host, so every length is
+        checked before it is used: accepted bytes are exactly the
+        canonical encoding of the returned quote.
+        """
+        if len(raw) < 4 + _QUOTE_FIXED_LENGTH:
+            raise MalformedQuote("quote shorter than its fixed-size fields")
         (plen,) = struct.unpack_from("<I", raw, 0)
         payload = raw[4 : 4 + plen]
-        signature = raw[4 + plen :]
+        if not (_QUOTE_FIXED_LENGTH <= plen == len(payload)):
+            raise MalformedQuote("quote payload length out of range")
         if not payload.startswith(_QUOTE_DOMAIN):
-            raise ValueError("not a quote payload")
+            raise MalformedQuote("not a quote payload")
         body = payload[len(_QUOTE_DOMAIN) :]
-        measurement = Measurement(body[:32])
-        user_data = body[32 : 32 + USER_DATA_LENGTH]
         (pid_len,) = struct.unpack_from("<H", body, 32 + USER_DATA_LENGTH)
-        pid = body[32 + USER_DATA_LENGTH + 2 : 32 + USER_DATA_LENGTH + 2 + pid_len]
-        return cls(measurement, user_data, pid.decode(), signature)
+        if plen != _QUOTE_FIXED_LENGTH + pid_len:
+            raise MalformedQuote("quote payload length disagrees with its platform id")
+        try:
+            pid = body[32 + USER_DATA_LENGTH + 2 :].decode()
+        except UnicodeDecodeError:
+            raise MalformedQuote("quote platform id is not UTF-8") from None
+        return cls(
+            Measurement(body[:32]),
+            body[32 : 32 + USER_DATA_LENGTH],
+            pid,
+            raw[4 + plen :],
+        )
 
 
 class QuotingEnclave:
@@ -262,7 +282,8 @@ class MutualAttestation:
         Raises
         ------
         QuoteVerificationError
-            If the DCAP service refutes the quote signature.
+            If the DCAP service refutes the quote signature, or the DH
+            public key it carries is a low-order point.
         MeasurementMismatch
             If the peer enclave runs different trusted code.
         """
@@ -273,7 +294,11 @@ class MutualAttestation:
                 f"expected {self.measurement.short()}"
             )
         peer_pub = X25519PublicKey(quote.user_data[:32])
-        secret = self._dh_key.exchange(peer_pub)
+        try:
+            secret = self._dh_key.exchange(peer_pub)
+        except ValueError as exc:
+            # a signed quote carrying a low-order point as its DH key
+            raise QuoteVerificationError(f"peer {peer_id!r}: {exc}") from None
         key = derive_channel_key(secret, self.node_id, peer_id, self.measurement)
         self._channel_keys[peer_id] = key
         return key

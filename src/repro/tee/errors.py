@@ -10,6 +10,7 @@ __all__ = [
     "UnknownOcall",
     "AttestationError",
     "QuoteVerificationError",
+    "MalformedQuote",
     "MeasurementMismatch",
     "ChannelNotEstablished",
     "SnapshotReplayError",
@@ -47,6 +48,14 @@ class AttestationError(TeeError):
 
 class QuoteVerificationError(AttestationError):
     """The DCAP-style service could not authenticate a quote signature."""
+
+
+class MalformedQuote(QuoteVerificationError, ValueError):
+    """Bytes offered as a quote do not decode to one.
+
+    The one error :meth:`repro.tee.attestation.Quote.from_bytes` raises;
+    also a ``ValueError`` because that is what a decoder's callers catch.
+    """
 
 
 class MeasurementMismatch(AttestationError):

@@ -34,7 +34,7 @@ from repro.net.serialization import encode_mf_state
 from repro.net.topology import Topology
 from repro.net.transport import Fate
 from repro.tee.crypto.aead import AeadError
-from repro.tee.errors import ChannelNotEstablished
+from repro.tee.errors import ChannelNotEstablished, QuoteVerificationError
 
 
 def _config(scheme=SharingScheme.DATA, epochs=3, **kwargs):
@@ -138,6 +138,14 @@ class TestMalformedInputs:
         cluster.bootstrap(train, test, global_mean=gm)
         with pytest.raises(ChannelNotEstablished):
             cluster.hosts[0].enclave.ecall("ecall_input", 1, KIND_QUOTE, b"junk")
+
+    @pytest.mark.parametrize("junk", [b"", b"\x01", b"junk", b"\xff" * 200])
+    def test_junk_quote_leaves_a_strict_enclave_as_a_typed_error(self, tiny_split, junk):
+        train, test, gm = _shards(tiny_split)
+        cluster = _two_node_cluster()
+        cluster.bootstrap(train, test, global_mean=gm)
+        with pytest.raises(QuoteVerificationError):
+            cluster.hosts[0].enclave.ecall("ecall_input", 1, KIND_QUOTE, junk)
 
     def test_duplicate_quote_is_idempotent(self, tiny_split):
         train, test, gm = _shards(tiny_split)

@@ -182,7 +182,7 @@ def test_admission_accepts_honest_share_shapes(seed, points):
         n_users=40,
         n_items=120,
     )
-    admission = ShareAdmission(DefenseConfig(enabled=True), share_points=60)
+    admission = ShareAdmission(share_points=60)
     reason = admission.check_triplets(share)
     if reason is not None:
         # Concentration can trip legitimately on tiny item draws; the

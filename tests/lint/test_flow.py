@@ -70,6 +70,16 @@ class TestSeededLeak:
         rendered = finding.format()
         assert rendered.count("\n") >= len(finding.flow)
 
+    def test_json_document_carries_the_witness_steps(self):
+        # JSON is the one machine format; it must not lose the path
+        finding = flows(SEEDED_LEAK)[0]
+        doc = json.loads(json.dumps(finding.to_dict()))
+        assert doc["rule"] == "REX-F002"
+        assert doc["flow"] == [
+            {"path": s.path, "line": s.line, "note": s.note} for s in finding.flow
+        ]
+        assert len(doc["flow"]) >= 3
+
     def test_same_code_in_untrusted_module_is_silent(self):
         assert flows({UNTRUSTED: SEEDED_LEAK[TRUSTED]}) == []
 
@@ -99,6 +109,29 @@ class TestCallAndReturnPropagation:
         assert [f.rule_id for f in findings] == ["REX-F002"]
         paths = {step.path for step in findings[0].flow}
         assert len(paths) == 2  # witness spans both modules
+
+    def test_keyword_through_kwargs_forwarder_reaches_obs_sink(self):
+        # the shape of RexEnclaveApp._count_fault: the label rides in
+        # **labels and is spread into the registry call
+        findings = flows(
+            {
+                TRUSTED: """\
+                class App:
+                    def __init__(self, ctx, channel):
+                        self.ctx = ctx
+                        self.channel = channel
+
+                    def _count_fault(self, name, **labels):
+                        self.ctx.metrics.counter(name, **labels).inc()
+
+                    def handle(self, blob):
+                        content = self.channel.open(blob)
+                        self._count_fault("dbg", peer=content)
+                """
+            }
+        )
+        assert [(f.rule_id, f.line) for f in findings] == [("REX-F003", 7)]
+        assert any("passed to" in s.note and s.line == 11 for s in findings[0].flow)
 
     def test_ecall_return_sink(self):
         findings = flows(

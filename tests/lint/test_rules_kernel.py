@@ -1,12 +1,20 @@
-"""Event-kernel purity rules REX-K001..K003."""
+"""Event-kernel scheduling rules REX-K002 and REX-K003."""
 
-from tests.lint.fixtures import hits
+from tests.lint.fixtures import hits, run
 
 # kernel rules are trust-agnostic; run fixtures as the shared sim world
 KERNEL_MOD = "repro.sim.fixture"
 
 
+def all_hits(src):
+    return [(f.rule_id, f.line) for f in run(src, KERNEL_MOD)]
+
+
 class TestHandlerImpurity:
+    """Wall-clock / entropy reads inside a kernel handler need no rule of
+    their own (the former REX-K001): REX-D001..D003 ban the same calls
+    tree-wide and point at the same line."""
+
     def test_named_handler_touching_wall_clock(self):
         src = """\
         import time
@@ -17,7 +25,7 @@ class TestHandlerImpurity:
         def setup(kernel):
             kernel.at(5.0, handler, key="n1")
         """
-        assert hits(src, "REX-K001", KERNEL_MOD) == [("REX-K001", 4)]
+        assert all_hits(src) == [("REX-D001", 4)]
 
     def test_lambda_handler_touching_entropy(self):
         src = """\
@@ -26,7 +34,7 @@ class TestHandlerImpurity:
         def setup(kernel):
             kernel.after(1.0, lambda now: random.random(), key="n1")
         """
-        assert hits(src, "REX-K001", KERNEL_MOD) == [("REX-K001", 4)]
+        assert all_hits(src) == [("REX-D002", 4)]
 
     def test_bound_method_handler_resolved_by_name(self):
         src = """\
@@ -39,7 +47,7 @@ class TestHandlerImpurity:
             def start(self, kernel):
                 kernel.every(1.0, self.tick, key="n1")
         """
-        assert hits(src, "REX-K001", KERNEL_MOD) == [("REX-K001", 5)]
+        assert all_hits(src) == [("REX-D001", 5)]
 
     def test_pure_handler_is_clean(self):
         src = """\
@@ -49,7 +57,7 @@ class TestHandlerImpurity:
         def setup(kernel):
             kernel.at(5.0, handler, key="n1")
         """
-        assert hits(src, "REX-K001", KERNEL_MOD) == []
+        assert all_hits(src) == []
 
 
 class TestLoopCapture:

@@ -1,4 +1,4 @@
-"""Suppression comments: silencing, next-line form, unused detection."""
+"""Suppression comments: same-line silencing, unused detection."""
 
 import textwrap
 
@@ -18,14 +18,15 @@ class TestSuppression:
         """
         assert run(src) == []
 
-    def test_disable_next_line(self):
+    def test_next_line_form_is_not_a_directive(self):
+        # one directive form: the comment must sit on the finding's line
         src = """\
         import os
         def keygen():
             # repro-lint: disable-next-line=REX-D003
             return os.urandom(32)
         """
-        assert run(src) == []
+        assert [(f.rule_id, f.line) for f in run(src)] == [("REX-D003", 4)]
 
     def test_multiple_rules_one_comment(self):
         src = """\
@@ -73,42 +74,20 @@ class TestSuppression:
 
 
 class TestMultiLineStatements:
-    """A directive anywhere on a multi-line *simple* statement covers
-    every line of that statement."""
+    """A directive covers exactly its own line, also inside a statement
+    that spans several."""
 
-    def test_directive_on_closing_line_covers_inner_finding(self):
+    def test_directive_on_the_finding_line_inside_a_statement(self):
         src = """\
         import time
         stamp = {
-            "t": time.time(),
-        }  # repro-lint: disable=REX-D001
-        """
-        assert run(src) == []
-
-    def test_directive_on_first_line_covers_later_finding(self):
-        src = """\
-        import time
-        stamp = dict(  # repro-lint: disable=REX-D001
-            a=1,
-            t=time.time(),
-        )
-        """
-        assert run(src) == []
-
-    def test_disable_next_line_covers_whole_statement(self):
-        src = """\
-        import time
-        # repro-lint: disable-next-line=REX-D001
-        stamp = {
-            "a": 1,
-            "t": time.time(),
+            "t": time.time(),  # repro-lint: disable=REX-D001
         }
         """
         assert run(src) == []
 
     def test_compound_statement_is_not_blanket_suppressed(self):
-        # the span expansion applies to simple statements only: a
-        # directive on a for-header must not silence the loop body
+        # a directive on a for-header must not silence the loop body
         src = """\
         import time
         for i in (  # repro-lint: disable=REX-D001

@@ -1,8 +1,11 @@
 """The attestation chain: reports, quotes, DCAP verification, key agreement."""
 
 import dataclasses
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tee import (
     AttestationService,
@@ -17,6 +20,8 @@ from repro.tee import (
     measure_class,
 )
 from repro.tee.attestation import USER_DATA_LENGTH, Report
+from repro.tee.errors import MalformedQuote
+from repro.tee.measurement import Measurement
 
 
 class NodeApp(TrustedApp):
@@ -50,6 +55,20 @@ def _quote_for(platform, enclave, attestor):
     return platform.quoting_enclave.quote(report)
 
 
+_WIRE_QUOTE = Quote(
+    Measurement(bytes(range(32))), bytes(range(64)), "plat-\u00fc1", b"\xa5" * 64
+).to_bytes()
+
+
+def _decodes_canonically_or_is_malformed(raw):
+    """Host-supplied quote bytes: one typed error, or the exact encoding."""
+    try:
+        quote = Quote.from_bytes(raw)
+    except MalformedQuote:
+        return
+    assert quote.to_bytes() == raw
+
+
 class TestReportsAndQuotes:
     def test_report_requires_full_user_data(self):
         with pytest.raises(ValueError):
@@ -66,6 +85,43 @@ class TestReportsAndQuotes:
     def test_quote_from_garbage_rejected(self):
         with pytest.raises(ValueError):
             Quote.from_bytes(b"\x10\x00\x00\x00" + b"not-a-quote-here" + b"\x00" * 16)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=256),
+            # past the length prefix and the domain tag, into the field checks
+            st.builds(
+                lambda plen, rest: struct.pack("<I", plen) + b"sgx-quote-v1:" + rest,
+                st.integers(0, 300),
+                st.binary(min_size=100, max_size=300),
+            ),
+        )
+    )
+    def test_arbitrary_bytes_raise_only_malformed_quote(self, raw):
+        _decodes_canonically_or_is_malformed(raw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cut=st.integers(0, len(_WIRE_QUOTE)),
+        flip=st.one_of(st.none(), st.integers(0, 8 * len(_WIRE_QUOTE) - 1)),
+    )
+    def test_truncated_or_bit_flipped_quote_raises_only_malformed_quote(self, cut, flip):
+        raw = bytearray(_WIRE_QUOTE)
+        if flip is not None:
+            raw[flip // 8] ^= 1 << (flip % 8)
+        _decodes_canonically_or_is_malformed(bytes(raw[:cut]))
+
+    def test_signed_quote_with_low_order_dh_key_is_a_typed_error(self, platforms, service):
+        # all-zero u-coordinate: the exchange yields the all-zero secret
+        p1, p2 = platforms
+        e1 = p1.create_enclave(NodeApp, "n1")
+        e2 = p2.create_enclave(NodeApp, "n2")
+        quote = p1.quoting_enclave.quote(
+            p1.make_report(e1.measurement, b"\x00" * USER_DATA_LENGTH)
+        )
+        with pytest.raises(QuoteVerificationError):
+            _attestor("n2", e2, service, b"2").process_peer_quote("n1", quote)
 
     def test_quoting_enclave_rejects_foreign_report(self, platforms):
         p1, p2 = platforms
