@@ -12,21 +12,6 @@ Knobs: ``REPRO_EPOCH_SCALE`` (default 0.4) scales every horizon;
 
 from __future__ import annotations
 
-import pytest
-
-
-def run_once(benchmark, fn):
-    """Measure ``fn`` exactly once (runs are minutes-long simulations)."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-
-
-@pytest.fixture()
-def once(benchmark):
-    def _once(fn):
-        return run_once(benchmark, fn)
-
-    return _once
-
 
 def emit(text: str) -> None:
     """Print a table/figure rendering with visual separation."""

@@ -35,11 +35,11 @@ def _run(dedup: bool):
     return result, int(sim.stores.sizes.mean())
 
 
-def test_ablation_dedup(once):
+def test_ablation_dedup():
     def build():
         return {flag: _run(flag) for flag in (True, False)}
 
-    runs = once(build)
+    runs = build()
     (with_dedup, store_on), (without_dedup, store_off) = runs[True], runs[False]
 
     emit(

@@ -36,11 +36,11 @@ def _run(adaptive: bool):
     ).run()
 
 
-def test_ablation_fixed_batches(once):
+def test_ablation_fixed_batches():
     def build():
         return {flag: _run(flag) for flag in (False, True)}
 
-    runs = once(build)
+    runs = build()
     fixed, adaptive = runs[False], runs[True]
 
     def train_curve(run):

@@ -39,7 +39,7 @@ def _run(scheme: SharingScheme, pathological: bool):
     ).run()
 
 
-def test_ablation_noniid(once):
+def test_ablation_noniid():
     def build():
         return {
             (scheme, pathological): _run(scheme, pathological)
@@ -47,7 +47,7 @@ def test_ablation_noniid(once):
             for pathological in (False, True)
         }
 
-    runs = once(build)
+    runs = build()
 
     rows = []
     for (scheme, pathological), run in runs.items():

@@ -33,11 +33,11 @@ def _run(parallel: bool):
     ).run()
 
 
-def test_ablation_parallel_share(once):
+def test_ablation_parallel_share():
     def build():
         return _run(False), _run(True)
 
-    serial, overlapped = once(build)
+    serial, overlapped = build()
 
     emit(
         format_table(

@@ -38,11 +38,11 @@ def _run(share_points: int):
     ).run()
 
 
-def test_ablation_share_size(once):
+def test_ablation_share_size():
     def build():
         return {points: _run(points) for points in SHARE_SIZES}
 
-    runs = once(build)
+    runs = build()
 
     joint_target = max(r.final_rmse for r in runs.values()) + 0.002
     rows = []

@@ -13,7 +13,7 @@ from repro.core.config import SharingScheme
 from repro.sim import experiments as E
 
 
-def test_fig1_error_vs_time(once):
+def test_fig1_error_vs_time():
     def build():
         panels = {}
         for dissemination, topo in E.SETUPS:
@@ -22,7 +22,7 @@ def test_fig1_error_vs_time(once):
             panels[f"{dissemination.label}, {topo.upper()}"] = (rex, ms)
         return panels, E.fig1_centralized()
 
-    panels, central = once(build)
+    panels, central = build()
 
     for panel, (rex, ms) in panels.items():
         emit(f"=== Figure 1 panel: {panel} ===")

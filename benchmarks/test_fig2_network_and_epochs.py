@@ -12,7 +12,7 @@ from repro.core.config import SharingScheme
 from repro.sim import experiments as E
 
 
-def test_fig2_network_and_epochs(once):
+def test_fig2_network_and_epochs():
     def build():
         panels = {}
         for dissemination, topo in E.SETUPS:
@@ -21,7 +21,7 @@ def test_fig2_network_and_epochs(once):
             panels[f"{dissemination.label}, {topo.upper()}"] = (rex, ms)
         return panels
 
-    panels = once(build)
+    panels = build()
 
     for panel, (rex, ms) in panels.items():
         emit(f"=== Figure 2 panel: {panel} ===")

@@ -15,14 +15,14 @@ from repro.core.config import SharingScheme
 from repro.sim import experiments as E
 
 
-def test_fig3_feature_vector_sweep(once):
+def test_fig3_feature_vector_sweep():
     def build():
         return {
             scheme: {k: E.fig3_run(k, scheme) for k in E.FIG3_K_VALUES}
             for scheme in (SharingScheme.MODEL, SharingScheme.DATA)
         }
 
-    runs = once(build)
+    runs = build()
 
     rows = []
     for scheme, by_k in runs.items():

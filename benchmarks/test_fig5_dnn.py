@@ -13,7 +13,7 @@ from repro.core.config import SharingScheme
 from repro.sim import experiments as E
 
 
-def test_fig5_dnn(once):
+def test_fig5_dnn():
     def build():
         return {
             topo: {
@@ -23,7 +23,7 @@ def test_fig5_dnn(once):
             for topo in E.TOPOLOGIES
         }
 
-    runs = once(build)
+    runs = build()
 
     # (a) stage breakdown
     rows = []

@@ -27,8 +27,8 @@ def _matrix(large=False):
     return runs
 
 
-def test_fig6_sgx_low_memory(once):
-    runs = once(lambda: _matrix(large=False))
+def test_fig6_sgx_low_memory():
+    runs = _matrix(large=False)
 
     # (a) stage breakdown
     rows = []

@@ -14,7 +14,7 @@ from repro.sim import experiments as E
 from repro.tee.epc import EpcModel
 
 
-def test_fig7_sgx_beyond_epc(once):
+def test_fig7_sgx_beyond_epc():
     def build():
         runs = {}
         for dissemination in (Dissemination.RMW, Dissemination.DPSGD):
@@ -24,7 +24,7 @@ def test_fig7_sgx_beyond_epc(once):
                     runs[key] = E.sgx_run(dissemination, scheme, sgx=sgx, large=True)
         return runs
 
-    runs = once(build)
+    runs = build()
 
     rows = []
     for (diss, scheme, build_kind), run in runs.items():

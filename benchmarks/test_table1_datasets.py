@@ -22,7 +22,7 @@ def _measure(dataset):
     }
 
 
-def test_table1_datasets(once):
+def test_table1_datasets():
     def build():
         rows = []
         for spec in (MOVIELENS_LATEST, MOVIELENS_25M_CAPPED):
@@ -35,7 +35,7 @@ def test_table1_datasets(once):
             rows.append((spec, _measure(dataset)))
         return rows
 
-    rows = once(build)
+    rows = build()
     emit(
         format_table(
             [

@@ -21,7 +21,7 @@ PAPER_SPEEDUPS = {
 }
 
 
-def test_table2_speedups(once):
+def test_table2_speedups():
     def build():
         pairs = []
         for dissemination, topo in E.SETUPS:
@@ -35,7 +35,7 @@ def test_table2_speedups(once):
             )
         return speedup_table(pairs, target_rule="joint", target_margin=0.002)
 
-    rows = once(build)
+    rows = build()
     emit(
         format_table(
             ["Setup", "Error target", "REX [min]", "MS [min]", "REX speed-up", "paper"],

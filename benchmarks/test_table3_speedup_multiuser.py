@@ -22,7 +22,7 @@ PAPER_SPEEDUPS = {
 }
 
 
-def test_table3_speedups(once):
+def test_table3_speedups():
     def build():
         multi = []
         for dissemination, topo in E.SETUPS:
@@ -47,7 +47,7 @@ def test_table3_speedups(once):
         return (speedup_table(multi, target_rule="joint", target_margin=0.002),
                 speedup_table(one_user, target_rule="joint", target_margin=0.002))
 
-    rows, one_user_rows = once(build)
+    rows, one_user_rows = build()
     emit(
         format_table(
             ["Setup", "Error target", "REX [s]", "MS [s]", "REX speed-up", "paper"],

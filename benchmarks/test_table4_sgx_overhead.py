@@ -22,7 +22,7 @@ PAPER = {
 }
 
 
-def test_table4_sgx_overhead(once):
+def test_table4_sgx_overhead():
     def build():
         tables = {}
         for large in (False, True):
@@ -36,7 +36,7 @@ def test_table4_sgx_overhead(once):
             tables[large] = sgx_overhead_table(pairs)
         return tables
 
-    tables = once(build)
+    tables = build()
 
     rows = []
     for large, table in tables.items():

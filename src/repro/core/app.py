@@ -69,7 +69,6 @@ from repro.tee.errors import (
     ChannelNotEstablished,
     MeasurementMismatch,
     QuoteVerificationError,
-    SnapshotReplayError,
 )
 
 __all__ = ["RexEnclaveApp"]
@@ -158,10 +157,6 @@ class RexEnclaveApp(TrustedApp):
         self._stall_ticks = 0
         # -- serving state (populated by ecall_publish_snapshot) -------- #
         self._serving: Optional[ServingState] = None
-        self._snapshot_version = 0
-        #: Published snapshot history, by version (serve-path rollback
-        #: experiments address stale versions explicitly).
-        self._published: Dict[int, object] = {}
         #: Enclave-side defenses (quote pinning, share sanity + quotas,
         #: free-rider detection); ``None`` = disarmed.
         self._admission: Optional[ShareAdmission] = (
@@ -227,16 +222,14 @@ class RexEnclaveApp(TrustedApp):
 
         if not isinstance(self.model, MatrixFactorization):
             raise ValueError("serving snapshots require the MF model")
-        self._snapshot_version += 1
+        if self._serving is None:
+            self._serving = ServingState(metrics=self.ctx.metrics)
         snapshot = publish_snapshot(
             self.model,
-            version=self._snapshot_version,
+            version=self._serving.version + 1,
             node_id=self.node_id,
             epoch=self.epoch,
         )
-        if self._serving is None:
-            self._serving = ServingState(metrics=self.ctx.metrics)
-        self._published[snapshot.version] = snapshot
         # Exclusion comes from the node's raw store: everything this
         # node knows a user already rated, local or gossiped.
         dataset = self.store.as_dataset()
@@ -248,35 +241,15 @@ class RexEnclaveApp(TrustedApp):
     def ecall_serve(self, users: list, k: int, version: Optional[int] = None) -> dict:
         """Serve a top-``k`` batch; item ids, scores and counts leave.
 
-        ``version`` lets the host address an older published snapshot --
-        the stale-replay attack surface.  With defenses armed the enclave
-        refuses any version below its published high-water mark
-        (:class:`SnapshotReplayError`); undefended, it installs the stale
-        snapshot and serves from it, exactly what a rolled-back replica
-        would do.
+        ``version`` names the snapshot the host expects to be served; an
+        older one is a rollback and the engine refuses it
+        (:class:`~repro.tee.errors.SnapshotReplayError`).
         """
-        if self._serving is None or self._serving.snapshot is None:
+        if self._serving is None:
             raise ValueError("no snapshot published; call ecall_publish_snapshot")
-        target = self._snapshot_version if version is None else int(version)
-        if self.config.defenses.enabled and target < self._snapshot_version:
-            self._count_fault("faults.rejected", kind="replay_snapshot")
-            raise SnapshotReplayError(
-                "serve-time rollback refused: requested version is below "
-                "the published high-water mark"
-            )
-        snapshot = self._published.get(target)
-        if snapshot is None:
-            raise ValueError("unknown snapshot version")
-        if self._serving.snapshot is not snapshot:
-            dataset = self.store.as_dataset()
-            self._serving.install(snapshot, dataset.users, dataset.items)
-        items, scores, stats = self._serving.query_batch(users, k)
+        reply = self._serving.serve(users, k, version)
         self.ctx.memory.set("serve", self._serving.resident_bytes)
-        return {
-            "items": items.tolist(),
-            "scores": scores.tolist(),
-            "stats": stats.to_dict(),
-        }
+        return reply
 
     @ecall
     def ecall_peer_down(self, peer: int) -> None:
@@ -549,6 +522,8 @@ class RexEnclaveApp(TrustedApp):
                 if header.content != CONTENT_TRIPLETS:
                     raise ValueError("data-sharing run received a model payload")
                 alien = decode_triplets(content)
+                if (alien.n_users, alien.n_items) != (self.store.n_users, self.store.n_items):
+                    raise CodecError("share id space does not match the store")
             except (ValueError, CodecError):
                 if self.config.faults.enabled:
                     # One undecodable share must not abort the whole merge.

@@ -112,7 +112,7 @@ class DefenseConfig:
     Disabled by default: the paper's protocol trusts every attested
     participant, and all seed experiments must stay byte-identical.
     Attack-bearing chaos plans (:mod:`repro.faults`) arm the defenses,
-    which adds four *rejection* behaviors (never new randomness):
+    which adds three *rejection* behaviors (never new randomness):
 
     - **quote pinning**: a DH public key already pinned to one peer
       identity is rejected when presented under another -- cloned quotes
@@ -122,13 +122,12 @@ class DefenseConfig:
       bounding how much store growth any single peer can force;
     - **rating sanity**: decoded triplet shares with out-of-range
       ratings, implausibly skewed rating distributions, or a single item
-      dominating the share are rejected wholesale;
-    - **snapshot monotonicity**: the serve path refuses to load or serve
-      a snapshot version below the newest one published (stale-replay
-      defense).
+      dominating the share are rejected wholesale.
 
-    The one switch arms all four; their bounds are the named constants
+    The one switch arms all three; their bounds are the named constants
     of :mod:`repro.core.admission` (no run ever set them differently).
+    Snapshot-version monotonicity on the serve path is not switched: it
+    always holds (:class:`repro.serve.endpoint.ServingState`).
     """
 
     enabled: bool = False

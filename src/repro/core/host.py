@@ -156,9 +156,9 @@ class RexHost:
     def serve(self, users, k: int, version: Optional[int] = None) -> Dict:
         """Direct (unqueued) top-``k`` query batch against the enclave.
 
-        ``version`` addresses an older published snapshot -- the stale-
-        replay surface; the enclave refuses rollbacks when defenses are
-        armed.  Omitted, the call shape matches the seed runtime exactly.
+        ``version`` names the snapshot the host expects; the enclave
+        refuses an older one (a rollback).  Omitted, the call shape
+        matches the seed runtime exactly.
         """
         if version is None:
             return self.enclave.ecall("ecall_serve", [int(u) for u in users], int(k))

@@ -14,7 +14,9 @@ adversary -- which is why the recovery story lives in the enclaves and
 the transport, not here.
 
 All adversary code lives here; the honest stack has no line of it.
-Snapshot replay needs only a compromised host.  Poisoning, free-riding
+Snapshot replay needs only a compromised host, and the honest serving
+engine refuses it whether or not defenses are armed: its version
+high-water mark is not a switch.  Poisoning, free-riding
 and sybil cloning rewrite Algorithm 2's share step, which no host can do
 from outside: they are a *modified enclave build*, :class:`TamperedRexApp`
 (the one trusted module here), loaded by a :class:`CompromisedHost`.

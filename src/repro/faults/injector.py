@@ -56,9 +56,10 @@ class FaultInjector:
         """Install this injector as the network's fault oracle + ARQ."""
         self._network = network
         network.fault_hook = self.decide
+        tolerance = self.plan.tolerance()
         network.retry_policy = RetryPolicy(
-            max_attempts=self.plan.max_attempts,
-            backoff_base=self.plan.backoff_base_ticks,
+            max_attempts=tolerance.max_attempts,
+            backoff_base=tolerance.backoff_base_ticks,
         )
         return self
 

@@ -18,8 +18,9 @@ enclave build (:mod:`repro.faults.tampered`) -- and stale-snapshot
 replay at serve time (:class:`ReplayAttack`, host-only).  Attack
 behavior draws only from its own seeded child stream, so attack runs
 stay ``(seed, plan)``-pure; ``defended`` selects whether the enclave-side
-defenses are armed, and every attack plan has an undefended ``-open``
-twin that proves the attack actually bites.
+defenses are armed, and every share-path attack plan has an undefended
+``-open`` twin that proves the attack actually bites.  Replay has none:
+every serving enclave refuses a rollback, armed or not.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ class ReplayAttack:
     ``capture_epoch`` (version ``stale_version``) and, at serve time,
     answers queries from that stale version instead of the freshly
     published one -- silently degrading recommendation quality without
-    touching training.  The monotonicity defense pins the version
-    high-water mark inside the enclave.
+    touching training.  The serving engine's version high-water mark
+    refuses it in every build, defended or not.
     """
 
     node: int = 0
@@ -182,11 +183,6 @@ class FaultPlan:
     #: Nodes whose attestation quotes are swallowed in both directions:
     #: they can never establish channels and must be survived around.
     refuse_attestation: Tuple[int, ...] = ()
-    #: Recovery knobs the runner installs alongside the plan.
-    barrier_patience_ticks: int = 12
-    suspect_after_timeouts: int = 2
-    max_attempts: int = 4
-    backoff_base_ticks: int = 1
     # -- Byzantine personas (empty/None: classic crash-fault plan) ------ #
     #: Nodes whose (tampered) enclaves share shilling profiles.
     poison: Optional[PoisonAttack] = None
@@ -197,7 +193,7 @@ class FaultPlan:
     #: One host replaying a stale snapshot on the serve path.
     replay: Optional[ReplayAttack] = None
     #: Arm the enclave-side defenses (quote pinning, admission quotas,
-    #: rating sanity, snapshot monotonicity) for this plan's runs.
+    #: rating sanity) for this plan's runs.
     defended: bool = True
 
     def __post_init__(self) -> None:
@@ -224,14 +220,8 @@ class FaultPlan:
         return personas
 
     def tolerance(self) -> FaultToleranceConfig:
-        """The runtime tolerance config this plan expects to run under."""
-        return FaultToleranceConfig(
-            enabled=True,
-            barrier_patience_ticks=self.barrier_patience_ticks,
-            suspect_after_timeouts=self.suspect_after_timeouts,
-            max_attempts=self.max_attempts,
-            backoff_base_ticks=self.backoff_base_ticks,
-        )
+        """The runtime tolerance config every chaos run (and its ARQ) uses."""
+        return FaultToleranceConfig(enabled=True, barrier_patience_ticks=12)
 
 
 #: The canonical scenario catalog for tests and ``repro chaos``.
@@ -275,7 +265,7 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
             stragglers=(2,),
             straggler_delay_ticks=3,
         ),
-        # -- Byzantine personas (each with an undefended "-open" twin) -- #
+        # -- Byzantine personas (share-path ones with an "-open" twin) -- #
         FaultPlan(
             name="poison",
             description="one node injects shilling profiles; rating-sanity "
@@ -327,12 +317,6 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
             description="one host serves a stale captured snapshot; version "
             "monotonicity refuses the rollback",
             replay=ReplayAttack(node=0, capture_epoch=1, stale_version=1),
-        ),
-        FaultPlan(
-            name="replay-serve-open",
-            description="stale-snapshot serving with defenses disarmed",
-            replay=ReplayAttack(node=0, capture_epoch=1, stale_version=1),
-            defended=False,
         ),
         FaultPlan(
             name="byzantine-mix",

@@ -93,17 +93,22 @@ def encode_triplets(data: RatingsDataset) -> bytes:
 
 
 def decode_triplets(payload: bytes) -> RatingsDataset:
-    if payload[:4] != _TRIPLET_MAGIC:
+    if len(payload) < 16 or payload[:4] != _TRIPLET_MAGIC:
         raise CodecError("not a triplet payload")
     count, n_users, n_items = struct.unpack_from("<III", payload, 4)
+    if len(payload) != measure_triplets(count):
+        raise CodecError("triplet payload length does not match its count")
     body = np.frombuffer(payload, dtype="<i4", offset=16).reshape(count, 3)
-    return RatingsDataset(
-        body[:, 0].astype(np.int32),
-        body[:, 1].astype(np.int32),
-        body[:, 2].copy().view("<f4"),
-        n_users=n_users,
-        n_items=n_items,
-    )
+    try:
+        return RatingsDataset(
+            body[:, 0].astype(np.int32),
+            body[:, 1].astype(np.int32),
+            body[:, 2].copy().view("<f4"),
+            n_users=n_users,
+            n_items=n_items,
+        )
+    except ValueError:
+        raise CodecError("triplet payload ids lie outside its id space") from None
 
 
 # --------------------------------------------------------------------- #
@@ -176,9 +181,15 @@ def encode_mf_state(state: MfState, *, wire_dtype: str = "<f4") -> bytes:
 
 
 def _mf_header(payload) -> tuple:
-    """``(global_mean, k, float_bytes, n_users, n_items, seen_users, seen_items)``."""
+    """``(global_mean, k, float_bytes, n_users, n_items, seen_users, seen_items)``;
+    :class:`CodecError` unless the payload is exactly as long as declared."""
+    if len(payload) < 4 + 4 + 5 * 4 or payload[:4] != _MF_MAGIC:
+        raise CodecError("not an MF model payload")
     global_mean, k_word, *counts = struct.unpack_from("<fIIIII", payload, 4)
-    return (global_mean, k_word & 0x7FFFFFFF, 8 if (k_word & 0x80000000) else 4, *counts)
+    k, float_bytes = k_word & 0x7FFFFFFF, 8 if (k_word & 0x80000000) else 4
+    if len(payload) != measure_mf_state(*counts[2:], k, float_bytes=float_bytes):
+        raise CodecError("MF model payload length does not match its header")
+    return (global_mean, k, float_bytes, *counts)
 
 
 def _mf_blocks(payload, k: int, float_bytes: int, seen_counts) -> list:
@@ -202,11 +213,7 @@ def check_mf_state(payload, *, max_dense_bytes: int) -> None:
     first: exact length for the declared counts, dense tables within
     ``max_dense_bytes``, increasing in-range ids, finite values.
     """
-    if len(payload) < 4 + 4 + 5 * 4 or payload[:4] != _MF_MAGIC:
-        raise CodecError("not an MF model payload")
     global_mean, k, float_bytes, n_users, n_items, *seen_counts = _mf_header(payload)
-    if len(payload) != measure_mf_state(*seen_counts, k, float_bytes=float_bytes):
-        raise CodecError("MF model payload length does not match its header")
     if (n_users + n_items) * ((k + 1) * float_bytes + 1) > max_dense_bytes:
         raise CodecError("MF model payload declares tables above the load limit")
     user_ids, user_rows, item_ids, item_rows = _mf_blocks(payload, k, float_bytes, seen_counts)
@@ -218,24 +225,25 @@ def check_mf_state(payload, *, max_dense_bytes: int) -> None:
 
 
 def decode_mf_state(payload: bytes) -> MfState:
-    if payload[:4] != _MF_MAGIC:
-        raise CodecError("not an MF model payload")
     global_mean, k, float_bytes, n_users, n_items, *seen_counts = _mf_header(payload)
     user_ids, user_rows, item_ids, item_rows = _mf_blocks(payload, k, float_bytes, seen_counts)
     np_dtype = np.float64 if float_bytes == 8 else np.float32
 
-    user_factors = np.zeros((n_users, k), dtype=np_dtype)
-    item_factors = np.zeros((n_items, k), dtype=np_dtype)
-    user_bias = np.zeros(n_users, dtype=np_dtype)
-    item_bias = np.zeros(n_items, dtype=np_dtype)
-    user_seen = np.zeros(n_users, dtype=bool)
-    item_seen = np.zeros(n_items, dtype=bool)
-    user_factors[user_ids] = user_rows[:, :k]
-    user_bias[user_ids] = user_rows[:, k]
-    user_seen[user_ids] = True
-    item_factors[item_ids] = item_rows[:, :k]
-    item_bias[item_ids] = item_rows[:, k]
-    item_seen[item_ids] = True
+    try:
+        user_factors = np.zeros((n_users, k), dtype=np_dtype)
+        item_factors = np.zeros((n_items, k), dtype=np_dtype)
+        user_bias = np.zeros(n_users, dtype=np_dtype)
+        item_bias = np.zeros(n_items, dtype=np_dtype)
+        user_seen = np.zeros(n_users, dtype=bool)
+        item_seen = np.zeros(n_items, dtype=bool)
+        user_factors[user_ids] = user_rows[:, :k]
+        user_bias[user_ids] = user_rows[:, k]
+        user_seen[user_ids] = True
+        item_factors[item_ids] = item_rows[:, :k]
+        item_bias[item_ids] = item_rows[:, k]
+        item_seen[item_ids] = True
+    except (IndexError, ValueError):  # an id past its table, a table too large
+        raise CodecError("MF model payload does not fit its declared tables") from None
     return MfState(
         user_factors, item_factors, user_bias, item_bias, user_seen, item_seen, global_mean
     )
@@ -301,9 +309,11 @@ def encode_dnn_state(state: DnnState) -> bytes:
 
 
 def decode_dnn_state(payload: bytes) -> DnnState:
-    if payload[:4] != _DNN_MAGIC:
+    if len(payload) < 4 + 6 * 4 or payload[:4] != _DNN_MAGIC:
         raise CodecError("not a DNN model payload")
     k, n_users, n_items, seen_users, seen_items, mlp_len = struct.unpack_from("<IIIIII", payload, 4)
+    if len(payload) != measure_dnn_state(seen_users, seen_items, k, mlp_len):
+        raise CodecError("DNN model payload length does not match its header")
     offset = 4 + 6 * 4
     user_ids = np.frombuffer(payload, dtype="<i4", count=seen_users, offset=offset)
     offset += user_ids.nbytes
@@ -319,12 +329,15 @@ def decode_dnn_state(payload: bytes) -> DnnState:
     offset += item_rows.nbytes
     mlp = np.frombuffer(payload, dtype="<f4", count=mlp_len, offset=offset).copy()
 
-    user_embeddings = np.zeros((n_users, k), dtype=np.float32)
-    item_embeddings = np.zeros((n_items, k), dtype=np.float32)
-    user_seen = np.zeros(n_users, dtype=bool)
-    item_seen = np.zeros(n_items, dtype=bool)
-    user_embeddings[user_ids] = user_rows
-    user_seen[user_ids] = True
-    item_embeddings[item_ids] = item_rows
-    item_seen[item_ids] = True
+    try:
+        user_embeddings = np.zeros((n_users, k), dtype=np.float32)
+        item_embeddings = np.zeros((n_items, k), dtype=np.float32)
+        user_seen = np.zeros(n_users, dtype=bool)
+        item_seen = np.zeros(n_items, dtype=bool)
+        user_embeddings[user_ids] = user_rows
+        user_seen[user_ids] = True
+        item_embeddings[item_ids] = item_rows
+        item_seen[item_ids] = True
+    except (IndexError, ValueError):  # an id past its table, a table too large
+        raise CodecError("DNN model payload does not fit its declared tables") from None
     return DnnState(user_embeddings, item_embeddings, user_seen, item_seen, mlp)

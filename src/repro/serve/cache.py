@@ -50,21 +50,15 @@ class LruCache:
         self._miss_counter = metrics.counter("serve.cache.misses", cache=name)
         self._eviction_counter = metrics.counter("serve.cache.evictions", cache=name)
         self._invalidation_counter = metrics.counter("serve.cache.invalidations", cache=name)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     # ------------------------------------------------------------------ #
     def get(self, key: Hashable):
         """Value for ``key`` or ``None``; a hit refreshes recency."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
             self._miss_counter.inc()
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
         self._hit_counter.inc()
         return entry
 
@@ -76,7 +70,6 @@ class LruCache:
         self._entries[key] = value
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
             self._eviction_counter.inc()
 
     def invalidate(self) -> int:
@@ -84,17 +77,11 @@ class LruCache:
         dropped = len(self._entries)
         self._entries.clear()
         if dropped:
-            self.invalidations += 1
             self._invalidation_counter.inc()
         return dropped
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class TopNCache(LruCache):

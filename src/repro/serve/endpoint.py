@@ -2,13 +2,14 @@
 
 :class:`ServingState` is the in-enclave query engine: it owns the
 installed :class:`~repro.serve.snapshot.ModelSnapshot`, the per-user
-exclusion index derived from the node's raw ratings, and both serving
-caches.  :class:`ServeEnclaveApp` wraps it as a
-:class:`~repro.tee.enclave.TrustedApp` so a host can stand up a
-dedicated serving enclave: encoded snapshot + rating payloads flow *in*
-through ``ecall_load`` and only recommendation lists (item ids and
-predicted scores -- the system's sanctioned output) and sanitized batch
-statistics flow back out.
+exclusion index derived from the node's raw ratings, both serving
+caches and the snapshot-version rule, which is not a switch (a host
+that could turn it off could roll the replica back).  Every serving
+enclave is a thin shell over it.  :class:`ServeEnclaveApp` lets a host
+stand up a dedicated serving enclave: encoded snapshot + rating payloads
+flow *in* through ``ecall_load`` and only recommendation lists (item ids
+and predicted scores -- the system's sanctioned output) and sanitized
+batch statistics flow back out.
 
 Trusted module: everything here handles plaintext model parameters and
 the raw rating index.
@@ -26,7 +27,7 @@ from repro.obs import MetricsRegistry
 from repro.serve.cache import HotEmbeddingCache, TopNCache
 from repro.serve.scoring import batched_top_k, exclusion_index
 from repro.serve.snapshot import ModelSnapshot, decode_snapshot
-from repro.tee.enclave import EnclaveContext, TrustedApp, ecall
+from repro.tee.enclave import TrustedApp, ecall
 from repro.tee.errors import SnapshotReplayError
 
 __all__ = ["BatchStats", "ServingState", "ServeEnclaveApp"]
@@ -65,6 +66,7 @@ class ServingState:
         hot_capacity: int = DEFAULT_HOT_CAPACITY,
     ):
         metrics = metrics if metrics is not None else MetricsRegistry()
+        self._metrics = metrics
         self.snapshot: Optional[ModelSnapshot] = None
         self.exclusions: Dict[int, np.ndarray] = {}
         self._exclusion_bytes = 0
@@ -74,21 +76,31 @@ class ServingState:
         self._batch_counter = metrics.counter("serve.batches")
         self._scored_pair_counter = metrics.counter("serve.scored.pairs")
         self._unowned_counter = metrics.counter("serve.unowned")
-        self.queries_served = 0
-        self.batches_served = 0
 
     # ------------------------------------------------------------------ #
+    @property
+    def version(self) -> int:
+        """The installed snapshot version: the high-water mark (0 = none)."""
+        return self.snapshot.version if self.snapshot is not None else 0
+
+    def _refuse_below(self, version: int, floor: int) -> None:
+        """The one snapshot-version rule: nothing below ``floor``."""
+        if version < floor:
+            self._metrics.counter("faults.rejected", kind="replay_snapshot").inc()
+            raise SnapshotReplayError("snapshot version is below the installed high-water mark")
+
     def install(
         self,
         snapshot: ModelSnapshot,
         rated_users: Optional[np.ndarray] = None,
         rated_items: Optional[np.ndarray] = None,
     ) -> None:
-        """Install a published snapshot and rebuild the exclusion index.
+        """Install a newer snapshot and rebuild the exclusion index.
 
         Cache invalidation rides on the snapshot version: both caches
         flush themselves on the first lookup against the new version.
         """
+        self._refuse_below(snapshot.version, self.version + 1)
         self.snapshot = snapshot
         if rated_users is not None and rated_items is not None:
             self.exclusions = exclusion_index(
@@ -111,6 +123,20 @@ class ServingState:
         )
 
     # ------------------------------------------------------------------ #
+    def serve(self, users: Sequence[int], k: int, version: Optional[int] = None) -> dict:
+        """One ``ecall_serve`` reply; a ``version`` the host names must be
+        the installed one, and an older one (a rollback) is refused."""
+        if version is not None:
+            self._refuse_below(int(version), self.version)
+            if int(version) != self.version:
+                raise ValueError("unknown snapshot version")
+        items, scores, stats = self.query_batch(users, k)
+        return {
+            "items": items.tolist(),
+            "scores": scores.tolist(),
+            "stats": stats.to_dict(),
+        }
+
     def query_batch(
         self, users: Sequence[int], k: int
     ) -> Tuple[np.ndarray, np.ndarray, BatchStats]:
@@ -186,8 +212,6 @@ class ServingState:
                 + len(unique_users) * row_bytes
             )
 
-        self.queries_served += stats.requests
-        self.batches_served += 1
         self._request_counter.inc(stats.requests)
         self._batch_counter.inc()
         self._scored_pair_counter.inc(stats.scored_pairs)
@@ -198,11 +222,8 @@ class ServingState:
 class ServeEnclaveApp(TrustedApp):
     """A dedicated serving enclave: load a snapshot, answer queries."""
 
-    def __init__(self, ctx: EnclaveContext):
-        super().__init__(ctx)
-        self.serving: Optional[ServingState] = None
-        self._version_high_water = 0
-        self._monotonic = False
+    #: The engine, built by the first load (``None`` before it).
+    serving: Optional[ServingState] = None
 
     @ecall
     def ecall_load(self, args: dict) -> dict:
@@ -210,32 +231,17 @@ class ServeEnclaveApp(TrustedApp):
 
         ``args`` carries only bytes/scalars: the ``RXS1`` snapshot
         payload, optionally the node's rating triplets (to rebuild the
-        seen-item exclusion index), and cache capacities.  Returns the
-        sanitized snapshot metadata.
-
-        ``require_newer=True`` arms the stale-replay defense: once set,
-        this enclave tracks the highest snapshot version it has served
-        and refuses any load at or below it
-        (:class:`~repro.tee.errors.SnapshotReplayError`).  In a real
-        deployment the flag would be part of the measured enclave config
-        -- a host that can toggle it can also roll back.
+        seen-item exclusion index), and cache capacities (read by the
+        first load: the engine, and its version mark, outlive reloads).
+        Returns the sanitized snapshot metadata.
         """
         snapshot = decode_snapshot(bytes(args["snapshot"]))
-        high_water = self._version_high_water
-        if args.get("require_newer"):
-            self._monotonic = True
-        if self._monotonic and snapshot.version <= high_water:
-            self.ctx.metrics.counter("faults.rejected", kind="replay_snapshot").inc()
-            raise SnapshotReplayError(
-                "snapshot load refused: version is at or below the served "
-                "high-water mark"
+        if self.serving is None:
+            self.serving = ServingState(
+                metrics=self.ctx.metrics,
+                topn_capacity=int(args.get("topn_capacity", DEFAULT_TOPN_CAPACITY)),
+                hot_capacity=int(args.get("hot_capacity", DEFAULT_HOT_CAPACITY)),
             )
-        self._version_high_water = max(high_water, snapshot.version)
-        self.serving = ServingState(
-            metrics=self.ctx.metrics,
-            topn_capacity=int(args.get("topn_capacity", DEFAULT_TOPN_CAPACITY)),
-            hot_capacity=int(args.get("hot_capacity", DEFAULT_HOT_CAPACITY)),
-        )
         self._install_snapshot(snapshot, args)
         self._account()
         return snapshot.meta().to_dict()
@@ -254,33 +260,9 @@ class ServeEnclaveApp(TrustedApp):
         """Serve one batch; only item ids, scores and counts leave."""
         if self.serving is None:
             raise ValueError("no snapshot loaded; call ecall_load")
-        items, scores, stats = self.serving.query_batch(users, k)
+        reply = self.serving.serve(users, k)
         self._account()
-        return {
-            "items": items.tolist(),
-            "scores": scores.tolist(),
-            "stats": stats.to_dict(),
-        }
-
-    @ecall
-    def ecall_serve_status(self) -> dict:
-        """Introspection for the host/tests (sanitized scalars only)."""
-        # Before the first load: the scalars of an empty engine.
-        serving = self.serving if self.serving is not None else ServingState()
-        meta = serving.snapshot.meta() if serving.snapshot is not None else None
-        return {
-            "version": meta.version if meta else None,
-            "digest": meta.digest if meta else None,
-            "queries_served": serving.queries_served,
-            "batches_served": serving.batches_served,
-            "topn_hits": serving.topn.hits,
-            "topn_misses": serving.topn.misses,
-            "resident_bytes": serving.resident_bytes,
-        }
+        return reply
 
     def _account(self) -> None:
-        serving = self.serving
-        snap = serving.snapshot
-        self.ctx.memory.set("serve.snapshot", snap.resident_bytes if snap else 0)
-        self.ctx.memory.set("serve.exclusions", serving._exclusion_bytes)
-        self.ctx.memory.set("serve.hot_cache", serving.hot.resident_bytes)
+        self.ctx.memory.set("serve", self.serving.resident_bytes)

@@ -156,14 +156,11 @@ class ShardReplica:
     def load(self, load_args: dict, version: int) -> dict:
         """Publish a new snapshot into the live incarnation.
 
-        Loads always demand monotonic versions; a rollback raises
-        :class:`~repro.tee.errors.SnapshotReplayError` (handled by the
-        balancer, which marks the replica stale).
+        A rollback raises :class:`~repro.tee.errors.SnapshotReplayError`
+        (handled by the balancer, which marks the replica stale).
         """
         assert self.server is not None
-        args = dict(load_args)
-        args["require_newer"] = True
-        reply = self.server.enclave.ecall("ecall_load", args)
+        reply = self.server.enclave.ecall("ecall_load", load_args)
         self.version = int(version)
         self.stale = False
         return reply

@@ -99,6 +99,19 @@ def build_shard_payload(
     return encode_snapshot(snapshot), snapshot.meta().to_dict()
 
 
+def _to_local(owned_ids: Optional[np.ndarray], owned_rows: np.ndarray, users) -> np.ndarray:
+    """Local row per global id; -1 for every id the table does not own."""
+    try:
+        ids = np.asarray(users, dtype=np.int64).reshape(-1)
+    except OverflowError:  # an id no int64 holds is no shard's user
+        ids = np.array([u if abs(u) < 2**63 else -1 for u in map(int, users)], dtype=np.int64)
+    if owned_ids is None:
+        return np.where((ids >= 0) & (ids < len(owned_rows)), ids, -1)
+    at = np.searchsorted(owned_ids, ids)
+    at[at == len(owned_ids)] = 0
+    return np.where(owned_ids[at] == ids, owned_rows[at], -1)
+
+
 class ShardEnclaveApp(ServeEnclaveApp):
     """A shard's serving enclave: global ids at the boundary, local rows inside."""
 
@@ -126,31 +139,22 @@ class ShardEnclaveApp(ServeEnclaveApp):
         if np.any(ids[1:] == ids[:-1]):
             raise ValueError("owned-user table contains duplicates")
         identity = np.array_equal(owned, np.arange(len(owned)))
-        self._owned_ids, self._owned_rows = (None if identity else ids), rows
+        table = (None if identity else ids), rows
         ratings = args.get("ratings")
         if ratings is not None:
             # Exclusion ratings arrive with global user ids; keep only
             # owned users' rows and remap them to local snapshot rows.
             data = decode_triplets(bytes(ratings))
-            local = self._to_local(data.users)
+            local = _to_local(*table, data.users)
             mask = local >= 0
             self.serving.install(
                 snapshot, local[mask], np.asarray(data.items)[mask]
             )
         else:
             self.serving.install(snapshot)
-
-    def _to_local(self, users) -> np.ndarray:
-        """Local row per global id; -1 for every id the shard does not own."""
-        try:
-            ids = np.asarray(users, dtype=np.int64).reshape(-1)
-        except OverflowError:  # an id no int64 holds is no shard's user
-            ids = np.array([u if abs(u) < 2**63 else -1 for u in map(int, users)], dtype=np.int64)
-        if self._owned_ids is None:
-            return np.where((ids >= 0) & (ids < len(self._owned_rows)), ids, -1)
-        at = np.searchsorted(self._owned_ids, ids)
-        at[at == len(self._owned_ids)] = 0
-        return np.where(self._owned_ids[at] == ids, self._owned_rows[at], -1)
+        # Only once the install is accepted: a refused rollback keeps
+        # serving the installed snapshot under its own table.
+        self._owned_ids, self._owned_rows = table
 
     # ------------------------------------------------------------------ #
     # Serving with translation
@@ -164,7 +168,9 @@ class ShardEnclaveApp(ServeEnclaveApp):
         ``stats["unowned"]`` -- still an answered request, so batch
         pricing charges per-request overhead uniformly.
         """
-        reply = super().ecall_serve(self._to_local(users).tolist(), k)
+        reply = super().ecall_serve(
+            _to_local(self._owned_ids, self._owned_rows, users).tolist(), k
+        )
         unowned = reply["stats"]["unowned"]
         if unowned:
             self.ctx.metrics.counter("serve.fleet.routing_errors").inc(unowned)

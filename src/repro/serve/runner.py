@@ -157,7 +157,6 @@ def train_and_load(
             # this shard serves exactly these users.
             "ratings": encode_triplets(split.train.restrict_users(owned)),
             "shard_users": encode_shard_users(owned),
-            "require_newer": True,
             **caches,
         }
 

@@ -71,5 +71,5 @@ class ChannelNotEstablished(AttestationError):
 
 
 class SnapshotReplayError(TeeError):
-    """The host asked the serve path for a snapshot version below the
-    enclave's published high-water mark (stale-replay defense)."""
+    """The host asked a serving enclave to install or serve a snapshot
+    version below its high-water mark (a rollback)."""

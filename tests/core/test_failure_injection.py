@@ -10,6 +10,7 @@ seeded :class:`~repro.faults.FaultInjector` for whole-plan scenarios)
 rather than by monkeypatching delivery internals.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -20,17 +21,20 @@ from repro.core import (
     SharingScheme,
 )
 from repro.core.channel import ReplayError, SecureChannel
+from repro.core.config import FaultToleranceConfig
 from repro.core.messages import (
     CONTENT_MF_MODEL,
+    CONTENT_TRIPLETS,
     KIND_PAYLOAD,
     KIND_QUOTE,
     PayloadHeader,
     pack_payload,
 )
+from repro.data.dataset import RatingsDataset
 from repro.data.partition import partition_users_across_nodes
 from repro.faults import FaultInjector, FaultPlan, LinkFaults
 from repro.ml.mf import MfHyperParams
-from repro.net.serialization import encode_mf_state
+from repro.net.serialization import CodecError, encode_mf_state, encode_triplets
 from repro.net.topology import Topology
 from repro.net.transport import Fate
 from repro.tee.crypto.aead import AeadError
@@ -184,6 +188,43 @@ class TestMalformedInputs:
         wire = forged.seal(plaintext)
         with pytest.raises(ValueError, match="model payload"):
             host0.enclave.ecall("ecall_input", 1, KIND_PAYLOAD, wire)
+
+
+class TestForeignIdSpaceShare:
+    """A triplet share declaring another id space is one bad share.
+
+    It used to pass decoding and fail only at ``store.append_unique``,
+    outside the merge guard, so even a tolerant enclave let the
+    ``ValueError`` escape ``ecall_input``.
+    """
+
+    def _deliver(self, tiny_split, **config_kwargs):
+        train, test, gm = _shards(tiny_split)
+        cluster = _two_node_cluster(secure=False, **config_kwargs)
+        cluster.bootstrap(train, test, global_mean=gm)  # epoch 0 ran
+        app = cluster.hosts[0].enclave._app
+        foreign = RatingsDataset(
+            np.array([0, 40]), np.array([1, 2]), np.array([4.0, 5.0]),
+            n_users=app.store.n_users + 1, n_items=app.store.n_items,
+        )
+        wire = pack_payload(
+            PayloadHeader(1, 0, 1, CONTENT_TRIPLETS), encode_triplets(foreign)
+        )
+        stored = len(app.store)
+        cluster.hosts[0].enclave.ecall("ecall_input", 1, KIND_PAYLOAD, wire)
+        return cluster, app, stored
+
+    def test_tolerant_merge_counts_it_and_advances(self, tiny_split):
+        cluster, app, stored = self._deliver(
+            tiny_split, faults=FaultToleranceConfig(enabled=True)
+        )
+        assert cluster.obs.metrics.value("faults.recovered", node=0, kind="merge") == 1
+        assert app.epoch == 2  # the round ran without the share
+        assert len(app.store) == stored
+
+    def test_strict_merge_raises_a_typed_error(self, tiny_split):
+        with pytest.raises(CodecError, match="id space"):
+            self._deliver(tiny_split)
 
 
 class TestStallDetection:

@@ -94,16 +94,6 @@ PINS = (
         {},
     ),
     (
-        "replay-serve-open",
-        {},
-        "3999c33f0da92e4fa514188e508164a7d7c52a839baba73582a31a6da952a4d4",
-        1.0686196986359013,
-        0.085,
-        {},
-        {},
-        {},
-    ),
-    (
         "byzantine-mix",
         {},
         "bb671bf8ae0430f827f084472f1f012f0cd04b0d77a63d9767812d14b1a34f8e",

@@ -121,10 +121,11 @@ def test_replay_rollback_refused_when_defended():
     assert report.precision is not None
 
 
-def test_replay_rollback_served_when_open():
-    report = _run("replay-serve-open")
-    assert report.rejected == {}
-    assert report.precision is not None
+def test_replay_rollback_refused_with_defenses_off():
+    # Version monotonicity is not a defence switch.
+    report = _run("replay-serve", defenses=False)
+    assert not report.defended
+    assert report.rejected == {"replay_snapshot": 1}
 
 
 def test_byzantine_mix_survives_with_defenses():
@@ -235,7 +236,10 @@ def test_honest_plans_carry_no_personas():
 
 
 def test_attack_plans_have_open_twins():
-    for name in ("poison", "free-ride", "sybil", "replay-serve"):
+    # Replay has no open twin: the serving engine refuses a rollback
+    # whether or not the defences are armed.
+    assert "replay-serve-open" not in NAMED_PLANS
+    for name in ("poison", "free-ride", "sybil"):
         assert NAMED_PLANS[name].defended
         assert not NAMED_PLANS[f"{name}-open"].defended
         assert NAMED_PLANS[name].attack_personas() == NAMED_PLANS[
@@ -330,16 +334,9 @@ def _snapshot_bytes(version):
 def test_serve_enclave_monotonicity_defense():
     platform = Platform("attack-test", AttestationService())
     enclave = platform.create_enclave(ServeEnclaveApp, "serve-monotonic")
-    enclave.ecall("ecall_load", {"snapshot": _snapshot_bytes(2), "require_newer": True})
+    enclave.ecall("ecall_load", {"snapshot": _snapshot_bytes(2)})
     with pytest.raises(SnapshotReplayError):
         enclave.ecall("ecall_load", {"snapshot": _snapshot_bytes(1)})
     with pytest.raises(SnapshotReplayError):
         enclave.ecall("ecall_load", {"snapshot": _snapshot_bytes(2)})
     enclave.ecall("ecall_load", {"snapshot": _snapshot_bytes(3)})
-
-
-def test_serve_enclave_replay_allowed_without_flag():
-    platform = Platform("attack-test", AttestationService())
-    enclave = platform.create_enclave(ServeEnclaveApp, "serve-lax")
-    enclave.ecall("ecall_load", {"snapshot": _snapshot_bytes(2)})
-    enclave.ecall("ecall_load", {"snapshot": _snapshot_bytes(1)})  # no defense

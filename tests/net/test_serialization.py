@@ -166,6 +166,88 @@ class TestDnnCodec:
         assert base >= dnn_state.mlp_params.size * 4
 
 
+def _valid_payloads():
+    data = RatingsDataset(
+        np.array([0, 3, 7]), np.array([1, 4, 9]), np.array([1.0, 3.5, 5.0]),
+        n_users=8, n_items=10,
+    )
+    mf = MatrixFactorization(8, 10, MfHyperParams(k=3), seed=1)
+    dnn = DnnRecommender(8, 10, DnnHyperParams(k=2, hidden=(4,)), seed=1)
+    for model in (mf, dnn):
+        model.mark_seen(data)
+    return {
+        decode_triplets: encode_triplets(data),
+        decode_mf_state: encode_mf_state(mf.state()),
+        decode_dnn_state: encode_dnn_state(dnn.state()),
+    }
+
+
+VALID_PAYLOADS = _valid_payloads()
+DECODERS = list(VALID_PAYLOADS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(DECODERS),
+    # A well-formed model header may declare dense tables of any size,
+    # which the decoder allocates (its checks are O(1); host bytes pass
+    # check_mf_state's size bound first), so arbitrary bytes stop short
+    # of a full model header.  The bare-magic and truncation tests cover
+    # the header checks themselves.
+    st.binary(max_size=96).filter(lambda b: not b.startswith((b"RXM1", b"RXN1"))),
+)
+def test_arbitrary_bytes_raise_only_codec_error(decode, blob):
+    # Host- and peer-supplied bytes: a decoder either parses them or
+    # refuses with CodecError -- never struct.error or a bare ValueError.
+    try:
+        decode(blob)
+    except CodecError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=64))
+def test_magic_prefixed_triplet_bytes_round_trip_or_refuse(tail):
+    # Past the magic, the triplet decoder must check the header against
+    # the length; whatever it accepts re-encodes to the same bytes.
+    blob = b"RXD1" + tail
+    try:
+        decoded = decode_triplets(blob)
+    except CodecError:
+        return
+    assert encode_triplets(decoded) == blob
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DECODERS), st.data())
+def test_truncated_or_extended_payload_raises_codec_error(decode, data):
+    valid = VALID_PAYLOADS[decode]
+    cut = data.draw(st.integers(0, len(valid) - 1), label="keep")
+    extra = data.draw(st.binary(min_size=1, max_size=24), label="extra")
+    for mangled in (valid[:cut], valid + extra):
+        with pytest.raises(CodecError):
+            decode(mangled)
+    assert decode(valid) is not None  # the untouched payload still decodes
+
+
+@pytest.mark.parametrize("decode", DECODERS, ids=lambda f: f.__name__)
+def test_bare_magic_is_a_codec_error(decode):
+    with pytest.raises(CodecError):
+        decode(VALID_PAYLOADS[decode][:4])
+
+
+@pytest.mark.parametrize(
+    "decode, n_users_at",
+    [(decode_triplets, 8), (decode_mf_state, 12), (decode_dnn_state, 8)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_ids_past_the_declared_id_space_are_a_codec_error(decode, n_users_at):
+    payload = bytearray(VALID_PAYLOADS[decode])
+    payload[n_users_at : n_users_at + 4] = (5).to_bytes(4, "little")  # user 7 no longer fits
+    with pytest.raises(CodecError):
+        decode(bytes(payload))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=200), st.integers(min_value=1, max_value=99))
 def test_triplet_roundtrip_random(n, seed):

@@ -8,21 +8,23 @@ from repro.serve.cache import HotEmbeddingCache, LruCache, TopNCache
 
 class TestLruCache:
     def test_hit_miss_counting(self):
-        cache = LruCache(4, name="t")
+        metrics = MetricsRegistry()
+        cache = LruCache(4, name="t", metrics=metrics)
         assert cache.get("a") is None
         cache.put("a", 1)
         assert cache.get("a") == 1
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
+        assert metrics.value("serve.cache.hits", cache="t") == 1
+        assert metrics.value("serve.cache.misses", cache="t") == 1
 
     def test_capacity_bound_evicts_lru(self):
-        cache = LruCache(2, name="t")
+        metrics = MetricsRegistry()
+        cache = LruCache(2, name="t", metrics=metrics)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # refresh a; b is now the LRU entry
         cache.put("c", 3)
         assert cache.get("b") is None and cache.get("a") == 1
-        assert cache.evictions == 1 and len(cache) == 2
+        assert metrics.value("serve.cache.evictions", cache="t") == 1 and len(cache) == 2
 
     def test_zero_capacity_never_stores(self):
         cache = LruCache(0, name="t")
@@ -30,11 +32,13 @@ class TestLruCache:
         assert cache.get("a") is None and len(cache) == 0
 
     def test_invalidate_drops_everything(self):
-        cache = LruCache(4, name="t")
+        metrics = MetricsRegistry()
+        cache = LruCache(4, name="t", metrics=metrics)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.invalidate() == 2
-        assert len(cache) == 0 and cache.invalidations == 1
+        assert len(cache) == 0
+        assert metrics.value("serve.cache.invalidations", cache="t") == 1
 
     def test_metrics_counters_labelled_by_cache(self):
         metrics = MetricsRegistry()
@@ -64,10 +68,12 @@ class TestTopNCache:
         assert cache.lookup(1, user=7, k=5) is None
 
     def test_new_version_flushes_stale_results(self):
-        cache = TopNCache(8)
+        metrics = MetricsRegistry()
+        cache = TopNCache(8, metrics=metrics)
         cache.store(1, user=7, k=3, items=np.arange(3), scores=np.zeros(3))
         assert cache.lookup(2, user=7, k=3) is None  # v2 published
-        assert len(cache) == 0 and cache.invalidations == 1
+        assert len(cache) == 0
+        assert metrics.value("serve.cache.invalidations", cache="topn") == 1
         # and the old version cannot resurrect its entries either
         cache.store(2, user=7, k=3, items=np.arange(3), scores=np.zeros(3))
         assert cache.lookup(1, user=7, k=3) is None

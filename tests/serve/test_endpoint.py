@@ -129,7 +129,10 @@ class TestHostSuppliedIds:
         assert stats.unowned == 1 and stats.requests == 1
         # Nothing was looked up, scored, or cached under the bad id.
         assert (stats.cache_hits, stats.scored_users, stats.touched_bytes) == (0, 0, 0)
-        assert state.topn.hits + state.topn.misses == 0 and len(state.topn) == 0
+        lookups = metrics.value("serve.cache.hits", cache="topn") + metrics.value(
+            "serve.cache.misses", cache="topn"
+        )
+        assert lookups == 0 and len(state.topn) == 0
         assert len(state.hot) == 0
         assert metrics.value("serve.unowned") == 1
 
@@ -199,10 +202,13 @@ class TestServeEnclaveApp:
         enclave.ecall("ecall_load", {"snapshot": encode_snapshot(make_snapshot())})
         enclave.ecall("ecall_serve", [0, 1], 5)
         enclave.ecall("ecall_serve", [0, 1], 5)
-        status = enclave.ecall("ecall_serve_status")
-        assert status["queries_served"] == 4 and status["batches_served"] == 2
-        assert status["topn_hits"] == 2
-        assert enclave.memory.resident_bytes >= status["resident_bytes"]
+        metrics = enclave.metrics  # the platform registry
+        assert metrics.value("serve.requests") == 4 and metrics.value("serve.batches") == 2
+        assert metrics.value("serve.cache.hits", cache="topn") == 2
+        # One EPC label for the one engine, and the registry sees it.
+        assert enclave.memory.breakdown().keys() == {"serve"}
+        resident = metrics.value("tee.enclave.resident.bytes", enclave="serve-0")
+        assert enclave.memory.resident_bytes == resident > 0
 
     def test_cache_capacities_configurable(self, enclave):
         enclave.ecall(
@@ -215,17 +221,17 @@ class TestServeEnclaveApp:
         )
         enclave.ecall("ecall_serve", [0], 5)
         enclave.ecall("ecall_serve", [0], 5)
-        status = enclave.ecall("ecall_serve_status")
-        assert status["topn_hits"] == 0  # cache disabled => rescored
+        # cache disabled => rescored
+        assert enclave.metrics.value("serve.cache.hits", cache="topn") == 0
 
 
 @pytest.mark.parametrize("app", [ServeEnclaveApp, ShardEnclaveApp])
 def test_serving_before_any_load_is_a_typed_refusal(app):
     """A fresh enclave refuses to serve with the ``no snapshot`` ValueError
-    (it used to leak an AttributeError out of the ecall) and reports an
-    empty status."""
+    (it used to leak an AttributeError out of the ecall) and counts no
+    served query."""
     enclave = Platform("serve-test", AttestationService()).create_enclave(app, "serve-0")
     with pytest.raises(ValueError, match="no snapshot"):
         enclave.ecall("ecall_serve", [0, 1], 5)
-    status = enclave.ecall("ecall_serve_status")
-    assert status["version"] is None and status["queries_served"] == 0
+    assert enclave.metrics.value("serve.requests") == 0
+    assert enclave.memory.resident_bytes == 0

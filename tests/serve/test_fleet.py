@@ -79,7 +79,6 @@ def _load_shard(owned, version=1, n_users=12, metrics=None):
         {
             "snapshot": wire,
             "shard_users": encode_shard_users(np.asarray(owned, dtype=np.int64)),
-            "require_newer": True,
         },
     )
     return enclave, meta
@@ -166,6 +165,20 @@ class TestShardEndpoint:
         # whatever the population size.
         part, _ = _load_shard([2, 5, 11])
         assert part.memory.get("serve.shard_index") == 16 * 3
+
+    def test_refused_rollback_keeps_the_installed_table(self):
+        enclave, _ = _load_shard([2, 5, 7], version=2)
+        arrays = _toy_arrays(n_users=12)
+        stale, _ = build_shard_payload(
+            *arrays.values(), np.array([2, 5, 11]), version=1, shard_id=0
+        )
+        with pytest.raises(SnapshotReplayError):
+            enclave.ecall(
+                "ecall_load",
+                {"snapshot": stale, "shard_users": encode_shard_users(np.array([2, 5, 11]))},
+            )
+        reply = enclave.ecall("ecall_serve", [7, 11], 3)
+        assert reply["stats"]["unowned"] == 1 and reply["items"][1] == [-1, -1, -1]
 
     def test_exclusions_follow_the_global_to_local_remap(self):
         from repro.data.dataset import RatingsDataset
@@ -362,7 +375,6 @@ def _mini_fleet(metrics=None):
         return {
             "snapshot": wire,
             "shard_users": encode_shard_users(owned),
-            "require_newer": True,
         }
 
     ring = HashRing([0])

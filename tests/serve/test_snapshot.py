@@ -270,7 +270,7 @@ def test_failed_load_leaves_installed_snapshot_serving():
     for bad in (newer[:-1], newer + b"\x00\x00", newer[:HEADER_BYTES]):
         with pytest.raises(CodecError):
             enclave.ecall("ecall_load", {"snapshot": bad})
-    status = enclave.ecall("ecall_serve_status")
-    assert status["version"] == 1 and status["digest"] == REFERENCE_DIGEST
+    installed = enclave._app.serving.snapshot
+    assert installed.version == 1 and installed.digest == REFERENCE_DIGEST
     after = enclave.ecall("ecall_serve", [0, 1, 3], 3)
     assert after["items"] == before["items"] and after["scores"] == before["scores"]
