@@ -64,12 +64,30 @@ def sgd_step(
     kernel serves a single node (:meth:`MatrixFactorization.train_epoch`)
     and the fleet simulator, which flattens every node's parameters into
     one index space and updates all nodes in a single call.
+
+    The factor scatters run as 1-D ``np.add.at`` over the flat views of
+    ``X``/``Y``, several times faster than the row-wise 2-D form.  Element
+    ``(u[j], col)`` receives the same additions in the same ``j`` order,
+    so the result is bit-identical to the row scatter.  ``X`` and ``Y``
+    must therefore be C-contiguous.
     """
+    if not (X.flags.c_contiguous and Y.flags.c_contiguous):
+        raise ValueError("sgd_step scatters through flat views: X and Y must be C-contiguous")
+    k = X.shape[1]
+    cols = np.arange(k)
     xu = X[u]
     yi = Y[i]
     err = (r - mu - b[u] - c[i] - np.einsum("ij,ij->i", xu, yi)).astype(X.dtype)
-    np.add.at(X, u, lr * (err[:, None] * yi - lam * xu))
-    np.add.at(Y, i, lr * (err[:, None] * xu - lam * yi))
+    np.add.at(
+        X.reshape(-1),
+        (u.astype(np.intp)[:, None] * k + cols).ravel(),
+        (lr * (err[:, None] * yi - lam * xu)).ravel(),
+    )
+    np.add.at(
+        Y.reshape(-1),
+        (i.astype(np.intp)[:, None] * k + cols).ravel(),
+        (lr * (err[:, None] * xu - lam * yi)).ravel(),
+    )
     np.add.at(b, u, lr * (err - lam * b[u]))
     np.add.at(c, i, lr * (err - lam * c[i]))
 

@@ -77,14 +77,16 @@ def exclusion_index(
     order = np.lexsort((items, users))
     sorted_users = users[order]
     sorted_items = items[order]
+    # Drop repeated (user, item) pairs once over the sorted arrays; each
+    # user's group is then already np.unique's sorted output.
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = (sorted_users[1:] != sorted_users[:-1]) | (sorted_items[1:] != sorted_items[:-1])
+    sorted_users = sorted_users[keep]
+    sorted_items = sorted_items[keep]
     boundaries = np.flatnonzero(np.diff(sorted_users)) + 1
     groups = np.split(sorted_items, boundaries)
     starts = np.concatenate(([0], boundaries))
-    return {
-        int(sorted_users[start]): np.unique(group)
-        for start, group in zip(starts, groups)
-        if len(group)
-    }
+    return {int(sorted_users[start]): group for start, group in zip(starts, groups)}
 
 
 def apply_exclusions(

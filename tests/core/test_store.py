@@ -125,12 +125,20 @@ class TestFleetStoresEquivalence:
         )
         fleet = FleetStores(pool, 1)
         reference: set = set()
+        stored = np.empty(0, dtype=np.int64)
         for batch in batches:
             ids = np.array(batch, dtype=np.int64)
             added = fleet.append_unique(0, ids)
             before = len(reference)
             reference |= set(batch)
             assert added == len(reference) - before
+            # The stored order is pinned: each batch appends its new ids in
+            # ascending pool order, after everything stored before it.
+            stored = np.concatenate([stored, np.setdiff1d(np.unique(ids), stored)])
+            users, items, ratings = fleet.gather(0, np.arange(fleet.size(0)))
+            assert np.array_equal(users, pool.users[stored])
+            assert np.array_equal(items, pool.items[stored])
+            assert np.array_equal(ratings, pool.ratings[stored])
         assert fleet.size(0) == len(reference)
 
     def test_gather_returns_pool_rows(self):
@@ -147,6 +155,16 @@ class TestFleetStoresEquivalence:
         fleet.append_unique(0, np.arange(4))
         ids = fleet.sample_ids(0, 3, child_rng(0, "f"))
         assert set(ids.tolist()) <= {0, 1, 2, 3}
+
+    def test_exact_size_sample_is_a_permutation(self):
+        """A store of exactly ``n`` rows shares every row once, as
+        ``RatingsDataset.sample`` (hence ``DataStore.sample``) does."""
+        pool = _triplets([(i, i) for i in range(20)], 20, 20)
+        fleet = FleetStores(pool, 1)
+        fleet.append_unique(0, np.arange(20))
+        for seed in range(5):
+            ids = fleet.sample_ids(0, 20, child_rng(seed, "f"))
+            assert sorted(ids.tolist()) == list(range(20))
 
     def test_oversample_with_replacement(self):
         pool = _triplets([(1, 1)], 10, 10)

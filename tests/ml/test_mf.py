@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._rng import child_rng
 from repro.data.dataset import RatingsDataset
@@ -84,6 +86,14 @@ class TestTraining:
             sgd_step(X, Y, b, c, u, i, r, 3.0, lr=0.05, lam=0.0)
         assert abs(err()) < e0 * 0.2
 
+    def test_sgd_step_refuses_non_contiguous_factors(self):
+        X = np.zeros((3, 4), dtype=np.float32)[:, ::2]  # a strided view
+        Y = np.zeros((3, 2), dtype=np.float32)
+        b = np.zeros(3, dtype=np.float32)
+        one = np.array([0])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sgd_step(X, Y, b, b.copy(), one, one, np.ones(1, np.float32), 3.0, 0.1, 0.0)
+
     def test_float64_dtype_supported(self):
         model = MatrixFactorization(5, 5, MfHyperParams(k=2, dtype="float64"), seed=0)
         assert model.user_factors.dtype == np.float64
@@ -91,6 +101,51 @@ class TestTraining:
                               n_users=5, n_items=5)
         model.train_epoch(data, child_rng(0, "t"))
         assert model.user_factors.dtype == np.float64
+
+
+def _sgd_step_row_scatter(X, Y, b, c, u, i, r, mu, lr, lam):
+    """Reference: the row-wise 2-D ``np.add.at`` form, on copies."""
+    X, Y, b, c = X.copy(), Y.copy(), b.copy(), c.copy()
+    xu = X[u]
+    yi = Y[i]
+    err = (r - mu - b[u] - c[i] - np.einsum("ij,ij->i", xu, yi)).astype(X.dtype)
+    np.add.at(X, u, lr * (err[:, None] * yi - lam * xu))
+    np.add.at(Y, i, lr * (err[:, None] * xu - lam * yi))
+    np.add.at(b, u, lr * (err - lam * b[u]))
+    np.add.at(c, i, lr * (err - lam * c[i]))
+    return X, Y, b, c
+
+
+class TestSgdStepFlatScatter:
+    """The flat 1-D scatter is bit-identical to the row scatter."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        id_dtype=st.sampled_from([np.int32, np.int64]),
+        n_rows=st.integers(1, 9),
+        k=st.integers(1, 12),
+        batch=st.integers(1, 200),
+        one_user=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_row_scatter(self, dtype, id_dtype, n_rows, k, batch, one_user, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0, 0.3, (n_rows, k)).astype(dtype)
+        Y = rng.normal(0, 0.3, (n_rows + 2, k)).astype(dtype)
+        b = rng.normal(0, 0.1, n_rows).astype(dtype)
+        c = rng.normal(0, 0.1, n_rows + 2).astype(dtype)
+        # Few rows and large batches make duplicate-heavy scatters; one_user
+        # is the fleet's shape (a one-user node's 64 samples share a row).
+        u = np.full(batch, rng.integers(n_rows)) if one_user else rng.integers(0, n_rows, batch)
+        u = u.astype(id_dtype)
+        i = rng.integers(0, n_rows + 2, batch).astype(id_dtype)
+        r = rng.uniform(0.5, 5.0, batch).astype(np.float32)
+        expected = _sgd_step_row_scatter(X, Y, b, c, u, i, r, 3.5, 0.05, 0.1)
+        sgd_step(X, Y, b, c, u, i, r, 3.5, 0.05, 0.1)
+        for got, want in zip((X, Y, b, c), expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestPrediction:
