@@ -43,7 +43,6 @@ Quickstart::
 from repro.core import (
     CryptoMode,
     Dissemination,
-    ModelKind,
     RexCluster,
     RexConfig,
     RexEnclaveApp,
@@ -74,7 +73,6 @@ __all__ = [
     "MatrixFactorization",
     "MfFleetSim",
     "MfHyperParams",
-    "ModelKind",
     "MOVIELENS_25M_CAPPED",
     "MOVIELENS_LATEST",
     "MovieLensSpec",

@@ -1,7 +1,7 @@
 """REX core: the paper's contribution.
 
 - :mod:`~repro.core.config` -- the experiment vocabulary (REX/MS, RMW/
-  D-PSGD, MF/DNN).
+  D-PSGD).
 - :mod:`~repro.core.app` -- the trusted enclave application
   (Algorithm 2): attestation, secure channels, and the merge / train /
   share / test protocol with the raw-data-sharing fast path.
@@ -24,7 +24,6 @@ from repro.core.config import (
     CryptoMode,
     Dissemination,
     FaultToleranceConfig,
-    ModelKind,
     RexConfig,
     SharingScheme,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "Dissemination",
     "EpochStats",
     "FaultToleranceConfig",
-    "ModelKind",
     "ReplayError",
     "RexCluster",
     "RexConfig",

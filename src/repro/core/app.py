@@ -1,6 +1,9 @@
 """The REX trusted application -- the code that runs inside the enclave.
 
-This is the paper's Algorithm 2.  Two entry points exist:
+This is the paper's Algorithm 2 over matrix factorization, the one model
+the paper's own prototype runs in SGX (Fig. 5's DNN is simulated by
+:class:`~repro.sim.dnn_fleet.DnnFleetSim`, outside any enclave).  Two
+entry points exist:
 
 - :meth:`RexEnclaveApp.ecall_init` copies the node's local dataset shard
   into protected memory, initializes the model and data store, kicks off
@@ -32,9 +35,8 @@ from repro.core.channel import (
     SecureChannel,
     seal_all,
 )
-from repro.core.config import CryptoMode, Dissemination, ModelKind, RexConfig, SharingScheme
+from repro.core.config import CryptoMode, Dissemination, RexConfig, SharingScheme
 from repro.core.messages import (
-    CONTENT_DNN_MODEL,
     CONTENT_EMPTY,
     CONTENT_MF_MODEL,
     CONTENT_TRIPLETS,
@@ -48,16 +50,12 @@ from repro.core.messages import (
 from repro.core.stats import EpochStats
 from repro.core.store import DataStore
 from repro.data.dataset import RatingsDataset
-from repro.ml.dnn.model import DnnRecommender
 from repro.ml.mf import MatrixFactorization
 from repro.net.serialization import (
-    decode_dnn_state,
     decode_mf_state,
     decode_triplets,
-    encode_dnn_state_into,
     encode_mf_state_into,
     encode_triplets_into,
-    measure_dnn_state,
     measure_mf_state,
     measure_triplets,
 )
@@ -108,16 +106,13 @@ class RexEnclaveApp(TrustedApp):
         self.store = DataStore(n_users, n_items, capacity=max(1024, len(train)))
         self.store.append_unique(train)
 
-        if self.config.model is ModelKind.MF:
-            self.model = MatrixFactorization(
-                n_users,
-                n_items,
-                self.config.mf,
-                seed=self.config.seed,  # identical initial code AND weights
-                global_mean=float(args.get("global_mean", 3.5)),
-            )
-        else:
-            self.model = DnnRecommender(n_users, n_items, self.config.dnn, seed=self.config.seed)
+        self.model = MatrixFactorization(
+            n_users,
+            n_items,
+            self.config.mf,
+            seed=self.config.seed,  # identical initial code AND weights
+            global_mean=float(args.get("global_mean", 3.5)),
+        )
         self.model.mark_seen(train)
 
         # A restarted incarnation derives a *fresh* X25519 key (the old one
@@ -220,8 +215,6 @@ class RexEnclaveApp(TrustedApp):
         from repro.serve.endpoint import ServingState
         from repro.serve.snapshot import publish_snapshot
 
-        if not isinstance(self.model, MatrixFactorization):
-            raise ValueError("serving snapshots require the MF model")
         if self._serving is None:
             self._serving = ServingState(metrics=self.ctx.metrics)
         snapshot = publish_snapshot(
@@ -550,19 +543,15 @@ class RexEnclaveApp(TrustedApp):
     def _merge_models(
         self, received: Dict[int, Tuple[PayloadHeader, bytes]], stats: EpochStats
     ) -> int:
-        expected = (
-            CONTENT_MF_MODEL if self.config.model is ModelKind.MF else CONTENT_DNN_MODEL
-        )
-        decode = decode_mf_state if self.config.model is ModelKind.MF else decode_dnn_state
         incoming = []
         staging = 0
         for src, (header, content) in sorted(received.items()):
             if header.content == CONTENT_EMPTY:
                 continue
             try:
-                if header.content != expected:
+                if header.content != CONTENT_MF_MODEL:
                     raise ValueError("model-sharing run received a mismatched payload")
-                state = decode(content)
+                state = decode_mf_state(content)
             except (ValueError, CodecError):
                 if self.config.faults.enabled:
                     self._count_fault("faults.recovered", kind="merge")
@@ -624,28 +613,16 @@ class RexEnclaveApp(TrustedApp):
             encode_triplets_into(sample, packed_full, content_offset)
         else:
             state = self._share_state()
-            header_full = PayloadHeader(
-                self.node_id,
-                self.epoch,
-                self.degree,
-                CONTENT_MF_MODEL if self.config.model is ModelKind.MF else CONTENT_DNN_MODEL,
-            )
+            header_full = PayloadHeader(self.node_id, self.epoch, self.degree, CONTENT_MF_MODEL)
             seen_users = int(np.count_nonzero(state.user_seen))
             seen_items = int(np.count_nonzero(state.item_seen))
-            if self.config.model is ModelKind.MF:
-                wire_dtype = "<f8" if self.config.mf.np_dtype == np.float64 else "<f4"
-                float_bytes = 8 if wire_dtype == "<f8" else 4
-                packed_full, content_offset = payload_buffer(
-                    header_full,
-                    measure_mf_state(seen_users, seen_items, state.k, float_bytes=float_bytes),
-                )
-                encode_mf_state_into(state, packed_full, content_offset, wire_dtype=wire_dtype)
-            else:
-                packed_full, content_offset = payload_buffer(
-                    header_full,
-                    measure_dnn_state(seen_users, seen_items, state.k, state.mlp_params.size),
-                )
-                encode_dnn_state_into(state, packed_full, content_offset)
+            wire_dtype = "<f8" if self.config.mf.np_dtype == np.float64 else "<f4"
+            float_bytes = 8 if wire_dtype == "<f8" else 4
+            packed_full, content_offset = payload_buffer(
+                header_full,
+                measure_mf_state(seen_users, seen_items, state.k, float_bytes=float_bytes),
+            )
+            encode_mf_state_into(state, packed_full, content_offset, wire_dtype=wire_dtype)
         stats.serialized_bytes += len(packed_full) - HEADER_BYTES
 
         chosen = self._share_recipient(targets)

@@ -52,15 +52,14 @@ class ClusterRun:
     epc: EpcModel
 
     def stats_for_epoch(self, epoch: int) -> List[EpochStats]:
-        return [
-            stats[epoch]
-            for stats in self.node_stats.values()
-            if epoch < len(stats)
-        ]
+        # By ``EpochStats.epoch``, not list position: a restarted node
+        # resumes at its neighbours' epoch, so its reports skip the rounds
+        # it was down for.
+        return [s for stats in self.node_stats.values() for s in stats if s.epoch == epoch]
 
     @property
     def epochs_completed(self) -> int:
-        return min(len(stats) for stats in self.node_stats.values())
+        return min(stats[-1].epoch + 1 if stats else 0 for stats in self.node_stats.values())
 
 
 class RexCluster:

@@ -3,23 +3,26 @@
 Names follow the paper: the *sharing scheme* is either REX's raw-data
 sharing (DS) or the model-sharing baseline (MS); the *dissemination
 algorithm* is either random model walk (RMW, one random neighbor per
-epoch) or D-PSGD (all neighbors, Metropolis-Hastings merge); the *model*
-is MF or DNN (Section III-C, IV-A3).
+epoch) or D-PSGD (all neighbors, Metropolis-Hastings merge) (Section
+III-C).  There is no model switch: the engine you construct is the model
+(Section IV-A3).  :class:`~repro.sim.fleet.MfFleetSim`,
+:class:`~repro.core.cluster.RexCluster` and
+:func:`~repro.sim.centralized.run_centralized` train MF and read
+``RexConfig.mf``; :class:`~repro.sim.dnn_fleet.DnnFleetSim` trains the
+DNN and reads ``RexConfig.dnn``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.ml.dnn.model import DnnHyperParams
+from repro.ml.hyper import DnnHyperParams
 from repro.ml.mf import MfHyperParams
 
 __all__ = [
     "SharingScheme",
     "Dissemination",
-    "ModelKind",
     "CryptoMode",
     "FaultToleranceConfig",
     "DefenseConfig",
@@ -51,11 +54,6 @@ class Dissemination(enum.Enum):
     @property
     def label(self) -> str:
         return "RMW" if self is Dissemination.RMW else "D-PSGD"
-
-
-class ModelKind(enum.Enum):
-    MF = "mf"
-    DNN = "dnn"
 
 
 class CryptoMode(enum.Enum):
@@ -139,7 +137,6 @@ class RexConfig:
 
     scheme: SharingScheme = SharingScheme.DATA
     dissemination: Dissemination = Dissemination.DPSGD
-    model: ModelKind = ModelKind.MF
 
     #: Data points shared per epoch (paper: 300 for MF, 40 for DNN).
     share_points: int = 300
@@ -192,6 +189,3 @@ class RexConfig:
     def label(self) -> str:
         """Paper-style setup name, e.g. ``"D-PSGD, REX"``."""
         return f"{self.dissemination.label}, {self.scheme.label}"
-
-    def hyper(self) -> Optional[object]:
-        return self.mf if self.model is ModelKind.MF else self.dnn

@@ -24,7 +24,6 @@ __all__ = [
     "CONTENT_EMPTY",
     "CONTENT_TRIPLETS",
     "CONTENT_MF_MODEL",
-    "CONTENT_DNN_MODEL",
     "PayloadHeader",
     "pack_payload",
     "payload_buffer",
@@ -34,10 +33,10 @@ __all__ = [
 KIND_QUOTE = "quote"
 KIND_PAYLOAD = "payload"
 
+#: Content tags; the enclave's merges refuse any other (3 was a DNN model).
 CONTENT_EMPTY = 0
 CONTENT_TRIPLETS = 1
 CONTENT_MF_MODEL = 2
-CONTENT_DNN_MODEL = 3
 
 _HEADER = struct.Struct("<IIIB3x")  # sender, epoch, degree, content kind
 HEADER_BYTES = _HEADER.size

@@ -24,9 +24,6 @@ USER_DTYPE = np.int32
 ITEM_DTYPE = np.int32
 RATING_DTYPE = np.float32
 
-#: Bytes of one raw data item on the wire: two int32 ids + one float32.
-TRIPLET_WIRE_BYTES = 12
-
 
 @dataclass(frozen=True)
 class TrainTestSplit:
@@ -109,11 +106,6 @@ class RatingsDataset:
     def nbytes(self) -> int:
         """In-memory size of the triplet arrays."""
         return self.users.nbytes + self.items.nbytes + self.ratings.nbytes
-
-    @property
-    def wire_bytes(self) -> int:
-        """Size of this dataset as raw data items on the wire."""
-        return len(self) * TRIPLET_WIRE_BYTES
 
     @property
     def sparsity(self) -> float:

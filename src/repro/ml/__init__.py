@@ -6,7 +6,8 @@
   rules of Section III-C.
 - :mod:`~repro.ml.dnn` -- the from-scratch deep recommender (embedding
   layer k=20, four Linear+ReLU hidden layers with dropout, final ReLU,
-  Adam with weight decay) sized to the paper's 215,001 parameters.
+  Adam with weight decay) sized to the paper's 215,001 parameters; its
+  hyper-parameters live in :mod:`~repro.ml.hyper`, outside the package.
 - :mod:`~repro.ml.metrics` -- RMSE, the paper's test-error metric.
 """
 

@@ -25,30 +25,10 @@ from repro.data.dataset import RatingsDataset
 from repro.ml.metrics import rmse
 from repro.ml.dnn.layers import Dropout, Linear, Parameter, ReLU, Sequential
 from repro.ml.dnn.optim import Adam
-from repro.ml.mf import MODEL_HEADER_BYTES, RATING_MAX, RATING_MIN
+from repro.ml.hyper import DnnHyperParams
+from repro.ml.mf import RATING_MAX, RATING_MIN
 
 __all__ = ["DnnHyperParams", "DnnState", "DnnRecommender"]
-
-_WIRE_FLOAT = 4
-
-
-@dataclass(frozen=True)
-class DnnHyperParams:
-    """Hyper-parameters (paper Section IV-A3b defaults)."""
-
-    k: int = 20
-    hidden: Tuple[int, ...] = (128, 94, 46, 22)
-    embedding_dropout: float = 0.02
-    hidden_dropout: float = 0.15
-    learning_rate: float = 1e-4
-    weight_decay: float = 1e-5
-    batch_size: int = 128
-    batches_per_epoch: int = 4
-    init_scale: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or len(self.hidden) < 1:
-            raise ValueError("need a positive embedding dim and >=1 hidden layer")
 
 
 @dataclass
@@ -64,17 +44,6 @@ class DnnState:
     @property
     def k(self) -> int:
         return self.user_embeddings.shape[1]
-
-    def wire_bytes(self) -> int:
-        """Seen embedding rows (+ ids) plus the always-shared dense MLP."""
-        seen_users = int(self.user_seen.sum())
-        seen_items = int(self.item_seen.sum())
-        per_row = 4 + self.k * _WIRE_FLOAT
-        return (
-            MODEL_HEADER_BYTES
-            + (seen_users + seen_items) * per_row
-            + self.mlp_params.size * _WIRE_FLOAT
-        )
 
     def copy(self) -> "DnnState":
         return DnnState(

@@ -36,11 +36,6 @@ from repro.ml.metrics import rmse
 
 __all__ = ["MfHyperParams", "MfState", "MatrixFactorization", "sgd_step"]
 
-#: Serialized bytes per factor-row entry (float32 on the wire).
-_WIRE_FLOAT = 4
-#: Fixed header of a serialized model message (magic + 6 header words).
-MODEL_HEADER_BYTES = 28
-
 RATING_MIN, RATING_MAX = 0.5, 5.0
 
 
@@ -142,21 +137,6 @@ class MfState:
     @property
     def k(self) -> int:
         return self.user_factors.shape[1]
-
-    def wire_bytes(self, *, float_bytes: int = _WIRE_FLOAT) -> int:
-        """Serialized size: only *seen* rows travel, plus ids and masks.
-
-        Each seen user row costs an int32 id + k factors + bias; likewise
-        for items.  This is what makes model sharing expensive relative to
-        12-byte triplets, and what makes its cost grow as knowledge of the
-        item space spreads (paper Section IV-B, Fig. 2).  ``float_bytes``
-        is 4 for the simulator's float32 wire and 8 for the distributed
-        runtime's Eigen-style double wire.
-        """
-        seen_users = int(self.user_seen.sum())
-        seen_items = int(self.item_seen.sum())
-        per_row = 4 + (self.k + 1) * float_bytes
-        return MODEL_HEADER_BYTES + (seen_users + seen_items) * per_row
 
     def copy(self) -> "MfState":
         return MfState(

@@ -4,10 +4,11 @@ The original implementation serializes with Eigen buffers and JSON (only
 for attestation); here each payload kind has an explicit little-endian
 binary layout built from NumPy buffers -- the mpi4py-style "send the raw
 array, not pickles" idiom.  Byte sizes are the quantity the evaluation
-measures, so every codec has a ``measure_*`` companion returning the exact
+measures, so every payload has a ``measure_*`` function returning the exact
 encoded size without materializing the buffer (the fleet simulator
 accounts for hundreds of gigabytes of model traffic it never needs to
-build).
+build).  They are the one wire-size rule for these payloads; no dataset
+or model class carries a copy of it.
 
 Layouts (all little-endian):
 
@@ -16,9 +17,6 @@ Layouts (all little-endian):
 - **MF model**: magic ``RXM1`` | f32 global_mean | u32 k | u32 n_users |
   u32 n_items | u32 seen_users | u32 seen_items | seen user ids (i32) |
   user rows (k f32 + f32 bias) | seen item ids | item rows.
-- **DNN model**: magic ``RXN1`` | u32 k | u32 n_users | u32 n_items |
-  u32 seen_users | u32 seen_items | u32 mlp_len | ids | embedding rows |
-  mlp vector (f32).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import struct
 import numpy as np
 
 from repro.data.dataset import RatingsDataset
-from repro.ml.dnn.model import DnnState
 from repro.ml.mf import MfState
 
 __all__ = [
@@ -41,15 +38,11 @@ __all__ = [
     "decode_mf_state",
     "check_mf_state",
     "measure_mf_state",
-    "encode_dnn_state",
-    "encode_dnn_state_into",
-    "decode_dnn_state",
     "measure_dnn_state",
 ]
 
 _TRIPLET_MAGIC = b"RXD1"
 _MF_MAGIC = b"RXM1"
-_DNN_MAGIC = b"RXN1"
 
 
 class CodecError(ValueError):
@@ -115,6 +108,14 @@ def decode_triplets(payload: bytes) -> RatingsDataset:
 # MF model
 # --------------------------------------------------------------------- #
 def measure_mf_state(seen_users: int, seen_items: int, k: int, *, float_bytes: int = 4) -> int:
+    """Encoded size of an MF model share: only *seen* rows travel.
+
+    This is what makes model sharing expensive relative to 12-byte
+    triplets, and what makes its cost grow as knowledge of the item space
+    spreads (paper Section IV-B, Fig. 2).  ``float_bytes`` is 4 for the
+    simulator's float32 wire and 8 for the distributed runtime's
+    Eigen-style double wire.
+    """
     header = 4 + 4 + 5 * 4
     per_row = 4 + (k + 1) * float_bytes  # id + k factors + bias
     return header + (seen_users + seen_items) * per_row
@@ -250,94 +251,16 @@ def decode_mf_state(payload: bytes) -> MfState:
 
 
 # --------------------------------------------------------------------- #
-# DNN model
+# DNN model (sized, never encoded)
 # --------------------------------------------------------------------- #
 def measure_dnn_state(seen_users: int, seen_items: int, k: int, mlp_len: int) -> int:
+    """Wire size of a DNN model share: a 28-byte header, each seen
+    embedding row as an i32 id + ``k`` f32, and the dense f32 MLP vector.
+
+    Only :class:`~repro.sim.dnn_fleet.DnnFleetSim` shares DNN models, and
+    it accounts their bytes (Fig. 5(b)) without building them; the
+    attested build trains MF only, so there is no DNN encoder or decoder.
+    """
     header = 4 + 6 * 4
     per_row = 4 + k * 4
     return header + (seen_users + seen_items) * per_row + mlp_len * 4
-
-
-def encode_dnn_state_into(state: DnnState, buf, offset: int = 0) -> int:
-    """Write a DNN model payload into ``buf`` at ``offset``; returns the end.
-
-    Same single-write contract as :func:`encode_mf_state_into`; sized by
-    :func:`measure_dnn_state`.
-    """
-    user_ids = np.flatnonzero(state.user_seen).astype("<i4")
-    item_ids = np.flatnonzero(state.item_seen).astype("<i4")
-    k = state.k
-    view = memoryview(buf)
-    view[offset : offset + 4] = _DNN_MAGIC
-    struct.pack_into(
-        "<IIIIII",
-        view,
-        offset + 4,
-        k,
-        state.user_embeddings.shape[0],
-        state.item_embeddings.shape[0],
-        len(user_ids),
-        len(item_ids),
-        state.mlp_params.size,
-    )
-    cursor = offset + 4 + 6 * 4
-
-    def write_block(ids: np.ndarray, embeddings, pos: int) -> int:
-        id_dest = np.frombuffer(view, dtype="<i4", count=len(ids), offset=pos)
-        id_dest[:] = ids
-        pos += id_dest.nbytes
-        rows = np.frombuffer(view, dtype="<f4", count=len(ids) * k, offset=pos)
-        rows.reshape(len(ids), k)[:] = embeddings[ids]
-        return pos + rows.nbytes
-
-    cursor = write_block(user_ids, state.user_embeddings, cursor)
-    cursor = write_block(item_ids, state.item_embeddings, cursor)
-    mlp_dest = np.frombuffer(view, dtype="<f4", count=state.mlp_params.size, offset=cursor)
-    mlp_dest[:] = state.mlp_params
-    cursor += mlp_dest.nbytes
-    expected = offset + measure_dnn_state(len(user_ids), len(item_ids), k, state.mlp_params.size)
-    assert cursor == expected
-    return cursor
-
-
-def encode_dnn_state(state: DnnState) -> bytes:
-    seen_users = int(np.count_nonzero(state.user_seen))
-    seen_items = int(np.count_nonzero(state.item_seen))
-    buf = bytearray(measure_dnn_state(seen_users, seen_items, state.k, state.mlp_params.size))
-    encode_dnn_state_into(state, buf)
-    return bytes(buf)
-
-
-def decode_dnn_state(payload: bytes) -> DnnState:
-    if len(payload) < 4 + 6 * 4 or payload[:4] != _DNN_MAGIC:
-        raise CodecError("not a DNN model payload")
-    k, n_users, n_items, seen_users, seen_items, mlp_len = struct.unpack_from("<IIIIII", payload, 4)
-    if len(payload) != measure_dnn_state(seen_users, seen_items, k, mlp_len):
-        raise CodecError("DNN model payload length does not match its header")
-    offset = 4 + 6 * 4
-    user_ids = np.frombuffer(payload, dtype="<i4", count=seen_users, offset=offset)
-    offset += user_ids.nbytes
-    user_rows = np.frombuffer(payload, dtype="<f4", count=seen_users * k, offset=offset).reshape(
-        seen_users, k
-    )
-    offset += user_rows.nbytes
-    item_ids = np.frombuffer(payload, dtype="<i4", count=seen_items, offset=offset)
-    offset += item_ids.nbytes
-    item_rows = np.frombuffer(payload, dtype="<f4", count=seen_items * k, offset=offset).reshape(
-        seen_items, k
-    )
-    offset += item_rows.nbytes
-    mlp = np.frombuffer(payload, dtype="<f4", count=mlp_len, offset=offset).copy()
-
-    try:
-        user_embeddings = np.zeros((n_users, k), dtype=np.float32)
-        item_embeddings = np.zeros((n_items, k), dtype=np.float32)
-        user_seen = np.zeros(n_users, dtype=bool)
-        item_seen = np.zeros(n_items, dtype=bool)
-        user_embeddings[user_ids] = user_rows
-        user_seen[user_ids] = True
-        item_embeddings[item_ids] = item_rows
-        item_seen[item_ids] = True
-    except (IndexError, ValueError):  # an id past its table, a table too large
-        raise CodecError("DNN model payload does not fit its declared tables") from None
-    return DnnState(user_embeddings, item_embeddings, user_seen, item_seen, mlp)

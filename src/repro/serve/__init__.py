@@ -21,7 +21,7 @@ the same software-enclave model the training protocol uses:
   replica's server charges against.
 - :mod:`repro.serve.workload` -- seeded Zipf-popularity workload
   generator, the production :class:`TrafficModel` (diurnal + flash
-  crowds + heavy-tailed users) and the open/closed-loop drivers.
+  crowds + heavy-tailed users) and the open-loop trace driver.
 - :mod:`repro.serve.report` -- the one ``repro.serve/v2`` JSON document:
   routing/failover/shed accounting, latency percentiles, cache, quality
   and per-shard snapshot + EPC sections.

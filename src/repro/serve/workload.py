@@ -1,4 +1,4 @@
-"""Seeded query workloads: Zipf popularity, open- and closed-loop drive.
+"""Seeded query workloads: Zipf popularity and diurnal traffic, open-loop drive.
 
 Recommendation traffic is head-heavy -- a few users generate most
 queries -- which is exactly what makes the result cache earn its keep.
@@ -8,16 +8,10 @@ gets weight ``1/(r+1)^s``, and every draw comes from a named
 :func:`~repro._rng.child_rng` stream, so a (seed, spec) pair always
 yields the *same* trace.  The SHA-256 trace digest pins that in reports.
 
-Two drive modes:
-
-- :func:`run_trace` -- **open loop**: a pre-generated ``(tick, user)``
-  arrival trace is offered to the server on schedule, regardless of how
-  the server keeps up.  This is the mode reports pin, because the
-  offered load is identical across runs by construction.
-- :func:`run_closed_loop` -- ``clients`` concurrent users each keep one
-  request outstanding and think for a few ticks between requests; the
-  offered load adapts to the server's speed, like a saturation
-  benchmark.
+One drive mode, :func:`run_trace` -- **open loop**: a pre-generated
+``(tick, user)`` arrival trace is offered to the server on schedule,
+regardless of how the server keeps up, so the offered load is identical
+across runs by construction and reports can pin it.
 
 Untrusted module: workloads are public traffic, not secrets.
 """
@@ -40,7 +34,6 @@ __all__ = [
     "TrafficSpec",
     "TrafficModel",
     "run_trace",
-    "run_closed_loop",
 ]
 
 
@@ -241,58 +234,4 @@ def run_trace(server: RecServer, trace: np.ndarray) -> List[Completion]:
     kernel.at(0.0, tick_event, kind="serve.tick", key=(server.tick,))
     kernel.run()
     completions.extend(server.drain())
-    return completions
-
-
-def run_closed_loop(
-    server: RecServer,
-    generator: WorkloadGenerator,
-    *,
-    clients: int,
-    requests: int,
-    think_ticks: int = 1,
-    max_ticks: int = 1_000_000,
-) -> List[Completion]:
-    """``clients`` one-outstanding-request users issue ``requests`` total.
-
-    A client is freed when its request completes *or* is shed, then
-    thinks ``think_ticks`` before issuing its next query.  The user
-    stream is drawn once up front, so the set of queried users is
-    deterministic even though the issue schedule adapts to server speed.
-    """
-    if clients < 1:
-        raise ValueError("need at least one client")
-    users = generator.users(requests)
-    next_free: List[int] = [0] * clients  # tick at which a client may issue
-    outstanding: dict = {}  # request_id -> client
-    completions: List[Completion] = []
-    issued = 0
-    finished = 0
-    while finished < requests:
-        if server.tick > max_ticks:
-            raise RuntimeError("closed-loop drive failed to finish")
-        for client in range(clients):
-            if next_free[client] < 0 or next_free[client] > server.tick:
-                continue
-            if issued >= requests:
-                continue
-            request_id = server.offer(int(users[issued]))
-            issued += 1
-            if request_id < 0:
-                finished += 1  # rejected outright; client retries later
-                next_free[client] = server.tick + think_ticks
-            else:
-                outstanding[request_id] = client
-                next_free[client] = -1  # blocked until completion/shed
-        for completion in server.step():
-            completions.append(completion)
-            finished += 1
-            client = outstanding.pop(completion.request_id, None)
-            if client is not None:
-                next_free[client] = server.tick + think_ticks
-        for request_id in server.take_shed():
-            finished += 1
-            client = outstanding.pop(request_id, None)
-            if client is not None:
-                next_free[client] = server.tick + think_ticks
     return completions

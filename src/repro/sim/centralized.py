@@ -9,12 +9,9 @@ their lack of global knowledge", Section IV-B) but catch up on error.
 
 from __future__ import annotations
 
-from typing import Union
-
 from repro._rng import child_rng
-from repro.core.config import ModelKind, RexConfig
+from repro.core.config import RexConfig
 from repro.data.dataset import RatingsDataset
-from repro.ml.dnn.model import DnnRecommender
 from repro.ml.mf import MatrixFactorization
 from repro.sim.recorder import MIB, EpochRecord, RunResult
 from repro.sim.time_model import DEFAULT_TIME_MODEL, TimeModel
@@ -30,27 +27,18 @@ def run_centralized(
     epochs: int = None,
     time_model: TimeModel = DEFAULT_TIME_MODEL,
 ) -> RunResult:
-    """Train one model on all data; one epoch is one full pass."""
+    """Train one MF model on all data; one epoch is one full pass."""
     epochs = config.epochs if epochs is None else epochs
     rng = child_rng(config.seed, "centralized")
 
-    model: Union[MatrixFactorization, DnnRecommender]
-    if config.model is ModelKind.MF:
-        hp = config.mf
-        model = MatrixFactorization(
-            train.n_users, train.n_items, hp, seed=config.seed, global_mean=train.global_mean()
-        )
-        batches = max(1, len(train) // hp.batch_size)
-        epoch_time = float(time_model.mf_train_time(batches * hp.batch_size, hp.k)) + float(
-            time_model.mf_test_time(len(test), hp.k)
-        )
-    else:
-        hp = config.dnn
-        model = DnnRecommender(train.n_users, train.n_items, hp, seed=config.seed)
-        batches = max(1, len(train) // hp.batch_size)
-        epoch_time = float(
-            time_model.dnn_train_time(batches * hp.batch_size, model.param_count)
-        ) + float(time_model.dnn_test_time(len(test), model.param_count))
+    hp = config.mf
+    model = MatrixFactorization(
+        train.n_users, train.n_items, hp, seed=config.seed, global_mean=train.global_mean()
+    )
+    batches = max(1, len(train) // hp.batch_size)
+    epoch_time = float(time_model.mf_train_time(batches * hp.batch_size, hp.k)) + float(
+        time_model.mf_test_time(len(test), hp.k)
+    )
     model.mark_seen(train)
 
     result = RunResult(
@@ -59,11 +47,11 @@ def run_centralized(
         dissemination="none",
         topology="single-node",
         n_nodes=1,
-        model=config.model.value,
+        model="mf",
         sgx=None,
     )
     sim_clock = 0.0
-    memory = (train.nbytes + getattr(model, "resident_bytes", 0)) / MIB
+    memory = (train.nbytes + model.resident_bytes) / MIB
     for epoch in range(epochs):
         samples = model.train_epoch(train, rng, batches=batches)
         sim_clock += epoch_time

@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.cluster import ClusterRun
-from repro.core.config import ModelKind
 from repro.obs import Observability
 from repro.sim.recorder import RunResult, fold_epoch
 from repro.sim.time_model import DEFAULT_TIME_MODEL, StageTimer, TimeModel
@@ -60,7 +59,7 @@ def timeline_from_cluster(
         dissemination=cfg.dissemination.value,
         topology=run.topology.name,
         n_nodes=run.topology.n_nodes,
-        model=cfg.model.value,
+        model="mf",
         sgx=run.secure,
         metadata={
             "share_points": cfg.share_points,
@@ -88,16 +87,7 @@ def timeline_from_cluster(
             transitions=col("ecalls") + col("ocalls"),
             transition_bytes=col("transition_bytes"),
         )
-        if cfg.model is ModelKind.MF:
-            stages = timer.mf_stage_times(k=cfg.mf.k, merged_rows=col("merged_rows"), **work)
-        else:
-            # model_bytes reflects the true parameter footprint (4 bytes
-            # per float, with value + grad + 2 Adam moments per parameter).
-            stages = timer.dnn_stage_times(
-                param_count=int(stats[0].model_bytes / (4 * 4)),
-                merged_models=col("merged_models"),
-                **work,
-            )
+        stages = timer.mf_stage_times(k=cfg.mf.k, merged_rows=col("merged_rows"), **work)
         fold_epoch(
             result,
             obs,

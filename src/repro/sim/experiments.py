@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Tuple
 from repro.core.config import (
     CryptoMode,
     Dissemination,
-    ModelKind,
     RexConfig,
     SharingScheme,
 )
@@ -300,7 +299,6 @@ def fig5_run(topo_kind: str, scheme: SharingScheme) -> RunResult:
         config = RexConfig(
             scheme=scheme,
             dissemination=Dissemination.DPSGD,
-            model=ModelKind.DNN,
             epochs=epochs,
             seed=RUN_SEED,
             share_points=40,

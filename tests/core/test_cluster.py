@@ -12,6 +12,8 @@ from repro.core import (
 )
 from repro.core.messages import KIND_PAYLOAD
 from repro.data.partition import partition_users_across_nodes
+from repro.faults import NAMED_PLANS, FaultInjector
+from repro.faults.runner import ChaosController, generate_node_shards
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
 
@@ -218,3 +220,35 @@ class TestEcallStatus:
         assert status["attested_peers"] == 3
         assert status["epoch"] >= 4
         assert status["store_items"] > 0
+
+
+class TestClusterRunIndexesByEpoch:
+    """A restarted node's reports skip the rounds it was down for."""
+
+    @pytest.fixture(scope="class")
+    def churned(self):
+        # Built as ``run_chaos("mixed-churn", seed=0)`` builds it; node 1
+        # crashes after epoch 0 and rejoins at epoch 3.
+        plan = NAMED_PLANS["mixed-churn"]
+        split, train, test = generate_node_shards(
+            "chaos", users=40, items=120, ratings=1_600, nodes=8
+        )
+        gm = split.train.global_mean()
+        config = RexConfig(
+            epochs=5, share_points=60, seed=0, crypto_mode=CryptoMode.REAL,
+            mf=MfHyperParams(k=8), faults=plan.tolerance(),
+        )  # fmt: skip
+        cluster = RexCluster(Topology.fully_connected(8), config, secure=True)
+        injector = FaultInjector(plan, 0, metrics=cluster.obs.metrics).attach(cluster.network)
+        cluster.controller = ChaosController(plan, injector, train, test, global_mean=gm)
+        return cluster.run(train, test, global_mean=gm)
+
+    def test_stats_for_epoch_match_by_epoch(self, churned):
+        assert [s.epoch for s in churned.node_stats[1]] == [0, 3, 4]
+        for epoch in range(5):
+            reports = churned.stats_for_epoch(epoch)
+            assert {s.epoch for s in reports} == {epoch}
+            assert (1 in {s.node_id for s in reports}) == (epoch in (0, 3, 4))
+
+    def test_epochs_completed_is_the_last_epoch_every_node_reported(self, churned):
+        assert churned.epochs_completed == 5

@@ -6,8 +6,11 @@ line of it.  These are text/shape checks on purpose: they fail on the
 first ``if persona ...`` that creeps back, before any behaviour changes.
 The serving checks at the end pin the same property on the serve path:
 rollback refusal is not a defence switch and no snapshot history stays.
+The attested build also carries no model it never runs: it trains MF
+only, like the paper's prototype, and refuses any other payload kind.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -15,11 +18,14 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.channel import SecureChannel
 from repro.core.cluster import RexCluster
-from repro.core.config import RexConfig
+from repro.core.config import CryptoMode, FaultToleranceConfig, RexConfig, SharingScheme
 from repro.core.host import RexHost
+from repro.core.messages import KIND_PAYLOAD, PayloadHeader, pack_payload
 from repro.data.partition import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
+from repro.net.serialization import encode_mf_state, encode_triplets
 from repro.net.topology import Topology
 from repro.net.transport import Network
 from repro.serve.endpoint import ServeEnclaveApp
@@ -64,6 +70,79 @@ def test_no_attack_surface_on_cluster_or_attestor():
     suspicious = re.compile(r"attack|forge|sybil|persona|poison|clone")
     for cls in (RexCluster, RexHost, MutualAttestation):
         assert [name for name in dir(cls) if suspicious.search(name)] == []
+
+
+# --------------------------------------------------------------------- #
+# MF only: no DNN code in the attested app or its wire codecs
+# --------------------------------------------------------------------- #
+def _module_file(name: str):
+    path = SRC.parent / name.replace(".", "/")
+    for candidate in (path.with_suffix(".py"), path / "__init__.py"):
+        if candidate.exists():
+            return candidate
+    return None
+
+
+def _import_closure(root: str) -> set:
+    """``repro`` modules reachable through import statements (function-
+    local ones included).  A parent package's ``__init__`` is not
+    followed unless imported by name: it aggregates the public API and
+    is no code the importing module runs on."""
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse(_module_file(name).read_text())):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                targets = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            todo += [t for t in targets if t.startswith("repro.") and _module_file(t)]
+    return seen
+
+
+@pytest.mark.parametrize("root", ["repro.core.app", "repro.net.serialization"])
+def test_attested_code_imports_no_dnn(root):
+    closure = _import_closure(root)
+    assert "repro.ml.mf" in closure
+    assert sorted(m for m in closure if m.startswith("repro.ml.dnn")) == []
+
+
+@pytest.mark.parametrize("scheme", [SharingScheme.DATA, SharingScheme.MODEL], ids=["ds", "ms"])
+@pytest.mark.parametrize("tolerant", [False, True], ids=["strict", "tolerant"])
+def test_retired_dnn_content_kind_is_refused(tiny_split, scheme, tolerant):
+    """Tag 3 (the retired DNN model) takes the mismatched-payload path,
+    even around bytes that are a valid payload of the run's own kind."""
+    config = RexConfig(
+        scheme=scheme, epochs=3, share_points=10, crypto_mode=CryptoMode.REAL,
+        mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
+        faults=FaultToleranceConfig(enabled=tolerant),
+    )  # fmt: skip
+    train = partition_users_across_nodes(tiny_split.train, 2, seed=2)
+    test = partition_users_across_nodes(tiny_split.test, 2, seed=2)
+    cluster = RexCluster(Topology.fully_connected(2), config, secure=True)
+    cluster.bootstrap(train, test, global_mean=tiny_split.train.global_mean())
+    host = cluster.hosts[0]
+    host.pump()  # attests node 1 and runs epoch 0; node 1 has sent no payload yet
+    app = host.enclave._app
+    assert app.epoch == 1
+    if scheme is SharingScheme.DATA:
+        content = encode_triplets(app.store.as_dataset())
+    else:
+        content = encode_mf_state(app.model.state())
+    sender = SecureChannel(app.channels[1]._cipher._key, 1, 0)
+    wire = sender.seal(pack_payload(PayloadHeader(1, 0, 1, 3), content))
+    if not tolerant:
+        with pytest.raises(ValueError):
+            host.enclave.ecall("ecall_input", 1, KIND_PAYLOAD, wire)
+        return
+    host.enclave.ecall("ecall_input", 1, KIND_PAYLOAD, wire)
+    assert cluster.obs.metrics.value("faults.recovered", node=0, kind="merge") == 1
+    assert app.epoch == 2  # the round ran without the share
 
 
 # --------------------------------------------------------------------- #

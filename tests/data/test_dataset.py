@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro._rng import child_rng
 from repro.data.dataset import RatingsDataset
+from repro.net.serialization import measure_triplets
 
 
 def _make(users, items, ratings, n_users=10, n_items=20):
@@ -56,7 +57,7 @@ class TestConstruction:
 class TestDerived:
     def test_len_and_wire_bytes(self, small):
         assert len(small) == 4
-        assert small.wire_bytes == 48
+        assert measure_triplets(len(small)) == 16 + 48  # header + 4 x 12 B triplets
 
     def test_sparsity(self, small):
         assert small.sparsity == pytest.approx(1 - 4 / 200)

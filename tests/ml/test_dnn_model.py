@@ -8,6 +8,7 @@ from repro.data.dataset import RatingsDataset
 from repro.ml.dnn.layers import Parameter
 from repro.ml.dnn.model import DnnHyperParams, DnnRecommender
 from repro.ml.dnn.optim import Adam, Sgd
+from repro.net.serialization import measure_dnn_state
 
 
 def _small_model(seed=0):
@@ -118,7 +119,10 @@ class TestStateAndMerge:
     def test_wire_bytes_include_dense_mlp(self):
         model = _small_model()
         state = model.state()
-        assert state.wire_bytes() >= state.mlp_params.size * 4
+        wire = measure_dnn_state(
+            int(state.user_seen.sum()), int(state.item_seen.sum()), state.k, state.mlp_params.size
+        )
+        assert wire >= state.mlp_params.size * 4
 
     def test_resident_bytes_cover_adam_moments(self):
         model = _small_model()

@@ -11,10 +11,8 @@ from repro.ml.dnn.model import DnnHyperParams, DnnRecommender
 from repro.ml.mf import MatrixFactorization, MfHyperParams
 from repro.net.serialization import (
     CodecError,
-    decode_dnn_state,
     decode_mf_state,
     decode_triplets,
-    encode_dnn_state,
     encode_mf_state,
     encode_triplets,
     measure_dnn_state,
@@ -96,7 +94,6 @@ class TestMfCodec:
         assert len(encoded) == measure_mf_state(
             int(mf_state.user_seen.sum()), int(mf_state.item_seen.sum()), mf_state.k
         )
-        assert len(encoded) == mf_state.wire_bytes()
 
     def test_double_wire_roundtrip(self, mf_state):
         encoded = encode_mf_state(mf_state, wire_dtype="<f8")
@@ -139,27 +136,7 @@ class TestMfCodec:
 
 
 class TestDnnCodec:
-    def test_roundtrip(self, dnn_state):
-        decoded = decode_dnn_state(encode_dnn_state(dnn_state))
-        np.testing.assert_allclose(decoded.mlp_params, dnn_state.mlp_params, rtol=1e-6)
-        seen = dnn_state.user_seen
-        np.testing.assert_allclose(
-            decoded.user_embeddings[seen], dnn_state.user_embeddings[seen], rtol=1e-6
-        )
-        np.testing.assert_array_equal(decoded.item_seen, dnn_state.item_seen)
-
-    def test_measured_size_exact(self, dnn_state):
-        assert len(encode_dnn_state(dnn_state)) == measure_dnn_state(
-            int(dnn_state.user_seen.sum()),
-            int(dnn_state.item_seen.sum()),
-            dnn_state.k,
-            dnn_state.mlp_params.size,
-        )
-        assert len(encode_dnn_state(dnn_state)) == dnn_state.wire_bytes()
-
-    def test_wrong_magic_rejected(self, dnn_state):
-        with pytest.raises(CodecError):
-            decode_dnn_state(b"XXXX" + encode_dnn_state(dnn_state)[4:])
+    """A DNN share is sized (Fig. 5(b)), never encoded: no enclave runs it."""
 
     def test_mlp_always_dense_on_wire(self, dnn_state):
         base = measure_dnn_state(0, 0, dnn_state.k, dnn_state.mlp_params.size)
@@ -172,13 +149,10 @@ def _valid_payloads():
         n_users=8, n_items=10,
     )
     mf = MatrixFactorization(8, 10, MfHyperParams(k=3), seed=1)
-    dnn = DnnRecommender(8, 10, DnnHyperParams(k=2, hidden=(4,)), seed=1)
-    for model in (mf, dnn):
-        model.mark_seen(data)
+    mf.mark_seen(data)
     return {
         decode_triplets: encode_triplets(data),
         decode_mf_state: encode_mf_state(mf.state()),
-        decode_dnn_state: encode_dnn_state(dnn.state()),
     }
 
 
@@ -194,7 +168,7 @@ DECODERS = list(VALID_PAYLOADS)
     # check_mf_state's size bound first), so arbitrary bytes stop short
     # of a full model header.  The bare-magic and truncation tests cover
     # the header checks themselves.
-    st.binary(max_size=96).filter(lambda b: not b.startswith((b"RXM1", b"RXN1"))),
+    st.binary(max_size=96).filter(lambda b: not b.startswith(b"RXM1")),
 )
 def test_arbitrary_bytes_raise_only_codec_error(decode, blob):
     # Host- and peer-supplied bytes: a decoder either parses them or
@@ -238,7 +212,7 @@ def test_bare_magic_is_a_codec_error(decode):
 
 @pytest.mark.parametrize(
     "decode, n_users_at",
-    [(decode_triplets, 8), (decode_mf_state, 12), (decode_dnn_state, 8)],
+    [(decode_triplets, 8), (decode_mf_state, 12)],
     ids=lambda v: getattr(v, "__name__", str(v)),
 )
 def test_ids_past_the_declared_id_space_are_a_codec_error(decode, n_users_at):

@@ -1,15 +1,9 @@
-"""Seeded workloads: trace determinism, Zipf skew, closed-loop drive."""
+"""Seeded workloads: trace determinism, Zipf skew, open-loop drive."""
 
 import numpy as np
 
-from repro.serve.server import RecServer, ServePolicy, SHED_OLDEST
-from repro.serve.workload import (
-    WorkloadGenerator,
-    WorkloadSpec,
-    run_closed_loop,
-    run_trace,
-    trace_digest,
-)
+from repro.serve.server import RecServer, ServePolicy
+from repro.serve.workload import WorkloadGenerator, WorkloadSpec, run_trace, trace_digest
 from tests.serve.test_server import _StubEnclave
 
 
@@ -59,20 +53,3 @@ class TestDrivers:
         completions = run_trace(server, trace)
         assert server.offered == len(trace)
         assert len(completions) == len(trace)  # nothing shed at this depth
-
-    def test_closed_loop_finishes_every_request(self):
-        generator = WorkloadGenerator(WorkloadSpec(seed=2, n_users=20))
-        server = RecServer(_StubEnclave(), policy=ServePolicy())
-        completions = run_closed_loop(server, generator, clients=4, requests=40)
-        assert len(completions) == 40
-        assert server.queue_len == 0
-
-    def test_closed_loop_survives_shedding(self):
-        generator = WorkloadGenerator(WorkloadSpec(seed=2, n_users=20))
-        server = RecServer(
-            _StubEnclave(),
-            policy=ServePolicy(queue_depth=2, shed=SHED_OLDEST, batch_window_ticks=4),
-        )
-        completions = run_closed_loop(server, generator, clients=8, requests=60)
-        # every request either completed or was shed; none lost
-        assert len(completions) + server.shed_count == 60

@@ -6,7 +6,6 @@ import pytest
 from repro.core import (
     CryptoMode,
     Dissemination,
-    ModelKind,
     RexCluster,
     RexConfig,
     SharingScheme,
@@ -33,17 +32,6 @@ class TestCentralized:
         result = run_centralized(tiny_split.train, tiny_split.test, RexConfig(epochs=5))
         diffs = np.diff(result.times())
         np.testing.assert_allclose(diffs, diffs[0])
-
-    def test_dnn_baseline_supported(self, tiny_split):
-        from repro.ml.dnn.model import DnnHyperParams
-
-        config = RexConfig(
-            epochs=2, model=ModelKind.DNN,
-            dnn=DnnHyperParams(k=4, hidden=(8, 6), batch_size=32),
-        )
-        result = run_centralized(tiny_split.train, tiny_split.test, config)
-        assert result.model == "dnn"
-        assert len(result.records) == 2
 
     def test_epoch_override(self, tiny_split):
         result = run_centralized(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import Dissemination, ModelKind, RexConfig, SharingScheme
+from repro.core.config import Dissemination, RexConfig, SharingScheme
 from repro.data.partition import partition_users_across_nodes
 from repro.ml.dnn.model import DnnHyperParams
 from repro.net.topology import Topology
@@ -25,7 +25,6 @@ def _sim(shards, scheme, dissemination=Dissemination.DPSGD, epochs=4):
     config = RexConfig(
         scheme=scheme,
         dissemination=dissemination,
-        model=ModelKind.DNN,
         epochs=epochs,
         share_points=10,
         dnn=DnnHyperParams(k=4, hidden=(8, 6), batch_size=16, batches_per_epoch=2),

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.core import CryptoMode, Dissemination, RexCluster, RexConfig, SharingScheme
-from repro.core.config import ModelKind
 from repro.data.partition import partition_users_across_nodes
 from repro.ml.dnn.model import DnnHyperParams
 from repro.ml.mf import MfHyperParams
@@ -252,7 +251,6 @@ def _dnn_sim(tiny_split, scheme=SharingScheme.DATA, dissemination=Dissemination.
     config = RexConfig(
         scheme=scheme,
         dissemination=dissemination,
-        model=ModelKind.DNN,
         epochs=4,
         share_points=10,
         dnn=DnnHyperParams(k=4, hidden=(8, 6), batch_size=16, batches_per_epoch=2),
