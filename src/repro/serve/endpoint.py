@@ -38,6 +38,12 @@ DEFAULT_TOPN_CAPACITY = 4096
 DEFAULT_HOT_CAPACITY = 512
 
 
+def _ids_within(ids: np.ndarray, bound: int) -> bool:
+    """Whether every id lies in ``[0, bound)``."""
+    ids = np.asarray(ids)
+    return len(ids) == 0 or (ids.min() >= 0 and ids.max() < bound)
+
+
 @dataclass
 class BatchStats:
     """Sanitized work counts for one served batch (safe to export)."""
@@ -97,19 +103,25 @@ class ServingState:
     ) -> None:
         """Install a newer snapshot and rebuild the exclusion index.
 
-        Cache invalidation rides on the snapshot version: both caches
-        flush themselves on the first lookup against the new version.
+        Exclusion ratings come from the host, so every user row must lie
+        in ``[0, n_users)`` and every item in ``[0, n_items)`` of the new
+        snapshot; anything else is refused before any state changes and
+        the installed snapshot keeps serving.  Cache invalidation rides
+        on the snapshot version: both caches flush themselves on the
+        first lookup against the new version.
         """
         self._refuse_below(snapshot.version, self.version + 1)
-        self.snapshot = snapshot
         if rated_users is not None and rated_items is not None:
-            self.exclusions = exclusion_index(
-                rated_users, rated_items, snapshot.n_users
-            )
-            self._exclusion_bytes = sum(a.nbytes for a in self.exclusions.values())
+            if not _ids_within(rated_users, snapshot.n_users):
+                raise ValueError("exclusion rating user row outside the snapshot")
+            if not _ids_within(rated_items, snapshot.n_items):
+                raise ValueError("exclusion rating item outside the snapshot")
+            exclusions = exclusion_index(rated_users, rated_items)
         else:
-            self.exclusions = {}
-            self._exclusion_bytes = 0
+            exclusions = {}
+        self.snapshot = snapshot
+        self.exclusions = exclusions
+        self._exclusion_bytes = sum(a.nbytes for a in exclusions.values())
 
     @property
     def resident_bytes(self) -> int:

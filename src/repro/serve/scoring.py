@@ -6,14 +6,18 @@ top-K *unseen* items.  Three properties matter:
 
 - **Exclusion**: items the user already rated (present in the node's
   raw-data store) must never be recommended; they are masked to ``-inf``
-  before selection.
+  before selection.  A NaN score is masked the same way: it is never
+  recommended and never takes a slot.
 - **Determinism**: equal scores are broken by ascending item id, and all
   arithmetic runs in float64, so a (snapshot digest, user batch) pair
   yields byte-identical recommendations on every run and machine.
-- **argpartition, not argsort**: selection is O(N) per user via
-  ``np.partition`` on the K-th order statistic, with an exact tie repair
-  at the boundary -- the brute-force ``argsort`` oracle in the property
-  tests agrees bit-for-bit, including K >= candidate count and ties.
+- **argpartition, not argsort**: selection is O(N) per user and one
+  ``np.argpartition`` per batch at two order statistics (the K-th
+  largest value and the largest one left out).  Only rows where a tie
+  straddles that boundary are repaired exactly, all at once, and one
+  ``lexsort`` orders the batch; no Python loop runs over rows.  The
+  brute-force ``argsort`` oracle in the property tests agrees
+  bit-for-bit, including K >= candidate count and ties.
 
 Trusted module: kernels read plaintext model parameters and the per-user
 rated-item index derived from the raw store.
@@ -62,9 +66,7 @@ def score_batch(
     return scores
 
 
-def exclusion_index(
-    users: np.ndarray, items: np.ndarray, n_users: int
-) -> Dict[int, np.ndarray]:
+def exclusion_index(users: np.ndarray, items: np.ndarray) -> Dict[int, np.ndarray]:
     """Per-user sorted arrays of already-rated item ids, in one argsort.
 
     Built once per snapshot load from the node's raw-data store; consulted
@@ -109,12 +111,21 @@ def top_k_select(scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     Returns ``(items, top_scores)`` of shape (B, K): item ids ordered by
     descending score with ascending-id tie-breaking, padded with
     :data:`PAD_ITEM` / ``nan`` when a row has fewer than K eligible
-    (non ``-inf``) candidates.
+    (non ``-inf``, non-NaN) candidates.
 
-    The fast path partitions each row around its K-th largest value;
-    rows are then repaired exactly at the tie boundary: every item
-    strictly above the pivot is in, and pivot-valued items fill the
-    remaining slots in ascending id order.
+    A NaN score is never recommended and never takes a slot: it is
+    masked like an exclusion (the matrix is copied only when it holds
+    one).
+
+    Selection is two order statistics per batch, not a loop over rows:
+    one ``argpartition`` at ``cut - 1`` and ``cut = N - K`` puts each
+    row's K largest in columns ``[cut:]`` with the pivot (the smallest
+    kept value) at ``cut``.  Only a row whose largest left-out value
+    equals its (not ``-inf``) pivot -- a tie straddling the boundary --
+    is repaired: everything strictly above the pivot is in, and
+    pivot-valued items fill the remaining slots in ascending id order.
+    One ``lexsort`` then orders the whole (B, K) block, and ``-inf``
+    slots become padding.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n_rows, n_cols = scores.shape
@@ -124,28 +135,43 @@ def top_k_select(scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     k_eff = min(k, n_cols)
     items = np.full((n_rows, k), PAD_ITEM, dtype=np.int64)
     top_scores = np.full((n_rows, k), np.nan, dtype=np.float64)
-    if k_eff == 0 or n_cols == 0:
+    if k_eff == 0:
         return items, top_scores
-    if k_eff < n_cols:
-        pivots = np.partition(scores, n_cols - k_eff, axis=1)[:, n_cols - k_eff]
+    nan = np.isnan(scores)
+    if nan.any():
+        scores = np.where(nan, -np.inf, scores)
+    rows = np.arange(n_rows)[:, None]
+    cut = n_cols - k_eff
+    if cut == 0:
+        idx = np.broadcast_to(np.arange(n_cols), scores.shape)
     else:
-        pivots = np.full(n_rows, -np.inf)
-    for row in range(n_rows):
-        row_scores = scores[row]
-        pivot = pivots[row]
-        if np.isneginf(pivot):
-            # Fewer than K eligible candidates (or K >= N): take them all.
-            candidates = np.flatnonzero(~np.isneginf(row_scores))
-        else:
-            above = np.flatnonzero(row_scores > pivot)
-            need = k_eff - above.size
-            at_pivot = np.flatnonzero(row_scores == pivot)[:need]
-            candidates = np.concatenate((above, at_pivot))
-        # lexsort's last key is primary: descending score, then item id.
-        order = np.lexsort((candidates, -row_scores[candidates]))
-        chosen = candidates[order][:k_eff]
-        items[row, : chosen.size] = chosen
-        top_scores[row, : chosen.size] = row_scores[chosen]
+        part = np.argpartition(scores, (cut - 1, cut), axis=1)
+        idx = part[:, cut:]
+        edge = scores[rows, part[:, cut - 1 : cut + 1]]
+        pivots = edge[:, 1]
+        # A -inf pivot means fewer than K eligible items: every finite
+        # one is already kept and whichever -inf ties fill the rest
+        # become padding, so the row needs no repair.
+        straddle = (edge[:, 0] == pivots) & (pivots > -np.inf)
+        if straddle.any():
+            tied = scores[straddle]
+            pivot = pivots[straddle, None]
+            above = tied > pivot
+            at_pivot = tied == pivot
+            need = k_eff - above.sum(axis=1, keepdims=True)
+            keep = above | (at_pivot & (np.cumsum(at_pivot, axis=1) <= need))
+            idx[straddle] = np.nonzero(keep)[1].reshape(-1, k_eff)
+    vals = scores[rows, idx]
+    # lexsort's last key is primary: descending score, then item id.
+    order = np.lexsort((idx, -vals), axis=1)
+    chosen = idx[rows, order]
+    chosen_scores = vals[rows, order]
+    # -inf sorts last: excluded (and NaN) slots become padding.
+    pad = chosen_scores == -np.inf
+    chosen[pad] = PAD_ITEM
+    chosen_scores[pad] = np.nan
+    items[:, :k_eff] = chosen
+    top_scores[:, :k_eff] = chosen_scores
     return items, top_scores
 
 

@@ -7,7 +7,7 @@ from repro.data.dataset import RatingsDataset
 from repro.net.serialization import encode_triplets
 from repro.obs import MetricsRegistry
 from repro.serve.endpoint import ServeEnclaveApp, ServingState
-from repro.serve.fleet.shard import ShardEnclaveApp
+from repro.serve.fleet.shard import ShardEnclaveApp, encode_shard_users
 from repro.serve.scoring import PAD_ITEM
 from repro.serve.snapshot import encode_snapshot, snapshot_from_arrays
 from repro.tee import AttestationService, Platform
@@ -235,3 +235,71 @@ def test_serving_before_any_load_is_a_typed_refusal(app):
         enclave.ecall("ecall_serve", [0, 1], 5)
     assert enclave.metrics.value("serve.requests") == 0
     assert enclave.memory.resident_bytes == 0
+
+
+def _foreign_ratings(field):
+    """Ratings from a wider id space: user 0 "rated" item N_ITEMS + 5, or
+    user N_USERS + 3 rated item 2."""
+    users, items = [0, 1], [N_ITEMS + 5, 3]
+    if field == "user":
+        users, items = [N_USERS + 3, 1], [2, 3]
+    return RatingsDataset(
+        np.array(users), np.array(items), np.ones(2),
+        n_users=N_USERS + 10, n_items=N_ITEMS + 10,
+    )
+
+
+def _load_args(app, snapshot, ratings):
+    args = {"snapshot": encode_snapshot(snapshot), "ratings": encode_triplets(ratings)}
+    if app is ShardEnclaveApp:
+        args["shard_users"] = encode_shard_users(np.arange(N_USERS, dtype=np.int64))
+    return args
+
+
+class TestExclusionRatingsOutsideTheSnapshot:
+    """Exclusion ratings arrive from the host with ``ecall_load``.  An item
+    outside the snapshot used to be accepted, and then every
+    ``ecall_serve`` for that user raised a bare ``IndexError``; a user row
+    outside it was charged to the EPC although no query can reach it."""
+
+    @pytest.mark.parametrize(
+        "app, field",
+        [(ServeEnclaveApp, "item"), (ServeEnclaveApp, "user"), (ShardEnclaveApp, "item")],
+    )
+    def test_refused_at_load_and_the_installed_snapshot_keeps_serving(self, app, field):
+        platform = Platform("serve-test", AttestationService())
+        enclave = platform.create_enclave(app, "serve-0")
+        reference = platform.create_enclave(app, "serve-ref")
+        for target in (enclave, reference):
+            target.ecall("ecall_load", _load_args(app, make_snapshot(), make_ratings()))
+        with pytest.raises(ValueError, match="outside the snapshot"):
+            enclave.ecall(
+                "ecall_load",
+                _load_args(app, make_snapshot(version=2, seed=9), _foreign_ratings(field)),
+            )
+        users = list(range(N_USERS))
+        assert enclave.ecall("ecall_serve", users, 5) == reference.ecall("ecall_serve", users, 5)
+        assert enclave.memory.resident_bytes == reference.memory.resident_bytes
+        # The refused load did not move the version mark.
+        meta = enclave.ecall(
+            "ecall_load", _load_args(app, make_snapshot(version=2, seed=9), make_ratings())
+        )
+        assert meta["version"] == 2
+
+    def test_a_shard_drops_users_it_does_not_own(self):
+        # A shard keeps only owned users' rows, so a foreign user id is
+        # never installed: the load succeeds and user 1's one real rating
+        # is still excluded.
+        platform = Platform("serve-test", AttestationService())
+        enclave = platform.create_enclave(ShardEnclaveApp, "serve-0")
+        enclave.ecall(
+            "ecall_load", _load_args(ShardEnclaveApp, make_snapshot(), _foreign_ratings("user"))
+        )
+        assert enclave.ecall("ecall_serve", [1], N_ITEMS)["items"][0].count(PAD_ITEM) == 1
+
+    @pytest.mark.parametrize("users, items", [([-1], [0]), ([0], [-1])])
+    def test_negative_ids_refused(self, users, items):
+        state = ServingState()
+        with pytest.raises(ValueError, match="outside the snapshot"):
+            state.install(make_snapshot(), np.array(users), np.array(items))
+        assert state.snapshot is None and state.exclusions == {}

@@ -6,10 +6,13 @@ checks it bit-for-bit against the obvious full-sort oracle -- including
 exclusion masks, K larger than the candidate count, and heavy ties.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.serve.scoring import (
     PAD_ITEM,
@@ -22,14 +25,16 @@ from repro.serve.scoring import (
 
 
 def oracle_top_k(scores: np.ndarray, k: int):
-    """Full-sort reference: descending score, ascending item id, -inf out."""
+    """Full-sort reference: descending score, ascending item id, -inf and
+    NaN out."""
     n_rows, _ = scores.shape
     items = np.full((n_rows, k), PAD_ITEM, dtype=np.int64)
     top = np.full((n_rows, k), np.nan, dtype=np.float64)
     for row in range(n_rows):
         ids = np.arange(scores.shape[1])
         order = np.lexsort((ids, -scores[row]))
-        keep = [i for i in order if not np.isneginf(scores[row, i])][:k]
+        out = np.isneginf(scores[row]) | np.isnan(scores[row])
+        keep = order[~out[order]][:k]
         items[row, : len(keep)] = keep
         top[row, : len(keep)] = scores[row, keep]
     return items, top
@@ -67,13 +72,13 @@ class TestExclusionIndex:
     def test_groups_and_dedups_per_user(self):
         users = np.array([2, 0, 2, 2, 0])
         items = np.array([5, 1, 3, 5, 4])
-        index = exclusion_index(users, items, n_users=4)
+        index = exclusion_index(users, items)
         assert set(index) == {0, 2}
         np.testing.assert_array_equal(index[0], [1, 4])
         np.testing.assert_array_equal(index[2], [3, 5])
 
     def test_empty_input(self):
-        assert exclusion_index(np.array([]), np.array([]), n_users=4) == {}
+        assert exclusion_index(np.array([]), np.array([])) == {}
 
     def test_apply_masks_to_neg_inf(self):
         scores = np.zeros((2, 4))
@@ -106,24 +111,58 @@ class TestTopKSelect:
         with pytest.raises(ValueError):
             top_k_select(np.zeros((1, 3)), -1)
 
+    def test_nan_never_takes_a_slot(self):
+        items, scores = top_k_select(np.array([[np.nan, 5.0, 4.0, 3.0]]), 2)
+        np.testing.assert_array_equal(items, [[1, 2]])
+        np.testing.assert_array_equal(scores, [[5.0, 4.0]])
+
+    def test_nan_is_never_recommended(self):
+        row = np.array([[np.nan, 5.0, -np.inf, -np.inf]])
+        items, scores = top_k_select(row, 3)
+        np.testing.assert_array_equal(items, [[1, PAD_ITEM, PAD_ITEM]])
+        assert scores[0, 0] == 5.0 and np.isnan(scores[0, 1:]).all()
+        assert np.isnan(row[0, 0])  # the caller's matrix is not modified
+
+    def test_serving_width_mixes_straddling_and_clean_rows(self):
+        # Width 2,000 like the serving catalog.  Unseen items score equal,
+        # so a tie can straddle the K boundary; other rows have a clean
+        # boundary or a tie wholly inside the top K.
+        n_items, k = 2_000, 10
+        rng = np.random.default_rng(7)
+        scores = rng.normal(size=(6, n_items))
+        scores[0, 100:400] = 9.0  # more ties than slots: K tied ids
+        scores[1, 50:55] = 9.0  # five above, the tie straddles below
+        scores[1, 500:700] = 8.0
+        scores[2, 10:13] = 9.0  # tie wholly inside the top K
+        scores[3, rng.random(n_items) < 0.5] = -np.inf  # excluded half
+        scores[4, :] = 3.5  # an untrained user: every item ties
+        scores[4, ::7] = -np.inf
+        items, top = top_k_select(scores, k)
+        assert items.dtype == np.int64 and top.dtype == np.float64
+        assert items.shape == top.shape == (6, k)
+        np.testing.assert_array_equal(items[0], np.arange(100, 110))
+        np.testing.assert_array_equal(items[1], [50, 51, 52, 53, 54, 500, 501, 502, 503, 504])
+        assert items[2, :3].tolist() == [10, 11, 12]
+        np.testing.assert_array_equal(items[4], [1, 2, 3, 4, 5, 6, 8, 9, 10, 11])
+        want_items, want_top = oracle_top_k(scores, k)
+        np.testing.assert_array_equal(items, want_items)
+        np.testing.assert_array_equal(top, want_top)
+
     # -- the satellite property test ----------------------------------- #
     @settings(max_examples=200, deadline=None)
     @given(
         data=st.data(),
-        n_rows=st.integers(1, 4),
-        n_cols=st.integers(1, 12),
-        k=st.integers(0, 14),
+        n_rows=st.integers(0, 40),
+        n_cols=st.integers(1, 70),
+        k=st.integers(0, 75),
     )
     def test_matches_brute_force_oracle(self, data, n_rows, n_cols, k):
         # Scores from a small discrete pool force heavy ties; a sprinkle
-        # of -inf models excluded items (possibly a whole row).
-        pool = st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 0.25, 1.0, 2.5])
-        scores = np.array(
-            [
-                [data.draw(pool) for _ in range(n_cols)]
-                for _ in range(n_rows)
-            ],
-            dtype=np.float64,
+        # of -inf models excluded items (possibly a whole row), and NaN
+        # must behave exactly like an exclusion.
+        pool = st.sampled_from([-np.inf, np.nan, -1.5, 0.0, 0.25, 0.25, 1.0, 2.5])
+        scores = data.draw(
+            arrays(np.float64, (n_rows, n_cols), elements=pool, fill=st.nothing())
         )
         fast_items, fast_scores = top_k_select(scores, k)
         slow_items, slow_scores = oracle_top_k(scores, k)
@@ -140,7 +179,7 @@ class TestTopKSelect:
         ub, ib = rng.normal(size=n_users), rng.normal(size=n_items)
         rated_users = rng.integers(0, n_users, 20)
         rated_items = rng.integers(0, n_items, 20)
-        exclusions = exclusion_index(rated_users, rated_items, n_users)
+        exclusions = exclusion_index(rated_users, rated_items)
         users = np.arange(n_users)
         items, scores = batched_top_k(
             uf, ub, itf, ib, 3.5, users, k, exclusions=exclusions
@@ -165,3 +204,43 @@ class TestDeterminism:
         b = batched_top_k(uf, ub, itf, ib, 3.5, users, 7)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+
+class TestServedListPin:
+    """Every served list of the ``serve_single_cold`` benchmark model.
+
+    Users 6,000, items 2,000, ratings 300,000, ``mf_k`` 16, 4 nodes, 3
+    epochs, seed 0: node 0's published snapshot with the training
+    ratings as exclusions (what ``train_and_load`` ships to its one
+    shard), every user scored in batches of 32 at K = 10.  The digest
+    was captured before top-K selection was vectorised; a selection
+    change that moves any id or score bit fails here.
+    """
+
+    DIGEST = "b09ffeb19159aa4b70a6a237b406eec2d3a53fa26206255059dee89f717f9dae"
+
+    def test_every_served_list_is_pinned(self):
+        from repro.serve.runner import train_fleet_model
+        from repro.serve.snapshot import snapshot_from_arrays
+
+        n_users = 6_000
+        sim, split = train_fleet_model(
+            seed=0, nodes=4, epochs=3, users=n_users, items=2_000,
+            ratings=300_000, mf_k=16,
+        )
+        snap = snapshot_from_arrays(
+            sim.XU[0], sim.YI[0], sim.BU[0], sim.BI[0], sim.SU[0], sim.SI[0],
+            sim.global_mean, version=1,
+        )
+        exclusions = exclusion_index(split.train.users, split.train.items)
+        digest = hashlib.sha256()
+        for start in range(0, n_users, 32):
+            users = np.arange(start, min(start + 32, n_users), dtype=np.int64)
+            items, scores = batched_top_k(
+                snap.user_factors, snap.user_bias, snap.item_factors,
+                snap.item_bias, snap.global_mean, users, 10,
+                exclusions=exclusions,
+            )
+            digest.update(items.tobytes())
+            digest.update(scores.tobytes())
+        assert digest.hexdigest() == self.DIGEST
