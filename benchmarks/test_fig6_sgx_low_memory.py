@@ -6,8 +6,10 @@ build is faster overall; (b) memory and network: REX needs less of both;
 (c, d) convergence: REX beats MS under SGX with little overhead.
 
 The cluster executes the real protocol (enclaves, mutual attestation,
-sealed channels); SGX and native builds are separate runs of the same
-code base, exactly as in the paper (Section III-E).
+sealed channels) once per cell; the SGX and native builds are that one
+run priced with the SGX and the native cost model (the paper compiles
+the same code base twice, Section III-E).  Native rows of (b) carry the
+one build's 24 B channel framing per frame.
 """
 
 from benchmarks.conftest import emit

@@ -3,7 +3,8 @@
 Same 8-node matrix as Figure 6 but with the capped MovieLens-25M dataset,
 chosen so the model-sharing working set (Eigen-style double-precision
 models plus per-neighbor staging) overcommits the 46.75 MiB per-enclave
-EPC share.  Trends match Figure 6 with larger SGX overheads for MS.
+EPC share.  Trends match Figure 6 with larger SGX overheads for MS.  As
+there, each SGX/native pair is one cluster run priced twice.
 """
 
 from benchmarks.conftest import emit

@@ -5,7 +5,9 @@ RMW MS 51%/24.7, D-PSGD REX 5%/12.9, D-PSGD MS 70%/53.6; at 15,000 users
 -- RMW REX 17%/45.9, RMW MS 91%/83.1, D-PSGD REX 8%/53.9, D-PSGD MS
 135%/204.  Shape: MS overhead always exceeds REX overhead (more bytes to
 seal, bigger working set), and grows sharply at 15k users where the MS
-working set overcommits the EPC.
+working set overcommits the EPC.  Each row's SGX and native times are one
+cluster run priced with the SGX and the native cost model, so both
+average the same epochs of the same curve.
 """
 
 from benchmarks.conftest import emit

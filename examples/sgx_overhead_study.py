@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """SGX overhead study on a real (simulated-hardware) enclave cluster.
 
-Runs the full REX stack -- enclaves, mutual attestation, sealed channels
--- on a 4-node fully connected deployment, twice per sharing scheme: an
-SGX build and a native build of the same code base, then prints the
-Table IV-style comparison: per-stage epoch breakdown, RAM, overhead %.
+Runs the full REX stack -- enclaves, mutual attestation, real AEAD
+sealed channels -- on a 4-node fully connected deployment, once per
+sharing scheme, and prices each run twice: with the SGX cost model and
+with the native one (the same build, no enclave charges).  Then prints
+the Table IV-style comparison: per-stage epoch breakdown, RAM, overhead %.
 
 Run:  python examples/sgx_overhead_study.py
 """
@@ -24,6 +25,7 @@ from repro.analysis.tables import sgx_overhead_table
 from repro.data import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
 from repro.sim import LAN_TIME_MODEL, timeline_from_cluster
+from repro.tee.cost_model import NATIVE_COST_MODEL, SGX1_COST_MODEL
 
 N_NODES = 4
 EPOCHS = 40
@@ -33,19 +35,23 @@ SPEC = MovieLensSpec(
 )
 
 
-def run(scheme: SharingScheme, secure: bool, split, shards):
+def run(scheme: SharingScheme, split, shards):
+    """One REAL-crypto run, priced as the SGX build and as the native one."""
     config = RexConfig(
         scheme=scheme,
         dissemination=Dissemination.DPSGD,
         epochs=EPOCHS,
         share_points=100,
-        crypto_mode=CryptoMode.REAL if secure else CryptoMode.ACCOUNTED,
+        crypto_mode=CryptoMode.REAL,
         mf=MfHyperParams(k=10, dtype="float64"),
     )
-    cluster = RexCluster(Topology.fully_connected(N_NODES), config, secure=secure)
+    cluster = RexCluster(Topology.fully_connected(N_NODES), config)
     train, test = shards
     result = cluster.run(train, test, global_mean=split.train.global_mean())
-    return timeline_from_cluster(result, time_model=LAN_TIME_MODEL)
+    return {
+        sgx: timeline_from_cluster(result, cost_model=cost_model, time_model=LAN_TIME_MODEL)
+        for sgx, cost_model in ((True, SGX1_COST_MODEL), (False, NATIVE_COST_MODEL))
+    }
 
 
 def main():
@@ -57,18 +63,16 @@ def main():
 
     runs = {}
     for scheme in (SharingScheme.DATA, SharingScheme.MODEL):
-        for secure in (True, False):
-            label = f"{scheme.label} ({'SGX' if secure else 'native'})"
-            print(f"running {label}: {EPOCHS} epochs, "
-                  f"{'real attestation + AEAD' if secure else 'plaintext'}...")
-            runs[(scheme, secure)] = run(scheme, secure, split, shards)
+        print(f"running {scheme.label}: {EPOCHS} epochs, real attestation + AEAD...")
+        for sgx, result in run(scheme, split, shards).items():
+            runs[(scheme, sgx)] = result
 
     rows = []
-    for (scheme, secure), result in runs.items():
+    for (scheme, sgx), result in runs.items():
         stages = result.stage_means()
         rows.append(
             [
-                f"{scheme.label} ({'SGX' if secure else 'native'})",
+                f"{scheme.label} ({'SGX' if sgx else 'native'})",
                 *(f"{stages[s] * 1000:.2f}" for s in ("merge", "train", "share", "test")),
                 f"{result.memory_mib():.1f}",
                 f"{result.final_rmse:.4f}",

@@ -11,12 +11,11 @@
 - :mod:`~repro.core.channel` -- AEAD channels with replay protection.
 """
 
-# Enclave-internal classes (SecureChannel, AccountedChannel,
-# PlaintextChannel, DataStore) are deliberately NOT re-exported here:
-# the package namespace is importable from host-side code, and
-# re-exporting them would launder secret-bearing names past the
-# REX-B001 boundary rule.  Trusted code imports them from their home
-# modules directly.
+# Enclave-internal classes (SecureChannel, AccountedChannel, DataStore)
+# are deliberately NOT re-exported here: the package namespace is
+# importable from host-side code, and re-exporting them would launder
+# secret-bearing names past the REX-B001 boundary rule.  Trusted code
+# imports them from their home modules directly.
 from repro.core.app import RexEnclaveApp
 from repro.core.channel import ReplayError
 from repro.core.cluster import ClusterRun, RexCluster

@@ -7,8 +7,8 @@ entry points exist:
 
 - :meth:`RexEnclaveApp.ecall_init` copies the node's local dataset shard
   into protected memory, initializes the model and data store, kicks off
-  mutual attestation with every neighbor (secure build) and runs epoch 0
-  -- the first training on the initial local data.
+  mutual attestation with every neighbor and, once every channel is up,
+  runs epoch 0 -- the first training on the initial local data.
 - :meth:`RexEnclaveApp.ecall_input` receives one network message from the
   untrusted host: a clear-text attestation quote, or a sealed protocol
   payload that is decrypted, buffered, and -- once a message (possibly
@@ -30,7 +30,6 @@ from repro._rng import child_rng, stream_seed
 from repro.core.admission import ShareAdmission
 from repro.core.channel import (
     AccountedChannel,
-    PlaintextChannel,
     ReplayError,
     SecureChannel,
     seal_all,
@@ -84,14 +83,15 @@ class RexEnclaveApp(TrustedApp):
 
         ``args`` carries only serializable values across the boundary:
         the node/neighbor ids, the :class:`RexConfig`, the train/test
-        shards as encoded triplet payloads, the id-space sizes, the
-        global rating mean and the ``secure`` build flag.
+        shards as encoded triplet payloads, the id-space sizes and the
+        global rating mean.  There is one build: it always attests its
+        neighbors and seals every payload (a native baseline is the same
+        run priced with ``NATIVE_COST_MODEL``).
         """
         self.node_id: int = int(args["node_id"])
         self.neighbors: Tuple[int, ...] = tuple(int(n) for n in args["neighbors"])
         self.degree = len(self.neighbors)
         self.config: RexConfig = args["config"]
-        self.secure: bool = bool(args["secure"])
         #: Incarnation counter: 0 for the first boot, bumped per restart.
         self.boot: int = int(args.get("boot", 0))
         #: Epoch to rejoin the gossip at after a crash (0 on first boot).
@@ -162,16 +162,9 @@ class RexEnclaveApp(TrustedApp):
 
         self._account_memory(staging=0)
 
-        if self.secure:
-            quote_bytes = self._make_quote().to_bytes()
-            for neighbor in self.neighbors:
-                self.ctx.ocall("send_message", neighbor, KIND_QUOTE, quote_bytes)
-        else:
-            for neighbor in self.neighbors:
-                self.channels[neighbor] = self._bind_channel(
-                    PlaintextChannel(self.node_id, neighbor)
-                )
-            self._maybe_start()
+        quote_bytes = self._make_quote().to_bytes()
+        for neighbor in self.neighbors:
+            self.ctx.ocall("send_message", neighbor, KIND_QUOTE, quote_bytes)
         if not self.neighbors:
             self._maybe_start()
 
@@ -326,8 +319,6 @@ class RexEnclaveApp(TrustedApp):
         return self.ctx.ocall("get_quote", report)
 
     def _handle_quote(self, src: int, blob: bytes) -> None:
-        if not self.secure:
-            raise ChannelNotEstablished("native build received an attestation quote")
         tolerant = self.config.faults.enabled
         if src in self.channels and not tolerant:
             return  # duplicate quote; channel already established
@@ -353,7 +344,7 @@ class RexEnclaveApp(TrustedApp):
             if reason is not None:
                 self._count_fault("faults.rejected", kind=reason, peer=src)
                 return
-        self.channels[src] = self._bind_channel(self._make_channel(key, src))
+        self.channels[src] = self._make_channel(key, src)
         self._peer_pubkeys[src] = pubkey
         if tolerant:
             self._down_peers.discard(src)
@@ -369,12 +360,10 @@ class RexEnclaveApp(TrustedApp):
         self._maybe_start()
 
     def _make_channel(self, key: bytes, src: int):
-        if self.config.crypto_mode is CryptoMode.REAL:
-            return SecureChannel(key, self.node_id, src)
-        return AccountedChannel(key, self.node_id, src)
-
-    def _bind_channel(self, channel):
-        """Attach the run's registry so channel bytes land in obs."""
+        """The channel class is chosen by ``crypto_mode`` alone; it reports
+        into the run's registry so channel bytes land in obs."""
+        cls = SecureChannel if self.config.crypto_mode is CryptoMode.REAL else AccountedChannel
+        channel = cls(key, self.node_id, src)
         channel.bind_metrics(self.ctx.metrics, node=self.node_id)
         return channel
 

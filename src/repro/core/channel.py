@@ -20,7 +20,7 @@ high-water mark only advances after the AEAD authenticates the frame, so a
 forged sequence number cannot poison the channel state.
 
 :class:`AccountedChannel` is the fidelity knob for huge experiments: the
-same 28-byte framing overhead and the same interface, but the payload is
+same 24-byte framing overhead and the same interface, but the payload is
 passed through unencrypted so the simulator does not burn hours of real
 cipher time.  Its use is confined to experiment configs that declare
 ``CryptoMode.ACCOUNTED``.
@@ -36,16 +36,14 @@ from repro.tee.crypto.aead import ChaCha20Poly1305, TAG_LENGTH, seal_many_into
 from repro.tee.errors import ChannelNotEstablished
 
 __all__ = [
-    "ChannelAccounting",
     "SecureChannel",
     "AccountedChannel",
-    "PlaintextChannel",
     "CHANNEL_OVERHEAD_BYTES",
     "ReplayError",
     "seal_all",
 ]
 
-#: Framing bytes added to every sealed payload: 8 (seq) + 16 (tag) + 4 pad.
+#: Framing bytes added to every sealed payload: 8 (seq) + 16 (tag).
 CHANNEL_OVERHEAD_BYTES = 8 + TAG_LENGTH
 
 
@@ -53,8 +51,8 @@ class ReplayError(ChannelNotEstablished):
     """A sealed message arrived with a non-monotonic sequence number."""
 
 
-class ChannelAccounting:
-    """Wire-byte accounting shared by every channel flavour.
+class SecureChannel:
+    """One direction-aware AEAD channel bound to a pairwise key.
 
     The channel is where wire bytes are *produced*, so it is the layer of
     record for the protocol's send-side accounting: the enclave app reads
@@ -64,7 +62,12 @@ class ChannelAccounting:
     regression test pins (no double counting within either layer).
     """
 
-    def _init_accounting(self) -> None:
+    def __init__(self, key: bytes, local_id: int, peer_id: int):
+        self._cipher = ChaCha20Poly1305(key)
+        self.local_id = int(local_id)
+        self.peer_id = int(peer_id)
+        self._send_seq = 0
+        self._highest_received = -1
         self.sealed_messages = 0
         self.sealed_bytes = 0
         self.opened_messages = 0
@@ -91,18 +94,6 @@ class ChannelAccounting:
         self.opened_bytes += wire_len
         self._opened_bytes_counter.inc(wire_len)
         self._opened_messages_counter.inc()
-
-
-class SecureChannel(ChannelAccounting):
-    """One direction-aware AEAD channel bound to a pairwise key."""
-
-    def __init__(self, key: bytes, local_id: int, peer_id: int):
-        self._cipher = ChaCha20Poly1305(key)
-        self.local_id = int(local_id)
-        self.peer_id = int(peer_id)
-        self._send_seq = 0
-        self._highest_received = -1
-        self._init_accounting()
 
     @staticmethod
     def _nonce(seq: int, sender_id: int) -> bytes:
@@ -144,9 +135,6 @@ class SecureChannel(ChannelAccounting):
         self._record_open(len(wire))
         return plaintext
 
-    def overhead(self) -> int:
-        return CHANNEL_OVERHEAD_BYTES
-
 
 def seal_all(entries) -> List:
     """Seal one epoch's outgoing messages across many channels at once.
@@ -156,8 +144,8 @@ def seal_all(entries) -> List:
     one :func:`~repro.tee.crypto.aead.seal_many_into` batch -- a single
     lane-kernel (or native) invocation seals every neighbor's payload --
     while channels that override ``seal`` (:class:`AccountedChannel`,
-    :class:`PlaintextChannel`, test doubles) keep their own path, so the
-    crypto-fidelity knob is untouched.
+    test doubles) keep their own path, so the crypto-fidelity knob is
+    untouched.
 
     Each frame is assembled exactly once: the sequence number is packed
     into a preallocated buffer and ``ciphertext || tag`` is written
@@ -197,9 +185,6 @@ def seal_all(entries) -> List:
 class AccountedChannel(SecureChannel):
     """Size-faithful channel that skips the cipher work (see module doc)."""
 
-    def __init__(self, key: bytes, local_id: int, peer_id: int):
-        super().__init__(key, local_id, peer_id)
-
     def seal(self, plaintext: bytes, aad: bytes = b"") -> bytes:
         seq = self._send_seq
         self._send_seq += 1
@@ -215,28 +200,3 @@ class AccountedChannel(SecureChannel):
         self._replay_accept(seq)
         self._record_open(len(wire))
         return wire[8:-TAG_LENGTH]
-
-
-class PlaintextChannel(ChannelAccounting):
-    """The native (no-SGX) build's channel: plaintext, zero overhead.
-
-    The paper's native baseline transmits in clear -- "both raw data and
-    models are therefore vulnerable in this case" (Section IV-D); this
-    class exists so the same protocol code runs in both builds.
-    """
-
-    def __init__(self, local_id: int, peer_id: int):
-        self.local_id = int(local_id)
-        self.peer_id = int(peer_id)
-        self._init_accounting()
-
-    def seal(self, plaintext: bytes, aad: bytes = b"") -> bytes:
-        self._record_seal(len(plaintext))
-        return plaintext
-
-    def open(self, wire: bytes, aad: bytes = b"") -> bytes:
-        self._record_open(len(wire))
-        return wire
-
-    def overhead(self) -> int:
-        return 0

@@ -42,7 +42,6 @@ class ClusterRun:
     """Everything a run produced, ready for the time/cost models."""
 
     config: RexConfig
-    secure: bool
     topology: Topology
     #: per-node list of per-epoch stats
     node_stats: Dict[int, List[EpochStats]]
@@ -59,11 +58,19 @@ class ClusterRun:
 
     @property
     def epochs_completed(self) -> int:
-        return min(stats[-1].epoch + 1 if stats else 0 for stats in self.node_stats.values())
+        # Capped at the configured horizon: fast nodes run rounds past the
+        # last barrier before the pump sees every node finish.
+        last = min(stats[-1].epoch + 1 if stats else 0 for stats in self.node_stats.values())
+        return min(last, self.config.epochs)
 
 
 class RexCluster:
-    """Build and run a distributed REX deployment."""
+    """Build and run a distributed REX deployment.
+
+    There is one build: every enclave attests its neighbors and seals
+    every payload.  ``secure`` is accepted only because
+    ``bench/workloads.py`` still passes ``secure=True``; ``False`` raises.
+    """
 
     def __init__(
         self,
@@ -75,9 +82,13 @@ class RexCluster:
         epc: Optional[EpcModel] = None,
         obs: Optional[Observability] = None,
     ):
+        if not secure:
+            raise ValueError(
+                "there is no native build: price the run with "
+                "timeline_from_cluster(run, cost_model=NATIVE_COST_MODEL)"
+            )
         self.topology = topology
         self.config = config
-        self.secure = secure
         self.obs = obs if obs is not None else Observability.create()
         metrics = self.obs.metrics
         n_nodes = topology.n_nodes
@@ -121,7 +132,6 @@ class RexCluster:
                 train_shards[host.node_id],
                 test_shards[host.node_id],
                 self.topology.neighbors(host.node_id),
-                secure=self.secure,
                 global_mean=global_mean,
             )
 
@@ -190,7 +200,6 @@ class RexCluster:
             train,
             test,
             self.topology.neighbors(node_id),
-            secure=self.secure,
             global_mean=global_mean,
             resume_epoch=resume_epoch,
         )
@@ -216,7 +225,6 @@ class RexCluster:
             self._pump_strict(target)
         return ClusterRun(
             config=self.config,
-            secure=self.secure,
             topology=self.topology,
             node_stats={host.node_id: host.epoch_stats for host in self.hosts},
             total_network_bytes=self.network.meter.total_bytes,

@@ -4,7 +4,8 @@ The host owns everything an enclave must not: the network endpoint, the
 dataset files and the bootstrap sequence.  It relays inbound messages into
 the enclave (``ecall_input``), proxies outbound sends and quoting requests
 as ocalls, and collects the per-epoch statistics the trusted code reports.
-It never sees a decrypted payload in the secure build.
+It never sees a decrypted payload: the enclave attests every neighbor
+and seals every payload it sends.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class RexHost:
         test: RatingsDataset,
         neighbors,
         *,
-        secure: bool,
         global_mean: float = 3.5,
         resume_epoch: int = 0,
     ) -> None:
@@ -100,7 +100,6 @@ class RexHost:
             "n_users": train.n_users,
             "n_items": train.n_items,
             "global_mean": global_mean,
-            "secure": secure,
         }
         # First-boot init args stay byte-identical to the seed runtime; the
         # restart-only keys ride along only when they carry information.

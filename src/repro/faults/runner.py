@@ -340,7 +340,7 @@ def run_chaos(
         faults=plan.tolerance(),
         defenses=DefenseConfig(enabled=True) if armed else DefenseConfig(),
     )
-    cluster = RexCluster(topology, config, secure=True, obs=obs)
+    cluster = RexCluster(topology, config, obs=obs)
     injector = FaultInjector(plan, seed, metrics=obs.metrics).attach(cluster.network)
     # The attack matrix is the broken-TEE tier: each compromised host
     # forges the honest measurement over its tampered build.  (Unforged,
@@ -392,7 +392,7 @@ def run_chaos(
         plain_config = replace(
             config, faults=FaultToleranceConfig(), defenses=DefenseConfig()
         )
-        plain = RexCluster(topology, plain_config, secure=True)
+        plain = RexCluster(topology, plain_config)
         plain.run(train, test, global_mean=global_mean)
         baseline_rmse = sum(
             float(host.status()["test_rmse"]) for host in plain.hosts

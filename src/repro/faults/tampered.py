@@ -133,7 +133,7 @@ class TamperedRexApp(RexEnclaveApp):
         targets = [
             n for n in self.neighbors if n in self.channels and n not in self._down_peers
         ]
-        if not (self.secure and targets and self.config.scheme is SharingScheme.DATA):
+        if not (targets and self.config.scheme is SharingScheme.DATA):
             return
         if not self._clones_introduced:
             quote = self._make_quote().to_bytes()

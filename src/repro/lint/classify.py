@@ -111,7 +111,6 @@ TRUSTED_INTERNAL_NAMES: frozenset = frozenset(
         "DataStore",
         "SecureChannel",
         "AccountedChannel",
-        "PlaintextChannel",
         # repro.tee.crypto
         "ChaCha20Poly1305",
         "chacha20_block",

@@ -130,9 +130,7 @@ _STORE_TYPE_BASES = frozenset({"DataStore"})
 _STORE_TOKENS = frozenset({"store"})
 _STORE_DATA_ATTRS = frozenset({"users", "items", "ratings"})
 
-_CHANNEL_TYPE_BASES = frozenset(
-    {"SecureChannel", "AccountedChannel", "PlaintextChannel"}
-)
+_CHANNEL_TYPE_BASES = frozenset({"SecureChannel", "AccountedChannel"})
 _CHANNEL_TOKENS = frozenset({"channel", "chan"})
 
 _MODEL_METHODS = frozenset({"state", "snapshot"})

@@ -191,8 +191,8 @@ class EcallSecretReturnRule(Rule):
 
 
 #: Annotations an ocall handler parameter may carry: opaque bytes or
-#: plain scalars.  Rich objects crossing outward must be serialized (and,
-#: in the secure build, sealed) first.
+#: plain scalars.  Rich objects crossing outward must be serialized (and
+#: sealed) first.
 _ALLOWED_OCALL_ANNOTATIONS = frozenset(
     {"bytes", "bytearray", "memoryview", "int", "str", "float", "bool", "None"}
 )

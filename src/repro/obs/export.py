@@ -119,7 +119,7 @@ def run_observed_experiment(
 ) -> ObservedRun:
     """Execute one fully-observed distributed run.
 
-    The cluster always runs *secure* (enclaves + attestation) with
+    The cluster runs enclaves + attestation with
     :data:`~repro.core.config.CryptoMode.ACCOUNTED` channels, so the
     exported document carries every metric family: enclave transitions,
     EPC paging, per-edge traffic, and the per-stage span timeline.
@@ -149,7 +149,7 @@ def run_observed_experiment(
         crypto_mode=CryptoMode.ACCOUNTED,
         mf=MfHyperParams(k=scenario.k),
     )
-    cluster = RexCluster(topo, config, secure=True, obs=obs)
+    cluster = RexCluster(topo, config, obs=obs)
     run = cluster.run(train, test, global_mean=split.train.global_mean())
     result = timeline_from_cluster(run, time_model=LAN_TIME_MODEL, obs=obs)
     return ObservedRun(

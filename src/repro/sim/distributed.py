@@ -5,11 +5,18 @@ The :class:`~repro.core.cluster.RexCluster` executes the *real* protocol
 work counts.  This module replays those counts through the
 :class:`~repro.sim.time_model.StageTimer` under a chosen SGX cost model,
 yielding the same :class:`~repro.sim.recorder.RunResult` the figures
-consume.  An SGX build is timed with :data:`~repro.tee.cost_model.
-SGX1_COST_MODEL` (transitions, AEAD, memory encryption, EPC paging); a
-native build with :data:`~repro.tee.cost_model.NATIVE_COST_MODEL`
-(plaintext, no enclave, but on-demand page-allocation charges -- the
-source of the paper's share-step anomaly).
+consume.
+
+There is one build and two price lists.  :data:`~repro.tee.cost_model.
+SGX1_COST_MODEL` (the default) charges transitions, AEAD, memory
+encryption and EPC paging; :data:`~repro.tee.cost_model.NATIVE_COST_MODEL`
+prices the *same* run as the paper's native build (no enclave charges,
+but on-demand page-allocation charges -- the source of the paper's
+share-step anomaly).  No training step reads the sim clock, so repricing
+a run gives exactly the curve a separate native run would.  The one
+residue is on the wire: native rows still carry each frame's 24-byte
+channel overhead (:data:`~repro.core.channel.CHANNEL_OVERHEAD_BYTES`),
+because that is what the one build sends.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from repro.core.cluster import ClusterRun
 from repro.obs import Observability
 from repro.sim.recorder import RunResult, fold_epoch
 from repro.sim.time_model import DEFAULT_TIME_MODEL, StageTimer, TimeModel
-from repro.tee.cost_model import NATIVE_COST_MODEL, SGX1_COST_MODEL, SgxCostModel
+from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
 
 __all__ = ["timeline_from_cluster"]
 
@@ -36,7 +43,7 @@ def _column(stats, name: str) -> np.ndarray:
 def timeline_from_cluster(
     run: ClusterRun,
     *,
-    cost_model: SgxCostModel = None,
+    cost_model: SgxCostModel = SGX1_COST_MODEL,
     time_model: TimeModel = DEFAULT_TIME_MODEL,
     obs: Optional[Observability] = None,
 ) -> RunResult:
@@ -47,20 +54,18 @@ def timeline_from_cluster(
     :class:`StageTimer` reports into ``obs`` (``None``: a private one).
     """
     obs = obs if obs is not None else Observability.create()
-    if cost_model is None:
-        cost_model = SGX1_COST_MODEL if run.secure else NATIVE_COST_MODEL
     timer = StageTimer(
         time_model=time_model, cost_model=cost_model, epc=run.epc, metrics=obs.metrics
     )
     cfg = run.config
     result = RunResult(
-        label=f"{cfg.label}{' (SGX)' if run.secure else ' (native)'}",
+        label=f"{cfg.label}{' (SGX)' if cost_model.enabled else ' (native)'}",
         scheme=cfg.scheme.value,
         dissemination=cfg.dissemination.value,
         topology=run.topology.name,
         n_nodes=run.topology.n_nodes,
         model="mf",
-        sgx=run.secure,
+        sgx=cost_model.enabled,
         metadata={
             "share_points": cfg.share_points,
             "attestation_messages": run.attestation_messages,

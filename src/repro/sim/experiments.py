@@ -37,7 +37,7 @@ from repro.core.config import (
     RexConfig,
     SharingScheme,
 )
-from repro.core.cluster import RexCluster
+from repro.core.cluster import ClusterRun, RexCluster
 from repro.data.dataset import TrainTestSplit
 from repro.data.movielens import MOVIELENS_25M_CAPPED, MOVIELENS_LATEST, generate_movielens
 from repro.data.partition import partition_one_user_per_node, partition_users_across_nodes
@@ -50,6 +50,7 @@ from repro.sim.dnn_fleet import DnnFleetSim
 from repro.sim.fleet import MfFleetSim
 from repro.sim.recorder import RunResult
 from repro.sim.time_model import LAN_TIME_MODEL
+from repro.tee.cost_model import NATIVE_COST_MODEL, SGX1_COST_MODEL
 
 __all__ = [
     "scaled_epochs",
@@ -148,7 +149,7 @@ def _shards_25m(n_nodes: int) -> Tuple[tuple, tuple]:
 _MEMORY_CACHE: Dict[str, RunResult] = {}
 
 #: Bump when run semantics change to invalidate stale disk caches.
-_CACHE_VERSION = "v2"
+_CACHE_VERSION = "v3"
 
 
 def _cache_dir() -> Path:
@@ -320,6 +321,30 @@ FIG7_BASE_EPOCHS = 100
 SGX_NODES = 8
 
 
+@lru_cache(maxsize=None)
+def _sgx_cluster_run(
+    dissemination: Dissemination, scheme: SharingScheme, large: bool, epochs: int
+) -> ClusterRun:
+    """The one protocol run behind a cell's SGX and native pricings."""
+    if large:
+        train, test = _shards_25m(SGX_NODES)
+        split = movielens_25m_split()
+    else:
+        train, test = _multi_user_shards(SGX_NODES)
+        split = movielens_latest_split()
+    config = RexConfig(
+        scheme=scheme,
+        dissemination=dissemination,
+        epochs=epochs,
+        seed=RUN_SEED,
+        share_points=300,
+        crypto_mode=CryptoMode.ACCOUNTED,
+        mf=MfHyperParams(dtype="float64"),  # the C++ original uses Eigen doubles
+    )
+    cluster = RexCluster(topology("full", SGX_NODES), config)
+    return cluster.run(list(train), list(test), global_mean=split.train.global_mean())
+
+
 def sgx_run(
     dissemination: Dissemination,
     scheme: SharingScheme,
@@ -335,32 +360,21 @@ def sgx_run(
 
     The cluster executes the full protocol -- enclaves, mutual
     attestation, sealed channels (byte-accounted AEAD; see
-    :class:`~repro.core.config.CryptoMode`) -- and the run is then timed
-    under the SGX or native cost model.
+    :class:`~repro.core.config.CryptoMode`) -- once per (dissemination,
+    scheme, large, epochs); the SGX and native cells are that one run
+    priced with :data:`SGX1_COST_MODEL` or :data:`NATIVE_COST_MODEL`.
     """
     epochs = scaled_epochs(FIG7_BASE_EPOCHS if large else FIG6_BASE_EPOCHS)
     key = f"sgx|{dissemination.value}|{scheme.value}|sgx={sgx}|large={large}|{epochs}"
 
     def build() -> RunResult:
-        if large:
-            train, test = _shards_25m(SGX_NODES)
-            split = movielens_25m_split()
-        else:
-            train, test = _multi_user_shards(SGX_NODES)
-            split = movielens_latest_split()
-        config = RexConfig(
-            scheme=scheme,
-            dissemination=dissemination,
-            epochs=epochs,
-            seed=RUN_SEED,
-            share_points=300,
-            crypto_mode=CryptoMode.ACCOUNTED,
-            mf=MfHyperParams(dtype="float64"),  # the C++ original uses Eigen doubles
-        )
-        cluster = RexCluster(topology("full", SGX_NODES), config, secure=sgx)
-        run = cluster.run(list(train), list(test), global_mean=split.train.global_mean())
+        run = _sgx_cluster_run(dissemination, scheme, large, epochs)
         # The SGX testbed sits on a fast LAN; epoch cost is compute/crypto
         # bound there, unlike the edge-device simulations.
-        return timeline_from_cluster(run, time_model=LAN_TIME_MODEL)
+        return timeline_from_cluster(
+            run,
+            cost_model=SGX1_COST_MODEL if sgx else NATIVE_COST_MODEL,
+            time_model=LAN_TIME_MODEL,
+        )
 
     return _cached(key, build)

@@ -7,7 +7,6 @@ import pytest
 from repro.core.channel import (
     CHANNEL_OVERHEAD_BYTES,
     AccountedChannel,
-    PlaintextChannel,
     ReplayError,
     SecureChannel,
 )
@@ -109,18 +108,6 @@ class TestAccountedChannel:
         b.open(wire)
         with pytest.raises(ReplayError):
             b.open(wire)
-
-
-class TestPlaintextChannel:
-    def test_identity(self):
-        ch = PlaintextChannel(0, 1)
-        assert ch.open(ch.seal(b"clear")) == b"clear"
-        assert ch.overhead() == 0
-
-    def test_native_wire_is_readable(self):
-        """The native build's vulnerability, per Section IV-D."""
-        ch = PlaintextChannel(0, 1)
-        assert ch.seal(b"rating-data") == b"rating-data"
 
 
 class TestPayloadFraming:

@@ -41,10 +41,10 @@ def shards(tiny_split):
     return _shards(tiny_split)
 
 
-def _run(tiny_split, shards, config, topology=None, secure=True):
+def _run(tiny_split, shards, config, topology=None):
     train, test = shards
     topology = topology or Topology.fully_connected(len(train))
-    cluster = RexCluster(topology, config, secure=secure)
+    cluster = RexCluster(topology, config)
     return cluster.run(train, test, global_mean=tiny_split.train.global_mean())
 
 
@@ -144,7 +144,7 @@ class TestSecurityProperties:
         train, test = shards
         topo = Topology.fully_connected(4)
         config = _config(SharingScheme.DATA, crypto_mode=CryptoMode.REAL, epochs=3)
-        cluster = RexCluster(topo, config, secure=True)
+        cluster = RexCluster(topo, config)
         captured = []
 
         original_deliver = cluster.network._deliver
@@ -162,33 +162,6 @@ class TestSecurityProperties:
             # Frames may ride as read-only memoryviews (zero-copy seal
             # path); materialize for the substring probe.
             assert b"RXD1" not in bytes(message.payload)  # triplet magic never leaks
-
-    def test_native_wire_is_plaintext(self, tiny_split, shards):
-        """The native build transmits in clear -- the vulnerability the
-        paper calls out in Section IV-D."""
-        train, test = shards
-        topo = Topology.fully_connected(4)
-        config = _config(SharingScheme.DATA, epochs=2)
-        cluster = RexCluster(topo, config, secure=False)
-        captured = []
-        original_deliver = cluster.network._deliver
-
-        def spy(message):
-            captured.append(message)
-            original_deliver(message)
-
-        cluster.network._deliver = spy
-        cluster.run(train, test, global_mean=tiny_split.train.global_mean())
-        assert any(
-            m.kind == KIND_PAYLOAD and b"RXD1" in bytes(m.payload) for m in captured
-        )
-
-    def test_no_quotes_in_native_mode(self, tiny_split, shards):
-        train, test = shards
-        config = _config(SharingScheme.DATA, epochs=2)
-        cluster = RexCluster(Topology.fully_connected(4), config, secure=False)
-        run = cluster.run(train, test, global_mean=tiny_split.train.global_mean())
-        assert run.attestation_messages == 0
 
     def test_accounted_mode_matches_real_byte_counts(self, tiny_split, shards):
         real = _run(
@@ -210,11 +183,16 @@ class TestSecurityProperties:
         assert all(s.ecalls > 0 for s in stats)
 
 
+def test_there_is_no_native_build():
+    with pytest.raises(ValueError, match="NATIVE_COST_MODEL"):
+        RexCluster(Topology.fully_connected(2), _config(SharingScheme.DATA), secure=False)
+
+
 class TestEcallStatus:
     def test_status_reflects_progress(self, tiny_split, shards):
         train, test = shards
         config = _config(SharingScheme.DATA)
-        cluster = RexCluster(Topology.fully_connected(4), config, secure=True)
+        cluster = RexCluster(Topology.fully_connected(4), config)
         cluster.run(train, test, global_mean=tiny_split.train.global_mean())
         status = cluster.hosts[0].status()
         assert status["attested_peers"] == 3
@@ -238,7 +216,7 @@ class TestClusterRunIndexesByEpoch:
             epochs=5, share_points=60, seed=0, crypto_mode=CryptoMode.REAL,
             mf=MfHyperParams(k=8), faults=plan.tolerance(),
         )  # fmt: skip
-        cluster = RexCluster(Topology.fully_connected(8), config, secure=True)
+        cluster = RexCluster(Topology.fully_connected(8), config)
         injector = FaultInjector(plan, 0, metrics=cluster.obs.metrics).attach(cluster.network)
         cluster.controller = ChaosController(plan, injector, train, test, global_mean=gm)
         return cluster.run(train, test, global_mean=gm)

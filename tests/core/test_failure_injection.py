@@ -53,10 +53,8 @@ def _config(scheme=SharingScheme.DATA, epochs=3, **kwargs):
     )
 
 
-def _two_node_cluster(secure=True, **config_kwargs):
-    return RexCluster(
-        Topology.fully_connected(2), _config(**config_kwargs), secure=secure
-    )
+def _two_node_cluster(**config_kwargs):
+    return RexCluster(Topology.fully_connected(2), _config(**config_kwargs))
 
 
 def _shards(tiny_split):
@@ -136,13 +134,6 @@ class TestMalformedInputs:
         with pytest.raises((AeadError, ChannelNotEstablished)):
             cluster.run(train, test, global_mean=gm)
 
-    def test_quote_to_native_build_rejected(self, tiny_split):
-        train, test, gm = _shards(tiny_split)
-        cluster = _two_node_cluster(secure=False)
-        cluster.bootstrap(train, test, global_mean=gm)
-        with pytest.raises(ChannelNotEstablished):
-            cluster.hosts[0].enclave.ecall("ecall_input", 1, KIND_QUOTE, b"junk")
-
     @pytest.mark.parametrize("junk", [b"", b"\x01", b"junk", b"\xff" * 200])
     def test_junk_quote_leaves_a_strict_enclave_as_a_typed_error(self, tiny_split, junk):
         train, test, gm = _shards(tiny_split)
@@ -200,15 +191,19 @@ class TestForeignIdSpaceShare:
 
     def _deliver(self, tiny_split, **config_kwargs):
         train, test, gm = _shards(tiny_split)
-        cluster = _two_node_cluster(secure=False, **config_kwargs)
-        cluster.bootstrap(train, test, global_mean=gm)  # epoch 0 ran
+        cluster = _two_node_cluster(**config_kwargs)
+        cluster.bootstrap(train, test, global_mean=gm)
+        cluster.hosts[0].pump()  # attests node 1 and runs epoch 0
         app = cluster.hosts[0].enclave._app
         foreign = RatingsDataset(
             np.array([0, 40]), np.array([1, 2]), np.array([4.0, 5.0]),
             n_users=app.store.n_users + 1, n_items=app.store.n_items,
         )
-        wire = pack_payload(
-            PayloadHeader(1, 0, 1, CONTENT_TRIPLETS), encode_triplets(foreign)
+        # Sealed with the channel key, as a compromised-but-attested peer
+        # would; node 1 has sent no payload yet, so sequence 0 is fresh.
+        sender = SecureChannel(app.channels[1]._cipher._key, 1, 0)
+        wire = sender.seal(
+            pack_payload(PayloadHeader(1, 0, 1, CONTENT_TRIPLETS), encode_triplets(foreign))
         )
         stored = len(app.store)
         cluster.hosts[0].enclave.ecall("ecall_input", 1, KIND_PAYLOAD, wire)
@@ -249,11 +244,7 @@ class TestDedupFlagInApp:
         train, test, gm = _shards(tiny_split)
 
         def final_store(dedup):
-            cluster = RexCluster(
-                Topology.fully_connected(2),
-                _config(dedup=dedup, epochs=6),
-                secure=True,
-            )
+            cluster = RexCluster(Topology.fully_connected(2), _config(dedup=dedup, epochs=6))
             run = cluster.run(train, test, global_mean=gm)
             return sum(s.store_items for s in run.stats_for_epoch(5))
 

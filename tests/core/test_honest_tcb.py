@@ -55,7 +55,7 @@ def test_ecall_init_reads_exactly_the_bootstrap_keys():
     body = text[text.index("def ecall_init") : text.index("def ecall_input")]
     keys = set(re.findall(r'args(?:\.get\(|\[)"(\w+)"', body))
     assert keys == {
-        "node_id", "neighbors", "config", "secure", "boot", "resume_epoch",
+        "node_id", "neighbors", "config", "boot", "resume_epoch",
         "n_users", "n_items", "train", "test", "global_mean",
     }  # fmt: skip
 
@@ -124,7 +124,7 @@ def test_retired_dnn_content_kind_is_refused(tiny_split, scheme, tolerant):
     )  # fmt: skip
     train = partition_users_across_nodes(tiny_split.train, 2, seed=2)
     test = partition_users_across_nodes(tiny_split.test, 2, seed=2)
-    cluster = RexCluster(Topology.fully_connected(2), config, secure=True)
+    cluster = RexCluster(Topology.fully_connected(2), config)
     cluster.bootstrap(train, test, global_mean=tiny_split.train.global_mean())
     host = cluster.hosts[0]
     host.pump()  # attests node 1 and runs epoch 0; node 1 has sent no payload yet
@@ -155,7 +155,7 @@ def published_twice(tiny_split):
     assert not config.defenses.enabled
     train = partition_users_across_nodes(tiny_split.train, 2, seed=2)
     test = partition_users_across_nodes(tiny_split.test, 2, seed=2)
-    cluster = RexCluster(Topology.fully_connected(2), config, secure=False)
+    cluster = RexCluster(Topology.fully_connected(2), config)
     cluster.run(train, test, global_mean=tiny_split.train.global_mean())
     host = cluster.hosts[0]
     host.publish_snapshot()

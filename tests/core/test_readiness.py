@@ -31,7 +31,7 @@ def _cluster(nodes, tiny_split, *, epochs=2, **config_kwargs):
     )
     train = partition_users_across_nodes(tiny_split.train, nodes, seed=2)
     test = partition_users_across_nodes(tiny_split.test, nodes, seed=2)
-    cluster = RexCluster(Topology.fully_connected(nodes), config, secure=True)
+    cluster = RexCluster(Topology.fully_connected(nodes), config)
     return cluster, train, test, tiny_split.train.global_mean()
 
 

@@ -42,7 +42,7 @@ def _scenario(*, tolerant):
     )
     assert config.defenses == DefenseConfig() and not config.defenses.enabled
     obs = Observability.create()
-    cluster = RexCluster(Topology.fully_connected(NODES), config, secure=True, obs=obs)
+    cluster = RexCluster(Topology.fully_connected(NODES), config, obs=obs)
     return cluster, obs, (train, test), split.train.global_mean()
 
 

@@ -100,7 +100,7 @@ def _config(epochs=3):
 class TestRunsWithoutObsStillAnswer:
     def test_cluster_accounts_every_ecall_and_wire_byte(self, shards):
         train, test, gm = shards
-        cluster = RexCluster(Topology.fully_connected(N_NODES), _config(), secure=True)
+        cluster = RexCluster(Topology.fully_connected(N_NODES), _config())
         run = cluster.run(train, test, global_mean=gm)
         metrics = cluster.obs.metrics
 

@@ -4,6 +4,7 @@ agree with each other (the dedup regression)."""
 
 import pytest
 
+from repro.core.channel import CHANNEL_OVERHEAD_BYTES
 from repro.core.cluster import RexCluster
 from repro.core.config import CryptoMode, Dissemination, RexConfig, SharingScheme
 from repro.data.partition import partition_users_across_nodes
@@ -42,10 +43,11 @@ def shards(tiny_split):
 
 
 class TestPathParity:
-    """Fleet simulator and enclave runtime must emit identical per-epoch
+    """Fleet simulator and enclave runtime must emit the same per-epoch
     byte counters under the shared ``record_epoch`` schema.  The cluster
-    runs *insecure* (PlaintextChannel) so its wire bytes equal the
-    fleet's analytic header+content accounting exactly."""
+    seals every frame, so its payload bytes are the fleet's analytic
+    header+content accounting plus ``CHANNEL_OVERHEAD_BYTES`` per message;
+    everything else is equal."""
 
     def test_identical_byte_counters(self, shards):
         train, test, gm = shards
@@ -56,24 +58,27 @@ class TestPathParity:
         MfFleetSim(train, test, topo, config, global_mean=gm).run(fleet_obs)
 
         cluster_obs = Observability.create()
-        cluster = RexCluster(topo, config, secure=False, obs=cluster_obs)
+        cluster = RexCluster(topo, config, obs=cluster_obs)
         run = cluster.run(train, test, global_mean=gm)
         timeline_from_cluster(run, obs=cluster_obs)
 
-        for name in (
-            "sim.epochs",
-            "share.payload.bytes",
-            "share.serialized.bytes",
-            "share.messages",
-        ):
-            assert fleet_obs.metrics.total(name) == cluster_obs.metrics.total(name), name
+        fleet, sealed = fleet_obs.metrics, cluster_obs.metrics
+        for name in ("sim.epochs", "share.serialized.bytes", "share.messages"):
+            assert fleet.total(name) == sealed.total(name), name
+        assert sealed.total("share.payload.bytes") == (
+            fleet.total("share.payload.bytes")
+            + fleet.total("share.messages") * CHANNEL_OVERHEAD_BYTES
+        )
 
         fleet_epochs = fleet_obs.tracer.find("epoch")
         cluster_epochs = cluster_obs.tracer.find("epoch")
         assert len(fleet_epochs) == len(cluster_epochs) == config.epochs
         for fs, cs in zip(fleet_epochs, cluster_epochs):
-            for key in ("epoch", "payload_bytes", "serialized_bytes", "messages"):
+            for key in ("epoch", "serialized_bytes", "messages"):
                 assert fs.attrs[key] == cs.attrs[key], key
+            assert cs.attrs["payload_bytes"] == (
+                fs.attrs["payload_bytes"] + fs.attrs["messages"] * CHANNEL_OVERHEAD_BYTES
+            )
 
     def test_both_paths_emit_all_stage_spans(self, shards):
         train, test, gm = shards
@@ -85,7 +90,7 @@ class TestPathParity:
             if build == "fleet":
                 MfFleetSim(train, test, topo, config, global_mean=gm).run(obs)
             else:
-                cluster = RexCluster(topo, config, secure=False, obs=obs)
+                cluster = RexCluster(topo, config, obs=obs)
                 timeline_from_cluster(cluster.run(train, test, global_mean=gm), obs=obs)
             for stage in STAGE_ORDER:
                 spans = obs.tracer.find(f"stage.{stage}")
@@ -103,7 +108,7 @@ class TestByteAccountingDedup:
         topo = Topology.fully_connected(N_NODES)
         obs = Observability.create()
         config = _config(epochs=4, crypto_mode=CryptoMode.ACCOUNTED)
-        cluster = RexCluster(topo, config, secure=True, obs=obs)
+        cluster = RexCluster(topo, config, obs=obs)
         cluster.run(train, test, global_mean=gm)
 
         m = obs.metrics
@@ -123,7 +128,7 @@ class TestByteAccountingDedup:
         topo = Topology.fully_connected(N_NODES)
         obs = Observability.create()
         config = _config(epochs=4, crypto_mode=CryptoMode.ACCOUNTED)
-        cluster = RexCluster(topo, config, secure=True, obs=obs)
+        cluster = RexCluster(topo, config, obs=obs)
         run = cluster.run(train, test, global_mean=gm)
 
         stats_total = sum(
@@ -140,7 +145,7 @@ class TestEnclaveAndEpcMetrics:
         topo = Topology.fully_connected(N_NODES)
         obs = Observability.create()
         config = _config(epochs=2, crypto_mode=CryptoMode.ACCOUNTED)
-        cluster = RexCluster(topo, config, secure=True, obs=obs)
+        cluster = RexCluster(topo, config, obs=obs)
         run = cluster.run(train, test, global_mean=gm)
         timeline_from_cluster(run, obs=obs)
 

@@ -30,9 +30,7 @@ def trained_cluster(tiny_split):
         mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
     )
     obs = Observability.create()
-    cluster = RexCluster(
-        Topology.fully_connected(N_NODES), config, secure=False, obs=obs
-    )
+    cluster = RexCluster(Topology.fully_connected(N_NODES), config, obs=obs)
     cluster.run(train, test, global_mean=tiny_split.train.global_mean())
     return cluster, train
 

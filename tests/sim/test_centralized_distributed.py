@@ -52,7 +52,7 @@ def cluster_run(tiny_split):
         crypto_mode=CryptoMode.ACCOUNTED,
         mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2, dtype="float64"),
     )
-    cluster = RexCluster(Topology.fully_connected(4), config, secure=True)
+    cluster = RexCluster(Topology.fully_connected(4), config)
     return cluster.run(train, test, global_mean=tiny_split.train.global_mean())
 
 
@@ -84,3 +84,21 @@ class TestTimelineFromCluster:
         means = timeline_from_cluster(cluster_run).stage_means()
         assert means["merge"] > 0
         assert means["share"] > 0
+
+
+def test_strict_run_prices_exactly_its_configured_epochs(tiny_split):
+    """Fast nodes run a round past the last barrier; it is not priced."""
+    train = partition_users_across_nodes(tiny_split.train, 6, seed=2)
+    test = partition_users_across_nodes(tiny_split.test, 6, seed=2)
+    config = RexConfig(
+        scheme=SharingScheme.DATA,
+        dissemination=Dissemination.DPSGD,
+        epochs=6,
+        share_points=20,
+        mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
+    )
+    cluster = RexCluster(Topology.fully_connected(6), config)
+    run = cluster.run(train, test, global_mean=tiny_split.train.global_mean())
+    assert max(len(stats) for stats in run.node_stats.values()) > config.epochs
+    assert run.epochs_completed == config.epochs
+    assert len(timeline_from_cluster(run).records) == config.epochs

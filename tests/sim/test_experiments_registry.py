@@ -1,9 +1,11 @@
 """The experiment preset registry: scaling, caching, topology presets."""
 
 import json
+from functools import lru_cache
 
 import pytest
 
+from repro.core import Dissemination, RexCluster, SharingScheme
 from repro.sim import experiments as E
 from repro.sim.recorder import EpochRecord, RunResult
 
@@ -36,6 +38,37 @@ class TestTopologyPresets:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             E.topology("hypercube", 16)
+
+
+def test_native_cell_is_the_sgx_cell_repriced(monkeypatch):
+    """Both builds of a cell come from one protocol run: same curve, and
+    the native price list never charges a stage more than SGX's."""
+    monkeypatch.setenv("REPRO_EPOCH_SCALE", "0.001")  # the 5-epoch floor
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    monkeypatch.setattr(E, "_MEMORY_CACHE", {})
+    monkeypatch.setattr(
+        E, "_sgx_cluster_run", lru_cache(maxsize=None)(E._sgx_cluster_run.__wrapped__)
+    )
+    calls = []
+    run = RexCluster.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.config)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(RexCluster, "run", counted)
+    sgx = E.sgx_run(Dissemination.DPSGD, SharingScheme.DATA, sgx=True)
+    native = E.sgx_run(Dissemination.DPSGD, SharingScheme.DATA, sgx=False)
+
+    assert len(calls) == 1
+    assert sgx.sgx and not native.sgx
+    assert sgx.label.endswith("(SGX)") and native.label.endswith("(native)")
+    assert len(sgx.records) == len(native.records) == calls[0].epochs
+    assert [r.test_rmse for r in native.records] == [r.test_rmse for r in sgx.records]
+    stages = ("merge", "train", "share", "test", "network")
+    for s, n in zip(sgx.records, native.records):
+        for stage in stages:
+            assert getattr(n, f"{stage}_time_s") <= getattr(s, f"{stage}_time_s"), stage
 
 
 class TestRunCache:

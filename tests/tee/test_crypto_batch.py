@@ -338,7 +338,7 @@ class TestPinnedClusterWire:
             TestPinnedClusterWire.MEASUREMENT
         )
         try:
-            cluster = RexCluster(Topology.fully_connected(8), config, secure=True)
+            cluster = RexCluster(Topology.fully_connected(8), config)
             digest = hashlib.sha256()
             original_deliver = cluster.network._deliver
 

@@ -123,7 +123,7 @@ class TestFleetMatchesCluster:
             crypto_mode=CryptoMode.REAL,
             mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
         )
-        cluster = RexCluster(topo, cluster_cfg, secure=True)
+        cluster = RexCluster(topo, cluster_cfg)
         run = cluster.run(train, test, global_mean=gm)
         timed = timeline_from_cluster(run)
 
@@ -146,7 +146,7 @@ class TestFleetMatchesCluster:
             mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
         )
         fleet = MfFleetSim(train, test, topo, config, global_mean=gm).run()
-        cluster = RexCluster(topo, config, secure=True)
+        cluster = RexCluster(topo, config)
         timed = timeline_from_cluster(cluster.run(train, test, global_mean=gm))
         # The cluster adds per-message channel framing (8B seq + 16B tag);
         # fleet counts pure header+content.  Within that envelope the two
