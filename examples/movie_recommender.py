@@ -32,6 +32,7 @@ from repro.net.serialization import encode_triplets
 from repro.obs import Observability
 from repro.serve import RecServer, ServePolicy, WorkloadGenerator, WorkloadSpec
 from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.fleet.shard import encode_shard_users
 from repro.serve.report import ServeReport
 from repro.serve.snapshot import encode_snapshot, snapshot_from_arrays
 from repro.serve.workload import run_trace
@@ -85,6 +86,8 @@ def main():
     enclave = platform.create_enclave(ServeEnclaveApp, f"serve-{node}")
     meta = enclave.ecall("ecall_load", {
         "snapshot": encode_snapshot(snapshot),
+        # One enclave owns every user: the identity table.
+        "shard_users": encode_shard_users(np.arange(snapshot.n_users)),
         # The user's full training history drives exclusion: a movie
         # rated anywhere must never be recommended back.
         "ratings": encode_triplets(split.train),

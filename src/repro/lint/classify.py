@@ -62,8 +62,7 @@ TRUSTED_PREFIXES: tuple = (
     "repro.serve.scoring",
     "repro.serve.cache",
     "repro.serve.endpoint",
-    # Shard endpoints slice plaintext parameter arrays and own a
-    # plaintext snapshot + raw-rating exclusion index per partition.
+    # Shard payloads slice plaintext parameter arrays per partition.
     "repro.serve.fleet.shard",
     # The adversary's modified Algorithm 2 is enclave code too; the rest
     # of repro.faults stays host-side (REX-B005 keeps the TCB off it).

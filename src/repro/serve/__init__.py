@@ -13,7 +13,8 @@ the same software-enclave model the training protocol uses:
 - :mod:`repro.serve.cache` -- LRU top-N result cache and hot-embedding
   cache with snapshot-version invalidation, counted in obs (trusted).
 - :mod:`repro.serve.endpoint` -- the enclave-resident serving engine and
-  the standalone :class:`ServeEnclaveApp` trusted application (trusted).
+  :class:`ServeEnclaveApp`, the one serving trusted application: every
+  endpoint and every shard replica boots it (trusted).
 - :mod:`repro.serve.server` -- the untrusted host driver: bounded
   admission queue, batching window, load shedding, simulated-latency
   accounting against the SGX cost model.
@@ -26,7 +27,7 @@ the same software-enclave model the training protocol uses:
   routing/failover/shed accounting, latency percentiles, cache, quality
   and per-shard snapshot + EPC sections.
 - :mod:`repro.serve.fleet` -- the serving stack behind ``repro serve``:
-  consistent-hash routing, user-partitioned shard enclaves, replicated
+  consistent-hash routing, user-partitioned shard payloads, replicated
   failover, and the one train -> shard -> serve -> report pipeline
   (:mod:`repro.serve.fleet.runner`).
 - :mod:`repro.serve.runner` -- the single endpoint, i.e. that pipeline

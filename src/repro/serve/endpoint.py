@@ -1,15 +1,23 @@
-"""Enclave-resident serving engine and the standalone serving enclave.
+"""Enclave-resident serving engine and the one serving enclave.
 
 :class:`ServingState` is the in-enclave query engine: it owns the
 installed :class:`~repro.serve.snapshot.ModelSnapshot`, the per-user
 exclusion index derived from the node's raw ratings, both serving
 caches and the snapshot-version rule, which is not a switch (a host
 that could turn it off could roll the replica back).  Every serving
-enclave is a thin shell over it.  :class:`ServeEnclaveApp` lets a host
-stand up a dedicated serving enclave: encoded snapshot + rating payloads
-flow *in* through ``ecall_load`` and only recommendation lists (item ids
-and predicted scores -- the system's sanctioned output) and sanitized
-batch statistics flow back out.
+enclave is a thin shell over it.
+
+:class:`ServeEnclaveApp` is the one trusted app a host boots to serve,
+from the hand-built example endpoint to every replica of every shard
+(one code identity, one measurement).  Encoded snapshot, owned-user
+table and rating payloads flow *in* through ``ecall_load``; the host
+speaks global user ids, which the enclave translates to snapshot rows
+against that table; only recommendation lists (item ids and predicted
+scores -- the system's sanctioned output) and sanitized batch
+statistics flow back out.  A queried id the table does not own gets the
+empty sentinel list and is counted in ``serve.unowned`` -- in a fleet,
+that is a misrouted request.  The whole working set, table included,
+is charged to the one ``"serve"`` EPC label.
 
 Trusted module: everything here handles plaintext model parameters and
 the raw rating index.
@@ -32,10 +40,10 @@ from repro.tee.errors import SnapshotReplayError
 
 __all__ = ["BatchStats", "ServingState", "ServeEnclaveApp"]
 
-#: Default cache sizes: enough to absorb a Zipf head without letting the
-#: pinned hot set dominate the EPC working-set accounting.
+#: Cache sizes: enough to absorb a Zipf head without letting the pinned
+#: hot set dominate the EPC working-set accounting.
 DEFAULT_TOPN_CAPACITY = 4096
-DEFAULT_HOT_CAPACITY = 512
+HOT_CAPACITY = 512
 
 
 def _ids_within(ids: np.ndarray, bound: int) -> bool:
@@ -69,7 +77,6 @@ class ServingState:
         *,
         metrics: Optional[MetricsRegistry] = None,
         topn_capacity: int = DEFAULT_TOPN_CAPACITY,
-        hot_capacity: int = DEFAULT_HOT_CAPACITY,
     ):
         metrics = metrics if metrics is not None else MetricsRegistry()
         self._metrics = metrics
@@ -77,7 +84,7 @@ class ServingState:
         self.exclusions: Dict[int, np.ndarray] = {}
         self._exclusion_bytes = 0
         self.topn = TopNCache(topn_capacity, metrics=metrics)
-        self.hot = HotEmbeddingCache(hot_capacity, metrics=metrics)
+        self.hot = HotEmbeddingCache(HOT_CAPACITY, metrics=metrics)
         self._request_counter = metrics.counter("serve.requests")
         self._batch_counter = metrics.counter("serve.batches")
         self._scored_pair_counter = metrics.counter("serve.scored.pairs")
@@ -231,50 +238,98 @@ class ServingState:
         return out_items, out_scores, stats
 
 
+def _to_local(owned_ids: Optional[np.ndarray], owned_rows: np.ndarray, users) -> np.ndarray:
+    """Local row per global id; -1 for every id the table does not own."""
+    try:
+        ids = np.asarray(users, dtype=np.int64).reshape(-1)
+    except OverflowError:  # an id no int64 holds is in no table
+        ids = np.array([u if abs(u) < 2**63 else -1 for u in map(int, users)], dtype=np.int64)
+    if owned_ids is None:
+        return np.where((ids >= 0) & (ids < len(owned_rows)), ids, -1)
+    at = np.searchsorted(owned_ids, ids)
+    at[at == len(owned_ids)] = 0
+    return np.where(owned_ids[at] == ids, owned_rows[at], -1)
+
+
 class ServeEnclaveApp(TrustedApp):
-    """A dedicated serving enclave: load a snapshot, answer queries."""
+    """A serving enclave: global user ids at the boundary, local rows inside."""
 
     #: The engine, built by the first load (``None`` before it).
     serving: Optional[ServingState] = None
+    #: The owned-user table: owned global ids in ascending order and the
+    #: local snapshot row of each.  ``None`` when global id == local row
+    #: (the enclave owns every user, in id order): an identity map is
+    #: not stored.  Before the first load the enclave owns nobody.
+    _owned_ids: Optional[np.ndarray] = None
+    _owned_rows: np.ndarray = np.empty(0, dtype=np.int64)
 
     @ecall
     def ecall_load(self, args: dict) -> dict:
-        """Install an encoded snapshot (+ optional rating triplets).
+        """Install an encoded snapshot with its owned-user table.
 
         ``args`` carries only bytes/scalars: the ``RXS1`` snapshot
-        payload, optionally the node's rating triplets (to rebuild the
-        seen-item exclusion index), and cache capacities (read by the
-        first load: the engine, and its version mark, outlive reloads).
-        Returns the sanitized snapshot metadata.
+        payload, the owned-user table (``shard_users``: the global id of
+        each snapshot row), optionally the rating triplets of those users
+        (global ids, to rebuild the seen-item exclusion index; rows of
+        users the table does not own are dropped) and the result-cache
+        capacity (read by the first load: the engine, and its version
+        mark, outlive reloads).  Returns the sanitized snapshot metadata.
         """
         snapshot = decode_snapshot(bytes(args["snapshot"]))
+        raw = args.get("shard_users")
+        if raw is None:
+            raise ValueError("load requires the owned-user table")
+        owned = np.frombuffer(bytes(raw), dtype="<i8").astype(np.int64)
+        if len(owned) != snapshot.n_users:
+            raise ValueError("owned-user table does not match the snapshot")
+        rows = np.argsort(owned, kind="stable")
+        ids = owned[rows]
+        if len(ids) and ids[0] < 0:
+            raise ValueError("owned-user table ids out of range")
+        if np.any(ids[1:] == ids[:-1]):
+            raise ValueError("owned-user table contains duplicates")
+        identity = np.array_equal(owned, np.arange(len(owned)))
+        table = (None if identity else ids), rows
         if self.serving is None:
             self.serving = ServingState(
                 metrics=self.ctx.metrics,
                 topn_capacity=int(args.get("topn_capacity", DEFAULT_TOPN_CAPACITY)),
-                hot_capacity=int(args.get("hot_capacity", DEFAULT_HOT_CAPACITY)),
             )
-        self._install_snapshot(snapshot, args)
-        self._account()
-        return snapshot.meta().to_dict()
-
-    def _install_snapshot(self, snapshot: ModelSnapshot, args: dict) -> None:
-        """Install hook: shard endpoints override to remap global ids."""
         ratings = args.get("ratings")
         if ratings is not None:
             data = decode_triplets(bytes(ratings))
-            self.serving.install(snapshot, data.users, data.items)
+            local = _to_local(*table, data.users)
+            mask = local >= 0
+            self.serving.install(snapshot, local[mask], np.asarray(data.items)[mask])
         else:
             self.serving.install(snapshot)
+        # Only once the install is accepted: a refused rollback keeps
+        # serving the installed snapshot under its own table.
+        self._owned_ids, self._owned_rows = table
+        self._account()
+        return snapshot.meta().to_dict()
 
     @ecall
     def ecall_serve(self, users: list, k: int) -> dict:
-        """Serve one batch; only item ids, scores and counts leave."""
+        """Serve one batch of *global* user ids; unowned ids get -1 lists.
+
+        Only item ids, scores and counts leave.  An unowned id translates
+        to local row -1, which the engine answers with the empty sentinel
+        row and counts in ``stats["unowned"]`` -- still an answered
+        request, so batch pricing charges per-request overhead uniformly.
+        """
         if self.serving is None:
             raise ValueError("no snapshot loaded; call ecall_load")
-        reply = self.serving.serve(users, k)
+        reply = self.serving.serve(
+            _to_local(self._owned_ids, self._owned_rows, users).tolist(), k
+        )
         self._account()
         return reply
 
     def _account(self) -> None:
-        self.ctx.memory.set("serve", self.serving.resident_bytes)
+        # The owned-user table lives in-enclave too: two 8-byte words
+        # per entry (global id + local row); an identity map stores none.
+        table = self._owned_ids
+        self.ctx.memory.set(
+            "serve", self.serving.resident_bytes + (16 * len(table) if table is not None else 0)
+        )

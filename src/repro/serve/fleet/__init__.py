@@ -8,8 +8,10 @@ a fleet -- and the one endpoint is its 1-shard x 1-replica case:
 - :mod:`repro.serve.fleet.router` -- a consistent-hash ring mapping user
   ids to shards with bounded key movement on membership change (shared).
 - :mod:`repro.serve.fleet.shard` -- user-partitioned snapshot shards:
-  each shard's enclave holds only its partition's user-embedding rows
-  plus the (replicated) item side, so per-shard EPC accounting is honest
+  the payload and owned-user table each shard loads, so its enclave
+  (:class:`repro.serve.endpoint.ServeEnclaveApp`, the same one a single
+  endpoint runs) holds only its partition's user-embedding rows plus the
+  (replicated) item side, and per-shard EPC accounting is honest
   (trusted).
 - :mod:`repro.serve.fleet.balancer` -- the front-end load balancer: a
   bounded global queue ahead of per-replica admission queues, with

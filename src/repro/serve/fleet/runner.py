@@ -145,7 +145,6 @@ def run_fleet_experiment(
     vnodes: int = DEFAULT_VNODES,
     epc_cap_mib: Optional[float] = None,
     topn_capacity: Optional[int] = None,
-    hot_capacity: Optional[int] = None,
     quality_probe: bool = True,
     crashes: Tuple[CrashEvent, ...] = (),
     kill_one_replica_per_shard: bool = False,
@@ -201,7 +200,6 @@ def run_fleet_experiment(
         vnodes=vnodes,
         epc_cap_mib=epc_cap_mib,
         topn_capacity=topn_capacity,
-        hot_capacity=hot_capacity,
         obs=obs,
     )
     ring = balancer.ring
@@ -328,7 +326,9 @@ def run_fleet_experiment(
         shed=balancer.shed,
         deferred=balancer.deferred,
         stale_rejected=balancer.stale_rejected,
-        routing_errors=int(metrics.value("serve.fleet.routing_errors")),
+        # A misrouted id is one its shard does not own; the quality probe
+        # asks each shard for its own users only, so it adds none.
+        routing_errors=int(metrics.value("serve.unowned")),
         completed=len(completions),
         duration_s=duration,
         throughput_rps=len(completions) / duration if duration > 0 else 0.0,

@@ -36,11 +36,8 @@ from repro.obs import Observability
 from repro.serve.fleet.balancer import FleetBalancer, FleetPolicy, ShardReplica
 from repro.serve.fleet.router import HashRing
 from repro.serve.fleet.runner import run_fleet_experiment
-from repro.serve.fleet.shard import (
-    ShardEnclaveApp,
-    build_shard_payload,
-    encode_shard_users,
-)
+from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.fleet.shard import build_shard_payload, encode_shard_users
 from repro.serve.report import ServeReport
 from repro.serve.server import ServeCostModel, ServePolicy
 from repro.serve.workload import WorkloadSpec
@@ -109,7 +106,6 @@ def train_and_load(
     vnodes: int,
     epc_cap_mib: Optional[float],
     topn_capacity: Optional[int],
-    hot_capacity: Optional[int],
     obs: Observability,
     **model,
 ):
@@ -126,11 +122,7 @@ def train_and_load(
     sim, split = train_fleet_model(**model)
     ring = HashRing(range(shards), vnodes=vnodes)
 
-    caches = {}
-    if topn_capacity is not None:
-        caches["topn_capacity"] = topn_capacity
-    if hot_capacity is not None:
-        caches["hot_capacity"] = hot_capacity
+    caches = {} if topn_capacity is None else {"topn_capacity": topn_capacity}
     load_args: Dict[int, dict] = {}
     shard_meta: Dict[int, dict] = {}
     users = model["users"]
@@ -166,7 +158,7 @@ def train_and_load(
 
     def _boot(platform: Platform, shard: int, replica: int, incarnation: int):
         enclave = platform.create_enclave(
-            ShardEnclaveApp, f"shard{shard}-r{replica}-i{incarnation}"
+            ServeEnclaveApp, f"shard{shard}-r{replica}-i{incarnation}"
         )
         enclave.ecall("ecall_load", load_args[shard])
         return enclave
@@ -218,7 +210,6 @@ def run_serving_experiment(
     sgx: SgxCostModel = SGX1_COST_MODEL,
     epc: Optional[EpcModel] = None,
     topn_capacity: Optional[int] = None,
-    hot_capacity: Optional[int] = None,
     quality_probe: bool = True,
     obs: Optional[Observability] = None,
 ) -> ServeReport:
@@ -244,7 +235,6 @@ def run_serving_experiment(
         # two, so the round trip through the cap is exact.
         epc_cap_mib=epc.share_bytes / MIB,
         topn_capacity=topn_capacity,
-        hot_capacity=hot_capacity,
         quality_probe=quality_probe,
         obs=obs,
     )

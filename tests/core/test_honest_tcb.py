@@ -29,6 +29,7 @@ from repro.net.serialization import encode_mf_state, encode_triplets
 from repro.net.topology import Topology
 from repro.net.transport import Network
 from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.fleet.shard import encode_shard_users
 from repro.serve.snapshot import encode_snapshot, snapshot_from_arrays
 from repro.tee import AttestationService, Platform
 from repro.tee.attestation import MutualAttestation
@@ -174,18 +175,19 @@ def test_published_snapshots_keep_no_history(published_twice):
 
 
 def test_serving_enclave_refuses_a_rollback_without_any_flag():
-    def snapshot(version):
+    def load_args(version):
         rows = np.ones((3, 2))
         seen = np.ones(3, dtype=bool)
-        return encode_snapshot(
+        wire = encode_snapshot(
             snapshot_from_arrays(rows, rows, rows[:, 0], rows[:, 0], seen, seen, 3.5,
                                  version=version)
         )
+        return {"snapshot": wire, "shard_users": encode_shard_users(np.arange(3))}
 
     enclave = Platform("tcb-serve", AttestationService()).create_enclave(
         ServeEnclaveApp, "serve-0"
     )
-    enclave.ecall("ecall_load", {"snapshot": snapshot(2)})
+    enclave.ecall("ecall_load", load_args(2))
     with pytest.raises(SnapshotReplayError):
-        enclave.ecall("ecall_load", {"snapshot": snapshot(1)})
+        enclave.ecall("ecall_load", load_args(1))
     assert enclave.metrics.value("faults.rejected", kind="replay_snapshot") == 1

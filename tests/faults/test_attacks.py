@@ -31,6 +31,7 @@ from repro.data.dataset import RatingsDataset
 from repro.faults import NAMED_PLANS, run_chaos
 from repro.obs import Observability
 from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.fleet.shard import encode_shard_users
 from repro.serve.snapshot import encode_snapshot
 from repro.tee import AttestationService, Platform
 from repro.tee.errors import SnapshotReplayError
@@ -312,7 +313,7 @@ def test_report_roundtrips_without_attacks():
 # --------------------------------------------------------------------- #
 # Serving enclave: version monotonicity
 # --------------------------------------------------------------------- #
-def _snapshot_bytes(version):
+def _load_args(version):
     from repro.serve.snapshot import ModelSnapshot
 
     k = 4
@@ -328,15 +329,15 @@ def _snapshot_bytes(version):
         user_seen=np.ones(6, dtype=bool),
         item_seen=np.ones(9, dtype=bool),
     )
-    return encode_snapshot(snap)
+    return {"snapshot": encode_snapshot(snap), "shard_users": encode_shard_users(np.arange(6))}
 
 
 def test_serve_enclave_monotonicity_defense():
     platform = Platform("attack-test", AttestationService())
     enclave = platform.create_enclave(ServeEnclaveApp, "serve-monotonic")
-    enclave.ecall("ecall_load", {"snapshot": _snapshot_bytes(2)})
+    enclave.ecall("ecall_load", _load_args(2))
     with pytest.raises(SnapshotReplayError):
-        enclave.ecall("ecall_load", {"snapshot": _snapshot_bytes(1)})
+        enclave.ecall("ecall_load", _load_args(1))
     with pytest.raises(SnapshotReplayError):
-        enclave.ecall("ecall_load", {"snapshot": _snapshot_bytes(2)})
-    enclave.ecall("ecall_load", {"snapshot": _snapshot_bytes(3)})
+        enclave.ecall("ecall_load", _load_args(2))
+    enclave.ecall("ecall_load", _load_args(3))

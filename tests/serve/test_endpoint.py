@@ -1,4 +1,4 @@
-"""The enclave-resident serving engine and the standalone serving enclave."""
+"""The enclave-resident serving engine and the one serving enclave."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.data.dataset import RatingsDataset
 from repro.net.serialization import encode_triplets
 from repro.obs import MetricsRegistry
 from repro.serve.endpoint import ServeEnclaveApp, ServingState
-from repro.serve.fleet.shard import ShardEnclaveApp, encode_shard_users
+from repro.serve.fleet.shard import encode_shard_users
 from repro.serve.scoring import PAD_ITEM
 from repro.serve.snapshot import encode_snapshot, snapshot_from_arrays
 from repro.tee import AttestationService, Platform
@@ -27,6 +27,19 @@ def make_snapshot(version=1, seed=0):
         3.5,
         version=version,
     )
+
+
+def load_args(snapshot, ratings=None, **extra):
+    """``ecall_load`` arguments for a snapshot that owns every user in id
+    order (the identity table), with optional exclusion ratings."""
+    args = {
+        "snapshot": encode_snapshot(snapshot),
+        "shard_users": encode_shard_users(np.arange(snapshot.n_users)),
+        **extra,
+    }
+    if ratings is not None:
+        args["ratings"] = encode_triplets(ratings)
+    return args
 
 
 def make_ratings(seed=0, n=60):
@@ -155,13 +168,7 @@ class TestHostSuppliedIds:
     def test_through_the_serving_enclave(self):
         platform = Platform("serve-test", AttestationService())
         enclave = platform.create_enclave(ServeEnclaveApp, "serve-0")
-        enclave.ecall(
-            "ecall_load",
-            {
-                "snapshot": encode_snapshot(make_snapshot()),
-                "ratings": encode_triplets(make_ratings()),
-            },
-        )
+        enclave.ecall("ecall_load", load_args(make_snapshot(), make_ratings()))
         reply = enclave.ecall("ecall_serve", [-1, 0, N_USERS], 4)
         assert reply["items"][0] == reply["items"][2] == [PAD_ITEM] * 4
         assert all(i >= 0 for i in reply["items"][1])
@@ -176,7 +183,7 @@ class TestServeEnclaveApp:
 
     def test_load_returns_sanitized_meta(self, enclave):
         snap = make_snapshot(version=3)
-        meta = enclave.ecall("ecall_load", {"snapshot": encode_snapshot(snap)})
+        meta = enclave.ecall("ecall_load", load_args(snap))
         assert meta["version"] == 3 and meta["digest"] == snap.digest
         assert meta["n_items"] == N_ITEMS
         for value in meta.values():
@@ -184,13 +191,7 @@ class TestServeEnclaveApp:
 
     def test_serve_returns_lists_and_respects_exclusions(self, enclave):
         data = make_ratings()
-        enclave.ecall(
-            "ecall_load",
-            {
-                "snapshot": encode_snapshot(make_snapshot()),
-                "ratings": encode_triplets(data),
-            },
-        )
+        enclave.ecall("ecall_load", load_args(make_snapshot(), data))
         reply = enclave.ecall("ecall_serve", [0, 1], 5)
         assert isinstance(reply["items"], list) and len(reply["items"]) == 2
         rated_by_0 = {
@@ -199,7 +200,7 @@ class TestServeEnclaveApp:
         assert not rated_by_0 & set(reply["items"][0])
 
     def test_status_and_memory_accounting(self, enclave):
-        enclave.ecall("ecall_load", {"snapshot": encode_snapshot(make_snapshot())})
+        enclave.ecall("ecall_load", load_args(make_snapshot()))
         enclave.ecall("ecall_serve", [0, 1], 5)
         enclave.ecall("ecall_serve", [0, 1], 5)
         metrics = enclave.metrics  # the platform registry
@@ -211,26 +212,29 @@ class TestServeEnclaveApp:
         assert enclave.memory.resident_bytes == resident > 0
 
     def test_cache_capacities_configurable(self, enclave):
-        enclave.ecall(
-            "ecall_load",
-            {
-                "snapshot": encode_snapshot(make_snapshot()),
-                "topn_capacity": 0,
-                "hot_capacity": 0,
-            },
-        )
+        enclave.ecall("ecall_load", load_args(make_snapshot(), topn_capacity=0))
         enclave.ecall("ecall_serve", [0], 5)
         enclave.ecall("ecall_serve", [0], 5)
         # cache disabled => rescored
         assert enclave.metrics.value("serve.cache.hits", cache="topn") == 0
 
+    def test_load_without_the_owned_user_table_is_refused(self, enclave):
+        # There is one load format: the table says which global user
+        # each snapshot row is, even when it is the identity.
+        with pytest.raises(ValueError, match="owned-user table"):
+            enclave.ecall("ecall_load", {"snapshot": encode_snapshot(make_snapshot())})
+        with pytest.raises(ValueError, match="no snapshot"):
+            enclave.ecall("ecall_serve", [0], 5)
+        assert enclave.memory.resident_bytes == 0
 
-@pytest.mark.parametrize("app", [ServeEnclaveApp, ShardEnclaveApp])
-def test_serving_before_any_load_is_a_typed_refusal(app):
+
+def test_serving_before_any_load_is_a_typed_refusal():
     """A fresh enclave refuses to serve with the ``no snapshot`` ValueError
     (it used to leak an AttributeError out of the ecall) and counts no
     served query."""
-    enclave = Platform("serve-test", AttestationService()).create_enclave(app, "serve-0")
+    enclave = Platform("serve-test", AttestationService()).create_enclave(
+        ServeEnclaveApp, "serve-0"
+    )
     with pytest.raises(ValueError, match="no snapshot"):
         enclave.ecall("ecall_serve", [0, 1], 5)
     assert enclave.metrics.value("serve.requests") == 0
@@ -249,52 +253,40 @@ def _foreign_ratings(field):
     )
 
 
-def _load_args(app, snapshot, ratings):
-    args = {"snapshot": encode_snapshot(snapshot), "ratings": encode_triplets(ratings)}
-    if app is ShardEnclaveApp:
-        args["shard_users"] = encode_shard_users(np.arange(N_USERS, dtype=np.int64))
-    return args
-
-
 class TestExclusionRatingsOutsideTheSnapshot:
     """Exclusion ratings arrive from the host with ``ecall_load``.  An item
     outside the snapshot used to be accepted, and then every
-    ``ecall_serve`` for that user raised a bare ``IndexError``; a user row
-    outside it was charged to the EPC although no query can reach it."""
+    ``ecall_serve`` for that user raised a bare ``IndexError``.  A user
+    outside the owned-user table is no query's target, so its rows are
+    dropped, not charged to the EPC."""
 
-    @pytest.mark.parametrize(
-        "app, field",
-        [(ServeEnclaveApp, "item"), (ServeEnclaveApp, "user"), (ShardEnclaveApp, "item")],
-    )
-    def test_refused_at_load_and_the_installed_snapshot_keeps_serving(self, app, field):
+    def test_refused_at_load_and_the_installed_snapshot_keeps_serving(self):
         platform = Platform("serve-test", AttestationService())
-        enclave = platform.create_enclave(app, "serve-0")
-        reference = platform.create_enclave(app, "serve-ref")
+        enclave = platform.create_enclave(ServeEnclaveApp, "serve-0")
+        reference = platform.create_enclave(ServeEnclaveApp, "serve-ref")
         for target in (enclave, reference):
-            target.ecall("ecall_load", _load_args(app, make_snapshot(), make_ratings()))
+            target.ecall("ecall_load", load_args(make_snapshot(), make_ratings()))
         with pytest.raises(ValueError, match="outside the snapshot"):
             enclave.ecall(
                 "ecall_load",
-                _load_args(app, make_snapshot(version=2, seed=9), _foreign_ratings(field)),
+                load_args(make_snapshot(version=2, seed=9), _foreign_ratings("item")),
             )
         users = list(range(N_USERS))
         assert enclave.ecall("ecall_serve", users, 5) == reference.ecall("ecall_serve", users, 5)
         assert enclave.memory.resident_bytes == reference.memory.resident_bytes
         # The refused load did not move the version mark.
         meta = enclave.ecall(
-            "ecall_load", _load_args(app, make_snapshot(version=2, seed=9), make_ratings())
+            "ecall_load", load_args(make_snapshot(version=2, seed=9), make_ratings())
         )
         assert meta["version"] == 2
 
     def test_a_shard_drops_users_it_does_not_own(self):
-        # A shard keeps only owned users' rows, so a foreign user id is
-        # never installed: the load succeeds and user 1's one real rating
-        # is still excluded.
+        # Only owned users' rows are kept, so a foreign user id is never
+        # installed: the load succeeds and user 1's one real rating is
+        # still excluded.
         platform = Platform("serve-test", AttestationService())
-        enclave = platform.create_enclave(ShardEnclaveApp, "serve-0")
-        enclave.ecall(
-            "ecall_load", _load_args(ShardEnclaveApp, make_snapshot(), _foreign_ratings("user"))
-        )
+        enclave = platform.create_enclave(ServeEnclaveApp, "serve-0")
+        enclave.ecall("ecall_load", load_args(make_snapshot(), _foreign_ratings("user")))
         assert enclave.ecall("ecall_serve", [1], N_ITEMS)["items"][0].count(PAD_ITEM) == 1
 
     @pytest.mark.parametrize("users, items", [([-1], [0]), ([0], [-1])])

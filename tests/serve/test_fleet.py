@@ -11,11 +11,8 @@ from repro.serve import runner as stages
 from repro.serve.fleet import FleetServeReport, run_fleet_experiment
 from repro.serve.fleet.balancer import FleetBalancer, FleetPolicy, ShardReplica
 from repro.serve.fleet.router import HashRing
-from repro.serve.fleet.shard import (
-    ShardEnclaveApp,
-    build_shard_payload,
-    encode_shard_users,
-)
+from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.fleet.shard import build_shard_payload, encode_shard_users
 from repro.serve.report import ServeReport
 from repro.serve.server import ServePolicy
 from repro.serve.snapshot import snapshot_from_arrays, encode_snapshot
@@ -73,7 +70,7 @@ def _load_shard(owned, version=1, n_users=12, metrics=None):
         shard_id=0,
     )
     platform = Platform("shard-test", AttestationService(), metrics=metrics)
-    enclave = platform.create_enclave(ShardEnclaveApp, "shard0")
+    enclave = platform.create_enclave(ServeEnclaveApp, "shard0")
     enclave.ecall(
         "ecall_load",
         {
@@ -113,7 +110,7 @@ class TestShardEndpoint:
         assert reply["items"][1] == [-1, -1, -1]
         assert reply["stats"]["unowned"] == 1
         assert reply["stats"]["requests"] == 3
-        assert obs.metrics.value("serve.fleet.routing_errors") == 1
+        assert obs.metrics.value("serve.unowned") == 1
 
     def test_translation_matches_unsharded_scoring(self):
         arrays = _toy_arrays(n_users=12, n_items=6)
@@ -127,11 +124,12 @@ class TestShardEndpoint:
             arrays["global_mean"],
             version=1,
         )
-        from repro.serve.endpoint import ServeEnclaveApp
-
         platform = Platform("full-test", AttestationService())
         reference = platform.create_enclave(ServeEnclaveApp, "full")
-        reference.ecall("ecall_load", {"snapshot": encode_snapshot(full)})
+        reference.ecall(
+            "ecall_load",
+            {"snapshot": encode_snapshot(full), "shard_users": encode_shard_users(np.arange(12))},
+        )
         sharded, _ = _load_shard([2, 5, 7])
         want = reference.ecall("ecall_serve", [5, 7], 4)
         got = sharded.ecall("ecall_serve", [5, 7], 4)
@@ -150,21 +148,21 @@ class TestShardEndpoint:
             True, True, True, False, True, True, True,
         ]
         assert reply["stats"]["unowned"] == 6
-        assert obs.metrics.value("serve.fleet.routing_errors") == 6
+        assert obs.metrics.value("serve.unowned") == 6
 
     def test_a_shard_owning_every_user_in_order_stores_no_table(self):
         # The 1-shard fleet: global id == local row, nothing resident
-        # beyond what a plain serving enclave holds.
-        whole, _ = _load_shard(list(range(12)))
+        # beyond the snapshot itself (no ratings, nothing served yet).
+        whole, meta = _load_shard(list(range(12)))
+        assert whole.memory.breakdown() == {"serve": meta["resident_bytes"]}
         reply = whole.ecall("ecall_serve", [11, 12, -1, 2**70, 0], 3)
         assert [row == [-1, -1, -1] for row in reply["items"]] == [
             False, True, True, True, False,
         ]
-        assert whole.memory.get("serve.shard_index") == 0
         # A real partition keeps (id, row) per owned user: 16 B each,
-        # whatever the population size.
-        part, _ = _load_shard([2, 5, 11])
-        assert part.memory.get("serve.shard_index") == 16 * 3
+        # whatever the population size, under the one "serve" label.
+        part, meta = _load_shard([2, 5, 11])
+        assert part.memory.breakdown() == {"serve": meta["resident_bytes"] + 16 * 3}
 
     def test_refused_rollback_keeps_the_installed_table(self):
         enclave, _ = _load_shard([2, 5, 7], version=2)
@@ -193,7 +191,7 @@ class TestShardEndpoint:
             n_users=12, n_items=6,
         )
         platform = Platform("shard-excl", AttestationService())
-        enclave = platform.create_enclave(ShardEnclaveApp, "shard0")
+        enclave = platform.create_enclave(ServeEnclaveApp, "shard0")
         enclave.ecall(
             "ecall_load",
             {
@@ -220,7 +218,7 @@ class TestShardEndpoint:
             *arrays.values(), np.array([2, 5, 7]), version=1, shard_id=0
         )
         platform = Platform("shard-bad", AttestationService())
-        enclave = platform.create_enclave(ShardEnclaveApp, "shard0")
+        enclave = platform.create_enclave(ServeEnclaveApp, "shard0")
         with pytest.raises(ValueError, match=message):
             enclave.ecall(
                 "ecall_load",
@@ -245,7 +243,7 @@ class TestShardEndpoint:
             shard_id=0,
         )
         platform = Platform("shard-test2", AttestationService())
-        enclave = platform.create_enclave(ShardEnclaveApp, "shard0")
+        enclave = platform.create_enclave(ServeEnclaveApp, "shard0")
         with pytest.raises(ValueError):
             enclave.ecall("ecall_load", {"snapshot": wire})
 
@@ -385,7 +383,7 @@ def _mini_fleet(metrics=None):
 
         def factory(incarnation, _platform=platform, _r=r):
             enclave = _platform.create_enclave(
-                ShardEnclaveApp, f"mini-shard0-r{_r}-i{incarnation}"
+                ServeEnclaveApp, f"mini-shard0-r{_r}-i{incarnation}"
             )
             enclave.ecall("ecall_load", payload(1))
             return enclave

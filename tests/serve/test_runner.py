@@ -140,7 +140,7 @@ class TestCacheBuysCapacity:
 
     def test_same_trace_without_caches_is_slower(self):
         warm = run_serving_experiment(**self.SCENARIO)
-        cold = run_serving_experiment(**self.SCENARIO, topn_capacity=0, hot_capacity=0)
+        cold = run_serving_experiment(**self.SCENARIO, topn_capacity=0)
         assert warm.trace_digest == cold.trace_digest
         assert warm.cache["hits"] > 0 and cold.cache["hits"] == 0
         assert cold.latency_s["mean"] > warm.latency_s["mean"]

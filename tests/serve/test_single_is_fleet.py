@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 from repro.net.serialization import encode_triplets
 from repro.serve import run_serving_experiment
 from repro.serve import runner as stages
+from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.fleet.shard import build_shard_payload, encode_shard_users
 from repro.serve.server import REJECT_NEWEST, SHED_OLDEST, RecServer, ServePolicy
 from repro.serve.workload import WorkloadGenerator, WorkloadSpec, run_trace
 from repro.tee.attestation import AttestationService
@@ -201,12 +203,6 @@ def _trained():
 
 def _oracle_enclave():
     """The 1x1 fleet's one shard payload, loaded into one bare enclave."""
-    from repro.serve.fleet.shard import (
-        ShardEnclaveApp,
-        build_shard_payload,
-        encode_shard_users,
-    )
-
     sim, split = _trained()
     owned = np.arange(MODEL["users"], dtype=np.int64)
     wire, _ = build_shard_payload(
@@ -214,7 +210,7 @@ def _oracle_enclave():
         sim.global_mean, owned, version=1, shard_id=0, epoch=MODEL["epochs"],
     )
     enclave = Platform("oracle", AttestationService()).create_enclave(
-        ShardEnclaveApp, "oracle"
+        ServeEnclaveApp, "oracle"
     )
     enclave.ecall(
         "ecall_load",
@@ -269,3 +265,24 @@ def test_degenerate_fleet_equals_the_run_trace_oracle(
     assert report.busy_s == server.busy_s
     assert report.per_shard[0]["epc"]["page_faults"] == server.page_faults
     assert report.routing_errors == 0
+
+
+def test_the_single_endpoint_boots_the_one_serving_enclave():
+    """The 1x1 fleet's replica runs the same trusted app, hence carries the
+    same measurement, as a serving enclave a host builds by hand."""
+    model = _trained()
+    booted: list = []
+    create = Platform.create_enclave
+
+    def recording(platform, trusted_class, enclave_id):
+        booted.append(create(platform, trusted_class, enclave_id))
+        return booted[-1]
+
+    spec = WorkloadSpec(seed=0, n_users=MODEL["users"], ticks=2)
+    with mock.patch.object(stages, "train_fleet_model", lambda **_kw: model):
+        with mock.patch.object(Platform, "create_enclave", recording):
+            run_serving_experiment(**MODEL, workload=spec, quality_probe=False)
+    by_hand = Platform("by-hand", AttestationService()).create_enclave(
+        ServeEnclaveApp, "serve-0"
+    )
+    assert [enclave.measurement for enclave in booted] == [by_hand.measurement]

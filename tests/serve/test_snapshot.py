@@ -11,6 +11,7 @@ from repro.ml.mf import MatrixFactorization, MfHyperParams
 from repro.net.serialization import CodecError
 from repro.serve import snapshot as snapshot_mod
 from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.fleet.shard import encode_shard_users
 from repro.serve.snapshot import (
     decode_snapshot,
     encode_snapshot,
@@ -264,12 +265,13 @@ def test_failed_load_leaves_installed_snapshot_serving():
     enclave = Platform("snapshot-test", AttestationService()).create_enclave(
         ServeEnclaveApp, "serve-0"
     )
-    enclave.ecall("ecall_load", {"snapshot": PAYLOAD})
+    owned = encode_shard_users(np.arange(5))
+    enclave.ecall("ecall_load", {"snapshot": PAYLOAD, "shard_users": owned})
     before = enclave.ecall("ecall_serve", [0, 1, 3], 3)
     newer = encode_snapshot(reference_snapshot(version=2))
     for bad in (newer[:-1], newer + b"\x00\x00", newer[:HEADER_BYTES]):
         with pytest.raises(CodecError):
-            enclave.ecall("ecall_load", {"snapshot": bad})
+            enclave.ecall("ecall_load", {"snapshot": bad, "shard_users": owned})
     installed = enclave._app.serving.snapshot
     assert installed.version == 1 and installed.digest == REFERENCE_DIGEST
     after = enclave.ecall("ecall_serve", [0, 1, 3], 3)
