@@ -488,6 +488,7 @@ class RexEnclaveApp(TrustedApp):
     # ------------------------------------------------------------------ #
     def _merge_data(self, received: Dict[int, Tuple[PayloadHeader, bytes]], stats: EpochStats) -> int:
         staging = 0
+        admitted = []
         for _src, (header, content) in sorted(received.items()):
             if header.content == CONTENT_EMPTY:
                 # Empty barriers are legitimate under RMW; only a D-PSGD
@@ -520,13 +521,18 @@ class RexEnclaveApp(TrustedApp):
                     continue
             staging = max(staging, alien.nbytes + len(content))
             stats.dedup_checked_items += len(alien)
+            admitted.append(alien)
+        if admitted:
+            # One append per round equals one per share in src order (first
+            # occurrence wins), and stored ids are already marked seen.
+            batch = admitted[0].concat(*admitted[1:])
             if self.config.dedup:
-                added = self.store.append_unique(alien)
+                added = self.store.append_unique(batch)
             else:
-                added = self.store.append(alien)
+                added = self.store.append(batch)
             stats.appended_items += added
             if added:
-                self.model.mark_seen(alien)
+                self.model.mark_seen(batch)
         return staging
 
     def _merge_models(

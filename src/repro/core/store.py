@@ -6,7 +6,8 @@ protected memory, appending only *non-duplicate* items on merge
 (Section III-E), the same triplet can arrive many times; the store
 deduplicates in O(log n) per item against a sorted key array -- "new data
 items are simply dumped into the local store with no further processing"
-beyond this check (Section IV-C).
+beyond this check (Section IV-C).  A merge round is one append, so the
+sorted index is rebuilt by one O(n+m) merge per round.
 
 Capacity grows geometrically so appends are amortized O(1), and the store
 exposes its byte footprint for the EPC/memory accounting.
@@ -45,12 +46,36 @@ class DataStore:
     def _grow_to(self, needed: int) -> None:
         if needed <= len(self._users):
             return
-        capacity = max(needed, 2 * len(self._users))
+        # Pure doubling: the capacity (hence ``nbytes``) depends on the size
+        # alone, not on how a round's rows were split into appends.
+        capacity = max(1, len(self._users))
+        while capacity < needed:
+            capacity *= 2
         for name in ("_users", "_items", "_ratings"):
             old = getattr(self, name)
             fresh = np.empty(capacity, dtype=old.dtype)
             fresh[: self._size] = old[: self._size]
             setattr(self, name, fresh)
+
+    def _merge_index(self, keys: np.ndarray, positions: np.ndarray) -> None:
+        """``np.insert(index, positions, keys)`` as one O(n+m) merge, for
+        sorted ``keys`` and their ``searchsorted(index, keys, side="left")``."""
+        slots = positions + np.arange(len(keys))
+        merged = np.empty(len(self._sorted_keys) + len(keys), dtype=np.int64)
+        old = np.ones(len(merged), dtype=bool)
+        old[slots] = False
+        merged[slots] = keys
+        merged[old] = self._sorted_keys
+        self._sorted_keys = merged
+
+    def _store_rows(self, users: np.ndarray, items: np.ndarray, ratings: np.ndarray) -> None:
+        n_new = len(users)
+        self._grow_to(self._size + n_new)
+        sl = slice(self._size, self._size + n_new)
+        self._users[sl] = users
+        self._items[sl] = items
+        self._ratings[sl] = ratings
+        self._size += n_new
 
     def append_unique(self, data: RatingsDataset) -> int:
         """Append items not already present; returns how many were new.
@@ -60,34 +85,22 @@ class DataStore:
         """
         if (data.n_users, data.n_items) != (self.n_users, self.n_items):
             raise ValueError("dataset id space does not match the store")
-        users, items, ratings = data.users, data.items, data.ratings
-        if len(users) == 0:
+        if len(data) == 0:
             return 0
-        keys = users.astype(np.int64) * self.n_items + items
-        _, first_idx = np.unique(keys, return_index=True)
-        batch_mask = np.zeros(len(users), dtype=bool)
-        batch_mask[first_idx] = True
-        if len(self._sorted_keys):
-            pos = np.searchsorted(self._sorted_keys, keys)
-            pos = np.clip(pos, 0, len(self._sorted_keys) - 1)
-            batch_mask &= self._sorted_keys[pos] != keys
-        fresh_idx = np.flatnonzero(batch_mask)
-        self.duplicates_rejected += len(users) - len(fresh_idx)
+        # One search of the distinct keys gives membership and insertion
+        # positions at once.
+        distinct, first_idx = np.unique(data.pair_keys(), return_index=True)
+        positions = np.searchsorted(self._sorted_keys, distinct)
+        fresh = positions == len(self._sorted_keys)
+        inside = ~fresh
+        fresh[inside] = self._sorted_keys[positions[inside]] != distinct[inside]
+        fresh_idx = np.sort(first_idx[fresh])
+        self.duplicates_rejected += len(data) - len(fresh_idx)
         if len(fresh_idx) == 0:
             return 0
-        n_new = len(fresh_idx)
-        self._grow_to(self._size + n_new)
-        sl = slice(self._size, self._size + n_new)
-        self._users[sl] = users[fresh_idx]
-        self._items[sl] = items[fresh_idx]
-        self._ratings[sl] = ratings[fresh_idx]
-        self._size += n_new
-        # Merge the (sorted) fresh keys into the sorted index in O(n)
-        # instead of re-sorting the whole index.
-        fresh_keys = np.sort(keys[fresh_idx])
-        positions = np.searchsorted(self._sorted_keys, fresh_keys)
-        self._sorted_keys = np.insert(self._sorted_keys, positions, fresh_keys)
-        return n_new
+        self._store_rows(data.users[fresh_idx], data.items[fresh_idx], data.ratings[fresh_idx])
+        self._merge_index(distinct[fresh], positions[fresh])
+        return len(fresh_idx)
 
     def append(self, data: RatingsDataset) -> int:
         """Ablation path: append everything, duplicates included.
@@ -100,17 +113,10 @@ class DataStore:
             raise ValueError("dataset id space does not match the store")
         if len(data) == 0:
             return 0
-        n_new = len(data)
-        self._grow_to(self._size + n_new)
-        sl = slice(self._size, self._size + n_new)
-        self._users[sl] = data.users
-        self._items[sl] = data.items
-        self._ratings[sl] = data.ratings
-        self._size += n_new
-        fresh_keys = np.sort(data.pair_keys())
-        positions = np.searchsorted(self._sorted_keys, fresh_keys)
-        self._sorted_keys = np.insert(self._sorted_keys, positions, fresh_keys)
-        return n_new
+        self._store_rows(data.users, data.items, data.ratings)
+        keys = np.sort(data.pair_keys())
+        self._merge_index(keys, np.searchsorted(self._sorted_keys, keys))
+        return len(data)
 
     # ------------------------------------------------------------------ #
     # Access

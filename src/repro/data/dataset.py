@@ -139,13 +139,15 @@ class RatingsDataset:
             n_items=self.n_items,
         )
 
-    def concat(self, other: "RatingsDataset") -> "RatingsDataset":
-        if (self.n_users, self.n_items) != (other.n_users, other.n_items):
+    def concat(self, *others: "RatingsDataset") -> "RatingsDataset":
+        """One copy of ``self`` followed by every ``other``, in order."""
+        parts = (self, *others)
+        if any((o.n_users, o.n_items) != (self.n_users, self.n_items) for o in others):
             raise ValueError("datasets live in different id spaces")
         return RatingsDataset(
-            np.concatenate([self.users, other.users]),
-            np.concatenate([self.items, other.items]),
-            np.concatenate([self.ratings, other.ratings]),
+            np.concatenate([p.users for p in parts]),
+            np.concatenate([p.items for p in parts]),
+            np.concatenate([p.ratings for p in parts]),
             n_users=self.n_users,
             n_items=self.n_items,
         )

@@ -71,9 +71,7 @@ class DnnFleetSim(FleetEngine):
             for node, batches in enumerate(self._inboxes(pending, recipients)):
                 if not batches:
                     continue
-                combined = batches[0]
-                for extra in batches[1:]:
-                    combined = combined.concat(extra)
+                combined = batches[0].concat(*batches[1:])
                 dedup_items[node] = len(combined)
                 staging[node] = combined.nbytes
                 if self.stores[node].append_unique(combined):

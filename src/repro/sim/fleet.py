@@ -164,9 +164,7 @@ class MfFleetSim(FleetEngine):
 
         # Global triplet pool = concatenation of the initial shards; each
         # node starts owning its own range of pool rows.
-        pool = train_shards[0]
-        for shard in train_shards[1:]:
-            pool = pool.concat(shard)
+        pool = train_shards[0].concat(*train_shards[1:])
         self.stores = FleetStores(pool, n)
         offset = 0
         for node, shard in enumerate(train_shards):

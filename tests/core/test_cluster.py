@@ -84,6 +84,35 @@ class TestDataSharingRun:
             s.appended_items for s in last
         )
 
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_store_is_train_plus_every_appended_item(self, tiny_split, shards, dedup):
+        """Both merge paths (``append`` for the ``dedup=False`` ablation,
+        ``append_unique`` otherwise) account every stored row."""
+        train, test = shards
+        cluster = RexCluster(
+            Topology.fully_connected(len(train)),
+            _config(SharingScheme.DATA, epochs=3, dedup=dedup),
+        )
+        run = cluster.run(train, test, global_mean=tiny_split.train.global_mean())
+        duplicated = 0
+        for node, per_node in run.node_stats.items():
+            checked = [s.dedup_checked_items for s in per_node]
+            appended = [s.appended_items for s in per_node]
+            if dedup:
+                assert all(a <= c for a, c in zip(appended, checked))
+            else:
+                assert appended == checked
+            store = cluster.hosts[node].enclave._app.store
+            assert len(store) == len(train[node]) + sum(appended)
+            assert per_node[-1].store_items == len(store)
+            keys = store.as_dataset().pair_keys()
+            np.testing.assert_array_equal(store._sorted_keys, np.sort(keys))
+            duplicated += len(keys) - len(np.unique(keys))
+        if dedup:
+            assert duplicated == 0
+        else:
+            assert duplicated > 0
+
 
 class TestModelSharingRun:
     def test_models_merged_each_epoch(self, tiny_split, shards):

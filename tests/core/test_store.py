@@ -74,6 +74,64 @@ class TestAppendUnique:
         assert store.nbytes > before
 
 
+def _rated(triples, n_users=6, n_items=8):
+    users = np.array([t[0] for t in triples], dtype=np.int32)
+    items = np.array([t[1] for t in triples], dtype=np.int32)
+    ratings = np.array([t[2] for t in triples], dtype=np.float32)
+    return RatingsDataset(users, items, ratings, n_users=n_users, n_items=n_items)
+
+
+# A 6 x 8 key space makes intra-batch, cross-batch and stored duplicates
+# common; ratings vary so a wrong "first occurrence" shows in the rows.
+_BATCH = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(1, 5)), max_size=12
+)
+
+
+def _assert_index_sorted_keys(store):
+    keys = store.as_dataset().pair_keys()
+    np.testing.assert_array_equal(store._sorted_keys, np.sort(keys))
+
+
+class TestOneAppendPerRound:
+    """Appending a round's concatenated shares equals appending them one by
+    one -- the identity the enclave's one-append-per-round merge rests on."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        stored=_BATCH,
+        batches=st.lists(_BATCH, min_size=1, max_size=6),
+        dedup=st.booleans(),
+    )
+    def test_concatenation_equals_sequential_appends(self, stored, batches, dedup):
+        shares = [_rated(b) for b in batches]
+        one, seq = DataStore(6, 8, capacity=4), DataStore(6, 8, capacity=4)
+        for store in (one, seq):
+            store.append_unique(_rated(stored))
+        method = "append_unique" if dedup else "append"
+        added_seq = sum(getattr(seq, method)(share) for share in shares)
+        added_one = getattr(one, method)(shares[0].concat(*shares[1:]))
+        assert added_one == added_seq
+        np.testing.assert_array_equal(one.users, seq.users)
+        np.testing.assert_array_equal(one.items, seq.items)
+        np.testing.assert_array_equal(one.ratings, seq.ratings)
+        np.testing.assert_array_equal(one._sorted_keys, seq._sorted_keys)
+        assert one.duplicates_rejected == seq.duplicates_rejected
+        assert one.nbytes == seq.nbytes
+        _assert_index_sorted_keys(one)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_BATCH, st.booleans()), max_size=8))
+    def test_index_is_the_sorted_store_keys_after_any_sequence(self, steps):
+        store = DataStore(6, 8, capacity=2)
+        for batch, dedup in steps:
+            if dedup:
+                store.append_unique(_rated(batch))
+            else:
+                store.append(_rated(batch))
+            _assert_index_sorted_keys(store)
+
+
 class TestSampling:
     def test_sample_draws_from_contents(self):
         store = DataStore(10, 20)

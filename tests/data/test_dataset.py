@@ -99,10 +99,19 @@ class TestTransforms:
         assert len(double) == 8
         assert double.n_users == small.n_users
 
+    def test_concat_is_variadic_and_ordered(self, small):
+        first = small.take(np.array([0]))
+        joined = small.concat(first, small)
+        expected = small.users.tolist() + small.users[:1].tolist() + small.users.tolist()
+        assert joined.users.tolist() == expected
+        assert small.concat().users.tolist() == small.users.tolist()
+
     def test_concat_id_space_mismatch(self, small):
         other = RatingsDataset.empty(11, 20)
         with pytest.raises(ValueError):
             small.concat(other)
+        with pytest.raises(ValueError):
+            small.concat(small, other)
 
     def test_restrict_users(self, small):
         only_one = small.restrict_users(np.array([1]))
