@@ -34,7 +34,13 @@ from repro.core.channel import (
     SecureChannel,
     seal_all,
 )
-from repro.core.config import CryptoMode, Dissemination, RexConfig, SharingScheme
+from repro.core.config import (
+    SUSPECT_AFTER_TIMEOUTS,
+    CryptoMode,
+    Dissemination,
+    RexConfig,
+    SharingScheme,
+)
 from repro.core.messages import (
     CONTENT_EMPTY,
     CONTENT_MF_MODEL,
@@ -259,7 +265,7 @@ class RexEnclaveApp(TrustedApp):
         enabled.  After :attr:`FaultToleranceConfig.barrier_patience_ticks`
         ticks stuck at the same barrier the node advances with whatever
         subset of shares it holds (graceful degradation), and neighbors
-        missing from ``suspect_after_timeouts`` consecutive forced rounds
+        missing from ``SUSPECT_AFTER_TIMEOUTS`` consecutive forced rounds
         are treated as dead until heard from again.  Returns the number of
         rounds forced (0 or 1).
         """
@@ -290,7 +296,7 @@ class RexEnclaveApp(TrustedApp):
 
     def _note_miss(self, peer: int) -> None:
         self._miss_counts[peer] = self._miss_counts.get(peer, 0) + 1
-        if self._miss_counts[peer] >= self.config.faults.suspect_after_timeouts:
+        if self._miss_counts[peer] >= SUSPECT_AFTER_TIMEOUTS:
             self._down_peers.add(peer)
             self._active_from[peer] = None
             self._count_fault("faults.suspected", peer=peer)

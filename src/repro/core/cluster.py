@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
-from repro.core.config import RexConfig
+from repro.core.config import SUSPECT_AFTER_TIMEOUTS, RexConfig
 from repro.core.host import RexHost
 from repro.core.stats import EpochStats
 from repro.data.dataset import RatingsDataset
@@ -35,6 +35,9 @@ from repro.tee.enclave import Platform
 from repro.tee.epc import EpcModel
 
 __all__ = ["RexCluster", "ClusterRun"]
+
+#: REX processes per SGX machine: the paper runs 8 nodes on 4 machines.
+NODES_PER_MACHINE = 2
 
 
 @dataclass
@@ -78,7 +81,6 @@ class RexCluster:
         config: RexConfig,
         *,
         secure: bool = True,
-        nodes_per_machine: int = 2,
         epc: Optional[EpcModel] = None,
         obs: Optional[Observability] = None,
     ):
@@ -92,8 +94,8 @@ class RexCluster:
         self.obs = obs if obs is not None else Observability.create()
         metrics = self.obs.metrics
         n_nodes = topology.n_nodes
-        n_machines = (n_nodes + nodes_per_machine - 1) // nodes_per_machine
-        self.epc = epc if epc is not None else EpcModel(enclaves_per_machine=nodes_per_machine)
+        n_machines = (n_nodes + NODES_PER_MACHINE - 1) // NODES_PER_MACHINE
+        self.epc = epc if epc is not None else EpcModel(enclaves_per_machine=NODES_PER_MACHINE)
 
         self.attestation_service = AttestationService()
         self.platforms = [
@@ -105,7 +107,7 @@ class RexCluster:
         self.network = Network(metrics)
         self.hosts: List[RexHost] = []
         for node in range(n_nodes):
-            platform = self.platforms[node // nodes_per_machine]
+            platform = self.platforms[node // NODES_PER_MACHINE]
             endpoint = self.network.endpoint(node)
             self.hosts.append(RexHost(node, platform, endpoint))
         #: Nodes whose process is currently dead (see :meth:`crash_node`).
@@ -134,28 +136,6 @@ class RexCluster:
                 self.topology.neighbors(host.node_id),
                 global_mean=global_mean,
             )
-
-    # ------------------------------------------------------------------ #
-    # Serving (after training)
-    # ------------------------------------------------------------------ #
-    def serving_endpoint(self, node_id: int, *, policy=None, costs=None):
-        """Publish ``node_id``'s trained model and wrap its enclave in a
-        :class:`repro.serve.server.RecServer` admission front-end.
-
-        The snapshot never leaves the enclave: publication is an ecall
-        that freezes the live model in place, and the returned server
-        talks to the same enclave through ``ecall_serve``.
-        """
-        from repro.serve.server import RecServer
-
-        node_id = int(node_id)
-        if node_id in self.crashed:
-            raise RuntimeError(f"node {node_id} is crashed; restart it before serving")
-        host = self.hosts[node_id]
-        host.publish_snapshot()
-        return RecServer(
-            host.enclave, policy=policy, costs=costs, epc=self.epc, metrics=host.enclave.metrics
-        )
 
     # ------------------------------------------------------------------ #
     # Churn surface (driven by the chaos controller)
@@ -291,13 +271,12 @@ class RexCluster:
         Permanently crashed nodes are exempt from the completion
         condition; a window with no activity of any kind for longer than
         an enclave needs to suspect a silent peer (``patience x
-        suspect_after_timeouts`` ticks) is a genuine stall and raises with
+        SUSPECT_AFTER_TIMEOUTS`` ticks) is a genuine stall and raises with
         a diagnosis instead of spinning.
         """
         from repro.sim.kernel import EventKernel
 
-        faults = self.config.faults
-        stall_bound = faults.barrier_patience_ticks * faults.suspect_after_timeouts + 8
+        stall_bound = self.config.faults.barrier_patience_ticks * SUSPECT_AFTER_TIMEOUTS + 8
         kernel = self.kernel = EventKernel()
         state = {"idle": 0, "stop": False, "moved": 0, "flushed": 0}
 

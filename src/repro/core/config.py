@@ -29,6 +29,10 @@ __all__ = [
     "RexConfig",
 ]
 
+#: Consecutive barrier timeouts after which a tolerant node treats a
+#: silent neighbor as dead until it is heard from again.
+SUSPECT_AFTER_TIMEOUTS = 2
+
 
 class SharingScheme(enum.Enum):
     """What travels between nodes each epoch."""
@@ -81,26 +85,22 @@ class FaultToleranceConfig:
     - corrupt / replayed / stale frames are *rejected but survivable*:
       the enclave counts them (``faults.recovered``) instead of letting
       the error abort the epoch;
-    - the transport retries dropped frames (``max_attempts`` total sends,
-      exponential backoff of ``backoff_base_ticks``);
+    - the transport retries dropped frames (the default
+      :class:`~repro.net.transport.RetryPolicy`: four sends, exponential
+      backoff from one tick);
     - a node blocked at the epoch barrier for ``barrier_patience_ticks``
       network ticks advances with the messages it has (graceful
       degradation, counted as ``faults.barrier_timeouts``);
-    - a neighbor missing from ``suspect_after_timeouts`` consecutive
+    - a neighbor missing from :data:`SUSPECT_AFTER_TIMEOUTS` consecutive
       barrier timeouts is treated as dead until it is heard from again.
     """
 
     enabled: bool = False
     barrier_patience_ticks: int = 48
-    suspect_after_timeouts: int = 2
-    max_attempts: int = 4
-    backoff_base_ticks: int = 1
 
     def __post_init__(self) -> None:
         if self.barrier_patience_ticks < 1:
             raise ValueError("barrier patience must be at least one tick")
-        if self.suspect_after_timeouts < 1:
-            raise ValueError("suspicion threshold must be at least one timeout")
 
 
 @dataclass(frozen=True)

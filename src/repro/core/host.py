@@ -10,7 +10,7 @@ and seals every payload it sends.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Type
+from typing import Dict, List, Optional, Type
 
 from repro.core.app import RexEnclaveApp
 from repro.core.config import RexConfig
@@ -35,8 +35,6 @@ class RexHost:
         node_id: int,
         platform: Platform,
         endpoint: Endpoint,
-        *,
-        on_stats: Optional[Callable[[EpochStats], None]] = None,
     ):
         self.node_id = node_id
         self.platform = platform
@@ -44,7 +42,6 @@ class RexHost:
         self.epoch_stats: List[EpochStats] = []
         #: Incarnation counter; bumped by :meth:`restart` after a crash.
         self.boot = 0
-        self._on_stats = on_stats
         self._load_enclave(f"rex-node-{node_id}")
 
     def _load_enclave(self, enclave_id: str) -> None:
@@ -74,8 +71,6 @@ class RexHost:
         stats.ocalls = delta.ocalls
         stats.transition_bytes = delta.ecall_bytes + delta.ocall_bytes
         self.epoch_stats.append(stats)
-        if self._on_stats is not None:
-            self._on_stats(stats)
 
     # ------------------------------------------------------------------ #
     # Lifecycle (Algorithm 1 lines 1-6)

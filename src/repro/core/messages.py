@@ -25,7 +25,6 @@ __all__ = [
     "CONTENT_TRIPLETS",
     "CONTENT_MF_MODEL",
     "PayloadHeader",
-    "pack_payload",
     "payload_buffer",
     "unpack_payload",
 ]
@@ -68,11 +67,6 @@ class PayloadHeader:
     def unpack(cls, raw: bytes) -> "PayloadHeader":
         sender, epoch, degree, content = _HEADER.unpack_from(raw, 0)
         return cls(sender, epoch, degree, content)
-
-
-def pack_payload(header: PayloadHeader, content: bytes) -> bytes:
-    """Header + content, the plaintext a channel seals."""
-    return header.pack() + content
 
 
 def payload_buffer(header: PayloadHeader, content_size: int) -> tuple:

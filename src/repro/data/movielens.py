@@ -184,20 +184,18 @@ def generate_movielens(spec: MovieLensSpec, *, seed: int = 0) -> RatingsDataset:
     )
 
 
-def generate_node_shards(
-    prefix: str, *, users: int, items: int, ratings: int, nodes: int, data_seed: int = 42
-):
+def generate_node_shards(prefix: str, *, users: int, items: int, ratings: int, nodes: int):
     """Generate, split 70/30 and deal users over ``nodes`` shards.
 
     The one synthetic-scenario recipe of the CLI, chaos, serve and metrics
     runners.  ``prefix`` names the spec and so feeds ``child_rng``: each
-    caller keeps its own to keep its pinned digests.  Returns ``(split,
-    train_shards, test_shards)``.
+    caller keeps its own to keep its pinned digests (the generator seed is
+    fixed at 42).  Returns ``(split, train_shards, test_shards)``.
     """
     spec = MovieLensSpec(
         f"{prefix}-{users}u", n_ratings=ratings, n_items=items, n_users=users, last_updated=2020
     )
-    split = generate_movielens(spec, seed=data_seed).split(0.7, seed=1)
+    split = generate_movielens(spec, seed=42).split(0.7, seed=1)
     train = partition_users_across_nodes(split.train, nodes, seed=2)
     test = partition_users_across_nodes(split.test, nodes, seed=2)
     return split, train, test

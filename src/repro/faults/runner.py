@@ -36,8 +36,8 @@ from repro.tee.errors import SnapshotReplayError
 
 __all__ = ["ChaosController", "ChaosReport", "run_chaos"]
 
-#: Serve-probe defaults for attack runs: top-K size and how many
-#: (lowest-id, hence honest) users are probed.
+#: The serve probe of attack runs: top-K size and how many (lowest-id,
+#: hence honest) users are probed.
 PROBE_K = 10
 PROBE_USERS = 20
 
@@ -262,17 +262,17 @@ class ChaosReport:
         return lines
 
 
-def _probe_precision(host, relevant: Dict[int, set], *, k: int, version=None) -> float:
-    """Mean precision@k over the lowest-id users with relevant test items.
+def _probe_precision(host, relevant: Dict[int, set], *, version=None) -> float:
+    """Mean precision@``PROBE_K`` over the lowest-id users with relevant test items.
 
     Low ids are honest by construction -- poison personas fabricate
     profiles from the *top* of the user id space -- so the probe measures
     what the attack does to genuine users' recommendations.
     """
     probe_users = sorted(relevant)[:PROBE_USERS]
-    result = host.serve(probe_users, k, version=version)
+    result = host.serve(probe_users, PROBE_K, version=version)
     precisions = [
-        precision_at_k(np.asarray(row, dtype=np.int64), relevant[user], k)
+        precision_at_k(np.asarray(row, dtype=np.int64), relevant[user], PROBE_K)
         for user, row in zip(probe_users, result["items"])
     ]
     return float(np.nanmean(precisions))
@@ -293,8 +293,6 @@ def run_chaos(
     k: int = 8,
     baseline: bool = False,
     defenses: Optional[bool] = None,
-    serve_probe: Optional[bool] = None,
-    probe_k: int = PROBE_K,
     obs: Optional[Observability] = None,
 ) -> ChaosReport:
     """Run one seeded chaos experiment end to end; returns the report.
@@ -307,9 +305,8 @@ def run_chaos(
     ``defenses`` overrides the plan's ``defended`` flag (``None`` arms
     the enclave defenses exactly when the plan both carries attackers
     and declares itself defended, so crash-only plans keep their pinned
-    pre-attack schedules byte-identical).  ``serve_probe`` forces the
-    post-run precision@k probe on or off; by default it runs whenever
-    the plan carries attackers.
+    pre-attack schedules byte-identical).  The post-run precision@k probe
+    (``k = PROBE_K``) runs whenever the plan carries attackers.
     """
     if isinstance(plan, str):
         try:
@@ -321,7 +318,6 @@ def run_chaos(
     obs = obs if obs is not None else Observability.create()
 
     armed = (plan.defended and plan.attacks_active) if defenses is None else bool(defenses)
-    probing = plan.attacks_active if serve_probe is None else bool(serve_probe)
 
     split, train, test = generate_node_shards(
         "chaos", users=users, items=items, ratings=ratings, nodes=nodes
@@ -366,7 +362,7 @@ def run_chaos(
     precision: Optional[float] = None
     relevant: Dict[int, set] = {}
     probe_node: Optional[int] = None
-    if probing:
+    if plan.attacks_active:
         relevant = relevance_sets(split.test)
         stale_version: Optional[int] = None
         if plan.replay is not None:
@@ -380,11 +376,11 @@ def run_chaos(
         probe_host = cluster.hosts[probe_node]
         probe_host.publish_snapshot()
         try:
-            precision = _probe_precision(probe_host, relevant, k=probe_k, version=stale_version)
+            precision = _probe_precision(probe_host, relevant, version=stale_version)
         except SnapshotReplayError:
             # Defense held: the rollback was refused (and counted by the
             # enclave); the host must serve the fresh snapshot.
-            precision = _probe_precision(probe_host, relevant, k=probe_k)
+            precision = _probe_precision(probe_host, relevant)
 
     baseline_rmse: Optional[float] = None
     baseline_precision: Optional[float] = None
@@ -397,10 +393,10 @@ def run_chaos(
         baseline_rmse = sum(
             float(host.status()["test_rmse"]) for host in plain.hosts
         ) / len(plain.hosts)
-        if probing and probe_node is not None:
+        if probe_node is not None:
             plain_host = plain.hosts[probe_node]
             plain_host.publish_snapshot()
-            baseline_precision = _probe_precision(plain_host, relevant, k=probe_k)
+            baseline_precision = _probe_precision(plain_host, relevant)
 
     metrics = obs.metrics
     return ChaosReport(
@@ -428,7 +424,7 @@ def run_chaos(
         detected=_kind_breakdown(metrics, "faults.detected"),
         recovered_by_kind=_kind_breakdown(metrics, "faults.recovered"),
         attack_injected=_kind_breakdown(metrics, "attack.injected"),
-        probe_k=probe_k if probing else None,
+        probe_k=PROBE_K if plan.attacks_active else None,
         precision=precision,
         baseline_precision=baseline_precision,
     )

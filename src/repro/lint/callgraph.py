@@ -281,9 +281,6 @@ class ProgramIndex:
             stack.extend(cls.bases)
         return None
 
-    def class_of(self, func: FunctionInfo) -> Optional[ClassInfo]:
-        return self.classes.get(func.cls) if func.cls else None
-
 
 def build_index(modules: List[ModuleInfo]) -> ProgramIndex:
     return ProgramIndex(modules)

@@ -199,13 +199,6 @@ class DnnRecommender:
             self.mlp_vector(),
         )
 
-    def load_state(self, state: DnnState) -> None:
-        self.user_embeddings.value[:] = state.user_embeddings
-        self.item_embeddings.value[:] = state.item_embeddings
-        self.user_seen[:] = state.user_seen
-        self.item_seen[:] = state.item_seen
-        self._load_mlp_vector(state.mlp_params)
-
     def merge_average(self, alien: DnnState) -> None:
         """RMW merge: masked average of embeddings, plain average of MLP."""
         _masked_embedding_average(

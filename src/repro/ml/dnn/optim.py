@@ -14,23 +14,7 @@ import numpy as np
 
 from repro.ml.dnn.layers import Parameter
 
-__all__ = ["Adam", "Sgd"]
-
-
-class Sgd:
-    """Plain SGD; used in tests as the simplest possible reference."""
-
-    def __init__(self, parameters: Sequence[Parameter], learning_rate: float):
-        self.parameters = list(parameters)
-        self.learning_rate = learning_rate
-
-    def step(self) -> None:
-        for p in self.parameters:
-            p.value -= self.learning_rate * p.grad
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
+__all__ = ["Adam"]
 
 
 class Adam:

@@ -17,10 +17,6 @@ Two aspects matter specifically for the decentralized setting:
   epoch regardless of how much raw data has accumulated (Section III-E),
   keeping epoch duration constant as the store grows; ``train_epoch``
   implements exactly that.
-
-Models can be constructed over caller-provided arrays so a fleet simulator
-can stack every node's parameters in contiguous tensors and run merges as
-single sparse matrix products (see :mod:`repro.sim.fleet`).
 """
 
 from __future__ import annotations
@@ -163,10 +159,6 @@ class MatrixFactorization:
         Seeds the factor initialization; all nodes in the paper share the
         same initial code, and giving them the same seed models the common
         initialization that makes decentralized averaging meaningful.
-    arrays:
-        Optional ``(user_factors, item_factors, user_bias, item_bias,
-        user_seen, item_seen)`` pre-allocated (possibly viewed) arrays for
-        fleet-stacked storage; initialized in place when given.
     """
 
     def __init__(
@@ -177,7 +169,6 @@ class MatrixFactorization:
         *,
         seed: int = 0,
         global_mean: float = 3.5,
-        arrays: Optional[Tuple[np.ndarray, ...]] = None,
     ):
         self.n_users = n_users
         self.n_items = n_items
@@ -186,26 +177,12 @@ class MatrixFactorization:
 
         rng = child_rng(seed, "mf-init")
         dtype = hp.np_dtype
-        if arrays is None:
-            self.user_factors = np.empty((n_users, hp.k), dtype=dtype)
-            self.item_factors = np.empty((n_items, hp.k), dtype=dtype)
-            self.user_bias = np.zeros(n_users, dtype=dtype)
-            self.item_bias = np.zeros(n_items, dtype=dtype)
-            self.user_seen = np.zeros(n_users, dtype=bool)
-            self.item_seen = np.zeros(n_items, dtype=bool)
-        else:
-            (
-                self.user_factors,
-                self.item_factors,
-                self.user_bias,
-                self.item_bias,
-                self.user_seen,
-                self.item_seen,
-            ) = arrays
-            self.user_bias[:] = 0.0
-            self.item_bias[:] = 0.0
-            self.user_seen[:] = False
-            self.item_seen[:] = False
+        self.user_factors = np.empty((n_users, hp.k), dtype=dtype)
+        self.item_factors = np.empty((n_items, hp.k), dtype=dtype)
+        self.user_bias = np.zeros(n_users, dtype=dtype)
+        self.item_bias = np.zeros(n_items, dtype=dtype)
+        self.user_seen = np.zeros(n_users, dtype=bool)
+        self.item_seen = np.zeros(n_items, dtype=bool)
         self.user_factors[:] = rng.normal(0.0, hp.init_scale, size=(n_users, hp.k))
         self.item_factors[:] = rng.normal(0.0, hp.init_scale, size=(n_items, hp.k))
 
@@ -285,16 +262,6 @@ class MatrixFactorization:
             self.item_seen.copy(),
             self.global_mean,
         )
-
-    def load_state(self, state: MfState) -> None:
-        """Overwrite this model with ``state`` (used by tests/serializers)."""
-        self.user_factors[:] = state.user_factors
-        self.item_factors[:] = state.item_factors
-        self.user_bias[:] = state.user_bias
-        self.item_bias[:] = state.item_bias
-        self.user_seen[:] = state.user_seen
-        self.item_seen[:] = state.item_seen
-        self.global_mean = state.global_mean
 
     def merge_average(self, alien: MfState) -> None:
         """RMW merge: plain average with an incoming model.

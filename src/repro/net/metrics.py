@@ -133,14 +133,6 @@ class TrafficMeter:
         return self._by_node("net.received.bytes")
 
     @property
-    def sent_messages(self) -> Dict[int, int]:
-        return self._by_node("net.sent.messages")
-
-    @property
-    def received_messages(self) -> Dict[int, int]:
-        return self._by_node("net.received.messages")
-
-    @property
     def kind_messages(self) -> Dict[str, int]:
         return self._by_kind("net.kind.messages")
 
@@ -168,12 +160,6 @@ class TrafficMeter:
     @property
     def total_messages(self) -> int:
         return int(self.metrics.total("net.sent.messages"))
-
-    def node_sent(self, node: int) -> int:
-        return int(self.metrics.value("net.sent.bytes", node=node))
-
-    def node_received(self, node: int) -> int:
-        return int(self.metrics.value("net.received.bytes", node=node))
 
     def snapshot(self) -> TrafficSnapshot:
         return TrafficSnapshot(

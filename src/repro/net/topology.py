@@ -21,7 +21,7 @@ makes decentralized averaging converge to the true mean.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -94,38 +94,6 @@ class Topology:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def is_connected(self) -> bool:
-        """Breadth-first reachability from node 0."""
-        if self.n_nodes == 1:
-            return True
-        visited = np.zeros(self.n_nodes, dtype=bool)
-        frontier = [0]
-        visited[0] = True
-        while frontier:
-            nxt: List[int] = []
-            for node in frontier:
-                for nb in self._neighbors[node]:
-                    if not visited[nb]:
-                        visited[nb] = True
-                        nxt.append(int(nb))
-            frontier = nxt
-        return bool(visited.all())
-
-    def clustering_coefficient(self) -> float:
-        """Average local clustering (small-world graphs score high)."""
-        total = 0.0
-        for node in range(self.n_nodes):
-            nbrs = self._neighbors[node]
-            d = len(nbrs)
-            if d < 2:
-                continue
-            neighbor_set: FrozenSet[int] = frozenset(int(x) for x in nbrs)
-            links = 0
-            for nb in nbrs:
-                links += sum(1 for x in self._neighbors[nb] if int(x) in neighbor_set)
-            total += links / (d * (d - 1))
-        return total / self.n_nodes
 
     def metropolis_hastings_weights(self) -> Dict[Tuple[int, int], float]:
         """Directed MH weight map including self-loops ``(i, i)``.

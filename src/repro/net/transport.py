@@ -168,10 +168,6 @@ class Network:
             self._endpoints[node_id] = Endpoint(self, node_id)
         return self._endpoints[node_id]
 
-    @property
-    def node_ids(self) -> List[int]:
-        return sorted(self._endpoints)
-
     # ------------------------------------------------------------------ #
     # Churn surface (driven by the chaos runner)
     # ------------------------------------------------------------------ #
@@ -185,9 +181,6 @@ class Network:
 
     def set_up(self, node_id: int) -> None:
         self._down.discard(node_id)
-
-    def is_down(self, node_id: int) -> bool:
-        return node_id in self._down
 
     @property
     def in_flight(self) -> int:

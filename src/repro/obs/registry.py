@@ -225,7 +225,7 @@ class MetricsRegistry:
         return sum(m.value for m in self.collect(name) if isinstance(m, Counter))
 
     # ------------------------------------------------------------------ #
-    # Snapshot / restore / merge
+    # Snapshot / merge
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
         """Plain-JSON state: counters, gauges, histograms."""
@@ -233,24 +233,6 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             snap[metric.kind + "s"].append(metric.to_dict())
         return snap
-
-    @classmethod
-    def from_snapshot(cls, snap: Mapping) -> "MetricsRegistry":
-        registry = cls()
-        for entry in snap.get("counters", ()):
-            registry.counter(entry["name"], **entry["labels"]).value = float(entry["value"])
-        for entry in snap.get("gauges", ()):
-            gauge = registry.gauge(entry["name"], **entry["labels"])
-            gauge.value = float(entry["value"])
-            gauge.max = float(entry.get("max", entry["value"]))
-        for entry in snap.get("histograms", ()):
-            hist = registry.histogram(
-                entry["name"], buckets=entry["buckets"], **entry["labels"]
-            )
-            hist.counts = [int(c) for c in entry["counts"]]
-            hist.sum = float(entry["sum"])
-            hist.count = int(entry["count"])
-        return registry
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other`` into this registry (cross-node aggregation)."""

@@ -12,9 +12,8 @@ an ordered list of spans; spans are produced two ways:
   recording for the simulators, which compute whole stage duration
   vectors analytically and know exact start offsets.
 
-Exports: JSONL (one span object per line -- grep/jq-friendly, the schema
-CI archives) and Chrome-trace-viewer JSON (open in ``chrome://tracing``
-or Perfetto).
+Exports: :meth:`Span.to_dict` (the span objects of ``metrics.json``) and
+Chrome-trace-viewer JSON (open in ``chrome://tracing`` or Perfetto).
 """
 
 from __future__ import annotations
@@ -138,27 +137,6 @@ class Tracer:
 
     def find(self, name: str) -> List[Span]:
         return [s for s in self._spans if s.name == name]
-
-    def children_of(self, span_id: int) -> List[Span]:
-        return [s for s in self._spans if s.parent == span_id]
-
-    def depth_of(self, span: Span) -> int:
-        depth = 0
-        by_id = {s.id: s for s in self._spans}
-        while span.parent is not None:
-            span = by_id[span.parent]
-            depth += 1
-        return depth
-
-    def to_jsonl(self) -> str:
-        """One JSON object per span, in recording order."""
-        return "\n".join(json.dumps(s.to_dict()) for s in self._spans)
-
-    def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
-            if self._spans:
-                fh.write("\n")
 
     def to_chrome_trace(self) -> dict:
         """Chrome trace-viewer JSON ("X" complete events, ts in µs).

@@ -356,10 +356,6 @@ class FleetBalancer:
 
     # ------------------------------------------------------------------ #
     @property
-    def pending_len(self) -> int:
-        return len(self._pending)
-
-    @property
     def queued_len(self) -> int:
         """Requests sitting in replica admission queues right now."""
         return sum(

@@ -106,20 +106,6 @@ class HashRing:
         }
 
     # ------------------------------------------------------------------ #
-    # Membership (copy-on-change: rings stay immutable)
-    # ------------------------------------------------------------------ #
-    def with_shard(self, shard_id: int) -> "HashRing":
-        if int(shard_id) in self.shard_ids:
-            raise ValueError(f"shard {shard_id} already on the ring")
-        return HashRing((*self.shard_ids, int(shard_id)), vnodes=self.vnodes)
-
-    def without_shard(self, shard_id: int) -> "HashRing":
-        if int(shard_id) not in self.shard_ids:
-            raise ValueError(f"shard {shard_id} not on the ring")
-        remaining = tuple(s for s in self.shard_ids if s != int(shard_id))
-        return HashRing(remaining, vnodes=self.vnodes)
-
-    # ------------------------------------------------------------------ #
     def digest(self) -> str:
         """SHA-256 over the ordered (point, owner) table (pins routing)."""
         h = hashlib.sha256(_RING_DOMAIN)

@@ -161,10 +161,6 @@ class ServeReport:
         total = self.cache.get("hits", 0.0) + self.cache.get("misses", 0.0)
         return self.cache.get("hits", 0.0) / total if total else None
 
-    @property
-    def aggregate_resident_bytes(self) -> int:
-        return sum(int(s["epc"]["resident_bytes"]) for s in self.per_shard)
-
 
 class FleetServeReport(ServeReport):
     """The one report, as the pipeline's own entry point returns it."""

@@ -68,7 +68,6 @@ def train_fleet_model(
     ratings: int,
     mf_k: int,
     share_points: int = 100,
-    data_seed: int = 42,
 ):
     """Train the decentralized fleet whose node snapshots get served.
 
@@ -77,7 +76,7 @@ def train_fleet_model(
     (exclusion ratings and quality probes).
     """
     split, train, test = generate_node_shards(
-        "serve", users=users, items=items, ratings=ratings, nodes=nodes, data_seed=data_seed
+        "serve", users=users, items=items, ratings=ratings, nodes=nodes
     )
     topology = Topology.fully_connected(nodes)
     config = RexConfig(

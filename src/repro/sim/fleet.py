@@ -10,7 +10,7 @@ once* (the HPC guide's "vectorize the outer loop" rule):
   all nodes simultaneously: node parameters live in ``(n_nodes * n_users,
   k)`` flattened arrays and each node's batch indexes its own slice.
 - **D-PSGD merge** -- the Metropolis-Hastings averaging of every node is
-  one sparse-matrix product: ``P' = (W @ (P * seen)) / (W @ seen)`` with
+  one matrix product: ``P' = (W @ (P * seen)) / (W @ seen)`` with
   ``W`` the (n_nodes x n_nodes) MH weight matrix (mask renormalization
   implements the paper's missing-embedding rule).
 - **test** -- all nodes' local test sets are concatenated once and every
@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro._rng import child_rng
 from repro.core.config import Dissemination, RexConfig, SharingScheme
@@ -190,15 +189,11 @@ class MfFleetSim(FleetEngine):
         self._union_items = len(np.unique(pool.items))
 
         self._rng = child_rng(config.seed, "fleet")
-        self._mh_matrix: Optional[sp.csr_matrix] = None
-        self._mh_dense: Optional[np.ndarray] = None
-        self._adj_matrix: Optional[sp.csr_matrix] = None
+        self._mh_matrix: Optional[np.ndarray] = None
+        self._adj_matrix: Optional[np.ndarray] = None
         self._masks_saturated = False
         if config.dissemination is Dissemination.DPSGD:
             self._mh_matrix, self._adj_matrix = self._build_weight_matrices()
-            # Dense form for the merge matmul: at fleet scale the BLAS
-            # GEMM beats the sparse kernel (n_nodes is only hundreds).
-            self._mh_dense = self._mh_matrix.toarray()
 
         #: Per-node resident model bytes (dense parameters + masks).
         self._model_bytes = (
@@ -209,20 +204,17 @@ class MfFleetSim(FleetEngine):
     # Setup helpers
     # ------------------------------------------------------------------ #
     def _build_weight_matrices(self):
-        weights = self.topology.metropolis_hastings_weights()
-        rows, cols, vals = [], [], []
-        for (i, j), w in weights.items():
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
-        mh = sp.csr_matrix(
-            (np.array(vals, dtype=np.float32), (rows, cols)),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        adjacency = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.float32), (rows, cols)),
-            shape=(self.n_nodes, self.n_nodes),
-        )
+        """Dense float32 MH weights and 0/1 adjacency (self-loops included).
+
+        ``n_nodes`` is only hundreds, so the merge's BLAS GEMM on dense
+        forms beats a sparse kernel; the 0/1 and integer-count products
+        are exact in float32.
+        """
+        mh = np.zeros((self.n_nodes, self.n_nodes), dtype=np.float32)
+        adjacency = np.zeros_like(mh)
+        for (i, j), w in self.topology.metropolis_hastings_weights().items():
+            mh[i, j] = w
+            adjacency[i, j] = 1.0
         return mh, adjacency
 
     # ------------------------------------------------------------------ #
@@ -269,7 +261,7 @@ class MfFleetSim(FleetEngine):
         matmul per parameter group.
         """
         n, n_users, n_items, k = self.n_nodes, self.n_users, self.n_items, self.k
-        W, A = self._mh_dense, self._adj_matrix
+        W, A = self._mh_matrix, self._adj_matrix
         merged_rows = A @ np.column_stack([self.SU.sum(1), self.SI.sum(1)]).astype(np.float32)
         incoming_rows = merged_rows.sum(1) - (self.SU.sum(1) + self.SI.sum(1))
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 __all__ = ["Event", "EventKernel"]
@@ -78,7 +78,6 @@ class Event:
     key: Tuple[KeyElement, ...]
     fn: Callable[[], None]
     seq: int = -1
-    cancelled: bool = field(default=False, compare=False)
 
 
 class EventKernel:
@@ -87,7 +86,7 @@ class EventKernel:
     def __init__(self, *, start: float = 0.0) -> None:
         #: Current simulated time (the timestamp of the last dispatch).
         self.now = float(start)
-        #: Events dispatched so far (cancelled events never count).
+        #: Events dispatched so far.
         self.processed = 0
         self._heap: List[Tuple[float, Tuple, int, Event]] = []
         self._seq = 0
@@ -150,41 +149,30 @@ class EventKernel:
         first = self.now if start is None else float(start)
         return self.at(first, fire, kind=kind, key=key)
 
-    @staticmethod
-    def cancel(event: Event) -> None:
-        """Mark ``event`` dead; it stays heap-resident but never fires."""
-        event.cancelled = True
-
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return sum(1 for *_rest, event in self._heap if not event.cancelled)
+        return len(self._heap)
 
     @property
     def empty(self) -> bool:
         return len(self) == 0
 
     def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` when drained."""
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
+        """Timestamp of the next event, or ``None`` when drained."""
         return self._heap[0][0] if self._heap else None
 
     def step(self) -> Optional[Event]:
-        """Dispatch the single next live event; ``None`` when drained."""
-        while self._heap:
-            _time, _key, _seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            self._sha.update(
-                f"{event.time!r}|{event.kind}|{event.key!r}\n".encode()
-            )
-            self.processed += 1
-            event.fn()
-            return event
-        return None
+        """Dispatch the single next event; ``None`` when drained."""
+        if not self._heap:
+            return None
+        _time, _key, _seq, event = heapq.heappop(self._heap)
+        self.now = event.time
+        self._sha.update(f"{event.time!r}|{event.kind}|{event.key!r}\n".encode())
+        self.processed += 1
+        event.fn()
+        return event
 
     def run(
         self,
@@ -202,12 +190,9 @@ class EventKernel:
         while self._heap:
             if max_events is not None and dispatched >= max_events:
                 break
-            if until is not None:
-                upcoming = self.peek_time()
-                if upcoming is None or upcoming > until:
-                    break
-            if self.step() is None:
+            if until is not None and self.peek_time() > until:
                 break
+            self.step()
             dispatched += 1
         return dispatched
 

@@ -86,11 +86,6 @@ class RunResult:
         return self.records[-1].test_rmse if self.records else float("nan")
 
     @property
-    def best_rmse(self) -> float:
-        valid = [r.test_rmse for r in self.records if not math.isnan(r.test_rmse)]
-        return min(valid) if valid else float("nan")
-
-    @property
     def total_time_s(self) -> float:
         return self.records[-1].sim_time_s if self.records else 0.0
 

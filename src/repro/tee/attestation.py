@@ -303,9 +303,6 @@ class MutualAttestation:
         self._channel_keys[peer_id] = key
         return key
 
-    def is_attested(self, peer_id: str) -> bool:
-        return peer_id in self._channel_keys
-
     @property
     def attested_peers(self) -> int:
         return len(self._channel_keys)

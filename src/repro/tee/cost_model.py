@@ -99,12 +99,6 @@ class SgxCostModel:
         # than the raw fault-to-touch cost ratio.
         return self.mee_slowdown * (1.0 + self.paging_compute_coefficient * miss)
 
-    def paging_time(self, touched_bytes: float, resident_bytes: float, epc: EpcModel) -> float:
-        """Explicit paging charge for data-movement stages (merge/share)."""
-        if not self.enabled:
-            return 0.0
-        return epc.page_faults(touched_bytes, resident_bytes) * self.page_fault_cost_s
-
     def native_alloc_time(self, fresh_bytes: float) -> float:
         """On-demand allocation charge; only the *native* build pays it."""
         if self.enabled:

@@ -36,7 +36,6 @@ import numpy as np
 from repro.tee.crypto.chacha20 import _check_block_span
 
 __all__ = [
-    "chacha20_keystream",
     "chacha20_xor",
     "chacha20_seal_xor",
     "chacha20_seal_xor_many",
@@ -142,15 +141,6 @@ def _check_params(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> None
     # Same counter-wrap contract as the scalar reference: a span crossing
     # 2**32 would wrap to block 0 and reuse keystream.
     _check_block_span(counter, n_blocks)
-
-
-def chacha20_keystream(key: bytes, counter: int, nonce: bytes, length: int) -> bytes:
-    """Generate ``length`` bytes of ChaCha20 keystream, all blocks at once."""
-    n_blocks = (length + 63) // 64
-    _check_params(key, counter, nonce, n_blocks)
-    if n_blocks == 0:
-        return b""
-    return _keystream_bytes(key, counter, nonce, n_blocks)[:length].tobytes()
 
 
 def chacha20_xor(key: bytes, counter: int, nonce: bytes, data) -> bytes:

@@ -32,11 +32,9 @@ RFC 8439 vectors and a randomized cross-check in the test suite.
 
 from __future__ import annotations
 
-import hmac
-
 import numpy as np
 
-__all__ = ["poly1305_mac", "poly1305_verify", "poly1305_aead_tag"]
+__all__ = ["poly1305_mac", "poly1305_aead_tag"]
 
 _P = (1 << 130) - 5
 _CLAMP = 0x0FFFFFFC0FFFFFFC0FFFFFFC0FFFFFFF
@@ -254,10 +252,3 @@ def poly1305_aead_tag(key: bytes, aad, ciphertext) -> bytes:
     ).to_bytes(8, "little")
     acc = _absorb(acc, r, lengths, pad=True)
     return _finalize(acc, s)
-
-
-def poly1305_verify(key: bytes, message, tag: bytes) -> bool:
-    """Constant-time comparison of the expected tag against ``tag``."""
-    if len(tag) != 16:
-        return False
-    return hmac.compare_digest(poly1305_mac(key, message), tag)

@@ -23,9 +23,7 @@ import hmac
 import os
 from dataclasses import dataclass, field
 
-__all__ = ["SigningKey", "VerifyKey", "SIGNATURE_LENGTH"]
-
-SIGNATURE_LENGTH = 32
+__all__ = ["SigningKey", "VerifyKey"]
 
 
 @dataclass(frozen=True)
@@ -38,10 +36,6 @@ class VerifyKey:
         """Return ``True`` iff ``signature`` is valid for ``message``."""
         expected = hmac.new(self.data, message, hashlib.sha256).digest()
         return hmac.compare_digest(expected, signature)
-
-    def key_id(self) -> str:
-        """Stable identifier for this key (hash of the key material)."""
-        return hashlib.sha256(b"verify-key:" + self.data).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

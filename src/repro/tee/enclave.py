@@ -255,10 +255,6 @@ class Enclave:
     def memory(self) -> TrustedMemory:
         return self._context.memory
 
-    @property
-    def exported_ecalls(self) -> tuple:
-        return tuple(sorted(self._ecalls))
-
     def register_ocall(self, name: str, handler: Callable) -> None:
         """Host-side registration of an ocall proxy (e.g. network send)."""
         self._ocall_handlers[name] = handler

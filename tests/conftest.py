@@ -78,3 +78,12 @@ def ring8() -> Topology:
 @pytest.fixture(scope="session")
 def full4() -> Topology:
     return Topology.fully_connected(4)
+
+
+def topology_graph(topology: Topology):
+    """``topology`` as a ``networkx.Graph``, isolated nodes included."""
+    import networkx as nx
+
+    graph = nx.empty_graph(topology.n_nodes)
+    graph.add_edges_from(topology.edges)
+    return graph

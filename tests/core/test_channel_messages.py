@@ -15,7 +15,6 @@ from repro.core.messages import (
     CONTENT_TRIPLETS,
     HEADER_BYTES,
     PayloadHeader,
-    pack_payload,
     unpack_payload,
 )
 from repro.tee.crypto.aead import AeadError
@@ -117,14 +116,14 @@ class TestPayloadFraming:
 
     def test_pack_unpack_payload(self):
         header = PayloadHeader(1, 2, 3, CONTENT_TRIPLETS)
-        plaintext = pack_payload(header, b"content-bytes")
+        plaintext = header.pack() + b"content-bytes"
         out_header, content = unpack_payload(plaintext)
         assert out_header == header
         assert content == b"content-bytes"
 
     def test_empty_content(self):
         header = PayloadHeader(1, 2, 3, CONTENT_EMPTY)
-        out_header, content = unpack_payload(pack_payload(header, b""))
+        out_header, content = unpack_payload(header.pack())
         assert out_header.content == CONTENT_EMPTY
         assert content == b""
 

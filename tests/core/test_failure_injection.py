@@ -28,7 +28,6 @@ from repro.core.messages import (
     KIND_PAYLOAD,
     KIND_QUOTE,
     PayloadHeader,
-    pack_payload,
 )
 from repro.data.dataset import RatingsDataset
 from repro.data.partition import partition_users_across_nodes
@@ -170,10 +169,8 @@ class TestMalformedInputs:
         # by a compromised-but-attested peer; we reach into the test
         # double to craft it).
         state = app1.model.state()
-        plaintext = pack_payload(
-            PayloadHeader(1, app0.epoch - 1, 1, CONTENT_MF_MODEL),
-            encode_mf_state(state),
-        )
+        header = PayloadHeader(1, app0.epoch - 1, 1, CONTENT_MF_MODEL)
+        plaintext = header.pack() + encode_mf_state(state)
         forged = SecureChannel(app0.channels[1]._cipher._key, 1, 0)
         forged._send_seq = 10_000  # stay ahead of the replay window
         wire = forged.seal(plaintext)
@@ -203,7 +200,7 @@ class TestForeignIdSpaceShare:
         # would; node 1 has sent no payload yet, so sequence 0 is fresh.
         sender = SecureChannel(app.channels[1]._cipher._key, 1, 0)
         wire = sender.seal(
-            pack_payload(PayloadHeader(1, 0, 1, CONTENT_TRIPLETS), encode_triplets(foreign))
+            PayloadHeader(1, 0, 1, CONTENT_TRIPLETS).pack() + encode_triplets(foreign)
         )
         stored = len(app.store)
         cluster.hosts[0].enclave.ecall("ecall_input", 1, KIND_PAYLOAD, wire)

@@ -22,7 +22,7 @@ from repro.core.channel import SecureChannel
 from repro.core.cluster import RexCluster
 from repro.core.config import CryptoMode, FaultToleranceConfig, RexConfig, SharingScheme
 from repro.core.host import RexHost
-from repro.core.messages import KIND_PAYLOAD, PayloadHeader, pack_payload
+from repro.core.messages import KIND_PAYLOAD, PayloadHeader
 from repro.data.partition import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
 from repro.net.serialization import encode_mf_state, encode_triplets
@@ -136,7 +136,7 @@ def test_retired_dnn_content_kind_is_refused(tiny_split, scheme, tolerant):
     else:
         content = encode_mf_state(app.model.state())
     sender = SecureChannel(app.channels[1]._cipher._key, 1, 0)
-    wire = sender.seal(pack_payload(PayloadHeader(1, 0, 1, 3), content))
+    wire = sender.seal(PayloadHeader(1, 0, 1, 3).pack() + content)
     if not tolerant:
         with pytest.raises(ValueError):
             host.enclave.ecall("ecall_input", 1, KIND_PAYLOAD, wire)

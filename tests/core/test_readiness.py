@@ -7,7 +7,7 @@ Both bugs sat between attestation and the first round:
   epoch 0 early and ``_share`` raised ``KeyError`` out of the ecall;
 - the tolerant pump declared a stall after ``patience + 8`` idle ticks,
   sooner than an enclave can suspect a peer whose quote it *rejected*
-  (``patience x suspect_after_timeouts`` ticks, no ARQ retry in between).
+  (``patience x SUSPECT_AFTER_TIMEOUTS`` ticks, no ARQ retry in between).
 """
 
 from repro.core import CryptoMode, Dissemination, RexCluster, RexConfig, SharingScheme

@@ -7,7 +7,7 @@ from repro._rng import child_rng
 from repro.data.dataset import RatingsDataset
 from repro.ml.dnn.layers import Parameter
 from repro.ml.dnn.model import DnnHyperParams, DnnRecommender
-from repro.ml.dnn.optim import Adam, Sgd
+from repro.ml.dnn.optim import Adam
 from repro.net.serialization import measure_dnn_state
 
 
@@ -79,10 +79,10 @@ class TestTraining:
 
 class TestStateAndMerge:
     def test_state_roundtrip(self):
-        a, b = _small_model(seed=1), _small_model(seed=2)
-        b.load_state(a.state())
-        np.testing.assert_array_equal(a.mlp_vector(), b.mlp_vector())
-        np.testing.assert_array_equal(a.user_embeddings.value, b.user_embeddings.value)
+        model = _small_model(seed=1)
+        state = model.state()
+        np.testing.assert_array_equal(state.mlp_params, model.mlp_vector())
+        np.testing.assert_array_equal(state.user_embeddings, model.user_embeddings.value)
 
     def test_state_is_a_copy(self):
         model = _small_model()
@@ -131,12 +131,6 @@ class TestStateAndMerge:
 
 
 class TestOptimizers:
-    def test_sgd_step(self):
-        p = Parameter(np.array([1.0, 2.0]))
-        p.grad[:] = [1.0, -1.0]
-        Sgd([p], learning_rate=0.5).step()
-        np.testing.assert_allclose(p.value, [0.5, 2.5])
-
     def test_adam_first_step_is_lr_sized(self):
         p = Parameter(np.array([1.0]))
         p.grad[:] = [10.0]

@@ -300,33 +300,9 @@ class TestStateRoundtrip:
         state.user_factors[:] = 99.0
         assert not (model.user_factors == 99.0).any()
 
-    def test_load_state_restores(self):
-        a = _model(seed=1)
-        b = _model(seed=2)
-        b.load_state(a.state())
-        np.testing.assert_array_equal(a.user_factors, b.user_factors)
-        np.testing.assert_array_equal(a.user_seen, b.user_seen)
-
     def test_param_count(self):
         model = _model(n_users=12, n_items=30)
         assert model.param_count == (12 + 30) * (4 + 1)
 
     def test_resident_bytes_positive(self):
         assert _model().resident_bytes > 0
-
-
-class TestFleetArrayViews:
-    def test_model_over_external_arrays(self):
-        k = 4
-        XU = np.zeros((2, 12, k), dtype=np.float32)
-        YI = np.zeros((2, 30, k), dtype=np.float32)
-        BU = np.zeros((2, 12), dtype=np.float32)
-        BI = np.zeros((2, 30), dtype=np.float32)
-        SU = np.zeros((2, 12), dtype=bool)
-        SI = np.zeros((2, 30), dtype=bool)
-        model = MatrixFactorization(
-            12, 30, MfHyperParams(k=k), seed=0,
-            arrays=(XU[0], YI[0], BU[0], BI[0], SU[0], SI[0]),
-        )
-        model.user_bias[3] = 7.0
-        assert BU[0, 3] == 7.0  # writes go through the stacked storage

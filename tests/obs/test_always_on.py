@@ -112,7 +112,7 @@ class TestRunsWithoutObsStillAnswer:
         assert ecalls == sum(h.enclave.counters.ecalls for h in cluster.hosts)
         assert metrics.total("net.sent.bytes") == run.total_network_bytes
 
-        cluster.serving_endpoint(0)  # publishing is one more counted ecall
+        cluster.hosts[0].publish_snapshot()  # publishing is one more counted ecall
         assert metrics.total("tee.enclave.ecalls") == ecalls + 1
 
     def test_fleet_sim_counts_its_epochs(self, shards):

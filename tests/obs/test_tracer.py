@@ -1,4 +1,4 @@
-"""Tracer: nesting, the JSONL schema, and Chrome-trace export."""
+"""Tracer: nesting, the span schema of metrics.json, and Chrome-trace export."""
 
 import json
 
@@ -32,7 +32,6 @@ class TestNesting:
         assert epoch.parent is None
         assert epoch.ts == 0.0 and epoch.dur == 2.0
         assert merge.ts == 1.0 and merge.dur == 0.25
-        assert tracer.depth_of(merge) == 1
 
     def test_record_defaults_to_innermost_live_span(self):
         clock = SimClock()
@@ -48,8 +47,9 @@ class TestNesting:
         tracer = Tracer()
         epoch = tracer.record("epoch", 0.0, 2.0, epoch=0)
         stage = tracer.record("stage.merge", 0.0, 0.5, parent=epoch, stage="merge")
-        assert tracer.children_of(epoch)[0].id == stage
-        assert tracer.find("stage.merge")[0].attrs == {"stage": "merge"}
+        merge = tracer.find("stage.merge")[0]
+        assert merge.id == stage and merge.parent == epoch
+        assert merge.attrs == {"stage": "merge"}
 
     def test_record_rejects_negative_duration(self):
         with pytest.raises(ValueError):
@@ -63,13 +63,9 @@ class TestExport:
         tracer.record("stage.merge", 0.0, 0.5, parent=epoch, stage="merge")
         return tracer
 
-    def test_jsonl_schema(self, tmp_path):
-        tracer = self._tracer()
-        path = tmp_path / "spans.jsonl"
-        tracer.write_jsonl(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        objs = [json.loads(line) for line in lines]
+    def test_span_schema(self):
+        objs = [span.to_dict() for span in self._tracer().spans]
+        assert len(objs) == 2
         for obj in objs:
             assert set(obj) == {"id", "parent", "name", "ts", "dur", "attrs"}
         assert objs[0]["name"] == "epoch"

@@ -3,7 +3,7 @@
 The distributed path: train with the real enclave runtime, publish the
 node's model in place (the parameters never cross the boundary), and
 answer queries through ``ecall_serve`` -- directly via the host, or
-through the cluster's :class:`RecServer` admission front-end.
+through a :class:`RecServer` admission front-end over the node's enclave.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
 from repro.obs import Observability
 from repro.serve.scoring import PAD_ITEM
+from repro.serve.server import RecServer
 
 N_NODES = 4
 
@@ -83,17 +84,10 @@ class TestHostServing:
 class TestClusterEndpoint:
     def test_serving_endpoint_round_trip(self, trained_cluster):
         cluster, _train = trained_cluster
-        server = cluster.serving_endpoint(3)
+        host = cluster.hosts[3]
+        host.publish_snapshot()
+        server = RecServer(host.enclave, epc=cluster.epc, metrics=host.enclave.metrics)
         ids = [server.offer(u % 8) for u in range(20)]
         done = server.drain()
         assert sorted(c.request_id for c in done) == sorted(ids)
         assert all(c.latency_s > 0 for c in done)
-
-    def test_crashed_node_refused(self, trained_cluster):
-        cluster, _train = trained_cluster
-        cluster.crashed.add(1)
-        try:
-            with pytest.raises(RuntimeError):
-                cluster.serving_endpoint(1)
-        finally:
-            cluster.crashed.discard(1)

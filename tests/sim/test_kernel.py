@@ -91,16 +91,6 @@ class TestScheduling:
         k.run()
         assert ticks == [0.0, 1.0, 2.0]
 
-    def test_cancelled_event_never_fires(self):
-        k = EventKernel()
-        fired = []
-        doomed = k.at(1.0, lambda: fired.append("doomed"))
-        k.at(2.0, lambda: fired.append("kept"))
-        EventKernel.cancel(doomed)
-        k.run()
-        assert fired == ["kept"]
-        assert k.processed == 1
-
     def test_run_until_bound(self):
         k = EventKernel()
         fired = []
@@ -116,13 +106,6 @@ class TestScheduling:
             k.at(float(t), lambda: None)
         assert k.run(max_events=3) == 3
         assert len(k) == 2
-
-    def test_peek_time_skips_cancelled(self):
-        k = EventKernel()
-        doomed = k.at(1.0, lambda: None)
-        k.at(4.0, lambda: None)
-        EventKernel.cancel(doomed)
-        assert k.peek_time() == 4.0
 
 
 class TestTraceDigest:

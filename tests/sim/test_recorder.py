@@ -36,10 +36,8 @@ def _result(rmses, times=None, bytes_per_epoch=100):
 
 
 class TestSummaries:
-    def test_final_and_best(self):
-        result = _result([1.5, 1.2, 1.3])
-        assert result.final_rmse == 1.3
-        assert result.best_rmse == 1.2
+    def test_final_rmse(self):
+        assert _result([1.5, 1.2, 1.3]).final_rmse == 1.3
 
     def test_time_to_target(self):
         result = _result([1.5, 1.2, 1.0], times=[10.0, 20.0, 30.0])

@@ -59,12 +59,8 @@ class TestEcallDispatch:
             enclave.ecall("missing")
 
     def test_undecorated_method_not_exported(self, enclave):
-        assert "not_an_ecall" not in enclave.exported_ecalls
         with pytest.raises(UnknownEcall):
             enclave.ecall("not_an_ecall")
-
-    def test_exported_ecalls_listed(self, enclave):
-        assert set(enclave.exported_ecalls) == {"allocate", "double", "relay"}
 
     def test_non_trusted_class_rejected(self, platform):
         class Plain:

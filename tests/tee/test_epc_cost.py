@@ -63,7 +63,6 @@ class TestSgxCostModel:
         assert NATIVE_COST_MODEL.transition_time(100, 10_000) == 0.0
         assert NATIVE_COST_MODEL.crypto_time(1 << 20) == 0.0
         assert NATIVE_COST_MODEL.compute_multiplier(1 << 30, EpcModel()) == 1.0
-        assert NATIVE_COST_MODEL.paging_time(1 << 20, 1 << 30, EpcModel()) == 0.0
 
     def test_native_pays_on_demand_allocation(self):
         assert NATIVE_COST_MODEL.native_alloc_time(10 * PAGE_SIZE) > 0.0
@@ -90,10 +89,6 @@ class TestSgxCostModel:
         below = SGX1_COST_MODEL.compute_multiplier(epc.share_bytes * 0.9, epc)
         above = SGX1_COST_MODEL.compute_multiplier(epc.share_bytes * 3.0, epc)
         assert above > below
-
-    def test_paging_time_positive_when_overcommitted(self):
-        epc = EpcModel(enclaves_per_machine=2)
-        assert SGX1_COST_MODEL.paging_time(1 * MIB, 3 * epc.share_bytes, epc) > 0
 
     def test_custom_model_is_frozen(self):
         model = SgxCostModel()

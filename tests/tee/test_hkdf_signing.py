@@ -76,8 +76,3 @@ class TestSigningKeys:
 
     def test_generate_unique(self):
         assert SigningKey.generate().data != SigningKey.generate().data
-
-    def test_key_id_stable(self):
-        vk = SigningKey.from_seed(b"s").verify_key()
-        assert vk.key_id() == vk.key_id()
-        assert vk.key_id() != SigningKey.from_seed(b"t").verify_key().key_id()
