@@ -387,7 +387,7 @@ def cmd_metrics(args) -> int:
 def cmd_chaos(args) -> int:
     import json
 
-    from repro.faults import NAMED_PLANS, run_chaos
+    from repro.faults import ATTACK_PLANS, NAMED_PLANS, run_chaos
 
     if args.list_plans:
         rows = [
@@ -398,9 +398,8 @@ def cmd_chaos(args) -> int:
     defenses = {"auto": None, "on": True, "off": False}[args.defenses]
 
     if args.attack_matrix:
-        matrix = ("poison", "free-ride", "sybil", "replay-serve")
         reports = []
-        for name in matrix:
+        for name in ATTACK_PLANS:
             report = run_chaos(
                 name,
                 seed=args.seed,

@@ -22,7 +22,6 @@ from repro.core.cluster import ClusterRun, RexCluster
 from repro.core.config import (
     CryptoMode,
     Dissemination,
-    FaultToleranceConfig,
     RexConfig,
     SharingScheme,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "CryptoMode",
     "Dissemination",
     "EpochStats",
-    "FaultToleranceConfig",
     "ReplayError",
     "RexCluster",
     "RexConfig",

@@ -140,7 +140,7 @@ class RexEnclaveApp(TrustedApp):
         self._inbox: Dict[int, Dict[int, Tuple[PayloadHeader, bytes]]] = {}
         self._current_stats: Optional[EpochStats] = None
         self._counter_mark = None
-        # -- churn-tolerance state (inert while faults are disabled) ----- #
+        # -- churn-tolerance state --------------------------------------- #
         #: X25519 public key seen in each neighbor's latest quote.
         self._peer_pubkeys: Dict[int, bytes] = {}
         #: Neighbors currently believed dead (host-notified or suspected).
@@ -154,8 +154,6 @@ class RexEnclaveApp(TrustedApp):
         }
         #: Consecutive barrier timeouts each neighbor has missed.
         self._miss_counts: Dict[int, int] = {}
-        #: Ticks spent blocked at the current barrier.
-        self._stall_ticks = 0
         # -- serving state (populated by ecall_publish_snapshot) -------- #
         self._serving: Optional[ServingState] = None
         #: Enclave-side defenses (quote pinning, share sanity + quotas,
@@ -246,8 +244,6 @@ class RexEnclaveApp(TrustedApp):
     @ecall
     def ecall_peer_down(self, peer: int) -> None:
         """Host notification that ``peer``'s process died (crash fault)."""
-        if not self.config.faults.enabled:
-            return
         peer = int(peer)
         self._down_peers.add(peer)
         self._miss_counts.pop(peer, None)
@@ -259,24 +255,18 @@ class RexEnclaveApp(TrustedApp):
 
     @ecall
     def ecall_tick(self) -> int:
-        """Advance the patience clock; force partial progress on timeout.
+        """Barrier timeout: force partial progress.
 
-        Called once per idle-capable pump iteration when fault tolerance is
-        enabled.  After :attr:`FaultToleranceConfig.barrier_patience_ticks`
-        ticks stuck at the same barrier the node advances with whatever
+        The host calls this once the node has gone
+        :data:`~repro.core.config.BARRIER_PATIENCE_TICKS` network ticks
+        without reporting a round.  The node advances with whatever
         subset of shares it holds (graceful degradation), and neighbors
         missing from ``SUSPECT_AFTER_TIMEOUTS`` consecutive forced rounds
         are treated as dead until heard from again.  Returns the number of
         rounds forced (0 or 1).
         """
-        if not self.config.faults.enabled:
-            return 0
         if self._epoch_zero_done and self.epoch >= self.config.epochs:
             return 0
-        self._stall_ticks += 1
-        if self._stall_ticks < self.config.faults.barrier_patience_ticks:
-            return 0
-        self._stall_ticks = 0
         self._count_fault("faults.barrier_timeouts")
         if not self._epoch_zero_done:
             # Stuck in attestation: a neighbor is refusing (or losing) the
@@ -325,9 +315,11 @@ class RexEnclaveApp(TrustedApp):
         return self.ctx.ocall("get_quote", report)
 
     def _handle_quote(self, src: int, blob: bytes) -> None:
-        tolerant = self.config.faults.enabled
-        if src in self.channels and not tolerant:
-            return  # duplicate quote; channel already established
+        if src not in self.neighbors:
+            # A valid quote proves code identity, not who is speaking: one
+            # replayed under an id outside the topology opens no channel.
+            self._count_fault("faults.rejected", kind="non_neighbor", peer=src)
+            return
         try:
             quote = Quote.from_bytes(bytes(blob))
             pubkey = bytes(quote.user_data[:32])
@@ -339,12 +331,10 @@ class RexEnclaveApp(TrustedApp):
             reattest = src in self.channels
             key = self.attestor.process_peer_quote(f"rex-{src}", quote)
         except (QuoteVerificationError, MeasurementMismatch):
-            if tolerant:
-                # A mangled (or forged) quote is survivable: reject it and
-                # let the ARQ schedule redeliver the genuine original.
-                self._count_fault("faults.recovered", kind="quote")
-                return
-            raise
+            # A mangled (or forged) quote is survivable: reject it and let
+            # the ARQ schedule redeliver the genuine original.
+            self._count_fault("faults.recovered", kind="quote")
+            return
         if self._admission is not None:
             reason = self._admission.pin_quote(pubkey, src)
             if reason is not None:
@@ -352,9 +342,8 @@ class RexEnclaveApp(TrustedApp):
                 return
         self.channels[src] = self._make_channel(key, src)
         self._peer_pubkeys[src] = pubkey
-        if tolerant:
-            self._down_peers.discard(src)
-            self._miss_counts.pop(src, None)
+        self._down_peers.discard(src)
+        self._miss_counts.pop(src, None)
         if reattest:
             # Fresh pairwise key, sequence numbers reset on both sides.
             # Answer with our own quote: the one we sent at bootstrap
@@ -377,36 +366,30 @@ class RexEnclaveApp(TrustedApp):
         """Run epoch 0 once every (live) neighbor channel exists."""
         if self._epoch_zero_done:
             return
-        # Membership, not a count: a quote replayed under a non-neighbor id
-        # opens a channel too and must not stand in for a missing neighbor.
+        # Channels exist for neighbors only (``_handle_quote`` refuses any
+        # other id); a dead neighbor is not waited for.
         if all(n in self.channels for n in self.neighbors if n not in self._down_peers):
             self._epoch_zero_done = True
             self._run_round(received=None)
-            if self.config.faults.enabled:
-                self._try_advance()  # a restarted node may have buffered shares
+            self._try_advance()  # shares may have arrived before epoch 0
 
     # ------------------------------------------------------------------ #
     # Protocol payloads (Algorithm 2 lines 12-21)
     # ------------------------------------------------------------------ #
     def _handle_payload(self, src: int, blob: bytes) -> None:
-        tolerant = self.config.faults.enabled
         channel = self.channels.get(src)
         if channel is None:
-            if tolerant:
-                # A frame raced past re-attestation (or from a refused peer):
-                # survivable -- the retransmission schedule or the next epoch
-                # covers the gap.
-                self._count_fault("faults.recovered", kind="unattested")
-                return
-            raise ChannelNotEstablished(f"payload from unattested peer {src}")
+            # A frame raced past re-attestation (or from a refused peer):
+            # survivable -- the retransmission schedule or the next epoch
+            # covers the gap.
+            self._count_fault("faults.recovered", kind="unattested")
+            return
         try:
             # ``blob`` may be the sender's own frame buffer (a read-only
             # memoryview riding the in-process transport); ``open`` takes
             # any bytes-like zero-copy, so no defensive copy is made here.
             header, content = unpack_payload(channel.open(blob))
         except (AeadError, ChannelNotEstablished, ValueError, CodecError) as exc:
-            if not tolerant:
-                raise
             if isinstance(exc, ReplayError):
                 kind = "replay"
             elif isinstance(exc, (AeadError, ChannelNotEstablished)):
@@ -415,15 +398,14 @@ class RexEnclaveApp(TrustedApp):
                 kind = "codec"
             self._count_fault("faults.recovered", kind=kind)
             return
-        if tolerant:
-            # Hearing from a peer clears any suspicion of its death.
-            self._down_peers.discard(src)
-            self._miss_counts.pop(src, None)
-            if self._active_from.get(src) is None:
-                self._active_from[src] = header.epoch
-            if header.epoch < self.epoch - 1:
-                self._count_fault("faults.recovered", kind="stale")
-                return
+        # Hearing from a peer clears any suspicion of its death.
+        self._down_peers.discard(src)
+        self._miss_counts.pop(src, None)
+        if self._active_from.get(src) is None:
+            self._active_from[src] = header.epoch
+        if header.epoch < self.epoch - 1:
+            self._count_fault("faults.recovered", kind="stale")
+            return
         self._inbox.setdefault(header.epoch, {})[src] = (header, content)
         self._try_advance()
 
@@ -443,23 +425,21 @@ class RexEnclaveApp(TrustedApp):
         """ready_to_train check: one message from every (live) neighbor."""
         if not self._epoch_zero_done:
             return
-        tolerant = self.config.faults.enabled
-        while not (tolerant and self.epoch >= self.config.epochs):
+        while self.epoch < self.config.epochs:
             waiting_on = self._inbox.get(self.epoch - 1, {})
             required = self._required_peers(self.epoch - 1)
             if not all(n in waiting_on for n in required):
                 return
             if not required and not waiting_on:
-                # Nothing to merge and nobody to wait for: let the patience
-                # clock (ecall_tick) pace solo progress instead of racing
-                # through the remaining epochs in one call.
+                # Nothing to merge and nobody to wait for: let the host's
+                # patience clock (ecall_tick) pace solo progress instead of
+                # racing through the remaining epochs in one call.
                 return
             received = self._inbox.pop(self.epoch - 1, {})
             self._run_round(received or None)
 
     def _run_round(self, received: Optional[Dict[int, Tuple[PayloadHeader, bytes]]]) -> None:
         """One merge / train / share / test round."""
-        self._stall_ticks = 0
         stats = EpochStats(node_id=self.node_id, epoch=self.epoch)
         staging_peak = 0
 
@@ -514,11 +494,9 @@ class RexEnclaveApp(TrustedApp):
                 if (alien.n_users, alien.n_items) != (self.store.n_users, self.store.n_items):
                     raise CodecError("share id space does not match the store")
             except (ValueError, CodecError):
-                if self.config.faults.enabled:
-                    # One undecodable share must not abort the whole merge.
-                    self._count_fault("faults.recovered", kind="merge")
-                    continue
-                raise
+                # One undecodable share must not abort the whole merge.
+                self._count_fault("faults.recovered", kind="merge")
+                continue
             if self._admission is not None:
                 alien, reason = self._admission.admit_triplets(_src, self.epoch, alien)
                 if reason is not None:
@@ -554,10 +532,8 @@ class RexEnclaveApp(TrustedApp):
                     raise ValueError("model-sharing run received a mismatched payload")
                 state = decode_mf_state(content)
             except (ValueError, CodecError):
-                if self.config.faults.enabled:
-                    self._count_fault("faults.recovered", kind="merge")
-                    continue
-                raise
+                self._count_fault("faults.recovered", kind="merge")
+                continue
             if self._admission is not None:
                 reason = self._admission.check_model_state(state)
                 if reason is not None:
@@ -592,8 +568,7 @@ class RexEnclaveApp(TrustedApp):
     # ------------------------------------------------------------------ #
     def _share(self, stats: EpochStats) -> None:
         # Dead neighbors get nothing: sealing to a lost incarnation would
-        # desynchronize sequence numbers for no delivery.  (A strict run
-        # has no dead neighbors and a channel to every one.)
+        # desynchronize sequence numbers for no delivery.
         targets = [
             n for n in self.neighbors if n in self.channels and n not in self._down_peers
         ]

@@ -5,12 +5,18 @@ uses 4 machines running 2 REX processes each), one enclave + untrusted
 host per node, an in-process network, and a topology.  ``run`` pumps
 messages until every node has completed the requested number of epochs --
 event-driven, exactly like the real system, with the epoch barrier
-("a message from all neighbors") enforced inside the enclaves.
+("a message from all neighbors") enforced inside the enclaves.  No node
+runs a round past ``config.epochs``.
+
+There is one failure semantics (see :mod:`repro.core.config`): a bad
+frame is counted and survived, a starved barrier times out after
+``BARRIER_PATIENCE_TICKS`` ticks, and a crashed node's neighbors are
+told.  A fault-free run simply never takes those paths.
 
 Scheduling is owned by the shared :class:`~repro.sim.kernel.EventKernel`:
-each pump cycle registers host relays, transport ticks and
-chaos-controller ticks as ordered kernel events, so the cluster composes
-with every other event source (fleet epochs, serve ticks).
+each tick registers chaos-controller, host-relay, transport and
+host-patience events in a fixed order, so the cluster composes with
+every other event source (fleet epochs, serve ticks).
 ``tests/sim/test_kernel_parity.py`` pins the per-epoch wire traffic, RMSE
 floats and kernel trace digest of a fixed-seed run.
 """
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
-from repro.core.config import SUSPECT_AFTER_TIMEOUTS, RexConfig
+from repro.core.config import BARRIER_PATIENCE_TICKS, SUSPECT_AFTER_TIMEOUTS, RexConfig
 from repro.core.host import RexHost
 from repro.core.stats import EpochStats
 from repro.data.dataset import RatingsDataset
@@ -61,10 +67,7 @@ class ClusterRun:
 
     @property
     def epochs_completed(self) -> int:
-        # Capped at the configured horizon: fast nodes run rounds past the
-        # last barrier before the pump sees every node finish.
-        last = min(stats[-1].epoch + 1 if stats else 0 for stats in self.node_stats.values())
-        return min(last, self.config.epochs)
+        return min(stats[-1].epoch + 1 if stats else 0 for stats in self.node_stats.values())
 
 
 class RexCluster:
@@ -112,8 +115,8 @@ class RexCluster:
             self.hosts.append(RexHost(node, platform, endpoint))
         #: Nodes whose process is currently dead (see :meth:`crash_node`).
         self.crashed: Set[int] = set()
-        #: Optional chaos hook called once per tolerant pump iteration with
-        #: this cluster; :mod:`repro.faults` installs its controller here.
+        #: Optional chaos hook called once per pump tick with this
+        #: cluster; :mod:`repro.faults` installs its controller here.
         self.controller: Optional[object] = None
         #: The event kernel that drove the most recent ``run`` (``None``
         #: before the first run).
@@ -146,10 +149,9 @@ class RexCluster:
         node_id = int(node_id)
         self.crashed.add(node_id)
         self.network.set_down(node_id)
-        if self.config.faults.enabled:
-            for host in self.hosts:
-                if host.node_id != node_id and host.node_id not in self.crashed:
-                    host.notify_peer_down(node_id)
+        for host in self.hosts:
+            if host.node_id != node_id and host.node_id not in self.crashed:
+                host.notify_peer_down(node_id)
 
     def restart_node(
         self,
@@ -197,12 +199,7 @@ class RexCluster:
         :class:`~repro.sim.kernel.EventKernel` events.
         """
         self.bootstrap(train_shards, test_shards, global_mean=global_mean)
-
-        target = self.config.epochs
-        if self.config.faults.enabled:
-            self._pump_tolerant(target)
-        else:
-            self._pump_strict(target)
+        self._pump(self.config.epochs)
         return ClusterRun(
             config=self.config,
             topology=self.topology,
@@ -220,7 +217,7 @@ class RexCluster:
             if host.node_id not in self.crashed and host.epochs_done < target
         }
         return RuntimeError(
-            f"chaos run stalled: no deliveries, retries or forced rounds for "
+            f"protocol stalled: no deliveries, retries or forced rounds for "
             f"{idle} ticks; laggards (node: epoch) {laggards}, crashed nodes "
             f"{sorted(self.crashed)}, target epoch {target}, "
             f"{self.network.in_flight} frames in flight"
@@ -229,43 +226,14 @@ class RexCluster:
     # ------------------------------------------------------------------ #
     # Kernel-driven scheduling
     # ------------------------------------------------------------------ #
-    def _pump_strict(self, target: int) -> None:
-        """The healthy-LAN loop as recurring ``cluster.pump`` events: one
-        kernel event per pump cycle; any quiescent gap is a fatal stall."""
-        from repro.sim.kernel import EventKernel
-
-        kernel = self.kernel = EventKernel()
-
-        def cycle() -> None:
-            moved = 0
-            done = True
-            for host in self.hosts:
-                moved += host.pump()
-                if len(host.epoch_stats) < target:
-                    done = False
-            if done:
-                return
-            if moved == 0:
-                laggards = [
-                    host.node_id for host in self.hosts if len(host.epoch_stats) < target
-                ]
-                raise RuntimeError(
-                    f"protocol stalled: no messages in flight but nodes {laggards} "
-                    f"have not reached epoch {target}"
-                )
-            kernel.after(1.0, cycle, kind="cluster.pump", key=())
-
-        kernel.at(0.0, cycle, kind="cluster.pump", key=())
-        kernel.run()
-
-    def _pump_tolerant(self, target: int) -> None:
+    def _pump(self, target: int) -> None:
         """Pump + tick events that survive faults and diagnose real stalls.
 
         Each simulated tick registers four same-timestamp events whose
         keys pin the iteration order: the chaos controller fires first
         (``faults.tick``, injecting crashes/restarts), then host relays
         (``cluster.pump``), then the transport clock (``net.tick`` --
-        delayed frames and scheduled retries), then the enclaves'
+        delayed frames and scheduled retries), then the hosts'
         barrier-patience clocks (``cluster.node_tick``), which also does
         the idle/stall accounting and schedules the next tick's events.
         Permanently crashed nodes are exempt from the completion
@@ -276,7 +244,7 @@ class RexCluster:
         """
         from repro.sim.kernel import EventKernel
 
-        stall_bound = self.config.faults.barrier_patience_ticks * SUSPECT_AFTER_TIMEOUTS + 8
+        stall_bound = BARRIER_PATIENCE_TICKS * SUSPECT_AFTER_TIMEOUTS + 8
         kernel = self.kernel = EventKernel()
         state = {"idle": 0, "stop": False, "moved": 0, "flushed": 0}
 

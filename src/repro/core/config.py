@@ -24,13 +24,24 @@ __all__ = [
     "SharingScheme",
     "Dissemination",
     "CryptoMode",
-    "FaultToleranceConfig",
     "DefenseConfig",
     "RexConfig",
 ]
 
-#: Consecutive barrier timeouts after which a tolerant node treats a
-#: silent neighbor as dead until it is heard from again.
+# The distributed runtime has one failure semantics.  A corrupt, replayed,
+# stale or undecodable frame is rejected but survivable: the enclave
+# counts it (``faults.recovered``) and carries on.  A node blocked at the
+# epoch barrier for ``BARRIER_PATIENCE_TICKS`` network ticks advances
+# with the shares it holds (``faults.barrier_timeouts``); the untrusted
+# host counts those ticks and makes the ``ecall_tick`` when they are
+# spent.  Retransmission of dropped frames (ARQ) is armed by the fault
+# injector (:mod:`repro.faults`).
+
+#: Network ticks a node waits at a starved barrier before it advances.
+BARRIER_PATIENCE_TICKS = 12
+
+#: Consecutive barrier timeouts after which a node treats a silent
+#: neighbor as dead until it is heard from again.
 SUSPECT_AFTER_TIMEOUTS = 2
 
 
@@ -74,36 +85,6 @@ class CryptoMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class FaultToleranceConfig:
-    """Churn-tolerance knobs for the distributed runtime.
-
-    Disabled by default: the paper's protocol assumes a healthy LAN and
-    treats any loss as a fatal stall, and all seed experiments must stay
-    byte-identical.  Chaos runs (:mod:`repro.faults`) enable tolerance,
-    which changes the failure semantics in four ways:
-
-    - corrupt / replayed / stale frames are *rejected but survivable*:
-      the enclave counts them (``faults.recovered``) instead of letting
-      the error abort the epoch;
-    - the transport retries dropped frames (the default
-      :class:`~repro.net.transport.RetryPolicy`: four sends, exponential
-      backoff from one tick);
-    - a node blocked at the epoch barrier for ``barrier_patience_ticks``
-      network ticks advances with the messages it has (graceful
-      degradation, counted as ``faults.barrier_timeouts``);
-    - a neighbor missing from :data:`SUSPECT_AFTER_TIMEOUTS` consecutive
-      barrier timeouts is treated as dead until it is heard from again.
-    """
-
-    enabled: bool = False
-    barrier_patience_ticks: int = 48
-
-    def __post_init__(self) -> None:
-        if self.barrier_patience_ticks < 1:
-            raise ValueError("barrier patience must be at least one tick")
-
-
-@dataclass(frozen=True)
 class DefenseConfig:
     """Byzantine-defense switch for the enclave-side admission checks.
 
@@ -112,9 +93,11 @@ class DefenseConfig:
     Attack-bearing chaos plans (:mod:`repro.faults`) arm the defenses,
     which adds three *rejection* behaviors (never new randomness):
 
-    - **quote pinning**: a DH public key already pinned to one peer
-      identity is rejected when presented under another -- cloned quotes
-      from sybil identities bounce (``faults.rejected`` kind ``sybil``);
+    - **quote pinning**: a DH public key already pinned to one neighbor
+      identity is rejected when presented under another neighbor's id
+      (``faults.rejected`` kind ``sybil``); a quote under an id outside
+      the neighbor set is refused by membership in every build
+      (kind ``non_neighbor``);
     - **share-admission quotas**: one raw-data share per neighbor per
       round is truncated to ``QUOTA_FACTOR * share_points`` triplets,
       bounding how much store growth any single peer can force;
@@ -150,9 +133,6 @@ class RexConfig:
 
     #: Distributed runtime only: real or accounted AEAD.
     crypto_mode: CryptoMode = CryptoMode.REAL
-
-    #: Distributed runtime only: churn-tolerance knobs (off by default).
-    faults: FaultToleranceConfig = field(default_factory=FaultToleranceConfig)
 
     #: Distributed runtime only: Byzantine-defense knobs (off by default).
     defenses: DefenseConfig = field(default_factory=DefenseConfig)

@@ -5,7 +5,9 @@ dataset files and the bootstrap sequence.  It relays inbound messages into
 the enclave (``ecall_input``), proxies outbound sends and quoting requests
 as ocalls, and collects the per-epoch statistics the trusted code reports.
 It never sees a decrypted payload: the enclave attests every neighbor
-and seals every payload it sends.
+and seals every payload it sends.  It also owns the barrier-patience
+clock: it counts the network ticks since the enclave last reported a
+round and makes the ``ecall_tick`` only when the patience is spent.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Type
 
 from repro.core.app import RexEnclaveApp
-from repro.core.config import RexConfig
+from repro.core.config import BARRIER_PATIENCE_TICKS, RexConfig
 from repro.core.stats import EpochStats
 from repro.data.dataset import RatingsDataset
 from repro.net.serialization import encode_triplets
@@ -48,6 +50,8 @@ class RexHost:
         """Create a fresh enclave of :attr:`app_class` and wire its ocalls."""
         self.enclave = self.platform.create_enclave(self.app_class, enclave_id)
         self._counter_mark = self.enclave.counters.snapshot()
+        #: Ticks since the enclave last reported a round.
+        self._idle_ticks = 0
         self.enclave.register_ocall("send_message", self._ocall_send)
         self.enclave.register_ocall("get_quote", self.enclave.get_quote)
         self.enclave.register_ocall("report_stats", self._ocall_report_stats)
@@ -71,6 +75,7 @@ class RexHost:
         stats.ocalls = delta.ocalls
         stats.transition_bytes = delta.ecall_bytes + delta.ocall_bytes
         self.epoch_stats.append(stats)
+        self._idle_ticks = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle (Algorithm 1 lines 1-6)
@@ -130,7 +135,16 @@ class RexHost:
         return len(messages)
 
     def tick(self) -> int:
-        """Advance the enclave's barrier-patience clock (tolerance mode)."""
+        """Advance the barrier-patience clock by one network tick.
+
+        Once :data:`BARRIER_PATIENCE_TICKS` ticks pass without a reported
+        round, the enclave is told to time its barrier out; returns the
+        number of rounds that forced (0 or 1).
+        """
+        self._idle_ticks += 1
+        if self._idle_ticks < BARRIER_PATIENCE_TICKS:
+            return 0
+        self._idle_ticks = 0
         return int(self.enclave.ecall("ecall_tick"))
 
     def notify_peer_down(self, peer: int) -> None:

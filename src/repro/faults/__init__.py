@@ -5,8 +5,8 @@ work (Section III-D); this package supplies the hostile network.  A
 seeded :class:`FaultPlan` describes what goes wrong (loss, duplication,
 reordering, corruption, crashes, attestation refusal, stragglers), the
 :class:`FaultInjector` replays it deterministically against the
-transport, and :func:`run_chaos` drives a whole cluster through it in
-tolerance mode, producing a :class:`ChaosReport`.
+transport, and :func:`run_chaos` drives a whole cluster through it,
+producing a :class:`ChaosReport`.
 
 The injector runs in the untrusted world: it manipulates only
 ciphertext and metadata on the wire, exactly like a real network
@@ -29,6 +29,7 @@ compromised host first forges the honest measurement, and
 from repro.faults.compromised import CompromisedHost, compromise
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
+    ATTACK_PLANS,
     NAMED_PLANS,
     CrashEvent,
     FaultPlan,
@@ -41,6 +42,7 @@ from repro.faults.runner import ChaosController, ChaosReport, run_chaos
 from repro.faults.tampered import TamperedRexApp, tampered_build
 
 __all__ = [
+    "ATTACK_PLANS",
     "ChaosController",
     "ChaosReport",
     "CompromisedHost",

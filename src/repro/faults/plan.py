@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.core.config import FaultToleranceConfig
-
 __all__ = [
     "LinkFaults",
     "CrashEvent",
@@ -38,6 +36,7 @@ __all__ = [
     "ReplayAttack",
     "FaultPlan",
     "NAMED_PLANS",
+    "ATTACK_PLANS",
 ]
 
 
@@ -129,8 +128,10 @@ class SybilAttack:
     The attacker replays its own (valid) quote under fabricated peer ids
     -- the quote proves *code* identity, not *who is speaking* -- and
     pushes one poison share per clone per round through channels derived
-    from the same enclave DH key, multiplying its vote without defenses.
-    Clone ids are assigned at runtime above the real id range.
+    from the same enclave DH key.  Clone ids are assigned at runtime above
+    the real id range, so they are nobody's neighbors: every receiver
+    refuses them by membership, armed or not.  A sybil that impersonates
+    real neighbor ids is not modelled.
     """
 
     node: int = 1
@@ -219,10 +220,6 @@ class FaultPlan:
             personas["replay"] = (self.replay.node,)
         return personas
 
-    def tolerance(self) -> FaultToleranceConfig:
-        """The runtime tolerance config every chaos run (and its ARQ) uses."""
-        return FaultToleranceConfig(enabled=True, barrier_patience_ticks=12)
-
 
 #: The canonical scenario catalog for tests and ``repro chaos``.
 NAMED_PLANS: Dict[str, FaultPlan] = {
@@ -230,7 +227,7 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
     for plan in (
         FaultPlan(
             name="baseline",
-            description="no faults injected (tolerance machinery engaged but idle)",
+            description="no faults injected (ARQ armed but idle)",
         ),
         FaultPlan(
             name="lossy",
@@ -294,7 +291,7 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
         FaultPlan(
             name="sybil",
             description="one node replays its quote under cloned identities; "
-            "quote pinning rejects the clones",
+            "membership refuses the clones",
             sybil=SybilAttack(
                 node=1,
                 clones=4,
@@ -304,7 +301,7 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
         FaultPlan(
             name="sybil-open",
             description="cloned identities with defenses disarmed "
-            "(amplified poisoning lands)",
+            "(membership still refuses the clones)",
             sybil=SybilAttack(
                 node=1,
                 clones=4,
@@ -329,3 +326,7 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
         ),
     )
 }
+
+#: The defended attack matrix ``repro chaos`` reports and the attack
+#: tests assert bounds on (each share-path plan has an ``-open`` twin).
+ATTACK_PLANS: Tuple[str, ...] = ("poison", "free-ride", "sybil", "replay-serve")

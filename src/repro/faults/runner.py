@@ -3,7 +3,7 @@
 ``run_chaos`` is the one-call entry point behind ``repro chaos`` and the
 chaos test suite: it builds a synthetic-MovieLens deployment, arms the
 :class:`~repro.faults.injector.FaultInjector` and the crash/restart
-controller, runs the cluster in tolerance mode, and condenses what
+controller, runs the cluster, and condenses what
 happened -- injected faults, recoveries, losses, re-attestations, final
 accuracy -- into a serializable :class:`ChaosReport`.
 """
@@ -20,7 +20,6 @@ from repro.core.config import (
     CryptoMode,
     DefenseConfig,
     Dissemination,
-    FaultToleranceConfig,
     RexConfig,
     SharingScheme,
 )
@@ -45,8 +44,8 @@ PROBE_USERS = 20
 class ChaosController:
     """Fires the plan's crash/restart events against a running cluster.
 
-    Installed as :attr:`RexCluster.controller`; the tolerant pump loop
-    calls :meth:`on_tick` once per iteration.  Crash timing is keyed to
+    Installed as :attr:`RexCluster.controller`; the pump loop calls
+    :meth:`on_tick` once per tick.  Crash timing is keyed to
     protocol progress (any live node completing ``at_epoch`` epochs) and
     restart timing to simulated network time, so the whole churn history
     is as deterministic as the run itself.
@@ -298,9 +297,10 @@ def run_chaos(
     """Run one seeded chaos experiment end to end; returns the report.
 
     ``baseline=True`` additionally runs the identical scenario fault-free
-    (strict mode, no injector) and records its RMSE -- and, for attack
-    plans, its precision@k -- for comparison; that pair is what the
-    acceptance tests assert on.
+    (no injector, no attackers, defenses off) and records its RMSE --
+    and, for attack plans, its precision@k -- for comparison; that pair
+    is what the acceptance tests assert on.  The baseline is the same
+    run as ``run_chaos("baseline")``, bit for bit.
 
     ``defenses`` overrides the plan's ``defended`` flag (``None`` arms
     the enclave defenses exactly when the plan both carries attackers
@@ -333,7 +333,6 @@ def run_chaos(
         seed=seed,
         crypto_mode=CryptoMode.REAL,  # corruption must fail *authentication*
         mf=MfHyperParams(k=k),
-        faults=plan.tolerance(),
         defenses=DefenseConfig(enabled=True) if armed else DefenseConfig(),
     )
     cluster = RexCluster(topology, config, obs=obs)
@@ -385,10 +384,7 @@ def run_chaos(
     baseline_rmse: Optional[float] = None
     baseline_precision: Optional[float] = None
     if baseline:
-        plain_config = replace(
-            config, faults=FaultToleranceConfig(), defenses=DefenseConfig()
-        )
-        plain = RexCluster(topology, plain_config)
+        plain = RexCluster(topology, replace(config, defenses=DefenseConfig()))
         plain.run(train, test, global_mean=global_mean)
         baseline_rmse = sum(
             float(host.status()["test_rmse"]) for host in plain.hosts

@@ -126,9 +126,10 @@ class TamperedRexApp(RexEnclaveApp):
         A quote binds the DH key to the enclave's *code*, not to who
         presents it: replay our quote under each clone id, then push one
         poison share per clone under the key the victim derives for that
-        alias (same DH secret, alias-sorted info string).  Quote-pinning
-        receivers refuse the cloned quotes and the frames die unattested;
-        undefended ones merge each clone as an independent neighbor.
+        alias (same DH secret, alias-sorted info string).  Clone ids are
+        outside every receiver's neighbor set, so each receiver refuses
+        the cloned quotes (``faults.rejected{kind=non_neighbor}``) and the
+        frames die unattested.
         """
         targets = [
             n for n in self.neighbors if n in self.channels and n not in self._down_peers

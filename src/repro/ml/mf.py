@@ -30,7 +30,7 @@ from repro._rng import child_rng
 from repro.data.dataset import RatingsDataset
 from repro.ml.metrics import rmse
 
-__all__ = ["MfHyperParams", "MfState", "MatrixFactorization", "sgd_step"]
+__all__ = ["MfHyperParams", "MfState", "MatrixFactorization", "masked_pair_average", "sgd_step"]
 
 RATING_MIN, RATING_MAX = 0.5, 5.0
 
@@ -270,11 +270,11 @@ class MatrixFactorization:
         the alien has seen are copied; rows only we have seen are kept
         (Sections III-C1 and III-C2's missing-embedding rule).
         """
-        _masked_pair_average(
+        masked_pair_average(
             self.user_factors, self.user_bias, self.user_seen,
             alien.user_factors, alien.user_bias, alien.user_seen,
         )
-        _masked_pair_average(
+        masked_pair_average(
             self.item_factors, self.item_bias, self.item_seen,
             alien.item_factors, alien.item_bias, alien.item_seen,
         )
@@ -318,7 +318,7 @@ class MatrixFactorization:
         )
 
 
-def _masked_pair_average(
+def masked_pair_average(
     factors: np.ndarray,
     bias: np.ndarray,
     seen: np.ndarray,
@@ -326,7 +326,13 @@ def _masked_pair_average(
     alien_bias: np.ndarray,
     alien_seen: np.ndarray,
 ) -> None:
-    """In-place masked average of one (factors, bias, seen) group."""
+    """In-place masked average of one (factors, bias, seen) group.
+
+    The RMW merge rule (:meth:`MatrixFactorization.merge_average`, and
+    the fleet simulator's per-node views): rows both sides have seen are
+    averaged, rows only the alien has seen are copied, and the seen mask
+    becomes the union.
+    """
     both = seen & alien_seen
     only_alien = alien_seen & ~seen
     factors[both] += alien_factors[both]

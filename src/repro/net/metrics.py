@@ -24,54 +24,11 @@ Registry names::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs import MetricsRegistry
 
-__all__ = ["TrafficMeter", "TrafficSnapshot"]
-
-
-def _diff(now: Mapping, earlier: Mapping) -> Dict:
-    """Per-key difference, dropping keys whose delta is zero."""
-    out = {}
-    for key, value in now.items():
-        delta = value - earlier.get(key, 0)
-        if delta:
-            out[key] = delta
-    return out
-
-
-@dataclass(frozen=True)
-class TrafficSnapshot:
-    """Immutable traffic state at a point in time.
-
-    Besides the historical totals (bytes/messages sent) the snapshot now
-    carries the receive side and the per-node / per-kind breakdowns, so
-    per-epoch deltas of *received* traffic -- previously tracked by the
-    meter but dropped at snapshot time -- survive into the figures.
-    """
-
-    bytes_sent: int
-    messages_sent: int
-    bytes_received: int = 0
-    messages_received: int = 0
-    per_node_sent_bytes: Mapping[int, int] = field(default_factory=dict)
-    per_node_received_bytes: Mapping[int, int] = field(default_factory=dict)
-    kind_bytes: Mapping[str, int] = field(default_factory=dict)
-    kind_messages: Mapping[str, int] = field(default_factory=dict)
-
-    def delta(self, earlier: "TrafficSnapshot") -> "TrafficSnapshot":
-        return TrafficSnapshot(
-            self.bytes_sent - earlier.bytes_sent,
-            self.messages_sent - earlier.messages_sent,
-            self.bytes_received - earlier.bytes_received,
-            self.messages_received - earlier.messages_received,
-            _diff(self.per_node_sent_bytes, earlier.per_node_sent_bytes),
-            _diff(self.per_node_received_bytes, earlier.per_node_received_bytes),
-            _diff(self.kind_bytes, earlier.kind_bytes),
-            _diff(self.kind_messages, earlier.kind_messages),
-        )
+__all__ = ["TrafficMeter"]
 
 
 class TrafficMeter:
@@ -112,33 +69,11 @@ class TrafficMeter:
     # ------------------------------------------------------------------ #
     # Registry views (the historical dict-shaped API)
     # ------------------------------------------------------------------ #
-    def _by_node(self, name: str) -> Dict[int, int]:
-        return {
-            int(dict(metric.labels)["node"]): int(metric.value)
-            for metric in self.metrics.collect(name)
-        }
-
-    def _by_kind(self, name: str) -> Dict[str, int]:
-        return {
-            dict(metric.labels)["kind"]: int(metric.value)
-            for metric in self.metrics.collect(name)
-        }
-
-    @property
-    def sent_bytes(self) -> Dict[int, int]:
-        return self._by_node("net.sent.bytes")
-
-    @property
-    def received_bytes(self) -> Dict[int, int]:
-        return self._by_node("net.received.bytes")
-
     @property
     def kind_messages(self) -> Dict[str, int]:
-        return self._by_kind("net.kind.messages")
-
-    @property
-    def kind_bytes(self) -> Dict[str, int]:
-        return self._by_kind("net.kind.bytes")
+        return {
+            dict(m.labels)["kind"]: int(m.value) for m in self.metrics.collect("net.kind.messages")
+        }
 
     def edge_bytes(self) -> Dict[Tuple[int, int], int]:
         """Bytes per directed (source, destination) edge."""
@@ -160,15 +95,3 @@ class TrafficMeter:
     @property
     def total_messages(self) -> int:
         return int(self.metrics.total("net.sent.messages"))
-
-    def snapshot(self) -> TrafficSnapshot:
-        return TrafficSnapshot(
-            self.total_bytes,
-            self.total_messages,
-            int(self.metrics.total("net.received.bytes")),
-            int(self.metrics.total("net.received.messages")),
-            self.sent_bytes,
-            self.received_bytes,
-            self.kind_bytes,
-            self.kind_messages,
-        )

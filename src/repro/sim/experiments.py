@@ -149,7 +149,7 @@ def _shards_25m(n_nodes: int) -> Tuple[tuple, tuple]:
 _MEMORY_CACHE: Dict[str, RunResult] = {}
 
 #: Bump when run semantics change to invalidate stale disk caches.
-_CACHE_VERSION = "v3"
+_CACHE_VERSION = "v4"
 
 
 def _cache_dir() -> Path:

@@ -33,7 +33,7 @@ import numpy as np
 from repro._rng import child_rng
 from repro.core.config import Dissemination, RexConfig, SharingScheme
 from repro.data.dataset import RatingsDataset
-from repro.ml.mf import sgd_step
+from repro.ml.mf import masked_pair_average, sgd_step
 from repro.net.serialization import measure_mf_state, measure_triplets
 from repro.net.topology import Topology
 from repro.obs import Observability
@@ -302,21 +302,14 @@ class MfFleetSim(FleetEngine):
         for sender in np.argsort(recipients, kind="stable"):
             receiver = int(recipients[sender])
             merged_rows[receiver] += int(snap_SU[sender].sum() + snap_SI[sender].sum())
-            for factors, biases, seen, s_factors, s_biases, s_seen in (
-                (self.XU[receiver], self.BU[receiver], self.SU[receiver],
-                 snap_XU[sender], snap_BU[sender], snap_SU[sender]),
-                (self.YI[receiver], self.BI[receiver], self.SI[receiver],
-                 snap_YI[sender], snap_BI[sender], snap_SI[sender]),
-            ):
-                both = seen & s_seen
-                only_alien = s_seen & ~seen
-                factors[both] += s_factors[both]
-                factors[both] *= 0.5
-                biases[both] += s_biases[both]
-                biases[both] *= 0.5
-                factors[only_alien] = s_factors[only_alien]
-                biases[only_alien] = s_biases[only_alien]
-                seen |= s_seen
+            masked_pair_average(
+                self.XU[receiver], self.BU[receiver], self.SU[receiver],
+                snap_XU[sender], snap_BU[sender], snap_SU[sender],
+            )
+            masked_pair_average(
+                self.YI[receiver], self.BI[receiver], self.SI[receiver],
+                snap_YI[sender], snap_BI[sender], snap_SI[sender],
+            )
         return merged_rows
 
     def _train(self) -> np.ndarray:

@@ -229,6 +229,56 @@ class TestEcallStatus:
         assert status["store_items"] > 0
 
 
+_SETUPS = [
+    (SharingScheme.DATA, Dissemination.DPSGD),
+    (SharingScheme.MODEL, Dissemination.DPSGD),
+    (SharingScheme.DATA, Dissemination.RMW),
+]
+_SETUP_IDS = ["ds-dpsgd", "ms-dpsgd", "ds-rmw"]
+
+
+def _tapped_run(tiny_split, shards, config):
+    """Run a cluster, returning it, its run and every payload frame sent."""
+    train, test = shards
+    cluster = RexCluster(Topology.fully_connected(len(train)), config)
+    frames = []
+
+    def tap(message, attempt):
+        if message.kind == KIND_PAYLOAD:
+            frames.append(bytes(message.payload))
+        return None  # deliver unharmed
+
+    cluster.network.fault_hook = tap
+    run = cluster.run(train, test, global_mean=tiny_split.train.global_mean())
+    return cluster, run, frames
+
+
+@pytest.mark.parametrize("scheme,dissemination", _SETUPS, ids=_SETUP_IDS)
+class TestHealthyRun:
+    def test_stops_at_the_horizon(self, tiny_split, shards, scheme, dissemination):
+        config = _config(scheme, dissemination)
+        _cluster, run, frames = _tapped_run(tiny_split, shards, config)
+        for node, stats in run.node_stats.items():
+            assert [s.epoch for s in stats] == list(range(config.epochs)), node
+        # A frame opens with its channel's 8-byte little-endian sequence
+        # number: one frame per channel per round, so none may reach the
+        # horizon.
+        sequences = {int.from_bytes(frame[:8], "little") for frame in frames}
+        assert sequences == set(range(config.epochs))
+
+    def test_counts_no_fault(self, tiny_split, shards, scheme, dissemination):
+        """Every failure path counts what it survives, so a protocol bug in
+        a healthy run would surface here as a recovery, a rejection or a
+        barrier timeout."""
+        cluster, run, _frames = _tapped_run(
+            tiny_split, shards, _config(scheme, dissemination)
+        )
+        assert run.epochs_completed == 4
+        metrics = cluster.obs.metrics
+        for name in ("faults.recovered", "faults.rejected", "faults.barrier_timeouts"):
+            assert metrics.total(name) == 0, name
+
+
 class TestClusterRunIndexesByEpoch:
     """A restarted node's reports skip the rounds it was down for."""
 
@@ -243,7 +293,7 @@ class TestClusterRunIndexesByEpoch:
         gm = split.train.global_mean()
         config = RexConfig(
             epochs=5, share_points=60, seed=0, crypto_mode=CryptoMode.REAL,
-            mf=MfHyperParams(k=8), faults=plan.tolerance(),
+            mf=MfHyperParams(k=8),
         )  # fmt: skip
         cluster = RexCluster(Topology.fully_connected(8), config)
         injector = FaultInjector(plan, 0, metrics=cluster.obs.metrics).attach(cluster.network)

@@ -9,6 +9,14 @@ per-kind counter folds.  The file passes unedited on that parent commit
 (``PYTHONPATH=<16ab531 checkout>/src python -m pytest
 tests/faults/test_attack_pins.py``); re-capture a literal only for an
 intentional behaviour change.
+
+One such change: the enclave now refuses a quote from any id outside
+its neighbor set, in every build.  Sybil clone ids lie above the real id
+range, so the five plans with a sybil persona were re-captured once:
+their clone refusals count as ``rejected{non_neighbor}`` instead of
+``rejected{sybil}``, and ``sybil-open``'s clones no longer land (final
+RMSE 1.1172931351404607 -> 1.1200773195071647, precision@10 0.055 ->
+0.085).  Every other field of the defended sybil plans is unchanged.
 """
 
 import math
@@ -69,7 +77,7 @@ PINS = (
         "4652b347729648ff6341eb062214e158abb8a8e3d155be170091b0499b49f421",
         1.0693110181835994,
         0.10500000000000001,
-        {"rating_skew": 28, "sybil": 28},
+        {"non_neighbor": 28, "rating_skew": 28},
         {},
         {"poison_points": 11900, "sybil_frames": 140},
     ),
@@ -77,9 +85,9 @@ PINS = (
         "sybil-open",
         {},
         "d0ea8c41ab821015111d54a9376538ccb856156284add6e17ef93d831fcc6dd3",
-        1.1172931351404607,
-        0.05500000000000001,
-        {},
+        1.1200773195071647,
+        0.085,
+        {"non_neighbor": 28},
         {},
         {"poison_points": 11900, "sybil_frames": 140},
     ),
@@ -99,7 +107,7 @@ PINS = (
         "bb671bf8ae0430f827f084472f1f012f0cd04b0d77a63d9767812d14b1a34f8e",
         1.0704292192514644,
         0.08500000000000002,
-        {"rating_skew": 56, "sybil": 14},
+        {"non_neighbor": 14, "rating_skew": 56},
         {"free_rider": 7},
         {"freeride_rounds": 5, "poison_points": 4800, "sybil_frames": 70},
     ),
@@ -129,7 +137,7 @@ PINS = (
         "bb671bf8ae0430f827f084472f1f012f0cd04b0d77a63d9767812d14b1a34f8e",
         1.0697056920672243,
         0.06500000000000002,
-        {"rating_skew": 8, "sybil": 14},
+        {"non_neighbor": 14, "rating_skew": 8},
         {},
         {"freeride_rounds": 5, "poison_points": 4800, "sybil_frames": 70},
     ),
@@ -139,7 +147,7 @@ PINS = (
         "4652b347729648ff6341eb062214e158abb8a8e3d155be170091b0499b49f421",
         1.0713294507294067,
         0.09000000000000001,
-        {"rating_skew": 28, "sybil": 28},
+        {"non_neighbor": 28, "rating_skew": 28},
         {},
         {"poison_points": 11900, "sybil_frames": 140},
     ),

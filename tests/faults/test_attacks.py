@@ -6,15 +6,16 @@ Four layers of assertion:
   defenses armed complete, reject/flag the attacker traffic, and stay
   within the acceptance bounds (RMSE delta < 0.05, precision@10 drop
   < 0.02 against the identical fault-free run) -- while the undefended
-  ``-open`` twins of the poisoning and sybil personas measurably exceed
-  *both* bounds, proving the attacks actually bite;
+  ``poison-open`` twin measurably exceeds *both* bounds, proving the
+  attack actually bites (``sybil-open`` does not: its clone ids are no
+  node's neighbors, so membership refuses them in every build);
 - **properties** (Hypothesis): the admission/sanity checks never reject
   honest traffic under fault-free plans, and sybil rejection is a pure
   function of ``(seed, plan)``;
 - **regression pins**: with no attack personas in a plan, the chaos
   schedule digest and final RMSE of the pinned ``mixed-churn`` scenario
   are byte-identical to the pre-attack tree, and defenses stay off in
-  the default config (the strict-mode wire digest pin lives in
+  the default config (the wire digest pin lives in
   ``tests/tee/test_crypto_batch.py`` and covers the wire bytes);
 - the **report schema**: ``ChaosReport.to_dict`` keeps the
   ``repro.chaos/v1`` schema and exposes the per-persona counters.
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from repro.core.admission import ShareAdmission
 from repro.core.config import DefenseConfig, RexConfig, SharingScheme
 from repro.data.dataset import RatingsDataset
-from repro.faults import NAMED_PLANS, run_chaos
+from repro.faults import ATTACK_PLANS, NAMED_PLANS, run_chaos
 from repro.obs import Observability
 from repro.serve.endpoint import ServeEnclaveApp
 from repro.serve.fleet.shard import encode_shard_users
@@ -37,12 +38,10 @@ from repro.tee import AttestationService, Platform
 from repro.tee.errors import SnapshotReplayError
 
 #: Acceptance bounds from the roadmap: a defended run must stay this
-#: close to its fault-free twin; an undefended poisoning/sybil run must
+#: close to its fault-free twin; an undefended poisoning run must
 #: exceed both.
 RMSE_DELTA_BOUND = 0.05
 PRECISION_DROP_BOUND = 0.02
-
-ATTACK_PLANS = ("poison", "free-ride", "sybil", "replay-serve")
 
 
 def _run(plan, *, seed=0, baseline=False, **kwargs):
@@ -64,7 +63,7 @@ def test_defended_run_within_bounds(plan):
     )
 
 
-@pytest.mark.parametrize("plan", ("poison-open", "sybil-open"))
+@pytest.mark.parametrize("plan", ("poison-open",))
 def test_undefended_attack_exceeds_bounds(plan):
     report = _run(plan, baseline=True)
     assert not report.defended
@@ -96,9 +95,9 @@ def test_poison_rejected_under_model_scheme():
 def test_sybil_defense_rejects_cloned_quotes():
     report = _run("sybil")
     assert report.attack_injected.get("sybil_frames", 0) > 0
-    # Every honest receiver pins the attacker's pubkey to its first-seen
-    # id and refuses the clones (7 receivers x 4 clones = 28).
-    assert report.rejected.get("sybil", 0) == 28
+    # Clone ids are no node's neighbors: every honest receiver refuses
+    # each cloned quote by membership (7 receivers x 4 clones = 28).
+    assert report.rejected.get("non_neighbor", 0) == 28
     # The attacker's own (distinct-block) shilling share still trips the
     # rating-sanity layer -- defense in depth.
     assert report.rejected.get("rating_skew", 0) > 0
@@ -136,7 +135,7 @@ def test_byzantine_mix_survives_with_defenses():
     delta = report.final_rmse - report.baseline_rmse
     assert delta < RMSE_DELTA_BOUND
     assert report.rejected.get("rating_skew", 0) > 0
-    assert report.rejected.get("sybil", 0) > 0
+    assert report.rejected.get("non_neighbor", 0) > 0
     assert report.detected.get("free_rider", 0) > 0
 
 
@@ -221,6 +220,14 @@ def test_mixed_churn_unchanged_by_attack_machinery():
     assert report.final_rmse == PINNED_MIXED_CHURN_RMSE
     assert not report.defended
     assert report.attackers == {}
+
+
+def test_attack_baseline_is_the_baseline_plan():
+    # The fault-free twin of an attack run is the same run as the
+    # "baseline" plan, down to the last bit: one failure semantics, one
+    # horizon, no over-trained reference.
+    report = _run("sybil-open", baseline=True)
+    assert report.baseline_rmse == run_chaos("baseline").final_rmse
 
 
 def test_defenses_off_by_default():

@@ -147,7 +147,6 @@ def test_named_plan_catalog_is_wellformed():
     for name, plan in NAMED_PLANS.items():
         assert plan.name == name
         assert plan.description
-        assert plan.tolerance().enabled
 
 
 # --------------------------------------------------------------------- #

@@ -56,7 +56,7 @@ SEEDS = [
     # -- the decrypted share payload escaping _handle_payload ---------- #
     (
         "core/app.py",
-        "        if tolerant:\n            # Hearing from a peer clears",
+        "        # Hearing from a peer clears any suspicion of its death.\n",
         '        self.ctx.ocall("send_message", src, KIND_QUOTE, content)  # seed:ocall-content\n'
         '        self.ctx.ocall("report_stats", self.store.sample(4, self.local_rng))  # seed:ocall-ratings\n'
         '        self.ctx.metrics.counter("dbg", blob=content).inc()  # seed:label-direct\n'
@@ -64,7 +64,7 @@ SEEDS = [
         "        print(content)  # seed:print-content\n"
         "        if not content:\n"
         '            raise ValueError(f"empty share: {content!r}")  # seed:raise-content\n'
-        "        if tolerant:\n            # Hearing from a peer clears",
+        "        # Hearing from a peer clears any suspicion of its death.\n",
     ),
     # -- event-kernel scheduling contract ------------------------------ #
     (

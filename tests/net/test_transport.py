@@ -65,17 +65,17 @@ class TestMetering:
         b.poll()
         assert net.meter.total_bytes == 7
         assert net.meter.total_messages == 2
-        assert net.meter.sent_bytes == {0: 7}
-        assert net.meter.received_bytes == {1: 7}
+        assert net.meter.metrics.value("net.sent.bytes", node=0) == 7
+        assert net.meter.metrics.value("net.received.bytes", node=1) == 7
 
     def test_snapshot_delta(self, net):
         a, b = net.endpoint(0), net.endpoint(1)
+        metrics = net.meter.metrics
         a.send(1, b"123")
-        before = net.meter.snapshot()
+        before = (metrics.total("net.sent.bytes"), metrics.total("net.sent.messages"))
         a.send(1, b"4567")
-        delta = net.meter.snapshot().delta(before)
-        assert delta.bytes_sent == 4
-        assert delta.messages_sent == 1
+        after = (metrics.total("net.sent.bytes"), metrics.total("net.sent.messages"))
+        assert (after[0] - before[0], after[1] - before[1]) == (4, 1)
 
     def test_meter_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -83,30 +83,32 @@ class TestMetering:
 
     def test_snapshot_carries_receive_side(self, net):
         """Regression: per-receiver counts were tracked by the meter but
-        dropped at snapshot time, so receive-side deltas were lost."""
+        lost from its snapshots; the registry snapshot carries them."""
         a, _b = net.endpoint(0), net.endpoint(1)
         a.send(1, b"123", kind="payload")
-        snap = net.meter.snapshot()
-        assert snap.bytes_received == 3
-        assert snap.messages_received == 1
-        assert snap.per_node_received_bytes == {1: 3}
-        assert snap.per_node_sent_bytes == {0: 3}
-        assert snap.kind_bytes == {"payload": 3}
-        assert snap.kind_messages == {"payload": 1}
+        counters = {
+            (c["name"], tuple(sorted(c["labels"].items()))): c["value"]
+            for c in net.meter.metrics.snapshot()["counters"]
+        }
+        assert counters[("net.received.bytes", (("node", "1"),))] == 3
+        assert counters[("net.received.messages", (("node", "1"),))] == 1
+        assert counters[("net.sent.bytes", (("node", "0"),))] == 3
+        assert counters[("net.kind.bytes", (("kind", "payload"),))] == 3
+        assert net.meter.kind_messages == {"payload": 1}
 
     def test_delta_diffs_every_field(self, net):
         a, _b = net.endpoint(0), net.endpoint(1)
         c = net.endpoint(2)
+        metrics = net.meter.metrics
         a.send(1, b"123", kind="payload")
-        before = net.meter.snapshot()
         c.send(1, b"45678", kind="quote")
-        delta = net.meter.snapshot().delta(before)
-        assert delta.bytes_sent == 5 and delta.bytes_received == 5
-        assert delta.messages_sent == 1 and delta.messages_received == 1
-        # unchanged keys are dropped, changed ones diffed
-        assert delta.per_node_sent_bytes == {2: 5}
-        assert delta.per_node_received_bytes == {1: 5}
-        assert delta.kind_bytes == {"quote": 5}
+        # Each send lands on its own sender, receiver and kind series.
+        assert metrics.value("net.sent.bytes", node=0) == 3
+        assert metrics.value("net.sent.bytes", node=2) == 5
+        assert metrics.value("net.received.bytes", node=1) == 8
+        assert metrics.value("net.received.messages", node=1) == 2
+        assert metrics.value("net.kind.bytes", kind="quote") == 5
+        assert metrics.total("net.received.bytes") == metrics.total("net.sent.bytes") == 8
 
     def test_per_edge_counters(self, net):
         a = net.endpoint(0)
