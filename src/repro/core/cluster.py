@@ -298,4 +298,10 @@ class RexCluster:
             kernel.at(at, node_tick, kind="cluster.node_tick", key=(3,))
 
         schedule_tick(0.0)
-        kernel.run()
+        try:
+            kernel.run()
+        finally:
+            # node_tick and schedule_tick name each other; emptying their
+            # cells lets reference counting free the closures (and the
+            # cluster they hold) without the cycle collector.
+            del node_tick, schedule_tick

@@ -77,7 +77,7 @@ def compromise(cluster: RexCluster, plan: FaultPlan) -> Dict[int, str]:
     for node, (_persona, build) in builds.items():
         honest = cluster.hosts[node]
         # The machine is the adversary's: unload what the operator put there.
-        del honest.platform.enclaves[honest.enclave.enclave_id]
+        honest.platform.enclave_ids.discard(honest.enclave.enclave_id)
         host = CompromisedHost(node, honest.platform, honest.endpoint, build)
         for clone in build.clones:
             host.clone_endpoints[clone] = cluster.network.endpoint(clone)

@@ -17,6 +17,7 @@ schedules, different seeds must not.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from typing import Dict, List, Optional
 
 from repro._rng import child_rng
@@ -53,8 +54,12 @@ class FaultInjector:
     # Wiring
     # ------------------------------------------------------------------ #
     def attach(self, network: Network) -> "FaultInjector":
-        """Install this injector as the network's fault oracle + ARQ."""
-        self._network = network
+        """Install this injector as the network's fault oracle + ARQ.
+
+        The network holds :meth:`decide`; the injector reads the clock
+        through a weak proxy, so the pair makes no reference cycle.
+        """
+        self._network = weakref.proxy(network)
         network.fault_hook = self.decide
         network.retry_policy = RetryPolicy()
         return self

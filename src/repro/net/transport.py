@@ -29,6 +29,7 @@ reads a wall clock.
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
@@ -108,10 +109,14 @@ class RetryPolicy:
 
 
 class Endpoint:
-    """A node's handle on the network."""
+    """A node's handle on the network.
+
+    The network owns its endpoints; an endpoint reaches the network
+    through a weak proxy, so a dropped network is freed at once.
+    """
 
     def __init__(self, network: "Network", node_id: int):
-        self._network = network
+        self._network = weakref.proxy(network)
         self.node_id = node_id
         self._inbox: Deque[Message] = deque()
 

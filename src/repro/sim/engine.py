@@ -128,7 +128,12 @@ class FleetEngine:
                 )
 
         kernel.at(0.0, lambda: fire(0), kind="fleet.epoch", key=(0,))
-        kernel.run()
+        try:
+            kernel.run()
+        finally:
+            # ``fire`` names itself; emptying its cell lets reference
+            # counting free it and the simulator it holds.
+            del fire
         return result
 
     def _epoch_step(self, epoch: int) -> None:

@@ -22,6 +22,8 @@ tracked in :class:`TrustedMemory` so the EPC model can detect overcommit.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set
 
@@ -162,10 +164,13 @@ class EnclaveContext:
     Deliberately narrow: trusted code can allocate tracked memory, make
     ocalls, produce attestation reports and read its own measurement.
     There is no handle back to the host, the platform, or the network.
+    The enclave is held by a weak proxy: the enclave owns its app, the
+    app owns this context, and a strong reference back would keep a
+    dropped enclave alive until the cycle collector runs.
     """
 
     def __init__(self, enclave: "Enclave"):
-        self._enclave = enclave
+        self._enclave = weakref.proxy(enclave)
         self.memory = TrustedMemory()
 
     @property
@@ -241,7 +246,7 @@ class Enclave:
         self._ocall_bytes = metrics.counter("tee.enclave.ocall.bytes", enclave=enclave_id)
         self._resident = metrics.gauge("tee.enclave.resident.bytes", enclave=enclave_id)
         self._attestation_service = attestation_service
-        self._ocall_handlers: Dict[str, Callable] = {}
+        self._ocall_handlers: Dict[str, Any] = {}
         self._context = EnclaveContext(self)
         self._in_enclave = False
         self._app = trusted_class(self._context)
@@ -256,7 +261,14 @@ class Enclave:
         return self._context.memory
 
     def register_ocall(self, name: str, handler: Callable) -> None:
-        """Host-side registration of an ocall proxy (e.g. network send)."""
+        """Host-side registration of an ocall proxy (e.g. network send).
+
+        A bound method is held weakly: its owner (the host, or this
+        enclave for ``get_quote``) already owns the enclave, and a strong
+        reference back would make a cycle that outlives a restart.
+        """
+        if inspect.ismethod(handler):
+            handler = weakref.WeakMethod(handler)
         self._ocall_handlers[name] = handler
 
     def _count_violation(self, kind: str) -> None:
@@ -288,6 +300,8 @@ class Enclave:
             self._count_violation("ocall_outside_enclave")
             raise BoundaryViolation("ocall attempted from outside the enclave")
         handler = self._ocall_handlers.get(name)
+        if isinstance(handler, weakref.WeakMethod):
+            handler = handler()  # None once the owner is gone
         if handler is None:
             self._count_violation("unknown_ocall")
             raise UnknownOcall(f"host registered no ocall {name!r}")
@@ -313,7 +327,12 @@ class Enclave:
 
 
 class Platform:
-    """One SGX-capable machine: EPC + quoting enclave + resident enclaves."""
+    """One SGX-capable machine: EPC + quoting enclave + enclave ids.
+
+    The platform remembers the id of every enclave it created (ids are
+    never reused), not the enclaves: whoever loaded an enclave owns it,
+    and a dropped or restarted enclave is freed with its last reference.
+    """
 
     def __init__(
         self,
@@ -329,7 +348,7 @@ class Platform:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.quoting_enclave = QuotingEnclave(platform_id)
         self.attestation_service = attestation_service
-        self.enclaves: Dict[str, Enclave] = {}
+        self.enclave_ids: Set[str] = set()
         if register:
             attestation_service.register_platform(
                 platform_id, self.quoting_enclave.verify_key()
@@ -337,10 +356,10 @@ class Platform:
 
     def create_enclave(self, trusted_class: type, enclave_id: str) -> Enclave:
         """Instantiate trusted code in a fresh enclave on this platform."""
-        if enclave_id in self.enclaves:
+        if enclave_id in self.enclave_ids:
             raise EnclaveError(f"enclave id {enclave_id!r} already exists")
         enclave = Enclave(self, trusted_class, enclave_id, self.attestation_service)
-        self.enclaves[enclave_id] = enclave
+        self.enclave_ids.add(enclave_id)
         return enclave
 
     def make_report(self, measurement: Measurement, user_data: bytes) -> Report:

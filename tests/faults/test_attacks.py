@@ -65,6 +65,13 @@ def test_defended_run_within_bounds(plan):
 
 @pytest.mark.parametrize("plan", ("poison-open",))
 def test_undefended_attack_exceeds_bounds(plan):
+    """The open twin bites past both bounds -- at seed 0, the seed this
+    test runs.  The RMSE bite holds at other seeds too, the precision
+    bite does not: against the same fault-free baseline ``poison-open``
+    drops precision@10 by 0.050 at seed 0 but by 0.000 at seed 1 and
+    0.005 at seed 2, both under ``PRECISION_DROP_BOUND`` (RMSE deltas
+    0.0616 / 0.0565 / 0.0511).  A persona that bites at every seed is a
+    redesign of the attack, not of this test."""
     report = _run(plan, baseline=True)
     assert not report.defended
     delta = report.final_rmse - report.baseline_rmse

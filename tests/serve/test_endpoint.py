@@ -1,12 +1,14 @@
 """The enclave-resident serving engine and the one serving enclave."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.data.dataset import RatingsDataset
 from repro.net.serialization import encode_triplets
 from repro.obs import MetricsRegistry
-from repro.serve.endpoint import ServeEnclaveApp, ServingState
+from repro.serve.endpoint import BatchStats, ServeEnclaveApp, ServingState
 from repro.serve.fleet.shard import encode_shard_users
 from repro.serve.scoring import PAD_ITEM
 from repro.serve.snapshot import encode_snapshot, snapshot_from_arrays
@@ -295,3 +297,14 @@ class TestExclusionRatingsOutsideTheSnapshot:
         with pytest.raises(ValueError, match="outside the snapshot"):
             state.install(make_snapshot(), np.array(users), np.array(items))
         assert state.snapshot is None and state.exclusions == {}
+
+
+def test_batch_stats_reply_dict_matches_asdict():
+    """The flat ``to_dict`` is the reply shape ``dataclasses.asdict``
+    gave: same keys, same order, same values (a new field must join it)."""
+    fields = [f.name for f in dataclasses.fields(BatchStats)]
+    stats = BatchStats(**{name: 11 * (i + 1) for i, name in enumerate(fields)})
+    reply = stats.to_dict()
+    assert reply == dataclasses.asdict(stats)
+    assert list(reply) == fields
+    assert BatchStats().to_dict() == dataclasses.asdict(BatchStats())

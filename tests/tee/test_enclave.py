@@ -1,5 +1,7 @@
 """The software enclave model: boundary enforcement and accounting."""
 
+import inspect
+
 import pytest
 
 from repro.tee import (
@@ -167,3 +169,40 @@ class TestMeasurement:
 
     def test_attributes_change_measurement(self):
         assert measure_class(EchoApp, b"debug") != measure_class(EchoApp, b"release")
+
+    def test_one_source_read_per_build(self, platform, monkeypatch):
+        """The measurement belongs to the build: N enclaves of one class
+        read (and tokenize) its source once; another class or other
+        attributes are still measured, and measure differently."""
+
+        class FreshApp(TrustedApp):  # measured for the first time here
+            @ecall
+            def double(self, x):
+                return 2 * x
+
+        class FreshTwin(TrustedApp):  # same body, another build
+            @ecall
+            def double(self, x):
+                return 2 * x
+
+        reads = []
+        getsource = inspect.getsource
+
+        def counting_getsource(obj):
+            reads.append(obj)
+            return getsource(obj)
+
+        monkeypatch.setattr(inspect, "getsource", counting_getsource)
+        enclaves = [platform.create_enclave(FreshApp, f"fresh-{i}") for i in range(5)]
+        assert reads == [FreshApp]
+        assert len({e.measurement for e in enclaves}) == 1
+
+        debug = measure_class(FreshApp, b"debug")
+        assert reads == [FreshApp, FreshApp]
+        assert debug != enclaves[0].measurement
+        assert measure_class(FreshApp, b"debug") == debug
+        assert len(reads) == 2
+
+        twin = platform.create_enclave(FreshTwin, "twin").measurement
+        assert reads == [FreshApp, FreshApp, FreshTwin]
+        assert twin != enclaves[0].measurement
