@@ -11,7 +11,6 @@ Run:  python examples/sgx_overhead_study.py
 """
 
 from repro import (
-    CryptoMode,
     Dissemination,
     MovieLensSpec,
     RexCluster,
@@ -36,13 +35,12 @@ SPEC = MovieLensSpec(
 
 
 def run(scheme: SharingScheme, split, shards):
-    """One REAL-crypto run, priced as the SGX build and as the native one."""
+    """One sealed-channel run, priced as the SGX build and as the native one."""
     config = RexConfig(
         scheme=scheme,
         dissemination=Dissemination.DPSGD,
         epochs=EPOCHS,
         share_points=100,
-        crypto_mode=CryptoMode.REAL,
         mf=MfHyperParams(k=10, dtype="float64"),
     )
     cluster = RexCluster(Topology.fully_connected(N_NODES), config)

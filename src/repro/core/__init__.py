@@ -11,7 +11,7 @@
 - :mod:`~repro.core.channel` -- AEAD channels with replay protection.
 """
 
-# Enclave-internal classes (SecureChannel, AccountedChannel, DataStore)
+# Enclave-internal classes (SecureChannel, DataStore)
 # are deliberately NOT re-exported here: the package namespace is
 # importable from host-side code, and re-exporting them would launder
 # secret-bearing names past the REX-B001 boundary rule.  Trusted code

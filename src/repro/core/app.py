@@ -28,15 +28,9 @@ import numpy as np
 
 from repro._rng import child_rng, stream_seed
 from repro.core.admission import ShareAdmission
-from repro.core.channel import (
-    AccountedChannel,
-    ReplayError,
-    SecureChannel,
-    seal_all,
-)
+from repro.core.channel import ReplayError, SecureChannel, seal_all
 from repro.core.config import (
     SUSPECT_AFTER_TIMEOUTS,
-    CryptoMode,
     Dissemination,
     RexConfig,
     SharingScheme,
@@ -355,10 +349,9 @@ class RexEnclaveApp(TrustedApp):
         self._maybe_start()
 
     def _make_channel(self, key: bytes, src: int):
-        """The channel class is chosen by ``crypto_mode`` alone; it reports
-        into the run's registry so channel bytes land in obs."""
-        cls = SecureChannel if self.config.crypto_mode is CryptoMode.REAL else AccountedChannel
-        channel = cls(key, self.node_id, src)
+        """A sealed channel that reports into the run's registry, so
+        channel bytes land in obs."""
+        channel = SecureChannel(key, self.node_id, src)
         channel.bind_metrics(self.ctx.metrics, node=self.node_id)
         return channel
 

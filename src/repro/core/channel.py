@@ -19,11 +19,9 @@ faults the enclave treats the error as a recoverable per-neighbor event
 high-water mark only advances after the AEAD authenticates the frame, so a
 forged sequence number cannot poison the channel state.
 
-:class:`AccountedChannel` is the fidelity knob for huge experiments: the
-same 24-byte framing overhead and the same interface, but the payload is
-passed through unencrypted so the simulator does not burn hours of real
-cipher time.  Its use is confined to experiment configs that declare
-``CryptoMode.ACCOUNTED``.
+Every cluster frame goes through this class: there is no plaintext or
+size-only channel, so triplets and model rows cross the untrusted host
+only as AEAD ciphertext in every run.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from repro.tee.errors import ChannelNotEstablished
 
 __all__ = [
     "SecureChannel",
-    "AccountedChannel",
     "CHANNEL_OVERHEAD_BYTES",
     "ReplayError",
     "seal_all",
@@ -140,63 +137,33 @@ def seal_all(entries) -> List:
     """Seal one epoch's outgoing messages across many channels at once.
 
     ``entries`` is a sequence of ``(channel, plaintext, aad)`` tuples in
-    send order.  Plain :class:`SecureChannel` instances are gathered into
-    one :func:`~repro.tee.crypto.aead.seal_many_into` batch -- a single
-    lane-kernel (or native) invocation seals every neighbor's payload --
-    while channels that override ``seal`` (:class:`AccountedChannel`,
-    test doubles) keep their own path, so the crypto-fidelity knob is
-    untouched.
+    send order.  Every frame is gathered into one
+    :func:`~repro.tee.crypto.aead.seal_many_into` batch -- a single
+    lane-kernel (or native) invocation seals every neighbor's payload.
 
     Each frame is assembled exactly once: the sequence number is packed
     into a preallocated buffer and ``ciphertext || tag`` is written
-    directly after it, so the returned wire frames (read-only memoryviews
-    for batched channels, whatever ``seal`` returned otherwise) are never
-    re-joined or recopied on their way to the transport.
+    directly after it, so the returned wire frames (read-only
+    memoryviews) are never re-joined or recopied on their way to the
+    transport.
 
     Wire bytes, per-channel sequence numbers, and per-channel accounting
     are identical to calling ``channel.seal`` once per entry in the same
     order -- the pinned wire-digest test is the contract.
     """
-    wires: List = [None] * len(entries)
-    batch_requests = []
-    batch_frames = []
-    batch_slots = []
-    for i, (channel, plaintext, aad) in enumerate(entries):
-        if type(channel) is SecureChannel:
-            seq = channel._send_seq
-            channel._send_seq += 1
-            frame = bytearray(8 + len(plaintext) + TAG_LENGTH)
-            struct.pack_into("<Q", frame, 0, seq)
-            nonce = SecureChannel._nonce(seq, channel.local_id)
-            batch_requests.append((channel._cipher, nonce, plaintext, aad))
-            batch_frames.append(frame)
-            batch_slots.append(i)
-        else:
-            wires[i] = channel.seal(plaintext, aad)
-    if batch_requests:
-        seal_many_into(batch_requests, [memoryview(f)[8:] for f in batch_frames])
-        for i, frame in zip(batch_slots, batch_frames):
-            channel = entries[i][0]
-            channel._record_seal(len(frame))
-            wires[i] = memoryview(frame).toreadonly()
+    requests = []
+    frames = []
+    for channel, plaintext, aad in entries:
+        seq = channel._send_seq
+        channel._send_seq += 1
+        frame = bytearray(8 + len(plaintext) + TAG_LENGTH)
+        struct.pack_into("<Q", frame, 0, seq)
+        nonce = SecureChannel._nonce(seq, channel.local_id)
+        requests.append((channel._cipher, nonce, plaintext, aad))
+        frames.append(frame)
+    seal_many_into(requests, [memoryview(f)[8:] for f in frames])
+    wires = []
+    for (channel, _, _), frame in zip(entries, frames):
+        channel._record_seal(len(frame))
+        wires.append(memoryview(frame).toreadonly())
     return wires
-
-
-class AccountedChannel(SecureChannel):
-    """Size-faithful channel that skips the cipher work (see module doc)."""
-
-    def seal(self, plaintext: bytes, aad: bytes = b"") -> bytes:
-        seq = self._send_seq
-        self._send_seq += 1
-        wire = struct.pack("<Q", seq) + plaintext + b"\x00" * TAG_LENGTH
-        self._record_seal(len(wire))
-        return wire
-
-    def open(self, wire: bytes, aad: bytes = b"") -> bytes:
-        if len(wire) < 8 + TAG_LENGTH:
-            raise ChannelNotEstablished("sealed message too short")
-        (seq,) = struct.unpack_from("<Q", wire, 0)
-        self._replay_check(seq)
-        self._replay_accept(seq)
-        self._record_open(len(wire))
-        return wire[8:-TAG_LENGTH]

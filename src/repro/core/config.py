@@ -72,16 +72,15 @@ class Dissemination(enum.Enum):
 
 
 class CryptoMode(enum.Enum):
-    """Fidelity knob for the secure channels in the distributed runtime.
+    """The secure channels' one mode: every cluster frame is sealed with
+    the real ChaCha20-Poly1305 AEAD.
 
-    ``REAL`` runs the actual ChaCha20-Poly1305 AEAD on every payload.
-    ``ACCOUNTED`` keeps byte counts and simulated-cost charges identical
-    but skips the cipher work, so large experiments (hundreds of MiB of
-    model traffic per epoch) stay tractable; attestation is always real.
+    Kept, like :attr:`RexConfig.crypto_mode`, only because
+    ``bench/workloads.py`` still passes ``crypto_mode=CryptoMode.REAL``;
+    nothing reads either (as with ``RexCluster(secure=True)``).
     """
 
     REAL = "real"
-    ACCOUNTED = "accounted"
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,8 @@ class RexConfig:
     mf: MfHyperParams = field(default_factory=MfHyperParams)
     dnn: DnnHyperParams = field(default_factory=DnnHyperParams)
 
-    #: Distributed runtime only: real or accounted AEAD.
+    #: Read by nothing: every cluster channel is sealed for real.  Kept
+    #: only because ``bench/workloads.py`` still passes it (see CryptoMode).
     crypto_mode: CryptoMode = CryptoMode.REAL
 
     #: Distributed runtime only: Byzantine-defense knobs (off by default).

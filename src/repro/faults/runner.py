@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.cluster import RexCluster
 from repro.core.config import (
-    CryptoMode,
     DefenseConfig,
     Dissemination,
     RexConfig,
@@ -331,7 +330,6 @@ def run_chaos(
         epochs=epochs,
         share_points=share_points,
         seed=seed,
-        crypto_mode=CryptoMode.REAL,  # corruption must fail *authentication*
         mf=MfHyperParams(k=k),
         defenses=DefenseConfig(enabled=True) if armed else DefenseConfig(),
     )

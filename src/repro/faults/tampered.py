@@ -26,8 +26,8 @@ import numpy as np
 
 from repro._rng import child_rng
 from repro.core.app import RexEnclaveApp
-from repro.core.channel import AccountedChannel, SecureChannel
-from repro.core.config import CryptoMode, SharingScheme
+from repro.core.channel import SecureChannel
+from repro.core.config import SharingScheme
 from repro.core.messages import (
     CONTENT_TRIPLETS,
     KIND_PAYLOAD,
@@ -142,8 +142,6 @@ class TamperedRexApp(RexEnclaveApp):
                 for neighbor in targets:
                     self.ctx.ocall("send_as", clone, neighbor, KIND_QUOTE, quote)
             self._clones_introduced = True
-        real = self.config.crypto_mode is CryptoMode.REAL
-        channel_cls = SecureChannel if real else AccountedChannel
         for block, clone in enumerate(self.clones, start=1):
             sample = self._poison_triplets(block=block)
             header = PayloadHeader(clone, self.epoch, self.degree, CONTENT_TRIPLETS)
@@ -159,7 +157,7 @@ class TamperedRexApp(RexEnclaveApp):
                         f"rex-{neighbor}",
                         self.attestor.measurement,
                     )
-                    channel = self._clone_channels[(clone, neighbor)] = channel_cls(
+                    channel = self._clone_channels[(clone, neighbor)] = SecureChannel(
                         key, clone, neighbor
                     )
                 wire = channel.seal(bytes(packed))

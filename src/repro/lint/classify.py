@@ -109,7 +109,6 @@ TRUSTED_INTERNAL_NAMES: frozenset = frozenset(
         # repro.core.store / channel
         "DataStore",
         "SecureChannel",
-        "AccountedChannel",
         # repro.tee.crypto
         "ChaCha20Poly1305",
         "chacha20_block",

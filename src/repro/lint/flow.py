@@ -130,7 +130,7 @@ _STORE_TYPE_BASES = frozenset({"DataStore"})
 _STORE_TOKENS = frozenset({"store"})
 _STORE_DATA_ATTRS = frozenset({"users", "items", "ratings"})
 
-_CHANNEL_TYPE_BASES = frozenset({"SecureChannel", "AccountedChannel"})
+_CHANNEL_TYPE_BASES = frozenset({"SecureChannel"})
 _CHANNEL_TOKENS = frozenset({"channel", "chan"})
 
 _MODEL_METHODS = frozenset({"state", "snapshot"})
@@ -174,9 +174,7 @@ _SANITIZER_FUNCS = frozenset(
         "encode_triplets",
         "encode_snapshot",
         # the batch AEAD seal: like the ``seal`` method, frames leaving
-        # these entry points are ciphertext (or the declared-accounted/
-        # plaintext channel modes, which share the call site and the
-        # audit story of the single-message path)
+        # these entry points are ciphertext
         "seal_all",
         "seal_many",
         "seal_many_into",

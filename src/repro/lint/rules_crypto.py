@@ -131,7 +131,7 @@ class NonceDerivationRule(Rule):
 
 
 _DERIVE_FUNCS = frozenset({"hkdf", "hkdf_expand", "derive_channel_key"})
-_KEY_CONSUMERS = frozenset({"SecureChannel", "AccountedChannel", "ChaCha20Poly1305"})
+_KEY_CONSUMERS = frozenset({"SecureChannel", "ChaCha20Poly1305"})
 
 
 @register

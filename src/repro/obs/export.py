@@ -2,7 +2,7 @@
 
 This is the machinery behind ``python -m repro metrics``: it executes
 the *distributed* protocol path (:class:`~repro.core.cluster.RexCluster`
-with enclaves, attestation and byte-accounted channels), replays the
+with enclaves, attestation and sealed channels), replays the
 reported work through the LAN :class:`~repro.sim.time_model.StageTimer`,
 and serializes everything the run observed -- per-stage spans, EPC
 page-fault counters, per-edge traffic -- into one machine-readable
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.cluster import RexCluster
-from repro.core.config import CryptoMode, Dissemination, RexConfig, SharingScheme
+from repro.core.config import Dissemination, RexConfig, SharingScheme
 from repro.data.movielens import generate_node_shards
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
@@ -119,8 +119,7 @@ def run_observed_experiment(
 ) -> ObservedRun:
     """Execute one fully-observed distributed run.
 
-    The cluster runs enclaves + attestation with
-    :data:`~repro.core.config.CryptoMode.ACCOUNTED` channels, so the
+    The cluster runs enclaves + attestation with sealed channels, so the
     exported document carries every metric family: enclave transitions,
     EPC paging, per-edge traffic, and the per-stage span timeline.
     """
@@ -146,7 +145,6 @@ def run_observed_experiment(
         epochs=scenario.epochs,
         share_points=scenario.share_points,
         seed=seed,
-        crypto_mode=CryptoMode.ACCOUNTED,
         mf=MfHyperParams(k=scenario.k),
     )
     cluster = RexCluster(topo, config, obs=obs)

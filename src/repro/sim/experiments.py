@@ -31,12 +31,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
-from repro.core.config import (
-    CryptoMode,
-    Dissemination,
-    RexConfig,
-    SharingScheme,
-)
+from repro.core.config import Dissemination, RexConfig, SharingScheme
 from repro.core.cluster import ClusterRun, RexCluster
 from repro.data.dataset import TrainTestSplit
 from repro.data.movielens import MOVIELENS_25M_CAPPED, MOVIELENS_LATEST, generate_movielens
@@ -338,7 +333,6 @@ def _sgx_cluster_run(
         epochs=epochs,
         seed=RUN_SEED,
         share_points=300,
-        crypto_mode=CryptoMode.ACCOUNTED,
         mf=MfHyperParams(dtype="float64"),  # the C++ original uses Eigen doubles
     )
     cluster = RexCluster(topology("full", SGX_NODES), config)
@@ -359,10 +353,10 @@ def sgx_run(
     model-sharing working set exceeds the per-enclave EPC share.
 
     The cluster executes the full protocol -- enclaves, mutual
-    attestation, sealed channels (byte-accounted AEAD; see
-    :class:`~repro.core.config.CryptoMode`) -- once per (dissemination,
-    scheme, large, epochs); the SGX and native cells are that one run
-    priced with :data:`SGX1_COST_MODEL` or :data:`NATIVE_COST_MODEL`.
+    attestation, ChaCha20-Poly1305 sealed channels -- once per
+    (dissemination, scheme, large, epochs); the SGX and native cells are
+    that one run priced with :data:`SGX1_COST_MODEL` or
+    :data:`NATIVE_COST_MODEL`.
     """
     epochs = scaled_epochs(FIG7_BASE_EPOCHS if large else FIG6_BASE_EPOCHS)
     key = f"sgx|{dissemination.value}|{scheme.value}|sgx={sgx}|large={large}|{epochs}"

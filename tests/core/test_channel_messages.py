@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.channel import (
     CHANNEL_OVERHEAD_BYTES,
-    AccountedChannel,
     ReplayError,
     SecureChannel,
 )
@@ -83,30 +82,6 @@ class TestSecureChannel:
     def test_overhead_constant(self):
         a, _ = _pair()
         assert len(a.seal(b"x" * 100)) == 100 + CHANNEL_OVERHEAD_BYTES
-
-
-class TestAccountedChannel:
-    def test_size_matches_secure_channel(self):
-        key = os.urandom(32)
-        secure = SecureChannel(key, 0, 1)
-        accounted = AccountedChannel(key, 0, 1)
-        payload = b"y" * 500
-        assert len(secure.seal(payload)) == len(accounted.seal(payload))
-
-    def test_roundtrip(self):
-        key = os.urandom(32)
-        a = AccountedChannel(key, 0, 1)
-        b = AccountedChannel(key, 1, 0)
-        assert b.open(a.seal(b"payload")) == b"payload"
-
-    def test_replay_still_rejected(self):
-        key = os.urandom(32)
-        a = AccountedChannel(key, 0, 1)
-        b = AccountedChannel(key, 1, 0)
-        wire = a.seal(b"once")
-        b.open(wire)
-        with pytest.raises(ReplayError):
-            b.open(wire)
 
 
 class TestPayloadFraming:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CryptoMode,
     Dissemination,
     RexCluster,
     RexConfig,
@@ -16,6 +15,8 @@ from repro.faults import NAMED_PLANS, FaultInjector
 from repro.faults.runner import ChaosController, generate_node_shards
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
+from repro.net.transport import Network
+from repro.obs.export import run_observed_experiment
 
 
 def _shards(tiny_split, n_nodes=4):
@@ -167,23 +168,25 @@ class TestRmwDissemination:
 
 
 class TestSecurityProperties:
-    def test_secure_wire_carries_no_plaintext_triplets(self, tiny_split, shards):
-        """Eavesdropping the untrusted network during a REAL-crypto run
-        must reveal neither payload structure nor rating values."""
-        train, test = shards
-        topo = Topology.fully_connected(4)
-        config = _config(SharingScheme.DATA, crypto_mode=CryptoMode.REAL, epochs=3)
-        cluster = RexCluster(topo, config)
+    @pytest.mark.parametrize("path", ["cluster", "metrics"])
+    def test_secure_wire_carries_no_plaintext_triplets(
+        self, tiny_split, shards, monkeypatch, path
+    ):
+        """Eavesdropping the untrusted network -- of a small cluster and
+        of the ``repro metrics`` run -- must reveal neither payload
+        structure nor rating values."""
         captured = []
+        original_deliver = Network._deliver
 
-        original_deliver = cluster.network._deliver
-
-        def spy(message):
+        def spy(network, message):
             captured.append(message)
-            original_deliver(message)
+            original_deliver(network, message)
 
-        cluster.network._deliver = spy
-        cluster.run(train, test, global_mean=tiny_split.train.global_mean())
+        monkeypatch.setattr(Network, "_deliver", spy)
+        if path == "cluster":
+            _run(tiny_split, shards, _config(SharingScheme.DATA, epochs=3))
+        else:
+            run_observed_experiment("fig1", smoke=True)
 
         payloads = [m for m in captured if m.kind == KIND_PAYLOAD]
         assert payloads
@@ -191,19 +194,6 @@ class TestSecurityProperties:
             # Frames may ride as read-only memoryviews (zero-copy seal
             # path); materialize for the substring probe.
             assert b"RXD1" not in bytes(message.payload)  # triplet magic never leaks
-
-    def test_accounted_mode_matches_real_byte_counts(self, tiny_split, shards):
-        real = _run(
-            tiny_split, shards, _config(SharingScheme.DATA, crypto_mode=CryptoMode.REAL)
-        )
-        accounted = _run(
-            tiny_split,
-            shards,
-            _config(SharingScheme.DATA, crypto_mode=CryptoMode.ACCOUNTED),
-        )
-        r = [s.shared_payload_bytes for s in real.stats_for_epoch(2)]
-        a = [s.shared_payload_bytes for s in accounted.stats_for_epoch(2)]
-        assert r == a
 
     def test_transitions_counted(self, tiny_split, shards):
         run = _run(tiny_split, shards, _config(SharingScheme.DATA))
@@ -292,7 +282,7 @@ class TestClusterRunIndexesByEpoch:
         )
         gm = split.train.global_mean()
         config = RexConfig(
-            epochs=5, share_points=60, seed=0, crypto_mode=CryptoMode.REAL,
+            epochs=5, share_points=60, seed=0,
             mf=MfHyperParams(k=8),
         )  # fmt: skip
         cluster = RexCluster(Topology.fully_connected(8), config)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CryptoMode,
     Dissemination,
     RexCluster,
     RexConfig,
@@ -44,7 +43,6 @@ def _config(scheme=SharingScheme.DATA, epochs=3, **kwargs):
         dissemination=Dissemination.DPSGD,
         epochs=epochs,
         share_points=10,
-        crypto_mode=CryptoMode.REAL,
         mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
         **kwargs,
     )

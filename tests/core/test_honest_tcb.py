@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.core.channel import SecureChannel
 from repro.core.cluster import RexCluster
-from repro.core.config import CryptoMode, RexConfig, SharingScheme
+from repro.core.config import RexConfig, SharingScheme
 from repro.core.host import RexHost
 from repro.core.messages import KIND_PAYLOAD, PayloadHeader
 from repro.data.partition import partition_users_across_nodes
@@ -119,7 +119,7 @@ def test_retired_dnn_content_kind_is_refused(tiny_split, scheme):
     even around bytes that are a valid payload of the run's own kind:
     counted, never raised, and the round runs without it."""
     config = RexConfig(
-        scheme=scheme, epochs=3, share_points=10, crypto_mode=CryptoMode.REAL,
+        scheme=scheme, epochs=3, share_points=10,
         mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
     )  # fmt: skip
     train = partition_users_across_nodes(tiny_split.train, 2, seed=2)

@@ -16,7 +16,7 @@ The bugs sat between attestation and the first round:
 
 import pytest
 
-from repro.core import CryptoMode, Dissemination, RexCluster, RexConfig, SharingScheme
+from repro.core import Dissemination, RexCluster, RexConfig, SharingScheme
 from repro.core.config import DefenseConfig
 from repro.core.messages import KIND_QUOTE
 from repro.data.partition import partition_users_across_nodes
@@ -31,7 +31,6 @@ def _cluster(nodes, tiny_split, *, epochs=2, **config_kwargs):
         dissemination=Dissemination.DPSGD,
         epochs=epochs,
         share_points=10,
-        crypto_mode=CryptoMode.REAL,
         mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
         **config_kwargs,
     )

@@ -10,7 +10,7 @@ disarmed throughout.
 
 from repro.core.app import RexEnclaveApp
 from repro.core.cluster import RexCluster
-from repro.core.config import CryptoMode, DefenseConfig, RexConfig
+from repro.core.config import DefenseConfig, RexConfig
 from repro.core.host import RexHost
 from repro.data.movielens import generate_node_shards
 from repro.faults import NAMED_PLANS, CompromisedHost, TamperedRexApp, compromise
@@ -33,7 +33,6 @@ def _scenario():
     config = RexConfig(
         epochs=EPOCHS,
         share_points=60,
-        crypto_mode=CryptoMode.REAL,
         mf=MfHyperParams(k=8),
     )
     assert config.defenses == DefenseConfig() and not config.defenses.enabled

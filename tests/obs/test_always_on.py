@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.core.cluster import RexCluster
-from repro.core.config import CryptoMode, RexConfig
+from repro.core.config import RexConfig
 from repro.data.partition import partition_users_across_nodes
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import NAMED_PLANS
@@ -92,7 +92,6 @@ def _config(epochs=3):
     return RexConfig(
         epochs=epochs,
         share_points=20,
-        crypto_mode=CryptoMode.ACCOUNTED,
         mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
     )
 

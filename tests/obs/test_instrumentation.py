@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.channel import CHANNEL_OVERHEAD_BYTES
 from repro.core.cluster import RexCluster
-from repro.core.config import CryptoMode, Dissemination, RexConfig, SharingScheme
+from repro.core.config import Dissemination, RexConfig, SharingScheme
 from repro.data.partition import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
@@ -107,7 +107,7 @@ class TestByteAccountingDedup:
         train, test, gm = shards
         topo = Topology.fully_connected(N_NODES)
         obs = Observability.create()
-        config = _config(epochs=4, crypto_mode=CryptoMode.ACCOUNTED)
+        config = _config(epochs=4)
         cluster = RexCluster(topo, config, obs=obs)
         cluster.run(train, test, global_mean=gm)
 
@@ -127,7 +127,7 @@ class TestByteAccountingDedup:
         train, test, gm = shards
         topo = Topology.fully_connected(N_NODES)
         obs = Observability.create()
-        config = _config(epochs=4, crypto_mode=CryptoMode.ACCOUNTED)
+        config = _config(epochs=4)
         cluster = RexCluster(topo, config, obs=obs)
         run = cluster.run(train, test, global_mean=gm)
 
@@ -144,7 +144,7 @@ class TestEnclaveAndEpcMetrics:
         train, test, gm = shards
         topo = Topology.fully_connected(N_NODES)
         obs = Observability.create()
-        config = _config(epochs=2, crypto_mode=CryptoMode.ACCOUNTED)
+        config = _config(epochs=2)
         cluster = RexCluster(topo, config, obs=obs)
         run = cluster.run(train, test, global_mean=gm)
         timeline_from_cluster(run, obs=obs)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CryptoMode,
     Dissemination,
     RexCluster,
     RexConfig,
@@ -49,7 +48,6 @@ def cluster_run(tiny_split):
         dissemination=Dissemination.DPSGD,
         epochs=5,
         share_points=10,
-        crypto_mode=CryptoMode.ACCOUNTED,
         mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2, dtype="float64"),
     )
     cluster = RexCluster(Topology.fully_connected(4), config)

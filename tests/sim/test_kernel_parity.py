@@ -25,7 +25,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import CryptoMode, Dissemination, RexCluster, RexConfig, SharingScheme
+from repro.core import Dissemination, RexCluster, RexConfig, SharingScheme
 from repro.data.partition import partition_users_across_nodes
 from repro.ml.dnn.model import DnnHyperParams
 from repro.ml.mf import MfHyperParams
@@ -193,16 +193,13 @@ SERVE_PINS = {
 }
 
 
-def _config(n_nodes, epochs=3):
-    # 32 enclaves x real AEAD is needless cipher work for a scheduling
-    # parity test; ACCOUNTED mode is byte-identical on the wire.
+def _config(epochs=3):
     return RexConfig(
         scheme=SharingScheme.DATA,
         dissemination=Dissemination.DPSGD,
         epochs=epochs,
         share_points=20,
         mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
-        crypto_mode=CryptoMode.REAL if n_nodes <= 8 else CryptoMode.ACCOUNTED,
         seed=11,
     )
 
@@ -216,7 +213,7 @@ def test_cluster_kernel_matches_legacy(tiny_split, n_nodes):
         if n_nodes <= 8
         else Topology.small_world(n_nodes, k=6, seed=3)
     )
-    cluster = RexCluster(topology, _config(n_nodes))
+    cluster = RexCluster(topology, _config())
     run = cluster.run(train, test, global_mean=tiny_split.train.global_mean())
 
     pins = CLUSTER_PINS[n_nodes]

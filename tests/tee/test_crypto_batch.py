@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CryptoMode, Dissemination, RexCluster, RexConfig, SharingScheme
+from repro.core import Dissemination, RexCluster, RexConfig, SharingScheme
 from repro.core.channel import SecureChannel, seal_all
 from repro.core.messages import KIND_PAYLOAD
 from repro.data.movielens import MovieLensSpec, generate_movielens
@@ -332,7 +332,6 @@ class TestPinnedClusterWire:
             scheme=SharingScheme.MODEL,
             dissemination=Dissemination.DPSGD,
             epochs=2,
-            crypto_mode=CryptoMode.REAL,
             mf=MfHyperParams(k=8, batch_size=16, batches_per_epoch=2),
         )
         from repro.tee import enclave as enclave_mod

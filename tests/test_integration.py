@@ -9,7 +9,6 @@ with the real enclave runtime.
 import pytest
 
 from repro.core import (
-    CryptoMode,
     Dissemination,
     RexCluster,
     RexConfig,
@@ -120,7 +119,6 @@ class TestFleetMatchesCluster:
             dissemination=Dissemination.DPSGD,
             epochs=12,
             share_points=20,
-            crypto_mode=CryptoMode.REAL,
             mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
         )
         cluster = RexCluster(topo, cluster_cfg)
@@ -142,7 +140,6 @@ class TestFleetMatchesCluster:
             dissemination=Dissemination.DPSGD,
             epochs=6,
             share_points=20,
-            crypto_mode=CryptoMode.REAL,
             mf=MfHyperParams(k=4, batch_size=16, batches_per_epoch=2),
         )
         fleet = MfFleetSim(train, test, topo, config, global_mean=gm).run()
