@@ -13,6 +13,7 @@ import os
 
 from benchmarks.conftest import emit
 from repro.analysis.report import format_table
+from repro.analysis.tables import joint_target
 from repro.core.config import Dissemination, RexConfig, SharingScheme
 from repro.data.partition import partition_users_across_nodes
 from repro.sim import experiments as E
@@ -44,10 +45,10 @@ def test_ablation_share_size():
 
     runs = build()
 
-    joint_target = max(r.final_rmse for r in runs.values()) + 0.002
+    target = joint_target(*runs.values())
     rows = []
     for points, run in runs.items():
-        t = run.time_to_target(joint_target)
+        t = run.time_to_target(target)
         rows.append(
             [
                 str(points),

@@ -8,6 +8,7 @@ sooner in elapsed time; centralized is fastest.
 
 from benchmarks.conftest import emit
 from repro.analysis.figures import error_vs_time
+from repro.analysis.tables import joint_target
 from repro.analysis.report import render_series
 from repro.core.config import SharingScheme
 from repro.sim import experiments as E
@@ -34,7 +35,7 @@ def test_fig1_error_vs_time():
         # Shape assertions per panel: similar final error, REX faster to
         # the MS target, centralized fastest overall.
         # Joint target: reachable by both runs at reduced horizons.
-        target = max(ms.final_rmse, rex.final_rmse) + 0.002
+        target = joint_target(ms, rex)
         t_rex = rex.time_to_target(target)
         t_ms = ms.time_to_target(target)
         assert t_rex is not None and t_ms is not None

@@ -9,6 +9,7 @@ needed, lowering the network's share of total cost (Section IV-B-b).
 from benchmarks.conftest import emit
 from repro.analysis.figures import error_vs_time
 from repro.analysis.report import render_series
+from repro.analysis.tables import joint_target
 from repro.core.config import SharingScheme
 from repro.sim import experiments as E
 
@@ -30,7 +31,7 @@ def test_fig4_multiuser_error_vs_time():
             xs, ys = error_vs_time([run])[run.label]
             emit(render_series(f"{panel} / {label}", xs, ys,
                                x_label="sim seconds", y_label="test RMSE"))
-        target = max(ms.final_rmse, rex.final_rmse) + 0.002
+        target = joint_target(ms, rex)
         t_rex = rex.time_to_target(target)
         t_ms = ms.time_to_target(target)
         assert t_rex is not None and t_ms is not None

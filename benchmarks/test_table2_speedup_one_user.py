@@ -33,7 +33,7 @@ def test_table2_speedups():
                     E.fig1_run(dissemination, topo, SharingScheme.MODEL),
                 )
             )
-        return speedup_table(pairs, target_rule="joint", target_margin=0.002)
+        return speedup_table(pairs)
 
     rows = build()
     emit(

@@ -44,8 +44,7 @@ def test_table3_speedups():
                     E.fig1_run(dissemination, topo, SharingScheme.MODEL),
                 )
             )
-        return (speedup_table(multi, target_rule="joint", target_margin=0.002),
-                speedup_table(one_user, target_rule="joint", target_margin=0.002))
+        return speedup_table(multi), speedup_table(one_user)
 
     rows, one_user_rows = build()
     emit(

@@ -111,7 +111,7 @@ def main():
     summary = ServeReport.latency_summary(latencies)
     print(f"served {len(completions)} queries: "
           f"p50 {summary['p50'] * 1e3:.2f} ms, p99 {summary['p99'] * 1e3:.2f} ms, "
-          f"{server.shed_count} shed")
+          f"{obs.metrics.total('serve.shed'):.0f} shed")
     hits = obs.metrics.value("serve.cache.hits", cache="topn")
     misses = obs.metrics.value("serve.cache.misses", cache="topn")
     print(f"result cache: {hits:.0f} hits / {misses:.0f} misses "

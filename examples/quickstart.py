@@ -17,6 +17,7 @@ from repro import (
     Topology,
     generate_movielens,
 )
+from repro.analysis.tables import joint_target
 from repro.data import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
 from repro.sim import MfFleetSim, run_centralized
@@ -63,7 +64,7 @@ def main():
             f"{result.total_time_s:>14.1f} {result.total_bytes / 2**20:>16.2f}"
         )
 
-    target = max(rex.final_rmse, ms.final_rmse) + 0.002
+    target = joint_target(rex, ms)
     t_rex, t_ms = rex.time_to_target(target), ms.time_to_target(target)
     if t_rex and t_ms:
         print(f"\ntime to RMSE <= {target:.3f}: REX {t_rex:.1f}s vs MS {t_ms:.1f}s "

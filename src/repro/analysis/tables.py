@@ -2,9 +2,12 @@
 
 Table II/III methodology (Section IV-B): "we compile the values for an
 error target (chosen as the final value achieved by the MS scheme), the
-times at which it was achieved and the ratio between timestamps."  The
-same rule is applied here at whatever horizon the runs used, so reduced-
-epoch reproductions stay methodologically faithful.
+times at which it was achieved and the ratio between timestamps."  Here
+the target is :func:`joint_target`, the worse of the compared runs'
+final values plus :data:`TARGET_MARGIN`: it equals the paper's rule
+when MS ends worse, and every run reaches it at whatever horizon the
+runs used, so reduced-epoch reproductions, whose curves may still be
+descending and cross in either order, stay comparable.
 
 Table IV: "obtained by comparing average time per epoch of SGX over
 native", reported next to the SGX build's RAM usage.
@@ -19,7 +22,31 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.data.movielens import MovieLensSpec
 from repro.sim.recorder import RunResult
 
-__all__ = ["SpeedupRow", "speedup_table", "OverheadRow", "sgx_overhead_table", "dataset_table"]
+__all__ = [
+    "TARGET_MARGIN",
+    "joint_target",
+    "SpeedupRow",
+    "speedup_table",
+    "OverheadRow",
+    "sgx_overhead_table",
+    "dataset_table",
+]
+
+#: Added to every error target to absorb evaluation noise at a run's end.
+TARGET_MARGIN = 0.002
+
+
+def joint_target(*runs: RunResult) -> float:
+    """The error target every run in ``runs`` reaches.
+
+    The worst final RMSE among them plus :data:`TARGET_MARGIN`: the one
+    rule every time-to-target comparison (Tables II/III, Figs. 1, 4 and
+    6, ``repro compare``) uses.
+    """
+    finals = [run.final_rmse for run in runs]
+    if any(math.isnan(f) for f in finals):
+        raise ValueError("every run needs a final RMSE")
+    return max(finals) + TARGET_MARGIN
 
 
 @dataclass(frozen=True)
@@ -46,35 +73,12 @@ class SpeedupRow:
         return [self.setup, f"{self.error_target:.2f}", fmt(self.rex_time_s), fmt(self.ms_time_s), speed]
 
 
-def speedup_table(
-    pairs: Sequence[Tuple[str, RunResult, RunResult]],
-    *,
-    target_margin: float = 0.0,
-    target_rule: str = "ms-final",
-) -> List[SpeedupRow]:
-    """Build Table II/III rows from (setup, rex_run, ms_run) triples.
-
-    ``target_rule`` picks the error target per setup:
-
-    - ``"ms-final"`` -- the MS run's final RMSE, the paper's exact rule
-      (valid when both runs have plateaued);
-    - ``"joint"`` -- the worse of the two final RMSEs, which both runs
-      are guaranteed to reach; use this at reduced epoch horizons where
-      the curves are still descending and may cross the paper rule's
-      target in either order.
-
-    ``target_margin`` is added on top to absorb evaluation noise.
-    """
-    if target_rule not in ("ms-final", "joint"):
-        raise ValueError(f"unknown target rule {target_rule!r}")
+def speedup_table(pairs: Sequence[Tuple[str, RunResult, RunResult]]) -> List[SpeedupRow]:
+    """Build Table II/III rows from (setup, rex_run, ms_run) triples,
+    each at the pair's :func:`joint_target`."""
     rows = []
     for setup, rex_run, ms_run in pairs:
-        target = ms_run.final_rmse
-        if math.isnan(target):
-            raise ValueError(f"MS run for {setup!r} has no final RMSE")
-        if target_rule == "joint":
-            target = max(target, rex_run.final_rmse)
-        target += target_margin
+        target = joint_target(ms_run, rex_run)
         rows.append(
             SpeedupRow(
                 setup=setup,

@@ -133,7 +133,6 @@ class RexEnclaveApp(TrustedApp):
         self._epoch_zero_done = False
         self._inbox: Dict[int, Dict[int, Tuple[PayloadHeader, bytes]]] = {}
         self._current_stats: Optional[EpochStats] = None
-        self._counter_mark = None
         # -- churn-tolerance state --------------------------------------- #
         #: X25519 public key seen in each neighbor's latest quote.
         self._peer_pubkeys: Dict[int, bytes] = {}
@@ -607,18 +606,15 @@ class RexEnclaveApp(TrustedApp):
                 plaintext = packed_empty
                 stats.shared_empty_messages += 1
             entries.append((self.channels[neighbor], plaintext, b""))
-        sealed_before = [channel.sealed_bytes for channel, _, _ in entries]
         # One batch seals the whole epoch's fan-out: every neighbor's
         # payload runs through a single lane-kernel (or native AEAD)
         # invocation, and each frame leaves here as the same buffer the
         # ciphertext was written into -- no per-neighbor re-join.
         wires = seal_all(entries)
-        for (channel, _, _), before, neighbor, wire in zip(
-            entries, sealed_before, targets, wires
-        ):
-            # The channel layer is the accounting source of record for
-            # wire bytes; read its counter instead of re-measuring.
-            stats.shared_payload_bytes += channel.sealed_bytes - before
+        for neighbor, wire in zip(targets, wires):
+            # The sealed frame is the wire payload: ``chan.sealed.bytes``
+            # counted exactly this length.
+            stats.shared_payload_bytes += len(wire)
             self.ctx.ocall("send_message", neighbor, KIND_PAYLOAD, wire)
 
     # Algorithm 2's three share decisions.  The attested build is defined

@@ -52,11 +52,13 @@ class SecureChannel:
     """One direction-aware AEAD channel bound to a pairwise key.
 
     The channel is where wire bytes are *produced*, so it is the layer of
-    record for the protocol's send-side accounting: the enclave app reads
-    :attr:`sealed_bytes` deltas into its :class:`~repro.core.stats.
-    EpochStats` instead of re-measuring buffers, and the transport meter
-    independently counts *delivery* -- the two views must agree, which a
-    regression test pins (no double counting within either layer).
+    record for the protocol's send-side accounting: its ``chan.sealed.*``
+    / ``chan.opened.*`` counters in the bound registry are the only
+    record (the enclave app adds each sealed frame's length to its
+    :class:`~repro.core.stats.EpochStats`, the same number), and the
+    transport meter independently counts *delivery* -- the two views must
+    agree, which a regression test pins (no double counting within either
+    layer).
     """
 
     def __init__(self, key: bytes, local_id: int, peer_id: int):
@@ -65,32 +67,24 @@ class SecureChannel:
         self.peer_id = int(peer_id)
         self._send_seq = 0
         self._highest_received = -1
-        self.sealed_messages = 0
-        self.sealed_bytes = 0
-        self.opened_messages = 0
-        self.opened_bytes = 0
         self.bind_metrics(MetricsRegistry())
 
     def bind_metrics(self, metrics: MetricsRegistry, **labels: object) -> None:
-        """Mirror this channel's counters into ``metrics`` from now on
-        (a channel nobody bound mirrors into a private registry)."""
+        """Count this channel's frames in ``metrics`` from now on (a
+        channel nobody bound counts into a private registry)."""
         self.metrics = metrics
-        self._sealed_bytes_counter = metrics.counter("chan.sealed.bytes", **labels)
-        self._sealed_messages_counter = metrics.counter("chan.sealed.messages", **labels)
-        self._opened_bytes_counter = metrics.counter("chan.opened.bytes", **labels)
-        self._opened_messages_counter = metrics.counter("chan.opened.messages", **labels)
+        self._bytes_sealed = metrics.counter("chan.sealed.bytes", **labels)
+        self._messages_sealed = metrics.counter("chan.sealed.messages", **labels)
+        self._bytes_opened = metrics.counter("chan.opened.bytes", **labels)
+        self._messages_opened = metrics.counter("chan.opened.messages", **labels)
 
     def _record_seal(self, wire_len: int) -> None:
-        self.sealed_messages += 1
-        self.sealed_bytes += wire_len
-        self._sealed_bytes_counter.inc(wire_len)
-        self._sealed_messages_counter.inc()
+        self._bytes_sealed.inc(wire_len)
+        self._messages_sealed.inc()
 
     def _record_open(self, wire_len: int) -> None:
-        self.opened_messages += 1
-        self.opened_bytes += wire_len
-        self._opened_bytes_counter.inc(wire_len)
-        self._opened_messages_counter.inc()
+        self._bytes_opened.inc(wire_len)
+        self._messages_opened.inc()
 
     @staticmethod
     def _nonce(seq: int, sender_id: int) -> bytes:

@@ -49,7 +49,13 @@ class RexHost:
     def _load_enclave(self, enclave_id: str) -> None:
         """Create a fresh enclave of :attr:`app_class` and wire its ocalls."""
         self.enclave = self.platform.create_enclave(self.app_class, enclave_id)
-        self._counter_mark = self.enclave.counters.snapshot()
+        # The enclave's crossing counters, marked now: no two live
+        # enclaves share an id, so each delta is this incarnation's own.
+        self._transitions = [
+            self.platform.metrics.counter(f"tee.enclave.{name}", enclave=enclave_id)
+            for name in ("ecalls", "ocalls", "ecall.bytes", "ocall.bytes")
+        ]
+        self._transition_mark = [c.value for c in self._transitions]
         #: Ticks since the enclave last reported a round.
         self._idle_ticks = 0
         self.enclave.register_ocall("send_message", self._ocall_send)
@@ -68,12 +74,13 @@ class RexHost:
     def _ocall_report_stats(self, stats: EpochStats) -> None:  # repro-lint: disable=REX-B004
         # Attach the boundary-crossing counts accumulated since the last
         # report; the SGX cost model charges transitions from these.
-        counters = self.enclave.counters.snapshot()
-        delta = counters.delta(self._counter_mark)
-        self._counter_mark = counters
-        stats.ecalls = delta.ecalls
-        stats.ocalls = delta.ocalls
-        stats.transition_bytes = delta.ecall_bytes + delta.ocall_bytes
+        now = [c.value for c in self._transitions]
+        ecalls, ocalls, ecall_bytes, ocall_bytes = (
+            int(a - b) for a, b in zip(now, self._transition_mark)
+        )
+        self._transition_mark = now
+        stats.ecalls, stats.ocalls = ecalls, ocalls
+        stats.transition_bytes = ecall_bytes + ocall_bytes
         self.epoch_stats.append(stats)
         self._idle_ticks = 0
 

@@ -46,8 +46,8 @@ class FaultInjector:
         self._network: Optional[Network] = None
         #: Chronological, human-readable fault schedule (digest input).
         self.events: List[str] = []
-        #: Injected-fault tallies by kind (mirrors ``faults.injected``).
-        self.counts: Dict[str, int] = {}
+        #: ``faults.injected{kind}``, bound on a kind's first fault: a kind
+        #: that never fired registers no zero-valued counter.
         self._injected: Dict[str, Counter] = {}
 
     # ------------------------------------------------------------------ #
@@ -140,7 +140,6 @@ class FaultInjector:
         self._count(kind)
 
     def _count(self, kind: str) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
         counter = self._injected.get(kind)
         if counter is None:
             counter = self._injected[kind] = self._metrics.counter("faults.injected", kind=kind)

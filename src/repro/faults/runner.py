@@ -401,7 +401,9 @@ def run_chaos(
         scheme=scheme.value,
         dissemination=dissemination.value,
         schedule_digest=injector.schedule_digest(),
-        injected=dict(injector.counts),
+        injected={
+            kind: int(n) for kind, n in _kind_breakdown(metrics, "faults.injected").items()
+        },
         recovered=metrics.total("faults.recovered"),
         lost=metrics.total("faults.lost"),
         retries=metrics.total("net.retries"),

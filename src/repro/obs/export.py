@@ -14,7 +14,8 @@ Document layout (``schema: repro.metrics/v1``)::
       "schema": "repro.metrics/v1",
       "experiment": "fig1", "smoke": true,
       "config": {...},                     # scenario knobs
-      "summary": {final_rmse, total_time_s, total_bytes, epochs, ...},
+      "summary": {final_rmse, total_time_s, total_bytes, epochs,
+                  aead_backend, ...},
       "counters": [...], "gauges": [...], "histograms": [...],
       "spans": [...],                      # tracer JSONL objects
       "edges": [{"src": 0, "dst": 1, "bytes": n, "messages": m}, ...]
@@ -36,6 +37,7 @@ from repro.obs import Observability
 from repro.sim.distributed import timeline_from_cluster
 from repro.sim.recorder import RunResult
 from repro.sim.time_model import LAN_TIME_MODEL
+from repro.tee.crypto.backend import aead_backend
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -194,6 +196,8 @@ def build_metrics_document(run: ObservedRun) -> Dict[str, object]:
             "epochs": len(result.records),
             "network_bytes": run.cluster.network.meter.total_bytes,
             "network_messages": run.cluster.network.meter.total_messages,
+            # "numpy" or "native": which AEAD sealed every channel frame.
+            "aead_backend": aead_backend(),
         },
         "counters": snapshot["counters"],
         "gauges": snapshot["gauges"],

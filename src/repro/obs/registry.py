@@ -1,10 +1,10 @@
 """Metric primitives and the registry that owns them.
 
 One process-wide (or per-cluster) :class:`MetricsRegistry` replaces the
-scattered ad-hoc accounting the evaluation grew up with (``EpochStats``
-fields, ``TrafficMeter`` dicts, ``TransitionCounters``): every layer
+scattered ad-hoc accounting the evaluation grew up with: every layer
 registers named, labelled counters, gauges and fixed-bucket histograms in
-the same place, and the whole state can be snapshotted to plain JSON,
+the same place, a count lives nowhere else, and the whole state can be
+snapshotted to plain JSON,
 restored, and merged across nodes -- the aggregation step a multi-process
 deployment needs to produce one ``metrics.json`` per run.
 

@@ -18,6 +18,10 @@ fleet's traffic-facing invariants:
   evicted back into the global queue (counted as failovers) and re-route
   at the same tick.
 
+Every admission count (``serve.fleet.{offered,routed,failover,shed,
+deferred,stale_rejected}``) lives only in the run's registry; the
+report reads it from there.
+
 Per-replica admission, batching and cost accounting are exactly the
 single-endpoint :class:`~repro.serve.server.RecServer` -- the fleet adds
 routing around it, not a second pricing path (the costing parity test
@@ -74,13 +78,15 @@ class FleetPolicy:
 
 
 class ShardReplica:
-    """One replica of one shard: enclave incarnations + its RecServer.
+    """One replica of one shard: enclave incarnations behind one RecServer.
 
     The ``enclave_factory`` callable (provided by the runner, which owns
     the platform and the shard's current load payload) boots a fresh
     enclave incarnation already loaded with the shard's current
-    snapshot; the replica itself only tracks liveness, the version it
-    serves, and accumulated counters across incarnations.
+    snapshot.  The replica's :class:`RecServer` outlives every
+    incarnation it fronts, so its completions, busy time and page faults
+    are the replica's whole history; the replica itself only tracks
+    liveness, the version it serves and its incarnation count.
     """
 
     def __init__(
@@ -109,49 +115,38 @@ class ShardReplica:
         self.stale = False
         self.version = 0
         self.incarnation = 0
-        self.crashes = 0
-        self.restarts = 0
-        self._completed_accum = 0
-        self._busy_accum = 0.0
-        self._faults_accum = 0.0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def boot(self, tick: int, version: int) -> None:
-        """Stand up a fresh enclave incarnation serving ``version``."""
+        """Stand up a fresh enclave incarnation serving ``version``.
+
+        The first boot builds the replica's server; a restart attaches
+        the new incarnation to it, idle from ``tick``.
+        """
         enclave = self._factory(self.incarnation)
         self.incarnation += 1
-        self.server = RecServer(
-            enclave,
-            policy=self._policy,
-            costs=self._costs,
-            sgx=self._sgx,
-            epc=self.epc,
-            metrics=self._metrics,
-        )
-        self.server.tick = int(tick)
+        if self.server is None:
+            self.server = RecServer(
+                enclave,
+                policy=self._policy,
+                costs=self._costs,
+                sgx=self._sgx,
+                epc=self.epc,
+                metrics=self._metrics,
+            )
+        self.server.attach(enclave, tick)
         self.alive = True
         self.stale = False
         self.version = int(version)
 
     def kill(self) -> List[int]:
         """Crash the replica; returns the queued users needing failover."""
-        self.crashes += 1
         self.alive = False
-        queued: List[int] = []
-        if self.server is not None:
-            queued = [r.user for r in self.server.evict_queue()]
-            self._completed_accum += len(self.server.completions)
-            self._busy_accum += self.server.busy_s
-            self._faults_accum += self.server.page_faults
-            self.server = None
-        return queued
-
-    def restart(self, tick: int, version: int) -> None:
-        """Re-join the fleet with a fresh incarnation at ``version``."""
-        self.restarts += 1
-        self.boot(tick, version)
+        if self.server is None:
+            return []
+        return [r.user for r in self.server.detach()]
 
     def load(self, load_args: dict, version: int) -> dict:
         """Publish a new snapshot into the live incarnation.
@@ -169,23 +164,18 @@ class ShardReplica:
     # Accounting
     # ------------------------------------------------------------------ #
     @property
-    def completed(self) -> int:
-        live = len(self.server.completions) if self.server is not None else 0
-        return self._completed_accum + live
+    def restarts(self) -> int:
+        """Incarnations after the first."""
+        return max(self.incarnation - 1, 0)
 
     @property
-    def busy_s(self) -> float:
-        live = self.server.busy_s if self.server is not None else 0.0
-        return self._busy_accum + live
-
-    @property
-    def page_faults(self) -> float:
-        live = self.server.page_faults if self.server is not None else 0.0
-        return self._faults_accum + live
+    def crashes(self) -> int:
+        """Incarnations that died: every one but the live one."""
+        return self.incarnation - int(self.alive)
 
     @property
     def resident_bytes(self) -> int:
-        if self.server is None:
+        if not self.alive:
             return 0
         return int(self.server.enclave.memory.resident_bytes)
 
@@ -214,34 +204,27 @@ class FleetBalancer:
         }
         self.policy = policy if policy is not None else FleetPolicy()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._shed_counter = self.metrics.counter("serve.fleet.shed")
-        self._routed_counter = self.metrics.counter("serve.fleet.routed")
-        self._failover_counter = self.metrics.counter("serve.fleet.failover")
+        self._offered = self.metrics.counter("serve.fleet.offered")
+        self._shed = self.metrics.counter("serve.fleet.shed")
+        self._routed = self.metrics.counter("serve.fleet.routed")
+        self._failover = self.metrics.counter("serve.fleet.failover")
+        self._deferred = self.metrics.counter("serve.fleet.deferred")
+        self._stale_rejected = self.metrics.counter("serve.fleet.stale_rejected")
         self.shard_version: Dict[int, int] = {s: 0 for s in ring.shard_ids}
         self._pending: Deque[int] = deque()
         self.completions: List[Completion] = []
-        self.offered = 0
-        self.routed = 0
-        self.failover = 0
-        self.shed = 0
-        self.deferred = 0
-        self.stale_rejected = 0
 
     # ------------------------------------------------------------------ #
     # Front door
     # ------------------------------------------------------------------ #
     def offer(self, user: int) -> bool:
         """Offer one query to the global queue; sheds past the bound."""
-        self.offered += 1
+        self._offered.inc()
         if len(self._pending) >= self.policy.queue_depth:
-            self._count_shed()
+            self._shed.inc()
             return False
         self._pending.append(int(user))
         return True
-
-    def _count_shed(self, count: int = 1) -> None:
-        self.shed += count
-        self._shed_counter.inc(count)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -265,7 +248,7 @@ class FleetBalancer:
         # Liveness and versions do not change within one call: each
         # shard's candidate list is computed once.
         candidates: Dict[int, List[ShardReplica]] = {}
-        routed = failover = 0
+        routed = failover = deferred = shed = 0
         shard_of = self.shard_of
         for user in pending:
             shard = shard_of(user)
@@ -273,7 +256,7 @@ class FleetBalancer:
             if live is None:
                 live = candidates[shard] = self._candidates(shard)
             if not live:
-                self.deferred += 1
+                deferred += 1
                 self._pending.append(user)
                 continue
             siblings = self.replicas[shard]
@@ -283,13 +266,13 @@ class FleetBalancer:
                 failover += 1
             assert target.server is not None
             if target.server.offer(user) < 0:
-                self._count_shed()
+                shed += 1
             else:
                 routed += 1
-        self.routed += routed
-        self.failover += failover
-        self._routed_counter.inc(routed)
-        self._failover_counter.inc(failover)
+        self._routed.inc(routed)
+        self._failover.inc(failover)
+        self._deferred.inc(deferred)
+        self._shed.inc(shed)
 
     # ------------------------------------------------------------------ #
     # Per-shard ticking (one kernel event per shard per tick)
@@ -306,7 +289,7 @@ class FleetBalancer:
             # admitted work: count them as fleet losses too.
             victims = replica.server.take_shed()
             if victims:
-                self._count_shed(len(victims))
+                self._shed.inc(len(victims))
         self.completions.extend(out)
         return out
 
@@ -323,9 +306,7 @@ class FleetBalancer:
         # (they were admitted first) and re-route this tick; each is a
         # failover by definition.
         self._pending.extendleft(reversed(queued))
-        if queued:
-            self.failover += len(queued)
-            self._failover_counter.inc(len(queued))
+        self._failover.inc(len(queued))
         return len(queued)
 
     def restart_replica(self, shard: int, replica_id: int, tick: int) -> None:
@@ -333,7 +314,7 @@ class FleetBalancer:
         replica = self.replicas[shard][replica_id]
         if replica.alive:
             return
-        replica.restart(tick, self.shard_version[shard])
+        replica.boot(tick, self.shard_version[shard])
 
     def publish(self, shard: int, load_args: dict, version: int) -> None:
         """Push a new snapshot to every live replica of ``shard``.
@@ -349,9 +330,8 @@ class FleetBalancer:
             try:
                 replica.load(load_args, version)
             except SnapshotReplayError:
-                self.stale_rejected += 1
                 replica.stale = True
-                self.metrics.counter("serve.fleet.stale_rejected").inc()
+                self._stale_rejected.inc()
         self.shard_version[shard] = max(self.shard_version[shard], version)
 
     # ------------------------------------------------------------------ #
@@ -362,7 +342,7 @@ class FleetBalancer:
             r.server.queue_len
             for reps in self.replicas.values()
             for r in reps
-            if r.alive and r.server is not None
+            if r.alive
         )
 
     def idle(self) -> bool:
@@ -372,7 +352,6 @@ class FleetBalancer:
     def shed_pending(self) -> int:
         """Shed everything still in the global queue (undrainable fleet)."""
         count = len(self._pending)
-        if count:
-            self._count_shed(count)
-            self._pending.clear()
+        self._shed.inc(count)
+        self._pending.clear()
         return count

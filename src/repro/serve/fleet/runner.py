@@ -262,7 +262,7 @@ def run_fleet_experiment(
             raise RuntimeError("fleet failed to drain")
 
     # ------------------------------------------------------------------ #
-    # Report.
+    # Report: a view over the registry and the replicas' servers.
     # ------------------------------------------------------------------ #
     completions = balancer.completions
     duration = max((c.finish_s for c in completions), default=0.0)
@@ -281,7 +281,7 @@ def run_fleet_experiment(
                     "resident_bytes": int(resident),
                     "cap_bytes": cap,
                     "overcommit": resident / cap,
-                    "page_faults": float(sum(r.page_faults for r in reps)),
+                    "page_faults": float(sum(r.server.page_faults for r in reps)),
                 },
                 "replicas": [
                     {
@@ -291,16 +291,20 @@ def run_fleet_experiment(
                         "incarnations": r.incarnation,
                         "crashes": r.crashes,
                         "restarts": r.restarts,
-                        "completed": r.completed,
+                        "completed": len(r.server.completions),
                     }
                     for r in reps
                 ],
             }
         )
-    # Cache effectiveness and residency of the *load phase* only: the
-    # quality probe below would otherwise pollute the numbers it is
-    # reported next to.
+    # Admission, cache effectiveness and residency of the *load phase*
+    # only: the quality probe below would otherwise pollute the numbers
+    # it is reported next to.
     metrics = obs.metrics
+    admission = {
+        field: int(metrics.value(f"serve.fleet.{field}"))
+        for field in ("offered", "routed", "failover", "shed", "deferred", "stale_rejected")
+    }
     cache = {
         "hits": metrics.value("serve.cache.hits", cache="topn"),
         "misses": metrics.value("serve.cache.misses", cache="topn"),
@@ -320,19 +324,14 @@ def run_fleet_experiment(
         trace_digest=trace_digest(trace),
         ring_digest=ring.digest(),
         policy=policy.to_dict(),
-        offered=balancer.offered,
-        routed=balancer.routed,
-        failover=balancer.failover,
-        shed=balancer.shed,
-        deferred=balancer.deferred,
-        stale_rejected=balancer.stale_rejected,
+        **admission,
         # A misrouted id is one its shard does not own; the quality probe
         # asks each shard for its own users only, so it adds none.
         routing_errors=int(metrics.value("serve.unowned")),
         completed=len(completions),
         duration_s=duration,
         throughput_rps=len(completions) / duration if duration > 0 else 0.0,
-        busy_s=float(sum(r.busy_s for r in all_replicas)),
+        busy_s=float(sum(r.server.busy_s for r in all_replicas)),
         latency_s=FleetServeReport.latency_summary([c.latency_s for c in completions]),
         crashes=sum(r.crashes for r in all_replicas),
         restarts=sum(r.restarts for r in all_replicas),

@@ -110,13 +110,13 @@ class RecServer:
         epc: Optional[EpcModel] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        self.enclave = enclave
+        self.enclave: Optional[Enclave] = enclave
         self.policy = policy if policy is not None else ServePolicy()
         self.costs = costs if costs is not None else ServeCostModel()
         self.sgx = sgx
         self.epc = epc if epc is not None else EpcModel()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._shed_counter = self.metrics.counter("serve.shed", policy=self.policy.shed)
+        self._shed = self.metrics.counter("serve.shed", policy=self.policy.shed)
         self._latency = self.metrics.histogram("serve.latency_s", buckets=LATENCY_BUCKETS)
         self._completed_counter = self.metrics.counter("serve.completed")
         self._serve_fault_counter = self.metrics.counter("serve.epc.page_faults")
@@ -126,7 +126,6 @@ class RecServer:
         self.completions: List[Completion] = []
         self.offered = 0
         self.admitted = 0
-        self.shed_count = 0
         self.page_faults = 0.0
         #: Simulated seconds the enclave spent serving dispatched batches
         #: (the *service window* -- idle queue time excluded).  This is
@@ -158,37 +157,41 @@ class RecServer:
         self.offered += 1
         if len(self._queue) >= self.policy.queue_depth:
             if self.policy.shed == REJECT_NEWEST:
-                self._count_shed()
+                self._shed.inc()
                 return -1
             dropped = self._queue.popleft()  # shed-oldest: stale work makes room
             self._shed_ids.append(dropped.request_id)
-            self._count_shed()
+            self._shed.inc()
         request_id = self._next_id
         self._queue.append(Request(request_id, int(user), self.tick))
         self._next_id += 1
         self.admitted += 1
         return request_id
 
-    def evict_queue(self) -> List[Request]:
-        """Remove and return every queued request (crash/failover path).
+    def detach(self) -> List[Request]:
+        """Drop the crashed enclave; return every queued request.
 
         Used by the fleet balancer when this server's enclave crashes:
         admitted-but-unserved work is handed back for re-routing instead
-        of being lost with the incarnation.
+        of being lost with the incarnation.  Completions, busy time and
+        page faults stay: they count the server's whole history.
         """
         queued = list(self._queue)
         self._queue.clear()
         self._oldest_wait_ticks = 0
+        self.enclave = None
         return queued
+
+    def attach(self, enclave: Enclave, tick: int) -> None:
+        """Front ``enclave`` (a fresh incarnation) from ``tick``, idle."""
+        self.enclave = enclave
+        self.tick = int(tick)
+        self._busy_until_s = 0.0
 
     def take_shed(self) -> List[int]:
         """Ids of shed-oldest victims since the last call (then cleared)."""
         shed, self._shed_ids = self._shed_ids, []
         return shed
-
-    def _count_shed(self) -> None:
-        self.shed_count += 1
-        self._shed_counter.inc()
 
     # ------------------------------------------------------------------ #
     # The tick loop

@@ -29,7 +29,6 @@ from repro.tee.enclave import (
     Enclave,
     EnclaveContext,
     Platform,
-    TransitionCounters,
     TrustedApp,
     TrustedMemory,
     ecall,
@@ -70,7 +69,6 @@ __all__ = [
     "SGX1_COST_MODEL",
     "SgxCostModel",
     "TeeError",
-    "TransitionCounters",
     "TrustedApp",
     "TrustedMemory",
     "UnknownEcall",

@@ -14,9 +14,11 @@ This module enforces that split in Python.  A :class:`TrustedApp` subclass
 is the enclave code; the host can only reach it through
 :meth:`Enclave.ecall`, and trusted code can only reach the outside through
 :meth:`EnclaveContext.ocall` against handlers the host registered.  Every
-crossing is counted (with marshalled byte volume) so the SGX cost model can
-charge realistic transition overheads, and all trusted allocations are
-tracked in :class:`TrustedMemory` so the EPC model can detect overcommit.
+crossing is counted (with marshalled byte volume) in the platform's
+registry, ``tee.enclave.{ecalls,ocalls,ecall.bytes,ocall.bytes}{enclave=}``,
+so the SGX cost model can charge realistic transition overheads, and all
+trusted allocations are tracked in :class:`TrustedMemory` so the EPC model
+can detect overcommit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import weakref
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set
 
 from repro.obs import MetricsRegistry
@@ -42,7 +43,6 @@ from repro.tee.measurement import Measurement, measure_class
 __all__ = [
     "ecall",
     "TrustedMemory",
-    "TransitionCounters",
     "EnclaveContext",
     "TrustedApp",
     "Enclave",
@@ -136,28 +136,6 @@ class TrustedMemory:
         return dict(self._allocations)
 
 
-@dataclass
-class TransitionCounters:
-    """Counts of boundary crossings and the bytes marshalled across them."""
-
-    ecalls: int = 0
-    ocalls: int = 0
-    ecall_bytes: int = 0
-    ocall_bytes: int = 0
-
-    def snapshot(self) -> "TransitionCounters":
-        return TransitionCounters(self.ecalls, self.ocalls, self.ecall_bytes, self.ocall_bytes)
-
-    def delta(self, earlier: "TransitionCounters") -> "TransitionCounters":
-        """Crossings since ``earlier`` (used for per-stage accounting)."""
-        return TransitionCounters(
-            self.ecalls - earlier.ecalls,
-            self.ocalls - earlier.ocalls,
-            self.ecall_bytes - earlier.ecall_bytes,
-            self.ocall_bytes - earlier.ocall_bytes,
-        )
-
-
 class EnclaveContext:
     """The view of the world available to trusted code.
 
@@ -238,7 +216,6 @@ class Enclave:
         self.platform = platform
         self.enclave_id = enclave_id
         self.measurement = measure_class(trusted_class)
-        self.counters = TransitionCounters()
         metrics = self.metrics = platform.metrics
         self._ecall_count = metrics.counter("tee.enclave.ecalls", enclave=enclave_id)
         self._ecall_bytes = metrics.counter("tee.enclave.ecall.bytes", enclave=enclave_id)
@@ -284,8 +261,6 @@ class Enclave:
             self._count_violation("unknown_ecall")
             raise UnknownEcall(f"enclave {self.enclave_id!r} exports no ecall {name!r}")
         crossing_bytes = _marshalled_size(args) + _marshalled_size(kwargs)
-        self.counters.ecalls += 1
-        self.counters.ecall_bytes += crossing_bytes
         self._ecall_count.inc()
         self._ecall_bytes.inc(crossing_bytes)
         self._in_enclave = True
@@ -306,8 +281,6 @@ class Enclave:
             self._count_violation("unknown_ocall")
             raise UnknownOcall(f"host registered no ocall {name!r}")
         crossing_bytes = _marshalled_size(args) + _marshalled_size(kwargs)
-        self.counters.ocalls += 1
-        self.counters.ocall_bytes += crossing_bytes
         self._ocall_count.inc()
         self._ocall_bytes.inc(crossing_bytes)
         # Untrusted code runs outside the enclave; re-entering through a

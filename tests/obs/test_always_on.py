@@ -108,7 +108,10 @@ class TestRunsWithoutObsStillAnswer:
         # EpochStats carries the crossings up to each node's last report;
         # the enclaves' own counters also hold the inputs delivered after it.
         assert 0 < reported <= ecalls
-        assert ecalls == sum(h.enclave.counters.ecalls for h in cluster.hosts)
+        assert ecalls == sum(
+            metrics.value("tee.enclave.ecalls", enclave=h.enclave.enclave_id)
+            for h in cluster.hosts
+        )
         assert metrics.total("net.sent.bytes") == run.total_network_bytes
 
         cluster.hosts[0].publish_snapshot()  # publishing is one more counted ecall

@@ -19,6 +19,7 @@ from repro.obs.export import (
 from repro.obs.stages import STAGE_ORDER
 from repro.sim.distributed import timeline_from_cluster
 from repro.sim.fleet import MfFleetSim
+from repro.tee.crypto.backend import aead_backend
 
 N_NODES = 6
 
@@ -162,9 +163,14 @@ class TestEnclaveAndEpcMetrics:
         assert len(m.collect("net.edge.bytes")) == N_NODES * (N_NODES - 1)
 
 
+@pytest.fixture(scope="module")
+def smoke_run():
+    return run_observed_experiment("fig1", smoke=True)
+
+
 class TestExportDocument:
-    def test_smoke_document_shape(self):
-        run = run_observed_experiment("fig1", smoke=True)
+    def test_smoke_document_shape(self, smoke_run):
+        run = smoke_run
         doc = build_metrics_document(run)
         assert doc["schema"] == METRICS_SCHEMA
         assert doc["smoke"] is True
@@ -181,6 +187,11 @@ class TestExportDocument:
         )
         edge_total = sum(e["bytes"] for e in doc["edges"])
         assert edge_total == doc["summary"]["network_bytes"]
+
+    def test_smoke_document_names_the_aead_backend(self, smoke_run):
+        # Every frame of the run is sealed; the document says by which AEAD.
+        summary = build_metrics_document(smoke_run)["summary"]
+        assert summary["aead_backend"] == aead_backend()
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):

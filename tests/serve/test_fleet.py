@@ -349,6 +349,35 @@ class TestFleetRuns:
         assert report.offered == report.completed + report.shed
 
 
+class TestReportIsARegistryView:
+    def test_crash_run_report_reads_the_registry(self):
+        """A 2x2 fleet with one crash per shard, paging under a small EPC
+        cap: the report's counts are the run's registry counts."""
+        obs = Observability.create()
+        report = run_fleet_experiment(
+            **{**FLEET_KW, "shards": 2},
+            traffic=TRAFFIC,
+            kill_one_replica_per_shard=True,
+            epc_cap_mib=0.01,
+            obs=obs,
+        )
+        metrics = obs.metrics
+        for field in ("offered", "routed", "failover", "shed", "deferred", "stale_rejected"):
+            value = getattr(report, field)
+            assert type(value) is int and value == metrics.value(f"serve.fleet.{field}")
+        assert report.crashes == report.restarts == 2
+        replicas = [r for shard in report.per_shard for r in shard["replicas"]]
+        victims = [r for r in replicas if r["crashes"]]
+        assert len(victims) == 2 and all(r["incarnations"] == 2 for r in victims)
+        # A replica's server outlives its incarnations: completions made
+        # before the crash still count.
+        assert sum(r["completed"] for r in replicas) == report.completed
+        faults = [shard["epc"]["page_faults"] for shard in report.per_shard]
+        assert all(f > 0 for f in faults)
+        assert sum(faults) == pytest.approx(metrics.total("serve.epc.page_faults"))
+        assert report.offered == report.completed + report.shed
+
+
 # --------------------------------------------------------------------- #
 # Balancer-level failover mechanics (stub-free, real enclaves)
 # --------------------------------------------------------------------- #
@@ -417,8 +446,8 @@ class TestFailoverMechanics:
             balancer.route_pending()
             balancer.step_shard(0)
         assert len(balancer.completions) == 6
-        assert balancer.shed == 0
-        assert balancer.failover >= moved
+        assert balancer.metrics.value("serve.fleet.shed") == 0
+        assert balancer.metrics.value("serve.fleet.failover") >= moved
 
     def test_all_dead_defers_then_restart_recovers(self):
         balancer, replicas, _ = _mini_fleet()
@@ -426,7 +455,8 @@ class TestFailoverMechanics:
         balancer.kill_replica(0, 1)
         balancer.offer(4)
         balancer.route_pending()
-        assert balancer.deferred == 1 and balancer.queued_len == 0 and not balancer.idle()
+        assert balancer.metrics.value("serve.fleet.deferred") == 1
+        assert balancer.queued_len == 0 and not balancer.idle()
         balancer.restart_replica(0, 1, tick=5)
         assert replicas[1].alive and replicas[1].version == 1
         assert replicas[1].incarnation == 2  # fresh enclave incarnation
@@ -445,7 +475,7 @@ class TestFailoverMechanics:
         with pytest.raises(SnapshotReplayError):
             replicas[0].server.enclave.ecall("ecall_load", payload(2))
         balancer.publish(0, payload(2), 2)
-        assert balancer.stale_rejected == 1
+        assert balancer.metrics.value("serve.fleet.stale_rejected") == 1
         assert replicas[0].stale and not replicas[1].stale
         assert balancer.shard_version[0] == 2
         # Routing now avoids the stale replica entirely.
@@ -455,7 +485,9 @@ class TestFailoverMechanics:
         assert replicas[0].server.queue_len == 0
         assert replicas[1].server.queue_len == 6
         # Failover was counted for users whose preferred replica was 0.
-        assert balancer.failover == sum(1 for u in range(6) if u % 2 == 0)
+        assert balancer.metrics.value("serve.fleet.failover") == sum(
+            1 for u in range(6) if u % 2 == 0
+        )
 
     def test_fleet_counters_land_in_obs(self):
         obs = Observability.create()
@@ -476,4 +508,4 @@ class TestFailoverMechanics:
         balancer.policy = small
         assert balancer.offer(0) and balancer.offer(1)
         assert not balancer.offer(2)
-        assert balancer.shed == 1
+        assert balancer.metrics.value("serve.fleet.shed") == 1

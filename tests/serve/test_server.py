@@ -57,7 +57,8 @@ class TestAdmission:
         )
         assert server.offer(0) >= 0 and server.offer(1) >= 0
         assert server.offer(2) == -1
-        assert server.shed_count == 1 and server.admitted == 2 and server.offered == 3
+        assert server.metrics.total("serve.shed") == 1
+        assert server.admitted == 2 and server.offered == 3
         assert server.queue_len == 2
 
     def test_shed_oldest_keeps_queue_fresh(self):
@@ -71,7 +72,7 @@ class TestAdmission:
         assert third >= 0  # newest always admitted
         assert server.take_shed() == [first]
         assert server.take_shed() == []  # drained
-        assert server.shed_count == 1 and server.admitted == 3
+        assert server.metrics.total("serve.shed") == 1 and server.admitted == 3
 
     def test_shed_counter_labelled_by_policy(self):
         metrics = MetricsRegistry()

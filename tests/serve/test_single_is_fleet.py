@@ -260,7 +260,7 @@ def test_degenerate_fleet_equals_the_run_trace_oracle(
 
     assert served == want  # (request_id, user, arrival_s, finish_s), bit for bit
     assert (report.offered, report.routed, report.shed, report.completed) == (
-        server.offered, server.admitted, server.shed_count, len(want),
+        server.offered, server.admitted, server.metrics.total("serve.shed"), len(want),
     )
     assert report.busy_s == server.busy_s
     assert report.per_shard[0]["epc"]["page_faults"] == server.page_faults

@@ -324,4 +324,4 @@ def test_serve_trace_kernel_matches_polling_loop():
     assert len(completions) == SERVE_PINS["completions"]
     assert digest.hexdigest() == SERVE_PINS["digest"]
     assert server.tick == SERVE_PINS["tick"]
-    assert server.shed_count == SERVE_PINS["shed_count"]
+    assert server.metrics.total("serve.shed") == SERVE_PINS["shed_count"]

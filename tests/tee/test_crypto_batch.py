@@ -292,9 +292,10 @@ class TestSealAll:
 
     def test_seal_all_counts_sealed_bytes(self, numpy_backend):
         (tx, _), = self._channels(1)
-        before = tx.sealed_bytes
+        sealed = tx.metrics.counter("chan.sealed.bytes")
+        before = sealed.value
         wires = seal_all([(tx, b"x" * 100, b"")])
-        assert tx.sealed_bytes - before == len(wires[0]) == 8 + 100 + TAG_LENGTH
+        assert sealed.value - before == len(wires[0]) == 8 + 100 + TAG_LENGTH
 
 
 class TestPinnedClusterWire:

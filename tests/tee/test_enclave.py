@@ -93,19 +93,21 @@ class TestOcallBoundary:
     def test_transition_counters(self, enclave):
         enclave.register_ocall("emit", lambda data: data)
         enclave.ecall("relay", b"12345678")
-        assert enclave.counters.ecalls == 1
-        assert enclave.counters.ocalls == 1
-        assert enclave.counters.ecall_bytes >= 8
-        assert enclave.counters.ocall_bytes >= 8
+        metrics, label = enclave.metrics, {"enclave": enclave.enclave_id}
+        assert metrics.value("tee.enclave.ecalls", **label) == 1
+        assert metrics.value("tee.enclave.ocalls", **label) == 1
+        assert metrics.value("tee.enclave.ecall.bytes", **label) >= 8
+        assert metrics.value("tee.enclave.ocall.bytes", **label) >= 8
 
     def test_counter_delta(self, enclave):
         enclave.register_ocall("emit", lambda data: data)
-        mark = enclave.counters.snapshot()
+        ecalls = enclave.metrics.counter("tee.enclave.ecalls", enclave=enclave.enclave_id)
+        ocalls = enclave.metrics.counter("tee.enclave.ocalls", enclave=enclave.enclave_id)
+        mark = (ecalls.value, ocalls.value)
         enclave.ecall("relay", b"x")
         enclave.ecall("double", 1)
-        delta = enclave.counters.delta(mark)
-        assert delta.ecalls == 2
-        assert delta.ocalls == 1
+        assert ecalls.value - mark[0] == 2
+        assert ocalls.value - mark[1] == 1
 
 
 class TestTrustedMemory:

@@ -12,7 +12,14 @@ from repro.analysis.figures import (
     volume_per_epoch,
 )
 from repro.analysis.report import downsample, format_table, render_series
-from repro.analysis.tables import dataset_table, sgx_overhead_table, speedup_table
+from repro.analysis.tables import (
+    TARGET_MARGIN,
+    SpeedupRow,
+    dataset_table,
+    joint_target,
+    sgx_overhead_table,
+    speedup_table,
+)
 from repro.data.movielens import MOVIELENS_LATEST
 from repro.sim.recorder import EpochRecord, RunResult
 
@@ -37,26 +44,41 @@ def _run(label, rmses, times, bytes_per_epoch=100, memory=10.0):
 
 class TestSpeedupTable:
     def test_target_is_ms_final(self):
+        # MS ends worse: the joint rule is the paper's (plus the margin).
         rex = _run("REX", [1.5, 1.2, 1.0], [1.0, 2.0, 3.0])
         ms = _run("MS", [1.5, 1.3, 1.2], [10.0, 20.0, 30.0])
         rows = speedup_table([("D-PSGD, ER", rex, ms)])
-        assert rows[0].error_target == pytest.approx(1.2)
+        assert rows[0].error_target == pytest.approx(1.2 + TARGET_MARGIN)
         assert rows[0].rex_time_s == 2.0
         assert rows[0].ms_time_s == 30.0
         assert rows[0].speedup == pytest.approx(15.0)
 
-    def test_unreached_target_yields_none(self):
-        rex = _run("REX", [2.0, 1.9], [1.0, 2.0])
-        ms = _run("MS", [1.5, 1.0], [1.0, 2.0])
+    def test_target_is_the_worse_final(self):
+        # REX ends worse: both runs still reach the joint target.
+        rex = _run("REX", [1.5, 1.25], [1.0, 2.0])
+        ms = _run("MS", [1.5, 1.3, 1.2], [10.0, 20.0, 30.0])
         rows = speedup_table([("S", rex, ms)])
-        assert rows[0].rex_time_s is None
-        assert rows[0].speedup is None
+        assert rows[0].error_target == pytest.approx(1.25 + TARGET_MARGIN)
+        assert rows[0].rex_time_s == 2.0
+        assert rows[0].ms_time_s == 30.0
+        assert joint_target(ms, rex) == rows[0].error_target
+
+    def test_unreached_target_yields_none(self):
+        row = SpeedupRow(setup="S", error_target=1.0, rex_time_s=None, ms_time_s=2.0)
+        assert row.speedup is None
+        assert row.as_cells()[2:] == ["n/a", "0.0", "n/a"]
 
     def test_margin_applied(self):
-        rex = _run("REX", [1.21, 1.21], [1.0, 2.0])
+        # 1.211 misses the worse final (1.21) but is within the margin.
+        rex = _run("REX", [1.211, 1.21], [1.0, 2.0])
         ms = _run("MS", [1.5, 1.2], [1.0, 2.0])
-        rows = speedup_table([("S", rex, ms)], target_margin=0.02)
+        rows = speedup_table([("S", rex, ms)])
         assert rows[0].rex_time_s == 1.0
+
+    def test_run_without_final_rmse_refused(self):
+        rex = _run("REX", [1.0], [1.0])
+        with pytest.raises(ValueError):
+            joint_target(rex, _run("MS", [], []))
 
     def test_cells_render(self):
         rex = _run("REX", [1.0], [60.0])
