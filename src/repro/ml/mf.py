@@ -196,12 +196,18 @@ class MatrixFactorization:
 
     def predict(self, users: np.ndarray, items: np.ndarray, *, clip: bool = True) -> np.ndarray:
         """Predicted ratings ``mu + b_u + c_i + <x_u, y_i>``."""
+        # np.take on intp ids gathers faster than fancy indexing with the
+        # datasets' int32 ids; converting once serves all four gathers.
+        users = np.asarray(users).astype(np.intp, casting="safe", copy=False)
+        items = np.asarray(items).astype(np.intp, casting="safe", copy=False)
         scores = (
             self.global_mean
-            + self.user_bias[users]
-            + self.item_bias[items]
+            + np.take(self.user_bias, users)
+            + np.take(self.item_bias, items)
             + np.einsum(
-                "ij,ij->i", self.user_factors[users], self.item_factors[items]
+                "ij,ij->i",
+                np.take(self.user_factors, users, axis=0),
+                np.take(self.item_factors, items, axis=0),
             )
         )
         if clip:

@@ -158,11 +158,15 @@ def run_fleet_experiment(
     not the pipeline.  ``kill_one_replica_per_shard`` injects the
     acceptance fault plan: one replica per shard dies at the traffic
     peak and re-joins ``restart_after_ticks`` later.  Everything that
-    can be refused from the arguments alone is refused before training.
+    can be refused from the arguments alone is refused before training,
+    including an ``obs`` that already holds a serve run: the report is a
+    view over the registry, so one registry holds one run.
     """
     if shards < 1 or replicas < 1:
         raise ValueError("need at least one shard and one replica")
     obs = obs if obs is not None else Observability.create()
+    if obs.metrics.total("serve.fleet.offered") > 0:
+        raise ValueError("obs already holds a serve run; pass a fresh one per experiment")
     if policy is None:
         policy = FleetPolicy()
     if traffic is None:

@@ -377,6 +377,25 @@ class TestReportIsARegistryView:
         assert sum(faults) == pytest.approx(metrics.total("serve.epc.page_faults"))
         assert report.offered == report.completed + report.shed
 
+    def test_reused_registry_refused_before_training(self, monkeypatch):
+        # The report reads the run's counts from the registry, so a second
+        # run on the same one would report the sum of both runs' offered
+        # against only its own completions.
+        obs = Observability.create()
+        kw = dict(seed=0, shards=2, replicas=2,
+                  traffic=TrafficSpec(seed=0, n_users=240, ticks=60))
+        first = run_fleet_experiment(**kw, obs=obs)
+        assert first.offered == first.completed + first.shed
+
+        def must_not_train(**_kwargs):
+            raise AssertionError("trained on a registry that already holds a run")
+
+        monkeypatch.setattr(stages, "train_fleet_model", must_not_train)
+        with pytest.raises(ValueError, match="already holds a serve run"):
+            run_fleet_experiment(**kw, obs=obs)
+        with pytest.raises(ValueError, match="already holds a serve run"):
+            stages.run_serving_experiment(users=240, obs=obs)
+
 
 # --------------------------------------------------------------------- #
 # Balancer-level failover mechanics (stub-free, real enclaves)

@@ -1,9 +1,12 @@
 """Batched top-K kernels: exactness against a brute-force argsort oracle.
 
-The satellite property test lives here: :func:`top_k_select` uses an
-argpartition fast path with tie repair at the pivot, and hypothesis
-checks it bit-for-bit against the obvious full-sort oracle -- including
-exclusion masks, K larger than the candidate count, and heavy ties.
+:func:`top_k_select` sorts only the candidates at or above a block-max
+lower bound on each row's K-th largest score.  Hypothesis checks it
+bit-for-bit against the obvious full-sort oracle -- including exclusion
+masks, K larger than the candidate count, and heavy ties -- and the edge
+tests below pin the bound itself: a score equal to it is a candidate,
+block counts that do not divide the width, and rows where every score
+is a candidate.
 """
 
 import hashlib
@@ -147,6 +150,70 @@ class TestTopKSelect:
         want_items, want_top = oracle_top_k(scores, k)
         np.testing.assert_array_equal(items, want_items)
         np.testing.assert_array_equal(top, want_top)
+
+    # -- the block-max bound ------------------------------------------- #
+    def test_score_equal_to_the_bound_is_a_candidate(self):
+        # Width 2,000 at K = 10 cuts 40 blocks of 50.  The K largest
+        # scores sit in K distinct blocks, so the bound (the K-th largest
+        # block maximum) is exactly the K-th score, and the (K+1)-th is
+        # one ulp from it.  Only `>=` at the bound keeps the K-th.
+        n_items, k = 2_000, 10
+        scores = np.random.default_rng(11).normal(size=(4, n_items)) - 10.0
+        top = 5.0 + np.arange(k)[::-1]
+        cols = np.arange(k) * 50 + 7
+        scores[:, cols] = top
+        below = np.nextafter(top[-1], -np.inf)
+        scores[0, 1_503] = below  # (K+1)-th in a block of its own
+        scores[1, cols[-1] + 1] = below  # (K+1)-th in the K-th's block
+        # One ulp above instead: the (K+1)-th item displaces the K-th.
+        scores[2, 1_503] = np.nextafter(top[-1], np.inf)
+        # A tie with the K-th score inside the top block: the lower id
+        # wins the last slot, and it is no block's maximum.
+        scores[3, 3] = top[-1]
+        items, top_scores = top_k_select(scores, k)
+        np.testing.assert_array_equal(items[0], cols)
+        np.testing.assert_array_equal(items[1], cols)
+        np.testing.assert_array_equal(items[2], [*cols[:-1], 1_503])
+        np.testing.assert_array_equal(items[3], [*cols[:-1], 3])
+        np.testing.assert_array_equal(top_scores[0], top)
+        want_items, want_top = oracle_top_k(scores, k)
+        np.testing.assert_array_equal(items, want_items)
+        np.testing.assert_array_equal(top_scores, want_top)
+
+    @pytest.mark.parametrize(
+        "n_rows, n_cols, k",
+        [(5, 2_003, 10), (4, 25, 10), (3, 10, 10), (0, 2_000, 10), (0, 7, 3)],
+        ids=["blocks-do-not-divide", "width-below-4k", "width-equals-k",
+             "no-rows", "no-rows-narrow"],
+    )
+    def test_block_layouts_match_oracle(self, n_rows, n_cols, k):
+        rng = np.random.default_rng(n_cols)
+        scores = np.round(rng.normal(size=(n_rows, n_cols)), 1)  # ties
+        scores[rng.random((n_rows, n_cols)) < 0.2] = -np.inf
+        scores[rng.random((n_rows, n_cols)) < 0.05] = np.nan
+        items, top_scores = top_k_select(scores, k)
+        assert items.shape == top_scores.shape == (n_rows, k)
+        want_items, want_top = oracle_top_k(scores, k)
+        np.testing.assert_array_equal(items, want_items)
+        np.testing.assert_array_equal(top_scores, want_top)
+
+    def test_all_tied_row_makes_every_score_a_candidate(self):
+        # Every block maximum equals the tied score, so the bound admits
+        # the whole 2,000-wide row; the first K ids must still win.
+        n_items, k = 2_000, 10
+        scores = np.random.default_rng(5).normal(size=(4, n_items))
+        scores[0, :] = 3.5
+        scores[1, :] = -np.inf
+        scores[2, :] = np.nan
+        scores[3, :] = 3.5
+        scores[3, : n_items // 2] = -np.inf
+        items, top_scores = top_k_select(scores, k)
+        np.testing.assert_array_equal(items[0], np.arange(k))
+        np.testing.assert_array_equal(items[1:3], PAD_ITEM)
+        np.testing.assert_array_equal(items[3], np.arange(n_items // 2, n_items // 2 + k))
+        want_items, want_top = oracle_top_k(scores, k)
+        np.testing.assert_array_equal(items, want_items)
+        np.testing.assert_array_equal(top_scores, want_top)
 
     # -- the satellite property test ----------------------------------- #
     @settings(max_examples=200, deadline=None)
