@@ -2,12 +2,11 @@
 
 The attestation layer proves a peer runs the *right code*; it cannot
 prove the peer's host feeds that code *honest data*.  A compromised
-participant can inject shilling profiles, replay-amplify its vote
-through sybil identities, or starve the gossip as a free-rider -- all
-while presenting a perfectly valid quote.  This module is the data-plane
-complement to attestation: pure, deterministic sanity checks the enclave
-runs on every decoded peer share before it may touch the store or the
-model.
+participant can inject shilling profiles while presenting a perfectly
+valid quote, or replay that quote under a second neighbor's id.  This
+module is the data-plane complement to attestation: pure, deterministic
+sanity checks the enclave runs on every decoded peer share before it may
+touch the store or the model.
 
 Everything here is a pure function of the share and the bounds below --
 no randomness, no I/O -- so arming the defenses never perturbs a run's
@@ -40,7 +39,6 @@ REASON_RATING_SKEW = "rating_skew"
 REASON_ITEM_CONCENTRATION = "item_concentration"
 REASON_QUOTA = "quota"
 REASON_SYBIL = "sybil"
-REASON_FREE_RIDER = "free_rider"
 
 # The bounds are calibrated against honest shares of the synthetic
 # MovieLens marginals (rating means sit well inside [2.0, 4.6] and
@@ -68,9 +66,6 @@ MIN_SANITY_POINTS = 24
 #: magnitude exceeds this (honest MF factors/biases stay in single
 #: digits; a boosted poison state is orders of magnitude out).
 MODEL_PARAM_BOUND = 25.0
-#: Consecutive empty DPSGD data-shares from one neighbor before it is
-#: flagged as a free-rider (detection only; epochs still complete).
-FREE_RIDER_PATIENCE = 3
 
 
 class ShareAdmission:
@@ -80,7 +75,7 @@ class ShareAdmission:
     the app asks, counts the returned literal reason and acts on the
     verdict.  ``pin_quote`` guards attestation, ``admit_triplets``
     (sanity bounds, then the per-round quota) and ``check_model_state``
-    judge one decoded share, ``note_empty_share`` flags free-riders.
+    judge one decoded share.
     """
 
     def __init__(self, share_points: int):
@@ -90,9 +85,6 @@ class ShareAdmission:
         self._round_epoch: Optional[int] = None
         #: Quote-pinning table: DH public key -> first peer id seen using it.
         self._pinned_pubkeys: Dict[bytes, int] = {}
-        #: Consecutive empty data-shares per neighbor + already-flagged set.
-        self._empty_rounds: Dict[int, int] = {}
-        self._flagged_riders: set = set()
 
     def pin_quote(self, pubkey: bytes, peer: int) -> Optional[str]:
         """Bind ``pubkey`` to the first ``peer`` presenting it.
@@ -155,7 +147,6 @@ class ShareAdmission:
         of a fabricated distribution would teach attackers to dilute);
         over quota it is truncated to the peer's remaining round budget.
         """
-        self._empty_rounds.pop(peer, None)
         reason = self.check_triplets(share)
         if reason is not None:
             return None, reason
@@ -188,18 +179,3 @@ class ShareAdmission:
         admitted = min(int(points), allowed)
         self._round_admitted[peer] = used + admitted
         return admitted
-
-    def note_empty_share(self, peer: int) -> Optional[str]:
-        """Count one empty D-PSGD data-share; a reason on first flagging.
-
-        An honest D-PSGD raw-data node always has a sample to share, so
-        ``FREE_RIDER_PATIENCE`` consecutive empty ones mark a consumer who
-        contributes nothing.  Detection flags, it never ejects: a starved
-        gossip still completes and the report names who starved it.
-        """
-        count = self._empty_rounds.get(peer, 0) + 1
-        self._empty_rounds[peer] = count
-        if count < FREE_RIDER_PATIENCE or peer in self._flagged_riders:
-            return None
-        self._flagged_riders.add(peer)
-        return REASON_FREE_RIDER

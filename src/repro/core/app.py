@@ -149,8 +149,8 @@ class RexEnclaveApp(TrustedApp):
         self._miss_counts: Dict[int, int] = {}
         # -- serving state (populated by ecall_publish_snapshot) -------- #
         self._serving: Optional[ServingState] = None
-        #: Enclave-side defenses (quote pinning, share sanity + quotas,
-        #: free-rider detection); ``None`` = disarmed.
+        #: Enclave-side defenses (quote pinning, share sanity + quotas);
+        #: ``None`` = disarmed.
         self._admission: Optional[ShareAdmission] = (
             ShareAdmission(self.config.share_points)
             if self.config.defenses.enabled
@@ -469,15 +469,6 @@ class RexEnclaveApp(TrustedApp):
         admitted = []
         for _src, (header, content) in sorted(received.items()):
             if header.content == CONTENT_EMPTY:
-                # Empty barriers are legitimate under RMW; only a D-PSGD
-                # node always has a sample to share.
-                if (
-                    self._admission is not None
-                    and self.config.dissemination is Dissemination.DPSGD
-                ):
-                    reason = self._admission.note_empty_share(_src)
-                    if reason is not None:
-                        self._count_verdict("faults.detected", reason, _src)
                 continue
             try:
                 if header.content != CONTENT_TRIPLETS:
@@ -593,7 +584,9 @@ class RexEnclaveApp(TrustedApp):
             encode_mf_state_into(state, packed_full, content_offset, wire_dtype=wire_dtype)
         stats.serialized_bytes += len(packed_full) - HEADER_BYTES
 
-        chosen = self._share_recipient(targets)
+        chosen = None  # D-PSGD broadcasts; RMW picks one random neighbor
+        if self.config.dissemination is Dissemination.RMW:
+            chosen = int(targets[self.local_rng.integers(0, len(targets))])
         header_empty = PayloadHeader(self.node_id, self.epoch, self.degree, CONTENT_EMPTY)
         # RMW barrier message: header only.
         packed_empty, _ = payload_buffer(header_empty, 0)
@@ -617,7 +610,7 @@ class RexEnclaveApp(TrustedApp):
             stats.shared_payload_bytes += len(wire)
             self.ctx.ocall("send_message", neighbor, KIND_PAYLOAD, wire)
 
-    # Algorithm 2's three share decisions.  The attested build is defined
+    # Algorithm 2's two share decisions.  The attested build is defined
     # by what these return; a build returning anything else measures
     # differently and is refused at attestation (Section III-A).
     def _share_sample(self) -> RatingsDataset:
@@ -627,12 +620,6 @@ class RexEnclaveApp(TrustedApp):
     def _share_state(self):
         """Model share: the live parameters, as trained."""
         return self.model.state()
-
-    def _share_recipient(self, targets: list) -> Optional[int]:
-        """RMW's one random neighbor; ``None`` broadcasts (D-PSGD)."""
-        if self.config.dissemination is Dissemination.RMW:
-            return int(targets[self.local_rng.integers(0, len(targets))])
-        return None
 
     # ------------------------------------------------------------------ #
     # Memory accounting

@@ -102,7 +102,9 @@ class DefenseConfig:
       bounding how much store growth any single peer can force;
     - **rating sanity**: decoded triplet shares with out-of-range
       ratings, implausibly skewed rating distributions, or a single item
-      dominating the share are rejected wholesale.
+      dominating the share are rejected wholesale, and so is a peer
+      model state with a parameter beyond ``MODEL_PARAM_BOUND``
+      (kind ``rating_skew`` for both).
 
     The one switch arms all three; their bounds are the named constants
     of :mod:`repro.core.admission` (no run ever set them differently).

@@ -16,10 +16,10 @@ the transport, not here.
 All adversary code lives here; the honest stack has no line of it.
 Snapshot replay needs only a compromised host, and the honest serving
 engine refuses it whether or not defenses are armed: its version
-high-water mark is not a switch.  Poisoning, free-riding
-and sybil cloning rewrite Algorithm 2's share step, which no host can do
-from outside: they are a *modified enclave build*, :class:`TamperedRexApp`
-(the one trusted module here), loaded by a :class:`CompromisedHost`.
+high-water mark is not a switch.  Poisoning rewrites Algorithm 2's share
+step, which no host can do from outside: it is a *modified enclave
+build*, :class:`TamperedRexApp` (the one trusted module here), loaded by
+a :class:`CompromisedHost`.
 With an intact TEE every honest peer refuses that build's quote.
 :func:`run_chaos`'s attack matrix is the broken-TEE tier: each
 compromised host first forges the honest measurement, and
@@ -36,7 +36,6 @@ from repro.faults.plan import (
     LinkFaults,
     PoisonAttack,
     ReplayAttack,
-    SybilAttack,
 )
 from repro.faults.runner import ChaosController, ChaosReport, run_chaos
 from repro.faults.tampered import TamperedRexApp, tampered_build
@@ -53,7 +52,6 @@ __all__ = [
     "NAMED_PLANS",
     "PoisonAttack",
     "ReplayAttack",
-    "SybilAttack",
     "TamperedRexApp",
     "compromise",
     "run_chaos",

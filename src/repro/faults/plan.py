@@ -12,15 +12,14 @@ suite and ``repro chaos`` exercise; ``mixed-churn`` is the acceptance
 scenario (10% loss + one crash/restart + one straggler).
 
 Beyond crash-style faults, a plan can assign Byzantine *attacker
-personas* to nodes: data poisoning (:class:`PoisonAttack`), free-riding,
-sybil identity cloning (:class:`SybilAttack`) -- all three a tampered
-enclave build (:mod:`repro.faults.tampered`) -- and stale-snapshot
-replay at serve time (:class:`ReplayAttack`, host-only).  Attack
-behavior draws only from its own seeded child stream, so attack runs
-stay ``(seed, plan)``-pure; ``defended`` selects whether the enclave-side
-defenses are armed, and every share-path attack plan has an undefended
-``-open`` twin that proves the attack actually bites.  Replay has none:
-every serving enclave refuses a rollback, armed or not.
+personas* to nodes: data poisoning (:class:`PoisonAttack`, a tampered
+enclave build, :mod:`repro.faults.tampered`) and stale-snapshot replay
+at serve time (:class:`ReplayAttack`, host-only).  Attack behavior
+draws only from its own seeded child stream, so attack runs stay
+``(seed, plan)``-pure; ``defended`` selects whether the enclave-side
+defenses are armed, and ``poison`` has an undefended ``-open`` twin
+that shows the attack bites.  Replay has none: every serving enclave
+refuses a rollback, armed or not.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "LinkFaults",
     "CrashEvent",
     "PoisonAttack",
-    "SybilAttack",
     "ReplayAttack",
     "FaultPlan",
     "NAMED_PLANS",
@@ -101,9 +99,8 @@ class PoisonAttack:
     seeded-random items at the scale-bottom ``filler_rating`` -- the
     classic *love/hate* push attack (the target climbs into every top-K
     while the fillers drag honest item biases down).  Profile user ids
-    come from the top of the id space, one disjoint block per attacker
-    identity.  Model-sharing runs ship the model state scaled by
-    ``model_boost`` instead.
+    come from the top of the id space.  Model-sharing runs ship the
+    model state scaled by ``model_boost`` instead.
     """
 
     nodes: Tuple[int, ...] = ()
@@ -119,32 +116,6 @@ class PoisonAttack:
             raise ValueError("poison nodes must be node ids")
         if self.fake_users < 1 or self.filler_items < 0:
             raise ValueError("poison profile shape invalid")
-
-
-@dataclass(frozen=True)
-class SybilAttack:
-    """One compromised node presents ``clones`` extra cloned identities.
-
-    The attacker replays its own (valid) quote under fabricated peer ids
-    -- the quote proves *code* identity, not *who is speaking* -- and
-    pushes one poison share per clone per round through channels derived
-    from the same enclave DH key.  Clone ids are assigned at runtime above
-    the real id range, so they are nobody's neighbors: every receiver
-    refuses them by membership, armed or not.  A sybil that impersonates
-    real neighbor ids is not modelled.
-    """
-
-    node: int = 1
-    clones: int = 3
-    payload: PoisonAttack = field(
-        default_factory=lambda: PoisonAttack(nodes=(), fake_users=4, filler_items=59)
-    )
-
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError("sybil attacker must be a node id")
-        if self.clones < 1:
-            raise ValueError("a sybil attack needs at least one clone")
 
 
 @dataclass(frozen=True)
@@ -187,10 +158,6 @@ class FaultPlan:
     # -- Byzantine personas (empty/None: classic crash-fault plan) ------ #
     #: Nodes whose (tampered) enclaves share shilling profiles.
     poison: Optional[PoisonAttack] = None
-    #: Nodes that consume every share but send only empty barriers.
-    free_riders: Tuple[int, ...] = ()
-    #: One node presenting cloned quotes under fabricated identities.
-    sybil: Optional[SybilAttack] = None
     #: One host replaying a stale snapshot on the serve path.
     replay: Optional[ReplayAttack] = None
     #: Arm the enclave-side defenses (quote pinning, admission quotas,
@@ -212,10 +179,6 @@ class FaultPlan:
         personas: Dict[str, Tuple[int, ...]] = {}
         if self.poison and self.poison.nodes:
             personas["poison"] = tuple(self.poison.nodes)
-        if self.free_riders:
-            personas["free_rider"] = tuple(self.free_riders)
-        if self.sybil is not None:
-            personas["sybil"] = (self.sybil.node,)
         if self.replay is not None:
             personas["replay"] = (self.replay.node,)
         return personas
@@ -262,10 +225,10 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
             stragglers=(2,),
             straggler_delay_ticks=3,
         ),
-        # -- Byzantine personas (share-path ones with an "-open" twin) -- #
+        # -- Byzantine personas (poison with an "-open" twin) ------------ #
         FaultPlan(
             name="poison",
-            description="one node injects shilling profiles; rating-sanity "
+            description="two nodes inject shilling profiles; rating-sanity "
             "checks and admission quotas reject them",
             poison=PoisonAttack(nodes=(1, 5), filler_rating=0.5, filler_items=99),
         ),
@@ -277,39 +240,6 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
             defended=False,
         ),
         FaultPlan(
-            name="free-ride",
-            description="two nodes consume shares but contribute only empty "
-            "barriers; detection flags them",
-            free_riders=(1, 3),
-        ),
-        FaultPlan(
-            name="free-ride-open",
-            description="free-riders with defenses disarmed",
-            free_riders=(1, 3),
-            defended=False,
-        ),
-        FaultPlan(
-            name="sybil",
-            description="one node replays its quote under cloned identities; "
-            "membership refuses the clones",
-            sybil=SybilAttack(
-                node=1,
-                clones=4,
-                payload=PoisonAttack(filler_rating=0.5, filler_items=118),
-            ),
-        ),
-        FaultPlan(
-            name="sybil-open",
-            description="cloned identities with defenses disarmed "
-            "(membership still refuses the clones)",
-            sybil=SybilAttack(
-                node=1,
-                clones=4,
-                payload=PoisonAttack(filler_rating=0.5, filler_items=118),
-            ),
-            defended=False,
-        ),
-        FaultPlan(
             name="replay-serve",
             description="one host serves a stale captured snapshot; version "
             "monotonicity refuses the rollback",
@@ -317,16 +247,14 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
         ),
         FaultPlan(
             name="byzantine-mix",
-            description="poisoning + free-rider + sybil clones on a 10%-loss "
-            "network, all defenses armed",
+            description="poisoning at one node on a 10%-loss network, "
+            "all defenses armed",
             link=LinkFaults(drop_rate=0.10),
             poison=PoisonAttack(nodes=(4,)),
-            free_riders=(3,),
-            sybil=SybilAttack(node=1, clones=2),
         ),
     )
 }
 
 #: The defended attack matrix ``repro chaos`` reports and the attack
-#: tests assert bounds on (each share-path plan has an ``-open`` twin).
-ATTACK_PLANS: Tuple[str, ...] = ("poison", "free-ride", "sybil", "replay-serve")
+#: tests assert bounds on (``poison`` has an ``-open`` twin).
+ATTACK_PLANS: Tuple[str, ...] = ("poison", "replay-serve")

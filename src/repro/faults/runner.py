@@ -142,7 +142,6 @@ class ChaosReport:
     #: Per-kind breakdowns of the enclave defense counters (the obs
     #: registry keeps them per (node, kind); the report folds over nodes).
     rejected: Dict[str, float] = field(default_factory=dict)
-    detected: Dict[str, float] = field(default_factory=dict)
     recovered_by_kind: Dict[str, float] = field(default_factory=dict)
     #: Attacker-side activity counters (``attack.injected`` by kind).
     attack_injected: Dict[str, float] = field(default_factory=dict)
@@ -174,7 +173,7 @@ class ChaosReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "repro.chaos/v1",
+            "schema": "repro.chaos/v2",
             "plan": self.plan,
             "seed": self.seed,
             "nodes": self.nodes,
@@ -199,7 +198,6 @@ class ChaosReport:
             "attackers": {k: list(v) for k, v in sorted(self.attackers.items())},
             "rejected": dict(sorted(self.rejected.items())),
             "rejected_total": self.rejected_total,
-            "detected": dict(sorted(self.detected.items())),
             "recovered_by_kind": dict(sorted(self.recovered_by_kind.items())),
             "attack_injected": dict(sorted(self.attack_injected.items())),
             "probe_k": self.probe_k,
@@ -241,13 +239,12 @@ class ChaosReport:
                 + (" [defended]" if self.defended else " [open]")
             )
             lines.append(
-                f"  defense          {self.rejected_total:.0f} rejected "
+                f"  defense          {self.rejected_total:.0f} rejected"
                 + (
-                    "(" + ", ".join(f"{k}={v:.0f}" for k, v in sorted(self.rejected.items())) + "), "
+                    " (" + ", ".join(f"{k}={v:.0f}" for k, v in sorted(self.rejected.items())) + ")"
                     if self.rejected
                     else ""
                 )
-                + f"{sum(self.detected.values()):.0f} detected"
             )
         if self.precision is not None:
             line = f"  precision@{self.probe_k}     {self.precision:.4f}"
@@ -417,7 +414,6 @@ def run_chaos(
         defended=armed,
         attackers={k_: list(v) for k_, v in plan.attack_personas().items()},
         rejected=_kind_breakdown(metrics, "faults.rejected"),
-        detected=_kind_breakdown(metrics, "faults.detected"),
         recovered_by_kind=_kind_breakdown(metrics, "faults.recovered"),
         attack_injected=_kind_breakdown(metrics, "attack.injected"),
         probe_k=PROBE_K if plan.attacks_active else None,

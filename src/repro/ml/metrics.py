@@ -30,7 +30,8 @@ def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
     """Root mean square error between two rating vectors.
 
     Returns ``nan`` for empty inputs (an empty local test set on a node
-    with no data), which downstream averaging skips with ``nanmean``.
+    with no data); :func:`repro.sim.recorder.mean_node_rmse` skips
+    exactly those nodes.
     """
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.cluster import ClusterRun
 from repro.obs import Observability
-from repro.sim.recorder import RunResult, fold_epoch
+from repro.sim.recorder import RunResult, fold_epoch, mean_node_rmse
 from repro.sim.time_model import DEFAULT_TIME_MODEL, StageTimer, TimeModel
 from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
 
@@ -98,7 +98,7 @@ def timeline_from_cluster(
             obs,
             stages=stages,
             overlap_share=cfg.parallel_share,
-            rmse=float(np.nanmean(col("test_rmse"))),
+            rmse=mean_node_rmse(col("test_rmse"), col("test_samples"), epoch=epoch),
             payload_bytes=int(payload.sum()),
             serialized_bytes=int(serialized.sum()),
             messages=int(full.sum() + empty.sum()),

@@ -42,7 +42,7 @@ from repro.data.dataset import RatingsDataset
 from repro.net.topology import Topology
 from repro.obs import Observability
 from repro.sim.kernel import EventKernel
-from repro.sim.recorder import RunResult, fold_epoch
+from repro.sim.recorder import RunResult, fold_epoch, mean_node_rmse
 from repro.sim.time_model import StageTimer, TimeModel
 
 __all__ = ["FleetEngine"]
@@ -163,7 +163,7 @@ class FleetEngine:
             + empty_messages * HEADER_BYTES
         )
 
-        rmse = float(np.nanmean(self._test_rmse()))
+        rmse = mean_node_rmse(self._test_rmse(), self._test_counts, epoch=epoch)
 
         resident = self._resident_bytes() + staging
         stages = self._stage_times(

@@ -20,7 +20,7 @@ from repro.obs import Observability
 from repro.obs.stages import STAGE_ORDER, record_epoch
 from repro.sim.time_model import StageTimer
 
-__all__ = ["EpochRecord", "RunResult", "fold_epoch"]
+__all__ = ["EpochRecord", "RunResult", "fold_epoch", "mean_node_rmse"]
 
 MIB = float(1 << 20)
 
@@ -164,6 +164,24 @@ class RunResult:
         payload = json.loads(raw)
         records = [EpochRecord(**r) for r in payload.pop("records")]
         return cls(records=records, **payload)
+
+
+def mean_node_rmse(node_rmse: np.ndarray, test_counts: np.ndarray, *, epoch: int) -> float:
+    """Mean per-node test RMSE over the nodes that have test rows.
+
+    A node with no test rows reports ``nan`` and is skipped.  A node with
+    test rows and a non-finite RMSE has diverged: averaging it away would
+    report a healthy-looking number for a broken run, so this raises
+    :class:`FloatingPointError` naming the epoch and the first such nodes.
+    """
+    node_rmse = np.asarray(node_rmse, dtype=np.float64)
+    diverged = np.flatnonzero((np.asarray(test_counts) > 0) & ~np.isfinite(node_rmse))
+    if diverged.size:
+        raise FloatingPointError(
+            f"epoch {epoch}: {diverged.size} node(s) with test rows have a "
+            f"non-finite test RMSE (diverged), first ids {diverged[:5].tolist()}"
+        )
+    return float(np.nanmean(node_rmse))
 
 
 def fold_epoch(

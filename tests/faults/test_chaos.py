@@ -130,7 +130,7 @@ def test_counters_flow_into_shared_registry(chaos_seed):
 def test_report_serializes(chaos_seed):
     report = run_chaos("lossy", seed=chaos_seed, nodes=4, epochs=2)
     doc = report.to_dict()
-    assert doc["schema"] == "repro.chaos/v1"
+    assert doc["schema"] == "repro.chaos/v2"
     assert doc["plan"] == "lossy"
     assert doc["injected_total"] == report.injected_total
     assert len(report.format_lines()) >= 5

@@ -1,5 +1,7 @@
 """Centralized baseline and the distributed-run timing pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,31 @@ class TestTimelineFromCluster:
         means = timeline_from_cluster(cluster_run).stage_means()
         assert means["merge"] > 0
         assert means["share"] > 0
+
+    @staticmethod
+    def _with_nan_rmse(cluster_run, node, epoch, **changes):
+        node_stats = {
+            n: [
+                dataclasses.replace(s, test_rmse=float("nan"), **changes)
+                if (n, s.epoch) == (node, epoch)
+                else s
+                for s in stats
+            ]
+            for n, stats in cluster_run.node_stats.items()
+        }
+        return dataclasses.replace(cluster_run, node_stats=node_stats)
+
+    def test_diverged_node_raises(self, cluster_run):
+        run = self._with_nan_rmse(cluster_run, node=1, epoch=2)
+        with pytest.raises(FloatingPointError, match=r"epoch 2: .* first ids \[1\]"):
+            timeline_from_cluster(run)
+
+    def test_node_without_test_rows_is_skipped(self, cluster_run):
+        run = self._with_nan_rmse(cluster_run, node=1, epoch=2, test_samples=0)
+        others = [s.test_rmse for s in cluster_run.stats_for_epoch(2) if s.node_id != 1]
+        assert timeline_from_cluster(run).records[2].test_rmse == pytest.approx(
+            np.mean(others)
+        )
 
 
 def test_run_prices_exactly_its_configured_epochs(tiny_split):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import Dissemination, RexConfig, SharingScheme
-from repro.data.partition import partition_users_across_nodes
+from repro.data.movielens import generate_node_shards
+from repro.data.partition import partition_one_user_per_node, partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
 from repro.net.serialization import measure_triplets
 from repro.net.topology import Topology
@@ -64,6 +65,27 @@ class TestRunMechanics:
     def test_rmse_finite_and_plausible(self, tiny_split, shards):
         result = _sim(tiny_split, shards, SharingScheme.DATA, Dissemination.RMW).run()
         assert all(0.3 < r.test_rmse < 3.0 for r in result.records)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_diverged_node_raises_instead_of_dropping_out(self):
+        """At lr 0.05 some one-user nodes blow up to NaN; the epoch RMSE
+        must not average them away as if they had no test rows."""
+        split, _, _ = generate_node_shards("div", users=60, items=180, ratings=3000, nodes=12)
+        config = RexConfig(
+            scheme=SharingScheme.DATA,
+            dissemination=Dissemination.DPSGD,
+            epochs=10,
+            mf=MfHyperParams(learning_rate=0.05),
+        )
+        sim = MfFleetSim(
+            partition_one_user_per_node(split.train),
+            partition_one_user_per_node(split.test),
+            Topology.small_world(60, k=2, rewire_probability=0.03, seed=7),
+            config,
+            global_mean=split.train.global_mean(),
+        )
+        with pytest.raises(FloatingPointError, match=r"epoch \d+: .* first ids \["):
+            sim.run()
 
     def test_deterministic(self, tiny_split, shards):
         a = _sim(tiny_split, shards, SharingScheme.DATA, Dissemination.DPSGD).run()

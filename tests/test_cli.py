@@ -82,6 +82,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mixed-churn" in out and "refuse-attest" in out
 
+    def test_chaos_unknown_plan_exits_2(self, capsys):
+        assert main(["chaos", "--plan", "sybil"]) == 2
+        out = capsys.readouterr().out
+        assert "unknown fault plan 'sybil'" in out and "poison-open" in out
+
     def test_chaos_small_run(self, capsys, tmp_path):
         import json
 
@@ -96,7 +101,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "schedule digest" in out and "faults injected" in out
         doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro.chaos/v1"
+        assert doc["schema"] == "repro.chaos/v2"
         assert doc["plan"] == "lossy"
         assert doc["injected_total"] > 0
 
