@@ -21,7 +21,7 @@ Commands
     ``--replicas`` serving enclaves (1 x 1, a single endpoint, by
     default), drive a seeded ``--traffic`` trace through the balancer,
     and print the throughput/latency/quality report (optionally as a
-    ``repro.serve/v2`` JSON artifact).
+    ``repro.serve/v3`` JSON artifact).
 ``lint``
     Run the enclave-boundary / crypto-misuse / determinism static
     analyzer over source trees (text or JSON findings).
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         metavar="PATH",
-        help="write the repro.serve/v2 report document (JSON) here",
+        help="write the repro.serve/v3 report document (JSON) here",
     )
 
     lint = sub.add_parser(

@@ -221,16 +221,11 @@ class RexEnclaveApp(TrustedApp):
         return snapshot.meta().to_dict()
 
     @ecall
-    def ecall_serve(self, users: list, k: int, version: Optional[int] = None) -> dict:
-        """Serve a top-``k`` batch; item ids, scores and counts leave.
-
-        ``version`` names the snapshot the host expects to be served; an
-        older one is a rollback and the engine refuses it
-        (:class:`~repro.tee.errors.SnapshotReplayError`).
-        """
+    def ecall_serve(self, users: list, k: int) -> dict:
+        """Serve a top-``k`` batch; item ids, scores and counts leave."""
         if self._serving is None:
             raise ValueError("no snapshot published; call ecall_publish_snapshot")
-        reply = self._serving.serve(users, k, version)
+        reply = self._serving.serve(users, k)
         self.ctx.memory.set("serve", self._serving.resident_bytes)
         return reply
 

@@ -114,7 +114,7 @@ class SecureChannel:
 
     def open(self, wire: bytes, aad: bytes = b"") -> bytes:
         """Authenticate, replay-check and decrypt a framed message."""
-        if len(wire) < 8 + TAG_LENGTH:
+        if len(wire) < CHANNEL_OVERHEAD_BYTES:
             raise ChannelNotEstablished("sealed message too short")
         (seq,) = struct.unpack_from("<Q", wire, 0)
         self._replay_check(seq)
@@ -150,7 +150,7 @@ def seal_all(entries) -> List:
     for channel, plaintext, aad in entries:
         seq = channel._send_seq
         channel._send_seq += 1
-        frame = bytearray(8 + len(plaintext) + TAG_LENGTH)
+        frame = bytearray(len(plaintext) + CHANNEL_OVERHEAD_BYTES)
         struct.pack_into("<Q", frame, 0, seq)
         nonce = SecureChannel._nonce(seq, channel.local_id)
         requests.append((channel._cipher, nonce, plaintext, aad))

@@ -12,7 +12,7 @@ round and makes the ``ecall_tick`` only when the patience is spent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 from repro.core.app import RexEnclaveApp
 from repro.core.config import BARRIER_PATIENCE_TICKS, RexConfig
@@ -168,15 +168,6 @@ class RexHost:
         """Freeze the trained model for serving; returns sanitized meta."""
         return self.enclave.ecall("ecall_publish_snapshot")
 
-    def serve(self, users, k: int, version: Optional[int] = None) -> Dict:
-        """Direct (unqueued) top-``k`` query batch against the enclave.
-
-        ``version`` names the snapshot the host expects; the enclave
-        refuses an older one (a rollback).  Omitted, the call shape
-        matches the seed runtime exactly.
-        """
-        if version is None:
-            return self.enclave.ecall("ecall_serve", [int(u) for u in users], int(k))
-        return self.enclave.ecall(
-            "ecall_serve", [int(u) for u in users], int(k), int(version)
-        )
+    def serve(self, users, k: int) -> Dict:
+        """Direct (unqueued) top-``k`` query batch against the enclave."""
+        return self.enclave.ecall("ecall_serve", [int(u) for u in users], int(k))

@@ -105,9 +105,10 @@ class DataStore:
     def append(self, data: RatingsDataset) -> int:
         """Ablation path: append everything, duplicates included.
 
-        The dedup index still records the pairs (so ``contains_pair``
-        stays correct), but repeated items occupy store slots -- this is
-        what REX's duplicate check prevents (Algorithm 2 line 16).
+        The dedup index still records the pairs (so a later
+        ``append_unique`` drops them), but repeated items occupy store
+        slots -- this is what REX's duplicate check prevents (Algorithm 2
+        line 16).
         """
         if (data.n_users, data.n_items) != (self.n_users, self.n_items):
             raise ValueError("dataset id space does not match the store")
@@ -147,11 +148,6 @@ class DataStore:
     def sample(self, n: int, rng: np.random.Generator) -> RatingsDataset:
         """Stateless random sample for sharing (Section III-E)."""
         return self.as_dataset().sample(n, rng)
-
-    def contains_pair(self, user: int, item: int) -> bool:
-        key = np.int64(user) * self.n_items + item
-        pos = int(np.searchsorted(self._sorted_keys, key))
-        return pos < len(self._sorted_keys) and self._sorted_keys[pos] == key
 
     @property
     def nbytes(self) -> int:

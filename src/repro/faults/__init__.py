@@ -14,12 +14,9 @@ adversary -- which is why the recovery story lives in the enclaves and
 the transport, not here.
 
 All adversary code lives here; the honest stack has no line of it.
-Snapshot replay needs only a compromised host, and the honest serving
-engine refuses it whether or not defenses are armed: its version
-high-water mark is not a switch.  Poisoning rewrites Algorithm 2's share
-step, which no host can do from outside: it is a *modified enclave
-build*, :class:`TamperedRexApp` (the one trusted module here), loaded by
-a :class:`CompromisedHost`.
+Poisoning rewrites Algorithm 2's share step, which no host can do from
+outside: it is a *modified enclave build*, :class:`TamperedRexApp` (the
+one trusted module here), loaded by a :class:`CompromisedHost`.
 With an intact TEE every honest peer refuses that build's quote.
 :func:`run_chaos`'s attack matrix is the broken-TEE tier: each
 compromised host first forges the honest measurement, and
@@ -35,7 +32,6 @@ from repro.faults.plan import (
     FaultPlan,
     LinkFaults,
     PoisonAttack,
-    ReplayAttack,
 )
 from repro.faults.runner import ChaosController, ChaosReport, run_chaos
 from repro.faults.tampered import TamperedRexApp, tampered_build
@@ -51,7 +47,6 @@ __all__ = [
     "LinkFaults",
     "NAMED_PLANS",
     "PoisonAttack",
-    "ReplayAttack",
     "TamperedRexApp",
     "compromise",
     "run_chaos",

@@ -11,15 +11,13 @@ Named plans (:data:`NAMED_PLANS`) cover the scenarios the chaos test
 suite and ``repro chaos`` exercise; ``mixed-churn`` is the acceptance
 scenario (10% loss + one crash/restart + one straggler).
 
-Beyond crash-style faults, a plan can assign Byzantine *attacker
-personas* to nodes: data poisoning (:class:`PoisonAttack`, a tampered
-enclave build, :mod:`repro.faults.tampered`) and stale-snapshot replay
-at serve time (:class:`ReplayAttack`, host-only).  Attack behavior
-draws only from its own seeded child stream, so attack runs stay
+Beyond crash-style faults, a plan can assign a Byzantine *attacker
+persona* to nodes: data poisoning (:class:`PoisonAttack`, a tampered
+enclave build, :mod:`repro.faults.tampered`).  Attack behavior draws
+only from its own seeded child stream, so attack runs stay
 ``(seed, plan)``-pure; ``defended`` selects whether the enclave-side
 defenses are armed, and ``poison`` has an undefended ``-open`` twin
-that shows the attack bites.  Replay has none: every serving enclave
-refuses a rollback, armed or not.
+that shows the attack bites.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ __all__ = [
     "LinkFaults",
     "CrashEvent",
     "PoisonAttack",
-    "ReplayAttack",
     "FaultPlan",
     "NAMED_PLANS",
     "ATTACK_PLANS",
@@ -119,29 +116,6 @@ class PoisonAttack:
 
 
 @dataclass(frozen=True)
-class ReplayAttack:
-    """A host rolls its serving replica back to a stale snapshot.
-
-    The host captures the enclave's snapshot publication at
-    ``capture_epoch`` (version ``stale_version``) and, at serve time,
-    answers queries from that stale version instead of the freshly
-    published one -- silently degrading recommendation quality without
-    touching training.  The serving engine's version high-water mark
-    refuses it in every build, defended or not.
-    """
-
-    node: int = 0
-    capture_epoch: int = 1
-    stale_version: int = 1
-
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError("replay host must be a node id")
-        if self.capture_epoch < 1:
-            raise ValueError("capture epoch must be at least 1")
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """One named, fully-declarative chaos scenario."""
 
@@ -158,8 +132,6 @@ class FaultPlan:
     # -- Byzantine personas (empty/None: classic crash-fault plan) ------ #
     #: Nodes whose (tampered) enclaves share shilling profiles.
     poison: Optional[PoisonAttack] = None
-    #: One host replaying a stale snapshot on the serve path.
-    replay: Optional[ReplayAttack] = None
     #: Arm the enclave-side defenses (quote pinning, admission quotas,
     #: rating sanity) for this plan's runs.
     defended: bool = True
@@ -179,8 +151,6 @@ class FaultPlan:
         personas: Dict[str, Tuple[int, ...]] = {}
         if self.poison and self.poison.nodes:
             personas["poison"] = tuple(self.poison.nodes)
-        if self.replay is not None:
-            personas["replay"] = (self.replay.node,)
         return personas
 
 
@@ -240,12 +210,6 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
             defended=False,
         ),
         FaultPlan(
-            name="replay-serve",
-            description="one host serves a stale captured snapshot; version "
-            "monotonicity refuses the rollback",
-            replay=ReplayAttack(node=0, capture_epoch=1, stale_version=1),
-        ),
-        FaultPlan(
             name="byzantine-mix",
             description="poisoning at one node on a 10%-loss network, "
             "all defenses armed",
@@ -257,4 +221,4 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
 
 #: The defended attack matrix ``repro chaos`` reports and the attack
 #: tests assert bounds on (``poison`` has an ``-open`` twin).
-ATTACK_PLANS: Tuple[str, ...] = ("poison", "replay-serve")
+ATTACK_PLANS: Tuple[str, ...] = ("poison",)

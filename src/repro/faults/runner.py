@@ -30,7 +30,6 @@ from repro.ml.metrics import precision_at_k, relevance_sets
 from repro.ml.mf import MfHyperParams
 from repro.net.topology import Topology
 from repro.obs import Observability
-from repro.tee.errors import SnapshotReplayError
 
 __all__ = ["ChaosController", "ChaosReport", "run_chaos"]
 
@@ -59,10 +58,6 @@ class ChaosController:
         self._global_mean = global_mean
         self._pending: List[CrashEvent] = sorted(plan.crashes, key=lambda e: e.at_epoch)
         self._restarts: List[Tuple[int, int]] = []  # (due_tick, node)
-        #: Replay persona: snapshot publication to capture mid-run (the
-        #: stale version the host will roll back to at serve time).
-        self._capture = plan.replay
-        self._captured = False
 
     @staticmethod
     def _max_live_epoch(cluster: RexCluster) -> int:
@@ -78,18 +73,6 @@ class ChaosController:
     def on_tick(self, cluster: RexCluster) -> None:
         now = cluster.network.now
         progress = self._max_live_epoch(cluster)
-        if (
-            self._capture is not None
-            and not self._captured
-            and progress >= self._capture.capture_epoch
-            and self._capture.node < len(cluster.hosts)
-            and self._capture.node not in cluster.crashed
-        ):
-            # Progress-keyed like crashes, so the captured (stale) model
-            # is the same pure function of (seed, plan) as everything else.
-            cluster.hosts[self._capture.node].publish_snapshot()
-            self.injector.note("snapshot_capture", f"node={self._capture.node}")
-            self._captured = True
         for event in list(self._pending):
             if event.node >= len(cluster.hosts) or event.at_epoch > cluster.config.epochs:
                 self._pending.remove(event)  # plan written for a larger/longer run
@@ -257,20 +240,21 @@ class ChaosReport:
         return lines
 
 
-def _probe_precision(host, relevant: Dict[int, set], *, version=None) -> float:
+def _probe_precision(host, relevant: Dict[int, set]) -> float:
     """Mean precision@``PROBE_K`` over the lowest-id users with relevant test items.
 
     Low ids are honest by construction -- poison personas fabricate
     profiles from the *top* of the user id space -- so the probe measures
-    what the attack does to genuine users' recommendations.
+    what the attack does to genuine users' recommendations.  Every probed
+    user has a relevant item, so no precision is NaN.
     """
     probe_users = sorted(relevant)[:PROBE_USERS]
-    result = host.serve(probe_users, PROBE_K, version=version)
+    result = host.serve(probe_users, PROBE_K)
     precisions = [
         precision_at_k(np.asarray(row, dtype=np.int64), relevant[user], PROBE_K)
         for user, row in zip(probe_users, result["items"])
     ]
-    return float(np.nanmean(precisions))
+    return float(np.mean(precisions))
 
 
 def run_chaos(
@@ -358,23 +342,12 @@ def run_chaos(
     probe_node: Optional[int] = None
     if plan.attacks_active:
         relevant = relevance_sets(split.test)
-        stale_version: Optional[int] = None
-        if plan.replay is not None:
-            probe_node = plan.replay.node  # the node whose host rolls back
-            stale_version = plan.replay.stale_version
-            injector.note("replay_serve", f"node={probe_node} defended={armed}")
-        else:
-            probe_node = min(
-                n for n in range(nodes) if n not in personas and n not in cluster.crashed
-            )
+        probe_node = min(
+            n for n in range(nodes) if n not in personas and n not in cluster.crashed
+        )
         probe_host = cluster.hosts[probe_node]
         probe_host.publish_snapshot()
-        try:
-            precision = _probe_precision(probe_host, relevant, version=stale_version)
-        except SnapshotReplayError:
-            # Defense held: the rollback was refused (and counted by the
-            # enclave); the host must serve the fresh snapshot.
-            precision = _probe_precision(probe_host, relevant)
+        precision = _probe_precision(probe_host, relevant)
 
     baseline_rmse: Optional[float] = None
     baseline_precision: Optional[float] = None

@@ -151,13 +151,8 @@ class ServingState:
         )
 
     # ------------------------------------------------------------------ #
-    def serve(self, users: Sequence[int], k: int, version: Optional[int] = None) -> dict:
-        """One ``ecall_serve`` reply; a ``version`` the host names must be
-        the installed one, and an older one (a rollback) is refused."""
-        if version is not None:
-            self._refuse_below(int(version), self.version)
-            if int(version) != self.version:
-                raise ValueError("unknown snapshot version")
+    def serve(self, users: Sequence[int], k: int) -> dict:
+        """One ``ecall_serve`` reply, from the installed snapshot."""
         items, scores, stats = self.query_batch(users, k)
         return {
             "items": items.tolist(),

@@ -15,11 +15,11 @@ a fleet -- and the one endpoint is its 1-shard x 1-replica case:
   (trusted).
 - :mod:`repro.serve.fleet.balancer` -- the front-end load balancer: a
   bounded global queue ahead of per-replica admission queues, with
-  snapshot-version-aware failover across replicas (shared).
+  failover to a live sibling replica (shared).
 - :mod:`repro.serve.fleet.runner` -- the kernel-driven train -> shard ->
   serve pipeline behind ``repro serve`` (plays every role, like
   :mod:`repro.sim`); its report is :class:`repro.serve.report.ServeReport`
-  (``repro.serve/v2``), returned under the name ``FleetServeReport``.
+  (``repro.serve/v3``), returned under the name ``FleetServeReport``.
 """
 
 from repro.serve.fleet.balancer import FleetBalancer, FleetPolicy, ShardReplica

@@ -9,18 +9,17 @@ fleet's traffic-facing invariants:
 - each admitted query is **routed** by the consistent-hash ring to its
   owning shard and offered to a preferred replica (deterministic:
   ``user % replicas``), so repeat queries hit the same result cache;
-- **failover is snapshot-version-aware**: a query only falls over to a
-  replica that is alive *and* serving the shard's freshest live version,
-  so a stale replica (one that refused a rollback via
-  :class:`~repro.tee.errors.SnapshotReplayError`, or missed a publish
-  while down) never answers with an old model;
+- **failover** goes to the shard's first live sibling (replica-id
+  order); every replica serves the one snapshot it booted with, and a
+  restart reloads that same payload, so any live replica of a shard
+  answers with the same model;
 - a **crashed replica loses no admitted work**: its queued requests are
   evicted back into the global queue (counted as failovers) and re-route
   at the same tick.
 
 Every admission count (``serve.fleet.{offered,routed,failover,shed,
-deferred,stale_rejected}``) lives only in the run's registry; the
-report reads it from there.
+deferred}``) lives only in the run's registry; the report reads it from
+there.
 
 Per-replica admission, batching and cost accounting are exactly the
 single-endpoint :class:`~repro.serve.server.RecServer` -- the fleet adds
@@ -49,7 +48,6 @@ from repro.serve.server import (
 from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
 from repro.tee.enclave import Enclave
 from repro.tee.epc import EpcModel
-from repro.tee.errors import SnapshotReplayError
 
 __all__ = ["FleetPolicy", "ShardReplica", "FleetBalancer"]
 
@@ -81,12 +79,12 @@ class ShardReplica:
     """One replica of one shard: enclave incarnations behind one RecServer.
 
     The ``enclave_factory`` callable (provided by the runner, which owns
-    the platform and the shard's current load payload) boots a fresh
-    enclave incarnation already loaded with the shard's current
-    snapshot.  The replica's :class:`RecServer` outlives every
-    incarnation it fronts, so its completions, busy time and page faults
-    are the replica's whole history; the replica itself only tracks
-    liveness, the version it serves and its incarnation count.
+    the platform and the shard's load payload) boots a fresh enclave
+    incarnation already loaded with the shard's snapshot.  The replica's
+    :class:`RecServer` outlives every incarnation it fronts, so its
+    completions, busy time and page faults are the replica's whole
+    history; the replica itself only tracks liveness and its
+    incarnation count.
     """
 
     def __init__(
@@ -112,15 +110,13 @@ class ShardReplica:
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self.server: Optional[RecServer] = None
         self.alive = False
-        self.stale = False
-        self.version = 0
         self.incarnation = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def boot(self, tick: int, version: int) -> None:
-        """Stand up a fresh enclave incarnation serving ``version``.
+    def boot(self, tick: int) -> None:
+        """Stand up a fresh enclave incarnation serving the shard's snapshot.
 
         The first boot builds the replica's server; a restart attaches
         the new incarnation to it, idle from ``tick``.
@@ -138,8 +134,6 @@ class ShardReplica:
             )
         self.server.attach(enclave, tick)
         self.alive = True
-        self.stale = False
-        self.version = int(version)
 
     def kill(self) -> List[int]:
         """Crash the replica; returns the queued users needing failover."""
@@ -147,18 +141,6 @@ class ShardReplica:
         if self.server is None:
             return []
         return [r.user for r in self.server.detach()]
-
-    def load(self, load_args: dict, version: int) -> dict:
-        """Publish a new snapshot into the live incarnation.
-
-        A rollback raises :class:`~repro.tee.errors.SnapshotReplayError`
-        (handled by the balancer, which marks the replica stale).
-        """
-        assert self.server is not None
-        reply = self.server.enclave.ecall("ecall_load", load_args)
-        self.version = int(version)
-        self.stale = False
-        return reply
 
     # ------------------------------------------------------------------ #
     # Accounting
@@ -209,8 +191,6 @@ class FleetBalancer:
         self._routed = self.metrics.counter("serve.fleet.routed")
         self._failover = self.metrics.counter("serve.fleet.failover")
         self._deferred = self.metrics.counter("serve.fleet.deferred")
-        self._stale_rejected = self.metrics.counter("serve.fleet.stale_rejected")
-        self.shard_version: Dict[int, int] = {s: 0 for s in ring.shard_ids}
         self._pending: Deque[int] = deque()
         self.completions: List[Completion] = []
 
@@ -230,22 +210,18 @@ class FleetBalancer:
     # Routing
     # ------------------------------------------------------------------ #
     def _candidates(self, shard: int) -> List[ShardReplica]:
-        """Live replicas of ``shard`` serving its freshest live version."""
-        live = [r for r in self.replicas[shard] if r.alive and not r.stale]
-        if not live:
-            return []
-        freshest = max(r.version for r in live)
-        return [r for r in live if r.version == freshest]
+        """Live replicas of ``shard``, in replica-id order."""
+        return [r for r in self.replicas[shard] if r.alive]
 
     def route_pending(self) -> None:
         """Route every queued query to a replica (or defer/shed it).
 
-        A query whose shard has no live fresh replica stays queued for
+        A query whose shard has no live replica stays queued for
         the next tick (deferred, not lost).  Failover is counted when
         the preferred replica cannot take the query and a sibling does.
         """
         pending, self._pending = self._pending, deque()
-        # Liveness and versions do not change within one call: each
+        # Liveness does not change within one call: each
         # shard's candidate list is computed once.
         candidates: Dict[int, List[ShardReplica]] = {}
         routed = failover = deferred = shed = 0
@@ -294,7 +270,7 @@ class FleetBalancer:
         return out
 
     # ------------------------------------------------------------------ #
-    # Faults and publishes
+    # Faults
     # ------------------------------------------------------------------ #
     def kill_replica(self, shard: int, replica_id: int) -> int:
         """Crash one replica; re-queue its admitted work for failover."""
@@ -310,29 +286,11 @@ class FleetBalancer:
         return len(queued)
 
     def restart_replica(self, shard: int, replica_id: int, tick: int) -> None:
-        """Restart a crashed replica at the shard's current version."""
+        """Restart a crashed replica on the snapshot it booted with."""
         replica = self.replicas[shard][replica_id]
         if replica.alive:
             return
-        replica.boot(tick, self.shard_version[shard])
-
-    def publish(self, shard: int, load_args: dict, version: int) -> None:
-        """Push a new snapshot to every live replica of ``shard``.
-
-        A replica that refuses the load (replay defense tripped -- e.g.
-        the "new" version is actually a rollback) is marked stale and
-        drops out of the candidate set until a good publish lands.
-        """
-        version = int(version)
-        for replica in self.replicas[shard]:
-            if not replica.alive:
-                continue
-            try:
-                replica.load(load_args, version)
-            except SnapshotReplayError:
-                replica.stale = True
-                self._stale_rejected.inc()
-        self.shard_version[shard] = max(self.shard_version[shard], version)
+        replica.boot(tick)
 
     # ------------------------------------------------------------------ #
     @property

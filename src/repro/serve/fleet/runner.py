@@ -99,7 +99,8 @@ def _probe_quality(balancer: FleetBalancer, split, top_k: int) -> dict:
 
     Each probed user is asked of the shard that owns it, straight through
     ``ecall_serve`` (not the admission path: the probe is a measurement,
-    not traffic); a shard with no live replica left is skipped.
+    not traffic); a shard with no live replica left is skipped.  Every
+    probed user has a relevant item, so no score is NaN.
     """
     relevant = relevance_sets(split.test)
     by_shard: Dict[int, List[int]] = {}
@@ -119,9 +120,9 @@ def _probe_quality(balancer: FleetBalancer, split, top_k: int) -> dict:
         recalls.append(recall_at_k(recommended[user], relevant[user], top_k))
         ndcgs.append(ndcg_at_k(recommended[user], relevant[user], top_k))
     return {
-        f"precision_at_{top_k}": float(np.nanmean(precisions)),
-        f"recall_at_{top_k}": float(np.nanmean(recalls)),
-        f"ndcg_at_{top_k}": float(np.nanmean(ndcgs)),
+        f"precision_at_{top_k}": float(np.mean(precisions)),
+        f"recall_at_{top_k}": float(np.mean(recalls)),
+        f"ndcg_at_{top_k}": float(np.mean(ndcgs)),
         "probed_users": float(len(recommended)),
     }
 
@@ -291,7 +292,6 @@ def run_fleet_experiment(
                     {
                         "replica": r.replica_id,
                         "alive": r.alive,
-                        "version": r.version,
                         "incarnations": r.incarnation,
                         "crashes": r.crashes,
                         "restarts": r.restarts,
@@ -307,7 +307,7 @@ def run_fleet_experiment(
     metrics = obs.metrics
     admission = {
         field: int(metrics.value(f"serve.fleet.{field}"))
-        for field in ("offered", "routed", "failover", "shed", "deferred", "stale_rejected")
+        for field in ("offered", "routed", "failover", "shed", "deferred")
     }
     cache = {
         "hits": metrics.value("serve.cache.hits", cache="topn"),

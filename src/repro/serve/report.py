@@ -1,4 +1,4 @@
-"""The ``repro.serve/v2`` report: one document for every serving run.
+"""The ``repro.serve/v3`` report: one document for every serving run.
 
 One run of the serving pipeline -- a single endpoint is the 1-shard x
 1-replica fleet -- condenses into a :class:`ServeReport`: the traffic,
@@ -72,7 +72,6 @@ class ServeReport:
     failover: int
     shed: int
     deferred: int
-    stale_rejected: int
     routing_errors: int
     completed: int
     # -- time ----------------------------------------------------------- #
@@ -108,7 +107,7 @@ class ServeReport:
         }
 
     def to_dict(self) -> dict:
-        doc = {"schema": "repro.serve/v2"}
+        doc = {"schema": "repro.serve/v3"}
         doc.update(asdict(self))
         return doc
 
@@ -125,8 +124,7 @@ class ServeReport:
             f"  requests         {self.offered} offered, {self.routed} routed, "
             f"{self.failover} failover, {self.shed} shed "
             f"({shed_pct:.1f}%), {self.completed} completed",
-            f"  routing errors   {self.routing_errors} "
-            f"(stale loads rejected: {self.stale_rejected})",
+            f"  routing errors   {self.routing_errors}",
             f"  faults           {self.crashes} crashes, {self.restarts} restarts",
             f"  throughput       {self.throughput_rps:.1f} req/s over "
             f"{self.duration_s * 1e3:.1f} ms simulated "

@@ -187,9 +187,8 @@ def train_and_load(
 
     balancer = FleetBalancer(ring, replica_map, policy=policy, metrics=obs.metrics)
     for shard in ring.shard_ids:
-        balancer.shard_version[shard] = SNAPSHOT_VERSION
         for replica in replica_map[shard]:
-            replica.boot(0, SNAPSHOT_VERSION)
+            replica.boot(0)
     return balancer, split, shard_meta
 
 

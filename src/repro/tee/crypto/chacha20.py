@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 
-__all__ = ["chacha20_block", "chacha20_blocks", "chacha20_encrypt", "chacha20_decrypt"]
+__all__ = ["chacha20_block", "chacha20_blocks", "chacha20_encrypt"]
 
 _MASK32 = 0xFFFFFFFF
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)  # "expand 32-byte k"
@@ -220,15 +220,10 @@ def chacha20_blocks(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> by
 def chacha20_encrypt(key: bytes, counter: int, nonce: bytes, plaintext) -> bytes:
     """Encrypt (or decrypt) ``plaintext`` with the ChaCha20 keystream.
 
-    The cipher is its own inverse; :func:`chacha20_decrypt` is an alias
-    provided for readability at call sites.
+    The cipher is its own inverse: encrypting the ciphertext again with
+    the same key, counter and nonce decrypts it.
     """
     n = len(plaintext)
     keystream = chacha20_blocks(key, counter, nonce, (n + 63) // 64)
     x = int.from_bytes(plaintext, "little") ^ int.from_bytes(keystream[:n], "little")
     return x.to_bytes(n, "little")
-
-
-def chacha20_decrypt(key: bytes, counter: int, nonce: bytes, ciphertext) -> bytes:
-    """Decrypt ChaCha20 ciphertext (identical to encryption)."""
-    return chacha20_encrypt(key, counter, nonce, ciphertext)

@@ -71,5 +71,5 @@ class ChannelNotEstablished(AttestationError):
 
 
 class SnapshotReplayError(TeeError):
-    """The host asked a serving enclave to install or serve a snapshot
-    version below its high-water mark (a rollback)."""
+    """The host asked a serving enclave to install a snapshot version at
+    or below the installed one (a rollback or a replayed load)."""

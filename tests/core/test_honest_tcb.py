@@ -159,12 +159,6 @@ def published_twice(tiny_split):
     return host
 
 
-def test_undefended_node_refuses_an_older_serve_version(published_twice):
-    with pytest.raises(SnapshotReplayError):
-        published_twice.serve([0, 1], 5, version=1)
-    assert published_twice.serve([0, 1], 5, version=2)["stats"]["requests"] == 2
-
-
 def test_published_snapshots_keep_no_history(published_twice):
     assert not hasattr(published_twice.enclave._app, "_published")
 

@@ -11,6 +11,10 @@ from repro.data.dataset import RatingsDataset
 from repro.sim.fleet import FleetStores
 
 
+def _stored_pairs(store):
+    return set(zip(store.users.tolist(), store.items.tolist()))
+
+
 def _triplets(pairs, n_users=10, n_items=20, rating=3.0):
     users = np.array([p[0] for p in pairs], dtype=np.int32)
     items = np.array([p[1] for p in pairs], dtype=np.int32)
@@ -64,8 +68,8 @@ class TestAppendUnique:
     def test_contains_pair(self):
         store = DataStore(10, 20)
         store.append_unique(_triplets([(3, 7)]))
-        assert store.contains_pair(3, 7)
-        assert not store.contains_pair(3, 8)
+        assert (3, 7) in _stored_pairs(store)
+        assert (3, 8) not in _stored_pairs(store)
 
     def test_nbytes_grows(self):
         store = DataStore(10, 20, capacity=1)
@@ -138,8 +142,9 @@ class TestSampling:
         store.append_unique(_triplets([(0, 1), (2, 3), (4, 5)]))
         sample = store.sample(2, child_rng(0, "s"))
         assert len(sample) == 2
+        stored = _stored_pairs(store)
         for u, i, _r in sample.iter_triplets():
-            assert store.contains_pair(u, i)
+            assert (u, i) in stored
 
     def test_sample_more_than_stored_uses_replacement(self):
         store = DataStore(10, 20)

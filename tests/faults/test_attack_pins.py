@@ -22,6 +22,10 @@ digest ``bb671bf8…`` -> ``6d20d6a5…``, RMSE 1.0704292192514644 ->
 1.0726220719310466, precision@10 0.085 -> 0.09; RMW RMSE
 1.0697056920672243 -> 1.0659349666858455, precision@10 0.065 ->
 0.085).  Every other pin is unchanged.
+
+A third: the ``replay-serve`` persona is gone (the serving enclave keeps
+no older snapshot to roll back to, so its probe only ever served the
+fresh one), and its pin went with it.
 """
 
 import math
@@ -53,15 +57,6 @@ PINS = (
         0.045,
         {},
         {"poison_points": 4000},
-    ),
-    (
-        "replay-serve",
-        {},
-        "fa4cac8dfc3a6b430cd996df3b1c9cc43219b31bd01f788002fce3f739557f17",
-        1.0686196986359013,
-        0.09500000000000001,
-        {"replay_snapshot": 1},
-        {},
     ),
     (
         "byzantine-mix",

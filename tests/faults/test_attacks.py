@@ -98,22 +98,6 @@ def test_poison_rejected_under_model_scheme():
     assert report.node_epochs == {n: 5 for n in range(8)}
 
 
-def test_replay_rollback_refused_when_defended():
-    report = _run("replay-serve")
-    assert report.rejected.get("replay_snapshot", 0) == 1
-    assert any(" snapshot_capture " in e for e in report.events)
-    assert any(" replay_serve " in e for e in report.events)
-    # The defended probe fell back to the fresh snapshot.
-    assert report.precision is not None
-
-
-def test_replay_rollback_refused_with_defenses_off():
-    # Version monotonicity is not a defence switch.
-    report = _run("replay-serve", defenses=False)
-    assert not report.defended
-    assert report.rejected == {"replay_snapshot": 1}
-
-
 def test_byzantine_mix_survives_with_defenses():
     report = _run("byzantine-mix", baseline=True)
     assert report.defended
@@ -217,9 +201,6 @@ def test_honest_plans_carry_no_personas():
 
 
 def test_attack_plans_have_open_twins():
-    # Replay has no open twin: the serving engine refuses a rollback
-    # whether or not the defences are armed.
-    assert "replay-serve-open" not in NAMED_PLANS
     for name in ("poison",):
         assert NAMED_PLANS[name].defended
         assert not NAMED_PLANS[f"{name}-open"].defended

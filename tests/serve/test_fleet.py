@@ -291,7 +291,7 @@ class TestFleetRuns:
         assert type(report) is FleetServeReport and issubclass(FleetServeReport, ServeReport)
         assert vars(FleetServeReport).keys() <= {"__module__", "__doc__"}
         doc = report.to_dict()
-        assert doc["schema"] == "repro.serve/v2"
+        assert doc["schema"] == "repro.serve/v3"
         assert doc["ring_digest"] == HashRing(range(FLEET_KW["shards"])).digest()
         assert doc["traffic"] == TRAFFIC.to_dict()
         assert len(doc["per_shard"]) == FLEET_KW["shards"]
@@ -362,7 +362,7 @@ class TestReportIsARegistryView:
             obs=obs,
         )
         metrics = obs.metrics
-        for field in ("offered", "routed", "failover", "shed", "deferred", "stale_rejected"):
+        for field in ("offered", "routed", "failover", "shed", "deferred"):
             value = getattr(report, field)
             assert type(value) is int and value == metrics.value(f"serve.fleet.{field}")
         assert report.crashes == report.restarts == 2
@@ -404,24 +404,22 @@ def _mini_fleet(metrics=None):
     """One shard, two replicas over toy arrays; returns the balancer."""
     owned = np.arange(12, dtype=np.int64)
     arrays = _toy_arrays(n_users=12)
-
-    def payload(version):
-        wire, _ = build_shard_payload(
-            arrays["user_factors"],
-            arrays["item_factors"],
-            arrays["user_bias"],
-            arrays["item_bias"],
-            arrays["user_seen"],
-            arrays["item_seen"],
-            arrays["global_mean"],
-            owned,
-            version=version,
-            shard_id=0,
-        )
-        return {
-            "snapshot": wire,
-            "shard_users": encode_shard_users(owned),
-        }
+    wire, _ = build_shard_payload(
+        arrays["user_factors"],
+        arrays["item_factors"],
+        arrays["user_bias"],
+        arrays["item_bias"],
+        arrays["user_seen"],
+        arrays["item_seen"],
+        arrays["global_mean"],
+        owned,
+        version=1,
+        shard_id=0,
+    )
+    payload = {
+        "snapshot": wire,
+        "shard_users": encode_shard_users(owned),
+    }
 
     ring = HashRing([0])
     policy = FleetPolicy(shard=ServePolicy(batch_window_ticks=1))
@@ -433,22 +431,21 @@ def _mini_fleet(metrics=None):
             enclave = _platform.create_enclave(
                 ServeEnclaveApp, f"mini-shard0-r{_r}-i{incarnation}"
             )
-            enclave.ecall("ecall_load", payload(1))
+            enclave.ecall("ecall_load", payload)
             return enclave
 
         replicas.append(
             ShardReplica(0, r, factory, policy=policy.shard, metrics=metrics)
         )
     balancer = FleetBalancer(ring, {0: replicas}, policy=policy, metrics=metrics)
-    balancer.shard_version[0] = 1
     for replica in replicas:
-        replica.boot(0, 1)
-    return balancer, replicas, payload
+        replica.boot(0)
+    return balancer, replicas
 
 
 class TestFailoverMechanics:
     def test_kill_requeues_admitted_work(self):
-        balancer, replicas, _ = _mini_fleet()
+        balancer, replicas = _mini_fleet()
         for user in range(6):
             balancer.offer(user)
         balancer.route_pending()
@@ -469,7 +466,7 @@ class TestFailoverMechanics:
         assert balancer.metrics.value("serve.fleet.failover") >= moved
 
     def test_all_dead_defers_then_restart_recovers(self):
-        balancer, replicas, _ = _mini_fleet()
+        balancer, replicas = _mini_fleet()
         balancer.kill_replica(0, 0)
         balancer.kill_replica(0, 1)
         balancer.offer(4)
@@ -477,40 +474,16 @@ class TestFailoverMechanics:
         assert balancer.metrics.value("serve.fleet.deferred") == 1
         assert balancer.queued_len == 0 and not balancer.idle()
         balancer.restart_replica(0, 1, tick=5)
-        assert replicas[1].alive and replicas[1].version == 1
+        assert replicas[1].alive
         assert replicas[1].incarnation == 2  # fresh enclave incarnation
         balancer.route_pending()
         while not balancer.idle():
             balancer.step_shard(0)
         assert len(balancer.completions) == 1
 
-    def test_stale_replica_rejected_and_skipped(self):
-        balancer, replicas, payload = _mini_fleet()
-        # Both replicas took v1 at boot.  Replica 0's enclave has also
-        # seen v3 (a direct host publish); the fleet-wide publish of v2
-        # is a rollback *for it* -- the replay defense fires and the
-        # balancer marks it stale.
-        replicas[0].load(payload(3), 3)
-        with pytest.raises(SnapshotReplayError):
-            replicas[0].server.enclave.ecall("ecall_load", payload(2))
-        balancer.publish(0, payload(2), 2)
-        assert balancer.metrics.value("serve.fleet.stale_rejected") == 1
-        assert replicas[0].stale and not replicas[1].stale
-        assert balancer.shard_version[0] == 2
-        # Routing now avoids the stale replica entirely.
-        for user in range(6):
-            balancer.offer(user)
-        balancer.route_pending()
-        assert replicas[0].server.queue_len == 0
-        assert replicas[1].server.queue_len == 6
-        # Failover was counted for users whose preferred replica was 0.
-        assert balancer.metrics.value("serve.fleet.failover") == sum(
-            1 for u in range(6) if u % 2 == 0
-        )
-
     def test_fleet_counters_land_in_obs(self):
         obs = Observability.create()
-        balancer, replicas, _ = _mini_fleet(metrics=obs.metrics)
+        balancer, replicas = _mini_fleet(metrics=obs.metrics)
         for user in range(4):
             balancer.offer(user)
         balancer.route_pending()
@@ -522,7 +495,7 @@ class TestFailoverMechanics:
         assert obs.metrics.value("serve.fleet.failover") >= 1
 
     def test_global_queue_bound_sheds(self):
-        balancer, _, _ = _mini_fleet()
+        balancer, _ = _mini_fleet()
         small = FleetPolicy(queue_depth=2)
         balancer.policy = small
         assert balancer.offer(0) and balancer.offer(1)

@@ -1,6 +1,6 @@
 """Acceptance tests for the single endpoint (the 1x1 serving fleet).
 
-Byte-identical ``repro.serve/v2`` reports for a fixed (seed, snapshot,
+Byte-identical ``repro.serve/v3`` reports for a fixed (seed, snapshot,
 workload), a ranking-quality floor on the synthetic MovieLens stand-in,
 and visible EPC pressure once the serving working set exceeds the usable
 EPC.  The single endpoint's snapshot and EPC facts live under
@@ -58,7 +58,7 @@ class TestDeterminism:
 class TestReportContents:
     def test_schema_and_identity(self, small_report):
         doc = small_report.to_dict()
-        assert doc["schema"] == "repro.serve/v2"
+        assert doc["schema"] == "repro.serve/v3"
         assert (doc["shards"], doc["replicas_per_shard"]) == (1, 1)
         assert len(doc["per_shard"]) == 1
         assert doc["per_shard"][0]["users"] == SMALL["users"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tee.crypto.aead import AeadError, ChaCha20Poly1305
-from repro.tee.crypto.chacha20 import chacha20_block, chacha20_decrypt, chacha20_encrypt
+from repro.tee.crypto.chacha20 import chacha20_block, chacha20_encrypt
 from repro.tee.crypto.fastchacha import chacha20_xor
 from repro.tee.crypto.poly1305 import poly1305_mac
 
@@ -41,7 +41,7 @@ class TestChaCha20Block:
     def test_roundtrip(self):
         data = os.urandom(333)
         ct = chacha20_encrypt(RFC_KEY, 7, RFC_NONCE, data)
-        assert chacha20_decrypt(RFC_KEY, 7, RFC_NONCE, ct) == data
+        assert chacha20_encrypt(RFC_KEY, 7, RFC_NONCE, ct) == data
         assert ct != data
 
     def test_counter_advances_per_block(self):

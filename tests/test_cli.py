@@ -83,9 +83,10 @@ class TestCommands:
         assert "mixed-churn" in out and "refuse-attest" in out
 
     def test_chaos_unknown_plan_exits_2(self, capsys):
-        assert main(["chaos", "--plan", "sybil"]) == 2
-        out = capsys.readouterr().out
-        assert "unknown fault plan 'sybil'" in out and "poison-open" in out
+        for plan in ("sybil", "replay-serve"):
+            assert main(["chaos", "--plan", plan]) == 2
+            out = capsys.readouterr().out
+            assert f"unknown fault plan {plan!r}" in out and "poison-open" in out
 
     def test_chaos_small_run(self, capsys, tmp_path):
         import json
@@ -134,7 +135,7 @@ class TestCommands:
         assert "throughput" in out and "snapshot v1" in out and "quality" in out
         assert "1 shards x 1 replicas" in out
         doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro.serve/v2"
+        assert doc["schema"] == "repro.serve/v3"
         assert doc["completed"] > 0
         assert doc["traffic"]["zipf_s"] == 1.1  # the Zipf trace source
         assert doc["policy"]["shard"]["shed"] == "shed-oldest"
@@ -167,7 +168,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fleet 3 shards x 2 replicas" in out
         doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro.serve/v2"
+        assert doc["schema"] == "repro.serve/v3"
         assert doc["completed"] > 0
         assert doc["offered"] == doc["completed"] + doc["shed"]
         assert doc["traffic"]["day_night_ratio"] == 4.0  # the production source

@@ -62,8 +62,7 @@ def test_store_size_equals_union_of_batches(batches):
         store.append_unique(data)
         reference |= set(batch)
     assert len(store) == len(reference)
-    for user, item in reference:
-        assert store.contains_pair(user, item)
+    assert set(zip(store.users.tolist(), store.items.tolist())) == reference
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,8 +78,9 @@ def test_store_sample_only_returns_contents(batch, n):
     )
     store.append_unique(data)
     sample = store.sample(n, child_rng(0, "p"))
+    stored = set(zip(store.users.tolist(), store.items.tolist()))
     for user, item, _rating in sample.iter_triplets():
-        assert store.contains_pair(user, item)
+        assert (user, item) in stored
 
 
 # --------------------------------------------------------------------- #

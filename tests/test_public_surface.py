@@ -6,7 +6,8 @@ its own definition by a non-test file under ``src/repro``, ``bench/``,
 ``benchmarks/`` or ``examples/``.  A reference is a NAME token or an
 identifier inside a string literal: ``bench/layers.py`` names the callables
 it wraps by dotted string.  The strings of an
-``__all__`` list export a name; they do not use it.  Dunders, ``ecall_*`` and
+``__all__`` list export a name, and a docstring describes one; neither
+uses it.  Dunders, ``ecall_*`` and
 ``visit_*`` methods (reached by dispatch on the name) and decorated
 module-level definitions (the ``@register`` lint rules) are exempt.
 """
@@ -50,9 +51,20 @@ def _definitions(tree: ast.Module):
                     yield target.id, target
 
 
+def _docstring_starts(tree: ast.Module) -> set:
+    """``(line, col)`` of every module, class and function docstring."""
+    starts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, *FUNCTIONS)) and ast.get_docstring(node):
+            doc = node.body[0].value
+            starts.add((doc.lineno, doc.col_offset))
+    return starts
+
+
 def _references(source: str, tree: ast.Module):
     """Every NAME token and string identifier that is not a definition's own name."""
     own = {(n.lineno, n.col_offset) for _, n in _definitions(tree) if isinstance(n, ast.Name)}
+    docstrings = _docstring_starts(tree)
     exports = set()
     for node in tree.body:
         targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
@@ -62,7 +74,11 @@ def _references(source: str, tree: ast.Module):
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME and previous not in ("def", "class") and tok.start not in own:
             yield tok.string
-        elif tok.type in STRING_TOKENS and tok.start[0] not in exports:
+        elif (
+            tok.type in STRING_TOKENS
+            and tok.start[0] not in exports
+            and tok.start not in docstrings
+        ):
             yield from IDENT.findall(tok.string)
         previous = tok.string
 
@@ -97,6 +113,7 @@ def test_guard_flags_a_test_only_name_and_counts_bench_strings(tmp_path):
         "src/repro/mod.py": (
             "__all__ = ['planted', 'in_bench', 'in_example']\n"
             "def planted():\n    pass\n"
+            "def _documented():\n    '''Calls planted().'''\n"
             "def in_bench():\n    pass\n"
             "def in_example():\n    pass\n"
         ),
