@@ -21,7 +21,7 @@ def test_fig4_multiuser_error_vs_time():
             rex = E.fig4_run(dissemination, topo, SharingScheme.DATA)
             ms = E.fig4_run(dissemination, topo, SharingScheme.MODEL)
             panels[f"{dissemination.label}, {topo.upper()}"] = (rex, ms)
-        return panels, E.fig4_centralized()
+        return panels, E.fig1_centralized()  # same dataset, same baseline
 
     panels, central = build()
 

@@ -139,23 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the identical scenario fault-free and report the RMSE delta",
     )
     chaos.add_argument(
-        "--defenses",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help=(
-            "override the plan's enclave-defense posture "
-            "(auto = arm exactly when the plan is a defended attack plan)"
-        ),
-    )
-    chaos.add_argument(
-        "--attack-matrix",
-        action="store_true",
-        help=(
-            "run the Byzantine persona matrix (defended, with fault-free "
-            "baselines) instead of a single plan; honors --output"
-        ),
-    )
-    chaos.add_argument(
         "--output",
         default=None,
         metavar="PATH",
@@ -383,7 +366,7 @@ def cmd_metrics(args) -> int:
 def cmd_chaos(args) -> int:
     import json
 
-    from repro.faults import ATTACK_PLANS, NAMED_PLANS, run_chaos
+    from repro.faults import NAMED_PLANS, run_chaos
 
     if args.list_plans:
         rows = [
@@ -391,37 +374,6 @@ def cmd_chaos(args) -> int:
         ]
         print(format_table(["plan", "scenario"], rows, title="fault-plan catalog"))
         return 0
-    defenses = {"auto": None, "on": True, "off": False}[args.defenses]
-
-    if args.attack_matrix:
-        reports = []
-        for name in ATTACK_PLANS:
-            report = run_chaos(
-                name,
-                seed=args.seed,
-                nodes=args.nodes,
-                epochs=args.epochs,
-                scheme=_SCHEMES[args.scheme],
-                dissemination=_DISSEMINATION[args.dissemination],
-                baseline=True,
-                defenses=defenses,
-            )
-            reports.append(report)
-            for line in report.format_lines():
-                print(line)
-            print()
-        if args.output:
-            doc = {
-                "schema": "repro.attack-matrix/v1",
-                "seed": args.seed,
-                "reports": [report.to_dict() for report in reports],
-            }
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.output} ({len(reports)} persona reports)")
-        return 0
-
     if args.plan not in NAMED_PLANS:
         print(f"unknown fault plan {args.plan!r}; choose from {sorted(NAMED_PLANS)}")
         return 2
@@ -433,7 +385,6 @@ def cmd_chaos(args) -> int:
         scheme=_SCHEMES[args.scheme],
         dissemination=_DISSEMINATION[args.dissemination],
         baseline=args.baseline,
-        defenses=defenses,
     )
     for line in report.format_lines():
         print(line)
@@ -540,8 +491,6 @@ def cmd_info(_args) -> int:
 
     print(f"repro {__version__} -- REX (IPDPS 2022) reproduction")
     print(f"REPRO_EPOCH_SCALE = {os.environ.get('REPRO_EPOCH_SCALE', '0.4 (default)')}")
-    print(f"REPRO_NO_CACHE    = {os.environ.get('REPRO_NO_CACHE', '0 (default)')}")
-    print(f"REPRO_CACHE_DIR   = {os.environ.get('REPRO_CACHE_DIR', '.repro_cache (default)')}")
     try:
         resolved = backend.aead_backend()
     except (RuntimeError, ValueError) as exc:

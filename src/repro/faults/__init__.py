@@ -18,7 +18,7 @@ Poisoning rewrites Algorithm 2's share step, which no host can do from
 outside: it is a *modified enclave build*, :class:`TamperedRexApp` (the
 one trusted module here), loaded by a :class:`CompromisedHost`.
 With an intact TEE every honest peer refuses that build's quote.
-:func:`run_chaos`'s attack matrix is the broken-TEE tier: each
+:func:`run_chaos`'s attack plans are the broken-TEE tier: each
 compromised host first forges the honest measurement, and
 :class:`~repro.core.config.DefenseConfig` is what remains.
 """
@@ -26,7 +26,6 @@ compromised host first forges the honest measurement, and
 from repro.faults.compromised import CompromisedHost, compromise
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
-    ATTACK_PLANS,
     NAMED_PLANS,
     CrashEvent,
     FaultPlan,
@@ -37,7 +36,6 @@ from repro.faults.runner import ChaosController, ChaosReport, run_chaos
 from repro.faults.tampered import TamperedRexApp, tampered_build
 
 __all__ = [
-    "ATTACK_PLANS",
     "ChaosController",
     "ChaosReport",
     "CompromisedHost",

@@ -31,7 +31,6 @@ __all__ = [
     "PoisonAttack",
     "FaultPlan",
     "NAMED_PLANS",
-    "ATTACK_PLANS",
 ]
 
 
@@ -218,7 +217,3 @@ NAMED_PLANS: Dict[str, FaultPlan] = {
         ),
     )
 }
-
-#: The defended attack matrix ``repro chaos`` reports and the attack
-#: tests assert bounds on (``poison`` has an ``-open`` twin).
-ATTACK_PLANS: Tuple[str, ...] = ("poison",)

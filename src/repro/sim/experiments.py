@@ -1,11 +1,12 @@
 """Experiment presets: one entry point per paper table/figure scenario.
 
 Each function reproduces one experimental cell of the paper's evaluation
-(Section IV) and returns a :class:`~repro.sim.recorder.RunResult`.  Runs
-are cached in memory and on disk (``.repro_cache/``, JSON) keyed by their
-full configuration, because several tables/figures read the same runs
-(Table II and Figures 1-2 share the one-user scenarios, Table IV and
-Figures 6-7 share the SGX runs).
+(Section IV) and returns a :class:`~repro.sim.recorder.RunResult`.  Every
+preset is a call into an ``lru_cache``d builder whose arguments are the
+run's whole key, scaled epoch count included, so every caller of one cell
+in one process gets the same object (Table II and Figures 1-2 share the
+one-user scenarios, Table IV and Figures 6-7 share the SGX runs).  Nothing
+is kept across processes: a new process runs the current code.
 
 Scaling: paper-length horizons (hundreds to thousands of epochs on a
 cluster) are impractical for a test machine, so every preset has a *base*
@@ -15,21 +16,13 @@ meaningful runs; set to 1.0 to reproduce the full horizons).  At reduced
 horizons the Table II/III benchmarks use the *joint* error-target rule
 (see :func:`repro.analysis.tables.speedup_table`), since the paper's
 "MS-final" rule assumes plateaued curves.
-
-Environment knobs:
-
-- ``REPRO_EPOCH_SCALE`` -- epoch multiplier (default 0.4).
-- ``REPRO_NO_CACHE=1`` -- disable the on-disk run cache.
-- ``REPRO_CACHE_DIR`` -- cache location (default ``<cwd>/.repro_cache``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from functools import lru_cache
-from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.config import Dissemination, RexConfig, SharingScheme
 from repro.core.cluster import ClusterRun, RexCluster
@@ -53,7 +46,6 @@ __all__ = [
     "fig1_centralized",
     "fig3_run",
     "fig4_run",
-    "fig4_centralized",
     "fig5_run",
     "sgx_run",
     "TOPOLOGIES",
@@ -139,145 +131,72 @@ def _shards_25m(n_nodes: int) -> Tuple[tuple, tuple]:
 
 
 # --------------------------------------------------------------------- #
-# Run cache
-# --------------------------------------------------------------------- #
-_MEMORY_CACHE: Dict[str, RunResult] = {}
-
-#: Bump when run semantics change to invalidate stale disk caches.
-_CACHE_VERSION = "v4"
-
-
-def _cache_dir() -> Path:
-    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
-
-
-def _cached(key: str, builder: Callable[[], RunResult]) -> RunResult:
-    if key in _MEMORY_CACHE:
-        return _MEMORY_CACHE[key]
-    digest = hashlib.sha256(f"{_CACHE_VERSION}|{key}".encode()).hexdigest()[:24]
-    path = _cache_dir() / f"{digest}.json"
-    use_disk = os.environ.get("REPRO_NO_CACHE", "0") != "1"
-    if use_disk and path.exists():
-        result = RunResult.from_json(path.read_text())
-        _MEMORY_CACHE[key] = result
-        return result
-    result = builder()
-    _MEMORY_CACHE[key] = result
-    if use_disk:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(result.to_json())
-    return result
-
-
-# --------------------------------------------------------------------- #
-# Figure 1 / 2 / Table II: one node per user, MF, 610 nodes
+# Figures 1-4 / Tables II-III: the MF fleet, one builder for every cell
 # --------------------------------------------------------------------- #
 FIG1_BASE_EPOCHS = 300
-
-
-def fig1_run(dissemination: Dissemination, topo_kind: str, scheme: SharingScheme) -> RunResult:
-    epochs = scaled_epochs(FIG1_BASE_EPOCHS)
-    key = f"fig1|{dissemination.value}|{topo_kind}|{scheme.value}|{epochs}"
-
-    def build() -> RunResult:
-        train, test = _one_user_shards()
-        config = RexConfig(
-            scheme=scheme,
-            dissemination=dissemination,
-            epochs=epochs,
-            seed=RUN_SEED,
-            share_points=300,
-        )
-        sim = MfFleetSim(
-            list(train),
-            list(test),
-            topology(topo_kind, 610),
-            config,
-            global_mean=movielens_latest_split().train.global_mean(),
-        )
-        return sim.run()
-
-    return _cached(key, build)
-
-
-def fig1_centralized() -> RunResult:
-    epochs = scaled_epochs(60)
-    key = f"fig1|centralized|{epochs}"
-
-    def build() -> RunResult:
-        split = movielens_latest_split()
-        return run_centralized(split.train, split.test, RexConfig(epochs=epochs, seed=RUN_SEED))
-
-    return _cached(key, build)
-
-
-# --------------------------------------------------------------------- #
-# Figure 3: feature-vector size sweep (D-PSGD, SW, one user per node)
-# --------------------------------------------------------------------- #
 FIG3_BASE_EPOCHS = 120
 FIG3_K_VALUES = (5, 10, 20, 40)
-
-
-def fig3_run(k: int, scheme: SharingScheme) -> RunResult:
-    epochs = scaled_epochs(FIG3_BASE_EPOCHS)
-    key = f"fig3|k{k}|{scheme.value}|{epochs}"
-
-    def build() -> RunResult:
-        train, test = _one_user_shards()
-        config = RexConfig(
-            scheme=scheme,
-            dissemination=Dissemination.DPSGD,
-            epochs=epochs,
-            seed=RUN_SEED,
-            share_points=300,
-            mf=MfHyperParams(k=k),
-        )
-        sim = MfFleetSim(
-            list(train),
-            list(test),
-            topology("sw", 610),
-            config,
-            global_mean=movielens_latest_split().train.global_mean(),
-        )
-        return sim.run()
-
-    return _cached(key, build)
-
-
-# --------------------------------------------------------------------- #
-# Figure 4 / Table III: multiple users per node, MF, 50 nodes
-# --------------------------------------------------------------------- #
 FIG4_BASE_EPOCHS = 300
 FIG4_NODES = 50
 
 
+@lru_cache(maxsize=None)
+def _fleet_run(
+    multi_user: bool,
+    topo_kind: str,
+    dissemination: Dissemination,
+    scheme: SharingScheme,
+    k: int,
+    epochs: int,
+) -> RunResult:
+    """One MF fleet run: one user per node on 610 nodes, or ``FIG4_NODES``
+    nodes holding several users each."""
+    train, test = _multi_user_shards(FIG4_NODES) if multi_user else _one_user_shards()
+    config = RexConfig(
+        scheme=scheme,
+        dissemination=dissemination,
+        epochs=epochs,
+        seed=RUN_SEED,
+        share_points=300,
+        mf=MfHyperParams(k=k),
+    )
+    sim = MfFleetSim(
+        list(train),
+        list(test),
+        topology(topo_kind, len(train)),
+        config,
+        global_mean=movielens_latest_split().train.global_mean(),
+    )
+    return sim.run()
+
+
+def fig1_run(dissemination: Dissemination, topo_kind: str, scheme: SharingScheme) -> RunResult:
+    """Figures 1-2 / Table II: one node per user, MF, 610 nodes."""
+    epochs = scaled_epochs(FIG1_BASE_EPOCHS)
+    return _fleet_run(False, topo_kind, dissemination, scheme, 10, epochs)
+
+
+def fig3_run(k: int, scheme: SharingScheme) -> RunResult:
+    """Figure 3: feature-vector size sweep (D-PSGD, SW, one user per node)."""
+    epochs = scaled_epochs(FIG3_BASE_EPOCHS)
+    return _fleet_run(False, "sw", Dissemination.DPSGD, scheme, k, epochs)
+
+
 def fig4_run(dissemination: Dissemination, topo_kind: str, scheme: SharingScheme) -> RunResult:
+    """Figure 4 / Table III: multiple users per node, MF, 50 nodes."""
     epochs = scaled_epochs(FIG4_BASE_EPOCHS)
-    key = f"fig4|{dissemination.value}|{topo_kind}|{scheme.value}|{epochs}"
-
-    def build() -> RunResult:
-        train, test = _multi_user_shards(FIG4_NODES)
-        config = RexConfig(
-            scheme=scheme,
-            dissemination=dissemination,
-            epochs=epochs,
-            seed=RUN_SEED,
-            share_points=300,
-        )
-        sim = MfFleetSim(
-            list(train),
-            list(test),
-            topology(topo_kind, FIG4_NODES),
-            config,
-            global_mean=movielens_latest_split().train.global_mean(),
-        )
-        return sim.run()
-
-    return _cached(key, build)
+    return _fleet_run(True, topo_kind, dissemination, scheme, 10, epochs)
 
 
-def fig4_centralized() -> RunResult:
-    return fig1_centralized()  # same dataset, same baseline
+@lru_cache(maxsize=None)
+def _centralized_run(epochs: int) -> RunResult:
+    split = movielens_latest_split()
+    return run_centralized(split.train, split.test, RexConfig(epochs=epochs, seed=RUN_SEED))
+
+
+def fig1_centralized() -> RunResult:
+    """The centralized MF baseline of Figures 1 and 4."""
+    return _centralized_run(scaled_epochs(60))
 
 
 # --------------------------------------------------------------------- #
@@ -286,26 +205,22 @@ def fig4_centralized() -> RunResult:
 FIG5_BASE_EPOCHS = 150
 
 
+@lru_cache(maxsize=None)
+def _dnn_run(topo_kind: str, scheme: SharingScheme, epochs: int) -> RunResult:
+    train, test = _multi_user_shards(FIG4_NODES)
+    config = RexConfig(
+        scheme=scheme,
+        dissemination=Dissemination.DPSGD,
+        epochs=epochs,
+        seed=RUN_SEED,
+        share_points=40,
+        dnn=DnnHyperParams(),
+    )
+    return DnnFleetSim(list(train), list(test), topology(topo_kind, FIG4_NODES), config).run()
+
+
 def fig5_run(topo_kind: str, scheme: SharingScheme) -> RunResult:
-    epochs = scaled_epochs(FIG5_BASE_EPOCHS)
-    key = f"fig5|{topo_kind}|{scheme.value}|{epochs}"
-
-    def build() -> RunResult:
-        train, test = _multi_user_shards(FIG4_NODES)
-        config = RexConfig(
-            scheme=scheme,
-            dissemination=Dissemination.DPSGD,
-            epochs=epochs,
-            seed=RUN_SEED,
-            share_points=40,
-            dnn=DnnHyperParams(),
-        )
-        sim = DnnFleetSim(
-            list(train), list(test), topology(topo_kind, FIG4_NODES), config
-        )
-        return sim.run()
-
-    return _cached(key, build)
+    return _dnn_run(topo_kind, scheme, scaled_epochs(FIG5_BASE_EPOCHS))
 
 
 # --------------------------------------------------------------------- #
@@ -339,6 +254,19 @@ def _sgx_cluster_run(
     return cluster.run(list(train), list(test), global_mean=split.train.global_mean())
 
 
+@lru_cache(maxsize=None)
+def _sgx_priced_run(
+    dissemination: Dissemination, scheme: SharingScheme, sgx: bool, large: bool, epochs: int
+) -> RunResult:
+    # The SGX testbed sits on a fast LAN; epoch cost is compute/crypto
+    # bound there, unlike the edge-device simulations.
+    return timeline_from_cluster(
+        _sgx_cluster_run(dissemination, scheme, large, epochs),
+        cost_model=SGX1_COST_MODEL if sgx else NATIVE_COST_MODEL,
+        time_model=LAN_TIME_MODEL,
+    )
+
+
 def sgx_run(
     dissemination: Dissemination,
     scheme: SharingScheme,
@@ -359,16 +287,4 @@ def sgx_run(
     :data:`NATIVE_COST_MODEL`.
     """
     epochs = scaled_epochs(FIG7_BASE_EPOCHS if large else FIG6_BASE_EPOCHS)
-    key = f"sgx|{dissemination.value}|{scheme.value}|sgx={sgx}|large={large}|{epochs}"
-
-    def build() -> RunResult:
-        run = _sgx_cluster_run(dissemination, scheme, large, epochs)
-        # The SGX testbed sits on a fast LAN; epoch cost is compute/crypto
-        # bound there, unlike the edge-device simulations.
-        return timeline_from_cluster(
-            run,
-            cost_model=SGX1_COST_MODEL if sgx else NATIVE_COST_MODEL,
-            time_model=LAN_TIME_MODEL,
-        )
-
-    return _cached(key, build)
+    return _sgx_priced_run(dissemination, scheme, sgx, large, epochs)

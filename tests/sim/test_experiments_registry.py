@@ -1,14 +1,11 @@
-"""The experiment preset registry: scaling, caching, topology presets."""
-
-import json
-from functools import lru_cache
+"""The experiment preset registry: scaling, memoisation, topology presets."""
 
 import networkx as nx
 import pytest
 
 from repro.core import Dissemination, RexCluster, SharingScheme
 from repro.sim import experiments as E
-from repro.sim.recorder import EpochRecord, RunResult
+from repro.sim.fleet import MfFleetSim
 from tests.conftest import topology_graph
 
 
@@ -46,11 +43,8 @@ def test_native_cell_is_the_sgx_cell_repriced(monkeypatch):
     """Both builds of a cell come from one protocol run: same curve, and
     the native price list never charges a stage more than SGX's."""
     monkeypatch.setenv("REPRO_EPOCH_SCALE", "0.001")  # the 5-epoch floor
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.setattr(E, "_MEMORY_CACHE", {})
-    monkeypatch.setattr(
-        E, "_sgx_cluster_run", lru_cache(maxsize=None)(E._sgx_cluster_run.__wrapped__)
-    )
+    E._sgx_cluster_run.cache_clear()
+    E._sgx_priced_run.cache_clear()
     calls = []
     run = RexCluster.run
 
@@ -73,60 +67,36 @@ def test_native_cell_is_the_sgx_cell_repriced(monkeypatch):
             assert getattr(n, f"{stage}_time_s") <= getattr(s, f"{stage}_time_s"), stage
 
 
-class TestRunCache:
-    def _fake_result(self, label):
-        return RunResult(
-            label=label, scheme="rex", dissemination="rmw", topology="t",
-            n_nodes=2, model="mf",
-            records=[EpochRecord(0, 1.0, 1.0, 10, 10)],
-        )
+class TestPresetMemo:
+    """A preset cell runs once per process and key; every caller shares it."""
 
-    def test_builder_called_once(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    @pytest.fixture
+    def fleet_runs(self, monkeypatch):
+        E._fleet_run.cache_clear()
         calls = []
+        run = MfFleetSim.run
 
-        def builder():
-            calls.append(1)
-            return self._fake_result("cached")
+        def counted(self, *args, **kwargs):
+            calls.append(self.config.epochs)
+            return run(self, *args, **kwargs)
 
-        a = E._cached("test-key-1", builder)
-        b = E._cached("test-key-1", builder)
-        assert a is b
-        assert len(calls) == 1
+        monkeypatch.setattr(MfFleetSim, "run", counted)
+        yield calls
+        E._fleet_run.cache_clear()
 
-    def test_disk_cache_survives_memory_eviction(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        E._cached("test-key-2", lambda: self._fake_result("disk"))
-        E._MEMORY_CACHE.pop("test-key-2")
-        restored = E._cached(
-            "test-key-2",
-            lambda: (_ for _ in ()).throw(AssertionError("should hit disk")),
-        )
-        assert restored.label == "disk"
-        assert len(list(tmp_path.glob("*.json"))) >= 1
+    def test_same_cell_is_one_run(self, fleet_runs, monkeypatch):
+        monkeypatch.setenv("REPRO_EPOCH_SCALE", "0.001")  # the 5-epoch floor
+        first = E.fig4_run(Dissemination.RMW, "sw", SharingScheme.DATA)
+        again = E.fig4_run(Dissemination.RMW, "sw", SharingScheme.DATA)
+        assert again is first
+        assert fleet_runs == [5]
 
-    def test_no_cache_env_disables_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        E._cached("test-key-3", lambda: self._fake_result("volatile"))
-        assert not list(tmp_path.glob("*.json"))
-
-    def test_cache_version_partitions_keys(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        E._cached("test-key-4", lambda: self._fake_result("v"))
-        path = next(tmp_path.glob("*.json"))
-        payload = json.loads(path.read_text())
-        assert payload["label"] == "v"
-        # A different cache version must map to a different file name.
-        monkeypatch.setattr(E, "_CACHE_VERSION", "test-version")
-        E._MEMORY_CACHE.pop("test-key-4")
-        E._cached("test-key-4", lambda: self._fake_result("v2"))
-        assert len(list(tmp_path.glob("*.json"))) == 2
-
-    @pytest.fixture(autouse=True)
-    def _clean_memory_cache(self):
-        yield
-        for key in list(E._MEMORY_CACHE):
-            if key.startswith("test-key"):
-                E._MEMORY_CACHE.pop(key)
+    def test_epoch_scale_is_part_of_the_key(self, fleet_runs, monkeypatch):
+        monkeypatch.setenv("REPRO_EPOCH_SCALE", "0.001")
+        short = E.fig4_run(Dissemination.RMW, "sw", SharingScheme.DATA)
+        monkeypatch.setenv("REPRO_EPOCH_SCALE", "0.02")
+        longer = E.fig4_run(Dissemination.RMW, "sw", SharingScheme.DATA)
+        assert longer is not short
+        assert len(short.records) == 5
+        assert len(longer.records) == E.scaled_epochs(E.FIG4_BASE_EPOCHS) == 6
+        assert fleet_runs == [5, 6]

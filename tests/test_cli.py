@@ -28,6 +28,7 @@ class TestCommands:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "REPRO_EPOCH_SCALE" in out
+        assert "REPRO_NO_CACHE" not in out
         assert "REPRO_AEAD_BACKEND = auto (default)" in out
         assert f"AEAD backend       = {aead_backend()}" in out
         assert f"AEAD native usable = {native_available()}" in out

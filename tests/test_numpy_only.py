@@ -61,7 +61,7 @@ print("numpy-only ok", aead_backend())
 
 
 def test_import_fleet_and_cluster_without_optional_packages():
-    env = {**os.environ, "PYTHONPATH": str(SRC), "REPRO_NO_CACHE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("REPRO_AEAD_BACKEND", None)
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300
