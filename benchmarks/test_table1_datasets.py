@@ -10,7 +10,12 @@ import numpy as np
 from benchmarks.conftest import emit
 from repro.analysis.report import format_table
 from repro.analysis.tables import dataset_table
-from repro.data.movielens import MOVIELENS_25M_CAPPED, MOVIELENS_LATEST, generate_movielens
+from repro.data.movielens import (
+    MIN_RATINGS_PER_USER,
+    MOVIELENS_25M_CAPPED,
+    MOVIELENS_LATEST,
+    generate_movielens,
+)
 
 
 def _measure(dataset):
@@ -30,7 +35,7 @@ def test_table1_datasets():
             assert len(dataset) == spec.n_ratings
             assert dataset.n_users == spec.n_users
             assert dataset.n_items == spec.n_items
-            assert dataset.user_counts().min() >= spec.min_ratings_per_user
+            assert dataset.user_counts().min() >= MIN_RATINGS_PER_USER
             assert len(np.unique(dataset.pair_keys())) == len(dataset)
             rows.append((spec, _measure(dataset)))
         return rows

@@ -104,14 +104,12 @@ class OverheadRow:
 
 def sgx_overhead_table(
     pairs: Sequence[Tuple[str, RunResult, RunResult]],
-    *,
-    skip: int = 1,
 ) -> List[OverheadRow]:
     """Build Table IV rows from (setup, sgx_run, native_run) triples."""
     rows = []
     for setup, sgx_run, native_run in pairs:
-        sgx_epoch = sgx_run.mean_epoch_time(skip=skip)
-        native_epoch = native_run.mean_epoch_time(skip=skip)
+        sgx_epoch = sgx_run.mean_epoch_time()
+        native_epoch = native_run.mean_epoch_time()
         if native_epoch <= 0:
             raise ValueError(f"native run for {setup!r} has zero epoch time")
         overhead = 100.0 * (sgx_epoch - native_epoch) / native_epoch

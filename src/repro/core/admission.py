@@ -30,6 +30,7 @@ __all__ = [
     "REASON_RATING_BOUNDS",
     "REASON_RATING_SKEW",
     "REASON_ITEM_CONCENTRATION",
+    "REASON_MODEL_BOUND",
     "ShareAdmission",
 ]
 
@@ -37,6 +38,7 @@ __all__ = [
 REASON_RATING_BOUNDS = "rating_bounds"
 REASON_RATING_SKEW = "rating_skew"
 REASON_ITEM_CONCENTRATION = "item_concentration"
+REASON_MODEL_BOUND = "model_bound"
 REASON_QUOTA = "quota"
 REASON_SYBIL = "sybil"
 
@@ -132,7 +134,7 @@ class ShareAdmission:
         for arr in (state.user_factors, state.item_factors, state.user_bias, state.item_bias):
             values = np.asarray(arr)
             if values.size and float(np.abs(values).max()) > MODEL_PARAM_BOUND:
-                return REASON_RATING_SKEW
+                return REASON_MODEL_BOUND
         return None
 
     # ------------------------------------------------------------------ #

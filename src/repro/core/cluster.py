@@ -84,7 +84,6 @@ class RexCluster:
         config: RexConfig,
         *,
         secure: bool = True,
-        epc: Optional[EpcModel] = None,
         obs: Optional[Observability] = None,
     ):
         if not secure:
@@ -98,7 +97,7 @@ class RexCluster:
         metrics = self.obs.metrics
         n_nodes = topology.n_nodes
         n_machines = (n_nodes + NODES_PER_MACHINE - 1) // NODES_PER_MACHINE
-        self.epc = epc if epc is not None else EpcModel(enclaves_per_machine=NODES_PER_MACHINE)
+        self.epc = EpcModel(enclaves_per_machine=NODES_PER_MACHINE)
 
         self.attestation_service = AttestationService()
         self.platforms = [

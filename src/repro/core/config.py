@@ -103,8 +103,8 @@ class DefenseConfig:
     - **rating sanity**: decoded triplet shares with out-of-range
       ratings, implausibly skewed rating distributions, or a single item
       dominating the share are rejected wholesale, and so is a peer
-      model state with a parameter beyond ``MODEL_PARAM_BOUND``
-      (kind ``rating_skew`` for both).
+      model state with a parameter beyond ``MODEL_PARAM_BOUND`` (kind
+      ``rating_skew`` for a skewed share, ``model_bound`` for a state).
 
     The one switch arms all three; their bounds are the named constants
     of :mod:`repro.core.admission` (no run ever set them differently).

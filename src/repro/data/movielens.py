@@ -31,11 +31,27 @@ from repro.data.partition import partition_users_across_nodes
 
 __all__ = [
     "MovieLensSpec",
+    "MIN_RATINGS_PER_USER",
     "MOVIELENS_LATEST",
     "MOVIELENS_25M_CAPPED",
     "generate_movielens",
     "generate_node_shards",
 ]
+
+
+#: MovieLens guarantees every user rated at least 20 movies.
+MIN_RATINGS_PER_USER = 20
+
+# The generator's shape, the same for every spec.
+
+#: Rank of the planted latent structure (not the model's k).
+_LATENT_RANK = 8
+#: Zipf exponent of item popularity; ~0.9 fits MovieLens head/tail.
+_POPULARITY_EXPONENT = 0.9
+#: Std-dev of log per-user activity around its mean.
+_USER_ACTIVITY_SIGMA = 0.9
+#: Observation-noise std-dev before half-star quantization.
+_NOISE_SIGMA = 0.55
 
 
 @dataclass(frozen=True)
@@ -48,19 +64,8 @@ class MovieLensSpec:
     n_users: int
     last_updated: int
 
-    #: Rank of the planted latent structure (not the model's k).
-    latent_rank: int = 8
-    #: Zipf exponent of item popularity; ~0.9 fits MovieLens head/tail.
-    popularity_exponent: float = 0.9
-    #: Std-dev of log per-user activity around its mean.
-    user_activity_sigma: float = 0.9
-    #: MovieLens guarantees every user rated at least 20 movies.
-    min_ratings_per_user: int = 20
-    #: Observation-noise std-dev before half-star quantization.
-    noise_sigma: float = 0.55
-
     def __post_init__(self) -> None:
-        if self.n_ratings < self.n_users * self.min_ratings_per_user:
+        if self.n_ratings < self.n_users * MIN_RATINGS_PER_USER:
             raise ValueError("not enough ratings to give every user the floor")
         if self.n_ratings > self.n_users * self.n_items:
             raise ValueError("more ratings than user-item pairs")
@@ -89,16 +94,16 @@ _HALF_STARS = np.arange(0.5, 5.01, 0.5, dtype=np.float32)
 
 def _user_rating_counts(spec: MovieLensSpec, rng: np.random.Generator) -> np.ndarray:
     """Per-user rating counts: log-normal activity with a floor, exact sum."""
-    weights = rng.lognormal(mean=0.0, sigma=spec.user_activity_sigma, size=spec.n_users)
-    spare = spec.n_ratings - spec.n_users * spec.min_ratings_per_user
-    counts = spec.min_ratings_per_user + np.floor(spare * weights / weights.sum()).astype(np.int64)
+    weights = rng.lognormal(mean=0.0, sigma=_USER_ACTIVITY_SIGMA, size=spec.n_users)
+    spare = spec.n_ratings - spec.n_users * MIN_RATINGS_PER_USER
+    counts = MIN_RATINGS_PER_USER + np.floor(spare * weights / weights.sum()).astype(np.int64)
     # Distribute the rounding remainder one rating at a time to the most
     # active users (deterministic given the weights).
     remainder = spec.n_ratings - int(counts.sum())
     if remainder > 0:
         top = np.argsort(weights)[::-1][:remainder]
         counts[top] += 1
-    np.clip(counts, spec.min_ratings_per_user, spec.n_items, out=counts)
+    np.clip(counts, MIN_RATINGS_PER_USER, spec.n_items, out=counts)
     # Clipping at n_items may have dropped ratings; give them to users with
     # head-room (rare in practice, but the invariant must hold exactly).
     deficit = spec.n_ratings - int(counts.sum())
@@ -120,7 +125,7 @@ def _assign_items(
     the shortfall.  Converges in a handful of rounds because duplicates
     are rare under a heavy-tailed law at MovieLens densities.
     """
-    popularity = 1.0 / np.arange(1, spec.n_items + 1) ** spec.popularity_exponent
+    popularity = 1.0 / np.arange(1, spec.n_items + 1) ** _POPULARITY_EXPONENT
     popularity /= popularity.sum()
     # Shuffle so popular item ids are spread over the id space, like the
     # real dataset (id order carries no popularity information).
@@ -164,9 +169,9 @@ def generate_movielens(spec: MovieLensSpec, *, seed: int = 0) -> RatingsDataset:
     counts = _user_rating_counts(spec, rng)
     users, items = _assign_items(spec, counts, rng)
 
-    scale = 1.0 / np.sqrt(spec.latent_rank)
-    user_factors = rng.normal(0.0, np.sqrt(scale), size=(spec.n_users, spec.latent_rank))
-    item_factors = rng.normal(0.0, np.sqrt(scale), size=(spec.n_items, spec.latent_rank))
+    scale = 1.0 / np.sqrt(_LATENT_RANK)
+    user_factors = rng.normal(0.0, np.sqrt(scale), size=(spec.n_users, _LATENT_RANK))
+    item_factors = rng.normal(0.0, np.sqrt(scale), size=(spec.n_items, _LATENT_RANK))
     user_bias = rng.normal(0.0, 0.35, size=spec.n_users)
     item_bias = rng.normal(0.0, 0.45, size=spec.n_items)
 
@@ -175,7 +180,7 @@ def generate_movielens(spec: MovieLensSpec, *, seed: int = 0) -> RatingsDataset:
         + user_bias[users]
         + item_bias[items]
         + np.einsum("ij,ij->i", user_factors[users], item_factors[items])
-        + rng.normal(0.0, spec.noise_sigma, size=spec.n_ratings)
+        + rng.normal(0.0, _NOISE_SIGMA, size=spec.n_ratings)
     )
     quantized = np.clip(np.round(raw * 2.0) / 2.0, 0.5, 5.0).astype(np.float32)
 

@@ -90,27 +90,24 @@ class PoisonAttack:
     """Shilling / profile-injection by a tampered enclave build.
 
     Each attacker node shares fabricated profiles instead of an honest
-    sample of its store: ``fake_users`` synthetic profiles, each rating
-    ``target_item`` at the scale-maximum ``rating`` and ``filler_items``
-    seeded-random items at the scale-bottom ``filler_rating`` -- the
-    classic *love/hate* push attack (the target climbs into every top-K
-    while the fillers drag honest item biases down).  Profile user ids
-    come from the top of the id space.  Model-sharing runs ship the
-    model state scaled by ``model_boost`` instead.
+    sample of its store: four synthetic profiles, each rating the target
+    item at the scale maximum and ``filler_items`` seeded-random items
+    at the scale-bottom ``filler_rating`` -- the classic *love/hate*
+    push attack (the target climbs into every top-K while the fillers
+    drag honest item biases down).  Profile user ids come from the top
+    of the id space.  Model-sharing runs ship the model state scaled
+    100-fold instead.  The fixed shape lives in
+    :mod:`repro.faults.tampered`.
     """
 
     nodes: Tuple[int, ...] = ()
-    target_item: int = 111
-    rating: float = 5.0
     filler_rating: float = 1.0
-    fake_users: int = 4
     filler_items: int = 59
-    model_boost: float = 100.0
 
     def __post_init__(self) -> None:
         if any(n < 0 for n in self.nodes):
             raise ValueError("poison nodes must be node ids")
-        if self.fake_users < 1 or self.filler_items < 0:
+        if self.filler_items < 0:
             raise ValueError("poison profile shape invalid")
 
 

@@ -32,6 +32,15 @@ from repro.tee.enclave import ecall
 
 __all__ = ["TamperedRexApp", "tampered_build"]
 
+# The fixed shape of a shilling share (see :class:`PoisonAttack`).
+#: Fake profiles per share, their user ids taken from the top of the id space.
+_FAKE_USERS = 4
+#: The pushed item, rated at the scale maximum by every fake profile.
+_TARGET_ITEM = 111
+_TARGET_RATING = 5.0
+#: What a model-sharing attacker scales its live state by.
+_MODEL_BOOST = 100.0
+
 
 class TamperedRexApp(RexEnclaveApp):
     """Algorithm 2 with the share step rewritten by an adversary."""
@@ -51,22 +60,22 @@ class TamperedRexApp(RexEnclaveApp):
         return self._poison_triplets()
 
     def _share_state(self):
-        """The live state scaled by ``model_boost``: weighted merges drag
+        """The live state scaled by ``_MODEL_BOOST``: weighted merges drag
         every peer's parameters off the data manifold."""
         state = super()._share_state()
         if self.poison is not None:
             for name in ("user_factors", "item_factors", "user_bias", "item_bias"):
-                setattr(state, name, getattr(state, name) * float(self.poison.model_boost))
+                setattr(state, name, getattr(state, name) * _MODEL_BOOST)
             self._count_attack("poison_states")
         return state
 
     def _poison_triplets(self) -> RatingsDataset:
         """Fabricate one shilling share (see :class:`PoisonAttack`) whose
         fake user ids come from the top of the id space."""
-        spec, fake = self.poison, self.poison.fake_users
+        spec, fake = self.poison, _FAKE_USERS
         n_users, n_items = self.store.n_users, self.store.n_items
         filler = max(0, min(spec.filler_items, n_items - 2))
-        target = min(spec.target_item, n_items - 1)
+        target = min(_TARGET_ITEM, n_items - 1)
         base = max(0, n_users - fake)
         users = np.repeat(np.arange(base, base + fake, dtype=np.int64), filler + 1)
         items = np.empty((fake, filler + 1), dtype=np.int64)
@@ -75,7 +84,7 @@ class TamperedRexApp(RexEnclaveApp):
             items[row, 0] = target
             items[row, 1:] = np.where(picks >= target, picks + 1, picks)
         ratings = np.full((fake, filler + 1), spec.filler_rating, dtype=np.float32)
-        ratings[:, 0] = spec.rating
+        ratings[:, 0] = _TARGET_RATING
         sample = RatingsDataset(
             users, items.reshape(-1), ratings.reshape(-1), n_users=n_users, n_items=n_items
         )

@@ -12,7 +12,7 @@ contract:
   ``key=`` makes same-timestamp dispatch depend on insertion order,
   which the kernel's trace-digest contract explicitly rejects.
 
-Scheduling calls are recognized as ``<recv>.at/.after/.every(...)``
+Scheduling calls are recognized as ``<recv>.at/.after(...)``
 where the receiver is kernel-named or the call carries the kernel's
 ``kind=``/``key=`` keywords -- this keeps ``np.add.at(...)`` and other
 unrelated ``.at`` methods out.
@@ -33,7 +33,7 @@ __all__ = [
     "UnkeyedLoopSchedulingRule",
 ]
 
-_SCHED_METHODS = frozenset({"at", "after", "every"})
+_SCHED_METHODS = frozenset({"at", "after"})
 _SCHED_KWARGS = frozenset({"kind", "key"})
 _KERNEL_TOKENS = frozenset({"kernel"})
 
@@ -60,8 +60,8 @@ def _sched_call(node: ast.AST) -> Optional[ast.Call]:
 
 
 def _handler_expr(call: ast.Call) -> Optional[ast.AST]:
-    """The handler argument: ``at(time, fn)`` / ``after(delay, fn)`` /
-    ``every(period, fn)`` all carry it in position 1."""
+    """The handler argument: ``at(time, fn)`` and ``after(delay, fn)``
+    both carry it in position 1."""
     if len(call.args) >= 2:
         return call.args[1]
     for kw in call.keywords:

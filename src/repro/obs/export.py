@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.cluster import RexCluster
 from repro.core.config import Dissemination, RexConfig, SharingScheme
@@ -54,7 +54,10 @@ METRICS_SCHEMA = "repro.metrics/v1"
 
 @dataclass(frozen=True)
 class Scenario:
-    """Scenario knobs for one observed cluster run."""
+    """Scenario knobs for one observed cluster run.
+
+    Every observed run is REX proper: D-PSGD with data sharing.
+    """
 
     users: int
     items: int
@@ -63,8 +66,6 @@ class Scenario:
     epochs: int
     share_points: int
     k: int
-    dissemination: Dissemination = Dissemination.DPSGD
-    scheme: SharingScheme = SharingScheme.DATA
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -75,8 +76,8 @@ class Scenario:
             "epochs": self.epochs,
             "share_points": self.share_points,
             "k": self.k,
-            "dissemination": self.dissemination.value,
-            "scheme": self.scheme.value,
+            "dissemination": Dissemination.DPSGD.value,
+            "scheme": SharingScheme.DATA.value,
         }
 
 
@@ -117,7 +118,6 @@ def run_observed_experiment(
     *,
     smoke: bool = False,
     seed: int = 0,
-    obs: Optional[Observability] = None,
 ) -> ObservedRun:
     """Execute one fully-observed distributed run.
 
@@ -130,7 +130,7 @@ def run_observed_experiment(
             f"unknown experiment {experiment!r}; choose from {sorted(FULL_SCENARIOS)}"
         )
     scenario = SMOKE_SCENARIO if smoke else FULL_SCENARIOS[experiment]
-    obs = obs if obs is not None else Observability.create()
+    obs = Observability.create()
 
     split, train, test = generate_node_shards(
         "metrics",
@@ -142,8 +142,8 @@ def run_observed_experiment(
     topo = Topology.fully_connected(scenario.nodes)
 
     config = RexConfig(
-        scheme=scenario.scheme,
-        dissemination=scenario.dissemination,
+        scheme=SharingScheme.DATA,
+        dissemination=Dissemination.DPSGD,
         epochs=scenario.epochs,
         share_points=scenario.share_points,
         seed=seed,

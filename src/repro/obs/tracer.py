@@ -26,10 +26,10 @@ __all__ = ["SimClock", "Span", "Tracer"]
 
 
 class SimClock:
-    """A manually advanced clock (seconds); the simulators drive it."""
+    """A manually advanced clock (seconds from 0); the simulators drive it."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now

@@ -37,7 +37,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.obs import MetricsRegistry
-from repro.serve.costing import ServeCostModel
 from repro.serve.fleet.router import HashRing
 from repro.serve.server import (
     REJECT_NEWEST,
@@ -45,7 +44,6 @@ from repro.serve.server import (
     RecServer,
     ServePolicy,
 )
-from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
 from repro.tee.enclave import Enclave
 from repro.tee.epc import EpcModel
 
@@ -94,8 +92,6 @@ class ShardReplica:
         enclave_factory: Callable[[int], Enclave],
         *,
         policy: Optional[ServePolicy] = None,
-        costs: Optional[ServeCostModel] = None,
-        sgx: SgxCostModel = SGX1_COST_MODEL,
         epc: Optional[EpcModel] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -103,8 +99,6 @@ class ShardReplica:
         self.replica_id = int(replica_id)
         self._factory = enclave_factory
         self._policy = policy if policy is not None else _default_shard_policy()
-        self._costs = costs
-        self._sgx = sgx
         #: This replica's platform EPC model (its share is the shard's cap).
         self.epc = epc
         self._metrics = metrics if metrics is not None else MetricsRegistry()
@@ -127,8 +121,6 @@ class ShardReplica:
             self.server = RecServer(
                 enclave,
                 policy=self._policy,
-                costs=self._costs,
-                sgx=self._sgx,
                 epc=self.epc,
                 metrics=self._metrics,
             )
@@ -306,10 +298,3 @@ class FleetBalancer:
     def idle(self) -> bool:
         """True when no request is waiting anywhere in the fleet."""
         return not self._pending and self.queued_len == 0
-
-    def shed_pending(self) -> int:
-        """Shed everything still in the global queue (undrainable fleet)."""
-        count = len(self._pending)
-        self._shed.inc(count)
-        self._pending.clear()
-        return count

@@ -9,12 +9,11 @@ consistent-hash ring, publishes each shard's sliced snapshot into
 ``replicas`` serving enclaves on per-shard EPC platforms, drives a seeded
 trace (Zipf :class:`~repro.serve.workload.WorkloadSpec` or production
 :class:`~repro.serve.workload.TrafficSpec`) through the
-:class:`~repro.serve.fleet.balancer.FleetBalancer`, optionally kills and
-restarts replicas mid-run (reusing
-:class:`~repro.faults.plan.CrashEvent`, with ``at_epoch`` meaning the
-*serve tick* of the kill), probes ranking quality against the held-out
-split, and condenses everything into a
-:class:`~repro.serve.report.FleetServeReport`.
+:class:`~repro.serve.fleet.balancer.FleetBalancer`, optionally kills one
+replica per shard at the traffic peak and restarts it
+``_RESTART_AFTER_TICKS`` serve ticks later (the one crash rule), probes
+ranking quality against the held-out split, and condenses everything
+into a :class:`~repro.serve.report.FleetServeReport`.
 
 Every step is seeded: the synthetic dataset, the training run, the trace
 and all simulated timing derive from the one ``seed`` argument, so two
@@ -25,7 +24,9 @@ Every per-tick action runs as an event on the shared
 faults (rank 0) before routing (rank 1) before shard serving (rank 2),
 so a replica killed at tick ``t`` hands its queue back *before* that
 tick's arrivals route -- which is what makes "zero admitted requests
-lost to a crash" hold deterministically.
+lost to a crash" hold deterministically.  Every kill is followed by its
+restart, so once the kernel has run every shard has a live replica and
+the drain always empties the fleet.
 
 Shared module: it orchestrates trusted shard enclaves and untrusted
 routing in one process, like :mod:`repro.sim`.
@@ -34,11 +35,10 @@ routing in one process, like :mod:`repro.sim`.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.faults.plan import CrashEvent
 from repro.ml.metrics import ndcg_at_k, precision_at_k, recall_at_k, relevance_sets
 from repro.obs import Observability
 
@@ -47,9 +47,7 @@ from repro.obs import Observability
 # that calls this pipeline, so it is still mid-import when it first pulls
 # this module in.
 from repro.serve import runner as stages
-from repro.serve.costing import ServeCostModel
 from repro.serve.fleet.balancer import FleetBalancer, FleetPolicy
-from repro.serve.fleet.router import DEFAULT_VNODES
 from repro.serve.report import FleetServeReport
 from repro.serve.workload import (
     TrafficModel,
@@ -59,39 +57,41 @@ from repro.serve.workload import (
     trace_digest,
 )
 from repro.sim.kernel import EventKernel
-from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
 
-__all__ = ["run_fleet_experiment", "kill_one_per_shard_plan"]
+__all__ = ["run_fleet_experiment"]
 
 #: Drain safety valve: ticks past the trace horizon before giving up.
 _MAX_DRAIN_TICKS = 100_000
+
+#: Serve ticks a killed replica stays down before it re-joins.
+_RESTART_AFTER_TICKS = 8
 
 #: How many users the post-run quality probe scores.
 QUALITY_PROBE_USERS = 50
 
 
-def kill_one_per_shard_plan(
-    shards: int,
-    replicas: int,
-    *,
-    at_tick: int,
-    restart_after_ticks: Optional[int] = 8,
-) -> Tuple[CrashEvent, ...]:
-    """One mid-run crash per shard (the fleet acceptance scenario).
+def _schedule_kill_one_per_shard(
+    kernel: EventKernel, balancer: FleetBalancer, replicas: int, at_tick: int
+) -> None:
+    """Kill one replica per shard at ``at_tick``; restart it later.
 
-    ``CrashEvent.node`` is reused as the *global replica index*
-    ``shard * replicas + replica`` and ``at_epoch`` as the serve tick of
-    the kill.  The victim replica rotates (``shard % replicas``) so the
-    plan exercises more than replica 0.
+    The victim rotates (``shard % replicas``) so the schedule exercises
+    more than replica 0.  Both events key on the victim's global replica
+    index ``shard * replicas + replica`` at fault rank 0.
     """
-    return tuple(
-        CrashEvent(
-            node=shard * replicas + (shard % replicas),
-            at_epoch=max(1, int(at_tick)),
-            restart_after_ticks=restart_after_ticks,
+    at_tick = max(1, int(at_tick))
+    back = at_tick + _RESTART_AFTER_TICKS
+    for shard in balancer.ring.shard_ids:
+        replica = shard % replicas
+        index = shard * replicas + replica
+        kernel.at(
+            float(at_tick), partial(balancer.kill_replica, shard, replica),
+            kind="faults.crash", key=(at_tick, 0, index),
         )
-        for shard in range(int(shards))
-    )
+        kernel.at(
+            float(back), partial(balancer.restart_replica, shard, replica, back),
+            kind="faults.restart", key=(back, 0, index),
+        )
 
 
 def _probe_quality(balancer: FleetBalancer, split, top_k: int) -> dict:
@@ -99,8 +99,9 @@ def _probe_quality(balancer: FleetBalancer, split, top_k: int) -> dict:
 
     Each probed user is asked of the shard that owns it, straight through
     ``ecall_serve`` (not the admission path: the probe is a measurement,
-    not traffic); a shard with no live replica left is skipped.  Every
-    probed user has a relevant item, so no score is NaN.
+    not traffic) of its first live replica; every shard has one once the
+    kernel has run.  Every probed user has a relevant item, so no score
+    is NaN.
     """
     relevant = relevance_sets(split.test)
     by_shard: Dict[int, List[int]] = {}
@@ -108,10 +109,9 @@ def _probe_quality(balancer: FleetBalancer, split, top_k: int) -> dict:
         by_shard.setdefault(balancer.shard_of(user), []).append(user)
     recommended: Dict[int, list] = {}
     for shard, users in by_shard.items():
-        live = [r for r in balancer.replicas[shard] if r.alive]
-        if live:
-            reply = live[0].server.enclave.ecall("ecall_serve", users, top_k)
-            recommended.update(zip(users, reply["items"]))
+        live = next(r for r in balancer.replicas[shard] if r.alive)
+        reply = live.server.enclave.ecall("ecall_serve", users, top_k)
+        recommended.update(zip(users, reply["items"]))
     if not recommended:
         return {}
     precisions, recalls, ndcgs = [], [], []
@@ -141,24 +141,18 @@ def run_fleet_experiment(
     node_id: int = 0,
     traffic: Union[TrafficSpec, WorkloadSpec, None] = None,
     policy: Optional[FleetPolicy] = None,
-    costs: Optional[ServeCostModel] = None,
-    sgx: SgxCostModel = SGX1_COST_MODEL,
-    vnodes: int = DEFAULT_VNODES,
     epc_cap_mib: Optional[float] = None,
     topn_capacity: Optional[int] = None,
-    quality_probe: bool = True,
-    crashes: Tuple[CrashEvent, ...] = (),
     kill_one_replica_per_shard: bool = False,
-    restart_after_ticks: Optional[int] = 8,
     obs: Optional[Observability] = None,
 ) -> FleetServeReport:
     """Run one seeded serving experiment; returns the report.
 
     ``traffic`` picks the trace source (a production
     :class:`TrafficSpec`, the default, or a Zipf :class:`WorkloadSpec`),
-    not the pipeline.  ``kill_one_replica_per_shard`` injects the
-    acceptance fault plan: one replica per shard dies at the traffic
-    peak and re-joins ``restart_after_ticks`` later.  Everything that
+    not the pipeline.  ``kill_one_replica_per_shard`` injects the one
+    crash rule: one replica per shard dies at the traffic peak and
+    re-joins ``_RESTART_AFTER_TICKS`` serve ticks later.  Everything that
     can be refused from the arguments alone is refused before training,
     including an ``obs`` that already holds a serve run: the report is a
     view over the registry, so one registry holds one run.
@@ -177,15 +171,6 @@ def run_fleet_experiment(
     source = (
         TrafficModel(traffic) if isinstance(traffic, TrafficSpec) else WorkloadGenerator(traffic)
     )
-    if kill_one_replica_per_shard:
-        crashes = crashes + kill_one_per_shard_plan(
-            shards,
-            replicas,
-            at_tick=source.peak_tick(),
-            restart_after_ticks=restart_after_ticks,
-        )
-    if any(event.node >= shards * replicas for event in crashes):
-        raise ValueError("crash plan names a replica outside the fleet")
     trace = source.trace()
 
     balancer, split, shard_meta = stages.train_and_load(
@@ -200,9 +185,6 @@ def run_fleet_experiment(
         mf_k=mf_k,
         node_id=node_id,
         policy=policy,
-        costs=costs,
-        sgx=sgx,
-        vnodes=vnodes,
         epc_cap_mib=epc_cap_mib,
         topn_capacity=topn_capacity,
         obs=obs,
@@ -234,34 +216,16 @@ def run_fleet_experiment(
                 float(tick), partial(balancer.step_shard, shard),
                 kind="serve.tick", key=(tick, 2, shard),
             )
-    for event in crashes:
-        victim = divmod(event.node, replicas)  # (shard, replica)
-        kernel.at(
-            float(event.at_epoch), partial(balancer.kill_replica, *victim),
-            kind="faults.crash", key=(event.at_epoch, 0, event.node),
-        )
-        if event.restart_after_ticks is not None:
-            back = event.at_epoch + event.restart_after_ticks
-            kernel.at(
-                float(back), partial(balancer.restart_replica, *victim, back),
-                kind="faults.restart", key=(back, 0, event.node),
-            )
+    if kill_one_replica_per_shard:
+        _schedule_kill_one_per_shard(kernel, balancer, replicas, source.peak_tick())
     kernel.run()
 
     # Drain: keep ticking past the horizon until nothing waits anywhere.
     tick = traffic.ticks
-    stalled = 0
     while not balancer.idle():
-        before = len(balancer.completions)
         balancer.route_pending()
         for shard in ring.shard_ids:
             balancer.step_shard(shard)
-        stalled = stalled + 1 if len(balancer.completions) == before else 0
-        # A shard with every replica permanently dead can never drain its
-        # deferred queue; after a grace window its stragglers are shed.
-        if stalled > 64:
-            balancer.shed_pending()
-            break
         tick += 1
         if tick > traffic.ticks + _MAX_DRAIN_TICKS:
             raise RuntimeError("fleet failed to drain")
@@ -301,9 +265,6 @@ def run_fleet_experiment(
                 ],
             }
         )
-    # Admission, cache effectiveness and residency of the *load phase*
-    # only: the quality probe below would otherwise pollute the numbers
-    # it is reported next to.
     metrics = obs.metrics
     admission = {
         field: int(metrics.value(f"serve.fleet.{field}"))
@@ -316,8 +277,7 @@ def run_fleet_experiment(
         "embedding_hits": metrics.value("serve.cache.hits", cache="embedding"),
         "embedding_misses": metrics.value("serve.cache.misses", cache="embedding"),
     }
-    quality = _probe_quality(balancer, split, policy.shard.top_k) if quality_probe else {}
-    return FleetServeReport(
+    report = FleetServeReport(
         seed=seed,
         nodes=nodes,
         node_id=node_id,
@@ -329,8 +289,7 @@ def run_fleet_experiment(
         ring_digest=ring.digest(),
         policy=policy.to_dict(),
         **admission,
-        # A misrouted id is one its shard does not own; the quality probe
-        # asks each shard for its own users only, so it adds none.
+        # A misrouted id is one its shard does not own.
         routing_errors=int(metrics.value("serve.unowned")),
         completed=len(completions),
         duration_s=duration,
@@ -340,6 +299,9 @@ def run_fleet_experiment(
         crashes=sum(r.crashes for r in all_replicas),
         restarts=sum(r.restarts for r in all_replicas),
         cache=cache,
-        quality=quality,
         per_shard=per_shard,
     )
+    # The probe runs last: it asks the enclaves directly, so every number
+    # above (admission, cache, residency) is the load phase's alone.
+    report.quality = _probe_quality(balancer, split, policy.shard.top_k)
+    return report

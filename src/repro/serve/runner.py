@@ -9,7 +9,10 @@ decentralized fleet whose node snapshot gets served) and
 :func:`run_serving_experiment`, the single endpoint: the pipeline's
 degenerate case of one shard that owns every user and one replica, with
 the endpoint's ``ServePolicy`` as the shard policy and its EPC share as
-the shard's cap.  It is that translation and nothing else.
+the shard's cap.  It is that translation and nothing else.  The pipeline
+has no cost or ring knobs: every replica prices its batches with the
+default :class:`~repro.serve.costing.ServeCostModel` and SGX1 costs, and
+the ring has the default ``DEFAULT_VNODES`` points per shard.
 ``tests/serve/test_single_is_fleet.py`` pins that the degenerate fleet
 reproduces the former standalone endpoint bit for bit (completions,
 latencies, paging, quality), with ``run_trace`` + ``RecServer`` kept as
@@ -39,11 +42,10 @@ from repro.serve.fleet.runner import run_fleet_experiment
 from repro.serve.endpoint import ServeEnclaveApp
 from repro.serve.fleet.shard import build_shard_payload, encode_shard_users
 from repro.serve.report import ServeReport
-from repro.serve.server import ServeCostModel, ServePolicy
+from repro.serve.server import ServePolicy
 from repro.serve.workload import WorkloadSpec
 from repro.sim.fleet import MfFleetSim
 from repro.tee.attestation import AttestationService
-from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
 from repro.tee.enclave import Platform
 from repro.tee.epc import MIB, EpcModel
 
@@ -100,9 +102,6 @@ def train_and_load(
     replicas: int,
     node_id: int,
     policy: FleetPolicy,
-    costs: Optional[ServeCostModel],
-    sgx: SgxCostModel,
-    vnodes: int,
     epc_cap_mib: Optional[float],
     topn_capacity: Optional[int],
     obs: Observability,
@@ -119,7 +118,7 @@ def train_and_load(
     fit, none gets the aggregate.
     """
     sim, split = train_fleet_model(**model)
-    ring = HashRing(range(shards), vnodes=vnodes)
+    ring = HashRing(range(shards))
 
     caches = {} if topn_capacity is None else {"topn_capacity": topn_capacity}
     load_args: Dict[int, dict] = {}
@@ -178,8 +177,6 @@ def train_and_load(
                     r,
                     partial(_boot, platform, shard, r),
                     policy=policy.shard,
-                    costs=costs,
-                    sgx=sgx,
                     epc=platform.epc,
                     metrics=obs.metrics,
                 )
@@ -204,11 +201,8 @@ def run_serving_experiment(
     node_id: int = 0,
     workload: Optional[WorkloadSpec] = None,
     policy: Optional[ServePolicy] = None,
-    costs: Optional[ServeCostModel] = None,
-    sgx: SgxCostModel = SGX1_COST_MODEL,
     epc: Optional[EpcModel] = None,
     topn_capacity: Optional[int] = None,
-    quality_probe: bool = True,
     obs: Optional[Observability] = None,
 ) -> ServeReport:
     """Run one seeded single-endpoint experiment; returns the report."""
@@ -227,13 +221,10 @@ def run_serving_experiment(
         node_id=node_id,
         traffic=workload if workload is not None else WorkloadSpec(seed=seed, n_users=users),
         policy=FleetPolicy(shard=policy if policy is not None else ServePolicy()),
-        costs=costs,
-        sgx=sgx,
         # Paging reads only the enclave's share, and MiB is a power of
         # two, so the round trip through the cap is exact.
         epc_cap_mib=epc.share_bytes / MIB,
         topn_capacity=topn_capacity,
-        quality_probe=quality_probe,
         obs=obs,
     )
     # Same fields under the plain class: see repro.serve.report.

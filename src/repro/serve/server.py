@@ -50,6 +50,9 @@ REJECT_NEWEST = "reject-newest"
 #: Histogram edges for simulated request latency (seconds, geometric).
 LATENCY_BUCKETS = tuple(1e-4 * 2**i for i in range(16))
 
+#: Drain safety valve: ticks :meth:`RecServer.drain` runs before giving up.
+_MAX_DRAIN_TICKS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Request:
@@ -209,14 +212,14 @@ class RecServer:
         self.tick += 1
         return completed
 
-    def drain(self, *, max_ticks: int = 1_000_000) -> List[Completion]:
+    def drain(self) -> List[Completion]:
         """Tick until the queue empties; returns everything completed."""
         completed: List[Completion] = []
         ticks = 0
         while self._queue:
             completed.extend(self.step())
             ticks += 1
-            if ticks > max_ticks:
+            if ticks > _MAX_DRAIN_TICKS:
                 raise RuntimeError("serving queue failed to drain")
         return completed
 

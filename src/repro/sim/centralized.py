@@ -14,7 +14,7 @@ from repro.core.config import RexConfig
 from repro.data.dataset import RatingsDataset
 from repro.ml.mf import MatrixFactorization
 from repro.sim.recorder import MIB, EpochRecord, RunResult
-from repro.sim.time_model import DEFAULT_TIME_MODEL, TimeModel
+from repro.sim.time_model import DEFAULT_TIME_MODEL
 
 __all__ = ["run_centralized"]
 
@@ -25,7 +25,6 @@ def run_centralized(
     config: RexConfig,
     *,
     epochs: int = None,
-    time_model: TimeModel = DEFAULT_TIME_MODEL,
 ) -> RunResult:
     """Train one MF model on all data; one epoch is one full pass."""
     epochs = config.epochs if epochs is None else epochs
@@ -36,8 +35,8 @@ def run_centralized(
         train.n_users, train.n_items, hp, seed=config.seed, global_mean=train.global_mean()
     )
     batches = max(1, len(train) // hp.batch_size)
-    epoch_time = float(time_model.mf_train_time(batches * hp.batch_size, hp.k)) + float(
-        time_model.mf_test_time(len(test), hp.k)
+    epoch_time = float(DEFAULT_TIME_MODEL.mf_train_time(batches * hp.batch_size, hp.k)) + float(
+        DEFAULT_TIME_MODEL.mf_test_time(len(test), hp.k)
     )
     model.mark_seen(train)
 

@@ -26,7 +26,6 @@ from repro.net.topology import Topology
 from repro.obs import Observability
 from repro.sim.engine import FleetEngine
 from repro.sim.recorder import RunResult
-from repro.sim.time_model import DEFAULT_TIME_MODEL, TimeModel
 
 __all__ = ["DnnFleetSim"]
 
@@ -40,10 +39,8 @@ class DnnFleetSim(FleetEngine):
         test_shards: Sequence[RatingsDataset],
         topology: Topology,
         config: RexConfig,
-        *,
-        time_model: TimeModel = DEFAULT_TIME_MODEL,
     ):
-        super().__init__(train_shards, test_shards, topology, config, time_model)
+        super().__init__(train_shards, test_shards, topology, config)
         self.models: List[DnnRecommender] = []
         self.stores: List[DataStore] = []
         for shard in train_shards:

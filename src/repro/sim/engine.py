@@ -43,7 +43,7 @@ from repro.net.topology import Topology
 from repro.obs import Observability
 from repro.sim.kernel import EventKernel
 from repro.sim.recorder import RunResult, fold_epoch, mean_node_rmse
-from repro.sim.time_model import StageTimer, TimeModel
+from repro.sim.time_model import DEFAULT_TIME_MODEL, StageTimer
 
 __all__ = ["FleetEngine"]
 
@@ -57,7 +57,6 @@ class FleetEngine:
         test_shards: Sequence[RatingsDataset],
         topology: Topology,
         config: RexConfig,
-        time_model: TimeModel,
     ):
         if len(train_shards) != topology.n_nodes:
             raise ValueError("one train shard per node required")
@@ -65,7 +64,6 @@ class FleetEngine:
             raise ValueError("one test shard per node required")
         self.config = config
         self.topology = topology
-        self.time_model = time_model
         self.n_nodes = topology.n_nodes
         self.n_users, self.n_items = train_shards[0].n_users, train_shards[0].n_items
         self._test_counts = np.array([len(t) for t in test_shards], dtype=np.float64)
@@ -101,7 +99,7 @@ class FleetEngine:
         cfg = self.config
         #: Where this run records (the caller's, or a fresh private one).
         self.obs = obs if obs is not None else Observability.create()
-        self._timer = StageTimer(time_model=self.time_model, metrics=self.obs.metrics)
+        self._timer = StageTimer(time_model=DEFAULT_TIME_MODEL, metrics=self.obs.metrics)
         self._degrees = self.topology.degrees.astype(np.float64)
         result = self._result = RunResult(
             label=cfg.label,

@@ -39,7 +39,6 @@ from repro.net.topology import Topology
 from repro.obs import Observability
 from repro.sim.engine import FleetEngine
 from repro.sim.recorder import RunResult
-from repro.sim.time_model import DEFAULT_TIME_MODEL, TimeModel
 
 __all__ = ["MfFleetSim", "FleetStores"]
 
@@ -139,9 +138,8 @@ class MfFleetSim(FleetEngine):
         config: RexConfig,
         *,
         global_mean: float,
-        time_model: TimeModel = DEFAULT_TIME_MODEL,
     ):
-        super().__init__(train_shards, test_shards, topology, config, time_model)
+        super().__init__(train_shards, test_shards, topology, config)
         if config.mf.np_dtype != np.dtype(np.float32):
             raise ValueError("the fleet simulator requires float32 parameters")
         self.global_mean = float(global_mean)

@@ -83,9 +83,9 @@ class Event:
 class EventKernel:
     """A deterministic simulated-clock priority-queue event loop."""
 
-    def __init__(self, *, start: float = 0.0) -> None:
+    def __init__(self) -> None:
         #: Current simulated time (the timestamp of the last dispatch).
-        self.now = float(start)
+        self.now = 0.0
         #: Events dispatched so far.
         self.processed = 0
         self._heap: List[Tuple[float, Tuple, int, Event]] = []
@@ -126,28 +126,6 @@ class EventKernel:
         if delay < 0:
             raise ValueError("delay must be non-negative")
         return self.at(self.now + float(delay), fn, kind=kind, key=key)
-
-    def every(
-        self,
-        interval: float,
-        fn: Callable[[], object],
-        *,
-        kind: str = "event",
-        key: Tuple[KeyElement, ...] = (),
-        start: Optional[float] = None,
-    ) -> Event:
-        """Recurring event: re-armed after each firing until ``fn``
-        returns ``False`` (any other return value, including ``None``,
-        continues the series)."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-
-        def fire() -> None:
-            if fn() is not False:
-                self.after(interval, fire, kind=kind, key=key)
-
-        first = self.now if start is None else float(start)
-        return self.at(first, fire, kind=kind, key=key)
 
     # ------------------------------------------------------------------ #
     # Dispatch

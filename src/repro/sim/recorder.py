@@ -24,6 +24,9 @@ __all__ = ["EpochRecord", "RunResult", "fold_epoch", "mean_node_rmse"]
 
 MIB = float(1 << 20)
 
+#: Warm-up epochs the steady-state means leave out.
+_WARMUP_EPOCHS = 1
+
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -110,23 +113,29 @@ class RunResult:
                 return record.epoch
         return None
 
-    def bytes_per_node_per_epoch(self, *, skip: int = 1) -> float:
+    def _steady_records(self) -> List[EpochRecord]:
+        """The records after the warm-up (all of them for a shorter run)."""
+        if len(self.records) > _WARMUP_EPOCHS:
+            return self.records[_WARMUP_EPOCHS:]
+        return self.records
+
+    def bytes_per_node_per_epoch(self) -> float:
         """Steady-state mean traffic per node per epoch (skip warm-up)."""
-        usable = self.records[skip:] if len(self.records) > skip else self.records
+        usable = self._steady_records()
         if not usable:
             return 0.0
         return sum(r.bytes_sent for r in usable) / (len(usable) * max(1, self.n_nodes))
 
-    def stage_means(self, *, skip: int = 1) -> Dict[str, float]:
+    def stage_means(self) -> Dict[str, float]:
         """Mean per-epoch stage durations (Figures 5(a)/6(a)/7(a))."""
-        usable = self.records[skip:] if len(self.records) > skip else self.records
+        usable = self._steady_records()
         n = max(1, len(usable))
         return {
             stage: sum(getattr(r, f"{stage}_time_s") for r in usable) / n
             for stage in STAGE_ORDER
         }
 
-    def mean_epoch_time(self, *, skip: int = 1) -> float:
+    def mean_epoch_time(self, *, skip: int = _WARMUP_EPOCHS) -> float:
         """Mean simulated epoch duration after ``skip`` warm-up epochs."""
         if len(self.records) <= skip:
             skip = 0

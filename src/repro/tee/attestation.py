@@ -152,9 +152,9 @@ class QuotingEnclave:
     registered with the :class:`AttestationService`.
     """
 
-    def __init__(self, platform_id: str, *, seed: Optional[bytes] = None):
+    def __init__(self, platform_id: str):
         self.platform_id = platform_id
-        seed = seed if seed is not None else platform_id.encode()
+        seed = platform_id.encode()
         self._report_key = hashlib.sha256(b"platform-report-key:" + seed).digest()
         self._attestation_key = SigningKey.from_seed(b"platform-attestation:" + seed)
 

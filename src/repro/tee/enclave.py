@@ -313,7 +313,6 @@ class Platform:
         attestation_service: AttestationService,
         *,
         epc: Optional[EpcModel] = None,
-        register: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.platform_id = platform_id
@@ -322,10 +321,7 @@ class Platform:
         self.quoting_enclave = QuotingEnclave(platform_id)
         self.attestation_service = attestation_service
         self.enclave_ids: Set[str] = set()
-        if register:
-            attestation_service.register_platform(
-                platform_id, self.quoting_enclave.verify_key()
-            )
+        attestation_service.register_platform(platform_id, self.quoting_enclave.verify_key())
 
     def create_enclave(self, trusted_class: type, enclave_id: str) -> Enclave:
         """Instantiate trusted code in a fresh enclave on this platform."""

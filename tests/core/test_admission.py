@@ -1,8 +1,9 @@
 """Unit tests for the admission branches no attack plan reaches end to end.
 
-The attack runs only ever reject ``rating_skew``; the per-round quota,
-the per-rating bounds and the model-parameter bound are input checks that
-these tests drive directly through :class:`ShareAdmission`.
+The attack runs only ever reject ``rating_skew`` (raw-data shares) and
+``model_bound`` (model states); the per-round quota, the per-rating
+bounds and the model-parameter bound are input checks that these tests
+drive directly through :class:`ShareAdmission`.
 """
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 from repro.core.admission import (
     MIN_SANITY_POINTS,
     MODEL_PARAM_BOUND,
+    REASON_MODEL_BOUND,
     REASON_QUOTA,
     REASON_RATING_BOUNDS,
-    REASON_RATING_SKEW,
     ShareAdmission,
 )
 from repro.data.dataset import RatingsDataset
@@ -100,4 +101,4 @@ class TestModelBound:
     def test_one_parameter_past_the_bound_refuses_the_state(self, field):
         state = self._state()
         getattr(state, field).flat[7] = -(MODEL_PARAM_BOUND + 1.0)
-        assert ShareAdmission(share_points=30).check_model_state(state) == REASON_RATING_SKEW
+        assert ShareAdmission(share_points=30).check_model_state(state) == REASON_MODEL_BOUND

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.movielens import (
+    MIN_RATINGS_PER_USER,
     MOVIELENS_25M_CAPPED,
     MOVIELENS_LATEST,
     MovieLensSpec,
@@ -54,7 +55,7 @@ class TestGeneratedShape:
         assert len(np.unique(latest.pair_keys())) == len(latest)
 
     def test_min_ratings_per_user(self, latest):
-        assert latest.user_counts().min() >= MOVIELENS_LATEST.min_ratings_per_user
+        assert latest.user_counts().min() >= MIN_RATINGS_PER_USER
 
     def test_user_activity_skewed(self, latest):
         counts = latest.user_counts()

@@ -73,7 +73,7 @@ PINS = (
         "89ffada0de8207c28689e9cb9de92ca33812f4296c64efe45c25e978a33dbabe",
         1.0690544943415732,
         0.07,
-        {"rating_skew": 56},
+        {"model_bound": 56},
         {"poison_states": 10},
     ),
     (

@@ -97,10 +97,11 @@ def test_poison_defense_rejects_shilling_shares():
 
 def test_poison_rejected_under_model_scheme():
     # Model-sharing poisoning (boosted parameters) trips the parameter
-    # sanity check instead of the rating-distribution one.
+    # bound instead of the rating-distribution check, under its own kind.
     report = _run("poison", scheme=SharingScheme.MODEL)
     assert report.attack_injected.get("poison_states", 0) > 0
-    assert report.rejected.get("rating_skew", 0) > 0
+    assert report.rejected.get("model_bound", 0) > 0
+    assert "rating_skew" not in report.rejected
     assert report.node_epochs == {n: 5 for n in range(8)}
 
 

@@ -45,7 +45,7 @@ class TestHandlerImpurity:
                 return datetime.datetime.now()
 
             def start(self, kernel):
-                kernel.every(1.0, self.tick, key="n1")
+                kernel.after(1.0, self.tick, key="n1")
         """
         assert all_hits(src) == [("REX-D001", 5)]
 

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.faults.plan import CrashEvent
 from repro.obs import Observability
 from repro.serve import runner as stages
 from repro.serve.fleet import FleetServeReport, run_fleet_experiment
@@ -37,6 +36,13 @@ from repro.serve.workload import TrafficSpec, WorkloadSpec
 TRAFFIC = TrafficSpec(
     seed=3, n_users=120, ticks=120, peak_rate=6.0, diurnal_period=120, flash_crowds=1
 )
+
+
+def _holding_a_run() -> Observability:
+    """A registry that already counts a serve run's offered queries."""
+    obs = Observability.create()
+    obs.metrics.counter("serve.fleet.offered").inc()
+    return obs
 
 
 # --------------------------------------------------------------------- #
@@ -304,25 +310,25 @@ class TestFleetRuns:
         assert doc["cache"]["hits"] + doc["cache"]["misses"] == doc["completed"]
         assert any("quality" in line for line in report.format_lines())
 
-    def test_crash_without_restart_sheds_bounded(self):
-        # Kill BOTH replicas of shard 0 permanently: its users' queries
-        # defer, then shed at the drain grace window -- counted, bounded,
-        # and the rest of the fleet keeps serving.
-        crashes = (
-            CrashEvent(node=0, at_epoch=10, restart_after_ticks=None),
-            CrashEvent(node=1, at_epoch=10, restart_after_ticks=None),
+    def test_one_replica_kill_defers_until_the_restart(self):
+        # One replica per shard: while a victim is down its shard has no
+        # live replica, so its users' queries wait in the global queue
+        # (deferred) and route once the restart lands, and every shard is
+        # back to answer the quality probe.  The backlog then lands on the
+        # restarted replica at once; what overflows its reject-newest
+        # queue is shed, and counted.
+        report = run_fleet_experiment(
+            **{**FLEET_KW, "replicas": 1}, traffic=TRAFFIC, kill_one_replica_per_shard=True
         )
-        report = run_fleet_experiment(**FLEET_KW, traffic=TRAFFIC, crashes=crashes)
-        assert report.crashes == 2 and report.restarts == 0
-        assert report.shed > 0
+        assert report.deferred > 0
+        assert report.crashes == report.restarts == FLEET_KW["shards"]
         assert report.offered == report.completed + report.shed
-        # The dead shard's users cannot be probed; the rest still are.
-        assert 0 < report.quality["probed_users"] < 50
+        assert report.quality["probed_users"] == 50
 
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (dict(crashes=(CrashEvent(node=8, at_epoch=5),)), "outside the fleet"),
+            (dict(obs=_holding_a_run()), "already holds a serve run"),
             (dict(shards=0), "at least one shard"),
             (dict(replicas=0), "at least one shard"),
             (dict(users=100), "more users than the dataset"),

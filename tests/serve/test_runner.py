@@ -135,7 +135,6 @@ class TestCacheBuysCapacity:
         ratings=6000,
         policy=ServePolicy(batch_window_ticks=1, tick_s=1e-5, max_batch=64, queue_depth=256),
         workload=WorkloadSpec(seed=0, n_users=80, ticks=300, rate=3.0, zipf_s=1.2),
-        quality_probe=False,
     )
 
     def test_same_trace_without_caches_is_slower(self):

@@ -251,9 +251,7 @@ def test_degenerate_fleet_equals_the_run_trace_oracle(
     served: list = []
     with mock.patch.object(stages, "train_fleet_model", lambda **_kw: model):
         with _recording_step(served):
-            report = run_serving_experiment(
-                **MODEL, workload=spec, policy=policy, quality_probe=False
-            )
+            report = run_serving_experiment(**MODEL, workload=spec, policy=policy)
 
     server = RecServer(_oracle_enclave(), policy=policy, epc=EpcModel())
     want = run_trace(server, WorkloadGenerator(spec).trace())
@@ -281,7 +279,7 @@ def test_the_single_endpoint_boots_the_one_serving_enclave():
     spec = WorkloadSpec(seed=0, n_users=MODEL["users"], ticks=2)
     with mock.patch.object(stages, "train_fleet_model", lambda **_kw: model):
         with mock.patch.object(Platform, "create_enclave", recording):
-            run_serving_experiment(**MODEL, workload=spec, quality_probe=False)
+            run_serving_experiment(**MODEL, workload=spec)
     by_hand = Platform("by-hand", AttestationService()).create_enclave(
         ServeEnclaveApp, "serve-0"
     )

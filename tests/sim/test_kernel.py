@@ -79,18 +79,6 @@ class TestScheduling:
         with pytest.raises(ValueError):
             EventKernel().after(-1.0, lambda: None)
 
-    def test_every_rearms_until_false(self):
-        k = EventKernel()
-        ticks = []
-
-        def tick():
-            ticks.append(k.now)
-            return len(ticks) < 3
-
-        k.every(1.0, tick)
-        k.run()
-        assert ticks == [0.0, 1.0, 2.0]
-
     def test_run_until_bound(self):
         k = EventKernel()
         fired = []
