@@ -147,8 +147,6 @@ class RexEnclaveApp(TrustedApp):
         }
         #: Consecutive barrier timeouts each neighbor has missed.
         self._miss_counts: Dict[int, int] = {}
-        # -- serving state (populated by ecall_publish_snapshot) -------- #
-        self._serving: Optional[ServingState] = None
         #: Enclave-side defenses (quote pinning, share sanity + quotas);
         #: ``None`` = disarmed.
         self._admission: Optional[ShareAdmission] = (
@@ -193,41 +191,28 @@ class RexEnclaveApp(TrustedApp):
         }
 
     @ecall
-    def ecall_publish_snapshot(self) -> dict:
-        """Publish the live model as an immutable serving snapshot.
+    def ecall_serve(self, users: list, k: int) -> dict:
+        """Serve a top-``k`` batch from the live model; nothing is kept.
 
-        Copy-on-publish: training keeps mutating the live parameters
-        while queries score against the frozen copy.  Only the sanitized
-        snapshot metadata (sizes, digest) crosses back to the host.
+        Each call freezes the model into a fresh snapshot and answers
+        through a fresh engine, so the training enclave holds no serving
+        state between calls.  Exclusions come from the node's raw store:
+        everything this node knows a user already rated, local or
+        gossiped.  Only item ids, scores and counts leave.
         """
         # Deferred: repro.serve pulls in the sim/cluster world at package
         # import time, which would cycle back into this module.
         from repro.serve.endpoint import ServingState
         from repro.serve.snapshot import publish_snapshot
 
-        if self._serving is None:
-            self._serving = ServingState(metrics=self.ctx.metrics)
-        snapshot = publish_snapshot(
-            self.model,
-            version=self._serving.version + 1,
-            node_id=self.node_id,
-            epoch=self.epoch,
-        )
-        # Exclusion comes from the node's raw store: everything this
-        # node knows a user already rated, local or gossiped.
+        serving = ServingState(metrics=self.ctx.metrics)
         dataset = self.store.as_dataset()
-        self._serving.install(snapshot, dataset.users, dataset.items)
-        self.ctx.memory.set("serve", self._serving.resident_bytes)
-        return snapshot.meta().to_dict()
-
-    @ecall
-    def ecall_serve(self, users: list, k: int) -> dict:
-        """Serve a top-``k`` batch; item ids, scores and counts leave."""
-        if self._serving is None:
-            raise ValueError("no snapshot published; call ecall_publish_snapshot")
-        reply = self._serving.serve(users, k)
-        self.ctx.memory.set("serve", self._serving.resident_bytes)
-        return reply
+        serving.install(
+            publish_snapshot(self.model, version=1, node_id=self.node_id, epoch=self.epoch),
+            dataset.users,
+            dataset.items,
+        )
+        return serving.serve(users, k)
 
     @ecall
     def ecall_peer_down(self, peer: int) -> None:

@@ -164,10 +164,6 @@ class RexHost:
     # ------------------------------------------------------------------ #
     # Serving (after or between training epochs)
     # ------------------------------------------------------------------ #
-    def publish_snapshot(self) -> Dict:
-        """Freeze the trained model for serving; returns sanitized meta."""
-        return self.enclave.ecall("ecall_publish_snapshot")
-
     def serve(self, users, k: int) -> Dict:
         """Direct (unqueued) top-``k`` query batch against the enclave."""
         return self.enclave.ecall("ecall_serve", [int(u) for u in users], int(k))

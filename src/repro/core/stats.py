@@ -10,7 +10,6 @@ recorder aggregates them into the evaluation's tables and figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 __all__ = ["EpochStats"]
 
@@ -52,10 +51,3 @@ class EpochStats:
     ecalls: int = 0
     ocalls: int = 0
     transition_bytes: int = 0
-
-    def resident_bytes(self) -> int:
-        """Peak enclave-resident bytes this epoch."""
-        return self.store_bytes + self.model_bytes + self.staging_bytes
-
-    def to_dict(self) -> Dict[str, float]:
-        return dict(self.__dict__)

@@ -346,7 +346,6 @@ def run_chaos(
             n for n in range(nodes) if n not in personas and n not in cluster.crashed
         )
         probe_host = cluster.hosts[probe_node]
-        probe_host.publish_snapshot()
         precision = _probe_precision(probe_host, relevant)
 
     baseline_rmse: Optional[float] = None
@@ -359,7 +358,6 @@ def run_chaos(
         ) / len(plain.hosts)
         if probe_node is not None:
             plain_host = plain.hosts[probe_node]
-            plain_host.publish_snapshot()
             baseline_precision = _probe_precision(plain_host, relevant)
 
     metrics = obs.metrics

@@ -8,9 +8,8 @@ a last ReLU.  With the default hidden sizes (128, 94, 46, 22) and the
 MovieLens-Latest id space (610 users, 9,000 items) the model has exactly
 215,001 trainable parameters, matching the paper's count.
 
-Like the MF model, it supports presence masks and the RMW / D-PSGD merge
-rules so it can be trained decentralized with either model or data
-sharing.
+Like the MF model, it keeps presence masks and merges by the D-PSGD rule,
+so it can be trained decentralized with either model or data sharing.
 """
 
 from __future__ import annotations
@@ -44,15 +43,6 @@ class DnnState:
     @property
     def k(self) -> int:
         return self.user_embeddings.shape[1]
-
-    def copy(self) -> "DnnState":
-        return DnnState(
-            self.user_embeddings.copy(),
-            self.item_embeddings.copy(),
-            self.user_seen.copy(),
-            self.item_seen.copy(),
-            self.mlp_params.copy(),
-        )
 
 
 class DnnRecommender:
@@ -199,16 +189,6 @@ class DnnRecommender:
             self.mlp_vector(),
         )
 
-    def merge_average(self, alien: DnnState) -> None:
-        """RMW merge: masked average of embeddings, plain average of MLP."""
-        _masked_embedding_average(
-            self.user_embeddings.value, self.user_seen, alien.user_embeddings, alien.user_seen
-        )
-        _masked_embedding_average(
-            self.item_embeddings.value, self.item_seen, alien.item_embeddings, alien.item_seen
-        )
-        self._load_mlp_vector(0.5 * (self.mlp_vector() + alien.mlp_params))
-
     def merge_weighted(
         self, contributions: Sequence[Tuple[DnnState, float]], self_weight: float
     ) -> None:
@@ -231,17 +211,6 @@ class DnnRecommender:
             acc += weight * state.mlp_params
             total += weight
         self._load_mlp_vector(acc / np.float32(total))
-
-
-def _masked_embedding_average(
-    embeddings: np.ndarray, seen: np.ndarray, alien: np.ndarray, alien_seen: np.ndarray
-) -> None:
-    both = seen & alien_seen
-    only_alien = alien_seen & ~seen
-    embeddings[both] += alien[both]
-    embeddings[both] *= 0.5
-    embeddings[only_alien] = alien[only_alien]
-    seen |= alien_seen
 
 
 def _masked_embedding_weighted(

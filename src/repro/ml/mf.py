@@ -134,17 +134,6 @@ class MfState:
     def k(self) -> int:
         return self.user_factors.shape[1]
 
-    def copy(self) -> "MfState":
-        return MfState(
-            self.user_factors.copy(),
-            self.item_factors.copy(),
-            self.user_bias.copy(),
-            self.item_bias.copy(),
-            self.user_seen.copy(),
-            self.item_seen.copy(),
-            self.global_mean,
-        )
-
 
 class MatrixFactorization:
     """One node's MF recommender.

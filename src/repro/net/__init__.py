@@ -15,7 +15,6 @@ from repro.net.metrics import TrafficMeter
 from repro.net.serialization import (
     decode_mf_state,
     decode_triplets,
-    encode_mf_state,
     encode_triplets,
     measure_mf_state,
     measure_triplets,
@@ -31,7 +30,6 @@ __all__ = [
     "TrafficMeter",
     "decode_mf_state",
     "decode_triplets",
-    "encode_mf_state",
     "encode_triplets",
     "measure_mf_state",
     "measure_triplets",

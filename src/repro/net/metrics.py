@@ -9,8 +9,8 @@ message kind and per directed edge.
 Since the observability refactor the meter is a thin facade: all state
 lives in a :class:`~repro.obs.MetricsRegistry` (its own, or a shared one
 passed by the cluster), under the ``net.*`` names below.  That makes the
-transport's numbers snapshottable, mergeable across nodes and exportable
-to ``metrics.json`` like every other subsystem -- and it is the *single*
+transport's numbers snapshottable and exportable to ``metrics.json``
+like every other subsystem -- and it is the *single*
 place wire bytes are counted (the channel layer counts sealed plaintext
 production, the transport counts delivery; nothing counts twice).
 

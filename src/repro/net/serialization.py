@@ -33,7 +33,6 @@ __all__ = [
     "encode_triplets_into",
     "decode_triplets",
     "measure_triplets",
-    "encode_mf_state",
     "encode_mf_state_into",
     "decode_mf_state",
     "check_mf_state",
@@ -127,7 +126,10 @@ def encode_mf_state_into(state: MfState, buf, offset: int = 0, *, wire_dtype: st
     Seen rows are gathered straight into views of the destination buffer,
     so the (potentially multi-hundred-kilobyte) row blocks are written
     exactly once -- no intermediate row arrays, no join.  Sized by
-    :func:`measure_mf_state`.
+    :func:`measure_mf_state`.  ``wire_dtype`` is ``"<f4"`` for the
+    float32 simulator wire or ``"<f8"`` for the distributed runtime's
+    Eigen-style double wire; the header records which was used (1 bit of
+    the k word).
     """
     if wire_dtype not in ("<f4", "<f8"):
         raise CodecError("wire_dtype must be <f4 or <f8")
@@ -166,19 +168,6 @@ def encode_mf_state_into(state: MfState, buf, offset: int = 0, *, wire_dtype: st
     expected = offset + measure_mf_state(len(user_ids), len(item_ids), k, float_bytes=float_bytes)
     assert cursor == expected
     return cursor
-
-
-def encode_mf_state(state: MfState, *, wire_dtype: str = "<f4") -> bytes:
-    """Encode seen rows only.  ``wire_dtype`` is ``"<f4"`` for the float32
-    simulator wire or ``"<f8"`` for the distributed runtime's Eigen-style
-    double wire; the header records which was used (1 bit of the k word).
-    """
-    seen_users = int(np.count_nonzero(state.user_seen))
-    seen_items = int(np.count_nonzero(state.item_seen))
-    float_bytes = 4 if wire_dtype == "<f4" else 8
-    buf = bytearray(measure_mf_state(seen_users, seen_items, state.k, float_bytes=float_bytes))
-    encode_mf_state_into(state, buf, wire_dtype=wire_dtype)
-    return bytes(buf)
 
 
 def _mf_header(payload) -> tuple:

@@ -84,9 +84,6 @@ class Topology:
         """Sorted neighbor ids of ``node``."""
         return self._neighbors[node]
 
-    def degree(self, node: int) -> int:
-        return len(self._neighbors[node])
-
     @property
     def degrees(self) -> np.ndarray:
         return np.array([len(adj) for adj in self._neighbors], dtype=np.int64)

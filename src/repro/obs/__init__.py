@@ -18,7 +18,6 @@ object ``registry.counter(...)`` returns once and call ``inc`` on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 from repro.obs.registry import (
     DEFAULT_BYTE_BUCKETS,
@@ -28,7 +27,7 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.tracer import SimClock, Span, Tracer
+from repro.obs.tracer import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -37,7 +36,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_BYTE_BUCKETS",
     "DEFAULT_COUNT_BUCKETS",
-    "SimClock",
     "Span",
     "Tracer",
     "Observability",
@@ -52,5 +50,6 @@ class Observability:
     tracer: Tracer = field(default_factory=Tracer)
 
     @classmethod
-    def create(cls, clock: Optional[Callable[[], float]] = None) -> "Observability":
-        return cls(metrics=MetricsRegistry(), tracer=Tracer(clock=clock))
+    def create(cls) -> "Observability":
+        """A fresh bundle: an empty registry and an empty tracer."""
+        return cls()

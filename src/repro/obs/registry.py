@@ -4,24 +4,21 @@ One process-wide (or per-cluster) :class:`MetricsRegistry` replaces the
 scattered ad-hoc accounting the evaluation grew up with: every layer
 registers named, labelled counters, gauges and fixed-bucket histograms in
 the same place, a count lives nowhere else, and the whole state can be
-snapshotted to plain JSON,
-restored, and merged across nodes -- the aggregation step a multi-process
-deployment needs to produce one ``metrics.json`` per run.
+snapshotted to plain JSON.  One run is one registry: nothing merges two.
 
 Design constraints (why this is not a Prometheus client):
 
 - **dependency-free** -- nothing outside the standard library;
 - **simulation-friendly** -- no hidden wall-clock reads, no background
   threads; values change only when instrumented code says so;
-- **mergeable** -- counters and histograms add, gauges keep the last
-  value and the running max (the semantics every consumer here wants:
-  residency peaks, overcommit peaks).
+- **peak-aware** -- gauges keep the last value and the running max (the
+  semantics every consumer here wants: residency peaks, overcommit peaks).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Counter",
@@ -65,9 +62,6 @@ class Counter:
     def to_dict(self) -> dict:
         return {"name": self.name, "labels": dict(self.labels), "value": self.value}
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
 
 class Gauge:
     """Last-set value plus its running maximum (residency, ratios)."""
@@ -92,13 +86,6 @@ class Gauge:
             "value": self.value,
             "max": self.max,
         }
-
-    def merge(self, other: "Gauge") -> None:
-        # Across nodes "last value" is ill-defined; the peak is what the
-        # EPC / residency consumers read, so keep max-of-max and the
-        # larger last value.
-        self.value = max(self.value, other.value)
-        self.max = max(self.max, other.max)
 
 
 class Histogram:
@@ -143,16 +130,6 @@ class Histogram:
             "sum": self.sum,
             "count": self.count,
         }
-
-    def merge(self, other: "Histogram") -> None:
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket edges differ"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.sum += other.sum
-        self.count += other.count
 
 
 Metric = Union[Counter, Gauge, Histogram]
@@ -202,9 +179,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
-    def __iter__(self) -> Iterator[Metric]:
-        return iter(self._metrics.values())
-
     def __len__(self) -> int:
         return len(self._metrics)
 
@@ -225,7 +199,7 @@ class MetricsRegistry:
         return sum(m.value for m in self.collect(name) if isinstance(m, Counter))
 
     # ------------------------------------------------------------------ #
-    # Snapshot / merge
+    # Snapshot
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
         """Plain-JSON state: counters, gauges, histograms."""
@@ -233,15 +207,3 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             snap[metric.kind + "s"].append(metric.to_dict())
         return snap
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry (cross-node aggregation)."""
-        for (name, labels), metric in other._metrics.items():
-            if isinstance(metric, Histogram):
-                mine = self.histogram(name, buckets=metric.buckets, **dict(labels))
-            elif isinstance(metric, Gauge):
-                mine = self.gauge(name, **dict(labels))
-            else:
-                mine = self.counter(name, **dict(labels))
-            mine.merge(metric)
-        return self

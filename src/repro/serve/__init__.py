@@ -11,7 +11,8 @@ the same software-enclave model the training protocol uses:
 - :mod:`repro.serve.scoring` -- vectorized batched top-K kernels with
   per-user seen-item exclusion and deterministic tie-breaking (trusted).
 - :mod:`repro.serve.cache` -- LRU top-N result cache and hot-embedding
-  cache with snapshot-version invalidation, counted in obs (trusted).
+  cache, flushed whenever a snapshot is installed, counted in obs
+  (trusted).
 - :mod:`repro.serve.endpoint` -- the enclave-resident serving engine and
   :class:`ServeEnclaveApp`, the one serving trusted application: every
   endpoint and every shard replica boots it (trusted).

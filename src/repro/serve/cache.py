@@ -2,15 +2,15 @@
 
 Recommendation traffic is heavily skewed -- a Zipf workload sends most
 queries to a small head of users -- so a bounded per-user result cache
-absorbs the bulk of the scoring work.  Two caches, both keyed by the
-snapshot **version** so a newly published model invalidates everything
-at once:
+absorbs the bulk of the scoring work.  Two caches, both flushed by the
+engine whenever it installs a snapshot, so a stale model can never
+answer a query:
 
-- :class:`TopNCache` -- (version, user, k) -> finished recommendation
-  lists.  A hit skips scoring entirely.
-- :class:`HotEmbeddingCache` -- (version, user) -> the user's factor row
-  and bias, modelling the EPC-resident hot set the serving enclave keeps
-  pinned; its byte footprint feeds the paging model.
+- :class:`TopNCache` -- (user, k) -> finished recommendation lists.  A
+  hit skips scoring entirely.
+- :class:`HotEmbeddingCache` -- user -> the user's factor row and bias,
+  modelling the EPC-resident hot set the serving enclave keeps pinned;
+  its byte footprint feeds the paging model.
 
 Hits, misses and evictions are counted into the obs registry under
 ``serve.cache.*`` with a ``cache`` label, so reports and benchmarks can
@@ -73,7 +73,7 @@ class LruCache:
             self._eviction_counter.inc()
 
     def invalidate(self) -> int:
-        """Drop everything (new snapshot version); returns entries dropped."""
+        """Drop everything (a snapshot was installed); returns entries dropped."""
         dropped = len(self._entries)
         self._entries.clear()
         if dropped:
@@ -85,37 +85,20 @@ class LruCache:
 
 
 class TopNCache(LruCache):
-    """(user, k) -> (items, scores) result cache, one snapshot at a time.
-
-    The cache remembers which snapshot version filled it; offering a
-    different version flushes every entry before any lookup, so a stale
-    model can never answer a query.
-    """
+    """(user, k) -> (items, scores) result cache, one snapshot at a time."""
 
     def __init__(self, capacity: int, *, metrics: Optional[MetricsRegistry] = None):
         super().__init__(capacity, name="topn", metrics=metrics)
-        self.version: Optional[int] = None
 
-    def _sync_version(self, version: int) -> None:
-        if self.version != version:
-            self.invalidate()
-            self.version = version
-
-    def lookup(
-        self, version: int, user: int, k: int
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        self._sync_version(version)
+    def lookup(self, user: int, k: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         return super().get((int(user), int(k)))
 
-    def store(
-        self, version: int, user: int, k: int, items: np.ndarray, scores: np.ndarray
-    ) -> None:
-        self._sync_version(version)
+    def store(self, user: int, k: int, items: np.ndarray, scores: np.ndarray) -> None:
         super().put((int(user), int(k)), (items, scores))
 
 
 class HotEmbeddingCache(LruCache):
-    """(user) -> (factor row, bias) pinned hot set, version-invalidated.
+    """(user) -> (factor row, bias) pinned hot set, one snapshot at a time.
 
     ``resident_bytes`` is the pinned footprint the serving enclave adds
     on top of the snapshot itself; it grows with the cached user count
@@ -124,20 +107,12 @@ class HotEmbeddingCache(LruCache):
 
     def __init__(self, capacity: int, *, metrics: Optional[MetricsRegistry] = None):
         super().__init__(capacity, name="embedding", metrics=metrics)
-        self.version: Optional[int] = None
         self._entry_bytes = 0
 
-    def _sync_version(self, version: int) -> None:
-        if self.version != version:
-            self.invalidate()
-            self.version = version
-
-    def lookup(self, version: int, user: int) -> Optional[Tuple[np.ndarray, float]]:
-        self._sync_version(version)
+    def lookup(self, user: int) -> Optional[Tuple[np.ndarray, float]]:
         return super().get(int(user))
 
-    def store(self, version: int, user: int, factors: np.ndarray, bias: float) -> None:
-        self._sync_version(version)
+    def store(self, user: int, factors: np.ndarray, bias: float) -> None:
         self._entry_bytes = int(np.asarray(factors).nbytes) + 8
         super().put(int(user), (factors, float(bias)))
 

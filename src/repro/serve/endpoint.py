@@ -122,9 +122,9 @@ class ServingState:
         Exclusion ratings come from the host, so every user row must lie
         in ``[0, n_users)`` and every item in ``[0, n_items)`` of the new
         snapshot; anything else is refused before any state changes and
-        the installed snapshot keeps serving.  Cache invalidation rides
-        on the snapshot version: both caches flush themselves on the
-        first lookup against the new version.
+        the installed snapshot keeps serving.  Once the snapshot is
+        accepted both caches flush: nothing cached from an earlier
+        snapshot can answer a query.
         """
         self._refuse_below(snapshot.version, self.version + 1)
         if rated_users is not None and rated_items is not None:
@@ -138,6 +138,8 @@ class ServingState:
         self.snapshot = snapshot
         self.exclusions = exclusions
         self._exclusion_bytes = sum(a.nbytes for a in exclusions.values())
+        self.topn.invalidate()
+        self.hot.invalidate()
 
     @property
     def resident_bytes(self) -> int:
@@ -190,7 +192,7 @@ class ServingState:
             if not 0 <= user < snap.n_users:
                 stats.unowned += 1
                 continue
-            cached = self.topn.lookup(snap.version, user, k)
+            cached = self.topn.lookup(user, k)
             if cached is not None:
                 out_items[row], out_scores[row] = cached
                 stats.cache_hits += 1
@@ -216,13 +218,8 @@ class ServingState:
                 out_scores[row] = scores[idx]
             for user in unique_users:
                 idx = by_user[user]
-                self.topn.store(snap.version, user, k, items[idx], scores[idx])
-                self.hot.store(
-                    snap.version,
-                    user,
-                    snap.user_factors[user],
-                    float(snap.user_bias[user]),
-                )
+                self.topn.store(user, k, items[idx], scores[idx])
+                self.hot.store(user, snap.user_factors[user], float(snap.user_bias[user]))
             stats.scored_users = len(unique_users)
             stats.scored_pairs = len(unique_users) * snap.n_items
             # One scoring pass streams the whole item side once (shared by

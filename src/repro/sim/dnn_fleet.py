@@ -1,13 +1,13 @@
 """Fleet simulator for the DNN recommender (Figure 5).
 
 The paper's DNN experiments use 50 nodes (12-13 users each) with D-PSGD
-dissemination; per-node models are heavy (215,001 parameters) but the
-node count is small, so this simulator keeps one
-:class:`~repro.ml.dnn.DnnRecommender` per node and loops -- the inner
-work (minibatch forward/backward, parameter-vector averaging) is already
-vectorized NumPy.  Protocol semantics match :class:`~repro.sim.fleet.
-MfFleetSim` exactly: epoch barrier, merge - train - share - test, shares
-computed from the previous epoch's state.
+dissemination, the only one this simulator accepts; per-node models are
+heavy (215,001 parameters) but the node count is small, so this
+simulator keeps one :class:`~repro.ml.dnn.DnnRecommender` per node and
+loops -- the inner work (minibatch forward/backward, parameter-vector
+averaging) is already vectorized NumPy.  Protocol semantics match
+:class:`~repro.sim.fleet.MfFleetSim` exactly: epoch barrier, merge -
+train - share - test, shares computed from the previous epoch's state.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro._rng import child_rng
-from repro.core.config import RexConfig, SharingScheme
+from repro.core.config import Dissemination, RexConfig, SharingScheme
 from repro.core.store import DataStore
 from repro.data.dataset import RatingsDataset
 from repro.ml.dnn.model import DnnRecommender, DnnState
@@ -41,6 +41,8 @@ class DnnFleetSim(FleetEngine):
         config: RexConfig,
     ):
         super().__init__(train_shards, test_shards, topology, config)
+        if config.dissemination is not Dissemination.DPSGD:
+            raise ValueError("the DNN fleet trains under D-PSGD only")
         self.models: List[DnnRecommender] = []
         self.stores: List[DataStore] = []
         for shard in train_shards:
@@ -73,12 +75,6 @@ class DnnFleetSim(FleetEngine):
                 staging[node] = combined.nbytes
                 if self.stores[node].append_unique(combined):
                     self.models[node].mark_seen(combined)
-        elif recipients is not None:  # RMW
-            for sender, receiver in enumerate(recipients):
-                receiver = int(receiver)
-                self.models[receiver].merge_average(pending[sender])
-                merged_models[receiver] += 1
-                staging[receiver] += _dnn_state_bytes(pending[sender])
         else:  # D-PSGD
             for node in range(self.n_nodes):
                 contributions = []

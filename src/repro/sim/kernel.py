@@ -133,10 +133,6 @@ class EventKernel:
     def __len__(self) -> int:
         return len(self._heap)
 
-    @property
-    def empty(self) -> bool:
-        return len(self) == 0
-
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next event, or ``None`` when drained."""
         return self._heap[0][0] if self._heap else None

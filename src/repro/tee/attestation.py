@@ -25,7 +25,7 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.tee.crypto.hkdf import hkdf
 from repro.tee.crypto.signing import SigningKey, VerifyKey
@@ -251,7 +251,8 @@ class MutualAttestation:
     The enclave puts :meth:`user_data` (this attestor's X25519 public key)
     in its report, has the platform quote it and sends the quote; each
     side then runs :meth:`process_peer_quote` on the other's quote, after
-    which both hold the same channel key.
+    which both hold the same channel key.  ``key_seed`` is required: the
+    DH key derives from it, so every run's keys replay from its seed.
     """
 
     def __init__(
@@ -260,15 +261,12 @@ class MutualAttestation:
         measurement: Measurement,
         service: AttestationService,
         *,
-        key_seed: Optional[bytes] = None,
+        key_seed: bytes,
     ):
         self.node_id = node_id
         self.measurement = measurement
         self._service = service
-        if key_seed is not None:
-            self._dh_key = X25519PrivateKey.from_seed(key_seed)
-        else:
-            self._dh_key = X25519PrivateKey.generate()
+        self._dh_key = X25519PrivateKey.from_seed(key_seed)
         self._channel_keys: Dict[str, bytes] = {}
 
     def user_data(self) -> bytes:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import os
 from dataclasses import dataclass, field
 
 __all__ = ["SigningKey", "VerifyKey"]
@@ -49,12 +48,6 @@ class SigningKey:
     """
 
     data: bytes = field(repr=False)
-
-    @classmethod
-    def generate(cls) -> "SigningKey":
-        # Sanctioned entropy shim: real keygen for ad-hoc use outside
-        # seeded experiments; every experiment path uses from_seed().
-        return cls(os.urandom(32))  # repro-lint: disable=REX-D003
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "SigningKey":

@@ -17,7 +17,6 @@ suite checks the RFC 7748 vectors including the 1,000-iteration ladder.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 
 __all__ = ["P", "A24", "x25519", "X25519PrivateKey", "X25519PublicKey"]
@@ -129,10 +128,6 @@ class X25519PublicKey:
         if len(self.data) != 32:
             raise ValueError("X25519 public key must be 32 bytes")
 
-    def fingerprint(self) -> str:
-        """Short hex fingerprint (first 8 bytes of SHA-256) for logging."""
-        return hashlib.sha256(self.data).hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class X25519PrivateKey:
@@ -150,13 +145,6 @@ class X25519PrivateKey:
     def __post_init__(self) -> None:
         if len(self.data) != 32:
             raise ValueError("X25519 private key must be 32 bytes")
-
-    @classmethod
-    def generate(cls) -> "X25519PrivateKey":
-        """Generate a fresh private key from the OS entropy source."""
-        # Sanctioned entropy shim: real keygen for ad-hoc use outside
-        # seeded experiments; every experiment path uses from_seed().
-        return cls(os.urandom(32))  # repro-lint: disable=REX-D003
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "X25519PrivateKey":

@@ -117,10 +117,6 @@ class TrustedMemory:
         self._allocations[label] = int(nbytes)
         self.peak_bytes = max(self.peak_bytes, self.resident_bytes)
 
-    def add(self, label: str, nbytes: int) -> None:
-        """Grow an allocation in place (e.g. the raw-data store)."""
-        self.set(label, self._allocations.get(label, 0) + int(nbytes))
-
     def free(self, label: str) -> None:
         self._allocations.pop(label, None)
 
@@ -159,10 +155,6 @@ class EnclaveContext:
     @property
     def measurement(self) -> Measurement:
         return self._enclave.measurement
-
-    @property
-    def enclave_id(self) -> str:
-        return self._enclave.enclave_id
 
     def ocall(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Proxy an operation to the untrusted host (I/O leaves here)."""

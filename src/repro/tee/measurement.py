@@ -45,15 +45,9 @@ class Measurement:
         if len(self.digest) != 32:
             raise ValueError("measurement must be a 32-byte digest")
 
-    def hex(self) -> str:
-        return self.digest.hex()
-
     def short(self) -> str:
         """Abbreviated form for logs and reprs."""
         return self.digest.hex()[:12]
-
-    def __bytes__(self) -> bytes:  # pragma: no cover - trivial
-        return self.digest
 
 
 def measure_code(code: bytes, attributes: bytes = b"") -> Measurement:

@@ -32,9 +32,10 @@ from repro.data.dataset import RatingsDataset
 from repro.data.partition import partition_users_across_nodes
 from repro.faults import FaultInjector, FaultPlan, LinkFaults
 from repro.ml.mf import MfHyperParams
-from repro.net.serialization import encode_mf_state, encode_triplets
+from repro.net.serialization import encode_triplets
 from repro.net.topology import Topology
 from repro.net.transport import Fate
+from tests.codec import encode_mf_state
 
 
 def _config(scheme=SharingScheme.DATA, epochs=3, **kwargs):

@@ -5,7 +5,8 @@ host, the cluster builder and the attestation state machine carry no
 line of it.  These are text/shape checks on purpose: they fail on the
 first ``if persona ...`` that creeps back, before any behaviour changes.
 The serving checks at the end pin the same property on the serve path:
-rollback refusal is not a defence switch and no snapshot history stays.
+rollback refusal is not a defence switch, and the training enclave keeps
+no serving state between queries.
 The attested build also carries no model it never runs: it trains MF
 only, like the paper's prototype, and refuses any other payload kind.
 """
@@ -25,15 +26,16 @@ from repro.core.host import RexHost
 from repro.core.messages import KIND_PAYLOAD, PayloadHeader
 from repro.data.partition import partition_users_across_nodes
 from repro.ml.mf import MfHyperParams
-from repro.net.serialization import encode_mf_state, encode_triplets
+from repro.net.serialization import encode_triplets
 from repro.net.topology import Topology
 from repro.net.transport import Network
-from repro.serve.endpoint import ServeEnclaveApp
+from repro.serve.endpoint import ServeEnclaveApp, ServingState
 from repro.serve.fleet.shard import encode_shard_users
 from repro.serve.snapshot import encode_snapshot, snapshot_from_arrays
 from repro.tee import AttestationService, Platform
 from repro.tee.attestation import MutualAttestation
 from repro.tee.errors import SnapshotReplayError
+from tests.codec import encode_mf_state
 
 SRC = Path(repro.__file__).parent
 HONEST_FILES = ("core/app.py", "core/host.py", "core/cluster.py", "tee/attestation.py")
@@ -142,25 +144,25 @@ def test_retired_dnn_content_kind_is_refused(tiny_split, scheme):
 
 
 # --------------------------------------------------------------------- #
-# The honest serving surface: one version rule, no switch, no history
+# The honest serving surface: one version rule, no switch, no state kept
 # --------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def published_twice(tiny_split):
-    """A trained node (defences off, the default) after two publishes."""
+def test_training_enclave_keeps_no_serving_state(tiny_split):
+    """``ecall_serve`` answers from a fresh engine over a fresh snapshot:
+    after a served batch the training app holds no engine, snapshot or
+    cache, and charges no ``"serve"`` memory."""
     config = RexConfig(epochs=2, share_points=10, mf=MfHyperParams(k=4, batches_per_epoch=2))
-    assert not config.defenses.enabled
     train = partition_users_across_nodes(tiny_split.train, 2, seed=2)
     test = partition_users_across_nodes(tiny_split.test, 2, seed=2)
     cluster = RexCluster(Topology.fully_connected(2), config)
     cluster.run(train, test, global_mean=tiny_split.train.global_mean())
     host = cluster.hosts[0]
-    host.publish_snapshot()
-    assert host.publish_snapshot()["version"] == 2
-    return host
-
-
-def test_published_snapshots_keep_no_history(published_twice):
-    assert not hasattr(published_twice.enclave._app, "_published")
+    app = host.enclave._app
+    fields = dict(vars(app))
+    reply = host.serve([0, 1, 2], 5)
+    assert len(reply["items"]) == 3 and reply["stats"]["requests"] == 3
+    assert vars(app) == fields
+    assert not any(isinstance(v, ServingState) for v in vars(app).values())
+    assert "serve" not in app.ctx.memory.breakdown()
 
 
 def test_serving_enclave_refuses_a_rollback_without_any_flag():

@@ -20,14 +20,10 @@ from hypothesis import strategies as st
 from repro.core.channel import ReplayError, SecureChannel
 from repro.data.dataset import RatingsDataset
 from repro.ml.mf import MfState
-from repro.net.serialization import (
-    decode_mf_state,
-    decode_triplets,
-    encode_mf_state,
-    encode_triplets,
-)
+from repro.net.serialization import decode_mf_state, decode_triplets, encode_triplets
 from repro.tee.crypto.aead import AeadError
 from repro.tee.errors import ChannelNotEstablished
+from tests.codec import encode_mf_state
 
 KEY = bytes(range(32))
 

@@ -90,19 +90,6 @@ class TestStateAndMerge:
         state.mlp_params[:] = 42.0
         assert not (model.mlp_vector() == 42.0).all()
 
-    def test_merge_average_mlp(self):
-        a, b = _small_model(seed=1), _small_model(seed=2)
-        expected = 0.5 * (a.mlp_vector() + b.mlp_vector())
-        a.merge_average(b.state())
-        np.testing.assert_allclose(a.mlp_vector(), expected, rtol=1e-6)
-
-    def test_merge_average_embeddings_masked(self):
-        a, b = _small_model(seed=1), _small_model(seed=2)
-        b.user_seen[2] = True
-        alien = b.user_embeddings.value[2].copy()
-        a.merge_average(b.state())
-        np.testing.assert_array_equal(a.user_embeddings.value[2], alien)
-
     def test_merge_weighted_mlp(self):
         a, b = _small_model(seed=1), _small_model(seed=2)
         expected = 0.7 * a.mlp_vector() + 0.3 * b.mlp_vector()

@@ -13,12 +13,12 @@ from repro.net.serialization import (
     CodecError,
     decode_mf_state,
     decode_triplets,
-    encode_mf_state,
     encode_triplets,
     measure_dnn_state,
     measure_mf_state,
     measure_triplets,
 )
+from tests.codec import encode_mf_state
 
 
 @pytest.fixture()

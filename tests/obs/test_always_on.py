@@ -114,7 +114,7 @@ class TestRunsWithoutObsStillAnswer:
         )
         assert metrics.total("net.sent.bytes") == run.total_network_bytes
 
-        cluster.hosts[0].publish_snapshot()  # publishing is one more counted ecall
+        cluster.hosts[0].serve([0], 5)  # serving is one more counted ecall
         assert metrics.total("tee.enclave.ecalls") == ecalls + 1
 
     def test_fleet_sim_counts_its_epochs(self, shards):
@@ -185,7 +185,7 @@ def test_caches_and_serving_state_record_into_the_given_empty_registry():
     LruCache(1, name="unit", metrics=given).get("absent")
     assert given.value("serve.cache.misses", cache="unit") == 1
     given = MetricsRegistry()
-    ServingState(metrics=given).topn.lookup(1, 0, 5)
+    ServingState(metrics=given).topn.lookup(0, 5)
     assert given.value("serve.cache.misses", cache="topn") == 1
 
 

@@ -1,4 +1,4 @@
-"""MetricsRegistry: identity, snapshot round-trip, merge semantics."""
+"""MetricsRegistry: identity, gauge peaks, histograms, snapshot round-trip."""
 
 import json
 
@@ -83,14 +83,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("h", (), ())
 
-    def test_merge_requires_equal_edges(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.histogram("h", buckets=(1.0, 2.0))
-        b.histogram("h", buckets=(1.0, 3.0))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
 
 class TestSnapshotRoundTrip:
     def _populated(self) -> MetricsRegistry:
@@ -111,31 +103,3 @@ class TestSnapshotRoundTrip:
         assert snap == reg.snapshot()
         [gauge] = snap["gauges"]
         assert gauge["value"] == 1.5 and gauge["max"] == 2.5
-
-    def test_merge_adds_counters_and_histograms(self):
-        a = self._populated()
-        b = self._populated()
-        a.merge(b)
-        assert a.value("net.bytes", node=0) == 2468
-        h = a.get("payload")
-        assert h.count == 4
-        assert h.sum == 2 * (100 + 70_000)
-
-    def test_merge_keeps_gauge_peak(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.gauge("g").set(3.0)
-        b.gauge("g").set(7.0)
-        b.gauge("g").set(1.0)
-        a.merge(b)
-        g = a.get("g")
-        assert g.max == 7.0
-
-    def test_merge_is_disjoint_union(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("only.a").inc(1)
-        b.counter("only.b").inc(2)
-        a.merge(b)
-        assert a.value("only.a") == 1
-        assert a.value("only.b") == 2

@@ -1,48 +1,13 @@
-"""Tracer: nesting, the span schema of metrics.json, and Chrome-trace export."""
+"""Tracer: recorded nesting, the span schema of metrics.json, and Chrome-trace export."""
 
 import json
 
 import pytest
 
-from repro.obs import SimClock, Tracer
-
-
-class TestSimClock:
-    def test_advance(self):
-        clock = SimClock()
-        assert clock() == 0.0
-        clock.advance(1.5)
-        assert clock.now() == 1.5
-
-    def test_time_cannot_go_backwards(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-1)
+from repro.obs import Tracer
 
 
 class TestNesting:
-    def test_live_spans_nest_via_stack(self):
-        clock = SimClock()
-        tracer = Tracer(clock)
-        with tracer.span("epoch", node=1) as epoch:
-            clock.advance(1.0)
-            with tracer.span("merge") as merge:
-                clock.advance(0.25)
-            clock.advance(0.75)
-        assert merge.parent == epoch.id
-        assert epoch.parent is None
-        assert epoch.ts == 0.0 and epoch.dur == 2.0
-        assert merge.ts == 1.0 and merge.dur == 0.25
-
-    def test_record_defaults_to_innermost_live_span(self):
-        clock = SimClock()
-        tracer = Tracer(clock)
-        with tracer.span("epoch") as epoch:
-            child = tracer.record("train", 0.0, 0.5)
-        orphan = tracer.record("other", 1.0, 0.1)
-        by_id = {s.id: s for s in tracer.spans}
-        assert by_id[child].parent == epoch.id
-        assert by_id[orphan].parent is None
-
     def test_record_with_explicit_parent(self):
         tracer = Tracer()
         epoch = tracer.record("epoch", 0.0, 2.0, epoch=0)

@@ -1,9 +1,35 @@
-"""LRU semantics, snapshot-version invalidation, and obs counters."""
+"""LRU semantics, invalidation, and obs counters."""
 
 import numpy as np
 
 from repro.obs import MetricsRegistry
 from repro.serve.cache import HotEmbeddingCache, LruCache, TopNCache
+from repro.serve.endpoint import ServingState
+from repro.serve.snapshot import snapshot_from_arrays
+
+
+def _snapshot(version):
+    rng = np.random.default_rng(version)
+    return snapshot_from_arrays(
+        rng.normal(size=(4, 2)),
+        rng.normal(size=(6, 2)),
+        np.zeros(4),
+        np.zeros(6),
+        np.ones(4, dtype=bool),
+        np.ones(6, dtype=bool),
+        3.5,
+        version=version,
+    )
+
+
+def _served_then_reinstalled(metrics):
+    """An engine that answered user 1 from snapshot v1, then installed v2."""
+    state = ServingState(metrics=metrics)
+    state.install(_snapshot(1))
+    state.query_batch([1], 3)
+    assert state.topn.lookup(user=1, k=3) is not None
+    state.install(_snapshot(2))
+    return state
 
 
 class TestLruCache:
@@ -57,26 +83,23 @@ class TestTopNCache:
         cache = TopNCache(8)
         items = np.array([3, 1, 4])
         scores = np.array([5.0, 4.5, 4.0])
-        cache.store(1, user=7, k=3, items=items, scores=scores)
-        got = cache.lookup(1, user=7, k=3)
+        cache.store(user=7, k=3, items=items, scores=scores)
+        got = cache.lookup(user=7, k=3)
         np.testing.assert_array_equal(got[0], items)
         np.testing.assert_array_equal(got[1], scores)
 
     def test_k_is_part_of_the_key(self):
         cache = TopNCache(8)
-        cache.store(1, user=7, k=3, items=np.arange(3), scores=np.zeros(3))
-        assert cache.lookup(1, user=7, k=5) is None
+        cache.store(user=7, k=3, items=np.arange(3), scores=np.zeros(3))
+        assert cache.lookup(user=7, k=5) is None
 
     def test_new_version_flushes_stale_results(self):
         metrics = MetricsRegistry()
-        cache = TopNCache(8, metrics=metrics)
-        cache.store(1, user=7, k=3, items=np.arange(3), scores=np.zeros(3))
-        assert cache.lookup(2, user=7, k=3) is None  # v2 published
-        assert len(cache) == 0
+        state = _served_then_reinstalled(metrics)
+        # The install flushes, before any lookup against the new model.
+        assert len(state.topn) == 0
         assert metrics.value("serve.cache.invalidations", cache="topn") == 1
-        # and the old version cannot resurrect its entries either
-        cache.store(2, user=7, k=3, items=np.arange(3), scores=np.zeros(3))
-        assert cache.lookup(1, user=7, k=3) is None
+        assert state.topn.lookup(user=1, k=3) is None
 
 
 class TestHotEmbeddingCache:
@@ -84,12 +107,13 @@ class TestHotEmbeddingCache:
         cache = HotEmbeddingCache(4)
         row = np.zeros(16, dtype=np.float64)
         assert cache.resident_bytes == 0
-        cache.store(1, user=0, factors=row, bias=0.1)
-        cache.store(1, user=1, factors=row, bias=0.2)
+        cache.store(user=0, factors=row, bias=0.1)
+        cache.store(user=1, factors=row, bias=0.2)
         assert cache.resident_bytes == 2 * (row.nbytes + 8)
+        assert cache.lookup(user=1)[1] == 0.2
 
     def test_version_invalidation(self):
-        cache = HotEmbeddingCache(4)
-        cache.store(1, user=0, factors=np.zeros(4), bias=0.0)
-        assert cache.lookup(2, user=0) is None
-        assert cache.resident_bytes == 0
+        metrics = MetricsRegistry()
+        state = _served_then_reinstalled(metrics)
+        assert len(state.hot) == 0 and state.hot.resident_bytes == 0
+        assert metrics.value("serve.cache.invalidations", cache="embedding") == 1

@@ -1,9 +1,10 @@
 """Serving straight from a trained cluster node's enclave.
 
-The distributed path: train with the real enclave runtime, publish the
-node's model in place (the parameters never cross the boundary), and
-answer queries through ``ecall_serve`` -- directly via the host, or
-through a :class:`RecServer` admission front-end over the node's enclave.
+The distributed path: train with the real enclave runtime and answer
+queries through ``ecall_serve``, which freezes the node's model into a
+fresh snapshot per call (the parameters never cross the boundary) --
+directly via the host, or through a :class:`RecServer` admission
+front-end over the node's enclave.
 """
 
 import pytest
@@ -37,18 +38,9 @@ def trained_cluster(tiny_split):
 
 
 class TestHostServing:
-    def test_publish_returns_sanitized_meta(self, trained_cluster):
-        cluster, _train = trained_cluster
-        meta = cluster.hosts[1].publish_snapshot()
-        assert meta["node_id"] == 1 and meta["version"] >= 1
-        assert len(meta["digest"]) == 64
-        for value in meta.values():
-            assert isinstance(value, (int, float, str))
-
     def test_serve_excludes_locally_rated_items(self, trained_cluster):
         cluster, train = trained_cluster
         host = cluster.hosts[0]
-        host.publish_snapshot()
         shard = train[0]
         users = sorted(set(shard.users.tolist()))[:5]
         reply = host.serve(users, 10)
@@ -65,27 +57,17 @@ class TestHostServing:
         # the check on host-supplied ids (no wrap to the last user's row).
         cluster, train = trained_cluster
         host = cluster.hosts[0]
-        host.publish_snapshot()
         user = int(train[0].users[0])
         reply = host.serve([-1, user, 2**40], 10)
         assert reply["items"][0] == reply["items"][2] == [PAD_ITEM] * 10
         assert set(reply["items"][1]) - {PAD_ITEM}
         assert reply["stats"]["unowned"] == 2
 
-    def test_republish_bumps_version(self, trained_cluster):
-        cluster, _train = trained_cluster
-        host = cluster.hosts[2]
-        first = host.publish_snapshot()
-        second = host.publish_snapshot()
-        assert second["version"] == first["version"] + 1
-        assert second["digest"] == first["digest"]  # model unchanged
-
 
 class TestClusterEndpoint:
     def test_serving_endpoint_round_trip(self, trained_cluster):
         cluster, _train = trained_cluster
         host = cluster.hosts[3]
-        host.publish_snapshot()
         server = RecServer(host.enclave, epc=cluster.epc, metrics=host.enclave.metrics)
         ids = [server.offer(u % 8) for u in range(20)]
         done = server.drain()

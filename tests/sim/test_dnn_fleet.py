@@ -84,9 +84,15 @@ class TestSharingSchemes:
         sim.run()
         assert [len(s) for s in sim.stores] == before
 
-    def test_rmw_supported(self, shards):
-        result = _sim(shards, SharingScheme.MODEL, Dissemination.RMW).run()
-        assert len(result.records) == 4
+    @pytest.mark.parametrize("scheme", [SharingScheme.DATA, SharingScheme.MODEL])
+    def test_rmw_refused_before_training(self, shards, scheme, monkeypatch):
+        """Fig. 5 runs D-PSGD only; RMW is refused before any model is built."""
+        def no_model(*_args, **_kwargs):
+            raise AssertionError("a model was built for a refused run")
+
+        monkeypatch.setattr("repro.sim.dnn_fleet.DnnRecommender", no_model)
+        with pytest.raises(ValueError, match="D-PSGD only"):
+            _sim(shards, scheme, Dissemination.RMW)
 
     def test_dpsgd_pulls_models_together(self, shards):
         sim = _sim(shards, SharingScheme.MODEL, epochs=6)

@@ -174,15 +174,6 @@ DNN_PINS = {
         ],
         "mlp_l1": 297.3672923325357,
     },
-    "ms-rmw": {
-        "rmses": [3.1085228029456573, 3.1085228029456573, 3.1085228029456573, 3.1085228029456573],
-        "cum_bytes": [15092, 33424, 52816, 73928],
-        "times": [
-            0.033845034304375, 0.06823897021859375, 0.1027927050190625,
-            0.13760824359093748,
-        ],
-        "mlp_l1": 297.36846264507767,
-    },
 }
 
 SERVE_PINS = {
@@ -273,7 +264,6 @@ def test_fleet_kernel_matches_legacy(tiny_split):
     [
         ("ds-dpsgd", SharingScheme.DATA, Dissemination.DPSGD),
         ("ms-dpsgd", SharingScheme.MODEL, Dissemination.DPSGD),
-        ("ms-rmw", SharingScheme.MODEL, Dissemination.RMW),
     ],
 )
 def test_dnn_fleet_matches_legacy(tiny_split, name, scheme, dissemination):

@@ -245,3 +245,10 @@ class TestMutualAttestation:
         assert derive_channel_key(b"s" * 32, "a", "b", m) == derive_channel_key(
             b"s" * 32, "b", "a", m
         )
+
+    def test_key_seed_is_required(self, platforms, service):
+        """No unseeded key: every DH key derives from the run's seed."""
+        p1, _ = platforms
+        enclave = p1.create_enclave(NodeApp, "n1")
+        with pytest.raises(TypeError):
+            MutualAttestation("n1", enclave.measurement, service)

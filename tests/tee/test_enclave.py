@@ -123,12 +123,6 @@ class TestTrustedMemory:
         mem.set("store", 700)
         assert mem.resident_bytes == 700
 
-    def test_add_grows(self):
-        mem = TrustedMemory()
-        mem.add("store", 100)
-        mem.add("store", 50)
-        assert mem.get("store") == 150
-
     def test_peak_tracks_maximum(self):
         mem = TrustedMemory()
         mem.set("a", 1000)

@@ -73,6 +73,3 @@ class TestSigningKeys:
 
     def test_deterministic_from_seed(self):
         assert SigningKey.from_seed(b"s").sign(b"m") == SigningKey.from_seed(b"s").sign(b"m")
-
-    def test_generate_unique(self):
-        assert SigningKey.generate().data != SigningKey.generate().data
