@@ -578,7 +578,7 @@ class RexEnclaveApp(TrustedApp):
             else:
                 plaintext = packed_empty
                 stats.shared_empty_messages += 1
-            entries.append((self.channels[neighbor], plaintext, b""))
+            entries.append((self.channels[neighbor], plaintext))
         # One batch seals the whole epoch's fan-out: every neighbor's
         # payload runs through a single lane-kernel (or native AEAD)
         # invocation, and each frame leaves here as the same buffer the

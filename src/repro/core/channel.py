@@ -103,16 +103,16 @@ class SecureChannel:
         """Advance the high-water mark; call only after authentication."""
         self._highest_received = seq
 
-    def seal(self, plaintext: bytes, aad: bytes = b"") -> bytes:
+    def seal(self, plaintext: bytes) -> bytes:
         """Encrypt ``plaintext``; returns the framed wire bytes."""
         seq = self._send_seq
         self._send_seq += 1
-        sealed = self._cipher.encrypt(self._nonce(seq, self.local_id), plaintext, aad)
+        sealed = self._cipher.encrypt(self._nonce(seq, self.local_id), plaintext, b"")
         wire = struct.pack("<Q", seq) + sealed
         self._record_seal(len(wire))
         return wire
 
-    def open(self, wire: bytes, aad: bytes = b"") -> bytes:
+    def open(self, wire: bytes) -> bytes:
         """Authenticate, replay-check and decrypt a framed message."""
         if len(wire) < CHANNEL_OVERHEAD_BYTES:
             raise ChannelNotEstablished("sealed message too short")
@@ -121,7 +121,7 @@ class SecureChannel:
         # Zero-copy handoff: the AEAD consumes ciphertext and tag as views
         # of the framed buffer, so opening never duplicates the payload.
         sealed = memoryview(wire)[8:]
-        plaintext = self._cipher.decrypt(self._nonce(seq, self.peer_id), sealed, aad)
+        plaintext = self._cipher.decrypt(self._nonce(seq, self.peer_id), sealed, b"")
         self._replay_accept(seq)
         self._record_open(len(wire))
         return plaintext
@@ -130,7 +130,7 @@ class SecureChannel:
 def seal_all(entries) -> List:
     """Seal one epoch's outgoing messages across many channels at once.
 
-    ``entries`` is a sequence of ``(channel, plaintext, aad)`` tuples in
+    ``entries`` is a sequence of ``(channel, plaintext)`` pairs in
     send order.  Every frame is gathered into one
     :func:`~repro.tee.crypto.aead.seal_many_into` batch -- a single
     lane-kernel (or native) invocation seals every neighbor's payload.
@@ -147,17 +147,17 @@ def seal_all(entries) -> List:
     """
     requests = []
     frames = []
-    for channel, plaintext, aad in entries:
+    for channel, plaintext in entries:
         seq = channel._send_seq
         channel._send_seq += 1
         frame = bytearray(len(plaintext) + CHANNEL_OVERHEAD_BYTES)
         struct.pack_into("<Q", frame, 0, seq)
         nonce = SecureChannel._nonce(seq, channel.local_id)
-        requests.append((channel._cipher, nonce, plaintext, aad))
+        requests.append((channel._cipher, nonce, plaintext, b""))
         frames.append(frame)
     seal_many_into(requests, [memoryview(f)[8:] for f in frames])
     wires = []
-    for (channel, _, _), frame in zip(entries, frames):
+    for (channel, _), frame in zip(entries, frames):
         channel._record_seal(len(frame))
         wires.append(memoryview(frame).toreadonly())
     return wires

@@ -91,6 +91,11 @@ class RexCluster:
                 "there is no native build: price the run with "
                 "timeline_from_cluster(run, cost_model=NATIVE_COST_MODEL)"
             )
+        if config.adaptive_batches:
+            raise ValueError(
+                "adaptive_batches is an MfFleetSim ablation; every enclave "
+                "trains the fixed batch count"
+            )
         self.topology = topology
         self.config = config
         self.obs = obs if obs is not None else Observability.create()
@@ -159,20 +164,18 @@ class RexCluster:
         test: RatingsDataset,
         *,
         global_mean: float = 3.5,
-        resume_epoch: Optional[int] = None,
     ) -> None:
         """Bring a crashed node back with a fresh enclave incarnation.
 
-        ``resume_epoch`` defaults to the most advanced live node's epoch,
-        so the reborn node rejoins the current round instead of replaying
-        history its neighbors would reject as stale.
+        The reborn node resumes at the most advanced live node's epoch, so
+        it rejoins the current round instead of replaying history its
+        neighbors would reject as stale.
         """
         node_id = int(node_id)
-        if resume_epoch is None:
-            resume_epoch = max(
-                (h.epochs_done for h in self.hosts if h.node_id != node_id), default=0
-            )
-        resume_epoch = min(int(resume_epoch), self.config.epochs - 1)
+        resume_epoch = max(
+            (h.epochs_done for h in self.hosts if h.node_id != node_id), default=0
+        )
+        resume_epoch = min(resume_epoch, self.config.epochs - 1)
         self.network.set_up(node_id)
         self.crashed.discard(node_id)
         host = self.hosts[node_id]

@@ -145,7 +145,8 @@ class RexConfig:
     #: Ablation: take one SGD pass over the whole (growing) store per
     #: epoch instead of the paper's fixed batch count, re-creating the
     #: "training time per epoch grows with the data" problem the fixed
-    #: batch rule solves (Section III-E).
+    #: batch rule solves (Section III-E).  Only :class:`MfFleetSim` runs
+    #: it; ``RexCluster`` and ``DnnFleetSim`` refuse it.
     adaptive_batches: bool = False
     #: Extension (paper Section III-D): run the share step in parallel
     #: with training -- legal for raw-data sharing because the sampled

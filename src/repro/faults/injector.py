@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from repro._rng import child_rng
 from repro.core.messages import KIND_QUOTE
 from repro.faults.plan import FaultPlan
-from repro.net.transport import Fate, Message, Network, RetryPolicy
+from repro.net.transport import Fate, Message, Network
 from repro.obs import Counter, MetricsRegistry
 
 __all__ = ["FaultInjector"]
@@ -54,14 +54,13 @@ class FaultInjector:
     # Wiring
     # ------------------------------------------------------------------ #
     def attach(self, network: Network) -> "FaultInjector":
-        """Install this injector as the network's fault oracle + ARQ.
+        """Install this injector as the network's fault oracle.
 
         The network holds :meth:`decide`; the injector reads the clock
         through a weak proxy, so the pair makes no reference cycle.
         """
         self._network = weakref.proxy(network)
         network.fault_hook = self.decide
-        network.retry_policy = RetryPolicy()
         return self
 
     # ------------------------------------------------------------------ #

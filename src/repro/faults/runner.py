@@ -265,13 +265,7 @@ def run_chaos(
     epochs: int = 5,
     scheme: SharingScheme = SharingScheme.DATA,
     dissemination: Dissemination = Dissemination.DPSGD,
-    users: int = 40,
-    items: int = 120,
-    ratings: int = 1_600,
-    share_points: int = 60,
-    k: int = 8,
     baseline: bool = False,
-    defenses: Optional[bool] = None,
     obs: Optional[Observability] = None,
 ) -> ChaosReport:
     """Run one seeded chaos experiment end to end; returns the report.
@@ -282,11 +276,11 @@ def run_chaos(
     is what the acceptance tests assert on.  The baseline is the same
     run as ``run_chaos("baseline")``, bit for bit.
 
-    ``defenses`` overrides the plan's ``defended`` flag (``None`` arms
-    the enclave defenses exactly when the plan both carries attackers
-    and declares itself defended, so crash-only plans keep their pinned
-    pre-attack schedules byte-identical).  The post-run precision@k probe
-    (``k = PROBE_K``) runs whenever the plan carries attackers.
+    The enclave defenses are armed exactly when the plan both carries
+    attackers and declares itself defended, so crash-only plans keep
+    their pinned pre-attack schedules byte-identical.  The post-run
+    precision@k probe (``k = PROBE_K``) runs whenever the plan carries
+    attackers.
     """
     if isinstance(plan, str):
         try:
@@ -297,10 +291,10 @@ def run_chaos(
             ) from None
     obs = obs if obs is not None else Observability.create()
 
-    armed = (plan.defended and plan.attacks_active) if defenses is None else bool(defenses)
+    armed = plan.defended and plan.attacks_active
 
     split, train, test = generate_node_shards(
-        "chaos", users=users, items=items, ratings=ratings, nodes=nodes
+        "chaos", users=40, items=120, ratings=1_600, nodes=nodes
     )
     global_mean = split.train.global_mean()
     topology = Topology.fully_connected(nodes)
@@ -309,9 +303,9 @@ def run_chaos(
         scheme=scheme,
         dissemination=dissemination,
         epochs=epochs,
-        share_points=share_points,
+        share_points=60,
         seed=seed,
-        mf=MfHyperParams(k=k),
+        mf=MfHyperParams(k=8),
         defenses=DefenseConfig(enabled=True) if armed else DefenseConfig(),
     )
     cluster = RexCluster(topology, config, obs=obs)
@@ -383,7 +377,7 @@ def run_chaos(
         baseline_rmse=baseline_rmse,
         events=list(injector.events),
         defended=armed,
-        attackers={k_: list(v) for k_, v in plan.attack_personas().items()},
+        attackers={name: list(v) for name, v in plan.attack_personas().items()},
         rejected=_kind_breakdown(metrics, "faults.rejected"),
         recovered_by_kind=_kind_breakdown(metrics, "faults.recovered"),
         attack_injected=_kind_breakdown(metrics, "attack.injected"),

@@ -153,9 +153,9 @@ class UnkeyedLoopSchedulingRule(Rule):
     name = "kernel-unkeyed-loop-scheduling"
     severity = Severity.ERROR
     description = (
-        "kernel.at/after/every called inside a loop without an explicit "
-        "key=; same-timestamp dispatch would depend on insertion order, "
-        "breaking the trace-digest contract"
+        f"kernel.{'/'.join(sorted(_SCHED_METHODS))} called inside a loop "
+        "without an explicit key=; same-timestamp dispatch would depend on "
+        "insertion order, breaking the trace-digest contract"
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:

@@ -20,7 +20,7 @@ import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path, PurePath
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.lint.callgraph import ModuleInfo
 from repro.lint.classify import classify_module
@@ -145,22 +145,17 @@ def _lint_modules(modules: List[ModuleInfo]) -> List[Finding]:
     return sorted(out, key=Finding.sort_key)
 
 
-def lint_sources(
-    sources: Dict[str, str],
-    *,
-    paths: Optional[Dict[str, str]] = None,
-) -> List[Finding]:
+def lint_sources(sources: Dict[str, str]) -> List[Finding]:
     """Lint a set of in-memory modules (``{module: source}``) together.
 
     This is how the interprocedural fixtures run: taint seeded in one
-    module, sink in another.  ``paths`` optionally maps module names to
-    display paths (defaults to ``<module>``).
+    module, sink in another.  Each finding's display path is
+    ``<module>``.
     """
     modules: List[ModuleInfo] = []
     findings: List[Finding] = []
     for module in sorted(sources):
-        path = (paths or {}).get(module, f"<{module}>")
-        parsed = _parse_module(sources[module], module, path)
+        parsed = _parse_module(sources[module], module, f"<{module}>")
         if isinstance(parsed, Finding):
             findings.append(parsed)
         else:
@@ -169,14 +164,9 @@ def lint_sources(
     return sorted(findings, key=Finding.sort_key)
 
 
-def lint_source(
-    source: str,
-    *,
-    module: str,
-    path: str = "<string>",
-) -> List[Finding]:
+def lint_source(source: str, *, module: str) -> List[Finding]:
     """Lint one source string as module ``module``; returns findings."""
-    return lint_sources({module: source}, paths={module: path})
+    return lint_sources({module: source})
 
 
 def lint_paths(paths: Sequence[str]) -> LintReport:

@@ -127,11 +127,9 @@ class DnnRecommender:
         np.add.at(self.user_embeddings.grad, users, grad_in[:, :k])
         np.add.at(self.item_embeddings.grad, items, grad_in[:, k:])
 
-    def predict(self, users: np.ndarray, items: np.ndarray, *, clip: bool = True) -> np.ndarray:
+    def predict(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         scores = self._forward(users, items, training=False)
-        if clip:
-            scores = np.clip(scores, RATING_MIN, RATING_MAX)
-        return scores
+        return np.clip(scores, RATING_MIN, RATING_MAX)
 
     def evaluate_rmse(self, data: RatingsDataset) -> float:
         if len(data) == 0:

@@ -183,8 +183,9 @@ class MatrixFactorization:
         self.user_seen[data.users] = True
         self.item_seen[data.items] = True
 
-    def predict(self, users: np.ndarray, items: np.ndarray, *, clip: bool = True) -> np.ndarray:
-        """Predicted ratings ``mu + b_u + c_i + <x_u, y_i>``."""
+    def predict(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Predicted ratings ``mu + b_u + c_i + <x_u, y_i>``, clipped to the
+        rating scale."""
         # np.take on intp ids gathers faster than fancy indexing with the
         # datasets' int32 ids; converting once serves all four gathers.
         users = np.asarray(users).astype(np.intp, casting="safe", copy=False)
@@ -199,8 +200,7 @@ class MatrixFactorization:
                 np.take(self.item_factors, items, axis=0),
             )
         )
-        if clip:
-            np.clip(scores, RATING_MIN, RATING_MAX, out=scores)
+        np.clip(scores, RATING_MIN, RATING_MAX, out=scores)
         return scores
 
     def evaluate_rmse(self, data: RatingsDataset) -> float:

@@ -11,14 +11,13 @@ By default delivery is reliable and in-order per (source, destination)
 pair -- matching ZeroMQ PAIR/DEALER semantics on a healthy LAN, which is
 the paper's operating point (fault tolerance is explicitly future work,
 Section III-D).  The chaos layer (:mod:`repro.faults`) turns the healthy
-LAN into a hostile one through two orthogonal hooks:
-
-- :attr:`Network.fault_hook` decides a :class:`Fate` for every send
-  attempt (deliver / drop / delay / duplicate / corrupt), and
-- :attr:`Network.retry_policy` adds the recovery side: an ARQ-style
-  bounded retransmission schedule with exponential backoff.  A message
-  whose every attempt is dropped (or corrupted past the last retry) has
-  *timed out* and is counted as ``faults.lost``.
+LAN into a hostile one through :attr:`Network.fault_hook`, which decides
+a :class:`Fate` for every send attempt (deliver / drop / delay /
+duplicate / corrupt).  The recovery side is always on: an ARQ-style
+bounded retransmission schedule (``_MAX_ATTEMPTS`` attempts, attempt
+``n`` retried ``2**(n-1)`` ticks after it failed).  A message whose every
+attempt is dropped (or corrupted past the last retry) has *timed out* and
+is counted as ``faults.lost``.
 
 Time is an explicit tick counter: :meth:`Network.tick` advances it and
 flushes deliveries that came due (delayed frames, scheduled retries), so
@@ -37,7 +36,10 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.net.metrics import TrafficMeter
 from repro.obs import MetricsRegistry
 
-__all__ = ["Message", "Fate", "RetryPolicy", "Endpoint", "Network"]
+__all__ = ["Message", "Fate", "Endpoint", "Network"]
+
+#: Transmission attempts per message before it counts as lost.
+_MAX_ATTEMPTS = 4
 
 
 @dataclass(frozen=True)
@@ -83,31 +85,6 @@ class Fate:
 DELIVER = Fate("deliver")
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retransmission with exponential backoff.
-
-    Attempt ``n`` (1-based) that fails is retried ``backoff_base *
-    2**(n-1)`` ticks later, up to ``max_attempts`` total attempts.  The
-    product of the two is the per-message timeout: once the last attempt
-    fails the message is declared lost and counted, never silently
-    forgotten.
-    """
-
-    max_attempts: int = 4
-    backoff_base: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("need at least one attempt")
-        if self.backoff_base < 1:
-            raise ValueError("backoff must be at least one tick")
-
-    def backoff(self, attempt: int) -> int:
-        """Ticks to wait before attempt ``attempt + 1``."""
-        return self.backoff_base * (2 ** (attempt - 1))
-
-
 class Endpoint:
     """A node's handle on the network.
 
@@ -134,17 +111,11 @@ class Endpoint:
             payload = view.toreadonly()
         self._network._submit(Message(self.node_id, destination, kind, payload))
 
-    def poll(self, max_messages: Optional[int] = None) -> List[Message]:
-        """Drain up to ``max_messages`` pending messages (all by default).
-
-        ``max_messages=0`` means "none": it returns an empty list, it is
-        not an alias for the unlimited default (regression-pinned).
-        """
-        if max_messages is None:
-            limit = len(self._inbox)
-        else:
-            limit = min(max(int(max_messages), 0), len(self._inbox))
-        return [self._inbox.popleft() for _ in range(limit)]
+    def poll(self) -> List[Message]:
+        """Drain every pending message."""
+        messages = list(self._inbox)
+        self._inbox.clear()
+        return messages
 
     @property
     def pending(self) -> int:
@@ -162,7 +133,6 @@ class Network:
         self.now = 0
         #: Chaos surface; ``None`` keeps the healthy-LAN fast path.
         self.fault_hook: Optional[Callable[[Message, int], Optional[Fate]]] = None
-        self.retry_policy: Optional[RetryPolicy] = None
         self._down: Set[int] = set()
         self._schedule: List[Tuple[int, int, str, Message, int]] = []
         self._schedule_seq = 0
@@ -244,9 +214,8 @@ class Network:
         )
 
     def _retry_or_lose(self, message: Message, attempt: int, reason: str) -> None:
-        policy = self.retry_policy
-        if policy is not None and attempt < policy.max_attempts:
-            self._later(policy.backoff(attempt), "retry", message, attempt + 1)
+        if attempt < _MAX_ATTEMPTS:
+            self._later(2 ** (attempt - 1), "retry", message, attempt + 1)
             self._metrics.counter("net.retries", kind=message.kind).inc()
         else:
             self._metrics.counter("faults.lost", kind=message.kind, reason=reason).inc()

@@ -41,9 +41,10 @@ them stays enclave-resident; the host sees only encoded payloads going
 system's sanctioned output) coming back.
 """
 
+from repro.serve.costing import ServeCostModel
 from repro.serve.report import ServeReport
 from repro.serve.runner import run_serving_experiment, train_and_load
-from repro.serve.server import RecServer, Request, ServeCostModel, ServePolicy
+from repro.serve.server import RecServer, Request, ServePolicy
 from repro.serve.workload import (
     TrafficModel,
     TrafficSpec,

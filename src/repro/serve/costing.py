@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.tee.cost_model import SgxCostModel
+from repro.tee.cost_model import SGX1_COST_MODEL
 from repro.tee.epc import EpcModel
 
 __all__ = ["ServeCostModel", "BatchCost", "price_batch"]
@@ -45,6 +45,10 @@ class ServeCostModel:
     result_out_bytes_per_item: int = 16
 
 
+#: The serve tier's per-unit charges (every replica prices with these).
+_COSTS = ServeCostModel()
+
+
 @dataclass(frozen=True)
 class BatchCost:
     """The priced components of one served batch."""
@@ -64,8 +68,6 @@ def price_batch(
     batch_size: int,
     *,
     top_k: int,
-    costs: ServeCostModel,
-    sgx: SgxCostModel,
     epc: EpcModel,
     resident_bytes: float,
 ) -> BatchCost:
@@ -74,11 +76,12 @@ def price_batch(
     ``stats`` is the sanitized :class:`~repro.serve.endpoint.BatchStats`
     dict an ``ecall_serve`` reply carries (scored pairs, cache hits,
     touched bytes); ``resident_bytes`` is the serving enclave's tracked
-    EPC working set at completion time.
+    EPC working set at completion time.  Every serving enclave runs on
+    SGX1, so the batch pays :data:`~repro.tee.cost_model.SGX1_COST_MODEL`'s
+    transition, compute-slowdown and paging costs.
     """
-    multiplier = (
-        sgx.compute_multiplier(resident_bytes, epc) if sgx.enabled else 1.0
-    )
+    sgx, costs = SGX1_COST_MODEL, _COSTS
+    multiplier = sgx.compute_multiplier(resident_bytes, epc)
     compute = (
         stats["scored_pairs"] * costs.score_pair_s * multiplier
         + stats["cache_hits"] * costs.cache_hit_s
@@ -89,12 +92,8 @@ def price_batch(
         costs.request_in_bytes + top_k * costs.result_out_bytes_per_item
     )
     transition = sgx.transition_time(1, marshalled)
-    if sgx.enabled:
-        faults = epc.page_faults(float(stats["touched_bytes"]), resident_bytes)
-        paging = faults * sgx.page_fault_cost_s
-    else:
-        faults = 0.0
-        paging = 0.0
+    faults = epc.page_faults(float(stats["touched_bytes"]), resident_bytes)
+    paging = faults * sgx.page_fault_cost_s
     return BatchCost(
         compute_s=compute,
         transition_s=transition,

@@ -3,9 +3,9 @@
 The balancer stands in front of every shard's replicas and owns the
 fleet's traffic-facing invariants:
 
-- a **bounded global queue** absorbs flash crowds before any replica
-  queue sees them; arrivals past the bound are shed (counted, never
-  silently dropped);
+- a **bounded global queue** (``GLOBAL_QUEUE_DEPTH``) absorbs flash
+  crowds before any replica queue sees them; arrivals past the bound
+  are shed (counted, never silently dropped);
 - each admitted query is **routed** by the consistent-hash ring to its
   owning shard and offered to a preferred replica (deterministic:
   ``user % replicas``), so repeat queries hit the same result cache;
@@ -15,7 +15,13 @@ fleet's traffic-facing invariants:
   answers with the same model;
 - a **crashed replica loses no admitted work**: its queued requests are
   evicted back into the global queue (counted as failovers) and re-route
-  at the same tick.
+  at the same tick;
+- a request that was **already waiting** in the global queue (evicted,
+  or deferred while its shard had no live replica) is offered only while
+  its target replica has queue room, and otherwise stays deferred; the
+  tick's new arrivals for that replica then wait behind the backlog.  A
+  restarted one-replica shard so takes its backlog over several ticks
+  instead of shedding what overflows its queue.
 
 Every admission count (``serve.fleet.{offered,routed,failover,shed,
 deferred}``) lives only in the run's registry; the report reads it from
@@ -34,12 +40,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
 
 from repro.obs import MetricsRegistry
 from repro.serve.fleet.router import HashRing
 from repro.serve.server import (
+    BATCH_WINDOW_TICKS,
     REJECT_NEWEST,
+    TICK_S,
     Completion,
     RecServer,
     ServePolicy,
@@ -48,6 +56,9 @@ from repro.tee.enclave import Enclave
 from repro.tee.epc import EpcModel
 
 __all__ = ["FleetPolicy", "ShardReplica", "FleetBalancer"]
+
+#: Bound of the global front-door queue (flash-crowd absorber).
+GLOBAL_QUEUE_DEPTH = 1024
 
 
 def _default_shard_policy() -> ServePolicy:
@@ -59,18 +70,15 @@ def _default_shard_policy() -> ServePolicy:
 
 @dataclass(frozen=True)
 class FleetPolicy:
-    """Fleet-level knobs: the global queue plus the per-replica policy."""
+    """The per-replica policy of a fleet (a wrapper ``bench/`` constructs;
+    the global queue bound is ``GLOBAL_QUEUE_DEPTH``)."""
 
-    #: Bound of the global front-door queue (flash-crowd absorber).
-    queue_depth: int = 1024
     shard: ServePolicy = field(default_factory=_default_shard_policy)
 
-    def __post_init__(self) -> None:
-        if self.queue_depth < 1:
-            raise ValueError("global queue depth must be positive")
-
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The policy every replica runs, constants included."""
+        shard = dict(asdict(self.shard), batch_window_ticks=BATCH_WINDOW_TICKS, tick_s=TICK_S)
+        return {"queue_depth": GLOBAL_QUEUE_DEPTH, "shard": shard}
 
 
 class ShardReplica:
@@ -162,7 +170,6 @@ class FleetBalancer:
         ring: HashRing,
         replicas: Dict[int, Sequence[ShardReplica]],
         *,
-        policy: Optional[FleetPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         if set(ring.shard_ids) != set(replicas):
@@ -176,7 +183,6 @@ class FleetBalancer:
         self.replicas: Dict[int, List[ShardReplica]] = {
             shard: list(replicas[shard]) for shard in ring.shard_ids
         }
-        self.policy = policy if policy is not None else FleetPolicy()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._offered = self.metrics.counter("serve.fleet.offered")
         self._shed = self.metrics.counter("serve.fleet.shed")
@@ -184,6 +190,8 @@ class FleetBalancer:
         self._failover = self.metrics.counter("serve.fleet.failover")
         self._deferred = self.metrics.counter("serve.fleet.deferred")
         self._pending: Deque[int] = deque()
+        #: Entries at the back of ``_pending`` offered since the last route.
+        self._arrivals = 0
         self.completions: List[Completion] = []
 
     # ------------------------------------------------------------------ #
@@ -192,10 +200,11 @@ class FleetBalancer:
     def offer(self, user: int) -> bool:
         """Offer one query to the global queue; sheds past the bound."""
         self._offered.inc()
-        if len(self._pending) >= self.policy.queue_depth:
+        if len(self._pending) >= GLOBAL_QUEUE_DEPTH:
             self._shed.inc()
             return False
         self._pending.append(int(user))
+        self._arrivals += 1
         return True
 
     # ------------------------------------------------------------------ #
@@ -209,16 +218,23 @@ class FleetBalancer:
         """Route every queued query to a replica (or defer/shed it).
 
         A query whose shard has no live replica stays queued for
-        the next tick (deferred, not lost).  Failover is counted when
+        the next tick (deferred, not lost).  So does one that was already
+        waiting before this tick's arrivals while its target replica's
+        queue is full, and every later query for that replica in this
+        call, so the backlog keeps its order.  Failover is counted when
         the preferred replica cannot take the query and a sibling does.
         """
         pending, self._pending = self._pending, deque()
+        waiting = len(pending) - self._arrivals
+        self._arrivals = 0
         # Liveness does not change within one call: each
         # shard's candidate list is computed once.
         candidates: Dict[int, List[ShardReplica]] = {}
+        # Replicas whose waiting backlog outgrew their queue room.
+        backlogged: Set[ShardReplica] = set()
         routed = failover = deferred = shed = 0
         shard_of = self.shard_of
-        for user in pending:
+        for index, user in enumerate(pending):
             shard = shard_of(user)
             live = candidates.get(shard)
             if live is None:
@@ -229,11 +245,20 @@ class FleetBalancer:
                 continue
             siblings = self.replicas[shard]
             target = siblings[user % len(siblings)]
-            if target not in live:
+            failed_over = target not in live
+            if failed_over:
                 target = live[0]  # deterministic: replica-id order
-                failover += 1
-            assert target.server is not None
-            if target.server.offer(user) < 0:
+            server = target.server
+            assert server is not None
+            if target in backlogged or (
+                index < waiting and server.queue_len >= server.policy.queue_depth
+            ):
+                backlogged.add(target)
+                deferred += 1
+                self._pending.append(user)
+                continue
+            failover += failed_over
+            if server.offer(user) < 0:
                 shed += 1
             else:
                 routed += 1

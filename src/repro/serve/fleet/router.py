@@ -4,7 +4,7 @@ The fleet partitions users across shards.  A modulo assignment would
 remap nearly *every* user when a shard joins or leaves -- invalidating
 every shard's exclusion index and result cache at once.  The classic fix
 (Karger et al., and every production KV/serving fleet since) is a
-**consistent-hash ring**: each shard owns ``vnodes`` pseudo-random
+**consistent-hash ring**: each shard owns ``DEFAULT_VNODES`` pseudo-random
 points on a 64-bit circle, a user hashes to a point of its own, and the
 first shard point at or clockwise of the user's point owns it.  Two
 properties follow, and the hypothesis suite pins both:
@@ -52,17 +52,14 @@ def _hash64(payload: bytes) -> int:
 class HashRing:
     """An immutable consistent-hash ring over integer shard ids."""
 
-    def __init__(self, shard_ids: Iterable[int], *, vnodes: int = DEFAULT_VNODES):
+    def __init__(self, shard_ids: Iterable[int]):
         shards = sorted({int(s) for s in shard_ids})
         if not shards:
             raise ValueError("a ring needs at least one shard")
-        if vnodes < 1:
-            raise ValueError("need at least one virtual node per shard")
-        self.vnodes = int(vnodes)
         self.shard_ids: Tuple[int, ...] = tuple(shards)
         points: List[Tuple[int, int]] = []
         for shard in shards:
-            for v in range(self.vnodes):
+            for v in range(DEFAULT_VNODES):
                 points.append((_hash64(b"shard|%d|%d" % (shard, v)), shard))
         points.sort()
         self._points = [p for p, _ in points]
@@ -118,4 +115,4 @@ class HashRing:
         return len(self.shard_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HashRing(shards={len(self.shard_ids)}, vnodes={self.vnodes})"
+        return f"HashRing(shards={len(self.shard_ids)}, vnodes={DEFAULT_VNODES})"

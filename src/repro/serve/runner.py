@@ -182,7 +182,7 @@ def train_and_load(
                 )
             )
 
-    balancer = FleetBalancer(ring, replica_map, policy=policy, metrics=obs.metrics)
+    balancer = FleetBalancer(ring, replica_map, metrics=obs.metrics)
     for shard in ring.shard_ids:
         for replica in replica_map[shard]:
             replica.boot(0)

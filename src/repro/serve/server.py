@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.obs import MetricsRegistry
-from repro.serve.costing import ServeCostModel, price_batch
-from repro.tee.cost_model import SGX1_COST_MODEL, SgxCostModel
+from repro.serve.costing import price_batch
 from repro.tee.enclave import Enclave
 from repro.tee.epc import EpcModel
 
@@ -38,7 +37,6 @@ __all__ = [
     "Request",
     "Completion",
     "ServePolicy",
-    "ServeCostModel",
     "RecServer",
     "SHED_OLDEST",
     "REJECT_NEWEST",
@@ -46,6 +44,11 @@ __all__ = [
 
 SHED_OLDEST = "shed-oldest"
 REJECT_NEWEST = "reject-newest"
+
+#: Ticks a batch may accumulate before it must be dispatched.
+BATCH_WINDOW_TICKS = 2
+#: Simulated duration of one tick (seconds).
+TICK_S = 1e-3
 
 #: Histogram edges for simulated request latency (seconds, geometric).
 LATENCY_BUCKETS = tuple(1e-4 * 2**i for i in range(16))
@@ -84,20 +87,14 @@ class ServePolicy:
     top_k: int = 10
     queue_depth: int = 64
     max_batch: int = 32
-    #: Ticks a batch may accumulate before it must be dispatched.
-    batch_window_ticks: int = 2
     #: ``shed-oldest`` or ``reject-newest`` when the queue is full.
     shed: str = SHED_OLDEST
-    #: Simulated duration of one tick.
-    tick_s: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.shed not in (SHED_OLDEST, REJECT_NEWEST):
             raise ValueError(f"unknown shed policy {self.shed!r}")
         if self.queue_depth < 1 or self.max_batch < 1 or self.top_k < 1:
             raise ValueError("queue_depth, max_batch and top_k must be positive")
-        if self.tick_s <= 0 or self.batch_window_ticks < 0:
-            raise ValueError("tick_s must be positive and batch_window_ticks non-negative")
 
 
 class RecServer:
@@ -108,15 +105,11 @@ class RecServer:
         enclave: Enclave,
         *,
         policy: Optional[ServePolicy] = None,
-        costs: Optional[ServeCostModel] = None,
-        sgx: SgxCostModel = SGX1_COST_MODEL,
         epc: Optional[EpcModel] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.enclave: Optional[Enclave] = enclave
         self.policy = policy if policy is not None else ServePolicy()
-        self.costs = costs if costs is not None else ServeCostModel()
-        self.sgx = sgx
         self.epc = epc if epc is not None else EpcModel()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._shed = self.metrics.counter("serve.shed", policy=self.policy.shed)
@@ -147,7 +140,7 @@ class RecServer:
     # ------------------------------------------------------------------ #
     @property
     def now_s(self) -> float:
-        return self.tick * self.policy.tick_s
+        return self.tick * TICK_S
 
     def offer(self, user: int) -> int:
         """Offer one query at the current tick.
@@ -204,7 +197,7 @@ class RecServer:
         completed: List[Completion] = []
         if self._queue:
             self._oldest_wait_ticks += 1
-            window_full = self._oldest_wait_ticks >= self.policy.batch_window_ticks
+            window_full = self._oldest_wait_ticks >= BATCH_WINDOW_TICKS
             batch_full = len(self._queue) >= self.policy.max_batch
             if window_full or batch_full:
                 completed = self._dispatch()
@@ -241,9 +234,8 @@ class RecServer:
         finish_s = start_s + service_s
         self._busy_until_s = finish_s
 
-        tick_s = self.policy.tick_s
         completions = [
-            Completion(r.request_id, r.user, r.arrival_tick * tick_s, finish_s)
+            Completion(r.request_id, r.user, r.arrival_tick * TICK_S, finish_s)
             for r in batch
         ]
         self.completions.extend(completions)
@@ -262,8 +254,6 @@ class RecServer:
             stats,
             batch_size,
             top_k=self.policy.top_k,
-            costs=self.costs,
-            sgx=self.sgx,
             epc=self.epc,
             resident_bytes=resident,
         )

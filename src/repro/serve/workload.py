@@ -36,6 +36,14 @@ __all__ = [
     "run_trace",
 ]
 
+#: Flash-crowd shape: each burst multiplies the rate by
+#: ``FLASH_MULTIPLIER`` for ``FLASH_DURATION`` ticks.
+FLASH_MULTIPLIER = 6.0
+FLASH_DURATION = 12
+#: Pareto tail exponent of per-user request weights (smaller = heavier
+#: tail).
+PARETO_ALPHA = 1.5
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -101,11 +109,11 @@ class TrafficSpec:
       ticks, so admission and shard capacity are exercised at peak while
       the trough proves the fleet does not shed idle traffic;
     - **flash crowds** -- ``flash_crowds`` seeded bursts multiply the
-      instantaneous rate by ``flash_multiplier`` for ``flash_duration``
+      instantaneous rate by ``FLASH_MULTIPLIER`` for ``FLASH_DURATION``
       ticks each (start ticks drawn from the spec's child stream), the
       events a bounded global queue exists for;
     - **heavy-tailed per-user rates** -- per-user request weights drawn
-      from a Pareto(``pareto_alpha``) law, so a small cohort of power
+      from a Pareto(``PARETO_ALPHA``) law, so a small cohort of power
       users dominates traffic (heavier than the Zipf head of
       :class:`WorkloadSpec` and uneven *across shards*, which is what
       makes consistent-hash balance worth testing).
@@ -125,26 +133,23 @@ class TrafficSpec:
     #: Peak-to-trough rate ratio (1 disables the diurnal swing).
     day_night_ratio: float = 4.0
     flash_crowds: int = 1
-    flash_multiplier: float = 6.0
-    flash_duration: int = 12
-    #: Pareto tail exponent of per-user request weights (smaller =
-    #: heavier tail).
-    pareto_alpha: float = 1.5
 
     def __post_init__(self) -> None:
         if self.day_night_ratio < 1.0:
             raise ValueError("day/night ratio must be >= 1 (peak over trough)")
         if self.diurnal_period < 2:
             raise ValueError("diurnal period must span at least two ticks")
-        if self.flash_crowds < 0 or self.flash_duration < 1:
-            raise ValueError("flash-crowd shape invalid")
-        if self.flash_multiplier < 1.0:
-            raise ValueError("a flash crowd cannot reduce traffic")
-        if self.pareto_alpha <= 0:
-            raise ValueError("pareto alpha must be positive")
+        if self.flash_crowds < 0:
+            raise ValueError("flash-crowd count must be non-negative")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The traffic shape, its constants included."""
+        return dict(
+            asdict(self),
+            flash_multiplier=FLASH_MULTIPLIER,
+            flash_duration=FLASH_DURATION,
+            pareto_alpha=PARETO_ALPHA,
+        )
 
 
 class TrafficModel:
@@ -155,10 +160,10 @@ class TrafficModel:
         self._rng = child_rng(spec.seed, "serve", "traffic")
         # Draw order is part of the contract: user weights, then flash
         # starts, then (in trace()) per-tick counts, then user ids.
-        weights = self._rng.pareto(spec.pareto_alpha, spec.n_users) + 1.0
+        weights = self._rng.pareto(PARETO_ALPHA, spec.n_users) + 1.0
         self.user_weights = weights / weights.sum()
         if spec.flash_crowds > 0:
-            horizon = max(1, spec.ticks - spec.flash_duration)
+            horizon = max(1, spec.ticks - FLASH_DURATION)
             starts = self._rng.integers(0, horizon, size=spec.flash_crowds)
             self.flash_starts = np.sort(starts.astype(np.int64))
         else:
@@ -177,8 +182,8 @@ class TrafficModel:
         )
         rates = spec.peak_rate * diurnal
         for start in self.flash_starts:
-            stop = min(spec.ticks, int(start) + spec.flash_duration)
-            rates[int(start) : stop] *= spec.flash_multiplier
+            stop = min(spec.ticks, int(start) + FLASH_DURATION)
+            rates[int(start) : stop] *= FLASH_MULTIPLIER
         return rates
 
     def peak_tick(self) -> int:

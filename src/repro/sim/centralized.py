@@ -23,11 +23,8 @@ def run_centralized(
     train: RatingsDataset,
     test: RatingsDataset,
     config: RexConfig,
-    *,
-    epochs: int = None,
 ) -> RunResult:
-    """Train one MF model on all data; one epoch is one full pass."""
-    epochs = config.epochs if epochs is None else epochs
+    """Train one MF model on all data for ``config.epochs`` full passes."""
     rng = child_rng(config.seed, "centralized")
 
     hp = config.mf
@@ -51,7 +48,7 @@ def run_centralized(
     )
     sim_clock = 0.0
     memory = (train.nbytes + model.resident_bytes) / MIB
-    for epoch in range(epochs):
+    for epoch in range(config.epochs):
         samples = model.train_epoch(train, rng, batches=batches)
         sim_clock += epoch_time
         result.records.append(

@@ -43,6 +43,11 @@ class DnnFleetSim(FleetEngine):
         super().__init__(train_shards, test_shards, topology, config)
         if config.dissemination is not Dissemination.DPSGD:
             raise ValueError("the DNN fleet trains under D-PSGD only")
+        if config.adaptive_batches:
+            raise ValueError(
+                "adaptive_batches is an MfFleetSim ablation; the DNN fleet "
+                "trains the fixed batch count"
+            )
         self.models: List[DnnRecommender] = []
         self.stores: List[DataStore] = []
         for shard in train_shards:

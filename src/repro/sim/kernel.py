@@ -133,10 +133,6 @@ class EventKernel:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next event, or ``None`` when drained."""
-        return self._heap[0][0] if self._heap else None
-
     def step(self) -> Optional[Event]:
         """Dispatch the single next event; ``None`` when drained."""
         if not self._heap:
@@ -148,27 +144,10 @@ class EventKernel:
         event.fn()
         return event
 
-    def run(
-        self,
-        *,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Dispatch events until the queue drains (or a bound trips).
-
-        ``until`` stops before dispatching any event scheduled strictly
-        after that time; ``max_events`` bounds this call's dispatches.
-        Returns the number of events dispatched by this call.
-        """
-        dispatched = 0
+    def run(self) -> None:
+        """Dispatch events until the queue drains."""
         while self._heap:
-            if max_events is not None and dispatched >= max_events:
-                break
-            if until is not None and self.peek_time() > until:
-                break
             self.step()
-            dispatched += 1
-        return dispatched
 
     # ------------------------------------------------------------------ #
     # Determinism fingerprint

@@ -135,10 +135,9 @@ class RunResult:
             for stage in STAGE_ORDER
         }
 
-    def mean_epoch_time(self, *, skip: int = _WARMUP_EPOCHS) -> float:
-        """Mean simulated epoch duration after ``skip`` warm-up epochs."""
-        if len(self.records) <= skip:
-            skip = 0
+    def mean_epoch_time(self) -> float:
+        """Mean simulated epoch duration after the warm-up epochs."""
+        skip = _WARMUP_EPOCHS if len(self.records) > _WARMUP_EPOCHS else 0
         if not self.records:
             return 0.0
         start_time = self.records[skip - 1].sim_time_s if skip else 0.0

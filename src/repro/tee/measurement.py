@@ -9,16 +9,15 @@ equal to the checker's own measurement").
 
 Here the trusted code is a Python class; we measure a stable identity for
 it: the fully-qualified class name plus the source code of the class if it
-can be retrieved, plus explicit attribute bytes.  Editing the trusted
+can be retrieved.  Editing the trusted
 class therefore changes the measurement, exactly like rebuilding an SGX
 enclave binary would.
 
 The measurement is a property of the build, not of an enclave instance:
 hardware fixes MRENCLAVE when the binary is signed.  So
-:func:`measure_class` computes each ``(class, attributes)`` digest once per
+:func:`measure_class` computes each class's digest once per
 process and hands the same value to every enclave of that build after
-that.  A different measurement needs a different class (or different
-attributes); editing a trusted module on disk while the process runs
+that.  A different measurement needs a different class; editing a trusted module on disk while the process runs
 does not re-measure classes already measured.
 """
 
@@ -28,8 +27,6 @@ import hashlib
 import inspect
 import weakref
 from dataclasses import dataclass
-from typing import Dict
-
 __all__ = ["Measurement", "measure_code", "measure_class"]
 
 _DOMAIN = b"sgx-mrenclave-v1:"
@@ -50,38 +47,35 @@ class Measurement:
         return self.digest.hex()[:12]
 
 
-def measure_code(code: bytes, attributes: bytes = b"") -> Measurement:
-    """Measure raw trusted code bytes plus security attributes."""
+def measure_code(code: bytes) -> Measurement:
+    """Measure raw trusted code bytes."""
     h = hashlib.sha256()
     h.update(_DOMAIN)
     h.update(len(code).to_bytes(8, "little"))
     h.update(code)
-    h.update(attributes)
     return Measurement(h.digest())
 
 
-#: class -> {attributes: digest}.  Weak on the class, so a dynamic build
-#: (e.g. ``repro.faults.tampered_build``) is not kept alive by its digest.
-_MEASURED: "weakref.WeakKeyDictionary[type, Dict[bytes, Measurement]]" = (
-    weakref.WeakKeyDictionary()
-)
+#: class -> digest.  Weak on the class, so a dynamic build (e.g.
+#: ``repro.faults.tampered_build``) is not kept alive by its digest.
+_MEASURED: "weakref.WeakKeyDictionary[type, Measurement]" = weakref.WeakKeyDictionary()
 
 
-def measure_class(trusted_class: type, attributes: bytes = b"") -> Measurement:
+def measure_class(trusted_class: type) -> Measurement:
     """Measure a trusted-application class.
 
     Uses the class source when available (so code edits change the
     measurement, like an SGX rebuild would) and falls back to the
     qualified name for classes defined interactively.  Computed once per
-    ``(class, attributes)`` per process: reading the source re-tokenizes
-    the whole module, and every enclave of one build carries one value.
+    class per process: reading the source re-tokenizes the whole module,
+    and every enclave of one build carries one value.
     """
-    by_attributes = _MEASURED.setdefault(trusted_class, {})
-    if attributes not in by_attributes:
+    measured = _MEASURED.get(trusted_class)
+    if measured is None:
         identity = f"{trusted_class.__module__}.{trusted_class.__qualname__}".encode()
         try:
             source = inspect.getsource(trusted_class).encode()
         except (OSError, TypeError):
             source = b""
-        by_attributes[attributes] = measure_code(identity + b"\x00" + source, attributes)
-    return by_attributes[attributes]
+        measured = _MEASURED[trusted_class] = measure_code(identity + b"\x00" + source)
+    return measured

@@ -207,6 +207,18 @@ def test_there_is_no_native_build():
         RexCluster(Topology.fully_connected(2), _config(SharingScheme.DATA), secure=False)
 
 
+def test_adaptive_batches_refused_before_any_enclave(monkeypatch):
+    """Every enclave trains the fixed batch count, so the fleet-simulator
+    ablation is refused, not silently ignored."""
+    def no_platform(*_args, **_kwargs):
+        raise AssertionError("a platform was built for a refused run")
+
+    monkeypatch.setattr("repro.core.cluster.Platform", no_platform)
+    config = _config(SharingScheme.DATA, adaptive_batches=True)
+    with pytest.raises(ValueError, match="adaptive_batches"):
+        RexCluster(Topology.fully_connected(2), config)
+
+
 class TestEcallStatus:
     def test_status_reflects_progress(self, tiny_split, shards):
         train, test = shards

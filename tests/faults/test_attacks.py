@@ -26,10 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.admission import ShareAdmission
+from repro.core.cluster import RexCluster
 from repro.core.config import DefenseConfig, RexConfig, SharingScheme
 from repro.data.dataset import RatingsDataset
+from repro.data.movielens import generate_node_shards
 from repro.faults import NAMED_PLANS, run_chaos
-from repro.obs import Observability
+from repro.ml.mf import MfHyperParams
+from repro.net.topology import Topology
 from repro.serve.endpoint import ServeEnclaveApp
 from repro.serve.fleet.shard import encode_shard_users
 from repro.serve.snapshot import encode_snapshot
@@ -121,15 +124,23 @@ def test_byzantine_mix_survives_with_defenses():
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_honest_runs_never_rejected(seed):
-    # Defenses forced ON under a fault-free plan: quotas, sanity checks
-    # and quote pinning must be invisible to honest traffic.
-    obs = Observability.create()
-    report = run_chaos(
-        "baseline", seed=seed, nodes=5, epochs=2, defenses=True, obs=obs
+    # Defenses armed on the chaos scenario with no faults and no
+    # attackers: quotas, sanity checks and quote pinning must be
+    # invisible to honest traffic.
+    split, train, test = generate_node_shards(
+        "chaos", users=40, items=120, ratings=1_600, nodes=5
     )
-    assert report.defended
-    assert report.rejected == {}
-    assert report.node_epochs == {n: 2 for n in range(5)}
+    config = RexConfig(
+        epochs=2,
+        share_points=60,
+        seed=seed,
+        mf=MfHyperParams(k=8),
+        defenses=DefenseConfig(enabled=True),
+    )
+    cluster = RexCluster(Topology.fully_connected(5), config)
+    cluster.run(train, test, global_mean=split.train.global_mean())
+    assert cluster.obs.metrics.total("faults.rejected") == 0
+    assert [host.epochs_done for host in cluster.hosts] == [2] * 5
 
 
 @settings(max_examples=10, deadline=None)

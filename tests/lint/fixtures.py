@@ -18,7 +18,7 @@ TRUSTED_MODULE = "repro.core.app"
 
 def run(source: str, module: str = UNTRUSTED_MODULE) -> List[Finding]:
     """Lint a dedented fixture string under the given module identity."""
-    return lint_source(textwrap.dedent(source), module=module, path="<fixture>")
+    return lint_source(textwrap.dedent(source), module=module)
 
 
 def hits(source: str, rule_id: str, module: str = UNTRUSTED_MODULE) -> List[Tuple[str, int]]:

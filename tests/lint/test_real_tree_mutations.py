@@ -144,14 +144,15 @@ def _seed_tags(finding, lines_by_path):
 
 def test_every_seed_is_caught_by_exactly_its_rules(seeded_tree):
     modules = {module_name_for(str(SRC / rel)): rel for rel in seeded_tree}
-    findings = lint_sources(
-        {module: seeded_tree[rel] for module, rel in modules.items()},
-        paths=modules,
-    )
-    lines_by_path = {rel: text.splitlines() for rel, text in seeded_tree.items()}
+    findings = lint_sources({module: seeded_tree[rel] for module, rel in modules.items()})
+    # In-memory modules report the display path ``<module>``.
+    rel_by_path = {f"<{module}>": rel for module, rel in modules.items()}
+    lines_by_path = {
+        path: seeded_tree[rel].splitlines() for path, rel in rel_by_path.items()
+    }
     caught = set()
     for finding in findings:
         tags = _seed_tags(finding, lines_by_path)
         assert len(tags) == 1, f"not attributable to one seed: {finding.format()}"
-        caught.add((finding.rule_id, finding.path, tags.pop()))
+        caught.add((finding.rule_id, rel_by_path[finding.path], tags.pop()))
     assert caught == EXPECTED

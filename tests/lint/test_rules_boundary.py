@@ -161,6 +161,6 @@ def test_findings_carry_severity_and_location():
     finding = findings[0]
     assert finding.rule_id == "REX-B001"
     assert str(finding.severity) == "error"
-    assert (finding.path, finding.line) == ("<fixture>", 1)
+    assert (finding.path, finding.line) == (f"<{UNTRUSTED_MODULE}>", 1)
     assert "DataStore" in finding.message
     assert UNTRUSTED_MODULE  # fixture identity stays untrusted

@@ -1,5 +1,7 @@
 """Event-kernel scheduling rules REX-K002 and REX-K003."""
 
+from repro.lint.rules_kernel import UnkeyedLoopSchedulingRule
+from repro.sim.kernel import EventKernel
 from tests.lint.fixtures import hits, run
 
 # kernel rules are trust-agnostic; run fixtures as the shared sim world
@@ -87,6 +89,11 @@ class TestLoopCapture:
 
 
 class TestUnkeyedLoopScheduling:
+    def test_description_names_exactly_the_kernel_scheduling_methods(self):
+        named = UnkeyedLoopSchedulingRule.description.split()[0]
+        assert named == "kernel.after/at"
+        assert all(hasattr(EventKernel, m) for m in named.split(".")[1].split("/"))
+
     def test_unkeyed_at_in_loop(self):
         src = """\
         def setup(kernel, nodes):

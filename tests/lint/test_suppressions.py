@@ -6,7 +6,7 @@ from repro.lint import lint_source
 
 
 def run(source, module="repro.tee.fixture"):
-    return lint_source(textwrap.dedent(source), module=module, path="<fixture>")
+    return lint_source(textwrap.dedent(source), module=module)
 
 
 class TestSuppression:

@@ -34,7 +34,7 @@ class TestArchitecture:
 
     def test_final_relu_keeps_output_nonnegative(self):
         model = _small_model()
-        raw = model.predict(np.arange(10), np.arange(10), clip=False)
+        raw = model._forward(np.arange(10), np.arange(10), training=False)
         assert (raw >= 0).all()
 
     def test_same_seed_identical_weights(self):

@@ -156,12 +156,6 @@ class TestPrediction:
         preds = model.predict(np.array([0, 1]), np.array([0, 1]))
         assert (preds == 5.0).all()
 
-    def test_unclipped_available(self):
-        model = _model()
-        model.user_bias[:] = 100.0
-        preds = model.predict(np.array([0]), np.array([0]), clip=False)
-        assert preds[0] > 5.0
-
     def test_cold_start_predicts_global_mean(self):
         model = _model()
         model.user_factors[:] = 0

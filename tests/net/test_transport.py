@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net.metrics import TrafficMeter
-from repro.net.transport import Fate, Network, RetryPolicy
+from repro.net import transport
+from repro.net.transport import Fate, Network
 
 
 @pytest.fixture()
@@ -27,26 +28,13 @@ class TestDelivery:
             a.send(1, bytes([i]))
         assert [m.payload[0] for m in b.poll()] == [0, 1, 2, 3, 4]
 
-    def test_poll_limit(self, net):
+    def test_poll_drains_the_inbox(self, net):
         a, b = net.endpoint(0), net.endpoint(1)
         for i in range(5):
             a.send(1, bytes([i]))
-        assert len(b.poll(max_messages=2)) == 2
-        assert b.pending == 3
-
-    def test_poll_zero_returns_nothing(self, net):
-        """Regression: ``max_messages=0`` means "none", not "unlimited"."""
-        a, b = net.endpoint(0), net.endpoint(1)
-        a.send(1, b"x")
-        assert b.poll(max_messages=0) == []
-        assert b.pending == 1
-        assert len(b.poll()) == 1
-
-    def test_poll_negative_clamped_to_zero(self, net):
-        a, b = net.endpoint(0), net.endpoint(1)
-        a.send(1, b"x")
-        assert b.poll(max_messages=-3) == []
-        assert b.pending == 1
+        assert b.pending == 5
+        assert len(b.poll()) == 5
+        assert b.pending == 0 and b.poll() == []
 
     def test_unknown_destination_rejected(self, net):
         a = net.endpoint(0)
@@ -140,7 +128,8 @@ class TestChaosSurface:
         assert [m.payload for m in b.poll()] == [b"now"]
         assert net.now == 0 and net.in_flight == 0
 
-    def test_drop_without_retry_policy_loses_message(self, net):
+    def test_drop_without_retry_policy_loses_message(self, net, monkeypatch):
+        monkeypatch.setattr(transport, "_MAX_ATTEMPTS", 1)  # no retransmission
         a, b = net.endpoint(0), net.endpoint(1)
         net.fault_hook = lambda m, attempt: Fate("drop")
         a.send(1, b"gone")
@@ -156,7 +145,6 @@ class TestChaosSurface:
             return Fate("drop") if attempt == 1 else None
 
         net.fault_hook = drop_first
-        net.retry_policy = RetryPolicy(max_attempts=3, backoff_base=1)
         a.send(1, b"retried")
         assert b.poll() == []  # first attempt dropped
         net.tick()  # backoff elapses, attempt 2 delivers
@@ -168,16 +156,17 @@ class TestChaosSurface:
         attempts = []
 
         def always_drop(message, attempt):
-            attempts.append(attempt)
+            attempts.append((attempt, net.now))
             return Fate("drop")
 
         net.fault_hook = always_drop
-        net.retry_policy = RetryPolicy(max_attempts=3, backoff_base=1)
         a.send(1, b"doomed")
         for _ in range(20):
             net.tick()
-        assert attempts == [1, 2, 3]
+        # Four attempts, each retried 2**(n-1) ticks after it failed.
+        assert attempts == [(1, 0), (2, 1), (3, 3), (4, 7)]
         assert b.poll() == [] and net.in_flight == 0
+        assert net.meter.metrics.value("faults.lost", kind="data", reason="drop") == 1
 
     def test_delay_holds_until_due_tick(self, net):
         a, b = net.endpoint(0), net.endpoint(1)
@@ -230,10 +219,3 @@ class TestChaosSurface:
         net.tick()
         net.set_up(1)
         assert b.poll() == []
-
-    def test_retry_policy_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=0)
-        assert RetryPolicy(max_attempts=4, backoff_base=2).backoff(3) == 8

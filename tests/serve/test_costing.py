@@ -3,8 +3,8 @@
 import pytest
 
 from repro.serve.costing import BatchCost, ServeCostModel, price_batch
-from repro.serve.server import RecServer, ServePolicy
-from repro.tee.cost_model import NATIVE_COST_MODEL, SGX1_COST_MODEL
+from repro.serve.server import BATCH_WINDOW_TICKS, TICK_S, RecServer, ServePolicy
+from repro.tee.cost_model import SGX1_COST_MODEL
 from repro.tee.epc import EpcModel
 
 from tests.serve.test_server import _StubEnclave
@@ -25,26 +25,21 @@ def test_batch_cost_components_sum_to_service_time():
     assert cost.service_s == pytest.approx(1e-4 + 2e-5 + 3e-6)
 
 
-def test_native_pricing_has_no_transition_or_paging():
+def test_compute_prices_counted_work_at_the_sgx_slowdown():
     costs = ServeCostModel()
-    cost = price_batch(
-        _stats(touched=10_000_000),
-        8,
-        top_k=10,
-        costs=costs,
-        sgx=NATIVE_COST_MODEL,
-        epc=EpcModel(total_mib=1.0, usable_mib=0.001),
-        resident_bytes=10_000_000.0,
-    )
-    assert cost.transition_s == 0.0
-    assert cost.paging_s == 0.0 and cost.page_faults == 0.0
+    epc = EpcModel()
+    cost = price_batch(_stats(), 8, top_k=10, epc=epc, resident_bytes=1024.0)
     expected = (
-        1000 * costs.score_pair_s
+        1000 * costs.score_pair_s * SGX1_COST_MODEL.compute_multiplier(1024.0, epc)
         + 3 * costs.cache_hit_s
         + 8 * costs.request_overhead_s
         + costs.batch_overhead_s
     )
     assert cost.compute_s == pytest.approx(expected)
+    assert cost.transition_s == pytest.approx(
+        SGX1_COST_MODEL.transition_time(1, 8 * (costs.request_in_bytes + 10 * 16))
+    )
+    assert cost.paging_s == 0.0 and cost.page_faults == 0.0  # within the share
 
 
 def test_sgx_pricing_charges_transition_and_paging_beyond_epc():
@@ -54,8 +49,6 @@ def test_sgx_pricing_charges_transition_and_paging_beyond_epc():
         _stats(touched=1_000_000),
         8,
         top_k=10,
-        costs=ServeCostModel(),
-        sgx=SGX1_COST_MODEL,
         epc=epc,
         resident_bytes=resident,
     )
@@ -74,17 +67,17 @@ class TestServerParity:
     retune lands in one place and both paths move together.
     """
 
-    @pytest.mark.parametrize("sgx", [NATIVE_COST_MODEL, SGX1_COST_MODEL])
-    def test_dispatch_service_time_matches_price_batch(self, sgx):
+    def test_dispatch_service_time_matches_price_batch(self):
         resident = 2_000_000
         enclave = _StubEnclave(
             resident_bytes=resident, pairs_per_user=500, touched_bytes=750_000
         )
         epc = EpcModel(total_mib=1.0, usable_mib=1.0)
-        policy = ServePolicy(batch_window_ticks=1, top_k=7)
-        server = RecServer(enclave, policy=policy, sgx=sgx, epc=epc)
+        server = RecServer(enclave, policy=ServePolicy(top_k=7), epc=epc)
         for user in range(5):
             server.offer(user)
+        for _ in range(BATCH_WINDOW_TICKS - 1):
+            assert server.step() == []
         completions = server.step()
         assert len(completions) == 5
 
@@ -98,25 +91,23 @@ class TestServerParity:
             },
             5,
             top_k=7,
-            costs=server.costs,
-            sgx=sgx,
             epc=epc,
             resident_bytes=float(resident),
         )
         assert server.busy_s == pytest.approx(expected.service_s)
         assert server.page_faults == pytest.approx(expected.page_faults)
-        # All five arrived at tick 0 and dispatched in the same tick:
-        # latency is exactly the priced service time.
-        latency = completions[0].latency_s
-        assert latency == pytest.approx(expected.service_s)
+        # All five arrived at tick 0 and dispatched when the window
+        # closed: latency is that wait plus exactly the priced service time.
+        wait_s = (BATCH_WINDOW_TICKS - 1) * TICK_S
+        assert completions[0].latency_s == pytest.approx(wait_s + expected.service_s)
 
     def test_busy_s_accumulates_across_batches(self):
         enclave = _StubEnclave(pairs_per_user=100)
-        server = RecServer(enclave, policy=ServePolicy(batch_window_ticks=1))
+        server = RecServer(enclave)
         server.offer(0)
-        server.step()
+        server.drain()
         first = server.busy_s
         assert first > 0.0
         server.offer(1)
-        server.step()
+        server.drain()
         assert server.busy_s > first

@@ -8,12 +8,13 @@ import pytest
 from repro.obs import Observability
 from repro.serve import runner as stages
 from repro.serve.fleet import FleetServeReport, run_fleet_experiment
-from repro.serve.fleet.balancer import FleetBalancer, FleetPolicy, ShardReplica
+from repro.serve.fleet import balancer as balancer_mod
+from repro.serve.fleet.balancer import FleetBalancer, ShardReplica
 from repro.serve.fleet.router import HashRing
 from repro.serve.endpoint import ServeEnclaveApp
 from repro.serve.fleet.shard import build_shard_payload, encode_shard_users
 from repro.serve.report import ServeReport
-from repro.serve.server import ServePolicy
+from repro.serve.server import REJECT_NEWEST, ServePolicy
 from repro.serve.snapshot import snapshot_from_arrays, encode_snapshot
 from repro.tee.attestation import AttestationService
 from repro.tee.enclave import Platform
@@ -314,13 +315,14 @@ class TestFleetRuns:
         # One replica per shard: while a victim is down its shard has no
         # live replica, so its users' queries wait in the global queue
         # (deferred) and route once the restart lands, and every shard is
-        # back to answer the quality probe.  The backlog then lands on the
-        # restarted replica at once; what overflows its reject-newest
-        # queue is shed, and counted.
+        # back to answer the quality probe.  The restarted replica takes
+        # the backlog only while its reject-newest queue has room, so
+        # none of it is shed.
         report = run_fleet_experiment(
             **{**FLEET_KW, "replicas": 1}, traffic=TRAFFIC, kill_one_replica_per_shard=True
         )
         assert report.deferred > 0
+        assert report.shed == 0
         assert report.crashes == report.restarts == FLEET_KW["shards"]
         assert report.offered == report.completed + report.shed
         assert report.quality["probed_users"] == 50
@@ -406,8 +408,9 @@ class TestReportIsARegistryView:
 # --------------------------------------------------------------------- #
 # Balancer-level failover mechanics (stub-free, real enclaves)
 # --------------------------------------------------------------------- #
-def _mini_fleet(metrics=None):
-    """One shard, two replicas over toy arrays; returns the balancer."""
+def _mini_fleet(metrics=None, replica_count=2, policy=None):
+    """One shard, ``replica_count`` replicas over toy arrays; returns the
+    balancer and its replicas."""
     owned = np.arange(12, dtype=np.int64)
     arrays = _toy_arrays(n_users=12)
     wire, _ = build_shard_payload(
@@ -428,9 +431,9 @@ def _mini_fleet(metrics=None):
     }
 
     ring = HashRing([0])
-    policy = FleetPolicy(shard=ServePolicy(batch_window_ticks=1))
+    policy = policy if policy is not None else ServePolicy()
     replicas = []
-    for r in range(2):
+    for r in range(replica_count):
         platform = Platform(f"mini-r{r}", AttestationService())
 
         def factory(incarnation, _platform=platform, _r=r):
@@ -441,9 +444,9 @@ def _mini_fleet(metrics=None):
             return enclave
 
         replicas.append(
-            ShardReplica(0, r, factory, policy=policy.shard, metrics=metrics)
+            ShardReplica(0, r, factory, policy=policy, metrics=metrics)
         )
-    balancer = FleetBalancer(ring, {0: replicas}, policy=policy, metrics=metrics)
+    balancer = FleetBalancer(ring, {0: replicas}, metrics=metrics)
     for replica in replicas:
         replica.boot(0)
     return balancer, replicas
@@ -500,10 +503,33 @@ class TestFailoverMechanics:
         assert obs.metrics.value("serve.fleet.routed") >= 4
         assert obs.metrics.value("serve.fleet.failover") >= 1
 
-    def test_global_queue_bound_sheds(self):
+    def test_global_queue_bound_sheds(self, monkeypatch):
         balancer, _ = _mini_fleet()
-        small = FleetPolicy(queue_depth=2)
-        balancer.policy = small
+        monkeypatch.setattr(balancer_mod, "GLOBAL_QUEUE_DEPTH", 2)
         assert balancer.offer(0) and balancer.offer(1)
         assert not balancer.offer(2)
         assert balancer.metrics.value("serve.fleet.shed") == 1
+
+    def test_waiting_backlog_takes_only_the_restarted_queue_room(self):
+        # A one-replica shard with a 2-deep reject-newest queue is down
+        # while 5 queries arrive; they wait in the global queue.
+        policy = ServePolicy(queue_depth=2, shed=REJECT_NEWEST)
+        balancer, replicas = _mini_fleet(replica_count=1, policy=policy)
+        balancer.kill_replica(0, 0)
+        for user in range(5):
+            balancer.offer(user)
+        balancer.route_pending()
+        metrics = balancer.metrics
+        assert metrics.value("serve.fleet.deferred") == 5
+        balancer.restart_replica(0, 0, tick=1)
+        # The backlog fills the queue's room and the rest stays deferred;
+        # a new arrival for that replica waits behind it.
+        balancer.offer(5)
+        balancer.route_pending()
+        assert balancer.queued_len == 2
+        assert metrics.value("serve.fleet.deferred") == 5 + 4
+        while not balancer.idle():
+            balancer.route_pending()
+            balancer.step_shard(0)
+        assert [c.user for c in balancer.completions] == [0, 1, 2, 3, 4, 5]
+        assert metrics.value("serve.fleet.shed") == 0

@@ -14,6 +14,7 @@ import pytest
 
 from repro.serve import run_serving_experiment
 from repro.serve import runner as stages
+from repro.serve import server
 from repro.serve.report import ServeReport, percentile
 from repro.serve.server import ServePolicy
 from repro.serve.workload import WorkloadSpec
@@ -133,11 +134,13 @@ class TestCacheBuysCapacity:
         users=80,
         items=600,
         ratings=6000,
-        policy=ServePolicy(batch_window_ticks=1, tick_s=1e-5, max_batch=64, queue_depth=256),
+        policy=ServePolicy(max_batch=64, queue_depth=256),
         workload=WorkloadSpec(seed=0, n_users=80, ticks=300, rate=3.0, zipf_s=1.2),
     )
 
-    def test_same_trace_without_caches_is_slower(self):
+    def test_same_trace_without_caches_is_slower(self, monkeypatch):
+        monkeypatch.setattr(server, "TICK_S", 1e-5)
+        monkeypatch.setattr(server, "BATCH_WINDOW_TICKS", 1)
         warm = run_serving_experiment(**self.SCENARIO)
         cold = run_serving_experiment(**self.SCENARIO, topn_capacity=0)
         assert warm.trace_digest == cold.trace_digest

@@ -8,14 +8,16 @@ is exact.
 import pytest
 
 from repro.obs import MetricsRegistry
+from repro.serve import costing
+from repro.serve.costing import ServeCostModel
 from repro.serve.server import (
+    BATCH_WINDOW_TICKS,
     REJECT_NEWEST,
     SHED_OLDEST,
+    TICK_S,
     RecServer,
-    ServeCostModel,
     ServePolicy,
 )
-from repro.tee.cost_model import NATIVE_COST_MODEL, SGX1_COST_MODEL
 from repro.tee.epc import EpcModel
 
 
@@ -53,7 +55,7 @@ class TestAdmission:
     def test_reject_newest_bounces_overflow(self):
         server = RecServer(
             _StubEnclave(),
-            policy=ServePolicy(queue_depth=2, shed=REJECT_NEWEST, batch_window_ticks=50),
+            policy=ServePolicy(queue_depth=2, shed=REJECT_NEWEST),
         )
         assert server.offer(0) >= 0 and server.offer(1) >= 0
         assert server.offer(2) == -1
@@ -64,7 +66,7 @@ class TestAdmission:
     def test_shed_oldest_keeps_queue_fresh(self):
         server = RecServer(
             _StubEnclave(),
-            policy=ServePolicy(queue_depth=2, shed=SHED_OLDEST, batch_window_ticks=50),
+            policy=ServePolicy(queue_depth=2, shed=SHED_OLDEST),
         )
         first = server.offer(0)
         server.offer(1)
@@ -78,7 +80,7 @@ class TestAdmission:
         metrics = MetricsRegistry()
         server = RecServer(
             _StubEnclave(),
-            policy=ServePolicy(queue_depth=1, shed=REJECT_NEWEST, batch_window_ticks=50),
+            policy=ServePolicy(queue_depth=1, shed=REJECT_NEWEST),
             metrics=metrics,
         )
         server.offer(0)
@@ -93,29 +95,24 @@ class TestAdmission:
             {"max_batch": 0},
             {"top_k": 0},
             {"top_k": -1},
-            {"tick_s": 0.0},
-            {"tick_s": -1e-3},
-            {"batch_window_ticks": -1},
         ):
             with pytest.raises(ValueError):
                 ServePolicy(**bad)
-        ServePolicy(batch_window_ticks=0)  # dispatch every tick: valid
 
 
 class TestBatching:
     def test_window_holds_until_ticks_elapse(self):
         enclave = _StubEnclave()
-        server = RecServer(enclave, policy=ServePolicy(batch_window_ticks=3))
+        server = RecServer(enclave)
         server.offer(0)
-        assert server.step() == [] and server.step() == []
-        done = server.step()  # third tick: window closes
+        for _ in range(BATCH_WINDOW_TICKS - 1):
+            assert server.step() == []
+        done = server.step()  # the window closes
         assert len(done) == 1 and len(enclave.batches) == 1
 
     def test_full_batch_dispatches_immediately(self):
         enclave = _StubEnclave()
-        server = RecServer(
-            enclave, policy=ServePolicy(max_batch=2, batch_window_ticks=50)
-        )
+        server = RecServer(enclave, policy=ServePolicy(max_batch=2))
         server.offer(0)
         server.offer(1)
         server.offer(2)
@@ -133,52 +130,31 @@ class TestBatching:
 
 class TestLatencyModel:
     def test_latency_includes_queue_wait(self):
-        server = RecServer(
-            _StubEnclave(), policy=ServePolicy(batch_window_ticks=2, tick_s=1e-3)
-        )
+        server = RecServer(_StubEnclave())
         server.offer(0)
         server.step()
         (done,) = server.step()
         # arrived at tick 0, dispatched at tick 1 => at least one tick waited
-        assert done.latency_s >= 1e-3
+        assert done.latency_s >= TICK_S
 
     def test_more_scored_pairs_cost_more(self):
         def serve_once(pairs):
-            server = RecServer(
-                _StubEnclave(pairs_per_user=pairs),
-                policy=ServePolicy(batch_window_ticks=1),
-                sgx=NATIVE_COST_MODEL,
-            )
+            server = RecServer(_StubEnclave(pairs_per_user=pairs))
             server.offer(0)
             return server.drain()[0].latency_s
 
         assert serve_once(100_000) > serve_once(100)
 
-    def test_serial_enclave_queues_back_to_back_batches(self):
-        costs = ServeCostModel(batch_overhead_s=5.0)  # huge service time
-        server = RecServer(
-            _StubEnclave(),
-            policy=ServePolicy(batch_window_ticks=1, max_batch=1),
-            costs=costs,
-        )
+    def test_serial_enclave_queues_back_to_back_batches(self, monkeypatch):
+        # A huge per-batch service time.
+        monkeypatch.setattr(costing, "_COSTS", ServeCostModel(batch_overhead_s=5.0))
+        server = RecServer(_StubEnclave(), policy=ServePolicy(max_batch=1))
         server.offer(0)
         server.offer(1)
         done = server.drain()
         by_id = sorted(done, key=lambda c: c.request_id)
         # second batch cannot start before the first finishes
         assert by_id[1].finish_s >= by_id[0].finish_s + 5.0
-
-    def test_sgx_costs_more_than_native(self):
-        def serve_once(sgx):
-            server = RecServer(
-                _StubEnclave(pairs_per_user=10_000),
-                policy=ServePolicy(batch_window_ticks=1),
-                sgx=sgx,
-            )
-            server.offer(0)
-            return server.drain()[0].latency_s
-
-        assert serve_once(SGX1_COST_MODEL) > serve_once(NATIVE_COST_MODEL)
 
 
 class TestEpcPressure:
@@ -188,7 +164,6 @@ class TestEpcPressure:
         resident = 64 * 1024
         server = RecServer(
             _StubEnclave(resident_bytes=resident, touched_bytes=resident),
-            policy=ServePolicy(batch_window_ticks=1),
             epc=epc,
             metrics=metrics,
         )
@@ -206,7 +181,6 @@ class TestEpcPressure:
     def test_within_share_no_faults(self):
         server = RecServer(
             _StubEnclave(resident_bytes=1024, touched_bytes=1024),
-            policy=ServePolicy(batch_window_ticks=1),
         )
         server.offer(0)
         server.drain()
@@ -217,7 +191,6 @@ class TestEpcPressure:
             resident = 64 * 1024
             server = RecServer(
                 _StubEnclave(resident_bytes=resident, touched_bytes=resident),
-                policy=ServePolicy(batch_window_ticks=1),
                 epc=epc,
             )
             server.offer(0)

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.net.serialization import encode_triplets
 from repro.serve import run_serving_experiment
 from repro.serve import runner as stages
+from repro.serve import server as server_mod
 from repro.serve.endpoint import ServeEnclaveApp
 from repro.serve.fleet.shard import build_shard_payload, encode_shard_users
 from repro.serve.server import REJECT_NEWEST, SHED_OLDEST, RecServer, ServePolicy
@@ -244,17 +245,17 @@ def test_degenerate_fleet_equals_the_run_trace_oracle(
         top_k=5,
         queue_depth=queue_depth,
         max_batch=max_batch,
-        batch_window_ticks=batch_window_ticks,
         shed=shed,
     )
     model = _trained()  # trained once, before the stage below is patched out
     served: list = []
-    with mock.patch.object(stages, "train_fleet_model", lambda **_kw: model):
-        with _recording_step(served):
-            report = run_serving_experiment(**MODEL, workload=spec, policy=policy)
+    with mock.patch.object(server_mod, "BATCH_WINDOW_TICKS", batch_window_ticks):
+        with mock.patch.object(stages, "train_fleet_model", lambda **_kw: model):
+            with _recording_step(served):
+                report = run_serving_experiment(**MODEL, workload=spec, policy=policy)
 
-    server = RecServer(_oracle_enclave(), policy=policy, epc=EpcModel())
-    want = run_trace(server, WorkloadGenerator(spec).trace())
+        server = RecServer(_oracle_enclave(), policy=policy, epc=EpcModel())
+        want = run_trace(server, WorkloadGenerator(spec).trace())
 
     assert served == want  # (request_id, user, arrival_s, finish_s), bit for bit
     assert (report.offered, report.routed, report.shed, report.completed) == (

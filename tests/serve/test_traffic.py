@@ -1,9 +1,19 @@
 """The production traffic model: diurnal, flash crowds, heavy tails."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.serve.workload import TrafficModel, TrafficSpec, trace_digest
+from repro.serve import workload
+from repro.serve.workload import (
+    FLASH_DURATION,
+    FLASH_MULTIPLIER,
+    PARETO_ALPHA,
+    TrafficModel,
+    TrafficSpec,
+    trace_digest,
+)
 
 
 def test_trace_deterministic_for_seed_and_spec():
@@ -41,10 +51,7 @@ def test_diurnal_day_beats_night():
 
 
 def test_flash_crowd_spikes_rate_inside_window():
-    spec = TrafficSpec(
-        seed=5, n_users=100, ticks=300, flash_crowds=1,
-        flash_multiplier=6.0, flash_duration=10,
-    )
+    spec = TrafficSpec(seed=5, n_users=100, ticks=300, flash_crowds=1)
     model = TrafficModel(spec)
     quiet = TrafficModel(
         TrafficSpec(seed=5, n_users=100, ticks=300, flash_crowds=0)
@@ -52,8 +59,8 @@ def test_flash_crowd_spikes_rate_inside_window():
     start = int(model.flash_starts[0])
     rates = model.rates()
     base = quiet.rates()
-    inside = slice(start, start + spec.flash_duration)
-    np.testing.assert_allclose(rates[inside], base[inside] * 6.0)
+    inside = slice(start, start + FLASH_DURATION)
+    np.testing.assert_allclose(rates[inside], base[inside] * FLASH_MULTIPLIER)
     # Outside the window the diurnal curve is untouched.
     mask = np.ones(spec.ticks, dtype=bool)
     mask[inside] = False
@@ -68,8 +75,9 @@ def test_peak_tick_lands_in_flash_window_or_diurnal_peak():
     assert model.rates()[peak] == model.rates().max()
 
 
-def test_pareto_head_dominates():
-    spec = TrafficSpec(seed=9, n_users=500, ticks=400, pareto_alpha=1.2)
+def test_pareto_head_dominates(monkeypatch):
+    monkeypatch.setattr(workload, "PARETO_ALPHA", 1.2)
+    spec = TrafficSpec(seed=9, n_users=500, ticks=400)
     model = TrafficModel(spec)
     weights = np.sort(model.user_weights)[::-1]
     # Heavy tail: the top 10% of users carry well over their fair share.
@@ -86,13 +94,17 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         TrafficSpec(diurnal_period=1)
     with pytest.raises(ValueError):
-        TrafficSpec(flash_multiplier=0.5)
-    with pytest.raises(ValueError):
-        TrafficSpec(pareto_alpha=0.0)
-    with pytest.raises(ValueError):
-        TrafficSpec(flash_duration=0)
+        TrafficSpec(flash_crowds=-1)
 
 
 def test_spec_to_dict_round_trip():
     spec = TrafficSpec(seed=4, peak_rate=12.0)
-    assert TrafficSpec(**spec.to_dict()) == spec
+    doc = spec.to_dict()
+    fields = {f.name for f in dataclasses.fields(TrafficSpec)}
+    assert TrafficSpec(**{name: doc[name] for name in fields}) == spec
+    # The report keeps the keys of the traffic-shape constants.
+    assert {k: v for k, v in doc.items() if k not in fields} == {
+        "flash_multiplier": FLASH_MULTIPLIER,
+        "flash_duration": FLASH_DURATION,
+        "pareto_alpha": PARETO_ALPHA,
+    }

@@ -34,10 +34,8 @@ class TestCentralized:
         diffs = np.diff(result.times())
         np.testing.assert_allclose(diffs, diffs[0])
 
-    def test_epoch_override(self, tiny_split):
-        result = run_centralized(
-            tiny_split.train, tiny_split.test, RexConfig(epochs=10), epochs=3
-        )
+    def test_runs_the_configured_epochs(self, tiny_split):
+        result = run_centralized(tiny_split.train, tiny_split.test, RexConfig(epochs=3))
         assert len(result.records) == 3
 
 

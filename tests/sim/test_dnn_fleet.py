@@ -94,6 +94,18 @@ class TestSharingSchemes:
         with pytest.raises(ValueError, match="D-PSGD only"):
             _sim(shards, scheme, Dissemination.RMW)
 
+    def test_adaptive_batches_refused_before_training(self, shards, monkeypatch):
+        """The DNN fleet trains the fixed batch count; the MF ablation is
+        refused before any model is built."""
+        def no_model(*_args, **_kwargs):
+            raise AssertionError("a model was built for a refused run")
+
+        monkeypatch.setattr("repro.sim.dnn_fleet.DnnRecommender", no_model)
+        train, test = shards
+        config = RexConfig(adaptive_batches=True, dnn=DnnHyperParams(k=4, hidden=(8, 6)))
+        with pytest.raises(ValueError, match="adaptive_batches"):
+            DnnFleetSim(list(train), list(test), Topology.ring(N_NODES), config)
+
     def test_dpsgd_pulls_models_together(self, shards):
         sim = _sim(shards, SharingScheme.MODEL, epochs=6)
         sim.run()

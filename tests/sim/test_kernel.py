@@ -79,21 +79,19 @@ class TestScheduling:
         with pytest.raises(ValueError):
             EventKernel().after(-1.0, lambda: None)
 
-    def test_run_until_bound(self):
+    def test_run_drains_events_scheduled_while_running(self):
         k = EventKernel()
         fired = []
-        for t in (0.0, 1.0, 2.0, 3.0):
-            k.at(t, lambda t=t: fired.append(t))
-        assert k.run(until=1.5) == 2
-        assert fired == [0.0, 1.0]
-        assert k.run() == 2
 
-    def test_run_max_events_bound(self):
-        k = EventKernel()
-        for t in range(5):
-            k.at(float(t), lambda: None)
-        assert k.run(max_events=3) == 3
-        assert len(k) == 2
+        def tick():
+            fired.append(k.now)
+            if k.now < 3.0:
+                k.after(1.0, tick)
+
+        k.at(0.0, tick)
+        k.run()
+        assert fired == [0.0, 1.0, 2.0, 3.0]
+        assert len(k) == 0 and k.processed == 4
 
 
 class TestTraceDigest:

@@ -65,7 +65,7 @@ class TestSummaries:
 
     def test_mean_epoch_time(self):
         result = _result([1.0] * 4, times=[1.0, 2.0, 3.0, 4.0])
-        assert result.mean_epoch_time(skip=1) == pytest.approx(1.0)
+        assert result.mean_epoch_time() == pytest.approx(1.0)
 
     def test_memory_mib(self):
         assert _result([1.0, 1.0]).memory_mib() == 12.0

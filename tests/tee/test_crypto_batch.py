@@ -281,20 +281,18 @@ class TestSealAll:
         batch = self._channels(4)
         reference = self._channels(4)
         payloads = [_payload(i, n) for i, n in enumerate([0, 65, 1024, 300])]
-        wires = seal_all(
-            [(tx, p, b"h%d" % i) for i, ((tx, _), p) in enumerate(zip(batch, payloads))]
-        )
+        wires = seal_all([(tx, p) for (tx, _), p in zip(batch, payloads)])
         for i, ((_, rx), (ref_tx, _), payload) in enumerate(
             zip(batch, reference, payloads)
         ):
-            assert bytes(wires[i]) == ref_tx.seal(payload, aad=b"h%d" % i)
-            assert rx.open(wires[i], aad=b"h%d" % i) == payload
+            assert bytes(wires[i]) == ref_tx.seal(payload)
+            assert rx.open(wires[i]) == payload
 
     def test_seal_all_counts_sealed_bytes(self, numpy_backend):
         (tx, _), = self._channels(1)
         sealed = tx.metrics.counter("chan.sealed.bytes")
         before = sealed.value
-        wires = seal_all([(tx, b"x" * 100, b"")])
+        wires = seal_all([(tx, b"x" * 100)])
         assert sealed.value - before == len(wires[0]) == 8 + 100 + TAG_LENGTH
 
 

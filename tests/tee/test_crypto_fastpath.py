@@ -231,10 +231,14 @@ class TestDispatchTable:
 
 class TestPinnedWireBytes:
     # SHA-256 over the framed wire bytes of twelve seals with a fixed
-    # key, channel ids, payload recipe and headers -- captured before the
-    # fast-path overhaul.  Any change to keystream layout, tag transcript
-    # or framing shows up here as a digest mismatch.
-    PINNED_DIGEST = "d5285760f20fe6783eb5f24881c45538c534b4efb15cf74f58196707f3e377f8"
+    # key, channel ids and payload recipe.  Any change to keystream
+    # layout, tag transcript or framing shows up here as a digest
+    # mismatch.  Re-captured once, when the channel stopped taking
+    # associated data (every frame had always sealed with none): the
+    # previous tree's ``SecureChannel.seal(payload)`` yields this same
+    # digest.  The AEAD's own associated-data path stays pinned by the
+    # RFC 8439 vectors.
+    PINNED_DIGEST = "def585f62434babcc140242f873113965da57185073b7a3182fb39a7d72f3651"
     SIZES = [0, 1, 63, 64, 65, 255, 256, 257, 1024, 16383, 16384, 16385]
 
     @staticmethod
@@ -245,7 +249,7 @@ class TestPinnedWireBytes:
         sender = SecureChannel(bytes(range(32)), local_id=3, peer_id=7)
         digest = hashlib.sha256()
         for i, size in enumerate(self.SIZES):
-            digest.update(sender.seal(self._payload(i, size), aad=b"hdr-%d" % i))
+            digest.update(sender.seal(self._payload(i, size)))
         assert digest.hexdigest() == self.PINNED_DIGEST
 
     def test_sealed_wires_open_on_peer(self):
@@ -253,9 +257,9 @@ class TestPinnedWireBytes:
         receiver = SecureChannel(bytes(range(32)), local_id=7, peer_id=3)
         for i, size in enumerate(self.SIZES):
             payload = self._payload(i, size)
-            wire = sender.seal(payload, aad=b"hdr-%d" % i)
+            wire = sender.seal(payload)
             assert len(wire) == 8 + size + TAG_LENGTH
-            assert receiver.open(wire, aad=b"hdr-%d" % i) == payload
+            assert receiver.open(wire) == payload
 
 
 class TestAgainstOpenSslOracle:

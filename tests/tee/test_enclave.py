@@ -163,13 +163,10 @@ class TestMeasurement:
     def test_measure_class_stable(self):
         assert measure_class(EchoApp) == measure_class(EchoApp)
 
-    def test_attributes_change_measurement(self):
-        assert measure_class(EchoApp, b"debug") != measure_class(EchoApp, b"release")
-
     def test_one_source_read_per_build(self, platform, monkeypatch):
         """The measurement belongs to the build: N enclaves of one class
-        read (and tokenize) its source once; another class or other
-        attributes are still measured, and measure differently."""
+        read (and tokenize) its source once; another class is still
+        measured, and measures differently."""
 
         class FreshApp(TrustedApp):  # measured for the first time here
             @ecall
@@ -192,13 +189,9 @@ class TestMeasurement:
         enclaves = [platform.create_enclave(FreshApp, f"fresh-{i}") for i in range(5)]
         assert reads == [FreshApp]
         assert len({e.measurement for e in enclaves}) == 1
-
-        debug = measure_class(FreshApp, b"debug")
-        assert reads == [FreshApp, FreshApp]
-        assert debug != enclaves[0].measurement
-        assert measure_class(FreshApp, b"debug") == debug
-        assert len(reads) == 2
+        assert measure_class(FreshApp) == enclaves[0].measurement
+        assert reads == [FreshApp]
 
         twin = platform.create_enclave(FreshTwin, "twin").measurement
-        assert reads == [FreshApp, FreshApp, FreshTwin]
+        assert reads == [FreshApp, FreshTwin]
         assert twin != enclaves[0].measurement

@@ -88,7 +88,7 @@ def test_restart_frees_the_old_enclave_at_once():
     host = cluster.hosts[1]
     old = [weakref.ref(host.enclave), weakref.ref(host.enclave._app)]
     cluster.crash_node(1)
-    cluster.restart_node(1, train[1], test[1], global_mean=mean, resume_epoch=0)
+    cluster.restart_node(1, train[1], test[1], global_mean=mean)
     assert host.enclave.enclave_id == "rex-node-1.boot1"
     assert _alive(old) == []
     # The platform still remembers both ids: neither can be loaded again.
